@@ -16,7 +16,8 @@ energies: a ratio below one means the edge placement saves energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields
 
 from .power_model import PowerProfile
 
@@ -31,6 +32,9 @@ __all__ = [
     "PeriodOverrunError",
     "transfer_time",
     "idle_gap_energy",
+    "quiet_time",
+    "energy_parts",
+    "energy_ratio",
     "timing_from_phases",
     "phase_timing",
     "cycle_energy",
@@ -75,6 +79,10 @@ class ConnectionlessScenario:
     downlink_bps: float = DEFAULT_DOWNLINK_BPS
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.t_i <= 0:
             raise ValueError("t_i must be strictly positive")
         for name in ("t_elab", "rtt", "b_tx", "b_rx"):
@@ -82,6 +90,11 @@ class ConnectionlessScenario:
                 raise ValueError(f"{name} must be non-negative")
         if self.uplink_bps <= 0 or self.downlink_bps <= 0:
             raise ValueError("bitrates must be strictly positive")
+
+    def workload(self) -> tuple[float, ...]:
+        """Every field but ``rtt``: what two compared placements share."""
+        return (self.t_i, self.t_elab, self.b_tx, self.b_rx,
+                self.uplink_bps, self.downlink_bps)
 
 
 @dataclass(frozen=True)
@@ -128,18 +141,9 @@ class EnergyBreakdown:
         )
         if any(p < 0 for p in parts):
             raise ValueError("energy components must be non-negative")
-        if self.e_i != self._sum(*parts):
+        if self.e_i != (self.e_tx + self.e_w + self.e_rx + self.e_q
+                        + self.e_prom_tx + self.e_prom_rx):
             raise ValueError("e_i must equal the sum of its components")
-
-    @staticmethod
-    def _sum(e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx) -> float:
-        return e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
-
-    @classmethod
-    def from_parts(cls, e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx
-                   ) -> "EnergyBreakdown":
-        total = cls._sum(e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx)
-        return cls(e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, total)
 
 
 @dataclass(frozen=True)
@@ -180,17 +184,18 @@ def idle_gap_energy(gap: float, profile: PowerProfile) -> float:
     return micro_joules / 1000.0
 
 
-def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
-                       profile: PowerProfile) -> PhaseTiming:
-    """Derive the full cycle timing from measured or computed phases.
+def quiet_time(t_tx: float, t_w: float, t_rx: float, t_i: float,
+               profile: PowerProfile) -> tuple[float, bool, bool]:
+    """Residual quiet time and promotion charges of a cycle, as plain floats.
 
-    ``t_q`` is the period minus the three phases and any charged promotion
-    durations.  A response promotion is charged when ``t_w`` alone walks the
-    radio into IDLE.  A request promotion is charged only when the residual
-    quiet time, after setting the promotion itself aside, still walks the
-    radio into IDLE; a residual that merely grazes the IDLE threshold by
-    less than one promotion length stays uncharged, so the IDLE segment of
-    the quiet-time energy and the promotion charge always co-occur.
+    Returns ``(t_q, prom_tx, prom_rx)``.  ``t_q`` is the period minus the
+    three phases and any charged promotion durations.  A response promotion
+    is charged when ``t_w`` alone walks the radio into IDLE.  A request
+    promotion is charged only when the residual quiet time, after setting
+    the promotion itself aside, still walks the radio into IDLE; a residual
+    that merely grazes the IDLE threshold by less than one promotion length
+    stays uncharged, so the IDLE segment of the quiet-time energy and the
+    promotion charge always co-occur.
     """
     threshold = profile.idle_entry_ms
     prom_rx = t_w > threshold
@@ -201,6 +206,41 @@ def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
     t_q = residual - profile.t_prom if prom_tx else residual
     if t_q < 0:
         raise PeriodOverrunError(-t_q)
+    return t_q, prom_tx, prom_rx
+
+
+def energy_parts(t_tx: float, t_w: float, t_rx: float, t_q: float,
+                 prom_tx: bool, prom_rx: bool, profile: PowerProfile
+                 ) -> tuple[float, ...]:
+    """Energy of one cycle (mJ), as plain floats in ``EnergyBreakdown``
+    field order: the six per-phase parts followed by their total.
+
+    Transfers run at fixed power, quiet gaps decay through the DRX chain,
+    and charged promotions add one promotion energy each.
+    """
+    e_tx = t_tx * profile.p_tx / 1000.0
+    e_w = idle_gap_energy(t_w, profile)
+    e_rx = t_rx * profile.p_rx / 1000.0
+    e_q = idle_gap_energy(t_q, profile)
+    e_prom = profile.promotion_energy_mj
+    e_prom_tx = e_prom if prom_tx else 0.0
+    e_prom_rx = e_prom if prom_rx else 0.0
+    return (e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx,
+            e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx)
+
+
+def energy_ratio(edge_mj: float, cloud_mj: float) -> float:
+    """rho: the edge cycle energy over the cloud cycle energy."""
+    if cloud_mj == 0:
+        raise ValueError("cloud cycle energy is zero; ratio undefined")
+    return edge_mj / cloud_mj
+
+
+def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
+                       profile: PowerProfile) -> PhaseTiming:
+    """Full cycle timing from measured or computed phases; see
+    :func:`quiet_time`."""
+    t_q, prom_tx, prom_rx = quiet_time(t_tx, t_w, t_rx, t_i, profile)
     return PhaseTiming(t_tx, t_w, t_rx, t_q, prom_tx=prom_tx, prom_rx=prom_rx)
 
 
@@ -215,21 +255,10 @@ def phase_timing(scn: ConnectionlessScenario,
 
 def cycle_energy(timing: PhaseTiming, profile: PowerProfile
                  ) -> EnergyBreakdown:
-    """Energy of one cycle: transfers at fixed power, quiet gaps decaying
-    through the DRX chain, plus any charged promotions."""
-    e_tx = timing.t_tx * profile.p_tx / 1000.0
-    e_rx = timing.t_rx * profile.p_rx / 1000.0
-    e_w = idle_gap_energy(timing.t_w, profile)
-    e_q = idle_gap_energy(timing.t_q, profile)
-    e_prom = profile.promotion_energy_mj
-    return EnergyBreakdown.from_parts(
-        e_tx=e_tx,
-        e_w=e_w,
-        e_rx=e_rx,
-        e_q=e_q,
-        e_prom_tx=e_prom if timing.prom_tx else 0.0,
-        e_prom_rx=e_prom if timing.prom_rx else 0.0,
-    )
+    """Energy of one cycle; see :func:`energy_parts`."""
+    return EnergyBreakdown(*energy_parts(
+        timing.t_tx, timing.t_w, timing.t_rx, timing.t_q,
+        timing.prom_tx, timing.prom_rx, profile))
 
 
 def compare(edge_scn: ConnectionlessScenario,
@@ -240,15 +269,13 @@ def compare(edge_scn: ConnectionlessScenario,
     The scenarios must differ in ``rtt`` alone; any other difference would
     make the energy ratio meaningless and is rejected.
     """
-    if replace(edge_scn, rtt=cloud_scn.rtt) != cloud_scn:
+    if edge_scn.workload() != cloud_scn.workload():
         raise ValueError("scenarios must differ only in rtt")
     edge = cycle_energy(phase_timing(edge_scn, profile), profile)
     cloud = cycle_energy(phase_timing(cloud_scn, profile), profile)
-    if cloud.e_i == 0:
-        raise ValueError("cloud cycle energy is zero; ratio undefined")
     return ComparisonResult(
         edge=edge,
         cloud=cloud,
-        rho=edge.e_i / cloud.e_i,
+        rho=energy_ratio(edge.e_i, cloud.e_i),
         delta_rtt=cloud_scn.rtt - edge_scn.rtt,
     )

@@ -19,10 +19,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import analytic, sweep, traces
-from ._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
 from .power_model import PowerProfile, default_profile, load_profile, profile_to_dict
 
 __all__ = ["RunConfig", "run", "main"]
@@ -68,23 +68,27 @@ def _resolve_profile(config: RunConfig) -> PowerProfile:
     return default_profile()
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[list[str]],
-          json_obj: Any) -> str:
-    """Render the artifact and write it to the output path if any."""
-    if config.output_format == "json":
-        text = json.dumps(json_obj, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
+def _write(config: RunConfig, text: str) -> None:
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)
-    return text
+
+
+def _emit(config: RunConfig, columns: list[str],
+          rows: Callable[[], list[list[str]]],
+          json_obj: Callable[[], Any]) -> None:
+    """Render the artifact in the requested format only, from the CSV
+    ``rows`` or the ``json_obj`` callable, and write it."""
+    if config.output_format == "json":
+        _write(config, json.dumps(json_obj(), indent=2) + "\n")
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows())
+    _write(config, buf.getvalue())
 
 
 def _flatten_profile(profile: PowerProfile) -> list[tuple[str, float]]:
@@ -105,8 +109,8 @@ def _run_power_table(config: RunConfig) -> int:
     _emit(
         config,
         columns=["parameter", "value"],
-        rows=[[name, fmt_axis(value)] for name, value in flat],
-        json_obj=profile_to_dict(profile),
+        rows=lambda: [[name, fmt_axis(value)] for name, value in flat],
+        json_obj=lambda: profile_to_dict(profile),
     )
     return 0
 
@@ -126,75 +130,82 @@ def _run_eval(config: RunConfig) -> int:
     timing = analytic.phase_timing(scn, profile)
     energy = analytic.cycle_energy(timing, profile)
 
-    print(f"T_TX = {fmt_ms(timing.t_tx)} ms")
-    print(f"T_W = {fmt_ms(timing.t_w)} ms")
-    print(f"T_RX = {fmt_ms(timing.t_rx)} ms")
-    print(f"T_Q = {fmt_ms(timing.t_q)} ms")
-    print(f"E_TX = {fmt_mj(energy.e_tx)} mJ")
-    print(f"E_W = {fmt_mj(energy.e_w)} mJ")
-    print(f"E_RX = {fmt_mj(energy.e_rx)} mJ")
-    print(f"E_Q = {fmt_mj(energy.e_q)} mJ")
-    print(f"E_PROM_TX = {fmt_mj(energy.e_prom_tx)} mJ")
-    print(f"E_PROM_RX = {fmt_mj(energy.e_prom_rx)} mJ")
-    print(f"E_I = {fmt_mj(energy.e_i)} mJ")
+    fields = [  # (column, value, unit)
+        ("t_tx_ms", timing.t_tx, "ms"),
+        ("t_w_ms", timing.t_w, "ms"),
+        ("t_rx_ms", timing.t_rx, "ms"),
+        ("t_q_ms", timing.t_q, "ms"),
+        ("e_tx_mj", energy.e_tx, "mJ"),
+        ("e_w_mj", energy.e_w, "mJ"),
+        ("e_rx_mj", energy.e_rx, "mJ"),
+        ("e_q_mj", energy.e_q, "mJ"),
+        ("e_prom_tx_mj", energy.e_prom_tx, "mJ"),
+        ("e_prom_rx_mj", energy.e_prom_rx, "mJ"),
+        ("e_i_mj", energy.e_i, "mJ"),
+    ]
+    # unit: (text format, JSON decimals)
+    formats = {"ms": (fmt_ms, 3), "mJ": (fmt_mj, 1)}
+    for column, value, unit in fields:
+        label = column.rsplit("_", 1)[0].upper()
+        print(f"{label} = {formats[unit][0](value)} {unit}")
 
     if config.output_path:
-        columns = ["t_tx_ms", "t_w_ms", "t_rx_ms", "t_q_ms",
-                   "e_tx_mj", "e_w_mj", "e_rx_mj", "e_q_mj",
-                   "e_prom_tx_mj", "e_prom_rx_mj", "e_i_mj"]
-        row = [fmt_ms(timing.t_tx), fmt_ms(timing.t_w), fmt_ms(timing.t_rx),
-               fmt_ms(timing.t_q), fmt_mj(energy.e_tx), fmt_mj(energy.e_w),
-               fmt_mj(energy.e_rx), fmt_mj(energy.e_q),
-               fmt_mj(energy.e_prom_tx), fmt_mj(energy.e_prom_rx),
-               fmt_mj(energy.e_i)]
-        obj = {
-            "t_tx_ms": round(timing.t_tx, 3),
-            "t_w_ms": round(timing.t_w, 3),
-            "t_rx_ms": round(timing.t_rx, 3),
-            "t_q_ms": round(timing.t_q, 3),
-            "e_tx_mj": round(energy.e_tx, 1),
-            "e_w_mj": round(energy.e_w, 1),
-            "e_rx_mj": round(energy.e_rx, 1),
-            "e_q_mj": round(energy.e_q, 1),
-            "e_prom_tx_mj": round(energy.e_prom_tx, 1),
-            "e_prom_rx_mj": round(energy.e_prom_rx, 1),
-            "e_i_mj": round(energy.e_i, 1),
-        }
-        _emit(config, columns, [row], obj)
+        _emit(config, [column for column, _, _ in fields],
+              lambda: [[formats[unit][0](v) for _, v, unit in fields]],
+              lambda: {c: round(v, formats[unit][1]) for c, v, unit in fields})
     return 0
+
+
+def _number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _axis_from_config(entry: Any) -> sweep.SweepAxis:
+    if not isinstance(entry, dict):
+        raise ValueError(f"sweep axis must be an object, got {entry!r}")
+    missing = [k for k in ("name", "start", "stop", "step") if k not in entry]
+    if missing:
+        raise ValueError(f"sweep axis {entry!r} lacks {', '.join(missing)}")
+    name = str(entry["name"])
+    return sweep.SweepAxis(
+        name=name,
+        start=_number(entry["start"], f"axis {name} start"),
+        stop=_number(entry["stop"], f"axis {name} stop"),
+        step=_number(entry["step"], f"axis {name} step"),
+    )
 
 
 def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
     base = params.get("base")
     if not isinstance(base, dict) or "t_i" not in base:
         raise ValueError("sweep config needs a 'base' object with 't_i'")
-    rtt_edge = float(base.get("rtt_edge", analytic.DEFAULT_EDGE_RTT_MS))
-    rtt_cloud = float(base.get("rtt_cloud", rtt_edge))
+
+    def base_number(key: str, default: float) -> float:
+        return _number(base.get(key, default), f"base {key}")
+
+    rtt_edge = base_number("rtt_edge", analytic.DEFAULT_EDGE_RTT_MS)
+    rtt_cloud = base_number("rtt_cloud", rtt_edge)
     common = dict(
-        t_i=float(base["t_i"]),
-        t_elab=float(base.get("t_elab", 0.0)),
-        b_tx=float(base.get("b_tx", 0.0)),
-        b_rx=float(base.get("b_rx", 0.0)),
-        uplink_bps=float(base.get("uplink_bps", analytic.DEFAULT_UPLINK_BPS)),
-        downlink_bps=float(base.get("downlink_bps",
-                                    analytic.DEFAULT_DOWNLINK_BPS)),
+        t_i=_number(base["t_i"], "base t_i"),
+        t_elab=base_number("t_elab", 0.0),
+        b_tx=base_number("b_tx", 0.0),
+        b_rx=base_number("b_rx", 0.0),
+        uplink_bps=base_number("uplink_bps", analytic.DEFAULT_UPLINK_BPS),
+        downlink_bps=base_number("downlink_bps",
+                                 analytic.DEFAULT_DOWNLINK_BPS),
     )
     axes_data = params.get("axes")
     if not axes_data:
         raise ValueError("empty grid: sweep config has no axes")
-    axes = tuple(
-        sweep.SweepAxis(
-            name=str(a["name"]),
-            start=float(a["start"]),
-            stop=float(a["stop"]),
-            step=float(a["step"]),
-        )
-        for a in axes_data
-    )
+    if not isinstance(axes_data, list):
+        raise ValueError("sweep config 'axes' must be a list of objects")
     return sweep.SweepSpec(
         base_edge=analytic.ConnectionlessScenario(rtt=rtt_edge, **common),
         base_cloud=analytic.ConnectionlessScenario(rtt=rtt_cloud, **common),
-        axes=axes,
+        axes=tuple(_axis_from_config(a) for a in axes_data),
     )
 
 
@@ -202,7 +213,7 @@ def _run_sweep(config: RunConfig) -> int:
     profile = _resolve_profile(config)
     spec = _sweep_spec_from_params(config.params)
     result = sweep.run_sweep(spec, profile)
-    _emit(config, result.columns, result.rows(), result.to_json_obj())
+    _emit(config, result.columns, result.rows, result.to_json_obj)
     return 0
 
 
@@ -223,7 +234,6 @@ def _run_cost(config: RunConfig) -> int:
     )
 
     columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
-    rows: list[list[str]] = []
     curves = []
     for alpha in alphas:
         spec = sweep.CostSpec(
@@ -233,38 +243,44 @@ def _run_cost(config: RunConfig) -> int:
             t_i_grid=grid,
             reply_bytes=float(p.get("reply_bytes", 1.0)),
         )
-        curve = sweep.cost_curve(spec, profile)
-        curves.append((alpha, curve))
-        for point in curve.points:
-            rows.append([
+        curves.append((alpha, sweep.cost_curve(spec, profile)))
+
+    def rows() -> list[list[str]]:
+        return [
+            [
                 fmt_axis(alpha),
                 fmt_axis(point.t_i),
                 fmt_mj(point.e_total),
                 fmt_axis(point.d),
-                f"{point.c:.6f}",
+                fmt_cost(point.c),
                 "1" if point.t_i == curve.argmin_t_i else "0",
-            ])
-
-    json_obj = {
-        "curves": [
-            {
-                "alpha": alpha,
-                "argmin_t_i_ms": curve.argmin_t_i,
-                "e_max_mj": round(curve.e_max, 1),
-                "d_max_ms": curve.d_max,
-                "points": [
-                    {
-                        "t_i_ms": pt.t_i,
-                        "e_mj_per_hour": round(pt.e_total, 1),
-                        "d_ms": pt.d,
-                        "cost": round(pt.c, 6),
-                    }
-                    for pt in curve.points
-                ],
-            }
+            ]
             for alpha, curve in curves
+            for point in curve.points
         ]
-    }
+
+    def json_obj() -> dict[str, Any]:
+        return {
+            "curves": [
+                {
+                    "alpha": alpha,
+                    "argmin_t_i_ms": curve.argmin_t_i,
+                    "e_max_mj": round(curve.e_max, 1),
+                    "d_max_ms": curve.d_max,
+                    "points": [
+                        {
+                            "t_i_ms": pt.t_i,
+                            "e_mj_per_hour": round(pt.e_total, 1),
+                            "d_ms": pt.d,
+                            "cost": round(pt.c, 6),
+                        }
+                        for pt in curve.points
+                    ],
+                }
+                for alpha, curve in curves
+            ]
+        }
+
     _emit(config, columns, rows, json_obj)
     return 0
 
@@ -314,10 +330,6 @@ def _run_trace_analyze(config: RunConfig) -> int:
             "" if rho_value is None else fmt_rho(rho_value),
         ]
 
-    rows = [agg_row(edge_agg, rho)]
-    if cloud_agg is not None:
-        rows.append(agg_row(cloud_agg, None))
-
     def agg_obj(agg, rho_value):
         return {
             "app_kind": kind,
@@ -333,10 +345,12 @@ def _run_trace_analyze(config: RunConfig) -> int:
             "repetitions": len(agg.breakdowns),
         }
 
-    json_obj = {"edge": agg_obj(edge_agg, rho)}
+    placements = [("edge", edge_agg, rho)]
     if cloud_agg is not None:
-        json_obj["cloud"] = agg_obj(cloud_agg, None)
-    _emit(config, columns, rows, json_obj)
+        placements.append(("cloud", cloud_agg, None))
+    _emit(config, columns,
+          lambda: [agg_row(agg, r) for _, agg, r in placements],
+          lambda: {name: agg_obj(agg, r) for name, agg, r in placements})
     return 0
 
 
@@ -349,13 +363,7 @@ def _run_trace_synth(config: RunConfig) -> int:
         bottleneck_bps=float(p["bottleneck"]),
         seed=int(p.get("seed", 0)),
     )
-    text = "\n".join(traces.events_to_lines(events)) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8",
-                  newline="") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(config, "\n".join(traces.events_to_lines(events)) + "\n")
     return 0
 
 

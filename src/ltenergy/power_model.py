@@ -16,6 +16,7 @@ with E[mJ] = P[mW] * T[ms] / 1000.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -61,6 +62,9 @@ class DutyCycleSpec:
     sleep_power: float  # mW
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.wake_power, self.wake_duration,
+                                       self.period, self.sleep_power))):
+            raise ValueError("duty-cycle parameters must be finite")
         if self.wake_power < 0 or self.sleep_power < 0:
             raise ValueError("duty-cycle powers must be non-negative")
         if not 0 <= self.wake_duration <= self.period:
@@ -83,6 +87,12 @@ def mean_power(spec: DutyCycleSpec) -> float:
     awake = spec.wake_power * spec.wake_duration
     asleep = spec.sleep_power * (spec.period - spec.wake_duration)
     return (awake + asleep) / spec.period
+
+
+_SCALAR_FIELDS = (
+    "p_tx", "p_rx", "p_cr", "p_short", "p_long", "p_idle", "p_prom",
+    "t_cr", "t_short", "t_long", "t_prom",
+)
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,13 @@ class PowerProfile:
     idle: DutyCycleSpec | None = None
 
     def __post_init__(self) -> None:
+        for name in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("p_tx", "p_rx", "p_prom", "p_idle"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"power {name} must be non-negative")
         if not (self.p_idle < self.p_long < self.p_short < self.p_cr):
             raise ValueError(
                 "state powers must be ordered p_idle < p_long < p_short < p_cr"
@@ -191,10 +208,6 @@ def decay_state_at(gap_elapsed: float, profile: PowerProfile) -> RadioState:
     return RadioState.IDLE
 
 
-_SCALAR_FIELDS = (
-    "p_tx", "p_rx", "p_cr", "p_short", "p_long", "p_idle", "p_prom",
-    "t_cr", "t_short", "t_long", "t_prom",
-)
 _DUTY_FIELDS = ("short_drx", "long_drx", "idle")
 
 
@@ -208,12 +221,11 @@ def profile_from_dict(data: dict[str, Any]) -> PowerProfile:
     for name in _DUTY_FIELDS:
         block = data.get(name)
         if block is not None:
-            kwargs[name] = DutyCycleSpec(
-                wake_power=float(block["wake_power"]),
-                wake_duration=float(block["wake_duration"]),
-                period=float(block["period"]),
-                sleep_power=float(block["sleep_power"]),
-            )
+            keys = [f.name for f in fields(DutyCycleSpec)]
+            if not isinstance(block, dict) or not set(keys) <= set(block):
+                raise ValueError(
+                    f"profile {name} must be an object with keys {keys}")
+            kwargs[name] = DutyCycleSpec(*(float(block[k]) for k in keys))
     known = {f.name for f in fields(PowerProfile)}
     unknown = set(data) - known
     if unknown:

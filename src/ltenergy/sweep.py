@@ -1,9 +1,13 @@
 """Parameter sweeps over placement scenarios and batching-cost curves.
 
 ``run_sweep`` evaluates the edge/cloud energy ratio over a dense one- or
-two-dimensional grid of scenario parameters.  Grid points whose cycle does
-not fit inside the period are kept as explicit error cells instead of being
-dropped, so downstream consumers always see the full grid.
+two-dimensional grid of scenario parameters.  It prices plain floats
+through the timing and energy core that :func:`ltenergy.analytic.compare`
+uses, so every cell equals ``compare`` at that grid point; scenario checks
+run once per axis value, and each distinct edge scenario is priced once.
+Grid points whose cycle does not fit inside the period are kept as explicit
+error cells instead of being dropped, so downstream consumers always see
+the full grid.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -15,19 +19,25 @@ is normalised by the maxima over the evaluated grid.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import TextIO
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence, TextIO
 
 from .analytic import (
     ComparisonResult,
     ConnectionlessScenario,
+    EnergyBreakdown,
     PeriodOverrunError,
-    compare,
+    compare,  # noqa: F401  bench/spans.py times ltenergy.sweep.compare
     cycle_energy,
+    energy_parts,
+    energy_ratio,
     phase_timing,
+    quiet_time,
+    transfer_time,
 )
-from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from .power_model import PowerProfile
 
 __all__ = [
@@ -64,6 +74,8 @@ class SweepAxis:
             raise ValueError(
                 f"unknown sweep axis {self.name!r}; expected one of {SWEEP_AXES}"
             )
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ValueError(f"axis {self.name} bounds must be finite")
         if self.step <= 0:
             raise ValueError("axis step must be strictly positive")
         if self.start > self.stop:
@@ -90,21 +102,37 @@ class SweepSpec:
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("sweep axes must be distinct")
-        if replace(self.base_edge, rtt=self.base_cloud.rtt) != self.base_cloud:
+        if self.base_edge.workload() != self.base_cloud.workload():
             raise ValueError("base scenarios must differ only in rtt")
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One grid point: either a comparison result or an overrun marker."""
+class SweepCell(NamedTuple):
+    """One grid point: both placements' energies, or an overrun marker.
+
+    ``edge`` and ``cloud`` hold the ``EnergyBreakdown`` fields in order,
+    the six per-phase parts (mJ) followed by their total; cells that share
+    an edge scenario share its tuple.  An error cell holds only ``values``
+    and ``error``.
+    """
 
     values: tuple[float, ...]
-    result: ComparisonResult | None
+    edge: tuple[float, ...] | None
+    cloud: tuple[float, ...] | None
+    rho: float | None
+    delta_rtt: float | None  # cloud RTT minus edge RTT, ms
     error: str | None = None
 
     @property
-    def rho(self) -> float | None:
-        return self.result.rho if self.result is not None else None
+    def result(self) -> ComparisonResult | None:
+        """The cell as :func:`ltenergy.analytic.compare` returns it."""
+        if self.error is not None:
+            return None
+        return ComparisonResult(
+            edge=EnergyBreakdown(*self.edge),
+            cloud=EnergyBreakdown(*self.cloud),
+            rho=self.rho,
+            delta_rtt=self.delta_rtt,
+        )
 
 
 @dataclass(frozen=True)
@@ -125,15 +153,14 @@ class SweepResult:
         out = []
         for cell in self.cells:
             row = [fmt_axis(v) for v in cell.values]
-            if cell.result is None:
-                row += ["", "", "", "", cell.error or "error"]
+            if cell.error is not None:
+                row += ["", "", "", "", cell.error]
             else:
-                r = cell.result
                 row += [
-                    fmt_rho(r.rho),
-                    fmt_mj(r.edge.e_i),
-                    fmt_mj(r.cloud.e_i),
-                    fmt_ms(r.delta_rtt),
+                    fmt_rho(cell.rho),
+                    fmt_mj(cell.edge[-1]),
+                    fmt_mj(cell.cloud[-1]),
+                    fmt_ms(cell.delta_rtt),
                     "",
                 ]
             out.append(row)
@@ -145,20 +172,20 @@ class SweepResult:
         writer.writerows(self.rows())
 
     def to_json_obj(self) -> dict:
+        columns = self.columns
         cells = []
         for cell in self.cells:
             entry: dict = {
                 name: _round6(value)
-                for name, value in zip(self.columns, cell.values)
+                for name, value in zip(columns, cell.values)
             }
-            if cell.result is None:
-                entry["error"] = cell.error or "error"
+            if cell.error is not None:
+                entry["error"] = cell.error
             else:
-                r = cell.result
-                entry["rho"] = round(r.rho, 3)
-                entry["e_i_edge_mj"] = round(r.edge.e_i, 1)
-                entry["e_i_cloud_mj"] = round(r.cloud.e_i, 1)
-                entry["delta_rtt_ms"] = _round6(r.delta_rtt)
+                entry["rho"] = round(cell.rho, 3)
+                entry["e_i_edge_mj"] = round(cell.edge[-1], 1)
+                entry["e_i_cloud_mj"] = round(cell.cloud[-1], 1)
+                entry["delta_rtt_ms"] = _round6(cell.delta_rtt)
             cells.append(entry)
         return {
             "axes": [
@@ -178,44 +205,76 @@ def _round6(x: float) -> float | int:
     return int(x) if float(x).is_integer() else round(x, 6)
 
 
-def _apply_axis(edge: ConnectionlessScenario, cloud: ConnectionlessScenario,
-                name: str, value: float
-                ) -> tuple[ConnectionlessScenario, ConnectionlessScenario]:
-    if name == "t_i":
-        return replace(edge, t_i=value), replace(cloud, t_i=value)
-    if name == "rtt_cloud":
-        return edge, replace(cloud, rtt=value)
-    if name == "payload":
-        return (
-            replace(edge, b_tx=value, b_rx=value),
-            replace(cloud, b_tx=value, b_rx=value),
-        )
-    if name == "t_elab":
-        return replace(edge, t_elab=value), replace(cloud, t_elab=value)
-    raise ValueError(f"unknown sweep axis {name!r}")
+def _scenario_fields(base: ConnectionlessScenario, names: Sequence[str],
+                     values: Sequence[float]) -> tuple[float, ...]:
+    """``(t_i, t_elab, rtt, b_tx, b_rx)`` of ``base`` with the named axes
+    set: ``rtt_cloud`` sets ``rtt`` and ``payload`` both byte counts."""
+    t_i, t_elab, rtt = base.t_i, base.t_elab, base.rtt
+    b_tx, b_rx = base.b_tx, base.b_rx
+    for name, value in zip(names, values):
+        if name == "t_i":
+            t_i = value
+        elif name == "t_elab":
+            t_elab = value
+        elif name == "rtt_cloud":
+            rtt = value
+        else:
+            b_tx = b_rx = value
+    return t_i, t_elab, rtt, b_tx, b_rx
+
+
+def _cycle(t_tx: float, t_w: float, t_rx: float, t_i: float,
+           profile: PowerProfile
+           ) -> tuple[tuple[float, ...] | None, str | None]:
+    """``(energy_parts, None)`` of one cycle, or ``(None, diagnostic)``
+    when its phases overrun the period."""
+    try:
+        timing = quiet_time(t_tx, t_w, t_rx, t_i, profile)
+    except PeriodOverrunError as exc:
+        return None, str(exc)
+    return energy_parts(t_tx, t_w, t_rx, *timing, profile), None
 
 
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
     """Evaluate the placement comparison at every grid point.
 
-    Each cell is an independent call to :func:`ltenergy.analytic.compare`;
-    period overruns become error cells carrying the diagnostic.
+    Every cell equals :func:`ltenergy.analytic.compare` on the grid point's
+    edge and cloud scenarios, and an axis value those scenarios would
+    reject raises the same ``ValueError`` before any cell is priced.  A
+    period overrun becomes an error cell carrying the diagnostic, the
+    edge's when both placements overrun.
     """
+    names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(a, b) for a in grids[0] for b in grids[1]]
+    base = spec.base_cloud
+    # The scenario checks are per field, so checking every axis value once
+    # against the base covers every cell the loop below prices as floats.
+    for name, grid in zip(names, grids):
+        for value in grid:
+            ConnectionlessScenario(*_scenario_fields(base, (name,), (value,)),
+                                   base.uplink_bps, base.downlink_bps)
 
+    rtt_edge = spec.base_edge.rtt
+    edges: dict[tuple[float, ...], tuple] = {}
     cells = []
-    for values in points:
-        edge, cloud = spec.base_edge, spec.base_cloud
-        for axis, value in zip(spec.axes, values):
-            edge, cloud = _apply_axis(edge, cloud, axis.name, value)
-        try:
-            cells.append(SweepCell(values, compare(edge, cloud, profile)))
-        except PeriodOverrunError as exc:
-            cells.append(SweepCell(values, None, error=str(exc)))
+    for values in itertools.product(*grids):
+        t_i, t_elab, rtt, b_tx, b_rx = _scenario_fields(base, names, values)
+        key = (t_i, t_elab, b_tx, b_rx)
+        edge = edges.get(key)
+        if edge is None:
+            t_tx = transfer_time(b_tx, base.uplink_bps)
+            t_rx = transfer_time(b_rx, base.downlink_bps)
+            priced = _cycle(t_tx, t_elab + rtt_edge, t_rx, t_i, profile)
+            edge = edges[key] = (t_tx, t_rx, *priced)
+        t_tx, t_rx, edge_mj, error = edge
+        if error is None:
+            cloud_mj, error = _cycle(t_tx, t_elab + rtt, t_rx, t_i, profile)
+        if error is None:
+            cells.append(SweepCell(
+                values, edge_mj, cloud_mj,
+                energy_ratio(edge_mj[-1], cloud_mj[-1]), rtt - rtt_edge))
+        else:
+            cells.append(SweepCell(values, None, None, None, None, error))
     return SweepResult(spec=spec, cells=tuple(cells))
 
 
@@ -271,16 +330,6 @@ class CostCurve:
     argmin_t_i: float
     e_max: float
     d_max: float
-
-    @property
-    def columns(self) -> list[str]:
-        return ["t_i_ms", "e_mj_per_hour", "d_ms", "cost"]
-
-    def rows(self) -> list[list[str]]:
-        return [
-            [fmt_axis(p.t_i), fmt_mj(p.e_total), fmt_axis(p.d), fmt_cost(p.c)]
-            for p in self.points
-        ]
 
 
 def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:

@@ -24,6 +24,19 @@ from _goldens import (
 PROFILE = default_profile()
 
 
+class TestScenarioValidation:
+    @pytest.mark.parametrize("name", [
+        "t_i", "t_elab", "rtt", "b_tx", "b_rx", "uplink_bps", "downlink_bps",
+    ])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_rejected(self, name, value):
+        edge, _ = reference_scenarios(750, 50)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(edge, **{name: value})
+
+
 class TestTransferTime:
     def test_uplink_reference(self):
         assert transfer_time(16000, 1e6) == pytest.approx(128.0)

@@ -114,6 +114,34 @@ class TestProfileValidation:
             profile = profile_from_dict(data)
         assert profile.short_drx is None
 
+    @pytest.mark.parametrize("name", ["p_tx", "p_rx", "p_prom", "p_idle"])
+    def test_negative_power_rejected(self, name):
+        data = profile_to_dict(default_profile())
+        data[name] = -5.0
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            profile_from_dict(data)
+
+    @pytest.mark.parametrize("name", [
+        "p_tx", "p_rx", "p_prom", "p_cr", "t_cr", "t_short", "t_long",
+        "t_prom",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scalar_rejected(self, name, value):
+        data = profile_to_dict(default_profile())
+        data[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            profile_from_dict(data)
+
+    def test_non_finite_duty_cycle_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DutyCycleSpec(float("nan"), 41, 100, 61)
+
+    def test_duty_cycle_missing_key_rejected(self):
+        data = profile_to_dict(default_profile())
+        del data["long_drx"]["period"]
+        with pytest.raises(ValueError, match="long_drx must be an object"):
+            profile_from_dict(data)
+
     def test_unknown_field_rejected(self):
         data = profile_to_dict(default_profile())
         data["p_wifi"] = 1.0

@@ -1,10 +1,13 @@
 import io
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ltenergy import (
     ConnectionlessScenario,
     CostSpec,
+    PeriodOverrunError,
     SweepAxis,
     SweepSpec,
     compare,
@@ -45,6 +48,13 @@ class TestAxis:
     def test_no_axes(self):
         with pytest.raises(ValueError, match="empty grid"):
             make_spec(())
+
+    @pytest.mark.parametrize("bounds", [
+        (float("nan"), 2, 1), (1, float("inf"), 1), (1, 2, float("nan")),
+    ])
+    def test_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepAxis("t_i", *bounds)
 
 
 class TestRunSweep:
@@ -103,6 +113,116 @@ class TestRunSweep:
         by_point = {cell.values: cell.rho for cell in result.cells}
         assert abs(by_point[(1500.0, 50.0)] - 1) < 0.02
         assert by_point[(0.0, 300.0)] < by_point[(1500.0, 300.0)] <= 1.0
+
+
+def scenarios_at(spec, values):
+    """Edge and cloud scenarios of one grid point, built field by field."""
+    edge, cloud = spec.base_edge, spec.base_cloud
+    for axis, value in zip(spec.axes, values):
+        if axis.name == "rtt_cloud":
+            cloud = replace(cloud, rtt=value)
+            continue
+        fields = {"t_i": {"t_i": value}, "t_elab": {"t_elab": value},
+                  "payload": {"b_tx": value, "b_rx": value}}[axis.name]
+        edge, cloud = replace(edge, **fields), replace(cloud, **fields)
+    return edge, cloud
+
+
+# Ranges wide enough for overruns (short periods, large payloads) and for
+# both IDLE promotions: waits beyond the 11.6 s IDLE entry charge the
+# response promotion, quiet times beyond it the request promotion.
+AXIS_RANGES = {
+    "t_i": (100.0, 40000.0),
+    "rtt_cloud": (0.0, 15000.0),
+    "payload": (0.0, 300000.0),
+    "t_elab": (0.0, 13000.0),
+}
+
+
+@st.composite
+def sweep_specs(draw):
+    def value(name):
+        return draw(st.floats(*AXIS_RANGES[name]))
+
+    payload = value("payload")
+    common = dict(t_i=value("t_i"), t_elab=value("t_elab"),
+                  b_tx=payload, b_rx=payload)
+    edge = ConnectionlessScenario(
+        rtt=draw(st.floats(0.0, 500.0)), **common)
+    cloud = ConnectionlessScenario(rtt=value("rtt_cloud"), **common)
+    names = draw(st.lists(st.sampled_from(sorted(AXIS_RANGES)),
+                          min_size=1, max_size=2, unique=True))
+    axes = []
+    for name in names:
+        low, high = AXIS_RANGES[name]
+        start = value(name)
+        step = draw(st.floats(1.0, (high - low) / 2))
+        count = draw(st.integers(1, 6))
+        axes.append(SweepAxis(name, start, start + (count - 1) * step, step))
+    return SweepSpec(base_edge=edge, base_cloud=cloud, axes=tuple(axes))
+
+
+def reference_spec(axes, t_i=5000.0):
+    common = dict(t_i=t_i, b_tx=16000.0, b_rx=16000.0)
+    return SweepSpec(
+        base_edge=ConnectionlessScenario(rtt=20.0, **common),
+        base_cloud=ConnectionlessScenario(rtt=100.0, **common),
+        axes=axes)
+
+
+class TestSweepMatchesCompare:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(spec=sweep_specs())
+    # overruns of the edge alone (t_i 300, rtt_cloud 0), of the cloud
+    # alone, and of both
+    @example(spec=reference_spec((SweepAxis("t_i", 100, 1100, 200),
+                                  SweepAxis("rtt_cloud", 0, 1000, 250))))
+    # response promotion (long cloud wait) and request promotion (long
+    # quiet time), each on its own and together
+    @example(spec=reference_spec((SweepAxis("t_i", 10000, 40000, 10000),
+                                  SweepAxis("rtt_cloud", 100, 15100, 5000))))
+    @example(spec=reference_spec((SweepAxis("t_elab", 0, 13000, 6500),),
+                                 t_i=30000.0))
+    def test_every_cell_equals_compare(self, spec):
+        result = run_sweep(spec, PROFILE)
+        grids = [axis.values() for axis in spec.axes]
+        points = [(v,) for v in grids[0]] if len(grids) == 1 else [
+            (a, b) for a in grids[0] for b in grids[1]]
+        assert [cell.values for cell in result.cells] == points
+        for cell in result.cells:
+            edge, cloud = scenarios_at(spec, cell.values)
+            try:
+                expected = compare(edge, cloud, PROFILE)
+            except PeriodOverrunError as exc:
+                assert cell.result is None
+                assert cell.rho is None
+                assert cell.error == str(exc)
+            else:
+                assert cell.error is None
+                assert cell.result == expected
+                assert cell.rho == expected.rho
+
+    def test_examples_reach_every_branch(self):
+        overrun = prom_tx = prom_rx = False
+        for axes in [
+            (SweepAxis("t_i", 100, 1100, 200),
+             SweepAxis("rtt_cloud", 0, 1000, 250)),
+            (SweepAxis("t_i", 10000, 40000, 10000),
+             SweepAxis("rtt_cloud", 100, 15100, 5000)),
+        ]:
+            for cell in run_sweep(reference_spec(axes), PROFILE).cells:
+                if cell.result is None:
+                    overrun = True
+                    continue
+                prom_tx |= cell.result.cloud.e_prom_tx > 0
+                prom_rx |= cell.result.cloud.e_prom_rx > 0
+        assert overrun and prom_tx and prom_rx
+
+    def test_invalid_axis_value_raises_scenario_error(self):
+        spec = make_spec((SweepAxis("t_i", -250, 750, 250),))
+        with pytest.raises(ValueError, match="t_i must be strictly positive"):
+            run_sweep(spec, PROFILE)
 
 
 class TestSweepOutput:
