@@ -169,3 +169,131 @@ class TestEvalGolden:
         assert code == 0
         assert capsys.readouterr().out == EVAL_STDOUT
         assert out.read_text() == expected
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_figure_digest_copies_agree():
+    """The benchmark and the tests freeze the figures from one digest file."""
+    bench_copy = ROOT / "bench" / "figure_digests.json"
+    test_copy = Path(__file__).resolve().parent / "figure_digests.json"
+    assert test_copy.read_bytes() == bench_copy.read_bytes()
+
+
+POWER_TABLE_CSV = """\
+parameter,value
+p_tx,1200
+p_rx,1000
+p_cr,1000
+p_short,359.07
+p_long,163.23
+p_idle,14.25
+p_prom,1200
+t_cr,200
+t_short,400
+t_long,11000
+t_prom,200
+short_drx.wake_power,788
+short_drx.wake_duration,41
+short_drx.period,100
+short_drx.sleep_power,61
+long_drx.wake_power,788
+long_drx.wake_duration,45
+long_drx.period,320
+long_drx.sleep_power,61
+idle.wake_power,570
+idle.wake_duration,32
+idle.period,1280
+idle.sleep_power,0
+"""
+# Flag-only: no --config and no --reply-bytes, so the reply defaults to 1 B.
+COST_ARGV = ["cost", "--alpha", "0.2", "--alpha", "0.8",
+             "--hourly-bytes", "360000", "--rtt", "40", "--t-i-min", "2000",
+             "--t-i-max", "20000", "--t-i-step", "6000"]
+COST_CSV = """\
+alpha,t_i_ms,e_mj_per_hour,d_ms,cost,is_argmin
+0.2,2000,1093118.4,2000,0.280000,1
+0.2,8000,716240.0,8000,0.451045,0
+0.2,14000,633401.6,14000,0.675889,0
+0.2,20000,459795.6,20000,0.884125,0
+0.8,2000,1093118.4,2000,0.820000,0
+0.8,8000,716240.0,8000,0.604181,0
+0.8,14000,633401.6,14000,0.603556,0
+0.8,20000,459795.6,20000,0.536502,1
+"""
+TRACE_ANALYZE_CSV = {
+    "get": """\
+app_kind,file_size,t_i,c,t_tx_ms,t_w_ms,t_rx_ms,t_q_ms,e_i_mJ,rho
+get,200000,30000,4,23.000,2.000,109.698,29665.302,8327.7,0.913
+get,200000,30000,4,87.000,2.000,300.586,29410.414,9119.8,
+""",
+    "post": """\
+app_kind,file_size,t_i,c,t_tx_ms,t_w_ms,t_rx_ms,t_q_ms,e_i_mJ,rho
+post,60160,30000,4,75.371,2.000,0.200,29722.429,8190.1,0.923
+post,60160,30000,4,267.371,2.000,0.200,29530.429,8873.1,
+""",
+}
+# sha256 of the JSON artifacts, frozen from the release before the
+# extractor, parser and flag/config merge were consolidated.
+JSON_DIGESTS = {
+    "power-table": "56cb0c02f484ef1dd8d9b6e990d09f0f6a7357627cdc92a87a61dca56cea999b",
+    "cost": "c593656543ca88309c8dbfc76f05140999632eb6a7cb5fb7a1ca34d8d4afdefa",
+    "get": "9e43fa530c2dd56692d8adb542522f31fd09218054b578b856b40baf66df899d",
+    "post": "50d3b54393c4d6a87e3010ef51a5f596e8e02a8ee55c6b84c69ad98488f87d93",
+}
+CLIENT = "198.51.100.10:52000"
+
+
+def synth_exports(tmp_path, kind, file_size):
+    """Three edge and three cloud exports at distinct RTTs and seeds."""
+    placements = {"edge": [], "cloud": []}
+    for rep in range(3):
+        for name, rtt in (("edge", 20 + 3 * rep), ("cloud", 80 + 7 * rep)):
+            path = tmp_path / f"{kind}-{name}-{rep}.tsv"
+            code = cli.main([
+                "trace-synth", "--kind", kind, "--file-size", str(file_size),
+                "--rtt", str(rtt), "--bottleneck", "20e6",
+                "--seed", str(11 * rep + len(name)), "--out", str(path)])
+            assert code == 0
+            placements[name].append(str(path))
+    return placements["edge"], placements["cloud"]
+
+
+class TestArtifactGoldens:
+    def test_power_table_csv(self, capsys):
+        assert cli.main(["power-table"]) == 0
+        assert capsys.readouterr().out == POWER_TABLE_CSV
+
+    def test_power_table_json(self, tmp_path):
+        out = tmp_path / "profile.json"
+        assert cli.main(["power-table", "--format", "json",
+                         "--out", str(out)]) == 0
+        assert sha256(out) == JSON_DIGESTS["power-table"]
+
+    def test_flag_only_cost_csv(self, capsys):
+        assert cli.main(COST_ARGV) == 0
+        assert capsys.readouterr().out == COST_CSV
+
+    def test_flag_only_cost_json(self, tmp_path):
+        out = tmp_path / "cost.json"
+        assert cli.main(COST_ARGV + ["--format", "json",
+                                     "--out", str(out)]) == 0
+        assert sha256(out) == JSON_DIGESTS["cost"]
+
+    @pytest.mark.parametrize("kind, file_size", [("get", 200000),
+                                                 ("post", 60000)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_analyze(self, tmp_path, kind, file_size, fmt):
+        edge, cloud = synth_exports(tmp_path, kind, file_size)
+        out = tmp_path / f"{kind}.{fmt}"
+        code = cli.main(["trace-analyze", "--kind", kind, "--client", CLIENT,
+                         "--t-i", "30000", "--concurrency", "4",
+                         "--format", fmt, "--out", str(out),
+                         *edge, "--cloud", *cloud])
+        assert code == 0
+        if fmt == "csv":
+            assert out.read_text() == TRACE_ANALYZE_CSV[kind]
+        else:
+            assert sha256(out) == JSON_DIGESTS[kind]
