@@ -117,16 +117,7 @@ def _run_power_table(config: RunConfig) -> int:
 
 def _run_eval(config: RunConfig) -> int:
     profile = _resolve_profile(config)
-    p = config.params
-    scn = analytic.ConnectionlessScenario(
-        t_i=p["t_i"],
-        t_elab=p.get("t_elab", 0.0),
-        rtt=p.get("rtt", analytic.DEFAULT_EDGE_RTT_MS),
-        b_tx=p.get("b_tx", 0.0),
-        b_rx=p.get("b_rx", 0.0),
-        uplink_bps=p.get("uplink_bps", analytic.DEFAULT_UPLINK_BPS),
-        downlink_bps=p.get("downlink_bps", analytic.DEFAULT_DOWNLINK_BPS),
-    )
+    scn = analytic.ConnectionlessScenario(**config.params)
     timing = analytic.phase_timing(scn, profile)
     energy = analytic.cycle_energy(timing, profile)
 
@@ -224,24 +215,34 @@ def _run_cost(config: RunConfig) -> int:
         if p.get(key) is None:
             raise ValueError(f"cost command needs {key!r}")
     alphas = p.get("alphas") or [0.5]
-    if p.get("t_i_step") <= 0:
+    if not isinstance(alphas, list):
+        raise ValueError(f"alphas must be a list of numbers, got {alphas!r}")
+
+    def given(value: Any, what: str) -> float:
+        # A number keeps its type, so the integers of a config file stay
+        # integers in the JSON artifact (alphas and grid periods).
+        if isinstance(value, (int, float)):
+            return value
+        return _number(value, what)
+
+    alphas = [given(alpha, "alpha") for alpha in alphas]
+    t_i_min, t_i_max, t_i_step = (
+        given(p[key], key) for key in ("t_i_min", "t_i_max", "t_i_step"))
+    if t_i_step <= 0:
         raise ValueError("t_i_step must be strictly positive")
-    if p["t_i_min"] > p["t_i_max"]:
+    if t_i_min > t_i_max:
         raise ValueError("empty grid: t_i_min exceeds t_i_max")
-    grid = tuple(
-        sweep.SweepAxis("t_i", p["t_i_min"], p["t_i_max"],
-                        p["t_i_step"]).values()
-    )
+    grid = tuple(sweep.SweepAxis("t_i", t_i_min, t_i_max, t_i_step).values())
 
     columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
     curves = []
     for alpha in alphas:
         spec = sweep.CostSpec(
             alpha=float(alpha),
-            hourly_bytes=float(p["hourly_bytes"]),
-            rtt=float(p["rtt"]),
+            hourly_bytes=_number(p["hourly_bytes"], "hourly_bytes"),
+            rtt=_number(p["rtt"], "rtt"),
             t_i_grid=grid,
-            reply_bytes=float(p.get("reply_bytes", 1.0)),
+            reply_bytes=_number(p.get("reply_bytes", 1.0), "reply_bytes"),
         )
         curves.append((alpha, sweep.cost_curve(spec, profile)))
 
@@ -287,15 +288,13 @@ def _run_cost(config: RunConfig) -> int:
 
 def _analyze_set(paths: Sequence[str], kind: str, client: str,
                  t_i: float, profile: PowerProfile):
+    extract = (traces.extract_post_phases if kind == "post"
+               else traces.extract_get_phases)
     iterations = []
     for index, path in enumerate(paths):
         with open(path, encoding="utf-8") as fp:
             events = traces.parse_events(fp, client=client)
-        if kind == "post":
-            iteration = traces.extract_post_phases(events, client, index)
-        else:
-            iteration = traces.extract_get_phases(events, client, index)
-        iterations.append(iteration)
+        iterations.append(extract(events, client, index))
     return iterations, traces.aggregate(iterations, t_i, profile)
 
 
@@ -412,10 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bytes uploaded per cycle")
     p_eval.add_argument("--b-rx", type=float, default=0.0,
                         help="bytes downloaded per cycle")
-    p_eval.add_argument("--uplink", type=float,
+    p_eval.add_argument("--uplink", type=float, dest="uplink_bps",
                         default=analytic.DEFAULT_UPLINK_BPS,
                         help="uplink bitrate, bits/s")
-    p_eval.add_argument("--downlink", type=float,
+    p_eval.add_argument("--downlink", type=float, dest="downlink_bps",
                         default=analytic.DEFAULT_DOWNLINK_BPS,
                         help="downlink bitrate, bits/s")
 
@@ -448,6 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ta.add_argument("--concurrency", type=int,
                       help="concurrent server connections during capture")
     p_ta.add_argument("--cloud", nargs="+", metavar="FILE",
+                      dest="cloud_files",
                       help="matching trace files from the cloud placement")
     p_ta.add_argument("files", nargs="+", metavar="FILE",
                       help="trace files, one exchange each")
@@ -466,60 +466,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Namespace and config-file keys that are not parameters of a runner.
+_NOT_PARAMS = ("command", "config", "profile", "format", "out")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    """Resolve one invocation: flags win over the config file.
+
+    The runner parameters start from the config file's keys; every flag
+    given (or defaulted) to a value other than None overrides its key, so
+    each flag's ``dest`` is the parameter name its runner reads.
+    """
     file_data: dict[str, Any] = {}
     if getattr(args, "config", None):
         file_data = _load_config_file(args.config, args.command)
-
-    profile_path = args.profile or file_data.get("profile")
-    output_format = args.format or file_data.get("format") or "csv"
-    output_path = args.out or file_data.get("out")
-
-    params: dict[str, Any] = {}
-    if args.command == "eval":
-        params = {
-            "t_i": args.t_i, "t_elab": args.t_elab, "rtt": args.rtt,
-            "b_tx": args.b_tx, "b_rx": args.b_rx,
-            "uplink_bps": args.uplink, "downlink_bps": args.downlink,
-        }
-    elif args.command == "sweep":
-        params = {"base": file_data.get("base"),
-                  "axes": file_data.get("axes")}
-    elif args.command == "cost":
-        params = {
-            "alphas": args.alphas or file_data.get("alphas"),
-            "hourly_bytes": (args.hourly_bytes
-                             if args.hourly_bytes is not None
-                             else file_data.get("hourly_bytes")),
-            "rtt": args.rtt if args.rtt is not None else file_data.get("rtt"),
-            "t_i_min": (args.t_i_min if args.t_i_min is not None
-                        else file_data.get("t_i_min")),
-            "t_i_max": (args.t_i_max if args.t_i_max is not None
-                        else file_data.get("t_i_max")),
-            "t_i_step": (args.t_i_step if args.t_i_step is not None
-                         else file_data.get("t_i_step")),
-            "reply_bytes": (args.reply_bytes
-                            if args.reply_bytes is not None
-                            else file_data.get("reply_bytes", 1.0)),
-        }
-    elif args.command == "trace-analyze":
-        params = {
-            "kind": args.kind, "client": args.client, "t_i": args.t_i,
-            "concurrency": args.concurrency,
-            "files": args.files, "cloud_files": args.cloud,
-        }
-    elif args.command == "trace-synth":
-        params = {
-            "kind": args.kind, "file_size": args.file_size,
-            "rtt": args.rtt, "bottleneck": args.bottleneck,
-            "seed": args.seed,
-        }
-
+    params = {k: v for k, v in file_data.items() if k not in _NOT_PARAMS}
+    params.update((k, v) for k, v in vars(args).items()
+                  if v is not None and k not in _NOT_PARAMS)
     return RunConfig(
         command=args.command,
-        profile_path=profile_path,
-        output_format=output_format,
-        output_path=output_path,
+        profile_path=args.profile or file_data.get("profile"),
+        output_format=args.format or file_data.get("format") or "csv",
+        output_path=args.out or file_data.get("out"),
         params=params,
     )
 

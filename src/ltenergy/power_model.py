@@ -211,13 +211,21 @@ def decay_state_at(gap_elapsed: float, profile: PowerProfile) -> RadioState:
 _DUTY_FIELDS = ("short_drx", "long_drx", "idle")
 
 
+def _number(value: Any, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"profile field {name} must be a number, got {value!r}") from None
+
+
 def profile_from_dict(data: dict[str, Any]) -> PowerProfile:
     """Build a PowerProfile from a plain dict (parsed profile file)."""
     kwargs: dict[str, Any] = {}
     for name in _SCALAR_FIELDS:
         if name not in data:
             raise ValueError(f"profile is missing required field {name!r}")
-        kwargs[name] = float(data[name])
+        kwargs[name] = _number(data[name], name)
     for name in _DUTY_FIELDS:
         block = data.get(name)
         if block is not None:
@@ -225,7 +233,8 @@ def profile_from_dict(data: dict[str, Any]) -> PowerProfile:
             if not isinstance(block, dict) or not set(keys) <= set(block):
                 raise ValueError(
                     f"profile {name} must be an object with keys {keys}")
-            kwargs[name] = DutyCycleSpec(*(float(block[k]) for k in keys))
+            kwargs[name] = DutyCycleSpec(
+                *(_number(block[k], f"{name}.{k}") for k in keys))
     known = {f.name for f in fields(PowerProfile)}
     unknown = set(data) - known
     if unknown:

@@ -306,6 +306,9 @@ class CostSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if not math.isfinite(self.hourly_bytes):
+            raise ValueError(
+                f"hourly_bytes must be finite, got {self.hourly_bytes!r}")
         if self.hourly_bytes <= 0:
             raise ValueError("hourly_bytes must be strictly positive")
         if len(self.t_i_grid) == 0:

@@ -4,8 +4,10 @@ Transport protocols with rate control tie transfer times to the round-trip
 time, which defeats the closed-form model.  This module instead ingests
 per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
-of an upload-style (POST) or download-style (GET) exchange, and feeds the
-measured phases into the same energy accounting as the analytic path.
+of one request-response exchange, and feeds the measured phases into the
+same energy accounting as the analytic path.  One landmark rule serves
+upload-style (POST) and download-style (GET) exchanges alike; the bulk
+direction only decides which stream's bytes count as the file size.
 
 A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
@@ -104,7 +106,6 @@ class PacketEvent:
     flags: frozenset[str]  # subset of {SYN, FIN, RST, ACK, PSH}
     seq: int
     ack: int
-    stream_id: str
     direction: Direction | None = None
 
     @property
@@ -121,13 +122,15 @@ class PacketEvent:
         return bool(self.flags & {"SYN", "FIN", "RST"})
 
     def direction_for(self, client: str) -> Direction:
-        if self.src == client:
-            return Direction.CLIENT_TO_SERVER
-        if self.dst == client:
-            return Direction.SERVER_TO_CLIENT
-        raise ValueError(
-            f"packet {self.src} -> {self.dst} does not involve client {client}"
-        )
+        return _direction(self.src, self.dst, client)
+
+
+def _direction(src: str, dst: str, client: str) -> Direction:
+    if src == client:
+        return Direction.CLIENT_TO_SERVER
+    if dst == client:
+        return Direction.SERVER_TO_CLIENT
+    raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
 
 
 @dataclass(frozen=True)
@@ -188,10 +191,6 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
-def _stream_id(a: str, b: str) -> str:
-    return "|".join(sorted((a, b)))
-
-
 def parse_events(lines: str | Iterable[str],
                  client: str | None = None) -> list[PacketEvent]:
     """Parse a packet field export into a time-ordered event list.
@@ -208,7 +207,8 @@ def parse_events(lines: str | Iterable[str],
     if isinstance(lines, str):
         lines = lines.splitlines()
 
-    events: list[PacketEvent] = []
+    # One tuple per packet, in PacketEvent field order up to ``ack``.
+    rows: list[tuple] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -235,42 +235,29 @@ def parse_events(lines: str | Iterable[str],
         flags = _parse_flags(parts[6], line_no)
         seq = _parse_int(parts[7], "sequence number", line_no)
         ack = _parse_int(parts[8], "acknowledgment number", line_no)
-        src = f"{src_addr}:{src_port}"
-        dst = f"{dst_addr}:{dst_port}"
-        events.append(PacketEvent(
-            timestamp=timestamp,
-            src_addr=src_addr, src_port=src_port,
-            dst_addr=dst_addr, dst_port=dst_port,
-            payload_len=payload, flags=flags, seq=seq, ack=ack,
-            stream_id=_stream_id(src, dst),
-        ))
+        rows.append((timestamp, src_addr, src_port, dst_addr, dst_port,
+                     payload, flags, seq, ack))
 
-    events.sort(key=lambda e: e.timestamp)
-    if not events:
+    rows.sort(key=lambda row: row[0])
+    if not rows:
         return []
 
     if client is None:
-        client = _infer_client(events)
+        client = _infer_client(rows)
     return [
-        PacketEvent(
-            timestamp=e.timestamp,
-            src_addr=e.src_addr, src_port=e.src_port,
-            dst_addr=e.dst_addr, dst_port=e.dst_port,
-            payload_len=e.payload_len, flags=e.flags, seq=e.seq, ack=e.ack,
-            stream_id=e.stream_id, direction=e.direction_for(client),
-        )
-        for e in events
+        PacketEvent(*row, direction=_direction(
+            f"{row[1]}:{row[2]}", f"{row[3]}:{row[4]}", client))
+        for row in rows
     ]
 
 
-def _infer_client(events: Sequence[PacketEvent]) -> str:
-    for e in events:
-        if "SYN" in e.flags and "ACK" not in e.flags:
-            return e.src
-    for e in events:
-        if e.payload_len > 0:
-            return e.src
-    return events[0].src
+def _infer_client(rows: Sequence[tuple]) -> str:
+    """Source of the first connection-opening packet, else of the first
+    payload-bearing packet, else of the first packet."""
+    opener = next(
+        (r for r in rows if "SYN" in r[6] and "ACK" not in r[6]),
+        next((r for r in rows if r[5] > 0), rows[0]))
+    return f"{opener[1]}:{opener[2]}"
 
 
 def events_to_lines(events: Iterable[PacketEvent]) -> list[str]:
@@ -306,115 +293,68 @@ def _stream_span(packets: Sequence[PacketEvent]) -> int:
     return hi - lo
 
 
-def extract_post_phases(events: Sequence[PacketEvent], client: str,
-                        repetition_index: int = 0) -> TraceIteration:
-    """Phase durations of an upload-style exchange.
+def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
+                    repetition_index: int) -> TraceIteration:
+    """Phase durations of one request-response exchange.
 
-    The upload spans the first client payload packet through the first
+    One landmark rule serves both bulk directions.  The request (the upload
+    of a POST) spans the first client payload packet through the first
     server packet with no payload whose acknowledgment covers the last
-    uploaded byte (retransmissions extend the upload, since the covering
-    acknowledgment arrives after them).  The download spans the server's
-    response through the client packet acknowledging all of it, and the
-    wait is the gap in between.
-    """
-    c2s, s2c = _split_exchange(events, client)
-    upload = [e for e in c2s if e.payload_len > 0]
-    if not upload:
-        raise IncompleteExchangeError("no request payload from the client")
-    upload_end = max(e.seq + e.payload_len for e in upload)
-    upload_start_t = upload[0].timestamp
-
-    covering = [e for e in s2c if e.payload_len == 0 and e.ack >= upload_end]
-    if not covering:
-        raise IncompleteExchangeError(
-            "missing the server acknowledgment that covers the upload"
-        )
-    final_ack = covering[0]
-
-    response = [e for e in s2c if e.payload_len > 0]
-    if not response:
-        raise IncompleteExchangeError("missing the server response")
-    if response[0].timestamp < final_ack.timestamp:
-        raise IncompleteExchangeError(
-            "server response precedes the upload acknowledgment"
-        )
-    response_end = max(e.seq + e.payload_len for e in response)
-    resp_start = response[0]
-
-    client_acks = [
-        e for e in c2s
-        if e.ack >= response_end and e.timestamp >= resp_start.timestamp
-    ]
-    if not client_acks:
-        raise IncompleteExchangeError(
-            "missing the client acknowledgment of the response"
-        )
-    final_client_ack = client_acks[0]
-
-    t_tx = (final_ack.timestamp - upload_start_t) * 1000.0
-    t_w = (resp_start.timestamp - final_ack.timestamp) * 1000.0
-    t_rx = (final_client_ack.timestamp - resp_start.timestamp) * 1000.0
-    return TraceIteration(
-        phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
-        app_kind="post",
-        file_size=_stream_span(upload),
-        repetition_index=repetition_index,
-    )
-
-
-def extract_get_phases(events: Sequence[PacketEvent], client: str,
-                       repetition_index: int = 0) -> TraceIteration:
-    """Phase durations of a download-style exchange.
-
-    Mirrors the upload case: the request spans the client's request packet
-    through the server acknowledgment covering it; the download spans the
-    first response byte through the client packet acknowledging the whole
-    transfer (the download therefore includes that final acknowledgment's
-    send time); the wait is the gap in between.
+    request byte; retransmissions extend it, since the covering
+    acknowledgment arrives after them.  The response (the download of a
+    GET) spans the first server payload packet through the first later
+    client packet acknowledging all of it, so it includes that final
+    acknowledgment's send time.  The wait is the gap in between.  The bulk
+    direction ``kind`` only decides whose byte span is the file size: the
+    request's for "post", the response's for "get".
     """
     c2s, s2c = _split_exchange(events, client)
     request = [e for e in c2s if e.payload_len > 0]
     if not request:
         raise IncompleteExchangeError("no request payload from the client")
     request_end = max(e.seq + e.payload_len for e in request)
-    request_start_t = request[0].timestamp
-
-    covering = [e for e in s2c if e.payload_len == 0 and e.ack >= request_end]
-    if not covering:
+    request_ack = next(
+        (e for e in s2c if e.payload_len == 0 and e.ack >= request_end), None)
+    if request_ack is None:
         raise IncompleteExchangeError(
-            "missing the server acknowledgment of the request"
-        )
-    request_ack = covering[0]
+            "missing the server acknowledgment that covers the request")
 
     response = [e for e in s2c if e.payload_len > 0]
     if not response:
-        raise IncompleteExchangeError("zero-length response")
-    if response[0].timestamp < request_ack.timestamp:
+        raise IncompleteExchangeError("zero-length response from the server")
+    response_start = response[0].timestamp
+    if response_start < request_ack.timestamp:
         raise IncompleteExchangeError(
-            "server response precedes the request acknowledgment"
-        )
+            "server response precedes the request acknowledgment")
     response_end = max(e.seq + e.payload_len for e in response)
-    resp_start = response[0]
-
-    client_acks = [
-        e for e in c2s
-        if e.ack >= response_end and e.timestamp >= resp_start.timestamp
-    ]
-    if not client_acks:
+    final_ack = next((e for e in c2s if e.ack >= response_end
+                      and e.timestamp >= response_start), None)
+    if final_ack is None:
         raise IncompleteExchangeError(
-            "missing the client acknowledgment of the transfer"
-        )
-    final_client_ack = client_acks[0]
+            "missing the client acknowledgment of the response")
 
-    t_tx = (request_ack.timestamp - request_start_t) * 1000.0
-    t_w = (resp_start.timestamp - request_ack.timestamp) * 1000.0
-    t_rx = (final_client_ack.timestamp - resp_start.timestamp) * 1000.0
     return TraceIteration(
-        phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
-        app_kind="get",
-        file_size=_stream_span(response),
+        phase=PhaseTiming(
+            t_tx=(request_ack.timestamp - request[0].timestamp) * 1000.0,
+            t_w=(response_start - request_ack.timestamp) * 1000.0,
+            t_rx=(final_ack.timestamp - response_start) * 1000.0,
+            t_q=0.0),
+        app_kind=kind,
+        file_size=_stream_span(request if kind == "post" else response),
         repetition_index=repetition_index,
     )
+
+
+def extract_post_phases(events: Sequence[PacketEvent], client: str,
+                        repetition_index: int = 0) -> TraceIteration:
+    """Phases of an upload-style exchange; see :func:`_extract_phases`."""
+    return _extract_phases("post", events, client, repetition_index)
+
+
+def extract_get_phases(events: Sequence[PacketEvent], client: str,
+                       repetition_index: int = 0) -> TraceIteration:
+    """Phases of a download-style exchange; see :func:`_extract_phases`."""
+    return _extract_phases("get", events, client, repetition_index)
 
 
 def iteration_energy(iteration: TraceIteration, t_i: float,
@@ -424,11 +364,13 @@ def iteration_energy(iteration: TraceIteration, t_i: float,
     The residual quiet time and promotion charges are derived exactly as in
     the analytic path, so measured and computed phases share one accounting.
     """
-    timing = timing_from_phases(
-        iteration.phase.t_tx, iteration.phase.t_w, iteration.phase.t_rx,
-        t_i, profile,
-    )
-    return cycle_energy(timing, profile)
+    return cycle_energy(_cycle_timing(iteration, t_i, profile), profile)
+
+
+def _cycle_timing(iteration: TraceIteration, t_i: float,
+                  profile: PowerProfile) -> PhaseTiming:
+    phase = iteration.phase
+    return timing_from_phases(phase.t_tx, phase.t_w, phase.t_rx, t_i, profile)
 
 
 def event_driven_energy(events: Sequence[PacketEvent], profile: PowerProfile,
@@ -506,7 +448,6 @@ def _synthetic_event(t_s: float, from_client: bool, payload: int,
         src_addr=src_addr, src_port=int(src_port),
         dst_addr=dst_addr, dst_port=int(dst_port),
         payload_len=payload, flags=flags, seq=seq, ack=ack,
-        stream_id=_stream_id(SYNTH_CLIENT, SYNTH_SERVER),
         direction=Direction.CLIENT_TO_SERVER if from_client
         else Direction.SERVER_TO_CLIENT,
     )
@@ -783,17 +724,12 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
     if len(sizes) > 1:
         raise ValueError(f"mixed file sizes: {sorted(sizes)}")
 
-    breakdowns = []
-    timings = []
-    for it in iterations:
-        timing = timing_from_phases(
-            it.phase.t_tx, it.phase.t_w, it.phase.t_rx, t_i, profile)
-        timings.append(timing)
-        breakdowns.append(cycle_energy(timing, profile))
+    breakdowns = tuple(iteration_energy(it, t_i, profile) for it in iterations)
+    timings = tuple(_cycle_timing(it, t_i, profile) for it in iterations)
     return AggregateResult(
         total_mj=sum(b.e_i for b in breakdowns),
-        breakdowns=tuple(breakdowns),
-        timings=tuple(timings),
+        breakdowns=breakdowns,
+        timings=timings,
         mean_t_tx=statistics.fmean(t.t_tx for t in timings),
         mean_t_w=statistics.fmean(t.t_w for t in timings),
         mean_t_rx=statistics.fmean(t.t_rx for t in timings),

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ltenergy import cli, sweep
+from ltenergy.power_model import default_profile, profile_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 FIGURES = ROOT / "figures"
@@ -297,3 +298,67 @@ class TestArtifactGoldens:
             assert out.read_text() == TRACE_ANALYZE_CSV[kind]
         else:
             assert sha256(out) == JSON_DIGESTS[kind]
+
+
+def cost_config(**overrides):
+    config = {"command": "cost", "alphas": [0.5], "hourly_bytes": 360000,
+              "rtt": 40, "t_i_min": 2000, "t_i_max": 20000,
+              "t_i_step": 6000}
+    config.update(overrides)
+    return config
+
+
+def assert_cli_error(argv, capsys, message):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert message in err
+
+
+class TestWrongTypeInputs:
+    """Values of the wrong type end as ``error:``, never as a traceback."""
+
+    @pytest.mark.parametrize("field, block", [("p_tx", None),
+                                              ("period", "idle")])
+    def test_null_profile_field(self, tmp_path, capsys, field, block):
+        data = profile_to_dict(default_profile())
+        (data[block] if block else data)[field] = None
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        assert_cli_error(["power-table", "--profile", str(path)], capsys,
+                         f"{field} must be a number, got None")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_i_step", "abc", "t_i_step must be a number, got 'abc'"),
+        ("t_i_max", "inf", "must be finite"),
+        ("alphas", 5, "alphas must be a list of numbers"),
+    ])
+    def test_cost_config_value(self, tmp_path, capsys, key, value, message):
+        config = write_config(tmp_path, cost_config(**{key: value}))
+        assert_cli_error(["cost", "--config", config], capsys, message)
+
+    def test_numeric_strings_price_like_numbers(self, tmp_path, capsys):
+        config = write_config(tmp_path, cost_config(
+            alphas=["0.2", "0.8"], t_i_min="2000", hourly_bytes="360000"))
+        assert cli.main(["cost", "--config", config]) == 0
+        assert capsys.readouterr().out == COST_CSV
+
+    def test_infinite_hourly_bytes(self, capsys):
+        argv = COST_ARGV + ["--hourly-bytes", "inf"]
+        assert_cli_error(argv, capsys, "hourly_bytes must be finite")
+
+
+def test_second_connection_from_client_host_rejected(tmp_path, capsys):
+    """An export that mixes in another connection of the client's host is
+    rejected rather than analysed as part of the exchange."""
+    path = tmp_path / "mixed.tsv"
+    assert cli.main(["trace-synth", "--kind", "get", "--file-size", "5000",
+                     "--rtt", "20", "--bottleneck", "20e6",
+                     "--out", str(path)]) == 0
+    host = CLIENT.rsplit(":", 1)[0]
+    with path.open("a") as fp:
+        fp.write(f"9.000000\t{host}\t203.0.113.5\t52001\t80\t10\tPA\t1\t1\n")
+    assert_cli_error(["trace-analyze", "--kind", "get", "--client", CLIENT,
+                      "--t-i", "30000", str(path)], capsys,
+                     f"does not involve client {CLIENT}")

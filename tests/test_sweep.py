@@ -315,3 +315,9 @@ class TestCostCurve:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty grid"):
             CostSpec(alpha=0.5, hourly_bytes=1, rtt=50, t_i_grid=())
+
+    @pytest.mark.parametrize("hourly_bytes", [float("inf"), float("nan")])
+    def test_non_finite_hourly_bytes(self, hourly_bytes):
+        with pytest.raises(ValueError, match="hourly_bytes must be finite"):
+            CostSpec(alpha=0.5, hourly_bytes=hourly_bytes, rtt=50,
+                     t_i_grid=(1000.0,))
