@@ -4,6 +4,9 @@ Output files are meant to be diffed, so every number serialises with a
 fixed decimal rule and never in exponent notation: energies with one
 decimal of mJ, ratios with three decimals, durations with three decimals
 of ms, costs with six, and grid/axis values trimmed of trailing zeros.
+JSON artifacts hold the ``repr`` of each value rounded to the same
+decimals, which is what ``json`` writes for a finite float: 0.5 reads
+``0.5`` there and ``0.500`` in CSV.
 """
 
 from __future__ import annotations

@@ -76,13 +76,18 @@ def _write(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json(obj: Any) -> str:
+    """The JSON artifact layout: two-space indent, no trailing newline."""
+    return json.dumps(obj, indent=2)
+
+
 def _emit(config: RunConfig, columns: list[str],
           rows: Callable[[], list[list[str]]],
-          json_obj: Callable[[], Any]) -> None:
+          json_text: Callable[[], str]) -> None:
     """Render the artifact in the requested format only, from the CSV
-    ``rows`` or the ``json_obj`` callable, and write it."""
+    ``rows`` or the ``json_text`` callable, and write it."""
     if config.output_format == "json":
-        _write(config, json.dumps(json_obj(), indent=2) + "\n")
+        _write(config, json_text() + "\n")
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -110,7 +115,7 @@ def _run_power_table(config: RunConfig) -> int:
         config,
         columns=["parameter", "value"],
         rows=lambda: [[name, fmt_axis(value)] for name, value in flat],
-        json_obj=lambda: profile_to_dict(profile),
+        json_text=lambda: _json(profile_to_dict(profile)),
     )
     return 0
 
@@ -143,7 +148,8 @@ def _run_eval(config: RunConfig) -> int:
     if config.output_path:
         _emit(config, [column for column, _, _ in fields],
               lambda: [[formats[unit][0](v) for _, v, unit in fields]],
-              lambda: {c: round(v, formats[unit][1]) for c, v, unit in fields})
+              lambda: _json({c: round(v, formats[unit][1])
+                             for c, v, unit in fields}))
     return 0
 
 
@@ -204,7 +210,7 @@ def _run_sweep(config: RunConfig) -> int:
     profile = _resolve_profile(config)
     spec = _sweep_spec_from_params(config.params)
     result = sweep.run_sweep(spec, profile)
-    _emit(config, result.columns, result.rows, result.to_json_obj)
+    _emit(config, result.columns, result.rows, result.json_text)
     return 0
 
 
@@ -260,8 +266,8 @@ def _run_cost(config: RunConfig) -> int:
             for point in curve.points
         ]
 
-    def json_obj() -> dict[str, Any]:
-        return {
+    def json_text() -> str:
+        return _json({
             "curves": [
                 {
                     "alpha": alpha,
@@ -280,9 +286,9 @@ def _run_cost(config: RunConfig) -> int:
                 }
                 for alpha, curve in curves
             ]
-        }
+        })
 
-    _emit(config, columns, rows, json_obj)
+    _emit(config, columns, rows, json_text)
     return 0
 
 
@@ -349,7 +355,8 @@ def _run_trace_analyze(config: RunConfig) -> int:
         placements.append(("cloud", cloud_agg, None))
     _emit(config, columns,
           lambda: [agg_row(agg, r) for _, agg, r in placements],
-          lambda: {name: agg_obj(agg, r) for name, agg, r in placements})
+          lambda: _json({name: agg_obj(agg, r)
+                         for name, agg, r in placements}))
     return 0
 
 

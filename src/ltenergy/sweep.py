@@ -1,13 +1,14 @@
 """Parameter sweeps over placement scenarios and batching-cost curves.
 
-``run_sweep`` evaluates the edge/cloud energy ratio over a dense one- or
-two-dimensional grid of scenario parameters.  It prices plain floats
+``run_sweep`` evaluates the edge/cloud energy ratio over a dense grid of
+scenario parameters, one dimension per swept axis.  It prices plain floats
 through the timing and energy core that :func:`ltenergy.analytic.compare`
 uses, so every cell equals ``compare`` at that grid point; scenario checks
 run once per axis value, and each distinct edge scenario is priced once.
 Grid points whose cycle does not fit inside the period are kept as explicit
 error cells instead of being dropped, so downstream consumers always see
-the full grid.
+the full grid.  ``SweepResult.json_text`` renders the bytes of
+``json.dumps(to_json_obj(), indent=2)`` from one template per cell.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -18,26 +19,26 @@ is normalised by the maxima over the evaluated grid.
 
 from __future__ import annotations
 
-import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 from .analytic import (
     ComparisonResult,
     ConnectionlessScenario,
     EnergyBreakdown,
     PeriodOverrunError,
+    DEFAULT_DOWNLINK_BPS,
+    DEFAULT_UPLINK_BPS,
     compare,  # noqa: F401  bench/spans.py times ltenergy.sweep.compare
-    cycle_energy,
     energy_parts,
     energy_ratio,
-    phase_timing,
     quiet_time,
     transfer_time,
 )
-from ._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import fmt_axis
 from .power_model import PowerProfile
 
 __all__ = [
@@ -88,7 +89,7 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A base edge/cloud scenario pair plus one or two axes to vary."""
+    """A base edge/cloud scenario pair plus the axes to vary."""
 
     base_edge: ConnectionlessScenario
     base_cloud: ConnectionlessScenario
@@ -97,8 +98,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.axes) == 0:
             raise ValueError("empty grid: no sweep axes given")
-        if len(self.axes) > 2:
-            raise ValueError("at most two sweep axes are supported")
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("sweep axes must be distinct")
@@ -150,28 +149,60 @@ class SweepResult:
         ]
 
     def rows(self) -> list[list[str]]:
+        """CSV rows in :attr:`columns` order; numbers follow ``_fmt``."""
+        texts = [{v: fmt_axis(v) for v in a.values()} for a in self.spec.axes]
         out = []
-        for cell in self.cells:
-            row = [fmt_axis(v) for v in cell.values]
-            if cell.error is not None:
-                row += ["", "", "", "", cell.error]
+        for values, edge, cloud, rho, delta_rtt, error in self.cells:
+            row = [*map(dict.__getitem__, texts, values)]
+            if error is not None:
+                row += ["", "", "", "", error]
             else:
-                row += [
-                    fmt_rho(cell.rho),
-                    fmt_mj(cell.edge[-1]),
-                    fmt_mj(cell.cloud[-1]),
-                    fmt_ms(cell.delta_rtt),
-                    "",
-                ]
+                row += [f"{rho:.3f}", f"{edge[-1]:.1f}", f"{cloud[-1]:.1f}",
+                        f"{delta_rtt:.3f}", ""]
             out.append(row)
         return out
 
-    def to_csv(self, fp: TextIO) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows())
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)``, from one template
+        of the indent-2 layout per cell.  Its numbers are the ``repr`` of the
+        values ``to_json_obj`` holds, which is what ``json`` writes for
+        finite floats and ints; each distinct axis value is rendered once."""
+        texts = [{v: f"      {json.dumps(a.name)}: {_round6(v)!r},\n"
+                  for v in a.values()} for a in self.spec.axes]
+        cells = []
+        for values, edge, cloud, rho, delta_rtt, error in self.cells:
+            head = "".join(map(dict.__getitem__, texts, values))
+            if error is not None:
+                cells.append(f'    {{\n{head}      "error": '
+                             f'{json.dumps(error)}\n    }}')
+            else:
+                cells.append(
+                    f'    {{\n{head}      "rho": {round(rho, 3)!r},\n'
+                    f'      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
+                    f'      "e_i_cloud_mj": {round(cloud[-1], 1)!r},\n'
+                    f'      "delta_rtt_ms": {_round6(delta_rtt)!r}\n    }}')
+        axes = json.dumps({"axes": self._axes_obj()}, indent=2)
+        text = (axes[:-len("\n}")] + ',\n  "cells": [\n'
+                + ",\n".join(cells) + "\n  ]\n}")
+        # json spells non-finite floats Infinity and NaN, repr inf and nan;
+        # such grids (and overrun messages that read inf) take this path.
+        if "inf" in text or "nan" in text:
+            return json.dumps(self.to_json_obj(), indent=2)
+        return text
+
+    def _axes_obj(self) -> list[dict]:
+        return [
+            {
+                "name": a.name,
+                "start": _round6(a.start),
+                "stop": _round6(a.stop),
+                "step": _round6(a.step),
+            }
+            for a in self.spec.axes
+        ]
 
     def to_json_obj(self) -> dict:
+        """The JSON artifact as plain data: what :meth:`json_text` renders."""
         columns = self.columns
         cells = []
         for cell in self.cells:
@@ -187,18 +218,7 @@ class SweepResult:
                 entry["e_i_cloud_mj"] = round(cell.cloud[-1], 1)
                 entry["delta_rtt_ms"] = _round6(cell.delta_rtt)
             cells.append(entry)
-        return {
-            "axes": [
-                {
-                    "name": a.name,
-                    "start": _round6(a.start),
-                    "stop": _round6(a.stop),
-                    "step": _round6(a.step),
-                }
-                for a in self.spec.axes
-            ],
-            "cells": cells,
-        }
+        return {"axes": self._axes_obj(), "cells": cells}
 
 
 def _round6(x: float) -> float | int:
@@ -306,15 +326,20 @@ class CostSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if not math.isfinite(self.hourly_bytes):
-            raise ValueError(
-                f"hourly_bytes must be finite, got {self.hourly_bytes!r}")
+        for name in ("hourly_bytes", "rtt", "reply_bytes"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.hourly_bytes <= 0:
             raise ValueError("hourly_bytes must be strictly positive")
+        for name in ("rtt", "reply_bytes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if len(self.t_i_grid) == 0:
             raise ValueError("empty grid: no period values given")
-        if any(t <= 0 for t in self.t_i_grid):
-            raise ValueError("grid periods must be strictly positive")
+        if not all(0 < t < math.inf for t in self.t_i_grid):
+            raise ValueError(
+                "grid periods must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -342,16 +367,13 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
     fractional) number of cycles per hour; no partial final cycle is
     modelled.  Any period too short for its own payload raises.
     """
+    t_rx = transfer_time(spec.reply_bytes, DEFAULT_DOWNLINK_BPS)
     energies = []
     for t_i in spec.t_i_grid:
-        scn = ConnectionlessScenario(
-            t_i=t_i,
-            t_elab=0.0,
-            rtt=spec.rtt,
-            b_tx=per_cycle_payload(spec.hourly_bytes, t_i),
-            b_rx=spec.reply_bytes,
-        )
-        e_cycle = cycle_energy(phase_timing(scn, profile), profile).e_i
+        t_tx = transfer_time(per_cycle_payload(spec.hourly_bytes, t_i),
+                             DEFAULT_UPLINK_BPS)
+        timing = quiet_time(t_tx, spec.rtt, t_rx, t_i, profile)
+        e_cycle = energy_parts(t_tx, spec.rtt, t_rx, *timing, profile)[-1]
         energies.append(e_cycle * (MS_PER_HOUR / t_i))
 
     e_max = max(energies)

@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 MSS_BYTES = 1448
+# TCP sequence numbers wrap at 2^32 and compare in serial-number arithmetic
+# (RFC 1982; RFC 9293, section 3.4): ``a`` reaches ``b`` when ``(a - b) %
+# SEQ_SPACE < _HALF_SPACE``.
+SEQ_SPACE = 2 ** 32
+_HALF_SPACE = SEQ_SPACE // 2
 
 # Synthetic generator conventions.  The client endpoint is fixed so traces
 # can be analysed without out-of-band metadata; seeds vary the sequence
@@ -235,6 +240,10 @@ def parse_events(lines: str | Iterable[str],
         flags = _parse_flags(parts[6], line_no)
         seq = _parse_int(parts[7], "sequence number", line_no)
         ack = _parse_int(parts[8], "acknowledgment number", line_no)
+        if not (0 <= seq < SEQ_SPACE and 0 <= ack < SEQ_SPACE):
+            raise TraceParseError(line_no, "sequence and acknowledgment "
+                                  f"numbers must lie in [0, 2^32), got "
+                                  f"{seq} and {ack}")
         rows.append((timestamp, src_addr, src_port, dst_addr, dst_port,
                      payload, flags, seq, ack))
 
@@ -286,11 +295,14 @@ def _split_exchange(events: Sequence[PacketEvent], client: str):
     return c2s, s2c
 
 
-def _stream_span(packets: Sequence[PacketEvent]) -> int:
-    """Bytes covered by a list of payload packets, retransmissions deduped."""
-    lo = min(e.seq for e in packets)
-    hi = max(e.seq + e.payload_len for e in packets)
-    return hi - lo
+def _stream_bounds(packets: Sequence[PacketEvent]) -> tuple[int, int]:
+    """Offsets of the first byte and past the last byte that a list of
+    payload packets covers, from the first packet's sequence number, in
+    [-2^31, 2^31) modulo 2^32."""
+    shift = _HALF_SPACE - packets[0].seq
+    return (min((e.seq + shift) % SEQ_SPACE for e in packets) - _HALF_SPACE,
+            max((e.seq + e.payload_len + shift) % SEQ_SPACE
+                for e in packets) - _HALF_SPACE)
 
 
 def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
@@ -306,15 +318,18 @@ def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
     client packet acknowledging all of it, so it includes that final
     acknowledgment's send time.  The wait is the gap in between.  The bulk
     direction ``kind`` only decides whose byte span is the file size: the
-    request's for "post", the response's for "get".
+    request's for "post", the response's for "get".  Sequence and
+    acknowledgment numbers count from each stream's first payload packet,
+    modulo 2^32, so a stream may wrap the sequence space.
     """
     c2s, s2c = _split_exchange(events, client)
     request = [e for e in c2s if e.payload_len > 0]
     if not request:
         raise IncompleteExchangeError("no request payload from the client")
-    request_end = max(e.seq + e.payload_len for e in request)
-    request_ack = next(
-        (e for e in s2c if e.payload_len == 0 and e.ack >= request_end), None)
+    request_first, request_end = _stream_bounds(request)
+    request_end_seq = request[0].seq + request_end
+    request_ack = next((e for e in s2c if e.payload_len == 0 and (
+        e.ack - request_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
     if request_ack is None:
         raise IncompleteExchangeError(
             "missing the server acknowledgment that covers the request")
@@ -326,9 +341,10 @@ def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
     if response_start < request_ack.timestamp:
         raise IncompleteExchangeError(
             "server response precedes the request acknowledgment")
-    response_end = max(e.seq + e.payload_len for e in response)
-    final_ack = next((e for e in c2s if e.ack >= response_end
-                      and e.timestamp >= response_start), None)
+    response_first, response_end = _stream_bounds(response)
+    response_end_seq = response[0].seq + response_end
+    final_ack = next((e for e in c2s if e.timestamp >= response_start and (
+        e.ack - response_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
     if final_ack is None:
         raise IncompleteExchangeError(
             "missing the client acknowledgment of the response")
@@ -340,7 +356,8 @@ def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
             t_rx=(final_ack.timestamp - response_start) * 1000.0,
             t_q=0.0),
         app_kind=kind,
-        file_size=_stream_span(request if kind == "post" else response),
+        file_size=(request_end - request_first if kind == "post"
+                   else response_end - response_first),
         repetition_index=repetition_index,
     )
 

@@ -105,7 +105,8 @@ class TestNonFiniteEval:
 
 class TestEmitRendersRequestedFormatOnly:
     @pytest.mark.parametrize("fmt, unused", [
-        ("csv", "to_json_obj"), ("json", "rows"),
+        ("csv", "to_json_obj"), ("csv", "json_text"),
+        ("json", "rows"), ("json", "to_json_obj"),
     ])
     def test_sweep(self, tmp_path, monkeypatch, fmt, unused):
         def fail(self):
@@ -347,6 +348,14 @@ class TestWrongTypeInputs:
     def test_infinite_hourly_bytes(self, capsys):
         argv = COST_ARGV + ["--hourly-bytes", "inf"]
         assert_cli_error(argv, capsys, "hourly_bytes must be finite")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rtt", "nan", "rtt must be finite"),
+        ("--rtt", "-5", "rtt must be non-negative"),
+        ("--reply-bytes", "-1", "reply_bytes must be non-negative"),
+    ])
+    def test_cost_scenario_value(self, capsys, flag, value, message):
+        assert_cli_error(COST_ARGV + [flag, value], capsys, message)
 
 
 def test_second_connection_from_client_host_rejected(tmp_path, capsys):

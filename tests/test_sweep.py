@@ -1,4 +1,7 @@
+import csv
 import io
+import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,6 +19,8 @@ from ltenergy import (
     per_cycle_payload,
     run_sweep,
 )
+from ltenergy._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ltenergy.analytic import cycle_energy, phase_timing
 from _goldens import reference_scenarios
 
 PROFILE = default_profile()
@@ -225,6 +230,111 @@ class TestSweepMatchesCompare:
             run_sweep(spec, PROFILE)
 
 
+def write_csv(result, fp):
+    """The sweep CSV artifact as the CLI writes it."""
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(result.columns)
+    writer.writerows(result.rows())
+
+
+def reference_rows(result):
+    """CSV rows of a sweep, built cell by cell from the ``_fmt`` rules."""
+    rows = []
+    for cell in result.cells:
+        row = [fmt_axis(v) for v in cell.values]
+        if cell.error is not None:
+            row += ["", "", "", "", cell.error]
+        else:
+            row += [fmt_rho(cell.rho), fmt_mj(cell.edge[-1]),
+                    fmt_mj(cell.cloud[-1]), fmt_ms(cell.delta_rtt), ""]
+        rows.append(row)
+    return rows
+
+
+def grid_numbers(low, high):
+    """Arbitrary, integer-valued and whole-tenth floats in [low, high]."""
+    return st.one_of(
+        st.floats(low, high),
+        st.integers(int(low), int(high)).map(float),
+        st.integers(int(low * 10), int(high * 10)).map(lambda n: n / 10))
+
+
+@st.composite
+def render_specs(draw):
+    """Specs of one to three axes whose values need rounding to print."""
+    def value(name):
+        return draw(grid_numbers(*AXIS_RANGES[name]))
+
+    payload = value("payload")
+    common = dict(t_i=value("t_i"), t_elab=value("t_elab"),
+                  b_tx=payload, b_rx=payload)
+    edge = ConnectionlessScenario(rtt=draw(grid_numbers(0.0, 500.0)),
+                                  **common)
+    cloud = ConnectionlessScenario(rtt=value("rtt_cloud"), **common)
+    names = draw(st.lists(st.sampled_from(sorted(AXIS_RANGES)),
+                          min_size=1, max_size=3, unique=True))
+    axes = []
+    for name in names:
+        start = value(name)
+        step = draw(st.one_of(st.just(0.1), st.floats(0.01, 1.0),
+                              grid_numbers(1.0, 5000.0)))
+        count = draw(st.integers(1, 4))
+        axes.append(SweepAxis(name, start, start + (count - 1) * step, step))
+    return SweepSpec(base_edge=edge, base_cloud=cloud, axes=tuple(axes))
+
+
+class TestFastRenderers:
+    """``json_text`` and ``rows`` against their cell-by-cell references."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(spec=render_specs())
+    # overrun cells among priced ones
+    @example(spec=reference_spec((SweepAxis("t_i", 100, 1100, 200),
+                                  SweepAxis("rtt_cloud", 0, 1000, 250))))
+    # tenths that sum to unrounded floats, on all three grid kinds
+    @example(spec=reference_spec((SweepAxis("t_i", 1000.1, 1000.5, 0.1),
+                                  SweepAxis("payload", 0, 20000, 10000),
+                                  SweepAxis("t_elab", 0.5, 2.5, 1))))
+    def test_equal_reference(self, spec):
+        result = run_sweep(spec, PROFILE)
+        assert result.json_text() == json.dumps(result.to_json_obj(),
+                                                indent=2)
+        assert result.rows() == reference_rows(result)
+
+    def test_non_finite_energies_render_as_json_does(self):
+        # p_tx * t_tx overflows: every energy is inf and every rho nan
+        profile = replace(PROFILE, p_tx=1e308)
+        result = run_sweep(reference_spec(
+            (SweepAxis("rtt_cloud", 50, 100, 50),)), profile)
+        text = result.json_text()
+        assert "Infinity" in text and "NaN" in text
+        assert text == json.dumps(result.to_json_obj(), indent=2)
+        assert result.rows() == reference_rows(result)
+
+    def test_three_axes(self):
+        spec = reference_spec((SweepAxis("t_i", 300, 30300, 10000),
+                               SweepAxis("rtt_cloud", 0, 15000, 5000),
+                               SweepAxis("payload", 0, 40000, 20000)))
+        result = run_sweep(spec, PROFILE)
+        assert [cell.values for cell in result.cells] == list(
+            itertools.product(*(axis.values() for axis in spec.axes)))
+        errors = 0
+        for cell in result.cells:
+            edge, cloud = scenarios_at(spec, cell.values)
+            try:
+                expected = compare(edge, cloud, PROFILE)
+            except PeriodOverrunError as exc:
+                errors += 1
+                assert cell.error == str(exc)
+            else:
+                assert cell.result == expected
+        assert 0 < errors < len(result.cells)
+        assert result.json_text() == json.dumps(result.to_json_obj(),
+                                                indent=2)
+        assert result.rows() == reference_rows(result)
+
+
 class TestSweepOutput:
     def test_csv_columns_and_sentinel(self):
         spec = make_spec((
@@ -233,7 +343,7 @@ class TestSweepOutput:
         ), t_i=5000)
         result = run_sweep(spec, PROFILE)
         buf = io.StringIO()
-        result.to_csv(buf)
+        write_csv(result, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == ("payload,rtt_cloud,rho,e_i_edge_mj,"
                             "e_i_cloud_mj,delta_rtt_ms,error")
@@ -245,8 +355,8 @@ class TestSweepOutput:
     def test_emission_deterministic(self):
         spec = make_spec((SweepAxis("rtt_cloud", 50, 300, 25),))
         first, second = io.StringIO(), io.StringIO()
-        run_sweep(spec, PROFILE).to_csv(first)
-        run_sweep(spec, PROFILE).to_csv(second)
+        write_csv(run_sweep(spec, PROFILE), first)
+        write_csv(run_sweep(spec, PROFILE), second)
         assert first.getvalue() == second.getvalue()
         assert (run_sweep(spec, PROFILE).to_json_obj()
                 == run_sweep(spec, PROFILE).to_json_obj())
@@ -321,3 +431,28 @@ class TestCostCurve:
         with pytest.raises(ValueError, match="hourly_bytes must be finite"):
             CostSpec(alpha=0.5, hourly_bytes=hourly_bytes, rtt=50,
                      t_i_grid=(1000.0,))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rtt", float("nan"), "rtt must be finite"),
+        ("rtt", float("inf"), "rtt must be finite"),
+        ("rtt", -5.0, "rtt must be non-negative"),
+        ("reply_bytes", float("inf"), "reply_bytes must be finite"),
+        ("reply_bytes", -1.0, "reply_bytes must be non-negative"),
+        ("t_i_grid", (1000.0, float("inf")), "grid periods must be finite"),
+        ("t_i_grid", (float("nan"),), "grid periods must be finite"),
+    ])
+    def test_bad_scenario_values(self, field, value, message):
+        spec = dict(alpha=0.5, hourly_bytes=10e6, rtt=50, t_i_grid=(1000.0,))
+        spec[field] = value
+        with pytest.raises(ValueError, match=message):
+            CostSpec(**spec)
+
+    def test_energies_equal_scenario_pricing(self):
+        spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
+                        t_i_grid=self.GRID, reply_bytes=300)
+        for point in cost_curve(spec, PROFILE).points:
+            scn = ConnectionlessScenario(
+                t_i=point.t_i, rtt=spec.rtt, b_rx=spec.reply_bytes,
+                b_tx=per_cycle_payload(spec.hourly_bytes, point.t_i))
+            e_cycle = cycle_energy(phase_timing(scn, PROFILE), PROFILE).e_i
+            assert point.e_total == e_cycle * (3_600_000.0 / point.t_i)

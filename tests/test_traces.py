@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -66,6 +67,52 @@ def get_exchange_lines():
         seq += 1000
     rows.append(line(1.305, CLIENT, SERVER, 0, "A", 151, seq))
     return rows
+
+
+def shift_sequence_space(events, client_shift, server_shift):
+    """``events`` with each side's sequence numbers, and the peer's
+    acknowledgments of them, moved by that side's shift modulo 2^32."""
+    shifted = []
+    for e in events:
+        own, peer = (client_shift, server_shift) \
+            if e.direction is Direction.CLIENT_TO_SERVER \
+            else (server_shift, client_shift)
+        ack = (e.ack + peer) % 2 ** 32 if "ACK" in e.flags else e.ack
+        shifted.append(replace(e, seq=(e.seq + own) % 2 ** 32, ack=ack))
+    return shifted
+
+
+class TestSequenceWrap:
+    @pytest.mark.parametrize("kind", ["post", "get"])
+    def test_wrapped_bulk_stream_extracts_like_unwrapped(self, kind):
+        events = synthesize_trace(kind, 100_000, 40, 10e6, seed=3)
+        sender = (Direction.CLIENT_TO_SERVER if kind == "post"
+                  else Direction.SERVER_TO_CLIENT)
+        bulk = [e for e in events
+                if e.payload_len > 0 and e.direction is sender]
+        # the bulk stream crosses 2^32 after its first 50,000 bytes
+        shift = 2 ** 32 - bulk[0].seq - 50_000
+        shifts = (shift, 0) if kind == "post" else (0, shift)
+        wrapped = parse_events(
+            "\n".join(events_to_lines(shift_sequence_space(events, *shifts))),
+            client=SYNTH_CLIENT)
+        wrapped_bulk = [e.seq for e in wrapped
+                        if e.payload_len > 0 and e.direction is sender]
+        assert min(wrapped_bulk) < 50_000 < 2 ** 32 - 50_000 <= max(
+            wrapped_bulk)
+        extract = extract_post_phases if kind == "post" \
+            else extract_get_phases
+        assert (extract(wrapped, SYNTH_CLIENT)
+                == extract(events, SYNTH_CLIENT))
+
+    @pytest.mark.parametrize("seq, ack", [(2 ** 32, 1), (1, 2 ** 32),
+                                          (-1, 1)])
+    def test_out_of_range_number_rejected(self, seq, ack):
+        text = post_exchange_lines()
+        text[2] = line(0.100, SERVER, CLIENT, 0, "A", seq, ack)
+        with pytest.raises(TraceParseError, match="line 3.*2\\^32") as err:
+            parse_events("\n".join(text))
+        assert err.value.line_no == 3
 
 
 class TestParseEvents:
