@@ -311,6 +311,8 @@ def _run_trace_analyze(config: RunConfig) -> int:
     client = p["client"]
     t_i = float(p["t_i"])
     concurrency = p.get("concurrency")
+    if concurrency is not None and concurrency < 0:
+        raise ValueError(f"concurrency must be non-negative, got {concurrency}")
     c_text = "" if concurrency is None else str(concurrency)
 
     edge_iters, edge_agg = _analyze_set(p["files"], kind, client, t_i, profile)

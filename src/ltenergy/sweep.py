@@ -306,7 +306,11 @@ def per_cycle_payload(hourly_bytes: float, t_i: float) -> int:
     """
     if t_i <= 0:
         raise ValueError("t_i must be strictly positive")
-    return int(math.floor(hourly_bytes * t_i / MS_PER_HOUR + 0.5))
+    payload = hourly_bytes * t_i / MS_PER_HOUR
+    if not math.isfinite(payload):
+        raise ValueError(f"hourly_bytes {hourly_bytes!r} at t_i {t_i!r} ms "
+                         "gives a per-cycle payload that is not finite")
+    return int(math.floor(payload + 0.5))
 
 
 @dataclass(frozen=True)

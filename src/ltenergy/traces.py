@@ -5,9 +5,11 @@ time, which defeats the closed-form model.  This module instead ingests
 per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
-same energy accounting as the analytic path.  One landmark rule serves
-upload-style (POST) and download-style (GET) exchanges alike; the bulk
-direction only decides which stream's bytes count as the file size.
+same energy accounting as the analytic path.  Parsing rejects non-finite
+timestamps and fixes each packet's direction once per endpoint pair;
+extraction and the event walk read that direction.  One landmark rule
+serves upload-style (POST) and download-style (GET) exchanges alike; the
+bulk direction only decides which stream's bytes count as the file size.
 
 A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
@@ -20,6 +22,7 @@ cycle energy.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
@@ -111,31 +114,12 @@ class PacketEvent:
     flags: frozenset[str]  # subset of {SYN, FIN, RST, ACK, PSH}
     seq: int
     ack: int
-    direction: Direction | None = None
-
-    @property
-    def src(self) -> str:
-        return f"{self.src_addr}:{self.src_port}"
-
-    @property
-    def dst(self) -> str:
-        return f"{self.dst_addr}:{self.dst_port}"
+    direction: Direction
 
     @property
     def is_connection_admin(self) -> bool:
         """Handshake or teardown packet (excluded from phase extraction)."""
-        return bool(self.flags & {"SYN", "FIN", "RST"})
-
-    def direction_for(self, client: str) -> Direction:
-        return _direction(self.src, self.dst, client)
-
-
-def _direction(src: str, dst: str, client: str) -> Direction:
-    if src == client:
-        return Direction.CLIENT_TO_SERVER
-    if dst == client:
-        return Direction.SERVER_TO_CLIENT
-    raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
+        return not self.flags.isdisjoint(_ADMIN_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -162,6 +146,8 @@ _FLAG_BITS = (("FIN", 0x01), ("SYN", 0x02), ("RST", 0x04),
               ("PSH", 0x08), ("ACK", 0x10))
 # Letters tolerated in analyzer exports but not tracked by the model.
 _IGNORED_FLAG_CHARS = set(".*-·ECUW")
+# Flags of handshake and teardown packets, which carry no exchange phase.
+_ADMIN_FLAGS = frozenset({"SYN", "FIN", "RST"})
 
 
 def _parse_flags(field: str, line_no: int) -> frozenset[str]:
@@ -203,49 +189,64 @@ def parse_events(lines: str | Iterable[str],
     Line format (tab-separated): epoch timestamp with six decimals, source
     address, destination address, source port, destination port, transport
     payload length, flags (hex value or letter set), sequence number,
-    acknowledgment number.  Blank lines and ``#`` comments are skipped.
+    acknowledgment number.  Blank lines and ``#`` comments are skipped; an
+    empty or ``-`` integer field reads as 0.  The first bad field of a line
+    in column order, a non-finite timestamp included, raises a
+    :class:`TraceParseError` naming the line.
 
-    ``client`` ("addr:port") fixes the packet directions; when omitted it
-    is inferred from the first connection-opening packet, falling back to
-    the first payload-bearing packet and then to the first packet.
+    ``client`` ("addr:port") fixes the packet directions, once per endpoint
+    pair; when omitted it is inferred from the first connection-opening
+    packet, falling back to the first payload-bearing packet and then to
+    the first packet.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
 
     # One tuple per packet, in PacketEvent field order up to ``ack``.
     rows: list[tuple] = []
+    flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        text = line.lstrip()
+        if not text or text[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 9:
             raise TraceParseError(
                 line_no, f"expected 9 tab-separated fields, got {len(parts)}"
             )
-        ts_text = parts[0].strip()
+        ts, src_addr, dst_addr, sport, dport, size, flag_text, sq, ak = parts
+        ts = ts.strip()  # float keeps \x1c-\x1f, which str.strip drops
         try:
-            timestamp = float(ts_text)
+            timestamp = float(ts)
         except ValueError:
-            raise TraceParseError(
-                line_no, f"bad timestamp {ts_text!r}"
-            ) from None
-        src_addr = parts[1].strip()
-        dst_addr = parts[2].strip()
-        src_port = _parse_int(parts[3], "source port", line_no)
-        dst_port = _parse_int(parts[4], "destination port", line_no)
-        payload = _parse_int(parts[5], "payload length", line_no)
+            timestamp = math.nan
+        if not math.isfinite(timestamp):
+            raise TraceParseError(line_no, f"bad timestamp {ts!r}")
+        try:
+            src_port, dst_port, payload, seq, ack = (
+                int(sport), int(dport), int(size), int(sq), int(ak))
+        except ValueError:
+            # Empty and "-" read as 0, else the first bad field raises; a
+            # negative payload and bad flags come before the sequence number.
+            src_port = _parse_int(sport, "source port", line_no)
+            dst_port = _parse_int(dport, "destination port", line_no)
+            payload = _parse_int(size, "payload length", line_no)
+            if payload >= 0:
+                _parse_flags(flag_text, line_no)
+                seq = _parse_int(sq, "sequence number", line_no)
+                ack = _parse_int(ak, "acknowledgment number", line_no)
         if payload < 0:
             raise TraceParseError(line_no, "payload length must be >= 0")
-        flags = _parse_flags(parts[6], line_no)
-        seq = _parse_int(parts[7], "sequence number", line_no)
-        ack = _parse_int(parts[8], "acknowledgment number", line_no)
+        flags = flag_sets.get(flag_text)
+        if flags is None:
+            flags = flag_sets[flag_text] = _parse_flags(flag_text, line_no)
         if not (0 <= seq < SEQ_SPACE and 0 <= ack < SEQ_SPACE):
             raise TraceParseError(line_no, "sequence and acknowledgment "
                                   f"numbers must lie in [0, 2^32), got "
                                   f"{seq} and {ack}")
-        rows.append((timestamp, src_addr, src_port, dst_addr, dst_port,
-                     payload, flags, seq, ack))
+        rows.append((timestamp, src_addr.strip(), src_port,
+                     dst_addr.strip(), dst_port, payload, flags, seq, ack))
 
     rows.sort(key=lambda row: row[0])
     if not rows:
@@ -253,11 +254,21 @@ def parse_events(lines: str | Iterable[str],
 
     if client is None:
         client = _infer_client(rows)
-    return [
-        PacketEvent(*row, direction=_direction(
-            f"{row[1]}:{row[2]}", f"{row[3]}:{row[4]}", client))
-        for row in rows
-    ]
+    # Pairs in order of first appearance: the first stray packet is reported.
+    directions = {pair: _direction(pair, client)
+                  for pair in dict.fromkeys(row[1:5] for row in rows)}
+    return [PacketEvent(*row, directions[row[1:5]]) for row in rows]
+
+
+def _direction(pair: tuple, client: str) -> Direction:
+    """Direction of the packets between ``(src_addr, src_port, dst_addr,
+    dst_port)`` relative to the ``client`` endpoint."""
+    src, dst = "%s:%s" % pair[:2], "%s:%s" % pair[2:]
+    if src == client:
+        return Direction.CLIENT_TO_SERVER
+    if dst == client:
+        return Direction.SERVER_TO_CLIENT
+    raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
 
 
 def _infer_client(rows: Sequence[tuple]) -> str:
@@ -285,13 +296,13 @@ def events_to_lines(events: Iterable[PacketEvent]) -> list[str]:
     return lines
 
 
-def _split_exchange(events: Sequence[PacketEvent], client: str):
+def _split_exchange(events: Sequence[PacketEvent]):
     """Directional payload/ack views of the exchange, admin traffic removed."""
-    data = [e for e in events if not e.is_connection_admin]
-    c2s = [e for e in data
-           if e.direction_for(client) is Direction.CLIENT_TO_SERVER]
-    s2c = [e for e in data
-           if e.direction_for(client) is Direction.SERVER_TO_CLIENT]
+    c2s, s2c = [], []
+    for e in events:
+        if e.flags.isdisjoint(_ADMIN_FLAGS):
+            (c2s if e.direction is Direction.CLIENT_TO_SERVER
+             else s2c).append(e)
     return c2s, s2c
 
 
@@ -305,7 +316,7 @@ def _stream_bounds(packets: Sequence[PacketEvent]) -> tuple[int, int]:
                 for e in packets) - _HALF_SPACE)
 
 
-def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
+def _extract_phases(kind: str, events: Sequence[PacketEvent],
                     repetition_index: int) -> TraceIteration:
     """Phase durations of one request-response exchange.
 
@@ -322,7 +333,7 @@ def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
     acknowledgment numbers count from each stream's first payload packet,
     modulo 2^32, so a stream may wrap the sequence space.
     """
-    c2s, s2c = _split_exchange(events, client)
+    c2s, s2c = _split_exchange(events)
     request = [e for e in c2s if e.payload_len > 0]
     if not request:
         raise IncompleteExchangeError("no request payload from the client")
@@ -365,13 +376,13 @@ def _extract_phases(kind: str, events: Sequence[PacketEvent], client: str,
 def extract_post_phases(events: Sequence[PacketEvent], client: str,
                         repetition_index: int = 0) -> TraceIteration:
     """Phases of an upload-style exchange; see :func:`_extract_phases`."""
-    return _extract_phases("post", events, client, repetition_index)
+    return _extract_phases("post", events, repetition_index)
 
 
 def extract_get_phases(events: Sequence[PacketEvent], client: str,
                        repetition_index: int = 0) -> TraceIteration:
     """Phases of a download-style exchange; see :func:`_extract_phases`."""
-    return _extract_phases("get", events, client, repetition_index)
+    return _extract_phases("get", events, repetition_index)
 
 
 def iteration_energy(iteration: TraceIteration, t_i: float,
@@ -386,13 +397,15 @@ def iteration_energy(iteration: TraceIteration, t_i: float,
 
 def _cycle_timing(iteration: TraceIteration, t_i: float,
                   profile: PowerProfile) -> PhaseTiming:
+    if not 0.0 < t_i < math.inf:
+        raise ValueError(
+            f"t_i must be finite and strictly positive, got {t_i!r}")
     phase = iteration.phase
     return timing_from_phases(phase.t_tx, phase.t_w, phase.t_rx, t_i, profile)
 
 
 def event_driven_energy(events: Sequence[PacketEvent], profile: PowerProfile,
                         window: tuple[float, float], *,
-                        client: str | None = None,
                         uplink_bps: float = DEFAULT_UPLINK_BPS,
                         downlink_bps: float = DEFAULT_DOWNLINK_BPS) -> float:
     """Walk the radio state machine over an arbitrary event sequence (mJ).
@@ -427,14 +440,7 @@ def event_driven_energy(events: Sequence[PacketEvent], profile: PowerProfile,
     for e in events:
         t_ms = e.timestamp * 1000.0
         total += gap_energy(max(t_ms - cursor, 0.0))
-        direction = e.direction
-        if direction is None:
-            if client is None:
-                raise ValueError(
-                    "events carry no direction and no client endpoint given"
-                )
-            direction = e.direction_for(client)
-        if direction is Direction.CLIENT_TO_SERVER:
+        if e.direction is Direction.CLIENT_TO_SERVER:
             duration = transfer_time(e.payload_len, uplink_bps)
             total += duration * profile.p_tx / 1000.0
         else:
@@ -454,20 +460,19 @@ def _segment_sizes(total: int) -> list[int]:
     return [MSS_BYTES] * full + ([rem] if rem else [])
 
 
+# (addr, port) of the synthetic client and server.
+_SYNTH_ENDPOINTS = tuple((addr, int(port)) for addr, port in (
+    endpoint.rsplit(":", 1) for endpoint in (SYNTH_CLIENT, SYNTH_SERVER)))
+
+
 def _synthetic_event(t_s: float, from_client: bool, payload: int,
                      flags: frozenset[str], seq: int, ack: int) -> PacketEvent:
-    src, dst = (SYNTH_CLIENT, SYNTH_SERVER) if from_client \
-        else (SYNTH_SERVER, SYNTH_CLIENT)
-    src_addr, src_port = src.rsplit(":", 1)
-    dst_addr, dst_port = dst.rsplit(":", 1)
+    client, server = _SYNTH_ENDPOINTS
+    src, dst = (client, server) if from_client else (server, client)
     return PacketEvent(
-        timestamp=t_s,
-        src_addr=src_addr, src_port=int(src_port),
-        dst_addr=dst_addr, dst_port=int(dst_port),
-        payload_len=payload, flags=flags, seq=seq, ack=ack,
-        direction=Direction.CLIENT_TO_SERVER if from_client
-        else Direction.SERVER_TO_CLIENT,
-    )
+        t_s, *src, *dst, payload, flags, seq, ack,
+        Direction.CLIENT_TO_SERVER if from_client
+        else Direction.SERVER_TO_CLIENT)
 
 
 def canonical_cycle_events(b_tx: int, b_rx: int, t_w: float, t_q: float, *,
@@ -495,20 +500,17 @@ def canonical_cycle_events(b_tx: int, b_rx: int, t_w: float, t_q: float, *,
 
     events: list[PacketEvent] = []
     cursor = 0.0  # ms
-    seq = 0
-    for seg in _segment_sizes(b_tx):
-        events.append(_synthetic_event(
-            cursor / 1000.0, True, seg, frozenset({"ACK"}), seq, 0))
-        seq += seg
-        cursor += transfer_time(seg, uplink_bps)
-    cursor += t_w + (profile.t_prom if prom_rx else 0.0)
-    seq = 0
-    for seg in _segment_sizes(b_rx):
-        events.append(_synthetic_event(
-            cursor / 1000.0, False, seg, frozenset({"ACK"}), seq, 0))
-        seq += seg
-        cursor += transfer_time(seg, downlink_bps)
-    cursor += t_q + (profile.t_prom if prom_tx else 0.0)
+    wait = t_w + (profile.t_prom if prom_rx else 0.0)
+    quiet = t_q + (profile.t_prom if prom_tx else 0.0)
+    for from_client, size, bps, pause in ((True, b_tx, uplink_bps, wait),
+                                          (False, b_rx, downlink_bps, quiet)):
+        seq = 0
+        for seg in _segment_sizes(size):
+            events.append(_synthetic_event(
+                cursor / 1000.0, from_client, seg, frozenset({"ACK"}), seq, 0))
+            seq += seg
+            cursor += transfer_time(seg, bps)
+        cursor += pause
     events.append(_synthetic_event(
         cursor / 1000.0, True, 0, frozenset({"ACK"}), 0, 0))
     return events, timing, (0.0, cursor / 1000.0)
@@ -561,8 +563,10 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
         raise ValueError("kind must be 'post' or 'get'")
     if file_size < 0:
         raise ValueError("file_size must be non-negative")
-    if rtt_ms <= 0 or bottleneck_bps <= 0:
-        raise ValueError("rtt and bottleneck must be strictly positive")
+    for name, value in (("rtt", rtt_ms), ("bottleneck", bottleneck_bps)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{name} must be finite and strictly positive, got {value!r}")
 
     rtt_us = round(rtt_ms * 1000.0)
     seg_gap_us = 8.0 * MSS_BYTES / bottleneck_bps * 1e6
@@ -586,8 +590,7 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
         pkt(request_ack_us, False, 0, {"ACK"}, 1, req_end)
 
         response_us = final_ack_us = None
-        client_next = req_end
-        server_next = 1
+        client_next, server_next = req_end, 1
         last_us = request_ack_us
         if file_size > 0:
             sizes = _segment_sizes(file_size)
@@ -606,7 +609,6 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
             response_us = round(arrivals[0])
             final_ack_us = round(arrivals[-1]) + _TURNAROUND_US
             pkt(final_ack_us, True, 0, {"ACK"}, req_end, 1 + file_size)
-            client_next = req_end
             server_next = 1 + file_size
             last_us = final_ack_us
     else:
@@ -625,8 +627,7 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
         pkt(request_ack_us, False, 0, {"ACK"}, 1, 1 + total)
 
         response_us = final_ack_us = None
-        client_next = 1 + total
-        server_next = 1
+        client_next, server_next = 1 + total, 1
         last_us = request_ack_us
         if file_size > 0:
             response_us = request_ack_us + _SERVER_THINK_US
@@ -645,14 +646,8 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
     pkt(fin_us + rtt_us + _TURNAROUND_US, True, 0, {"ACK"},
         client_next + 1, server_next + 1)
 
-    ordered = tuple(sorted(packets, key=lambda p: p.t_us))
-    return _TracePlan(
-        packets=ordered,
-        request_us=request_us,
-        request_ack_us=request_ack_us,
-        response_us=response_us,
-        final_ack_us=final_ack_us,
-    )
+    return _TracePlan(tuple(sorted(packets, key=lambda p: p.t_us)),
+                      request_us, request_ack_us, response_us, final_ack_us)
 
 
 def synthesize_trace(kind: str, file_size: int, rtt_ms: float,
@@ -700,10 +695,9 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
     plan = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps)
     if plan.response_us is None or plan.final_ack_us is None:
         raise ValueError("a zero-byte exchange has no scheduled phases")
-    request_s = plan.request_us / 1e6
-    request_ack_s = plan.request_ack_us / 1e6
-    response_s = plan.response_us / 1e6
-    final_ack_s = plan.final_ack_us / 1e6
+    request_s, request_ack_s, response_s, final_ack_s = (
+        t_us / 1e6 for t_us in (plan.request_us, plan.request_ack_us,
+                                plan.response_us, plan.final_ack_us))
     return (
         (request_ack_s - request_s) * 1000.0,
         (response_s - request_ack_s) * 1000.0,
@@ -741,8 +735,8 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
     if len(sizes) > 1:
         raise ValueError(f"mixed file sizes: {sorted(sizes)}")
 
-    breakdowns = tuple(iteration_energy(it, t_i, profile) for it in iterations)
     timings = tuple(_cycle_timing(it, t_i, profile) for it in iterations)
+    breakdowns = tuple(cycle_energy(t, profile) for t in timings)
     return AggregateResult(
         total_mj=sum(b.e_i for b in breakdowns),
         breakdowns=breakdowns,

@@ -1,0 +1,111 @@
+"""Reference parser for packet field exports: one helper call per field.
+
+``ltenergy.traces.parse_events`` converts the integer fields of a line in
+one pass and resolves flag sets and directions once per distinct text and
+endpoint pair.  This is the per-field parser it replaced, plus the rule
+that a timestamp must be finite, kept as the oracle the property tests
+hold it to.  It carries its own copies of the flag, integer and direction
+rules, so a change to any of them in the library shows as a difference.
+"""
+
+import math
+
+from ltenergy.traces import SEQ_SPACE, Direction, PacketEvent, TraceParseError
+
+_FLAG_LETTERS = {"S": "SYN", "F": "FIN", "R": "RST", "P": "PSH", "A": "ACK"}
+_FLAG_BITS = (("FIN", 0x01), ("SYN", 0x02), ("RST", 0x04),
+              ("PSH", 0x08), ("ACK", 0x10))
+_IGNORED_FLAG_CHARS = set(".*-·ECUW")
+
+
+def parse_flags(field, line_no):
+    text = field.strip()
+    if text in ("", "-"):
+        return frozenset()
+    if text.lower().startswith("0x") or text.isdigit():
+        try:
+            bits = int(text, 16) if text.lower().startswith("0x") else int(text)
+        except ValueError:
+            raise TraceParseError(line_no, f"bad flags field {field!r}") from None
+        return frozenset(name for name, bit in _FLAG_BITS if bits & bit)
+    out = set()
+    for ch in text:
+        upper = ch.upper()
+        if upper in _FLAG_LETTERS:
+            out.add(_FLAG_LETTERS[upper])
+        elif ch in _IGNORED_FLAG_CHARS or upper in _IGNORED_FLAG_CHARS:
+            continue
+        else:
+            raise TraceParseError(line_no, f"bad flags field {field!r}")
+    return frozenset(out)
+
+
+def parse_int(field, what, line_no):
+    text = field.strip()
+    if text in ("", "-"):
+        return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise TraceParseError(line_no, f"bad {what} {field!r}") from None
+
+
+def direction(src, dst, client):
+    if src == client:
+        return Direction.CLIENT_TO_SERVER
+    if dst == client:
+        return Direction.SERVER_TO_CLIENT
+    raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
+
+
+def reference_parse_events(lines, client=None):
+    """What :func:`ltenergy.traces.parse_events` returns or raises."""
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    rows = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 9:
+            raise TraceParseError(
+                line_no, f"expected 9 tab-separated fields, got {len(parts)}")
+        ts_text = parts[0].strip()
+        try:
+            timestamp = float(ts_text)
+        except ValueError:
+            raise TraceParseError(
+                line_no, f"bad timestamp {ts_text!r}") from None
+        if not math.isfinite(timestamp):
+            raise TraceParseError(line_no, f"bad timestamp {ts_text!r}")
+        src_addr = parts[1].strip()
+        dst_addr = parts[2].strip()
+        src_port = parse_int(parts[3], "source port", line_no)
+        dst_port = parse_int(parts[4], "destination port", line_no)
+        payload = parse_int(parts[5], "payload length", line_no)
+        if payload < 0:
+            raise TraceParseError(line_no, "payload length must be >= 0")
+        flags = parse_flags(parts[6], line_no)
+        seq = parse_int(parts[7], "sequence number", line_no)
+        ack = parse_int(parts[8], "acknowledgment number", line_no)
+        if not (0 <= seq < SEQ_SPACE and 0 <= ack < SEQ_SPACE):
+            raise TraceParseError(line_no, "sequence and acknowledgment "
+                                  f"numbers must lie in [0, 2^32), got "
+                                  f"{seq} and {ack}")
+        rows.append((timestamp, src_addr, src_port, dst_addr, dst_port,
+                     payload, flags, seq, ack))
+
+    rows.sort(key=lambda row: row[0])
+    if not rows:
+        return []
+    if client is None:
+        opener = next(
+            (r for r in rows if "SYN" in r[6] and "ACK" not in r[6]),
+            next((r for r in rows if r[5] > 0), rows[0]))
+        client = f"{opener[1]}:{opener[2]}"
+    return [
+        PacketEvent(*row, direction=direction(
+            f"{row[1]}:{row[2]}", f"{row[3]}:{row[4]}", client))
+        for row in rows
+    ]

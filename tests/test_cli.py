@@ -371,3 +371,55 @@ def test_second_connection_from_client_host_rejected(tmp_path, capsys):
     assert_cli_error(["trace-analyze", "--kind", "get", "--client", CLIENT,
                       "--t-i", "30000", str(path)], capsys,
                      f"does not involve client {CLIENT}")
+
+
+class TestBadTraceInputs:
+    """Bad trace and cost inputs end as ``error:`` where they enter."""
+
+    @pytest.fixture
+    def export(self, tmp_path):
+        path = tmp_path / "get.tsv"
+        assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                         "5000", "--rtt", "20", "--bottleneck", "20e6",
+                         "--out", str(path)]) == 0
+        return path
+
+    def analyze(self, path, *flags):
+        return ["trace-analyze", "--kind", "get", "--client", CLIENT,
+                *flags, str(path)]
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_timestamp(self, export, capsys, text):
+        lines = export.read_text().splitlines()
+        lines[2] = text + lines[2][lines[2].index("\t"):]
+        export.write_text("\n".join(lines) + "\n")
+        assert_cli_error(self.analyze(export, "--t-i", "30000"), capsys,
+                         f"line 3: bad timestamp '{text}'")
+
+    @pytest.mark.parametrize("t_i", ["inf", "nan", "0", "-5"])
+    def test_t_i_not_finite_and_positive(self, export, capsys, t_i):
+        assert_cli_error(self.analyze(export, "--t-i", t_i), capsys,
+                         "t_i must be finite and strictly positive")
+
+    def test_negative_concurrency(self, export, capsys):
+        assert_cli_error(
+            self.analyze(export, "--t-i", "30000", "--concurrency", "-3"),
+            capsys, "concurrency must be non-negative, got -3")
+
+    @pytest.mark.parametrize("rtt, bottleneck, name", [
+        ("inf", "20e6", "rtt"), ("nan", "20e6", "rtt"),
+        ("20", "inf", "bottleneck"), ("20", "nan", "bottleneck"),
+        ("20", "0", "bottleneck")])
+    def test_trace_synth_parameter(self, tmp_path, capsys, rtt, bottleneck,
+                                   name):
+        assert_cli_error(
+            ["trace-synth", "--kind", "get", "--file-size", "5000",
+             "--rtt", rtt, "--bottleneck", bottleneck,
+             "--out", str(tmp_path / "out.tsv")], capsys,
+            f"{name} must be finite and strictly positive")
+
+    def test_cost_payload_overflow(self, capsys):
+        assert_cli_error(
+            ["cost", "--hourly-bytes", "1e308", "--rtt", "40", "--t-i-min",
+             "2000", "--t-i-max", "4000", "--t-i-step", "2000"], capsys,
+            "hourly_bytes 1e+308 at t_i 2000.0 ms gives a per-cycle payload")

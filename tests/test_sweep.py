@@ -374,6 +374,10 @@ class TestPerCyclePayload:
         with pytest.raises(ValueError):
             per_cycle_payload(10e6, 0)
 
+    def test_overflowing_payload(self):
+        with pytest.raises(ValueError, match="hourly_bytes 1e\\+308 at t_i"):
+            per_cycle_payload(1e308, 2000)
+
 
 class TestCostCurve:
     GRID = tuple(float(t) for t in range(1000, 120001, 1000))

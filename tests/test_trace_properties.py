@@ -1,0 +1,187 @@
+"""Properties of the trace front end over random inputs.
+
+``parse_events`` is held to the per-field reference parser in
+``_trace_reference`` on random exports, good and bad; extraction of a
+synthetic exchange is held to the schedule that generated it; and
+serialising then parsing a synthetic exchange whose sequence numbers wrap
+at 2^32 gives back the same events.
+"""
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from ltenergy import (
+    Direction,
+    events_to_lines,
+    extract_get_phases,
+    extract_post_phases,
+    parse_events,
+    scheduled_phases,
+    synthesize_trace,
+)
+from ltenergy.traces import SYNTH_CLIENT
+
+from _trace_reference import reference_parse_events
+from test_traces import shift_sequence_space
+
+CLIENT = "10.0.0.2:51000"
+SERVER = "192.0.2.9:80"
+SERVER_2 = "192.0.2.9:443"  # a second server port the client talks to
+STRANGER = "10.0.0.2:51001"  # a second connection of the client's host
+PAIRS = [(CLIENT, SERVER), (SERVER, CLIENT), (CLIENT, SERVER_2),
+         (SERVER_2, CLIENT)]
+STRANGER_PAIRS = [(STRANGER, SERVER), (SERVER, STRANGER)]
+
+# str.strip drops all of these; float and int ignore all but \x1c-\x1f.
+# str.splitlines splits at all but the first two and the last.
+PADDING = " \xa0\x0b\x0c\r\x1c\x1f　"
+# Field texts that are not valid in their column, by column index.
+BAD_FIELDS = {
+    0: ["soon", "nan", "inf", "-inf", "1e400", "", "-"],
+    1: ["10.0.0.9"], 2: ["10.0.0.9"],  # valid, but involve no client
+    3: ["x1", "1.5", "0x50"], 4: ["8O", "+-1", "1e3"],
+    5: ["-5", "x", "1.0"],
+    6: ["XQ", "0xZZ", "²", "Z", "0x"],
+    7: ["4294967296", "-1", "abc"], 8: ["2 3", "4294967296", "-7"],
+}
+FLAG_TEXTS = ["A", "PA", "pa", "SA", "S", "FA", "RA", ".A..P", "·A",
+              "CWA", "E", "-", "", "0x012", "0X18", "18", "16", "2"]
+
+
+def empty_or(strategy):
+    """Integer texts, with ``""`` and ``"-"`` (which read as 0) mixed in."""
+    return st.one_of(strategy.map(str), st.sampled_from(["", "-", " - "]))
+
+
+@st.composite
+def packet_fields(draw, pairs):
+    src, dst = draw(st.sampled_from(pairs))
+    src_addr, src_port = src.rsplit(":", 1)
+    dst_addr, dst_port = dst.rsplit(":", 1)
+    micros = draw(st.integers(0, 2 * 10 ** 15))
+    stamp = draw(st.sampled_from([f"{micros / 1e6:.6f}", str(micros)]))
+    flags = draw(st.one_of(st.sampled_from(FLAG_TEXTS),
+                           st.integers(0, 255).map(hex),
+                           st.integers(0, 255).map(str)))
+    return [stamp, src_addr, dst_addr, src_port, dst_port,
+            draw(empty_or(st.integers(0, 3000))), flags,
+            draw(empty_or(st.integers(0, 2 ** 32 - 1))),
+            draw(empty_or(st.integers(0, 2 ** 32 - 1)))]
+
+
+@st.composite
+def exports(draw):
+    """Lines of a random export, and the client to parse them against."""
+    newline = draw(st.sampled_from([None, None, "\n", "\r\n"]))
+    padding = st.text(PADDING[:2] if newline else PADDING, max_size=2)
+    pairs = PAIRS + (STRANGER_PAIRS if draw(st.booleans()) else [])
+    items = draw(st.lists(st.one_of(
+        packet_fields(pairs), packet_fields(pairs), packet_fields(pairs),
+        st.sampled_from(["# capture notes", "  #\tcomment", "", "  \x0b"])),
+        max_size=12))
+    lines = []
+    for item in items:
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        fields = [draw(padding) + f + draw(padding) for f in item]
+        lines.append(fields)
+    packets = [i for i, line in enumerate(lines) if isinstance(line, list)]
+    if packets and draw(st.booleans()):
+        # Corrupt one line: bad columns, or a wrong field count.
+        fields = lines[draw(st.sampled_from(packets))]
+        for column in draw(st.sets(st.integers(0, 9), min_size=1,
+                                   max_size=6)):
+            if column == 9 and draw(st.booleans()):
+                fields.append("1")
+            elif column == 9:
+                fields.pop()
+            else:
+                fields[column] = draw(st.sampled_from(BAD_FIELDS[column]))
+    lines = [line if isinstance(line, str) else "\t".join(line)
+             for line in lines]
+    client = draw(st.sampled_from([None, CLIENT, CLIENT, STRANGER]))
+    return (newline.join(lines) if newline else lines), client
+
+
+def outcome(parse, lines, client):
+    """The parsed events, or the type and message of the error raised."""
+    try:
+        return parse(lines, client=client)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestParserMatchesReference:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(export=exports())
+    # several bad fields on one line: the payload sign and the flags are
+    # reported before the sequence number
+    @example(export=("1.0\tx\ty\t1\t2\t-5\tXQ\tabc\t1", None))
+    @example(export=("1.0\tx\ty\t1\t2\t5\tXQ\tabc\t1", None))
+    # the same bad flags text on two lines of two exports
+    @example(export=(["1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], None))
+    @example(export=(["2.0\tx\ty\t1\t2\t5\tA\t1\t1",
+                      "1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], None))
+    # one source endpoint towards the client and towards a stranger
+    @example(export=(["1.0\t192.0.2.9\t10.0.0.2\t80\t51000\t5\tA\t1\t1",
+                      "2.0\t192.0.2.9\t10.0.0.2\t80\t51001\t5\tA\t1\t1"],
+                     CLIENT))
+    def test_same_events_or_same_error(self, export):
+        lines, client = export
+        # Parsing again one line further down must move every line number:
+        # nothing of one call may leak into the next.
+        shifted = (["# shifted"] + lines if isinstance(lines, list)
+                   else "# shifted\n" + lines)
+        for text in (lines, shifted):
+            expected = outcome(reference_parse_events, text, client)
+            assert outcome(parse_events, text, client) == expected
+
+
+class TestExtractionMatchesSchedule:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(["post", "get"]),
+           size=st.integers(1, 200_000),
+           rtt=st.floats(0.5, 400.0),
+           bottleneck=st.floats(1e5, 1e8),
+           seed=st.integers(0, 2 ** 31))
+    def test_extracted_phases_equal_scheduled(self, kind, size, rtt,
+                                              bottleneck, seed):
+        events = synthesize_trace(kind, size, rtt, bottleneck, seed)
+        extract = extract_post_phases if kind == "post" \
+            else extract_get_phases
+        it = extract(events, SYNTH_CLIENT)
+        assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == \
+            scheduled_phases(kind, size, rtt, bottleneck)
+
+
+class TestSerialiseParseRoundTrip:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(["post", "get"]),
+           size=st.integers(1, 100_000),
+           rtt=st.floats(0.5, 400.0),
+           seed=st.integers(0, 2 ** 31),
+           wrap_at=st.floats(0.0, 1.0),
+           other_shift=st.integers(0, 2 ** 32 - 1),
+           infer_client=st.booleans())
+    def test_parse_of_lines_is_identity(self, kind, size, rtt, seed,
+                                        wrap_at, other_shift, infer_client):
+        events = synthesize_trace(kind, size, rtt, 10e6, seed)
+        sender = (Direction.CLIENT_TO_SERVER if kind == "post"
+                  else Direction.SERVER_TO_CLIENT)
+        first = next(e.seq for e in events
+                     if e.payload_len > 0 and e.direction is sender)
+        # the bulk stream crosses 2^32 after ``wrap_at`` of its bytes
+        shift = (2 ** 32 - first - int(wrap_at * size)) % 2 ** 32
+        shifts = (shift, other_shift) if kind == "post" \
+            else (other_shift, shift)
+        wrapped = shift_sequence_space(events, *shifts)
+        client = None if infer_client else SYNTH_CLIENT
+        assert parse_events(events_to_lines(wrapped), client) == wrapped
+        extract = extract_post_phases if kind == "post" \
+            else extract_get_phases
+        assert (extract(wrapped, SYNTH_CLIENT)
+                == extract(events, SYNTH_CLIENT))
+

@@ -499,3 +499,25 @@ class TestWorkloadSummary:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError, match="no repetitions"):
             workload_summary([(0, [])])
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("t_i", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_period_rejected(self, t_i):
+        it = TraceIteration(
+            phase=PhaseTiming(t_tx=10.0, t_w=5.0, t_rx=20.0, t_q=0.0),
+            app_kind="get", file_size=1000)
+        with pytest.raises(ValueError, match="t_i must be finite"):
+            iteration_energy(it, t_i, PROFILE)
+        with pytest.raises(ValueError, match="t_i must be finite"):
+            aggregate([it], t_i, PROFILE)
+
+    @pytest.mark.parametrize("rtt, bottleneck, name", [
+        (float("inf"), 10e6, "rtt"), (float("nan"), 10e6, "rtt"),
+        (75.0, float("inf"), "bottleneck"), (75.0, float("nan"), "bottleneck"),
+    ])
+    def test_plan_parameters_rejected(self, rtt, bottleneck, name):
+        for plan in (synthesize_trace, scheduled_phases):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be finite and strictly"):
+                plan("get", 1000, rtt, bottleneck)
