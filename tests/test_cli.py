@@ -245,6 +245,14 @@ JSON_DIGESTS = {
     "get": "9e43fa530c2dd56692d8adb542522f31fd09218054b578b856b40baf66df899d",
     "post": "50d3b54393c4d6a87e3010ef51a5f596e8e02a8ee55c6b84c69ad98488f87d93",
 }
+# sha256 of the ``trace-synth --rtt 20 --bottleneck 20e6 --seed 0`` export,
+# frozen from the release before the planner's bulk loops were merged.
+TRACE_SYNTH_DIGESTS = {
+    ("get", 200000):
+        "f1da917da1b63406125a784ab691e90eb2fbead2292464ee471686e2e6fed4fa",
+    ("post", 60000):
+        "023b92c32ca2d5661b468394f017600d9c8719c3071a43b2695300a0443deccc",
+}
 CLIENT = "198.51.100.10:52000"
 
 
@@ -299,6 +307,14 @@ class TestArtifactGoldens:
             assert out.read_text() == TRACE_ANALYZE_CSV[kind]
         else:
             assert sha256(out) == JSON_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind, file_size", sorted(TRACE_SYNTH_DIGESTS))
+    def test_trace_synth(self, tmp_path, kind, file_size):
+        out = tmp_path / f"{kind}.tsv"
+        assert cli.main(["trace-synth", "--kind", kind, "--file-size",
+                         str(file_size), "--rtt", "20", "--bottleneck", "20e6",
+                         "--seed", "0", "--out", str(out)]) == 0
+        assert sha256(out) == TRACE_SYNTH_DIGESTS[kind, file_size]
 
 
 def cost_config(**overrides):
