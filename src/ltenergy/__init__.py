@@ -54,7 +54,6 @@ from .traces import (
     PacketEvent,
     TraceIteration,
     TraceParseError,
-    WorkloadPoint,
     aggregate,
     canonical_cycle_events,
     event_driven_energy,
@@ -66,7 +65,6 @@ from .traces import (
     rho_from_traces,
     scheduled_phases,
     synthesize_trace,
-    workload_summary,
 )
 
 __version__ = "0.1.0"

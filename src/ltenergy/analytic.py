@@ -56,8 +56,9 @@ class PeriodOverrunError(ValueError):
 
     def __init__(self, deficit_ms: float):
         self.deficit_ms = deficit_ms
+        spec = ".3f" if deficit_ms < 1e15 else ".3e"
         super().__init__(
-            f"cycle phases exceed the period by {deficit_ms:.3f} ms"
+            f"cycle phases exceed the period by {deficit_ms:{spec}} ms"
         )
 
 

@@ -293,15 +293,15 @@ def _run_cost(config: RunConfig) -> int:
 
 
 def _analyze_set(paths: Sequence[str], kind: str, client: str,
-                 t_i: float, profile: PowerProfile):
+                 t_i: float, profile: PowerProfile) -> traces.AggregateResult:
     extract = (traces.extract_post_phases if kind == "post"
                else traces.extract_get_phases)
     iterations = []
-    for index, path in enumerate(paths):
+    for path in paths:
         with open(path, encoding="utf-8") as fp:
             events = traces.parse_events(fp, client=client)
-        iterations.append(extract(events, client, index))
-    return iterations, traces.aggregate(iterations, t_i, profile)
+        iterations.append(extract(events))
+    return traces.aggregate(iterations, t_i, profile)
 
 
 def _run_trace_analyze(config: RunConfig) -> int:
@@ -315,22 +315,19 @@ def _run_trace_analyze(config: RunConfig) -> int:
         raise ValueError(f"concurrency must be non-negative, got {concurrency}")
     c_text = "" if concurrency is None else str(concurrency)
 
-    edge_iters, edge_agg = _analyze_set(p["files"], kind, client, t_i, profile)
-    cloud_agg = None
+    edge = _analyze_set(p["files"], kind, client, t_i, profile)
+    placements = [("edge", edge, None)]
     if p.get("cloud_files"):
-        cloud_iters, cloud_agg = _analyze_set(
-            p["cloud_files"], kind, client, t_i, profile)
-        rho = traces.rho_from_traces(edge_iters, cloud_iters, t_i, profile)
-    else:
-        rho = None
+        cloud = _analyze_set(p["cloud_files"], kind, client, t_i, profile)
+        placements = [("edge", edge, traces.rho_from_traces(edge, cloud)),
+                      ("cloud", cloud, None)]
 
-    file_size = edge_iters[0].file_size
     columns = ["app_kind", "file_size", "t_i", "c", "t_tx_ms", "t_w_ms",
                "t_rx_ms", "t_q_ms", "e_i_mJ", "rho"]
 
     def agg_row(agg, rho_value):
         return [
-            kind, str(file_size), fmt_axis(t_i), c_text,
+            agg.app_kind, str(agg.file_size), fmt_axis(t_i), c_text,
             fmt_ms(agg.mean_t_tx), fmt_ms(agg.mean_t_w),
             fmt_ms(agg.mean_t_rx), fmt_ms(agg.mean_t_q),
             fmt_mj(agg.total_mj),
@@ -339,8 +336,8 @@ def _run_trace_analyze(config: RunConfig) -> int:
 
     def agg_obj(agg, rho_value):
         return {
-            "app_kind": kind,
-            "file_size": file_size,
+            "app_kind": agg.app_kind,
+            "file_size": agg.file_size,
             "t_i": t_i,
             "c": concurrency,
             "t_tx_ms": round(agg.mean_t_tx, 3),
@@ -352,9 +349,6 @@ def _run_trace_analyze(config: RunConfig) -> int:
             "repetitions": len(agg.breakdowns),
         }
 
-    placements = [("edge", edge_agg, rho)]
-    if cloud_agg is not None:
-        placements.append(("cloud", cloud_agg, None))
     _emit(config, columns,
           lambda: [agg_row(agg, r) for _, agg, r in placements],
           lambda: _json({name: agg_obj(agg, r)

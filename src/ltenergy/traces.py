@@ -15,6 +15,8 @@ A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
 round-trip time, so placement comparisons can be exercised end to end.
 
+``aggregate`` prices the repetitions of one placement once, and
+``rho_from_traces`` takes the edge/cloud ratio rho of two such aggregates.
 ``event_driven_energy`` generalises the radio state machine to arbitrary
 event sequences and serves as an independent cross-check of the closed-form
 cycle energy.
@@ -23,7 +25,6 @@ cycle energy.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -35,6 +36,7 @@ from .analytic import (
     EnergyBreakdown,
     PhaseTiming,
     cycle_energy,
+    energy_ratio,
     idle_gap_energy,
     timing_from_phases,
     transfer_time,
@@ -46,7 +48,6 @@ __all__ = [
     "PacketEvent",
     "TraceIteration",
     "AggregateResult",
-    "WorkloadPoint",
     "TraceParseError",
     "IncompleteExchangeError",
     "parse_events",
@@ -60,7 +61,6 @@ __all__ = [
     "rho_from_traces",
     "synthesize_trace",
     "scheduled_phases",
-    "workload_summary",
 ]
 
 MSS_BYTES = 1448
@@ -134,7 +134,6 @@ class TraceIteration:
     phase: PhaseTiming
     app_kind: str  # "post" or "get"
     file_size: int  # application bytes moved in the bulk direction
-    repetition_index: int = 0
 
     def __post_init__(self) -> None:
         if self.app_kind not in ("post", "get"):
@@ -316,8 +315,8 @@ def _stream_bounds(packets: Sequence[PacketEvent]) -> tuple[int, int]:
                 for e in packets) - _HALF_SPACE)
 
 
-def _extract_phases(kind: str, events: Sequence[PacketEvent],
-                    repetition_index: int) -> TraceIteration:
+def _extract_phases(kind: str,
+                    events: Sequence[PacketEvent]) -> TraceIteration:
     """Phase durations of one request-response exchange.
 
     One landmark rule serves both bulk directions.  The request (the upload
@@ -369,20 +368,17 @@ def _extract_phases(kind: str, events: Sequence[PacketEvent],
         app_kind=kind,
         file_size=(request_end - request_first if kind == "post"
                    else response_end - response_first),
-        repetition_index=repetition_index,
     )
 
 
-def extract_post_phases(events: Sequence[PacketEvent], client: str,
-                        repetition_index: int = 0) -> TraceIteration:
+def extract_post_phases(events: Sequence[PacketEvent]) -> TraceIteration:
     """Phases of an upload-style exchange; see :func:`_extract_phases`."""
-    return _extract_phases("post", events, repetition_index)
+    return _extract_phases("post", events)
 
 
-def extract_get_phases(events: Sequence[PacketEvent], client: str,
-                       repetition_index: int = 0) -> TraceIteration:
+def extract_get_phases(events: Sequence[PacketEvent]) -> TraceIteration:
     """Phases of a download-style exchange; see :func:`_extract_phases`."""
-    return _extract_phases("get", events, repetition_index)
+    return _extract_phases("get", events)
 
 
 def iteration_energy(iteration: TraceIteration, t_i: float,
@@ -577,66 +573,53 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
             int(t_us), from_client, payload, frozenset(flags),
             seq_rel, ack_rel))
 
+    def bulk(from_client, size, start_us, peer_next):
+        """Segments of ``size`` bytes from ``start_us`` on, each second one
+        but the last acknowledged as seen at the client; returns the first
+        and last segment times."""
+        sizes = _segment_sizes(size)
+        times = _transfer_arrivals(len(sizes), start_us, rtt_us, seg_gap_us)
+        if not math.isfinite(times[-1]):
+            raise ValueError(
+                f"bottleneck {bottleneck_bps!r} bit/s with rtt {rtt_ms!r} ms "
+                "gives segment times that are not finite")
+        ack_delay_us = rtt_us if from_client else _ACK_DELAY_US
+        offset = 0
+        for i, (t, seg) in enumerate(zip(times, sizes)):
+            is_last = i == len(sizes) - 1
+            flags = {"PSH", "ACK"} if is_last else {"ACK"}
+            pkt(round(t), from_client, seg, flags, 1 + offset, peer_next)
+            offset += seg
+            if i % 2 == 1 and not is_last:
+                pkt(round(t) + ack_delay_us, not from_client, 0, {"ACK"},
+                    peer_next, 1 + offset)
+        return round(times[0]), round(times[-1])
+
     # Three-way handshake; the SYN consumes one sequence number.
     pkt(0, True, 0, {"SYN"}, 0, 0)
     pkt(rtt_us, False, 0, {"SYN", "ACK"}, 0, 1)
     pkt(rtt_us + _TURNAROUND_US, True, 0, {"ACK"}, 1, 1)
     request_us = rtt_us + 2 * _TURNAROUND_US
 
+    # The file is the response of a GET and the request body of a POST; a
+    # POST's status reply and a GET's file may be empty.
     if kind == "get":
-        req_end = 1 + GET_REQUEST_BYTES
-        pkt(request_us, True, GET_REQUEST_BYTES, {"PSH", "ACK"}, 1, 1)
-        request_ack_us = request_us + rtt_us
-        pkt(request_ack_us, False, 0, {"ACK"}, 1, req_end)
-
-        response_us = final_ack_us = None
-        client_next, server_next = req_end, 1
-        last_us = request_ack_us
-        if file_size > 0:
-            sizes = _segment_sizes(file_size)
-            arrivals = _transfer_arrivals(
-                len(sizes), request_ack_us + _SERVER_THINK_US,
-                rtt_us, seg_gap_us)
-            offset = 0
-            for i, (t, size) in enumerate(zip(arrivals, sizes)):
-                is_last = i == len(sizes) - 1
-                flags = {"PSH", "ACK"} if is_last else {"ACK"}
-                pkt(round(t), False, size, flags, 1 + offset, req_end)
-                offset += size
-                if i % 2 == 1 and not is_last:
-                    pkt(round(t) + _ACK_DELAY_US, True, 0, {"ACK"},
-                        req_end, 1 + offset)
-            response_us = round(arrivals[0])
-            final_ack_us = round(arrivals[-1]) + _TURNAROUND_US
-            pkt(final_ack_us, True, 0, {"ACK"}, req_end, 1 + file_size)
-            server_next = 1 + file_size
-            last_us = final_ack_us
+        request_bytes, response_bytes = GET_REQUEST_BYTES, file_size
     else:
-        total = POST_HEADER_BYTES + file_size
-        sizes = _segment_sizes(total)
-        sends = _transfer_arrivals(len(sizes), request_us, rtt_us, seg_gap_us)
-        offset = 0
-        for i, (t, size) in enumerate(zip(sends, sizes)):
-            is_last = i == len(sizes) - 1
-            flags = {"PSH", "ACK"} if is_last else {"ACK"}
-            pkt(round(t), True, size, flags, 1 + offset, 1)
-            offset += size
-            if i % 2 == 1 and not is_last:
-                pkt(round(t) + rtt_us, False, 0, {"ACK"}, 1, 1 + offset)
-        request_ack_us = round(sends[-1]) + rtt_us
-        pkt(request_ack_us, False, 0, {"ACK"}, 1, 1 + total)
+        request_bytes = POST_HEADER_BYTES + file_size
+        response_bytes = POST_STATUS_BYTES if file_size > 0 else 0
+    client_next, server_next = 1 + request_bytes, 1 + response_bytes
+    request_ack_us = bulk(True, request_bytes, request_us, 1)[1] + rtt_us
+    pkt(request_ack_us, False, 0, {"ACK"}, 1, client_next)
 
-        response_us = final_ack_us = None
-        client_next, server_next = 1 + total, 1
-        last_us = request_ack_us
-        if file_size > 0:
-            response_us = request_ack_us + _SERVER_THINK_US
-            pkt(response_us, False, POST_STATUS_BYTES, {"PSH", "ACK"},
-                1, 1 + total)
-            server_next = 1 + POST_STATUS_BYTES
-            final_ack_us = response_us + _TURNAROUND_US
-            pkt(final_ack_us, True, 0, {"ACK"}, 1 + total, server_next)
-            last_us = final_ack_us
+    response_us = final_ack_us = None
+    last_us = request_ack_us
+    if response_bytes > 0:
+        response_us, response_end_us = bulk(
+            False, response_bytes, request_ack_us + _SERVER_THINK_US,
+            client_next)
+        final_ack_us = last_us = response_end_us + _TURNAROUND_US
+        pkt(final_ack_us, True, 0, {"ACK"}, client_next, server_next)
 
     # Teardown: client closes, server closes back.
     fin_us = last_us + 2 * _TURNAROUND_US
@@ -709,6 +692,8 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
 class AggregateResult:
     """Energy and mean phases over the repetitions of one experiment."""
 
+    app_kind: str  # shared by every repetition
+    file_size: int  # shared by every repetition
     total_mj: float
     breakdowns: tuple[EnergyBreakdown, ...]
     timings: tuple[PhaseTiming, ...]
@@ -737,70 +722,31 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
 
     timings = tuple(_cycle_timing(it, t_i, profile) for it in iterations)
     breakdowns = tuple(cycle_energy(t, profile) for t in timings)
+    n = len(timings)
     return AggregateResult(
+        app_kind=iterations[0].app_kind,
+        file_size=iterations[0].file_size,
         total_mj=sum(b.e_i for b in breakdowns),
         breakdowns=breakdowns,
         timings=timings,
-        mean_t_tx=statistics.fmean(t.t_tx for t in timings),
-        mean_t_w=statistics.fmean(t.t_w for t in timings),
-        mean_t_rx=statistics.fmean(t.t_rx for t in timings),
-        mean_t_q=statistics.fmean(t.t_q for t in timings),
+        mean_t_tx=math.fsum(t.t_tx for t in timings) / n,
+        mean_t_w=math.fsum(t.t_w for t in timings) / n,
+        mean_t_rx=math.fsum(t.t_rx for t in timings) / n,
+        mean_t_q=math.fsum(t.t_q for t in timings) / n,
     )
 
 
-def rho_from_traces(edge_iterations: Sequence[TraceIteration],
-                    cloud_iterations: Sequence[TraceIteration],
-                    t_i: float, profile: PowerProfile) -> float:
-    """Edge-to-cloud energy ratio over matched measured repetitions."""
-    if len(edge_iterations) != len(cloud_iterations):
-        raise ValueError("edge and cloud repetition counts differ")
-    edge = aggregate(edge_iterations, t_i, profile)
-    cloud = aggregate(cloud_iterations, t_i, profile)
-    if edge_iterations[0].app_kind != cloud_iterations[0].app_kind:
-        raise ValueError("edge and cloud application kinds differ")
-    if edge_iterations[0].file_size != cloud_iterations[0].file_size:
-        raise ValueError("edge and cloud file sizes differ")
-    return edge.total_mj / cloud.total_mj
+def rho_from_traces(edge: AggregateResult, cloud: AggregateResult) -> float:
+    """Edge-to-cloud energy ratio rho of two placements of one application.
 
-
-@dataclass(frozen=True)
-class WorkloadPoint:
-    """Download-time summary at one server concurrency level."""
-
-    concurrent_connections: int
-    t_rx_mean: float
-    repetitions: int
-    ci95_half_width: float | None  # absent with a single repetition
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.concurrent_connections < 0:
-            raise ValueError("concurrent_connections must be >= 0")
-
-
-def workload_summary(
-        points: Sequence[tuple[int, Sequence[TraceIteration]]]
-) -> list[WorkloadPoint]:
-    """Mean download time per concurrency level with 95% confidence.
-
-    Half-widths use the normal approximation ``1.96 * s / sqrt(n)`` with the
-    sample standard deviation; a single repetition has no half-width.
+    Both aggregates come from :func:`aggregate` over matched repetitions at
+    the same period and profile; they must agree on the repetition count,
+    the application kind and the file size.
     """
-    out = []
-    for c, iterations in points:
-        if not iterations:
-            raise ValueError(f"no repetitions for concurrency level {c}")
-        values = [it.phase.t_rx for it in iterations]
-        n = len(values)
-        half: float | None = None
-        if n > 1:
-            half = 1.96 * statistics.stdev(values) / n ** 0.5
-        out.append(WorkloadPoint(
-            concurrent_connections=c,
-            t_rx_mean=statistics.fmean(values),
-            repetitions=n,
-            ci95_half_width=half,
-        ))
-    out.sort(key=lambda p: p.concurrent_connections)
-    return out
+    if len(edge.breakdowns) != len(cloud.breakdowns):
+        raise ValueError("edge and cloud repetition counts differ")
+    if edge.app_kind != cloud.app_kind:
+        raise ValueError("edge and cloud application kinds differ")
+    if edge.file_size != cloud.file_size:
+        raise ValueError("edge and cloud file sizes differ")
+    return energy_ratio(edge.total_mj, cloud.total_mj)

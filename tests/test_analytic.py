@@ -143,6 +143,14 @@ class TestPhaseTiming:
             phase_timing(scn, PROFILE)
         assert err.value.deficit_ms == pytest.approx(78.0)
 
+    @pytest.mark.parametrize("deficit, text", [
+        (78.0, "78.000"), (999_999_999_999_999.9, "999999999999999.875"),
+        (1e15, "1.000e+15"), (4.444e294, "4.444e+294"),
+        (float("inf"), "inf")])
+    def test_overrun_message_stays_short(self, deficit, text):
+        assert str(PeriodOverrunError(deficit)) \
+            == f"cycle phases exceed the period by {text} ms"
+
     def test_wait_promotion_flag(self):
         t = timing_from_phases(10, 12000, 10, 17220, PROFILE)
         assert t.prom_rx and not t.prom_tx

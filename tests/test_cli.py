@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ltenergy import cli, sweep
+from ltenergy import cli, sweep, traces
 from ltenergy.power_model import default_profile, profile_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -425,17 +428,74 @@ class TestBadTraceInputs:
     @pytest.mark.parametrize("rtt, bottleneck, name", [
         ("inf", "20e6", "rtt"), ("nan", "20e6", "rtt"),
         ("20", "inf", "bottleneck"), ("20", "nan", "bottleneck"),
-        ("20", "0", "bottleneck")])
+        ("20", "0", "bottleneck"), ("20", "1e-300", "bottleneck"),
+        ("20", "1e-298", "bottleneck")])
     def test_trace_synth_parameter(self, tmp_path, capsys, rtt, bottleneck,
                                    name):
+        message = f"{name} must be finite and strictly positive"
+        if name == "bottleneck" and 0 < float(bottleneck) < float("inf"):
+            # Valid on its own, but too slow for finite segment times: at
+            # 1e-300 the segment gap overflows, at 1e-298 the third segment.
+            message = (f"bottleneck {bottleneck} bit/s with rtt "
+                       f"{float(rtt)!r} ms gives segment times that are not "
+                       "finite")
         assert_cli_error(
             ["trace-synth", "--kind", "get", "--file-size", "5000",
              "--rtt", rtt, "--bottleneck", bottleneck,
-             "--out", str(tmp_path / "out.tsv")], capsys,
-            f"{name} must be finite and strictly positive")
+             "--out", str(tmp_path / "out.tsv")], capsys, message)
+
+    def test_cost_overrun_message_is_short(self, capsys):
+        code = cli.main(["cost", "--hourly-bytes", "1e300", "--rtt", "40",
+                         "--t-i-min", "2000", "--t-i-max", "4000",
+                         "--t-i-step", "2000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cycle phases exceed the period by ")
+        assert len(err) < 100
 
     def test_cost_payload_overflow(self, capsys):
         assert_cli_error(
             ["cost", "--hourly-bytes", "1e308", "--rtt", "40", "--t-i-min",
              "2000", "--t-i-max", "4000", "--t-i-step", "2000"], capsys,
             "hourly_bytes 1e+308 at t_i 2000.0 ms gives a per-cycle payload")
+
+
+class TestTraceAnalyzePlacements:
+    def test_mismatched_file_sizes_rejected(self, tmp_path, capsys):
+        paths = []
+        for name, size in (("edge", 200000), ("cloud", 100000)):
+            path = tmp_path / f"{name}.tsv"
+            assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                             str(size), "--rtt", "20", "--bottleneck", "20e6",
+                             "--out", str(path)]) == 0
+            paths.append(str(path))
+        assert_cli_error(["trace-analyze", "--kind", "get", "--client",
+                          CLIENT, "--t-i", "30000", paths[0],
+                          "--cloud", paths[1]], capsys,
+                         "error: edge and cloud file sizes differ")
+
+    def test_each_placement_aggregated_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = traces.aggregate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(traces, "aggregate", counted)
+        edge, cloud = synth_exports(tmp_path, "get", 20000)
+        assert cli.main(["trace-analyze", "--kind", "get", "--client", CLIENT,
+                         "--t-i", "30000", "--out", str(tmp_path / "a.csv"),
+                         *edge, "--cloud", *cloud]) == 0
+        assert len(calls) == 2
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    """The trace path averages with math.fsum, so a fresh import of the CLI
+    does not pay for statistics (and the fractions/decimal it loads)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ltenergy.cli; print('statistics' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

@@ -151,7 +151,7 @@ class TestExtractionMatchesSchedule:
         events = synthesize_trace(kind, size, rtt, bottleneck, seed)
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
-        it = extract(events, SYNTH_CLIENT)
+        it = extract(events)
         assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == \
             scheduled_phases(kind, size, rtt, bottleneck)
 
@@ -182,6 +182,5 @@ class TestSerialiseParseRoundTrip:
         assert parse_events(events_to_lines(wrapped), client) == wrapped
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
-        assert (extract(wrapped, SYNTH_CLIENT)
-                == extract(events, SYNTH_CLIENT))
+        assert extract(wrapped) == extract(events)
 

@@ -1,4 +1,5 @@
 import random
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,6 @@ from ltenergy import (
     scheduled_phases,
     synthesize_trace,
     transfer_time,
-    workload_summary,
 )
 from ltenergy.traces import SYNTH_CLIENT, PacketEvent
 
@@ -102,8 +102,7 @@ class TestSequenceWrap:
             wrapped_bulk)
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
-        assert (extract(wrapped, SYNTH_CLIENT)
-                == extract(events, SYNTH_CLIENT))
+        assert extract(wrapped) == extract(events)
 
     @pytest.mark.parametrize("seq, ack", [(2 ** 32, 1), (1, 2 ** 32),
                                           (-1, 1)])
@@ -177,7 +176,7 @@ class TestExtractPost:
     def test_constructed_exchange(self):
         events = parse_events("\n".join(post_exchange_lines()),
                               client=CLIENT)
-        it = extract_post_phases(events, CLIENT)
+        it = extract_post_phases(events)
         assert it.phase.t_tx == pytest.approx(100.0)
         assert it.phase.t_w == pytest.approx(300.0)
         assert it.phase.t_rx == pytest.approx(5.0)
@@ -189,20 +188,20 @@ class TestExtractPost:
         rows[3] = line(0.080, SERVER, CLIENT, 200, "PA", 1, 1501)
         events = parse_events("\n".join(rows), client=CLIENT)
         with pytest.raises(IncompleteExchangeError, match="precedes"):
-            extract_post_phases(events, CLIENT)
+            extract_post_phases(events)
 
     def test_missing_final_ack(self):
         rows = post_exchange_lines()
         del rows[2]
         events = parse_events("\n".join(rows), client=CLIENT)
         with pytest.raises(IncompleteExchangeError, match="acknowledgment"):
-            extract_post_phases(events, CLIENT)
+            extract_post_phases(events)
 
     def test_missing_response(self):
         events = parse_events("\n".join(post_exchange_lines()[:3]),
                               client=CLIENT)
         with pytest.raises(IncompleteExchangeError, match="response"):
-            extract_post_phases(events, CLIENT)
+            extract_post_phases(events)
 
     def test_single_packet_request(self):
         rtt = 80.0
@@ -220,7 +219,7 @@ class TestExtractGet:
     def test_constructed_exchange(self):
         events = parse_events("\n".join(get_exchange_lines()),
                               client=CLIENT)
-        it = extract_get_phases(events, CLIENT)
+        it = extract_get_phases(events)
         assert it.phase.t_tx == pytest.approx(75.0)
         assert it.phase.t_w == pytest.approx(225.0)
         assert it.phase.t_rx == pytest.approx(1005.0)
@@ -230,12 +229,12 @@ class TestExtractGet:
         events = parse_events("\n".join(get_exchange_lines()[:2]),
                               client=CLIENT)
         with pytest.raises(IncompleteExchangeError, match="zero-length"):
-            extract_get_phases(events, CLIENT)
+            extract_get_phases(events)
 
     def test_generator_transfer_span(self):
         sched = scheduled_phases("get", 100_000, 75, 10e6)
         events = synthesize_trace("get", 100_000, 75, 10e6, seed=2)
-        it = extract_get_phases(events, SYNTH_CLIENT)
+        it = extract_get_phases(events)
         assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == sched
 
 
@@ -244,9 +243,9 @@ class TestAdminExclusion:
         ("post", extract_post_phases), ("get", extract_get_phases)])
     def test_handshake_and_teardown_do_not_shift_phases(self, kind, extract):
         events = synthesize_trace(kind, 80_000, 75, 10e6, seed=3)
-        base = extract(events, SYNTH_CLIENT)
+        base = extract(events)
         data_only = [e for e in events if not e.is_connection_admin]
-        stripped = extract(data_only, SYNTH_CLIENT)
+        stripped = extract(data_only)
         assert stripped.phase == base.phase
 
         extra = parse_events(
@@ -256,7 +255,7 @@ class TestAdminExclusion:
             client=SYNTH_CLIENT,
         )
         noisy = sorted(events + extra, key=lambda e: e.timestamp)
-        assert extract(noisy, SYNTH_CLIENT).phase == base.phase
+        assert extract(noisy).phase == base.phase
 
 
 class TestIterationEnergy:
@@ -382,7 +381,7 @@ class TestSynthesizeTrace:
     def test_extraction_round_trips_schedule(self, kind, size):
         events = synthesize_trace(kind, size, 75, 10e6, seed=4)
         extract = extract_post_phases if kind == "post" else extract_get_phases
-        it = extract(events, SYNTH_CLIENT)
+        it = extract(events)
         sched = scheduled_phases(kind, size, 75, 10e6)
         assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == sched
 
@@ -437,68 +436,68 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([], 5000, PROFILE)
 
+    def test_carries_kind_and_file_size(self):
+        agg = aggregate([self.iteration(kind="post", size=60160)] * 2,
+                        5000, PROFILE)
+        assert (agg.app_kind, agg.file_size) == ("post", 60160)
+
+    def test_means_equal_fmean_exactly(self):
+        # statistics.fmean is the oracle; the module itself does not load it.
+        rng = random.Random(11)
+        awkward = [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 1e-9, 123456.789, 0.7]
+        for count in (1, 2, 3, 7, 10, 33):
+            items = [self.iteration(t_tx=rng.choice(awkward) * rng.random(),
+                                    t_w=rng.choice(awkward),
+                                    t_rx=rng.uniform(0.0, 1e4) / 3)
+                     for _ in range(count)]
+            agg = aggregate(items, 1e6 + rng.random(), PROFILE)
+            for name in ("t_tx", "t_w", "t_rx", "t_q"):
+                assert getattr(agg, f"mean_{name}") == statistics.fmean(
+                    getattr(t, name) for t in agg.timings)
+
 
 class TestRhoFromTraces:
-    def iteration(self, t_tx, t_w, t_rx):
-        return TraceIteration(
+    def aggregate(self, t_tx, t_w, t_rx, count=5, t_i=5000, kind="get",
+                  size=16000):
+        it = TraceIteration(
             phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
-            app_kind="get", file_size=16000)
+            app_kind=kind, file_size=size)
+        return aggregate([it] * count, t_i, PROFILE)
 
     def test_identical_sets_give_exactly_one(self):
-        edge = [self.iteration(100.0, 50.0, 80.0) for _ in range(5)]
-        cloud = [self.iteration(100.0, 50.0, 80.0) for _ in range(5)]
-        assert rho_from_traces(edge, cloud, 5000, PROFILE) == 1.0
+        edge = self.aggregate(100.0, 50.0, 80.0)
+        cloud = self.aggregate(100.0, 50.0, 80.0)
+        assert rho_from_traces(edge, cloud) == 1.0
 
     def test_stretched_cloud_phases_favor_edge(self):
-        edge = [self.iteration(100.0, 50.0, 800.0) for _ in range(5)]
-        cloud = [self.iteration(130.0, 250.0, 1100.0) for _ in range(5)]
-        assert rho_from_traces(edge, cloud, 20_000, PROFILE) < 1.0
+        edge = self.aggregate(100.0, 50.0, 800.0, t_i=20_000)
+        cloud = self.aggregate(130.0, 250.0, 1100.0, t_i=20_000)
+        assert rho_from_traces(edge, cloud) < 1.0
+
+    def test_ratio_of_totals(self):
+        edge = self.aggregate(100.0, 50.0, 800.0)
+        cloud = self.aggregate(130.0, 250.0, 1100.0)
+        assert rho_from_traces(edge, cloud) == edge.total_mj / cloud.total_mj
 
     def test_mismatched_counts_rejected(self):
-        edge = [self.iteration(100.0, 50.0, 80.0)] * 3
-        cloud = [self.iteration(100.0, 50.0, 80.0)] * 2
+        edge = self.aggregate(100.0, 50.0, 80.0, count=3)
+        cloud = self.aggregate(100.0, 50.0, 80.0, count=2)
         with pytest.raises(ValueError, match="counts"):
-            rho_from_traces(edge, cloud, 5000, PROFILE)
+            rho_from_traces(edge, cloud)
 
+    def test_mismatched_kinds_rejected(self):
+        edge = self.aggregate(100.0, 50.0, 80.0, kind="get")
+        cloud = self.aggregate(100.0, 50.0, 80.0, kind="post")
+        with pytest.raises(ValueError,
+                           match="edge and cloud application kinds differ"):
+            rho_from_traces(edge, cloud)
 
-class TestWorkloadSummary:
-    def iteration(self, t_rx):
-        return TraceIteration(
-            phase=PhaseTiming(t_tx=10.0, t_w=5.0, t_rx=t_rx, t_q=0.0),
-            app_kind="get", file_size=100_000)
-
-    def test_single_repetition_has_no_half_width(self):
-        [point] = workload_summary([(0, [self.iteration(500.0)])])
-        assert point.t_rx_mean == 500.0
-        assert point.repetitions == 1
-        assert point.ci95_half_width is None
-
-    def test_identical_repetitions_zero_half_width(self):
-        [point] = workload_summary(
-            [(10, [self.iteration(500.0) for _ in range(6)])])
-        assert point.ci95_half_width == pytest.approx(0.0)
-
-    def test_known_values(self):
-        values = [100.0, 110.0, 120.0, 130.0, 140.0, 150.0]
-        [point] = workload_summary(
-            [(50, [self.iteration(v) for v in values])])
-        assert point.t_rx_mean == pytest.approx(125.0)
-        # hand computation: s^2 = 1750/5, half-width = 1.96*s/sqrt(6)
-        assert point.ci95_half_width == pytest.approx(
-            1.96 * (350 ** 0.5) / (6 ** 0.5), rel=1e-12)
-        assert point.ci95_half_width == pytest.approx(14.9698, abs=1e-3)
-
-    def test_sorted_by_concurrency(self):
-        points = workload_summary([
-            (100, [self.iteration(800.0)]),
-            (0, [self.iteration(500.0)]),
-            (50, [self.iteration(650.0)]),
-        ])
-        assert [p.concurrent_connections for p in points] == [0, 50, 100]
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="no repetitions"):
-            workload_summary([(0, [])])
+    def test_mismatched_file_sizes_rejected(self):
+        edge = self.aggregate(100.0, 50.0, 80.0, size=16000)
+        cloud = self.aggregate(100.0, 50.0, 80.0, size=8000)
+        with pytest.raises(ValueError,
+                           match="edge and cloud file sizes differ"):
+            rho_from_traces(edge, cloud)
 
 
 class TestNonFiniteInputs:
@@ -515,9 +514,14 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("rtt, bottleneck, name", [
         (float("inf"), 10e6, "rtt"), (float("nan"), 10e6, "rtt"),
         (75.0, float("inf"), "bottleneck"), (75.0, float("nan"), "bottleneck"),
+        (75.0, 1e-300, "bottleneck"),
     ])
     def test_plan_parameters_rejected(self, rtt, bottleneck, name):
+        message = f"{name} must be finite and strictly"
+        if name == "bottleneck" and 0 < bottleneck < float("inf"):
+            # valid on its own, but too slow for a finite segment time
+            message = (f"bottleneck {bottleneck!r} bit/s with rtt {rtt!r} ms "
+                       "gives segment times that are not finite")
         for plan in (synthesize_trace, scheduled_phases):
-            with pytest.raises(ValueError,
-                               match=f"{name} must be finite and strictly"):
+            with pytest.raises(ValueError, match=message):
                 plan("get", 1000, rtt, bottleneck)
