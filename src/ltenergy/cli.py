@@ -2,9 +2,10 @@
 
 Subcommands: ``power-table`` dumps the active radio parameters, ``eval``
 prices a single connectionless cycle, ``sweep`` and ``cost`` run grid
-evaluations from flags or a JSON config file (flags win over the file),
-``trace-analyze`` turns packet trace exports into energy summaries, and
-``trace-synth`` writes a synthetic trace.
+evaluations from flags or a JSON config file, ``trace-analyze`` turns
+packet trace exports into energy summaries, and ``trace-synth`` writes a
+synthetic trace.  A config file accepts only its command's keys (any other
+key is an error), and flags win over the file.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios), and no timestamps,
@@ -18,17 +19,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
 
 from . import analytic, sweep, traces
 from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
-from .power_model import PowerProfile, default_profile, load_profile, profile_to_dict
+from .power_model import (PowerProfile, _number, _reject_unknown,
+                          default_profile, load_profile, profile_to_dict)
 
 __all__ = ["RunConfig", "run", "main"]
-
-COMMANDS = ("power-table", "eval", "sweep", "cost", "trace-analyze",
-            "trace-synth")
 
 
 @dataclass
@@ -42,7 +41,7 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _RUNNERS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
@@ -126,82 +125,65 @@ def _run_eval(config: RunConfig) -> int:
     timing = analytic.phase_timing(scn, profile)
     energy = analytic.cycle_energy(timing, profile)
 
-    fields = [  # (column, value, unit)
-        ("t_tx_ms", timing.t_tx, "ms"),
-        ("t_w_ms", timing.t_w, "ms"),
-        ("t_rx_ms", timing.t_rx, "ms"),
-        ("t_q_ms", timing.t_q, "ms"),
-        ("e_tx_mj", energy.e_tx, "mJ"),
-        ("e_w_mj", energy.e_w, "mJ"),
-        ("e_rx_mj", energy.e_rx, "mJ"),
-        ("e_q_mj", energy.e_q, "mJ"),
-        ("e_prom_tx_mj", energy.e_prom_tx, "mJ"),
-        ("e_prom_rx_mj", energy.e_prom_rx, "mJ"),
-        ("e_i_mj", energy.e_i, "mJ"),
-    ]
+    # (column, value, unit): the phase durations, then the energy parts
+    # and their total, each named after its field.
+    table = [(f"{f.name}_ms", getattr(timing, f.name), "ms")
+             for f in fields(timing) if f.name.startswith("t_")]
+    table += [(f"{f.name}_mj", getattr(energy, f.name), "mJ")
+              for f in fields(energy)]
     # unit: (text format, JSON decimals)
     formats = {"ms": (fmt_ms, 3), "mJ": (fmt_mj, 1)}
-    for column, value, unit in fields:
+    for column, value, unit in table:
         label = column.rsplit("_", 1)[0].upper()
         print(f"{label} = {formats[unit][0](value)} {unit}")
 
     if config.output_path:
-        _emit(config, [column for column, _, _ in fields],
-              lambda: [[formats[unit][0](v) for _, v, unit in fields]],
+        _emit(config, [column for column, _, _ in table],
+              lambda: [[formats[unit][0](v) for _, v, unit in table]],
               lambda: _json({c: round(v, formats[unit][1])
-                             for c, v, unit in fields}))
+                             for c, v, unit in table}))
     return 0
 
 
-def _number(value: Any, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+_AXIS_KEYS = [f.name for f in fields(sweep.SweepAxis)]
+# A sweep base is a scenario whose rtt is given per placement.
+_BASE_KEYS = ({f.name for f in fields(analytic.ConnectionlessScenario)}
+              - {"rtt"} | {"rtt_edge", "rtt_cloud"})
 
 
 def _axis_from_config(entry: Any) -> sweep.SweepAxis:
     if not isinstance(entry, dict):
         raise ValueError(f"sweep axis must be an object, got {entry!r}")
-    missing = [k for k in ("name", "start", "stop", "step") if k not in entry]
+    _reject_unknown(entry, _AXIS_KEYS, "sweep axis keys")
+    missing = [k for k in _AXIS_KEYS if k not in entry]
     if missing:
         raise ValueError(f"sweep axis {entry!r} lacks {', '.join(missing)}")
     name = str(entry["name"])
-    return sweep.SweepAxis(
-        name=name,
-        start=_number(entry["start"], f"axis {name} start"),
-        stop=_number(entry["stop"], f"axis {name} stop"),
-        step=_number(entry["step"], f"axis {name} step"),
-    )
+    return sweep.SweepAxis(name, *(_number(entry[k], f"axis {name} {k}")
+                                   for k in _AXIS_KEYS if k != "name"))
 
 
 def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
+    """Edge and cloud scenarios from the ``base`` keys given (the scenario
+    supplies the rest, the cloud rtt defaults to the edge's), and axes."""
     base = params.get("base")
     if not isinstance(base, dict) or "t_i" not in base:
         raise ValueError("sweep config needs a 'base' object with 't_i'")
-
-    def base_number(key: str, default: float) -> float:
-        return _number(base.get(key, default), f"base {key}")
-
-    rtt_edge = base_number("rtt_edge", analytic.DEFAULT_EDGE_RTT_MS)
-    rtt_cloud = base_number("rtt_cloud", rtt_edge)
-    common = dict(
-        t_i=_number(base["t_i"], "base t_i"),
-        t_elab=base_number("t_elab", 0.0),
-        b_tx=base_number("b_tx", 0.0),
-        b_rx=base_number("b_rx", 0.0),
-        uplink_bps=base_number("uplink_bps", analytic.DEFAULT_UPLINK_BPS),
-        downlink_bps=base_number("downlink_bps",
-                                 analytic.DEFAULT_DOWNLINK_BPS),
-    )
+    _reject_unknown(base, _BASE_KEYS, "base keys")
+    given = {k: _number(v, f"base {k}") for k, v in base.items()}
+    rtt_cloud = given.pop("rtt_cloud", None)
+    if "rtt_edge" in given:
+        given["rtt"] = given.pop("rtt_edge")
+    edge = analytic.ConnectionlessScenario(**given)
     axes_data = params.get("axes")
     if not axes_data:
         raise ValueError("empty grid: sweep config has no axes")
     if not isinstance(axes_data, list):
         raise ValueError("sweep config 'axes' must be a list of objects")
     return sweep.SweepSpec(
-        base_edge=analytic.ConnectionlessScenario(rtt=rtt_edge, **common),
-        base_cloud=analytic.ConnectionlessScenario(rtt=rtt_cloud, **common),
+        base_edge=edge,
+        base_cloud=replace(edge, rtt=edge.rtt if rtt_cloud is None
+                           else rtt_cloud),
         axes=tuple(_axis_from_config(a) for a in axes_data),
     )
 
@@ -227,29 +209,22 @@ def _run_cost(config: RunConfig) -> int:
     def given(value: Any, what: str) -> float:
         # A number keeps its type, so the integers of a config file stay
         # integers in the JSON artifact (alphas and grid periods).
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return value
         return _number(value, what)
 
     alphas = [given(alpha, "alpha") for alpha in alphas]
-    t_i_min, t_i_max, t_i_step = (
-        given(p[key], key) for key in ("t_i_min", "t_i_max", "t_i_step"))
-    if t_i_step <= 0:
-        raise ValueError("t_i_step must be strictly positive")
-    if t_i_min > t_i_max:
-        raise ValueError("empty grid: t_i_min exceeds t_i_max")
-    grid = tuple(sweep.SweepAxis("t_i", t_i_min, t_i_max, t_i_step).values())
+    axis = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
+                                    ("t_i_min", "t_i_max", "t_i_step")))
+    grid = tuple(axis.values())
+    # CostSpec supplies the reply size when neither flag nor file gives it.
+    numbers = {k: _number(p[k], k)
+               for k in ("hourly_bytes", "rtt", "reply_bytes") if k in p}
 
     columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
     curves = []
     for alpha in alphas:
-        spec = sweep.CostSpec(
-            alpha=float(alpha),
-            hourly_bytes=_number(p["hourly_bytes"], "hourly_bytes"),
-            rtt=_number(p["rtt"], "rtt"),
-            t_i_grid=grid,
-            reply_bytes=_number(p.get("reply_bytes", 1.0), "reply_bytes"),
-        )
+        spec = sweep.CostSpec(alpha=float(alpha), t_i_grid=grid, **numbers)
         curves.append((alpha, sweep.cost_curve(spec, profile)))
 
     def rows() -> list[list[str]]:
@@ -322,49 +297,32 @@ def _run_trace_analyze(config: RunConfig) -> int:
         placements = [("edge", edge, traces.rho_from_traces(edge, cloud)),
                       ("cloud", cloud, None)]
 
-    columns = ["app_kind", "file_size", "t_i", "c", "t_tx_ms", "t_w_ms",
-               "t_rx_ms", "t_q_ms", "e_i_mJ", "rho"]
-
-    def agg_row(agg, rho_value):
+    def cells(agg, rho):
+        """(column, CSV text, JSON value) of one placement's row."""
+        means = (("t_tx_ms", agg.mean_t_tx), ("t_w_ms", agg.mean_t_w),
+                 ("t_rx_ms", agg.mean_t_rx), ("t_q_ms", agg.mean_t_q))
         return [
-            agg.app_kind, str(agg.file_size), fmt_axis(t_i), c_text,
-            fmt_ms(agg.mean_t_tx), fmt_ms(agg.mean_t_w),
-            fmt_ms(agg.mean_t_rx), fmt_ms(agg.mean_t_q),
-            fmt_mj(agg.total_mj),
-            "" if rho_value is None else fmt_rho(rho_value),
+            ("app_kind", agg.app_kind, agg.app_kind),
+            ("file_size", str(agg.file_size), agg.file_size),
+            ("t_i", fmt_axis(t_i), t_i),
+            ("c", c_text, concurrency),
+            *((column, fmt_ms(v), round(v, 3)) for column, v in means),
+            ("e_i_mJ", fmt_mj(agg.total_mj), round(agg.total_mj, 1)),
+            ("rho", "" if rho is None else fmt_rho(rho),
+             None if rho is None else round(rho, 3)),
         ]
 
-    def agg_obj(agg, rho_value):
-        return {
-            "app_kind": agg.app_kind,
-            "file_size": agg.file_size,
-            "t_i": t_i,
-            "c": concurrency,
-            "t_tx_ms": round(agg.mean_t_tx, 3),
-            "t_w_ms": round(agg.mean_t_w, 3),
-            "t_rx_ms": round(agg.mean_t_rx, 3),
-            "t_q_ms": round(agg.mean_t_q, 3),
-            "e_i_mJ": round(agg.total_mj, 1),
-            "rho": None if rho_value is None else round(rho_value, 3),
-            "repetitions": len(agg.breakdowns),
-        }
-
-    _emit(config, columns,
-          lambda: [agg_row(agg, r) for _, agg, r in placements],
-          lambda: _json({name: agg_obj(agg, r)
-                         for name, agg, r in placements}))
+    table = [(name, agg, cells(agg, r)) for name, agg, r in placements]
+    _emit(config, [column for column, _, _ in table[0][2]],
+          lambda: [[text for _, text, _ in row] for _, _, row in table],
+          lambda: _json({name: {**{c: v for c, _, v in row},
+                                "repetitions": len(agg.breakdowns)}
+                         for name, agg, row in table}))
     return 0
 
 
 def _run_trace_synth(config: RunConfig) -> int:
-    p = config.params
-    events = traces.synthesize_trace(
-        kind=p["kind"],
-        file_size=int(p["file_size"]),
-        rtt_ms=float(p["rtt"]),
-        bottleneck_bps=float(p["bottleneck"]),
-        seed=int(p.get("seed", 0)),
-    )
+    events = traces.synthesize_trace(**config.params)
     _write(config, "\n".join(traces.events_to_lines(events)) + "\n")
     return 0
 
@@ -405,20 +363,16 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="price one connectionless cycle")
     p_eval.add_argument("--t-i", type=float, required=True,
                         help="application period, ms")
-    p_eval.add_argument("--t-elab", type=float, default=0.0,
+    p_eval.add_argument("--t-elab", type=float,
                         help="server elaboration time, ms")
-    p_eval.add_argument("--rtt", type=float,
-                        default=analytic.DEFAULT_EDGE_RTT_MS,
-                        help="round-trip time, ms")
-    p_eval.add_argument("--b-tx", type=float, default=0.0,
+    p_eval.add_argument("--rtt", type=float, help="round-trip time, ms")
+    p_eval.add_argument("--b-tx", type=float,
                         help="bytes uploaded per cycle")
-    p_eval.add_argument("--b-rx", type=float, default=0.0,
+    p_eval.add_argument("--b-rx", type=float,
                         help="bytes downloaded per cycle")
     p_eval.add_argument("--uplink", type=float, dest="uplink_bps",
-                        default=analytic.DEFAULT_UPLINK_BPS,
                         help="uplink bitrate, bits/s")
     p_eval.add_argument("--downlink", type=float, dest="downlink_bps",
-                        default=analytic.DEFAULT_DOWNLINK_BPS,
                         help="downlink bitrate, bits/s")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
@@ -460,29 +414,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ts.add_argument("--kind", choices=("post", "get"), required=True)
     p_ts.add_argument("--file-size", type=int, required=True,
                       help="application bytes in the bulk direction")
-    p_ts.add_argument("--rtt", type=float, required=True,
+    p_ts.add_argument("--rtt", type=float, required=True, dest="rtt_ms",
                       help="round-trip time, ms")
     p_ts.add_argument("--bottleneck", type=float, required=True,
-                      help="bottleneck bitrate, bits/s")
-    p_ts.add_argument("--seed", type=int, default=0)
+                      dest="bottleneck_bps", help="bottleneck bitrate, bits/s")
+    p_ts.add_argument("--seed", type=int)
 
     return parser
 
 
 # Namespace and config-file keys that are not parameters of a runner.
 _NOT_PARAMS = ("command", "config", "profile", "format", "out")
+# Config-file keys of a command beyond its flags' ``dest``s.
+_FILE_ONLY_KEYS = {"sweep": ("base", "axes")}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Resolve one invocation: flags win over the config file.
 
-    The runner parameters start from the config file's keys; every flag
-    given (or defaulted) to a value other than None overrides its key, so
-    each flag's ``dest`` is the parameter name its runner reads.
+    A config file may hold only its command's flag ``dest``s (not
+    ``config``) and that command's file-only keys.  The runner parameters
+    start from the file's keys; every flag given overrides its key, so each
+    flag's ``dest`` is the parameter name its runner reads.
     """
     file_data: dict[str, Any] = {}
     if getattr(args, "config", None):
         file_data = _load_config_file(args.config, args.command)
+        known = {*vars(args), *_FILE_ONLY_KEYS.get(args.command, ())}
+        _reject_unknown(file_data, known - {"config"}, "config keys")
+        for key in ("profile", "format", "out"):
+            v = file_data.get(key)
+            if v is not None and not isinstance(v, str):
+                raise ValueError(f"config {key} must be a string, got {v!r}")
     params = {k: v for k, v in file_data.items() if k not in _NOT_PARAMS}
     params.update((k, v) for k, v in vars(args).items()
                   if v is not None and k not in _NOT_PARAMS)

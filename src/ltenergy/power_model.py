@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
-from typing import Any
+from typing import Any, Iterable
 
 __all__ = [
     "RadioState",
@@ -87,12 +87,6 @@ def mean_power(spec: DutyCycleSpec) -> float:
     awake = spec.wake_power * spec.wake_duration
     asleep = spec.sleep_power * (spec.period - spec.wake_duration)
     return (awake + asleep) / spec.period
-
-
-_SCALAR_FIELDS = (
-    "p_tx", "p_rx", "p_cr", "p_short", "p_long", "p_idle", "p_prom",
-    "t_cr", "t_short", "t_long", "t_prom",
-)
 
 
 @dataclass(frozen=True)
@@ -166,6 +160,13 @@ class PowerProfile:
         return self.t_prom * self.p_prom / 1000.0
 
 
+# The scalar parameters are the required fields, the duty cycles the rest.
+_SCALAR_FIELDS = tuple(f.name for f in fields(PowerProfile)
+                       if f.default is MISSING)
+_DUTY_FIELDS = tuple(f.name for f in fields(PowerProfile)
+                     if f.default is None)
+
+
 def default_profile() -> PowerProfile:
     """Bundled parameter set for a commercial LTE modem.
 
@@ -208,15 +209,23 @@ def decay_state_at(gap_elapsed: float, profile: PowerProfile) -> RadioState:
     return RadioState.IDLE
 
 
-_DUTY_FIELDS = ("short_drx", "long_drx", "idle")
+def _number(value: Any, what: str) -> float:
+    """``float(value)`` for a number or numeric string read from outside;
+    anything else, booleans included, is a ValueError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
-def _number(value: Any, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"profile field {name} must be a number, got {value!r}") from None
+def _reject_unknown(data: dict[str, Any], known: Iterable[str],
+                    what: str) -> None:
+    """Reject the keys of ``data`` outside ``known``, as ``what``."""
+    unknown = sorted(set(data).difference(known))
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
 
 
 def profile_from_dict(data: dict[str, Any]) -> PowerProfile:
@@ -225,36 +234,27 @@ def profile_from_dict(data: dict[str, Any]) -> PowerProfile:
     for name in _SCALAR_FIELDS:
         if name not in data:
             raise ValueError(f"profile is missing required field {name!r}")
-        kwargs[name] = _number(data[name], name)
+        kwargs[name] = _number(data[name], f"profile field {name}")
     for name in _DUTY_FIELDS:
         block = data.get(name)
         if block is not None:
             keys = [f.name for f in fields(DutyCycleSpec)]
-            if not isinstance(block, dict) or not set(keys) <= set(block):
+            if not isinstance(block, dict) or set(block) != set(keys):
                 raise ValueError(
                     f"profile {name} must be an object with keys {keys}")
             kwargs[name] = DutyCycleSpec(
-                *(_number(block[k], f"{name}.{k}") for k in keys))
-    known = {f.name for f in fields(PowerProfile)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown profile fields: {sorted(unknown)}")
+                *(_number(block[k], f"profile field {name}.{k}")
+                  for k in keys))
+    _reject_unknown(data, (f.name for f in fields(PowerProfile)),
+                    "profile fields")
     return PowerProfile(**kwargs)
 
 
 def profile_to_dict(profile: PowerProfile) -> dict[str, Any]:
-    """Inverse of :func:`profile_from_dict`."""
-    out: dict[str, Any] = {n: getattr(profile, n) for n in _SCALAR_FIELDS}
-    for name in _DUTY_FIELDS:
-        spec = getattr(profile, name)
-        if spec is not None:
-            out[name] = {
-                "wake_power": spec.wake_power,
-                "wake_duration": spec.wake_duration,
-                "period": spec.period,
-                "sleep_power": spec.sleep_power,
-            }
-    return out
+    """Inverse of :func:`profile_from_dict`: the fields in declaration
+    order, each present duty cycle as an object of its own fields, and
+    absent duty cycles left out."""
+    return {k: v for k, v in asdict(profile).items() if v is not None}
 
 
 def load_profile(path: str) -> PowerProfile:

@@ -43,6 +43,7 @@ from .power_model import PowerProfile
 
 __all__ = [
     "SWEEP_AXES",
+    "MAX_GRID_CELLS",
     "SweepAxis",
     "SweepSpec",
     "SweepCell",
@@ -59,6 +60,10 @@ __all__ = [
 SWEEP_AXES = ("t_i", "rtt_cloud", "payload", "t_elab")
 
 MS_PER_HOUR = 3_600_000.0
+
+# Most cells a grid may have, checked before any grid value is built: 4x a
+# dense 498,486-cell t_i x rtt_cloud sweep, about 2 GB at 1 kB per cell.
+MAX_GRID_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -78,13 +83,22 @@ class SweepAxis:
         if not all(map(math.isfinite, (self.start, self.stop, self.step))):
             raise ValueError(f"axis {self.name} bounds must be finite")
         if self.step <= 0:
-            raise ValueError("axis step must be strictly positive")
+            raise ValueError(f"axis {self.name} step must be strictly positive")
         if self.start > self.stop:
             raise ValueError(f"empty grid: axis {self.name} has start > stop")
+        # The first test keeps the span finite, so ``count`` is an integer.
+        if (not (self.stop - self.start) / self.step < MAX_GRID_CELLS
+                or self.count > MAX_GRID_CELLS):
+            raise ValueError(
+                f"axis {self.name} has more than {MAX_GRID_CELLS} values")
+
+    @property
+    def count(self) -> int:
+        """``len(self.values())``, without building the list."""
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(count)]
+        return [self.start + i * self.step for i in range(self.count)]
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.axes) == 0:
             raise ValueError("empty grid: no sweep axes given")
+        cells = math.prod(axis.count for axis in self.axes)
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid has {cells} cells, more than {MAX_GRID_CELLS}")
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("sweep axes must be distinct")

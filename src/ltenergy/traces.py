@@ -25,6 +25,7 @@ cycle energy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -513,18 +514,8 @@ def canonical_cycle_events(b_tx: int, b_rx: int, t_w: float, t_q: float, *,
 
 
 @dataclass(frozen=True)
-class _PlannedPacket:
-    t_us: int
-    from_client: bool
-    payload: int
-    flags: frozenset[str]
-    seq_rel: int  # offset into the sender's byte stream
-    ack_rel: int  # cumulative acknowledgment into the peer's stream
-
-
-@dataclass(frozen=True)
 class _TracePlan:
-    packets: tuple[_PlannedPacket, ...]
+    packets: list[PacketEvent]
     request_us: int
     request_ack_us: int
     response_us: int | None
@@ -554,7 +545,10 @@ def _transfer_arrivals(n_segments: int, start_us: int, rtt_us: int,
 
 
 def _plan_trace(kind: str, file_size: int, rtt_ms: float,
-                bottleneck_bps: float) -> _TracePlan:
+                bottleneck_bps: float, isn_client: int,
+                isn_server: int) -> _TracePlan:
+    """The packets of one exchange in time order, with the given initial
+    sequence numbers, and the microsecond landmarks extraction recovers."""
     if kind not in ("post", "get"):
         raise ValueError("kind must be 'post' or 'get'")
     if file_size < 0:
@@ -564,14 +558,25 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
             raise ValueError(
                 f"{name} must be finite and strictly positive, got {value!r}")
 
-    rtt_us = round(rtt_ms * 1000.0)
+    def finite_us(t_us):
+        """``t_us`` in whole microseconds, which a float still holds."""
+        if not t_us < sys.float_info.max:
+            raise ValueError(
+                f"rtt {rtt_ms!r} ms gives trace times that are not finite")
+        return round(t_us)
+
+    rtt_us = finite_us(rtt_ms * 1000.0)
     seg_gap_us = 8.0 * MSS_BYTES / bottleneck_bps * 1e6
-    packets: list[_PlannedPacket] = []
+    packets: list[tuple[int, PacketEvent]] = []
+    isn = {True: isn_client, False: isn_server}  # by from_client
 
     def pkt(t_us, from_client, payload, flags, seq_rel, ack_rel):
-        packets.append(_PlannedPacket(
-            int(t_us), from_client, payload, frozenset(flags),
-            seq_rel, ack_rel))
+        # seq_rel: offset into the sender's stream; ack_rel: into the peer's.
+        t_us = finite_us(t_us)
+        ack = isn[not from_client] + ack_rel if "ACK" in flags else 0
+        packets.append((t_us, _synthetic_event(
+            t_us / 1e6, from_client, payload, frozenset(flags),
+            isn[from_client] + seq_rel, ack)))
 
     def bulk(from_client, size, start_us, peer_next):
         """Segments of ``size`` bytes from ``start_us`` on, each second one
@@ -629,7 +634,8 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
     pkt(fin_us + rtt_us + _TURNAROUND_US, True, 0, {"ACK"},
         client_next + 1, server_next + 1)
 
-    return _TracePlan(tuple(sorted(packets, key=lambda p: p.t_us)),
+    packets.sort(key=lambda p: p[0])
+    return _TracePlan([event for _, event in packets],
                       request_us, request_ack_us, response_us, final_ack_us)
 
 
@@ -643,23 +649,12 @@ def synthesize_trace(kind: str, file_size: int, rtt_ms: float,
     streams are segmented at {mss} bytes; handshake and teardown packets are
     included so exclusion logic can be exercised.  Upload exchanges prepend
     a {hdr}-byte request header to the file bytes; a zero ``file_size``
-    degenerates to the request and its bare acknowledgment.  The seed varies
-    the sequence number space only, never the timing.
+    degenerates to the request and its bare acknowledgment.  The seed draws
+    the two initial sequence numbers only, never the timing.
     """
-    plan = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps)
     rng = Random(seed)
-    isn_client = rng.randrange(1, 2 ** 31)
-    isn_server = rng.randrange(1, 2 ** 31)
-
-    events = []
-    for p in plan.packets:
-        own_isn = isn_client if p.from_client else isn_server
-        peer_isn = isn_server if p.from_client else isn_client
-        ack = 0 if p.flags == frozenset({"SYN"}) else peer_isn + p.ack_rel
-        events.append(_synthetic_event(
-            p.t_us / 1e6, p.from_client, p.payload, p.flags,
-            own_isn + p.seq_rel, ack))
-    return events
+    isns = rng.randrange(1, 2 ** 31), rng.randrange(1, 2 ** 31)
+    return _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, *isns).packets
 
 
 synthesize_trace.__doc__ = synthesize_trace.__doc__.format(
@@ -670,12 +665,13 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
                      bottleneck_bps: float) -> tuple[float, float, float]:
     """Phases (t_tx, t_w, t_rx) in ms that the generator schedules.
 
-    Computed from the same packet landmarks that extraction recovers, via
-    the same arithmetic, so extraction of a synthesized trace matches this
-    exactly.  Requires a positive ``file_size`` (a degenerate exchange has
-    no download phase).
+    Computed from the planned packet landmarks that extraction recovers
+    (the initial sequence numbers, zero here, move no time), via the same
+    arithmetic, so extraction of a synthesized trace matches this exactly.
+    Requires a positive ``file_size`` (a degenerate exchange has no
+    download phase).
     """
-    plan = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps)
+    plan = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, 0, 0)
     if plan.response_us is None or plan.final_ack_us is None:
         raise ValueError("a zero-byte exchange has no scheduled phases")
     request_s, request_ack_s, response_s, final_ack_s = (

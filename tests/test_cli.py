@@ -429,7 +429,8 @@ class TestBadTraceInputs:
         ("inf", "20e6", "rtt"), ("nan", "20e6", "rtt"),
         ("20", "inf", "bottleneck"), ("20", "nan", "bottleneck"),
         ("20", "0", "bottleneck"), ("20", "1e-300", "bottleneck"),
-        ("20", "1e-298", "bottleneck")])
+        ("20", "1e-298", "bottleneck"), ("1e305", "20e6", "rtt"),
+        ("1e306", "20e6", "rtt")])
     def test_trace_synth_parameter(self, tmp_path, capsys, rtt, bottleneck,
                                    name):
         message = f"{name} must be finite and strictly positive"
@@ -439,6 +440,11 @@ class TestBadTraceInputs:
             message = (f"bottleneck {bottleneck} bit/s with rtt "
                        f"{float(rtt)!r} ms gives segment times that are not "
                        "finite")
+        if name == "rtt" and 0 < float(rtt) < float("inf"):
+            # Valid on its own, but its trace times overflow a float: at
+            # 1e306 the rtt in microseconds, at 1e305 the request's ACK.
+            message = (f"rtt {float(rtt)!r} ms gives trace times that are "
+                       "not finite")
         assert_cli_error(
             ["trace-synth", "--kind", "get", "--file-size", "5000",
              "--rtt", rtt, "--bottleneck", bottleneck,
@@ -499,3 +505,138 @@ def test_cli_import_leaves_statistics_unloaded():
          "import sys, ltenergy.cli; print('statistics' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+class TestConfigKeys:
+    """A config file holds only its command's keys: a typo is an error
+    instead of a silently priced default."""
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("cost", cost_config(alpha=[0.9]), "unknown config keys: ['alpha']"),
+        ("sweep", sweep_config(config="other.json"),
+         "unknown config keys: ['config']"),
+        ("sweep", sweep_config(rtt_edge=10),
+         "unknown config keys: ['rtt_edge']"),
+        ("cost", cost_config(base={"t_i": 1000}),
+         "unknown config keys: ['base']"),
+    ])
+    def test_top_level(self, tmp_path, capsys, command, config, message):
+        assert_cli_error([command, "--config", write_config(tmp_path, config)],
+                         capsys, message)
+
+    @pytest.mark.parametrize("key", ["rtt_egde", "rtt", "payload"])
+    def test_base(self, tmp_path, capsys, key):
+        config = sweep_config()
+        config["base"][key] = 10
+        assert_cli_error(["sweep", "--config", write_config(tmp_path, config)],
+                         capsys, f"unknown base keys: ['{key}']")
+
+    def test_axis(self, tmp_path, capsys):
+        config = sweep_config()
+        config["axes"][0]["stpe"] = config["axes"][0].pop("step")
+        assert_cli_error(["sweep", "--config", write_config(tmp_path, config)],
+                         capsys, "unknown sweep axis keys: ['stpe']")
+
+    def test_base_defaults_come_from_the_scenario(self, tmp_path, capsys):
+        """A base without rtt_edge prices the scenario's default rtt, and a
+        base without rtt_cloud prices the edge's."""
+        outputs = []
+        for base in ({"t_i": 1000}, {"t_i": 1000, "t_elab": 0, "rtt_edge": 40,
+                                     "rtt_cloud": 40, "b_tx": 0, "b_rx": 0,
+                                     "uplink_bps": 1e6, "downlink_bps": 8e5}):
+            config = write_config(tmp_path, sweep_config(base=base))
+            assert cli.main(["sweep", "--config", config]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_eval_defaults_come_from_the_scenario(self, capsys):
+        assert cli.main(["eval", "--t-i", "30000"]) == 0
+        bare = capsys.readouterr().out
+        assert cli.main(["eval", "--t-i", "30000", "--t-elab", "0", "--rtt",
+                         "40", "--b-tx", "0", "--b-rx", "0", "--uplink",
+                         "1e6", "--downlink", "8e5"]) == 0
+        assert capsys.readouterr().out == bare
+
+    def test_trace_synth_seed_defaults_to_zero(self, tmp_path):
+        paths = [tmp_path / "default.tsv", tmp_path / "zero.tsv"]
+        for path, seed in zip(paths, ([], ["--seed", "0"])):
+            assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                             "200000", "--rtt", "20", "--bottleneck", "20e6",
+                             *seed, "--out", str(path)]) == 0
+        assert sha256(paths[0]) == TRACE_SYNTH_DIGESTS["get", 200000]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestWrongTypeConfigValues:
+    @pytest.mark.parametrize("key, value", [
+        ("out", 1), ("profile", 5), ("format", 0), ("out", ["x.csv"]),
+        ("profile", True),
+    ])
+    def test_path_and_format_must_be_strings(self, tmp_path, capsys, key,
+                                             value):
+        config = write_config(tmp_path, sweep_config(**{key: value}))
+        assert_cli_error(["sweep", "--config", config], capsys,
+                         f"config {key} must be a string, got {value!r}")
+        print("stdout still open")
+        assert capsys.readouterr().out == "stdout still open\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"alphas": [True]}, "alpha must be a number, got True"),
+        ({"t_i_step": True}, "t_i_step must be a number, got True"),
+        ({"hourly_bytes": False}, "hourly_bytes must be a number, got False"),
+        ({"reply_bytes": True}, "reply_bytes must be a number, got True"),
+    ])
+    def test_cost_booleans(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path, cost_config(**overrides))
+        assert_cli_error(["cost", "--config", config], capsys, message)
+
+    @pytest.mark.parametrize("where, key", [
+        ("base", "t_i"), ("base", "rtt_edge"), ("axis", "stop")])
+    def test_sweep_booleans(self, tmp_path, capsys, where, key):
+        config = sweep_config()
+        (config["base"] if where == "base" else config["axes"][0])[key] = True
+        assert_cli_error(["sweep", "--config", write_config(tmp_path, config)],
+                         capsys, "must be a number, got True")
+
+
+class TestCostGridChecks:
+    """The period grid is checked by ``SweepAxis``, which names the axis."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--t-i-step", "0"], "axis t_i step must be strictly positive"),
+        (["--t-i-step", "-5"], "axis t_i step must be strictly positive"),
+        (["--t-i-min", "30000"], "empty grid: axis t_i has start > stop"),
+    ])
+    def test_bad_grid(self, capsys, flags, message):
+        assert_cli_error(COST_ARGV + flags, capsys, message)
+
+
+class TestGridBound:
+    """A grid beyond ``sweep.MAX_GRID_CELLS`` cells is rejected before any
+    of its values is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_values(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("grid values built for an oversized grid")
+
+        monkeypatch.setattr(sweep.SweepAxis, "values", fail)
+
+    @pytest.mark.parametrize("axes, message", [
+        ([{"name": "rtt_cloud", "start": 0, "stop": 2000, "step": 1},
+          {"name": "t_elab", "start": 0, "stop": 1000, "step": 1}],
+         "grid has 2003001 cells, more than 2000000"),
+        ([{"name": "rtt_cloud", "start": 0, "stop": 2000000, "step": 1}],
+         "axis rtt_cloud has more than 2000000 values"),
+        ([{"name": "t_elab", "start": 0, "stop": 1, "step": 1e-320}],
+         "axis t_elab has more than 2000000 values"),
+    ])
+    def test_sweep(self, tmp_path, capsys, axes, message):
+        config = write_config(tmp_path, sweep_config(
+            base={"t_i": 100000}, axes=axes))
+        assert_cli_error(["sweep", "--config", config], capsys, message)
+
+    @pytest.mark.parametrize("step", ["1e-4", "1e-320"])
+    def test_cost(self, capsys, step):
+        assert_cli_error(COST_ARGV + ["--t-i-step", step], capsys,
+                         "axis t_i has more than 2000000 values")

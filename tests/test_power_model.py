@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -147,6 +148,31 @@ class TestProfileValidation:
         data["p_wifi"] = 1.0
         with pytest.raises(ValueError, match="unknown"):
             profile_from_dict(data)
+
+    @pytest.mark.parametrize("block", [None, "idle"])
+    def test_boolean_field_rejected(self, block):
+        data = profile_to_dict(default_profile())
+        field = "period" if block else "p_tx"
+        (data[block] if block else data)[field] = True
+        name = f"{block}.{field}" if block else field
+        with pytest.raises(ValueError, match=(
+                f"profile field {name} must be a number, got True")):
+            profile_from_dict(data)
+
+    def test_duty_cycle_extra_key_rejected(self):
+        data = profile_to_dict(default_profile())
+        data["idle"]["perod"] = 1280.0
+        with pytest.raises(ValueError, match="idle must be an object"):
+            profile_from_dict(data)
+
+    def test_to_dict_leaves_absent_duty_cycles_out(self):
+        data = profile_to_dict(default_profile())
+        del data["long_drx"]
+        with pytest.warns(UserWarning, match="long_drx"):
+            profile = profile_from_dict(data)
+        assert profile_to_dict(profile) == data
+        assert list(data) == [f.name for f in fields(PowerProfile)
+                              if f.name != "long_drx"]
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "profile.json"

@@ -20,6 +20,7 @@ from ltenergy import (
     run_sweep,
 )
 from ltenergy._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ltenergy.sweep import MAX_GRID_CELLS
 from ltenergy.analytic import cycle_energy, phase_timing
 from _goldens import reference_scenarios
 
@@ -60,6 +61,54 @@ class TestAxis:
     def test_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="must be finite"):
             SweepAxis("t_i", *bounds)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_message_names_axis(self, step):
+        with pytest.raises(ValueError,
+                           match="axis payload step must be strictly"):
+            SweepAxis("payload", 0, 10, step)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (750, 5000, 250), (0.1, 0.7, 0.1), (1000.1, 1000.5, 0.1), (5, 5, 3),
+        (0, 1, 0.3),
+    ])
+    def test_count_is_len_of_values(self, start, stop, step):
+        axis = SweepAxis("t_i", start, stop, step)
+        assert axis.count == len(axis.values())
+
+
+class TestGridBound:
+    """Grids beyond ``MAX_GRID_CELLS`` cells are rejected from the axis
+    counts alone; no grid value is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_values(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("grid values built")
+
+        monkeypatch.setattr(SweepAxis, "values", fail)
+
+    def test_axis_at_the_limit(self):
+        assert SweepAxis("t_i", 1, MAX_GRID_CELLS, 1).count == MAX_GRID_CELLS
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (0, MAX_GRID_CELLS, 1), (0, 1, 1e-300), (0, 1, 5e-324),
+        (-1e308, 1e308, 1),
+    ])
+    def test_axis_beyond_the_limit(self, start, stop, step):
+        with pytest.raises(ValueError, match="axis t_i has more than 2000000"):
+            SweepAxis("t_i", start, stop, step)
+
+    def test_grid_at_the_limit(self):
+        spec = make_spec((SweepAxis("t_i", 1000, 2999, 1),
+                          SweepAxis("rtt_cloud", 1, 1000, 1)))
+        assert len(spec.axes) == 2
+
+    def test_grid_beyond_the_limit(self):
+        with pytest.raises(ValueError,
+                           match="grid has 2001000 cells, more than 2000000"):
+            make_spec((SweepAxis("t_i", 1000, 3000, 1),
+                       SweepAxis("rtt_cloud", 1, 1000, 1)))
 
 
 class TestRunSweep:

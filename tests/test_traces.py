@@ -1,4 +1,5 @@
 import random
+import re
 import statistics
 from dataclasses import replace
 
@@ -514,7 +515,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("rtt, bottleneck, name", [
         (float("inf"), 10e6, "rtt"), (float("nan"), 10e6, "rtt"),
         (75.0, float("inf"), "bottleneck"), (75.0, float("nan"), "bottleneck"),
-        (75.0, 1e-300, "bottleneck"),
+        (75.0, 1e-300, "bottleneck"), (1e305, 10e6, "rtt"),
+        (1e306, 10e6, "rtt"),
     ])
     def test_plan_parameters_rejected(self, rtt, bottleneck, name):
         message = f"{name} must be finite and strictly"
@@ -522,6 +524,10 @@ class TestNonFiniteInputs:
             # valid on its own, but too slow for a finite segment time
             message = (f"bottleneck {bottleneck!r} bit/s with rtt {rtt!r} ms "
                        "gives segment times that are not finite")
+        if name == "rtt" and 0 < rtt < float("inf"):
+            # valid on its own, but too long for finite trace times
+            message = re.escape(
+                f"rtt {rtt!r} ms gives trace times that are not finite")
         for plan in (synthesize_trace, scheduled_phases):
             with pytest.raises(ValueError, match=message):
                 plan("get", 1000, rtt, bottleneck)
