@@ -5,7 +5,8 @@ client over a four-state LTE radio model, compares edge against cloud
 server placement (the ratio of their cycle energies), sweeps the operating
 parameters, optimises the batching period against a combined energy/delay
 cost, and evaluates connection-oriented workloads from packet trace
-exports.
+exports.  The packet-trace names (``parse_events``, ``aggregate``, ...)
+load from ``ltenergy.traces`` the first time one is asked for.
 """
 
 from .power_model import (
@@ -47,24 +48,24 @@ from .sweep import (
     per_cycle_payload,
     run_sweep,
 )
-from .traces import (
-    AggregateResult,
-    Direction,
-    IncompleteExchangeError,
-    PacketEvent,
-    TraceIteration,
-    TraceParseError,
-    aggregate,
-    canonical_cycle_events,
-    event_driven_energy,
-    events_to_lines,
-    extract_get_phases,
-    extract_post_phases,
-    iteration_energy,
-    parse_events,
-    rho_from_traces,
-    scheduled_phases,
-    synthesize_trace,
-)
+# ``traces.__all__``, served on first use by ``__getattr__`` (PEP 562).
+_TRACE_NAMES = frozenset("""
+    AggregateResult Direction IncompleteExchangeError PacketEvent
+    TraceIteration TraceParseError aggregate canonical_cycle_events
+    event_driven_energy events_to_lines extract_get_phases extract_post_phases
+    iteration_energy parse_events rho_from_traces scheduled_phases
+    synthesize_trace""".split())
+
+
+def __getattr__(name: str):
+    if name in _TRACE_NAMES:
+        from . import traces
+        return getattr(traces, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_TRACE_NAMES})
+
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
 
-from . import analytic, sweep, traces
+from . import analytic, sweep
 from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
 from .power_model import (PowerProfile, _number, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
@@ -62,13 +62,13 @@ def _load_config_file(path: str, expected_command: str) -> dict[str, Any]:
 
 
 def _resolve_profile(config: RunConfig) -> PowerProfile:
-    if config.profile_path:
+    if config.profile_path is not None:
         return load_profile(config.profile_path)
     return default_profile()
 
 
 def _write(config: RunConfig, text: str) -> None:
-    if config.output_path:
+    if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fp:
             fp.write(text)
     else:
@@ -95,27 +95,17 @@ def _emit(config: RunConfig, columns: list[str],
     _write(config, buf.getvalue())
 
 
-def _flatten_profile(profile: PowerProfile) -> list[tuple[str, float]]:
-    data = profile_to_dict(profile)
-    flat: list[tuple[str, float]] = []
+def _run_power_table(config: RunConfig) -> int:
+    data = profile_to_dict(_resolve_profile(config))
+    flat: list[tuple[str, float]] = []  # duty blocks as "block.field"
     for key, value in data.items():
         if isinstance(value, dict):
-            flat.extend((f"{key}.{sub}", sub_value)
-                        for sub, sub_value in value.items())
+            flat.extend((f"{key}.{sub}", v) for sub, v in value.items())
         else:
             flat.append((key, value))
-    return flat
-
-
-def _run_power_table(config: RunConfig) -> int:
-    profile = _resolve_profile(config)
-    flat = _flatten_profile(profile)
-    _emit(
-        config,
-        columns=["parameter", "value"],
-        rows=lambda: [[name, fmt_axis(value)] for name, value in flat],
-        json_text=lambda: _json(profile_to_dict(profile)),
-    )
+    _emit(config, ["parameter", "value"],
+          lambda: [[name, fmt_axis(value)] for name, value in flat],
+          lambda: _json(data))
     return 0
 
 
@@ -137,7 +127,7 @@ def _run_eval(config: RunConfig) -> int:
         label = column.rsplit("_", 1)[0].upper()
         print(f"{label} = {formats[unit][0](value)} {unit}")
 
-    if config.output_path:
+    if config.output_path is not None:
         _emit(config, [column for column, _, _ in table],
               lambda: [[formats[unit][0](v) for _, v, unit in table]],
               lambda: _json({c: round(v, formats[unit][1])
@@ -202,9 +192,11 @@ def _run_cost(config: RunConfig) -> int:
     for key in ("hourly_bytes", "rtt", "t_i_min", "t_i_max", "t_i_step"):
         if p.get(key) is None:
             raise ValueError(f"cost command needs {key!r}")
-    alphas = p.get("alphas") or [0.5]
+    alphas = [0.5] if p.get("alphas") is None else p["alphas"]
     if not isinstance(alphas, list):
         raise ValueError(f"alphas must be a list of numbers, got {alphas!r}")
+    if not alphas:
+        raise ValueError("alphas must be a non-empty list of numbers")
 
     def given(value: Any, what: str) -> float:
         # A number keeps its type, so the integers of a config file stay
@@ -216,6 +208,10 @@ def _run_cost(config: RunConfig) -> int:
     alphas = [given(alpha, "alpha") for alpha in alphas]
     axis = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
                                     ("t_i_min", "t_i_max", "t_i_step")))
+    points = len(alphas) * axis.count  # each curve prices the whole grid
+    if points > sweep.MAX_GRID_CELLS:
+        raise ValueError(
+            f"cost has {points} points, more than {sweep.MAX_GRID_CELLS}")
     grid = tuple(axis.values())
     # CostSpec supplies the reply size when neither flag nor file gives it.
     numbers = {k: _number(p[k], k)
@@ -267,19 +263,8 @@ def _run_cost(config: RunConfig) -> int:
     return 0
 
 
-def _analyze_set(paths: Sequence[str], kind: str, client: str,
-                 t_i: float, profile: PowerProfile) -> traces.AggregateResult:
-    extract = (traces.extract_post_phases if kind == "post"
-               else traces.extract_get_phases)
-    iterations = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fp:
-            events = traces.parse_events(fp, client=client)
-        iterations.append(extract(events))
-    return traces.aggregate(iterations, t_i, profile)
-
-
 def _run_trace_analyze(config: RunConfig) -> int:
+    from . import traces
     profile = _resolve_profile(config)
     p = config.params
     kind = p["kind"]
@@ -289,11 +274,22 @@ def _run_trace_analyze(config: RunConfig) -> int:
     if concurrency is not None and concurrency < 0:
         raise ValueError(f"concurrency must be non-negative, got {concurrency}")
     c_text = "" if concurrency is None else str(concurrency)
+    extract = (traces.extract_post_phases if kind == "post"
+               else traces.extract_get_phases)
 
-    edge = _analyze_set(p["files"], kind, client, t_i, profile)
+    def analyze(paths: Sequence[str]) -> traces.AggregateResult:
+        """One placement's exports, one exchange each, aggregated."""
+        iterations = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fp:
+                events = traces.parse_events(fp, client=client)
+            iterations.append(extract(events))
+        return traces.aggregate(iterations, t_i, profile)
+
+    edge = analyze(p["files"])
     placements = [("edge", edge, None)]
     if p.get("cloud_files"):
-        cloud = _analyze_set(p["cloud_files"], kind, client, t_i, profile)
+        cloud = analyze(p["cloud_files"])
         placements = [("edge", edge, traces.rho_from_traces(edge, cloud)),
                       ("cloud", cloud, None)]
 
@@ -322,6 +318,7 @@ def _run_trace_analyze(config: RunConfig) -> int:
 
 
 def _run_trace_synth(config: RunConfig) -> int:
+    from . import traces
     events = traces.synthesize_trace(**config.params)
     _write(config, "\n".join(traces.events_to_lines(events)) + "\n")
     return 0
@@ -435,26 +432,28 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     A config file may hold only its command's flag ``dest``s (not
     ``config``) and that command's file-only keys.  The runner parameters
     start from the file's keys; every flag given overrides its key, so each
-    flag's ``dest`` is the parameter name its runner reads.
+    flag's ``dest`` is the parameter name its runner reads.  An empty string
+    is given, not absent, so an empty path or format is an error.
     """
     file_data: dict[str, Any] = {}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         file_data = _load_config_file(args.config, args.command)
         known = {*vars(args), *_FILE_ONLY_KEYS.get(args.command, ())}
         _reject_unknown(file_data, known - {"config"}, "config keys")
-        for key in ("profile", "format", "out"):
-            v = file_data.get(key)
-            if v is not None and not isinstance(v, str):
-                raise ValueError(f"config {key} must be a string, got {v!r}")
-    params = {k: v for k, v in file_data.items() if k not in _NOT_PARAMS}
-    params.update((k, v) for k, v in vars(args).items()
-                  if v is not None and k not in _NOT_PARAMS)
+    merged = {**file_data,
+              **{k: v for k, v in vars(args).items() if v is not None}}
+    for key in ("profile", "format", "out"):
+        v = merged.get(key)
+        if v is not None and not isinstance(v, str):
+            raise ValueError(f"config {key} must be a string, got {v!r}")
+        if v == "":
+            raise ValueError(f"{key} must not be empty")
     return RunConfig(
         command=args.command,
-        profile_path=args.profile or file_data.get("profile"),
-        output_format=args.format or file_data.get("format") or "csv",
-        output_path=args.out or file_data.get("out"),
-        params=params,
+        profile_path=merged.get("profile"),
+        output_format=merged.get("format") or "csv",
+        output_path=merged.get("out"),
+        params={k: v for k, v in merged.items() if k not in _NOT_PARAMS},
     )
 
 

@@ -353,6 +353,7 @@ class TestWrongTypeInputs:
         ("t_i_step", "abc", "t_i_step must be a number, got 'abc'"),
         ("t_i_max", "inf", "must be finite"),
         ("alphas", 5, "alphas must be a list of numbers"),
+        ("alphas", [], "alphas must be a non-empty list of numbers"),
     ])
     def test_cost_config_value(self, tmp_path, capsys, key, value, message):
         config = write_config(tmp_path, cost_config(**{key: value}))
@@ -496,15 +497,107 @@ class TestTraceAnalyzePlacements:
         assert len(calls) == 2
 
 
+def fresh_python(code, *argv):
+    """Stdout of ``code`` run in a fresh interpreter importing from src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_cli_import_leaves_statistics_unloaded():
     """The trace path averages with math.fsum, so a fresh import of the CLI
     does not pay for statistics (and the fractions/decimal it loads)."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ltenergy.cli; print('statistics' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert fresh_python(
+        "import sys, ltenergy.cli; print('statistics' in sys.modules)"
+    ) == "False\n"
+
+
+class TestLazyTraceImport:
+    """``ltenergy.traces`` loads the first time a trace name is asked for,
+    so the analytic commands never pay for importing it.  Each test runs
+    in a fresh interpreter, because this one has imported it already."""
+
+    def test_analytic_commands_leave_traces_unloaded(self, tmp_path):
+        stdout = fresh_python("""
+import contextlib, io, sys
+from ltenergy import cli
+fig4, fig8, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["sweep", "--config", fig4], ["cost", "--config", fig8],
+                 ["eval", "--t-i", "30000"], ["power-table"]):
+        assert cli.main([*argv, "--out", out]) == 0, argv
+print(sorted(name for name in sys.modules if name.startswith("ltenergy")))
+""", FIGURES / "fig4.json", FIGURES / "fig8.json", tmp_path / "out")
+        assert stdout == str(sorted(
+            ["ltenergy", "ltenergy._fmt", "ltenergy.analytic", "ltenergy.cli",
+             "ltenergy.power_model", "ltenergy.sweep"])) + "\n"
+
+    def test_served_names_are_the_traces_exports(self):
+        stdout = fresh_python("""
+import sys
+import ltenergy
+assert "ltenergy.traces" not in sys.modules
+served = {name: getattr(ltenergy, name) for name in ltenergy._TRACE_NAMES}
+from ltenergy import traces
+assert set(traces.__all__) == set(served), set(traces.__all__) ^ set(served)
+print(all(value is getattr(traces, name) for name, value in served.items()))
+""")
+        assert stdout == "True\n"
+
+    def test_dir_lists_the_trace_names(self):
+        stdout = fresh_python("""
+import sys
+import ltenergy
+listed = set(dir(ltenergy))
+print("ltenergy.traces" in sys.modules)
+from ltenergy import traces
+print(sorted(set(traces.__all__) - listed),
+      {"sweep", "run_sweep", "__version__"} <= listed)
+""")
+        assert stdout == "False\n[] True\n"
+
+    def test_unknown_attribute(self):
+        stdout = fresh_python("""
+import sys
+import ltenergy
+for name in ("no_such_name", "SYNTH_CLIENT", "_plan_trace"):
+    try:
+        getattr(ltenergy, name)
+    except AttributeError as exc:
+        print(exc)
+print("ltenergy.traces" in sys.modules)
+""")
+        assert stdout == (
+            "module 'ltenergy' has no attribute 'no_such_name'\n"
+            "module 'ltenergy' has no attribute 'SYNTH_CLIENT'\n"
+            "module 'ltenergy' has no attribute '_plan_trace'\n"
+            "False\n")
+
+    def test_trace_error_after_deferred_import(self, tmp_path):
+        """A ``TraceParseError`` raised by the module that ``trace-analyze``
+        imports inside its runner still ends as ``error:`` and exit 1."""
+        path = tmp_path / "get.tsv"
+        assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                         "5000", "--rtt", "20", "--bottleneck", "20e6",
+                         "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index("\t"):]
+        path.write_text("\n".join(lines) + "\n")
+        stdout = fresh_python("""
+import contextlib, io, sys
+from ltenergy import cli
+loaded = ["ltenergy.traces" in sys.modules]
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["trace-analyze", "--kind", "get", "--client",
+                     sys.argv[1], "--t-i", "30000", sys.argv[2]])
+loaded.append("ltenergy.traces" in sys.modules)
+print(code, loaded, repr(err.getvalue()))
+""", CLIENT, path)
+        assert stdout == (
+            "1 [False, True] \"error: line 3: bad timestamp 'nan'\\n\"\n")
 
 
 class TestConfigKeys:
@@ -557,6 +650,20 @@ class TestConfigKeys:
                          "1e6", "--downlink", "8e5"]) == 0
         assert capsys.readouterr().out == bare
 
+    def test_cost_alphas_default_to_one_half(self, tmp_path, capsys):
+        """Leaving ``alphas`` out (or null) prices alpha 0.5; only an empty
+        list is an error."""
+        absent = cost_config()
+        del absent["alphas"]
+        outputs = []
+        for config in (cost_config(alphas=[0.5]), cost_config(alphas=None),
+                       absent):
+            path = write_config(tmp_path, config)
+            assert cli.main(["cost", "--config", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].startswith("alpha,t_i_ms,")
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_trace_synth_seed_defaults_to_zero(self, tmp_path):
         paths = [tmp_path / "default.tsv", tmp_path / "zero.tsv"]
         for path, seed in zip(paths, ([], ["--seed", "0"])):
@@ -579,6 +686,31 @@ class TestWrongTypeConfigValues:
                          f"config {key} must be a string, got {value!r}")
         print("stdout still open")
         assert capsys.readouterr().out == "stdout still open\n"
+
+    @pytest.mark.parametrize("key", ["profile", "out", "format"])
+    def test_empty_path_or_format_in_file(self, tmp_path, capsys, key):
+        """An empty string is an error, not the bundled profile, stdout or
+        CSV."""
+        config = write_config(tmp_path, cost_config(**{key: ""}))
+        assert_cli_error(["cost", "--config", config], capsys,
+                         f"{key} must not be empty")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--profile", "profile must not be empty"),
+        ("--out", "out must not be empty"),
+        ("--config", "No such file or directory: ''"),
+    ])
+    def test_empty_path_flag(self, capsys, flag, message):
+        assert_cli_error(COST_ARGV + [flag, ""], capsys, message)
+
+    def test_flags_win_over_the_file_by_presence(self, tmp_path, capsys):
+        out = tmp_path / "cost.csv"
+        config = write_config(tmp_path, cost_config(out=""))
+        assert cli.main(["cost", "--config", config, "--out", str(out)]) == 0
+        assert out.is_file()
+        config = write_config(tmp_path, cost_config(out=str(out)))
+        assert_cli_error(["cost", "--config", config, "--out", ""], capsys,
+                         "out must not be empty")
 
     @pytest.mark.parametrize("overrides, message", [
         ({"alphas": [True]}, "alpha must be a number, got True"),
@@ -640,3 +772,17 @@ class TestGridBound:
     def test_cost(self, capsys, step):
         assert_cli_error(COST_ARGV + ["--t-i-step", step], capsys,
                          "axis t_i has more than 2000000 values")
+
+    def test_cost_curves(self, capsys):
+        """Each alpha prices the whole period grid, so the bound counts
+        alphas times periods: 2 x 10^6 points pass, 3 x 666,667 do not."""
+        def argv(alphas, periods):
+            return ["cost", *(f"--alpha={a / 10}" for a in range(alphas)),
+                    "--hourly-bytes", "360000", "--rtt", "40", "--t-i-min",
+                    "1", "--t-i-max", str(periods), "--t-i-step", "1"]
+
+        # At the limit the run goes on to build the period grid.
+        with pytest.raises(AssertionError, match="grid values built"):
+            cli.main(argv(2, 1_000_000))
+        assert_cli_error(argv(3, 666_667), capsys,
+                         "cost has 2000001 points, more than 2000000")
