@@ -5,8 +5,8 @@ fixed decimal rule and never in exponent notation: energies with one
 decimal of mJ, ratios with three decimals, durations with three decimals
 of ms, costs with six, and grid/axis values trimmed of trailing zeros.
 JSON artifacts hold the ``repr`` of each value rounded to the same
-decimals, which is what ``json`` writes for a finite float: 0.5 reads
-``0.5`` there and ``0.500`` in CSV.
+decimals, which is what ``json`` writes for a float (the energy accounting
+returns only finite ones): 0.5 reads ``0.5`` there and ``0.500`` in CSV.
 """
 
 from __future__ import annotations

@@ -217,7 +217,8 @@ def energy_parts(t_tx: float, t_w: float, t_rx: float, t_q: float,
     field order: the six per-phase parts followed by their total.
 
     Transfers run at fixed power, quiet gaps decay through the DRX chain,
-    and charged promotions add one promotion energy each.
+    and charged promotions add one promotion energy each.  A total that
+    overflows a float raises ``ValueError``, so every energy is finite.
     """
     e_tx = t_tx * profile.p_tx / 1000.0
     e_w = idle_gap_energy(t_w, profile)
@@ -226,15 +227,19 @@ def energy_parts(t_tx: float, t_w: float, t_rx: float, t_q: float,
     e_prom = profile.promotion_energy_mj
     e_prom_tx = e_prom if prom_tx else 0.0
     e_prom_rx = e_prom if prom_rx else 0.0
-    return (e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx,
-            e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx)
+    e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
+    if not e_i < math.inf:
+        raise ValueError("cycle energy overflows a float")
+    return e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i
 
 
 def energy_ratio(edge_mj: float, cloud_mj: float) -> float:
-    """rho: the edge cycle energy over the cloud cycle energy."""
-    if cloud_mj == 0:
-        raise ValueError("cloud cycle energy is zero; ratio undefined")
-    return edge_mj / cloud_mj
+    """rho: the edge cycle energy over the cloud cycle energy.  A zero cloud
+    energy or a ratio that overflows a float raises ``ValueError``."""
+    rho = edge_mj / cloud_mj if cloud_mj else math.inf
+    if not rho < math.inf:
+        raise ValueError(f"rho = {edge_mj!r}/{cloud_mj!r} is not finite")
+    return rho
 
 
 def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
@@ -268,7 +273,8 @@ def compare(edge_scn: ConnectionlessScenario,
     """Evaluate both placements of an otherwise identical workload.
 
     The scenarios must differ in ``rtt`` alone; any other difference would
-    make the energy ratio meaningless and is rejected.
+    make the energy ratio meaningless and is rejected, as is an energy or
+    ratio that overflows a float.
     """
     if edge_scn.workload() != cloud_scn.workload():
         raise ValueError("scenarios must differ only in rtt")

@@ -27,7 +27,7 @@ from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
 from .power_model import (PowerProfile, _number, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
 @dataclass
@@ -41,8 +41,6 @@ class RunConfig:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.command not in _RUNNERS:
-            raise ValueError(f"unknown command {self.command!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
 
@@ -201,9 +199,8 @@ def _run_cost(config: RunConfig) -> int:
     def given(value: Any, what: str) -> float:
         # A number keeps its type, so the integers of a config file stay
         # integers in the JSON artifact (alphas and grid periods).
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return value
-        return _number(value, what)
+        number = _number(value, what)
+        return value if isinstance(value, (int, float)) else number
 
     alphas = [given(alpha, "alpha") for alpha in alphas]
     axis = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
@@ -334,11 +331,6 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; raises on any module error."""
-    return _RUNNERS[config.command](config)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--profile", help="JSON radio parameter file")
@@ -462,7 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        return run(config)
+        return _RUNNERS[config.command](config)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

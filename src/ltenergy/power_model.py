@@ -211,10 +211,12 @@ def decay_state_at(gap_elapsed: float, profile: PowerProfile) -> RadioState:
 
 def _number(value: Any, what: str) -> float:
     """``float(value)`` for a number or numeric string read from outside;
-    anything else, booleans included, is a ValueError naming ``what``."""
+    anything else, a bool or an int beyond float range too, is a ValueError."""
     if not isinstance(value, bool):
         try:
             return float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is too large for a float") from None
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{what} must be a number, got {value!r}")

@@ -6,8 +6,8 @@ through the timing and energy core that :func:`ltenergy.analytic.compare`
 uses, so every cell equals ``compare`` at that grid point; scenario checks
 run once per axis value, and each distinct edge scenario is priced once.
 Grid points whose cycle does not fit inside the period are kept as explicit
-error cells instead of being dropped, so downstream consumers always see
-the full grid.  ``SweepResult.json_text`` renders the bytes of
+error cells, so consumers see the full grid; an overflowing energy aborts
+the sweep.  Every number is finite, so ``SweepResult.json_text`` renders
 ``json.dumps(to_json_obj(), indent=2)`` from one template per cell.
 
 ``cost_curve`` trades energy against data freshness for a node that
@@ -183,8 +183,8 @@ class SweepResult:
     def json_text(self) -> str:
         """``json.dumps(self.to_json_obj(), indent=2)``, from one template
         of the indent-2 layout per cell.  Its numbers are the ``repr`` of the
-        values ``to_json_obj`` holds, which is what ``json`` writes for
-        finite floats and ints; each distinct axis value is rendered once."""
+        values ``to_json_obj`` holds, all finite, which is what ``json``
+        writes for them; each distinct axis value is rendered once."""
         texts = [{v: f"      {json.dumps(a.name)}: {_round6(v)!r},\n"
                   for v in a.values()} for a in self.spec.axes]
         cells = []
@@ -200,13 +200,8 @@ class SweepResult:
                     f'      "e_i_cloud_mj": {round(cloud[-1], 1)!r},\n'
                     f'      "delta_rtt_ms": {_round6(delta_rtt)!r}\n    }}')
         axes = json.dumps({"axes": self._axes_obj()}, indent=2)
-        text = (axes[:-len("\n}")] + ',\n  "cells": [\n'
+        return (axes[:-len("\n}")] + ',\n  "cells": [\n'
                 + ",\n".join(cells) + "\n  ]\n}")
-        # json spells non-finite floats Infinity and NaN, repr inf and nan;
-        # such grids (and overrun messages that read inf) take this path.
-        if "inf" in text or "nan" in text:
-            return json.dumps(self.to_json_obj(), indent=2)
-        return text
 
     def _axes_obj(self) -> list[dict]:
         return [
@@ -220,7 +215,8 @@ class SweepResult:
         ]
 
     def to_json_obj(self) -> dict:
-        """The JSON artifact as plain data: what :meth:`json_text` renders."""
+        """The JSON artifact as plain data: what :meth:`json_text` renders.
+        Kept for the tests and ``bench/spans.py``, its only callers."""
         columns = self.columns
         cells = []
         for cell in self.cells:
@@ -280,7 +276,8 @@ def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
     edge and cloud scenarios, and an axis value those scenarios would
     reject raises the same ``ValueError`` before any cell is priced.  A
     period overrun becomes an error cell carrying the diagnostic, the
-    edge's when both placements overrun.
+    edge's when both placements overrun.  An energy or ratio that
+    overflows a float raises ``ValueError`` as ``compare`` does.
     """
     names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
@@ -387,7 +384,8 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
 
     Hourly energy multiplies one cycle's energy by the (possibly
     fractional) number of cycles per hour; no partial final cycle is
-    modelled.  Any period too short for its own payload raises.
+    modelled.  A period too short for its own payload raises, as does an
+    hourly energy that overflows a float.
     """
     t_rx = transfer_time(spec.reply_bytes, DEFAULT_DOWNLINK_BPS)
     energies = []
@@ -398,6 +396,8 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
         e_cycle = energy_parts(t_tx, spec.rtt, t_rx, *timing, profile)[-1]
         energies.append(e_cycle * (MS_PER_HOUR / t_i))
 
+    if not all(e < math.inf for e in energies):  # nan fails too
+        raise ValueError("hourly energy overflows a float")
     e_max = max(energies)
     d_max = max(spec.t_i_grid)
     points = tuple(

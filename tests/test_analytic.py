@@ -15,6 +15,7 @@ from ltenergy import (
     timing_from_phases,
     transfer_time,
 )
+from ltenergy.analytic import energy_ratio
 from _goldens import (
     CLOUD_FAVORABLE,
     GOLDEN_ROWS,
@@ -227,6 +228,33 @@ class TestCompare:
         cloud = replace(cloud, b_tx=15999.0)
         with pytest.raises(ValueError, match="only in rtt"):
             compare(edge, cloud, PROFILE)
+
+    def test_overflowing_cycle_energy_raises(self):
+        edge, cloud = reference_scenarios(750, 50)
+        with pytest.raises(ValueError, match="cycle energy overflows"):
+            compare(edge, cloud, replace(PROFILE, p_tx=1e308))
+
+    @pytest.mark.filterwarnings("ignore:profile has no")
+    def test_overflowing_rho_raises(self):
+        # Both energies are finite: the edge pays one huge promotion, the
+        # cloud only a sliver of near-zero CR and DRX power.
+        profile = replace(PROFILE, p_cr=1e-300, p_short=1e-301,
+                          p_long=1e-302, p_idle=0.0, p_prom=1e10,
+                          short_drx=None, long_drx=None, idle=None)
+        t_i = profile.idle_entry_ms + 1000
+        edge = ConnectionlessScenario(t_i=t_i, rtt=0)
+        cloud = replace(edge, rtt=profile.idle_entry_ms - 1)
+        edge_mj = cycle_energy(phase_timing(edge, profile), profile).e_i
+        cloud_mj = cycle_energy(phase_timing(cloud, profile), profile).e_i
+        assert (edge_mj, cloud_mj) == (2e9, 5.94e-301)
+        with pytest.raises(ValueError, match="rho = .* is not finite"):
+            compare(edge, cloud, profile)
+
+    @pytest.mark.parametrize("edge_mj, cloud_mj",
+                             [(1.0, 0.0), (1e300, 1e-300)])
+    def test_energy_ratio_must_be_finite(self, edge_mj, cloud_mj):
+        with pytest.raises(ValueError, match="is not finite"):
+            energy_ratio(edge_mj, cloud_mj)
 
     def test_transfer_energies_placement_independent(self):
         rng = random.Random(13)

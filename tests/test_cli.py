@@ -467,6 +467,87 @@ class TestBadTraceInputs:
             "hourly_bytes 1e+308 at t_i 2000.0 ms gives a per-cycle payload")
 
 
+def profile_file(tmp_path, **fields):
+    """A profile file: the bundled profile with ``fields`` replaced."""
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({**profile_to_dict(default_profile()),
+                                **fields}))
+    return str(path)
+
+
+class TestOverflowingEnergy:
+    """An energy or ratio that overflows a float ends as ``error:`` and
+    writes nothing: ``json`` would spell it ``Infinity`` or ``NaN``, which
+    JSON does not allow, and CSV ``inf`` or ``nan``."""
+
+    def assert_no_artifact(self, argv, tmp_path, capsys, message):
+        out = tmp_path / "artifact"
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_eval(self, tmp_path, capsys, fmt):
+        self.assert_no_artifact(
+            ["eval", "--t-i", "1e308", "--rtt", "40", "--format", fmt],
+            tmp_path, capsys, "cycle energy overflows a float")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep(self, tmp_path, capsys, fmt):
+        config = write_config(tmp_path, sweep_config(
+            base={"t_i": 1e308, "rtt_edge": 40}))
+        self.assert_no_artifact(
+            ["sweep", "--config", config, "--format", fmt],
+            tmp_path, capsys, "cycle energy overflows a float")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_analyze(self, tmp_path, capsys, fmt):
+        edge, cloud = synth_exports(tmp_path, "get", 5000)
+        self.assert_no_artifact(
+            ["trace-analyze", "--kind", "get", "--client", CLIENT,
+             "--t-i", "1e308", "--format", fmt, *edge, "--cloud", *cloud],
+            tmp_path, capsys, "cycle energy overflows a float")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cost(self, tmp_path, capsys, fmt):
+        profile = profile_file(tmp_path, p_tx=1.5e307)
+        self.assert_no_artifact(
+            ["cost", "--hourly-bytes", "1e7", "--rtt", "50", "--t-i-min",
+             "500", "--t-i-max", "120000", "--t-i-step", "500",
+             "--profile", profile, "--format", fmt],
+            tmp_path, capsys, "overflows a float")
+
+
+HUGE = 10 ** 400  # a JSON integer that no float holds
+
+
+class TestHugeIntegers:
+    """A config or profile integer too large for a float ends as
+    ``error:`` naming its field, not as an ``OverflowError``."""
+
+    @pytest.mark.parametrize("config, what", [
+        (sweep_config(base={"t_i": HUGE}), "base t_i"),
+        (sweep_config(axes=[{"name": "rtt_cloud", "start": HUGE,
+                             "stop": 300, "step": 50}]),
+         "axis rtt_cloud start"),
+        (cost_config(t_i_min=HUGE), "t_i_min"),
+        (cost_config(alphas=[0.5, HUGE]), "alpha"),
+    ])
+    def test_config_value(self, tmp_path, capsys, config, what):
+        path = write_config(tmp_path, config)
+        assert_cli_error([config["command"], "--config", path], capsys,
+                         f"error: {what} is too large for a float\n")
+
+    def test_profile_field(self, tmp_path, capsys):
+        assert_cli_error(
+            ["power-table", "--profile", profile_file(tmp_path, t_cr=HUGE)],
+            capsys, "error: profile field t_cr is too large for a float\n")
+
+
 class TestTraceAnalyzePlacements:
     def test_mismatched_file_sizes_rejected(self, tmp_path, capsys):
         paths = []

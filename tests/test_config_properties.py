@@ -3,7 +3,8 @@
 The configs use the commands' known keys with valid or junk values, plus
 extra junk keys, and keep every grid to at most 10^3 cells.  Whatever the
 config, ``main`` returns 0 or 1, prints ``error:`` whenever it returns 1,
-and never raises.
+and never raises; a JSON artifact it writes parses as strict JSON, with no
+``NaN`` or ``Infinity``.
 """
 
 import contextlib
@@ -22,15 +23,19 @@ JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
     st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
     st.sampled_from(["nan", "inf", "-1", "1e400", "12", " 3 ", "0x10"]),
+    st.just(10 ** 400),  # a JSON integer that no float holds
     st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
 # Junk grid bounds leave a grid empty, invalid or beyond the cell limit, so
 # no junk value makes a grid larger than 10^3 cells.
 JUNK_BOUNDS = {
-    "start": st.sampled_from([None, True, "abc", "nan", [], 1e300, -1e300]),
-    "stop": st.sampled_from([None, False, "x", "-inf", "1e400", -1, 1e300]),
-    "step": st.sampled_from([None, True, "", "nan", 0, -1, 1e9, 1e-320]),
+    "start": st.sampled_from([None, True, "abc", "nan", [], 1e300, -1e300,
+                              10 ** 400]),
+    "stop": st.sampled_from([None, False, "x", "-inf", "1e400", -1, 1e300,
+                             10 ** 400]),
+    "step": st.sampled_from([None, True, "", "nan", 0, -1, 1e9, 1e-320,
+                             10 ** 400]),
 }
 # A path is replaced by a missing profile or a fresh artifact in a
 # temporary directory, whatever its text.
@@ -109,6 +114,10 @@ def configs(draw):
     return command, maybe.keys(config)
 
 
+def reject_constant(name):
+    raise AssertionError(f"JSON artifact holds {name}, which JSON forbids")
+
+
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=configs())
@@ -116,6 +125,12 @@ def configs(draw):
     {"name": "t_i", "start": 1000, "stop": 2000, "step": 500}]}))
 @example(case=("cost", {"alphas": [True], "hourly_bytes": 1e4, "rtt": 40,
                         "t_i_min": 2000, "t_i_max": 4000, "t_i_step": 2000}))
+@example(case=("cost", {"alphas": [0.5], "hourly_bytes": 1e4, "rtt": 40,
+                        "t_i_min": 10 ** 400, "t_i_max": 4000,
+                        "t_i_step": 2000}))
+@example(case=("sweep", {"format": "json", "base": {"t_i": 1e308},
+                         "axes": [{"name": "rtt_cloud", "start": 50,
+                                   "stop": 100, "step": 50}]}))
 def test_main_ends_in_exit_code_or_error_line(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,8 +142,13 @@ def test_main_ends_in_exit_code_or_error_line(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([command, "--config", str(path)])
-    assert code in (0, 1)
-    if code == 1:
-        assert err.getvalue().startswith("error: ")
-    else:
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+            return
         assert err.getvalue() == ""
+        if config.get("format") == "json":
+            artifact = (Path(config["out"]).read_text(encoding="utf-8")
+                        if isinstance(config.get("out"), str)
+                        else out.getvalue())
+            json.loads(artifact, parse_constant=reject_constant)

@@ -345,21 +345,20 @@ class TestFastRenderers:
     @example(spec=reference_spec((SweepAxis("t_i", 1000.1, 1000.5, 0.1),
                                   SweepAxis("payload", 0, 20000, 10000),
                                   SweepAxis("t_elab", 0.5, 2.5, 1))))
+    # 1e308 bytes take forever to send: an overrun "by inf ms", a string
+    @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
     def test_equal_reference(self, spec):
         result = run_sweep(spec, PROFILE)
         assert result.json_text() == json.dumps(result.to_json_obj(),
                                                 indent=2)
         assert result.rows() == reference_rows(result)
 
-    def test_non_finite_energies_render_as_json_does(self):
-        # p_tx * t_tx overflows: every energy is inf and every rho nan
+    def test_overflowing_energies_raise_before_rendering(self):
+        # p_tx * t_tx overflows, so no cell has a finite energy to render
         profile = replace(PROFILE, p_tx=1e308)
-        result = run_sweep(reference_spec(
-            (SweepAxis("rtt_cloud", 50, 100, 50),)), profile)
-        text = result.json_text()
-        assert "Infinity" in text and "NaN" in text
-        assert text == json.dumps(result.to_json_obj(), indent=2)
-        assert result.rows() == reference_rows(result)
+        with pytest.raises(ValueError, match="cycle energy overflows"):
+            run_sweep(reference_spec(
+                (SweepAxis("rtt_cloud", 50, 100, 50),)), profile)
 
     def test_three_axes(self):
         spec = reference_spec((SweepAxis("t_i", 300, 30300, 10000),
@@ -478,6 +477,13 @@ class TestCostCurve:
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty grid"):
             CostSpec(alpha=0.5, hourly_bytes=1, rtt=50, t_i_grid=())
+
+    def test_overflowing_hourly_energy_raises(self):
+        # the cycle's energy is finite, times 7,200 cycles per hour it is not
+        spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
+                        t_i_grid=(500.0,))
+        with pytest.raises(ValueError, match="hourly energy overflows"):
+            cost_curve(spec, replace(PROFILE, p_tx=1.5e307))
 
     @pytest.mark.parametrize("hourly_bytes", [float("inf"), float("nan")])
     def test_non_finite_hourly_bytes(self, hourly_bytes):
