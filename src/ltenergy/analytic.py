@@ -12,14 +12,17 @@ carved out of the period and whose energy is charged to the cycle.
 Comparing two placements of the server (an edge node with small RTT against
 a distant cloud with large RTT) reduces to the ratio of their per-cycle
 energies: a ratio below one means the edge placement saves energy.
+
+The value types are checked tuples, equal to a plain tuple of their fields;
+the per-cycle core unpacks the profile once per call, which is cheaper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .power_model import PowerProfile
+from .power_model import PowerProfile, _checked
 
 __all__ = [
     "DEFAULT_UPLINK_BPS",
@@ -62,8 +65,8 @@ class PeriodOverrunError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ConnectionlessScenario:
+@_checked
+class ConnectionlessScenario(NamedTuple):
     """Parameters of a datagram-based periodic request-response client.
 
     ``b_tx``/``b_rx`` count bytes on the wire, stack overhead included.
@@ -79,11 +82,10 @@ class ConnectionlessScenario:
     uplink_bps: float = DEFAULT_UPLINK_BPS
     downlink_bps: float = DEFAULT_DOWNLINK_BPS
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.t_i <= 0:
             raise ValueError("t_i must be strictly positive")
         for name in ("t_elab", "rtt", "b_tx", "b_rx"):
@@ -94,12 +96,11 @@ class ConnectionlessScenario:
 
     def workload(self) -> tuple[float, ...]:
         """Every field but ``rtt``: what two compared placements share."""
-        return (self.t_i, self.t_elab, self.b_tx, self.b_rx,
-                self.uplink_bps, self.downlink_bps)
+        return self[:2] + self[3:]
 
 
-@dataclass(frozen=True)
-class PhaseTiming:
+@_checked
+class PhaseTiming(NamedTuple):
     """Durations of one cycle's phases plus promotion charges.
 
     ``prom_rx`` is set when the radio reached IDLE while waiting for the
@@ -117,14 +118,14 @@ class PhaseTiming:
     prom_tx: bool = False
     prom_rx: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("t_tx", "t_w", "t_rx", "t_q"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+@_checked
+class EnergyBreakdown(NamedTuple):
     """Per-phase energies of one cycle, in mJ."""
 
     e_tx: float
@@ -135,20 +136,15 @@ class EnergyBreakdown:
     e_prom_rx: float
     e_i: float  # total
 
-    def __post_init__(self) -> None:
-        parts = (
-            self.e_tx, self.e_w, self.e_rx, self.e_q,
-            self.e_prom_tx, self.e_prom_rx,
-        )
-        if any(p < 0 for p in parts):
+    def _check(self) -> None:
+        if any(p < 0 for p in self[:-1]):
             raise ValueError("energy components must be non-negative")
         if self.e_i != (self.e_tx + self.e_w + self.e_rx + self.e_q
                         + self.e_prom_tx + self.e_prom_rx):
             raise ValueError("e_i must equal the sum of its components")
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """Outcome of evaluating the same workload against both placements."""
 
     edge: EnergyBreakdown
@@ -174,14 +170,16 @@ def idle_gap_energy(gap: float, profile: PowerProfile) -> float:
     """
     if gap < 0:
         raise ValueError("gap must be non-negative")
-    p = profile
-    micro_joules = min(gap, p.t_cr) * p.p_cr
-    if gap > p.t_cr:
-        micro_joules += min(gap - p.t_cr, p.t_short) * p.p_short
-    if gap > p.t_cr + p.t_short:
-        micro_joules += min(gap - p.t_cr - p.t_short, p.t_long) * p.p_long
-    if gap > p.idle_entry_ms:
-        micro_joules += (gap - p.idle_entry_ms) * p.p_idle
+    (_, _, p_cr, p_short, p_long, p_idle, _, t_cr, t_short, t_long,
+     _, _, _, _) = profile
+    micro_joules = min(gap, t_cr) * p_cr
+    if gap > t_cr:
+        micro_joules += min(gap - t_cr, t_short) * p_short
+    if gap > t_cr + t_short:
+        micro_joules += min(gap - t_cr - t_short, t_long) * p_long
+    idle_entry_ms = t_cr + t_short + t_long
+    if gap > idle_entry_ms:
+        micro_joules += (gap - idle_entry_ms) * p_idle
     return micro_joules / 1000.0
 
 
@@ -198,13 +196,15 @@ def quiet_time(t_tx: float, t_w: float, t_rx: float, t_i: float,
     stays uncharged, so the IDLE segment of the quiet-time energy and the
     promotion charge always co-occur.
     """
-    threshold = profile.idle_entry_ms
+    (_, _, _, _, _, _, _, t_cr, t_short, t_long, t_prom,
+     _, _, _) = profile
+    threshold = t_cr + t_short + t_long
     prom_rx = t_w > threshold
     residual = t_i - t_tx - t_rx - t_w
     if prom_rx:
-        residual -= profile.t_prom
-    prom_tx = residual - profile.t_prom > threshold
-    t_q = residual - profile.t_prom if prom_tx else residual
+        residual -= t_prom
+    prom_tx = residual - t_prom > threshold
+    t_q = residual - t_prom if prom_tx else residual
     if t_q < 0:
         raise PeriodOverrunError(-t_q)
     return t_q, prom_tx, prom_rx
@@ -220,11 +220,13 @@ def energy_parts(t_tx: float, t_w: float, t_rx: float, t_q: float,
     and charged promotions add one promotion energy each.  A total that
     overflows a float raises ``ValueError``, so every energy is finite.
     """
-    e_tx = t_tx * profile.p_tx / 1000.0
+    (p_tx, p_rx, _, _, _, _, p_prom, _, _, _, t_prom,
+     _, _, _) = profile
+    e_tx = t_tx * p_tx / 1000.0
     e_w = idle_gap_energy(t_w, profile)
-    e_rx = t_rx * profile.p_rx / 1000.0
+    e_rx = t_rx * p_rx / 1000.0
     e_q = idle_gap_energy(t_q, profile)
-    e_prom = profile.promotion_energy_mj
+    e_prom = t_prom * p_prom / 1000.0
     e_prom_tx = e_prom if prom_tx else 0.0
     e_prom_rx = e_prom if prom_rx else 0.0
     e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
@@ -246,8 +248,8 @@ def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
                        profile: PowerProfile) -> PhaseTiming:
     """Full cycle timing from measured or computed phases; see
     :func:`quiet_time`."""
-    t_q, prom_tx, prom_rx = quiet_time(t_tx, t_w, t_rx, t_i, profile)
-    return PhaseTiming(t_tx, t_w, t_rx, t_q, prom_tx=prom_tx, prom_rx=prom_rx)
+    return PhaseTiming(t_tx, t_w, t_rx,
+                       *quiet_time(t_tx, t_w, t_rx, t_i, profile))
 
 
 def phase_timing(scn: ConnectionlessScenario,
@@ -262,9 +264,7 @@ def phase_timing(scn: ConnectionlessScenario,
 def cycle_energy(timing: PhaseTiming, profile: PowerProfile
                  ) -> EnergyBreakdown:
     """Energy of one cycle; see :func:`energy_parts`."""
-    return EnergyBreakdown(*energy_parts(
-        timing.t_tx, timing.t_w, timing.t_rx, timing.t_q,
-        timing.prom_tx, timing.prom_rx, profile))
+    return EnergyBreakdown(*energy_parts(*timing, profile))
 
 
 def compare(edge_scn: ConnectionlessScenario,
@@ -280,9 +280,5 @@ def compare(edge_scn: ConnectionlessScenario,
         raise ValueError("scenarios must differ only in rtt")
     edge = cycle_energy(phase_timing(edge_scn, profile), profile)
     cloud = cycle_energy(phase_timing(cloud_scn, profile), profile)
-    return ComparisonResult(
-        edge=edge,
-        cloud=cloud,
-        rho=energy_ratio(edge.e_i, cloud.e_i),
-        delta_rtt=cloud_scn.rtt - edge_scn.rtt,
-    )
+    return ComparisonResult(edge, cloud, energy_ratio(edge.e_i, cloud.e_i),
+                            cloud_scn.rtt - edge_scn.rtt)

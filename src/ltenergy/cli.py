@@ -19,28 +19,27 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import analytic, sweep
 from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
-from .power_model import (PowerProfile, _number, _reject_unknown,
+from .power_model import (PowerProfile, _checked, _number, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
 
 __all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
+@_checked
+class RunConfig(NamedTuple):
     """One fully resolved CLI invocation."""
 
     command: str
-    profile_path: str | None = None
-    output_format: str = "csv"
-    output_path: str | None = None
-    params: dict[str, Any] = field(default_factory=dict)
+    profile_path: str | None
+    output_format: str
+    output_path: str | None
+    params: dict[str, Any]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
 
@@ -115,10 +114,11 @@ def _run_eval(config: RunConfig) -> int:
 
     # (column, value, unit): the phase durations, then the energy parts
     # and their total, each named after its field.
-    table = [(f"{f.name}_ms", getattr(timing, f.name), "ms")
-             for f in fields(timing) if f.name.startswith("t_")]
-    table += [(f"{f.name}_mj", getattr(energy, f.name), "mJ")
-              for f in fields(energy)]
+    table = [(f"{name}_ms", value, "ms")
+             for name, value in zip(timing._fields, timing)
+             if name.startswith("t_")]
+    table += [(f"{name}_mj", value, "mJ")
+              for name, value in zip(energy._fields, energy)]
     # unit: (text format, JSON decimals)
     formats = {"ms": (fmt_ms, 3), "mJ": (fmt_mj, 1)}
     for column, value, unit in table:
@@ -133,9 +133,9 @@ def _run_eval(config: RunConfig) -> int:
     return 0
 
 
-_AXIS_KEYS = [f.name for f in fields(sweep.SweepAxis)]
+_AXIS_KEYS = sweep.SweepAxis._fields
 # A sweep base is a scenario whose rtt is given per placement.
-_BASE_KEYS = ({f.name for f in fields(analytic.ConnectionlessScenario)}
+_BASE_KEYS = ({*analytic.ConnectionlessScenario._fields}
               - {"rtt"} | {"rtt_edge", "rtt_cloud"})
 
 
@@ -170,8 +170,8 @@ def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
         raise ValueError("sweep config 'axes' must be a list of objects")
     return sweep.SweepSpec(
         base_edge=edge,
-        base_cloud=replace(edge, rtt=edge.rtt if rtt_cloud is None
-                           else rtt_cloud),
+        base_cloud=edge._replace(rtt=edge.rtt if rtt_cloud is None
+                                 else rtt_cloud),
         axes=tuple(_axis_from_config(a) for a in axes_data),
     )
 
@@ -205,7 +205,7 @@ def _run_cost(config: RunConfig) -> int:
     alphas = [given(alpha, "alpha") for alpha in alphas]
     axis = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
                                     ("t_i_min", "t_i_max", "t_i_step")))
-    points = len(alphas) * axis.count  # each curve prices the whole grid
+    points = len(alphas) * axis.n_values  # each curve prices the whole grid
     if points > sweep.MAX_GRID_CELLS:
         raise ValueError(
             f"cost has {points} points, more than {sweep.MAX_GRID_CELLS}")
@@ -275,12 +275,22 @@ def _run_trace_analyze(config: RunConfig) -> int:
                else traces.extract_get_phases)
 
     def analyze(paths: Sequence[str]) -> traces.AggregateResult:
-        """One placement's exports, one exchange each, aggregated."""
+        """One placement's exports, one exchange each, aggregated.  The
+        stream that ``kind`` names must not be the smaller one; a tie
+        cannot contradict it."""
         iterations = []
         for path in paths:
             with open(path, encoding="utf-8") as fp:
                 events = traces.parse_events(fp, client=client)
-            iterations.append(extract(events))
+            it = extract(events)
+            if it.file_size < it.other_size:
+                named, other = (("request", "response") if kind == "post"
+                                else ("response", "request"))
+                raise traces.IncompleteExchangeError(
+                    f"{path}: --kind {kind} names the {named}, "
+                    f"{it.file_size} bytes, but the {other} is larger, "
+                    f"{it.other_size} bytes")
+            iterations.append(it)
         return traces.aggregate(iterations, t_i, profile)
 
     edge = analyze(p["files"])

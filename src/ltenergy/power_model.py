@@ -11,16 +11,20 @@ works with their mean power, derived from the duty-cycle micro-parameters.
 
 Units throughout the package: milliseconds, milliwatts, and millijoules,
 with E[mJ] = P[mW] * T[ms] / 1000.
+
+The package's value types are checked tuples (``typing.NamedTuple``): every
+constructor, ``_make`` and ``_replace`` call validates the new instance, and
+an instance compares equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "RadioState",
@@ -48,8 +52,25 @@ class RadioState(Enum):
     IDLE = "idle"
 
 
-@dataclass(frozen=True)
-class DutyCycleSpec:
+def _checked(cls):
+    """Make the NamedTuple ``cls`` run its ``_check`` method on every new
+    instance, whether built by the constructor, ``_make`` or ``_replace``
+    (which calls ``_make``)."""
+    def checked(build):
+        @functools.wraps(build)
+        def wrapper(klass, *args, **kwargs):
+            self = build(klass, *args, **kwargs)
+            self._check()
+            return self
+        return wrapper
+
+    cls.__new__ = staticmethod(checked(cls.__new__))
+    cls._make = classmethod(checked(cls._make.__func__))
+    return cls
+
+
+@_checked
+class DutyCycleSpec(NamedTuple):
     """Sleep/wake alternation of a DRX or IDLE state.
 
     The radio wakes for ``wake_duration`` ms out of every ``period`` ms,
@@ -61,9 +82,8 @@ class DutyCycleSpec:
     period: float  # ms
     sleep_power: float  # mW
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.wake_power, self.wake_duration,
-                                       self.period, self.sleep_power))):
+    def _check(self) -> None:
+        if not all(map(math.isfinite, self)):
             raise ValueError("duty-cycle parameters must be finite")
         if self.wake_power < 0 or self.sleep_power < 0:
             raise ValueError("duty-cycle powers must be non-negative")
@@ -89,8 +109,8 @@ def mean_power(spec: DutyCycleSpec) -> float:
     return (awake + asleep) / spec.period
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+@_checked
+class PowerProfile(NamedTuple):
     """Operational parameters of an LTE interface.
 
     Powers are in mW, timers in ms.  ``p_short``, ``p_long`` and ``p_idle``
@@ -115,9 +135,8 @@ class PowerProfile:
     long_drx: DutyCycleSpec | None = None
     idle: DutyCycleSpec | None = None
 
-    def __post_init__(self) -> None:
-        for name in _SCALAR_FIELDS:
-            value = getattr(self, name)
+    def _check(self) -> None:
+        for name, value in zip(_SCALAR_FIELDS, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("p_tx", "p_rx", "p_prom", "p_idle"):
@@ -161,10 +180,8 @@ class PowerProfile:
 
 
 # The scalar parameters are the required fields, the duty cycles the rest.
-_SCALAR_FIELDS = tuple(f.name for f in fields(PowerProfile)
-                       if f.default is MISSING)
-_DUTY_FIELDS = tuple(f.name for f in fields(PowerProfile)
-                     if f.default is None)
+_DUTY_FIELDS = tuple(PowerProfile._field_defaults)
+_SCALAR_FIELDS = PowerProfile._fields[:-len(_DUTY_FIELDS)]
 
 
 def default_profile() -> PowerProfile:
@@ -240,15 +257,14 @@ def profile_from_dict(data: dict[str, Any]) -> PowerProfile:
     for name in _DUTY_FIELDS:
         block = data.get(name)
         if block is not None:
-            keys = [f.name for f in fields(DutyCycleSpec)]
+            keys = list(DutyCycleSpec._fields)
             if not isinstance(block, dict) or set(block) != set(keys):
                 raise ValueError(
                     f"profile {name} must be an object with keys {keys}")
             kwargs[name] = DutyCycleSpec(
                 *(_number(block[k], f"profile field {name}.{k}")
                   for k in keys))
-    _reject_unknown(data, (f.name for f in fields(PowerProfile)),
-                    "profile fields")
+    _reject_unknown(data, PowerProfile._fields, "profile fields")
     return PowerProfile(**kwargs)
 
 
@@ -256,7 +272,8 @@ def profile_to_dict(profile: PowerProfile) -> dict[str, Any]:
     """Inverse of :func:`profile_from_dict`: the fields in declaration
     order, each present duty cycle as an object of its own fields, and
     absent duty cycles left out."""
-    return {k: v for k, v in asdict(profile).items() if v is not None}
+    return {k: v._asdict() if isinstance(v, DutyCycleSpec) else v
+            for k, v in profile._asdict().items() if v is not None}
 
 
 def load_profile(path: str) -> PowerProfile:

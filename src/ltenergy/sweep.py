@@ -15,6 +15,9 @@ produces a fixed amount of data per hour: batching more data per request
 (a larger period) amortises the radio's quiet-time tail energy but delays
 the data.  The combined cost ``c = alpha * E/E_max + (1-alpha) * D/D_max``
 is normalised by the maxima over the evaluated grid.
+
+The value types are checked tuples (see :mod:`ltenergy.power_model`), so a
+spec compares equal to a plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .analytic import (
@@ -39,7 +41,7 @@ from .analytic import (
     transfer_time,
 )
 from ._fmt import fmt_axis
-from .power_model import PowerProfile
+from .power_model import PowerProfile, _checked
 
 __all__ = [
     "SWEEP_AXES",
@@ -66,8 +68,8 @@ MS_PER_HOUR = 3_600_000.0
 MAX_GRID_CELLS = 2_000_000
 
 
-@dataclass(frozen=True)
-class SweepAxis:
+@_checked
+class SweepAxis(NamedTuple):
     """One swept parameter with an inclusive arithmetic grid."""
 
     name: str
@@ -75,7 +77,7 @@ class SweepAxis:
     stop: float
     step: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.name not in SWEEP_AXES:
             raise ValueError(
                 f"unknown sweep axis {self.name!r}; expected one of {SWEEP_AXES}"
@@ -86,33 +88,33 @@ class SweepAxis:
             raise ValueError(f"axis {self.name} step must be strictly positive")
         if self.start > self.stop:
             raise ValueError(f"empty grid: axis {self.name} has start > stop")
-        # The first test keeps the span finite, so ``count`` is an integer.
+        # The first test keeps the span finite, so ``n_values`` is an integer.
         if (not (self.stop - self.start) / self.step < MAX_GRID_CELLS
-                or self.count > MAX_GRID_CELLS):
+                or self.n_values > MAX_GRID_CELLS):
             raise ValueError(
                 f"axis {self.name} has more than {MAX_GRID_CELLS} values")
 
     @property
-    def count(self) -> int:
+    def n_values(self) -> int:
         """``len(self.values())``, without building the list."""
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        return [self.start + i * self.step for i in range(self.count)]
+        return [self.start + i * self.step for i in range(self.n_values)]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+@_checked
+class SweepSpec(NamedTuple):
     """A base edge/cloud scenario pair plus the axes to vary."""
 
     base_edge: ConnectionlessScenario
     base_cloud: ConnectionlessScenario
     axes: tuple[SweepAxis, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.axes) == 0:
             raise ValueError("empty grid: no sweep axes given")
-        cells = math.prod(axis.count for axis in self.axes)
+        cells = math.prod(axis.n_values for axis in self.axes)
         if cells > MAX_GRID_CELLS:
             raise ValueError(
                 f"grid has {cells} cells, more than {MAX_GRID_CELLS}")
@@ -144,16 +146,12 @@ class SweepCell(NamedTuple):
         """The cell as :func:`ltenergy.analytic.compare` returns it."""
         if self.error is not None:
             return None
-        return ComparisonResult(
-            edge=EnergyBreakdown(*self.edge),
-            cloud=EnergyBreakdown(*self.cloud),
-            rho=self.rho,
-            delta_rtt=self.delta_rtt,
-        )
+        return ComparisonResult(EnergyBreakdown(*self.edge),
+                                EnergyBreakdown(*self.cloud),
+                                self.rho, self.delta_rtt)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Dense grid of comparison results, row-major in axis order."""
 
     spec: SweepSpec
@@ -204,15 +202,8 @@ class SweepResult:
                 + ",\n".join(cells) + "\n  ]\n}")
 
     def _axes_obj(self) -> list[dict]:
-        return [
-            {
-                "name": a.name,
-                "start": _round6(a.start),
-                "stop": _round6(a.stop),
-                "step": _round6(a.step),
-            }
-            for a in self.spec.axes
-        ]
+        return [{k: v if k == "name" else _round6(v)
+                 for k, v in a._asdict().items()} for a in self.spec.axes]
 
     def to_json_obj(self) -> dict:
         """The JSON artifact as plain data: what :meth:`json_text` renders.
@@ -243,8 +234,7 @@ def _scenario_fields(base: ConnectionlessScenario, names: Sequence[str],
                      values: Sequence[float]) -> tuple[float, ...]:
     """``(t_i, t_elab, rtt, b_tx, b_rx)`` of ``base`` with the named axes
     set: ``rtt_cloud`` sets ``rtt`` and ``payload`` both byte counts."""
-    t_i, t_elab, rtt = base.t_i, base.t_elab, base.rtt
-    b_tx, b_rx = base.b_tx, base.b_rx
+    t_i, t_elab, rtt, b_tx, b_rx, _, _ = base
     for name, value in zip(names, values):
         if name == "t_i":
             t_i = value
@@ -328,8 +318,8 @@ def per_cycle_payload(hourly_bytes: float, t_i: float) -> int:
     return int(math.floor(payload + 0.5))
 
 
-@dataclass(frozen=True)
-class CostSpec:
+@_checked
+class CostSpec(NamedTuple):
     """Configuration of a batching-cost evaluation.
 
     ``alpha`` weighs energy against delay; ``hourly_bytes`` is the data the
@@ -342,7 +332,7 @@ class CostSpec:
     t_i_grid: tuple[float, ...]
     reply_bytes: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         for name in ("hourly_bytes", "rtt", "reply_bytes"):
@@ -361,8 +351,7 @@ class CostSpec:
                 "grid periods must be finite and strictly positive")
 
 
-@dataclass(frozen=True)
-class CostPoint:
+class CostPoint(NamedTuple):
     """Cost evaluation at one period."""
 
     t_i: float  # ms
@@ -371,8 +360,7 @@ class CostPoint:
     c: float  # normalised combined cost
 
 
-@dataclass(frozen=True)
-class CostCurve:
+class CostCurve(NamedTuple):
     points: tuple[CostPoint, ...]
     argmin_t_i: float
     e_max: float

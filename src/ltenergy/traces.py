@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .analytic import (
     DEFAULT_DOWNLINK_BPS,
@@ -42,7 +41,7 @@ from .analytic import (
     timing_from_phases,
     transfer_time,
 )
-from .power_model import PowerProfile
+from .power_model import PowerProfile, _checked
 
 __all__ = [
     "Direction",
@@ -83,6 +82,9 @@ _INIT_WINDOW_SEGMENTS = 10
 _TURNAROUND_US = 200
 _ACK_DELAY_US = 100
 _SERVER_THINK_US = 2000
+# Most packets a synthetic trace may have, checked before any is built: a
+# GET of about 1.9 GB, whose packets peak near 1.1 GB in memory.
+MAX_TRACE_PACKETS = 2_000_000
 
 
 class Direction(Enum):
@@ -102,8 +104,7 @@ class IncompleteExchangeError(ValueError):
     """The events do not form one complete request-response exchange."""
 
 
-@dataclass(frozen=True)
-class PacketEvent:
+class PacketEvent(NamedTuple):
     """One timestamped packet record from a trace export."""
 
     timestamp: float  # epoch seconds, microsecond precision
@@ -123,8 +124,8 @@ class PacketEvent:
         return not self.flags.isdisjoint(_ADMIN_FLAGS)
 
 
-@dataclass(frozen=True)
-class TraceIteration:
+@_checked
+class TraceIteration(NamedTuple):
     """Measured phases of one request-response exchange.
 
     The residual quiet time is not a property of the trace; it is derived
@@ -135,8 +136,9 @@ class TraceIteration:
     phase: PhaseTiming
     app_kind: str  # "post" or "get"
     file_size: int  # application bytes moved in the bulk direction
+    other_size: int = 0  # bytes moved the other way, 0 when not measured
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.app_kind not in ("post", "get"):
             raise ValueError("app_kind must be 'post' or 'get'")
 
@@ -257,7 +259,7 @@ def parse_events(lines: str | Iterable[str],
     # Pairs in order of first appearance: the first stray packet is reported.
     directions = {pair: _direction(pair, client)
                   for pair in dict.fromkeys(row[1:5] for row in rows)}
-    return [PacketEvent(*row, directions[row[1:5]]) for row in rows]
+    return [PacketEvent._make((*row, directions[row[1:5]])) for row in rows]
 
 
 def _direction(pair: tuple, client: str) -> Direction:
@@ -329,7 +331,8 @@ def _extract_phases(kind: str,
     client packet acknowledging all of it, so it includes that final
     acknowledgment's send time.  The wait is the gap in between.  The bulk
     direction ``kind`` only decides whose byte span is the file size: the
-    request's for "post", the response's for "get".  Sequence and
+    request's for "post", the response's for "get"; the other span is
+    ``other_size``, which lets a caller check ``kind``.  Sequence and
     acknowledgment numbers count from each stream's first payload packet,
     modulo 2^32, so a stream may wrap the sequence space.
     """
@@ -369,6 +372,8 @@ def _extract_phases(kind: str,
         app_kind=kind,
         file_size=(request_end - request_first if kind == "post"
                    else response_end - response_first),
+        other_size=(response_end - response_first if kind == "post"
+                    else request_end - request_first),
     )
 
 
@@ -397,8 +402,7 @@ def _cycle_timing(iteration: TraceIteration, t_i: float,
     if not 0.0 < t_i < math.inf:
         raise ValueError(
             f"t_i must be finite and strictly positive, got {t_i!r}")
-    phase = iteration.phase
-    return timing_from_phases(phase.t_tx, phase.t_w, phase.t_rx, t_i, profile)
+    return timing_from_phases(*iteration.phase[:3], t_i, profile)
 
 
 def event_driven_energy(events: Sequence[PacketEvent], profile: PowerProfile,
@@ -457,6 +461,13 @@ def _segment_sizes(total: int) -> list[int]:
     return [MSS_BYTES] * full + ([rem] if rem else [])
 
 
+def _bulk_packets(total: int) -> int:
+    """Packets of a bulk transfer of ``total`` bytes: its segments and an
+    acknowledgment of each second one but the last."""
+    segments = -(-total // MSS_BYTES)
+    return segments + max(segments - 1, 0) // 2
+
+
 # (addr, port) of the synthetic client and server.
 _SYNTH_ENDPOINTS = tuple((addr, int(port)) for addr, port in (
     endpoint.rsplit(":", 1) for endpoint in (SYNTH_CLIENT, SYNTH_SERVER)))
@@ -513,8 +524,7 @@ def canonical_cycle_events(b_tx: int, b_rx: int, t_w: float, t_q: float, *,
     return events, timing, (0.0, cursor / 1000.0)
 
 
-@dataclass(frozen=True)
-class _TracePlan:
+class _TracePlan(NamedTuple):
     packets: list[PacketEvent]
     request_us: int
     request_ack_us: int
@@ -565,6 +575,22 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
                 f"rtt {rtt_ms!r} ms gives trace times that are not finite")
         return round(t_us)
 
+    # The file is the response of a GET and the request body of a POST; a
+    # POST's status reply and a GET's file may be empty.
+    if kind == "get":
+        request_bytes, response_bytes = GET_REQUEST_BYTES, file_size
+    else:
+        request_bytes = POST_HEADER_BYTES + file_size
+        response_bytes = POST_STATUS_BYTES if file_size > 0 else 0
+    # Handshake, request, its acknowledgment, response, the final
+    # acknowledgment and teardown.
+    count = (3 + _bulk_packets(request_bytes) + 1
+             + (_bulk_packets(response_bytes) + 1 if response_bytes else 0)
+             + 3)
+    if count > MAX_TRACE_PACKETS:
+        raise ValueError(f"file_size {file_size} needs {count} packets, "
+                         f"more than {MAX_TRACE_PACKETS}")
+
     rtt_us = finite_us(rtt_ms * 1000.0)
     seg_gap_us = 8.0 * MSS_BYTES / bottleneck_bps * 1e6
     packets: list[tuple[int, PacketEvent]] = []
@@ -606,13 +632,6 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
     pkt(rtt_us + _TURNAROUND_US, True, 0, {"ACK"}, 1, 1)
     request_us = rtt_us + 2 * _TURNAROUND_US
 
-    # The file is the response of a GET and the request body of a POST; a
-    # POST's status reply and a GET's file may be empty.
-    if kind == "get":
-        request_bytes, response_bytes = GET_REQUEST_BYTES, file_size
-    else:
-        request_bytes = POST_HEADER_BYTES + file_size
-        response_bytes = POST_STATUS_BYTES if file_size > 0 else 0
     client_next, server_next = 1 + request_bytes, 1 + response_bytes
     request_ack_us = bulk(True, request_bytes, request_us, 1)[1] + rtt_us
     pkt(request_ack_us, False, 0, {"ACK"}, 1, client_next)
@@ -684,8 +703,7 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
     )
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+class AggregateResult(NamedTuple):
     """Energy and mean phases over the repetitions of one experiment."""
 
     app_kind: str  # shared by every repetition
@@ -705,7 +723,9 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
 
     All iterations must come from the same application (same kind and file
     size); the total is the plain sum over repetitions and the mean phase
-    durations support timing-oriented summaries.
+    durations support timing-oriented summaries.  Every phase lies within
+    the period, so a period whose multiple by the repetition count
+    overflows a float is rejected, as is a total that overflows.
     """
     if not iterations:
         raise ValueError("no iterations to aggregate")
@@ -719,10 +739,16 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
     timings = tuple(_cycle_timing(it, t_i, profile) for it in iterations)
     breakdowns = tuple(cycle_energy(t, profile) for t in timings)
     n = len(timings)
+    if not t_i * n < math.inf:  # bounds each sum of n phases
+        raise ValueError(
+            f"t_i {t_i!r} ms over {n} repetitions overflows a float")
+    total_mj = sum(b.e_i for b in breakdowns)
+    if not total_mj < math.inf:
+        raise ValueError(f"energy over {n} repetitions overflows a float")
     return AggregateResult(
         app_kind=iterations[0].app_kind,
         file_size=iterations[0].file_size,
-        total_mj=sum(b.e_i for b in breakdowns),
+        total_mj=total_mj,
         breakdowns=breakdowns,
         timings=timings,
         mean_t_tx=math.fsum(t.t_tx for t in timings) / n,

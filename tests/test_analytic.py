@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,7 @@ class TestScenarioValidation:
     def test_non_finite_rejected(self, name, value):
         edge, _ = reference_scenarios(750, 50)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            replace(edge, **{name: value})
+            edge._replace(**{name: value})
 
 
 class TestTransferTime:
@@ -225,25 +224,25 @@ class TestCompare:
 
     def test_differing_non_rtt_field_rejected(self):
         edge, cloud = reference_scenarios(750, 50)
-        cloud = replace(cloud, b_tx=15999.0)
+        cloud = cloud._replace(b_tx=15999.0)
         with pytest.raises(ValueError, match="only in rtt"):
             compare(edge, cloud, PROFILE)
 
     def test_overflowing_cycle_energy_raises(self):
         edge, cloud = reference_scenarios(750, 50)
         with pytest.raises(ValueError, match="cycle energy overflows"):
-            compare(edge, cloud, replace(PROFILE, p_tx=1e308))
+            compare(edge, cloud, PROFILE._replace(p_tx=1e308))
 
     @pytest.mark.filterwarnings("ignore:profile has no")
     def test_overflowing_rho_raises(self):
         # Both energies are finite: the edge pays one huge promotion, the
         # cloud only a sliver of near-zero CR and DRX power.
-        profile = replace(PROFILE, p_cr=1e-300, p_short=1e-301,
-                          p_long=1e-302, p_idle=0.0, p_prom=1e10,
-                          short_drx=None, long_drx=None, idle=None)
+        profile = PROFILE._replace(p_cr=1e-300, p_short=1e-301,
+                                   p_long=1e-302, p_idle=0.0, p_prom=1e10,
+                                   short_drx=None, long_drx=None, idle=None)
         t_i = profile.idle_entry_ms + 1000
         edge = ConnectionlessScenario(t_i=t_i, rtt=0)
-        cloud = replace(edge, rtt=profile.idle_entry_ms - 1)
+        cloud = edge._replace(rtt=profile.idle_entry_ms - 1)
         edge_mj = cycle_energy(phase_timing(edge, profile), profile).e_i
         cloud_mj = cycle_energy(phase_timing(cloud, profile), profile).e_i
         assert (edge_mj, cloud_mj) == (2e9, 5.94e-301)
@@ -267,7 +266,7 @@ class TestCompare:
                 b_tx=rng.uniform(0, 20000),
                 b_rx=rng.uniform(0, 20000),
             )
-            cloud = replace(edge, rtt=edge.rtt + rng.uniform(0, 400))
+            cloud = edge._replace(rtt=edge.rtt + rng.uniform(0, 400))
             r = compare(edge, cloud, PROFILE)
             assert r.edge.e_tx == r.cloud.e_tx
             assert r.edge.e_rx == r.cloud.e_rx
@@ -337,7 +336,7 @@ class TestInvariants:
             t_i = t_tx + t_rx + (t_elab + rtt_edge + delta) + t_q_cloud
             edge = ConnectionlessScenario(
                 t_i=t_i, t_elab=t_elab, rtt=rtt_edge, b_tx=b, b_rx=b)
-            cloud = replace(edge, rtt=rtt_edge + delta)
+            cloud = edge._replace(rtt=rtt_edge + delta)
             t_cloud = phase_timing(cloud, p)
             t_edge = phase_timing(edge, p)
             assert 600 < t_cloud.t_q <= t_edge.t_q <= 11600

@@ -513,6 +513,19 @@ class TestOverflowingEnergy:
             tmp_path, capsys, "cycle energy overflows a float")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_analyze_period(self, tmp_path, capsys, fmt):
+        """Each cycle energy is finite without IDLE power, but three
+        periods of 1e308 ms, which bound the means, are not."""
+        edge, cloud = synth_exports(tmp_path, "get", 5000)
+        profile = profile_file(tmp_path, p_idle=0, idle=None)
+        self.assert_no_artifact(
+            ["trace-analyze", "--kind", "get", "--client", CLIENT,
+             "--t-i", "1e308", "--profile", profile, "--format", fmt,
+             *edge, "--cloud", *cloud],
+            tmp_path, capsys,
+            "t_i 1e+308 ms over 3 repetitions overflows a float")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cost(self, tmp_path, capsys, fmt):
         profile = profile_file(tmp_path, p_tx=1.5e307)
         self.assert_no_artifact(
@@ -546,6 +559,49 @@ class TestHugeIntegers:
         assert_cli_error(
             ["power-table", "--profile", profile_file(tmp_path, t_cr=HUGE)],
             capsys, "error: profile field t_cr is too large for a float\n")
+
+
+class TestTraceAnalyzeKind:
+    """``--kind`` names the bulk stream, the request of a POST and the
+    response of a GET, which must not be the smaller of the two; a tie
+    cannot contradict it."""
+
+    def export(self, tmp_path, kind, file_size):
+        path = tmp_path / f"{kind}-{file_size}.tsv"
+        assert cli.main(["trace-synth", "--kind", kind, "--file-size",
+                         str(file_size), "--rtt", "20", "--bottleneck",
+                         "20e6", "--out", str(path)]) == 0
+        return str(path)
+
+    def analyze(self, kind, *paths):
+        return ["trace-analyze", "--kind", kind, "--client", CLIENT,
+                "--t-i", "30000", *paths]
+
+    @pytest.mark.parametrize("kind, file_size, wrong, message", [
+        ("get", 200000, "post", "--kind post names the request, 150 bytes, "
+         "but the response is larger, 200000 bytes"),
+        ("post", 60000, "get", "--kind get names the response, 100 bytes, "
+         "but the request is larger, 60160 bytes"),
+    ])
+    def test_smaller_stream_rejected(self, tmp_path, capsys, kind,
+                                     file_size, wrong, message):
+        path = self.export(tmp_path, kind, file_size)
+        assert_cli_error(self.analyze(wrong, path), capsys,
+                         f"error: {path}: {message}\n")
+
+    def test_cloud_export_checked_too(self, tmp_path, capsys):
+        post, get = (self.export(tmp_path, "post", 60000),
+                     self.export(tmp_path, "get", 60000))
+        assert_cli_error(self.analyze("post", post, "--cloud", get), capsys,
+                         f"{get}: --kind post names the request")
+
+    @pytest.mark.parametrize("kind", ["post", "get"])
+    def test_tie_keeps_the_named_kind(self, tmp_path, capsys, kind):
+        """A GET of 150 bytes moves as many bytes as its request."""
+        path = self.export(tmp_path, "get", 150)
+        assert cli.main(self.analyze(kind, path)) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:2] == [kind, "150"]
 
 
 class TestTraceAnalyzePlacements:
@@ -679,6 +735,30 @@ print(code, loaded, repr(err.getvalue()))
 """, CLIENT, path)
         assert stdout == (
             "1 [False, True] \"error: line 3: bad timestamp 'nan'\\n\"\n")
+
+
+def test_commands_leave_dataclasses_and_inspect_unloaded(tmp_path):
+    """The value types are NamedTuples, so neither an analytic command nor
+    ``trace-analyze`` pays for importing ``dataclasses`` and the
+    ``inspect`` it loads."""
+    export = tmp_path / "get.tsv"
+    assert cli.main(["trace-synth", "--kind", "get", "--file-size", "5000",
+                     "--rtt", "20", "--bottleneck", "20e6",
+                     "--out", str(export)]) == 0
+    stdout = fresh_python("""
+import contextlib, io, sys
+from ltenergy import cli
+fig4, export, client, out = sys.argv[1:]
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["sweep", "--config", fig4],
+                 ["trace-analyze", "--kind", "get", "--client", client,
+                  "--t-i", "30000", export]):
+        assert cli.main([*argv, "--out", out]) == 0, argv
+        loaded.append(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+print(loaded, "ltenergy.traces" in sys.modules)
+""", FIGURES / "fig4.json", export, CLIENT, tmp_path / "out")
+    assert stdout == "[[], []] True\n"
 
 
 class TestConfigKeys:
@@ -867,3 +947,40 @@ class TestGridBound:
             cli.main(argv(2, 1_000_000))
         assert_cli_error(argv(3, 666_667), capsys,
                          "cost has 2000001 points, more than 2000000")
+
+
+class TestTraceBound:
+    """A synthetic trace beyond ``traces.MAX_TRACE_PACKETS`` packets is
+    rejected before any of its packets is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_packets(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("packet built for an oversized trace")
+
+        monkeypatch.setattr(traces, "_synthetic_event", fail)
+
+    @staticmethod
+    def argv(file_size):
+        return ["trace-synth", "--kind", "get", "--file-size",
+                str(file_size), "--rtt", "20", "--bottleneck", "20e6"]
+
+    def test_at_the_limit(self):
+        """1,333,328 full segments and every second one's acknowledgment
+        but the last make 1,999,991 packets; 9 more open, request, close
+        and acknowledge the exchange."""
+        with pytest.raises(AssertionError, match="packet built"):
+            cli.main(self.argv(1_333_328 * 1448))
+
+    @pytest.mark.parametrize("file_size, count", [
+        (1_333_328 * 1448 + 1, 2_000_002),
+        (10 ** 10, 10_359_125),
+    ])
+    def test_beyond_the_limit(self, capsys, file_size, count):
+        assert_cli_error(self.argv(file_size), capsys,
+                         f"error: file_size {file_size} needs {count} "
+                         "packets, more than 2000000\n")
+
+    def test_huge_integer(self, capsys):
+        assert_cli_error(self.argv(10 ** 400), capsys,
+                         "packets, more than 2000000")

@@ -2,7 +2,6 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,7 +73,7 @@ class TestAxis:
     ])
     def test_count_is_len_of_values(self, start, stop, step):
         axis = SweepAxis("t_i", start, stop, step)
-        assert axis.count == len(axis.values())
+        assert axis.n_values == len(axis.values())
 
 
 class TestGridBound:
@@ -89,7 +88,7 @@ class TestGridBound:
         monkeypatch.setattr(SweepAxis, "values", fail)
 
     def test_axis_at_the_limit(self):
-        assert SweepAxis("t_i", 1, MAX_GRID_CELLS, 1).count == MAX_GRID_CELLS
+        assert SweepAxis("t_i", 1, MAX_GRID_CELLS, 1).n_values == MAX_GRID_CELLS
 
     @pytest.mark.parametrize("start, stop, step", [
         (0, MAX_GRID_CELLS, 1), (0, 1, 1e-300), (0, 1, 5e-324),
@@ -174,11 +173,11 @@ def scenarios_at(spec, values):
     edge, cloud = spec.base_edge, spec.base_cloud
     for axis, value in zip(spec.axes, values):
         if axis.name == "rtt_cloud":
-            cloud = replace(cloud, rtt=value)
+            cloud = cloud._replace(rtt=value)
             continue
         fields = {"t_i": {"t_i": value}, "t_elab": {"t_elab": value},
                   "payload": {"b_tx": value, "b_rx": value}}[axis.name]
-        edge, cloud = replace(edge, **fields), replace(cloud, **fields)
+        edge, cloud = edge._replace(**fields), cloud._replace(**fields)
     return edge, cloud
 
 
@@ -355,7 +354,7 @@ class TestFastRenderers:
 
     def test_overflowing_energies_raise_before_rendering(self):
         # p_tx * t_tx overflows, so no cell has a finite energy to render
-        profile = replace(PROFILE, p_tx=1e308)
+        profile = PROFILE._replace(p_tx=1e308)
         with pytest.raises(ValueError, match="cycle energy overflows"):
             run_sweep(reference_spec(
                 (SweepAxis("rtt_cloud", 50, 100, 50),)), profile)
@@ -483,7 +482,7 @@ class TestCostCurve:
         spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
                         t_i_grid=(500.0,))
         with pytest.raises(ValueError, match="hourly energy overflows"):
-            cost_curve(spec, replace(PROFILE, p_tx=1.5e307))
+            cost_curve(spec, PROFILE._replace(p_tx=1.5e307))
 
     @pytest.mark.parametrize("hourly_bytes", [float("inf"), float("nan")])
     def test_non_finite_hourly_bytes(self, hourly_bytes):

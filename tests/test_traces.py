@@ -1,7 +1,6 @@
 import random
 import re
 import statistics
-from dataclasses import replace
 
 import pytest
 
@@ -29,6 +28,7 @@ from ltenergy import (
     synthesize_trace,
     transfer_time,
 )
+from ltenergy import traces
 from ltenergy.traces import SYNTH_CLIENT, PacketEvent
 
 PROFILE = default_profile()
@@ -79,7 +79,7 @@ def shift_sequence_space(events, client_shift, server_shift):
             if e.direction is Direction.CLIENT_TO_SERVER \
             else (server_shift, client_shift)
         ack = (e.ack + peer) % 2 ** 32 if "ACK" in e.flags else e.ack
-        shifted.append(replace(e, seq=(e.seq + own) % 2 ** 32, ack=ack))
+        shifted.append(e._replace(seq=(e.seq + own) % 2 ** 32, ack=ack))
     return shifted
 
 
@@ -184,6 +184,11 @@ class TestExtractPost:
         assert it.file_size == 1500
         assert it.app_kind == "post"
 
+    def test_other_size_is_the_response(self):
+        events = parse_events("\n".join(post_exchange_lines()),
+                              client=CLIENT)
+        assert extract_post_phases(events).other_size == 200
+
     def test_response_before_final_ack_rejected(self):
         rows = post_exchange_lines()
         rows[3] = line(0.080, SERVER, CLIENT, 200, "PA", 1, 1501)
@@ -225,6 +230,11 @@ class TestExtractGet:
         assert it.phase.t_w == pytest.approx(225.0)
         assert it.phase.t_rx == pytest.approx(1005.0)
         assert it.file_size == 11000
+
+    def test_other_size_is_the_request(self):
+        events = parse_events("\n".join(get_exchange_lines()),
+                              client=CLIENT)
+        assert extract_get_phases(events).other_size == 150
 
     def test_zero_length_response_rejected(self):
         events = parse_events("\n".join(get_exchange_lines()[:2]),
@@ -386,6 +396,19 @@ class TestSynthesizeTrace:
         sched = scheduled_phases(kind, size, 75, 10e6)
         assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == sched
 
+    @pytest.mark.parametrize("kind", ["post", "get"])
+    @pytest.mark.parametrize("size", [0, 1, 1448, 1449, 4344, 314_159])
+    def test_packet_bound_counts_exactly(self, monkeypatch, kind, size):
+        """The bound counts the packets the planner builds, before it
+        builds any: a limit of that count passes, one fewer does not."""
+        count = len(synthesize_trace(kind, size, 75, 10e6))
+        monkeypatch.setattr(traces, "MAX_TRACE_PACKETS", count)
+        assert len(synthesize_trace(kind, size, 75, 10e6)) == count
+        monkeypatch.setattr(traces, "MAX_TRACE_PACKETS", count - 1)
+        with pytest.raises(ValueError, match=f"file_size {size} needs "
+                           f"{count} packets, more than {count - 1}"):
+            synthesize_trace(kind, size, 75, 10e6)
+
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             synthesize_trace("put", 10, 75, 10e6)
@@ -441,6 +464,28 @@ class TestAggregate:
         agg = aggregate([self.iteration(kind="post", size=60160)] * 2,
                         5000, PROFILE)
         assert (agg.app_kind, agg.file_size) == ("post", 60160)
+
+    @pytest.mark.filterwarnings("ignore:profile has no")
+    def test_period_over_the_repetitions_must_be_finite(self):
+        """Each phase lies within the period, so n periods bound the sums
+        behind the means; three periods of 1e308 ms overflow a float."""
+        profile = PROFILE._replace(p_idle=0.0, idle=None)
+        one = aggregate([self.iteration()], 1e308, profile)
+        assert one.mean_t_q == one.timings[0].t_q
+        with pytest.raises(ValueError, match=re.escape(
+                "t_i 1e+308 ms over 3 repetitions overflows a float")):
+            aggregate([self.iteration()] * 3, 1e308, profile)
+
+    def test_total_energy_must_be_finite(self):
+        """Each cycle energy is finite, 1e305 mJ here, but 2,000 of them
+        are not."""
+        profile = PROFILE._replace(p_tx=1e307)
+        it = self.iteration(t_tx=10.0)
+        assert aggregate([it] * 1000, 5000, profile).total_mj \
+            == pytest.approx(1e308, rel=1e-6)
+        with pytest.raises(ValueError, match=re.escape(
+                "energy over 2000 repetitions overflows a float")):
+            aggregate([it] * 2000, 5000, profile)
 
     def test_means_equal_fmean_exactly(self):
         # statistics.fmean is the oracle; the module itself does not load it.
