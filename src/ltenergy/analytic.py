@@ -124,9 +124,9 @@ class PhaseTiming(NamedTuple):
                 raise ValueError(f"{name} must be non-negative")
 
 
-@_checked
 class EnergyBreakdown(NamedTuple):
-    """Per-phase energies of one cycle, in mJ."""
+    """Per-phase energies of one cycle, in mJ, as :func:`energy_parts`
+    returns them: non-negative parts and their total."""
 
     e_tx: float
     e_w: float
@@ -135,13 +135,6 @@ class EnergyBreakdown(NamedTuple):
     e_prom_tx: float
     e_prom_rx: float
     e_i: float  # total
-
-    def _check(self) -> None:
-        if any(p < 0 for p in self[:-1]):
-            raise ValueError("energy components must be non-negative")
-        if self.e_i != (self.e_tx + self.e_w + self.e_rx + self.e_q
-                        + self.e_prom_tx + self.e_prom_rx):
-            raise ValueError("e_i must equal the sum of its components")
 
 
 class ComparisonResult(NamedTuple):

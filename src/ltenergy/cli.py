@@ -9,7 +9,9 @@ key is an error), and flags win over the file.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios), and no timestamps,
-so repeated runs of the same config are byte-identical.
+so repeated runs of the same config are byte-identical.  On stderr, each
+library warning is one ``warning: <message>`` line, and a failure ends
+with one ``error: <message>`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import analytic, sweep
@@ -459,15 +462,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _print_warning(message, *_) -> None:
+    """``warnings.showwarning`` for the CLI: the message alone, one line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-        return _RUNNERS[config.command](config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # Whatever ``-W`` asks, a warning is one line, never a traceback.
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            config = _config_from_args(args)
+            return _RUNNERS[config.command](config)
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

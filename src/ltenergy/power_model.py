@@ -91,6 +91,8 @@ class DutyCycleSpec(NamedTuple):
             raise ValueError(
                 "wake_duration must satisfy 0 <= wake_duration <= period"
             )
+        if self.period <= 0:
+            raise ValueError("duty-cycle period must be positive")
 
 
 def mean_power(spec: DutyCycleSpec) -> float:
@@ -98,12 +100,8 @@ def mean_power(spec: DutyCycleSpec) -> float:
 
     Averages the wake and sleep draws over one period:
     ``(wake_power * wake_duration + sleep_power * (period - wake_duration))
-    / period``.
-
-    Raises ValueError for a zero-length period.
+    / period``; the period is positive by construction.
     """
-    if spec.period <= 0:
-        raise ValueError("duty-cycle period must be positive")
     awake = spec.wake_power * spec.wake_duration
     asleep = spec.sleep_power * (spec.period - spec.wake_duration)
     return (awake + asleep) / spec.period
@@ -172,11 +170,6 @@ class PowerProfile(NamedTuple):
     def idle_entry_ms(self) -> float:
         """Quiet time after which the radio has fully decayed into IDLE."""
         return self.t_cr + self.t_short + self.t_long
-
-    @property
-    def promotion_energy_mj(self) -> float:
-        """Energy of one IDLE -> CR promotion."""
-        return self.t_prom * self.p_prom / 1000.0
 
 
 # The scalar parameters are the required fields, the duty cycles the rest.

@@ -6,10 +6,10 @@ per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
 same energy accounting as the analytic path.  Parsing rejects non-finite
-timestamps and fixes each packet's direction once per endpoint pair;
-extraction and the event walk read that direction.  One landmark rule
-serves upload-style (POST) and download-style (GET) exchanges alike; the
-bulk direction only decides which stream's bytes count as the file size.
+timestamps and fixes each packet's direction once per endpoint pair, and
+extraction reads that direction.  One landmark rule serves upload-style
+(POST) and download-style (GET) exchanges alike; the bulk direction only
+decides which stream's bytes count as the file size.
 
 A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
@@ -17,9 +17,6 @@ round-trip time, so placement comparisons can be exercised end to end.
 
 ``aggregate`` prices the repetitions of one placement once, and
 ``rho_from_traces`` takes the edge/cloud ratio rho of two such aggregates.
-``event_driven_energy`` generalises the radio state machine to arbitrary
-event sequences and serves as an independent cross-check of the closed-form
-cycle energy.
 """
 
 from __future__ import annotations
@@ -31,15 +28,11 @@ from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from .analytic import (
-    DEFAULT_DOWNLINK_BPS,
-    DEFAULT_UPLINK_BPS,
     EnergyBreakdown,
     PhaseTiming,
     cycle_energy,
     energy_ratio,
-    idle_gap_energy,
     timing_from_phases,
-    transfer_time,
 )
 from .power_model import PowerProfile, _checked
 
@@ -54,9 +47,6 @@ __all__ = [
     "events_to_lines",
     "extract_post_phases",
     "extract_get_phases",
-    "iteration_energy",
-    "event_driven_energy",
-    "canonical_cycle_events",
     "aggregate",
     "rho_from_traces",
     "synthesize_trace",
@@ -387,75 +377,6 @@ def extract_get_phases(events: Sequence[PacketEvent]) -> TraceIteration:
     return _extract_phases("get", events)
 
 
-def iteration_energy(iteration: TraceIteration, t_i: float,
-                     profile: PowerProfile) -> EnergyBreakdown:
-    """Energy of one measured exchange inside a period of ``t_i`` ms.
-
-    The residual quiet time and promotion charges are derived exactly as in
-    the analytic path, so measured and computed phases share one accounting.
-    """
-    return cycle_energy(_cycle_timing(iteration, t_i, profile), profile)
-
-
-def _cycle_timing(iteration: TraceIteration, t_i: float,
-                  profile: PowerProfile) -> PhaseTiming:
-    if not 0.0 < t_i < math.inf:
-        raise ValueError(
-            f"t_i must be finite and strictly positive, got {t_i!r}")
-    return timing_from_phases(*iteration.phase[:3], t_i, profile)
-
-
-def event_driven_energy(events: Sequence[PacketEvent], profile: PowerProfile,
-                        window: tuple[float, float], *,
-                        uplink_bps: float = DEFAULT_UPLINK_BPS,
-                        downlink_bps: float = DEFAULT_DOWNLINK_BPS) -> float:
-    """Walk the radio state machine over an arbitrary event sequence (mJ).
-
-    The radio starts in CR at the window start.  Each silent gap accrues
-    energy along the decay chain; when a gap is long enough that the radio
-    reached IDLE and a promotion fits in its tail, the tail is billed as a
-    promotion instead of idle time.  Client payload bytes accrue at the
-    transmit power for their serialisation time, server bytes at the
-    receive power; the window is in epoch seconds like the timestamps.
-    """
-    start_s, end_s = window
-    if end_s < start_s:
-        raise ValueError("window end precedes window start")
-    for earlier, later in zip(events, events[1:]):
-        if later.timestamp < earlier.timestamp:
-            raise ValueError("events must be sorted by timestamp")
-    if events and (events[0].timestamp < start_s
-                   or events[-1].timestamp > end_s):
-        raise ValueError("window does not cover the events")
-
-    threshold = profile.idle_entry_ms
-
-    def gap_energy(gap: float) -> float:
-        if gap > threshold + profile.t_prom:
-            return (idle_gap_energy(gap - profile.t_prom, profile)
-                    + profile.promotion_energy_mj)
-        return idle_gap_energy(gap, profile)
-
-    cursor = start_s * 1000.0
-    total = 0.0
-    for e in events:
-        t_ms = e.timestamp * 1000.0
-        total += gap_energy(max(t_ms - cursor, 0.0))
-        if e.direction is Direction.CLIENT_TO_SERVER:
-            duration = transfer_time(e.payload_len, uplink_bps)
-            total += duration * profile.p_tx / 1000.0
-        else:
-            duration = transfer_time(e.payload_len, downlink_bps)
-            total += duration * profile.p_rx / 1000.0
-        cursor = max(cursor, t_ms + duration)
-
-    tail = end_s * 1000.0 - cursor
-    if tail < -1e-6:
-        raise ValueError("window ends before the last transfer completes")
-    total += idle_gap_energy(max(tail, 0.0), profile)
-    return total
-
-
 def _segment_sizes(total: int) -> list[int]:
     full, rem = divmod(total, MSS_BYTES)
     return [MSS_BYTES] * full + ([rem] if rem else [])
@@ -481,47 +402,6 @@ def _synthetic_event(t_s: float, from_client: bool, payload: int,
         t_s, *src, *dst, payload, flags, seq, ack,
         Direction.CLIENT_TO_SERVER if from_client
         else Direction.SERVER_TO_CLIENT)
-
-
-def canonical_cycle_events(b_tx: int, b_rx: int, t_w: float, t_q: float, *,
-                           prom_tx: bool = False, prom_rx: bool = False,
-                           profile: PowerProfile,
-                           uplink_bps: float = DEFAULT_UPLINK_BPS,
-                           downlink_bps: float = DEFAULT_DOWNLINK_BPS,
-                           ) -> tuple[list[PacketEvent], PhaseTiming,
-                                      tuple[float, float]]:
-    """Event sequence of one idealised request-response cycle.
-
-    Upload segments go back to back at the uplink rate, then the response
-    arrives after the wait, then the residual quiet time runs out and a
-    zero-payload marker opens the next cycle at the window end.  Charged
-    promotions occupy real time inside the corresponding gap, so walking
-    the returned events with :func:`event_driven_energy` reproduces
-    :func:`ltenergy.analytic.cycle_energy` on the returned timing.
-    """
-    if b_tx < 1 or b_rx < 1:
-        raise ValueError("canonical cycles need at least one byte each way")
-    t_tx = transfer_time(b_tx, uplink_bps)
-    t_rx = transfer_time(b_rx, downlink_bps)
-    timing = PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=t_q,
-                         prom_tx=prom_tx, prom_rx=prom_rx)
-
-    events: list[PacketEvent] = []
-    cursor = 0.0  # ms
-    wait = t_w + (profile.t_prom if prom_rx else 0.0)
-    quiet = t_q + (profile.t_prom if prom_tx else 0.0)
-    for from_client, size, bps, pause in ((True, b_tx, uplink_bps, wait),
-                                          (False, b_rx, downlink_bps, quiet)):
-        seq = 0
-        for seg in _segment_sizes(size):
-            events.append(_synthetic_event(
-                cursor / 1000.0, from_client, seg, frozenset({"ACK"}), seq, 0))
-            seq += seg
-            cursor += transfer_time(seg, bps)
-        cursor += pause
-    events.append(_synthetic_event(
-        cursor / 1000.0, True, 0, frozenset({"ACK"}), 0, 0))
-    return events, timing, (0.0, cursor / 1000.0)
 
 
 class _TracePlan(NamedTuple):
@@ -736,7 +616,11 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
     if len(sizes) > 1:
         raise ValueError(f"mixed file sizes: {sorted(sizes)}")
 
-    timings = tuple(_cycle_timing(it, t_i, profile) for it in iterations)
+    if not 0.0 < t_i < math.inf:
+        raise ValueError(
+            f"t_i must be finite and strictly positive, got {t_i!r}")
+    timings = tuple(timing_from_phases(*it.phase[:3], t_i, profile)
+                    for it in iterations)
     breakdowns = tuple(cycle_energy(t, profile) for t in timings)
     n = len(timings)
     if not t_i * n < math.inf:  # bounds each sum of n phases

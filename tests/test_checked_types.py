@@ -30,8 +30,6 @@ VALID = {
     "PowerProfile": power_model.default_profile(),
     "ConnectionlessScenario": SCENARIO,
     "PhaseTiming": TIMING,
-    "EnergyBreakdown": analytic.EnergyBreakdown(1.0, 2.0, 3.0, 4.0, 0.0,
-                                                0.0, 10.0),
     "SweepAxis": AXIS,
     "SweepSpec": sweep.SweepSpec(SCENARIO, SCENARIO, (AXIS,)),
     "CostSpec": sweep.CostSpec(0.5, 360000.0, 40.0, (1000.0, 2000.0)),
@@ -44,7 +42,6 @@ INVALID = {
     "PowerProfile": ("p_tx", float("nan"), "p_tx must be finite"),
     "ConnectionlessScenario": ("t_i", float("nan"), "t_i must be finite"),
     "PhaseTiming": ("t_w", -1.0, "t_w must be non-negative"),
-    "EnergyBreakdown": ("e_i", 11.0, "e_i must equal the sum"),
     "SweepAxis": ("step", float("nan"), "bounds must be finite"),
     "SweepSpec": ("axes", (), "no sweep axes given"),
     "CostSpec": ("alpha", float("nan"), "alpha must lie in [0, 1]"),

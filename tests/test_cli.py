@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,9 @@ class TestBadTraceInputs:
             "hourly_bytes 1e+308 at t_i 2000.0 ms gives a per-cycle payload")
 
 
+NO_IDLE_WARNING = "profile has no idle duty cycle; consistency check skipped"
+
+
 def profile_file(tmp_path, **fields):
     """A profile file: the bundled profile with ``fields`` replaced."""
     path = tmp_path / "profile.json"
@@ -480,13 +484,16 @@ class TestOverflowingEnergy:
     writes nothing: ``json`` would spell it ``Infinity`` or ``NaN``, which
     JSON does not allow, and CSV ``inf`` or ``nan``."""
 
-    def assert_no_artifact(self, argv, tmp_path, capsys, message):
+    def assert_no_artifact(self, argv, tmp_path, capsys, message,
+                           warned=()):
         out = tmp_path / "artifact"
         code = cli.main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
+        *lines, last = captured.err.splitlines()
         assert code == 1
-        assert captured.err.startswith("error: ")
-        assert message in captured.err
+        assert lines == [f"warning: {w}" for w in warned]
+        assert last.startswith("error: ")
+        assert message in last
         assert captured.out == ""
         assert not out.exists()
 
@@ -523,7 +530,8 @@ class TestOverflowingEnergy:
              "--t-i", "1e308", "--profile", profile, "--format", fmt,
              *edge, "--cloud", *cloud],
             tmp_path, capsys,
-            "t_i 1e+308 ms over 3 repetitions overflows a float")
+            "t_i 1e+308 ms over 3 repetitions overflows a float",
+            warned=[NO_IDLE_WARNING])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cost(self, tmp_path, capsys, fmt):
@@ -533,6 +541,32 @@ class TestOverflowingEnergy:
              "500", "--t-i-max", "120000", "--t-i-step", "500",
              "--profile", profile, "--format", fmt],
             tmp_path, capsys, "overflows a float")
+
+
+class TestLibraryWarnings:
+    """A library warning prints as one ``warning:`` line on stderr and
+    changes no output; the CLI's warning settings end with ``main``."""
+
+    def test_profile_without_idle_block(self, tmp_path, capsys):
+        settings = (warnings.showwarning, list(warnings.filters))
+        runs = []
+        for extra in ([], ["--profile", profile_file(tmp_path, idle=None)]):
+            out = tmp_path / f"eval{len(extra)}.json"
+            assert cli.main(["eval", "--t-i", "1000", "--format", "json",
+                             "--out", str(out), *extra]) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+        (bundled, bundled_out), (no_idle, no_idle_out) = runs
+        assert bundled.err == ""
+        assert no_idle.err == f"warning: {NO_IDLE_WARNING}\n"
+        assert (no_idle.out, no_idle_out) == (bundled.out, bundled_out)
+        assert (warnings.showwarning, warnings.filters) == settings
+
+    def test_zero_duty_cycle_period(self, tmp_path, capsys):
+        idle = {**profile_to_dict(default_profile())["idle"],
+                "wake_duration": 0, "period": 0}
+        assert_cli_error(
+            ["power-table", "--profile", profile_file(tmp_path, idle=idle)],
+            capsys, "error: duty-cycle period must be positive\n")
 
 
 HUGE = 10 ** 400  # a JSON integer that no float holds

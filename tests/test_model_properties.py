@@ -1,11 +1,12 @@
 """Properties of the one energy accounting over random valid profiles and
 scenarios.
 
-Walking the radio state machine over a canonical cycle's events gives the
-closed-form cycle energy; a cycle's phases plus its charged promotions add
-up to its period; and two placements at equal RTT have a ratio of exactly
-1, through ``compare`` and through ``run_sweep``.  The draws cover both
-promotion branches, and explicit examples pin each one.
+Walking the radio state machine over a canonical cycle's events (the
+oracle of ``_event_reference``) gives the closed-form cycle energy; a
+cycle's phases plus its charged promotions add up to its period; and two
+placements at equal RTT have a ratio of exactly 1, through ``compare`` and
+through ``run_sweep``.  The draws cover both promotion branches, and
+explicit examples pin each one.
 """
 
 import pytest
@@ -18,14 +19,14 @@ from ltenergy import (
     PowerProfile,
     SweepAxis,
     SweepSpec,
-    canonical_cycle_events,
     compare,
     cycle_energy,
     default_profile,
-    event_driven_energy,
     phase_timing,
     run_sweep,
 )
+
+from _event_reference import canonical_cycle_events, event_driven_energy
 
 # Profiles without duty cycles are valid; their skipped check only warns.
 pytestmark = pytest.mark.filterwarnings("ignore:profile has no")

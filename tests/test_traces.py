@@ -12,15 +12,12 @@ from ltenergy import (
     TraceIteration,
     TraceParseError,
     aggregate,
-    canonical_cycle_events,
     cycle_energy,
     default_profile,
-    event_driven_energy,
     events_to_lines,
     extract_get_phases,
     extract_post_phases,
     idle_gap_energy,
-    iteration_energy,
     parse_events,
     phase_timing,
     rho_from_traces,
@@ -30,6 +27,8 @@ from ltenergy import (
 )
 from ltenergy import traces
 from ltenergy.traces import SYNTH_CLIENT, PacketEvent
+
+from _event_reference import canonical_cycle_events, event_driven_energy
 
 PROFILE = default_profile()
 CLIENT = "10.0.0.2:51000"
@@ -270,14 +269,15 @@ class TestAdminExclusion:
 
 
 class TestIterationEnergy:
-    def make_iteration(self, t_tx, t_w, t_rx, kind="post"):
-        return TraceIteration(
+    def energy(self, t_tx, t_w, t_rx, t_i):
+        """Breakdown of one measured exchange inside a period of t_i ms."""
+        it = TraceIteration(
             phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
-            app_kind=kind, file_size=16000)
+            app_kind="post", file_size=16000)
+        return aggregate([it], t_i, PROFILE).breakdowns[0]
 
     def test_matches_analytic_path_on_identical_timings(self):
-        it = self.make_iteration(128.0, 190.0, 160.0)
-        measured = iteration_energy(it, 750.0, PROFILE)
+        measured = self.energy(128.0, 190.0, 160.0, 750.0)
         scn = ConnectionlessScenario(
             t_i=750, t_elab=150, rtt=40, b_tx=16000, b_rx=16000)
         analytic = cycle_energy(phase_timing(scn, PROFILE), PROFILE)
@@ -285,20 +285,17 @@ class TestIterationEnergy:
         assert measured.e_i == pytest.approx(729.5, abs=0.1)
 
     def test_zero_wait_and_receive(self):
-        it = self.make_iteration(100.0, 0.0, 0.0)
-        e = iteration_energy(it, 750.0, PROFILE)
+        e = self.energy(100.0, 0.0, 0.0, 750.0)
         assert e.e_w == 0.0 and e.e_rx == 0.0
 
     def test_long_period_charges_promotion(self):
-        it = self.make_iteration(100.0, 50.0, 80.0)
-        e = iteration_energy(it, 20_000.0, PROFILE)
+        e = self.energy(100.0, 50.0, 80.0, 20_000.0)
         assert e.e_prom_tx == pytest.approx(240.0)
         assert e.e_prom_rx == 0.0
 
 
 class TestEventDrivenEnergy:
     def test_no_events(self):
-        窓 = None
         energy = event_driven_energy([], PROFILE, (0.0, 7.5))
         assert energy == pytest.approx(idle_gap_energy(7500.0, PROFILE))
 
@@ -552,8 +549,6 @@ class TestNonFiniteInputs:
         it = TraceIteration(
             phase=PhaseTiming(t_tx=10.0, t_w=5.0, t_rx=20.0, t_q=0.0),
             app_kind="get", file_size=1000)
-        with pytest.raises(ValueError, match="t_i must be finite"):
-            iteration_energy(it, t_i, PROFILE)
         with pytest.raises(ValueError, match="t_i must be finite"):
             aggregate([it], t_i, PROFILE)
 
