@@ -4,8 +4,9 @@ Subcommands: ``power-table`` dumps the active radio parameters, ``eval``
 prices a single connectionless cycle, ``sweep`` and ``cost`` run grid
 evaluations from flags or a JSON config file, ``trace-analyze`` turns
 packet trace exports into energy summaries, and ``trace-synth`` writes a
-synthetic trace.  A config file accepts only its command's keys (any other
-key is an error), and flags win over the file.
+synthetic trace; it takes ``--out`` but no ``--profile`` or ``--format``.
+A config file accepts only its command's keys (any other key is an error),
+and flags win over the file.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios), and no timestamps,
@@ -345,11 +346,12 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the artifact to this path")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--profile", help="JSON radio parameter file")
     common.add_argument("--format", choices=("csv", "json"),
                         help="output format (default csv)")
-    common.add_argument("--out", help="write the artifact to this path")
 
     parser = argparse.ArgumentParser(
         prog="ltenergy",
@@ -411,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ta.add_argument("files", nargs="+", metavar="FILE",
                       help="trace files, one exchange each")
 
-    p_ts = sub.add_parser("trace-synth", parents=[common],
+    p_ts = sub.add_parser("trace-synth", parents=[out],
                           help="write a synthetic trace")
     p_ts.add_argument("--kind", choices=("post", "get"), required=True)
     p_ts.add_argument("--file-size", type=int, required=True,

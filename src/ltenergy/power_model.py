@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings
 from enum import Enum
 from typing import Any, Iterable, NamedTuple
@@ -154,9 +155,15 @@ class PowerProfile(NamedTuple):
     def _check_duty(self, name: str, stored: float) -> None:
         spec = getattr(self, name)
         if spec is None:
+            # Name the first caller outside this package and ``collections``
+            # (whose ``_replace`` builds checked tuples too).
+            own = (__package__, "collections")
+            level, frame = 1, sys._getframe()
+            while frame.f_back and frame.f_globals.get("__package__") in own:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 f"profile has no {name} duty cycle; consistency check skipped",
-                stacklevel=4,
+                stacklevel=level,
             )
             return
         recomputed = mean_power(spec)

@@ -6,8 +6,9 @@ per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
 same energy accounting as the analytic path.  Parsing rejects non-finite
-timestamps and fixes each packet's direction once per endpoint pair, and
-extraction reads that direction.  One landmark rule serves upload-style
+timestamps and fixes each packet's direction relative to the client
+endpoint that the caller names, once per endpoint pair, and extraction
+reads that direction.  One landmark rule serves upload-style
 (POST) and download-style (GET) exchanges alike; the bulk direction only
 decides which stream's bytes count as the file size.
 
@@ -17,6 +18,7 @@ round-trip time, so placement comparisons can be exercised end to end.
 
 ``aggregate`` prices the repetitions of one placement once, and
 ``rho_from_traces`` takes the edge/cloud ratio rho of two such aggregates.
+The package does not re-export these names: import them from here.
 """
 
 from __future__ import annotations
@@ -108,11 +110,6 @@ class PacketEvent(NamedTuple):
     ack: int
     direction: Direction
 
-    @property
-    def is_connection_admin(self) -> bool:
-        """Handshake or teardown packet (excluded from phase extraction)."""
-        return not self.flags.isdisjoint(_ADMIN_FLAGS)
-
 
 @_checked
 class TraceIteration(NamedTuple):
@@ -175,7 +172,7 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
 
 
 def parse_events(lines: str | Iterable[str],
-                 client: str | None = None) -> list[PacketEvent]:
+                 client: str) -> list[PacketEvent]:
     """Parse a packet field export into a time-ordered event list.
 
     Line format (tab-separated): epoch timestamp with six decimals, source
@@ -186,10 +183,9 @@ def parse_events(lines: str | Iterable[str],
     in column order, a non-finite timestamp included, raises a
     :class:`TraceParseError` naming the line.
 
-    ``client`` ("addr:port") fixes the packet directions, once per endpoint
-    pair; when omitted it is inferred from the first connection-opening
-    packet, falling back to the first payload-bearing packet and then to
-    the first packet.
+    ``client`` ("addr:port"), the endpoint where the export was captured,
+    fixes the packet directions, once per endpoint pair; a packet that does
+    not involve it is a ValueError.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -244,8 +240,6 @@ def parse_events(lines: str | Iterable[str],
     if not rows:
         return []
 
-    if client is None:
-        client = _infer_client(rows)
     # Pairs in order of first appearance: the first stray packet is reported.
     directions = {pair: _direction(pair, client)
                   for pair in dict.fromkeys(row[1:5] for row in rows)}
@@ -261,15 +255,6 @@ def _direction(pair: tuple, client: str) -> Direction:
     if dst == client:
         return Direction.SERVER_TO_CLIENT
     raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
-
-
-def _infer_client(rows: Sequence[tuple]) -> str:
-    """Source of the first connection-opening packet, else of the first
-    payload-bearing packet, else of the first packet."""
-    opener = next(
-        (r for r in rows if "SYN" in r[6] and "ACK" not in r[6]),
-        next((r for r in rows if r[5] > 0), rows[0]))
-    return f"{opener[1]}:{opener[2]}"
 
 
 def events_to_lines(events: Iterable[PacketEvent]) -> list[str]:

@@ -58,7 +58,7 @@ def direction(src, dst, client):
     raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
 
 
-def reference_parse_events(lines, client=None):
+def reference_parse_events(lines, client):
     """What :func:`ltenergy.traces.parse_events` returns or raises."""
     if isinstance(lines, str):
         lines = lines.splitlines()
@@ -99,11 +99,6 @@ def reference_parse_events(lines, client=None):
     rows.sort(key=lambda row: row[0])
     if not rows:
         return []
-    if client is None:
-        opener = next(
-            (r for r in rows if "SYN" in r[6] and "ACK" not in r[6]),
-            next((r for r in rows if r[5] > 0), rows[0]))
-        client = f"{opener[1]}:{opener[2]}"
     return [
         PacketEvent(*row, direction=direction(
             f"{row[1]}:{row[2]}", f"{row[3]}:{row[4]}", client))

@@ -452,6 +452,22 @@ class TestBadTraceInputs:
              "--rtt", rtt, "--bottleneck", bottleneck,
              "--out", str(tmp_path / "out.tsv")], capsys, message)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--format", "json"), ("--profile", "/nonexistent.json")])
+    def test_trace_synth_takes_no_profile_or_format(self, tmp_path, capsys,
+                                                    flag, value):
+        """A synthetic export has one format and no radio parameters, so
+        either flag is a usage error instead of being ignored."""
+        out = tmp_path / "out.tsv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trace-synth", "--kind", "get", "--file-size", "3000",
+                      "--rtt", "20", "--bottleneck", "20e6", flag, value,
+                      "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {flag} {value}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_cost_overrun_message_is_short(self, capsys):
         code = cli.main(["cost", "--hourly-bytes", "1e300", "--rtt", "40",
                          "--t-i-min", "2000", "--t-i-max", "4000",
@@ -686,9 +702,10 @@ def test_cli_import_leaves_statistics_unloaded():
 
 
 class TestLazyTraceImport:
-    """``ltenergy.traces`` loads the first time a trace name is asked for,
-    so the analytic commands never pay for importing it.  Each test runs
-    in a fresh interpreter, because this one has imported it already."""
+    """``ltenergy.traces`` loads only when a trace command imports it, and
+    the package serves none of its names, so the analytic commands never
+    pay for importing it.  Each test runs in a fresh interpreter, because
+    this one has imported it already."""
 
     def test_analytic_commands_leave_traces_unloaded(self, tmp_path):
         stdout = fresh_python("""
@@ -705,35 +722,11 @@ print(sorted(name for name in sys.modules if name.startswith("ltenergy")))
             ["ltenergy", "ltenergy._fmt", "ltenergy.analytic", "ltenergy.cli",
              "ltenergy.power_model", "ltenergy.sweep"])) + "\n"
 
-    def test_served_names_are_the_traces_exports(self):
-        stdout = fresh_python("""
-import sys
-import ltenergy
-assert "ltenergy.traces" not in sys.modules
-served = {name: getattr(ltenergy, name) for name in ltenergy._TRACE_NAMES}
-from ltenergy import traces
-assert set(traces.__all__) == set(served), set(traces.__all__) ^ set(served)
-print(all(value is getattr(traces, name) for name, value in served.items()))
-""")
-        assert stdout == "True\n"
-
-    def test_dir_lists_the_trace_names(self):
-        stdout = fresh_python("""
-import sys
-import ltenergy
-listed = set(dir(ltenergy))
-print("ltenergy.traces" in sys.modules)
-from ltenergy import traces
-print(sorted(set(traces.__all__) - listed),
-      {"sweep", "run_sweep", "__version__"} <= listed)
-""")
-        assert stdout == "False\n[] True\n"
-
     def test_unknown_attribute(self):
         stdout = fresh_python("""
 import sys
 import ltenergy
-for name in ("no_such_name", "SYNTH_CLIENT", "_plan_trace"):
+for name in ("no_such_name", "parse_events", "SYNTH_CLIENT", "_plan_trace"):
     try:
         getattr(ltenergy, name)
     except AttributeError as exc:
@@ -742,6 +735,7 @@ print("ltenergy.traces" in sys.modules)
 """)
         assert stdout == (
             "module 'ltenergy' has no attribute 'no_such_name'\n"
+            "module 'ltenergy' has no attribute 'parse_events'\n"
             "module 'ltenergy' has no attribute 'SYNTH_CLIENT'\n"
             "module 'ltenergy' has no attribute '_plan_trace'\n"
             "False\n")

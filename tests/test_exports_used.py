@@ -1,8 +1,9 @@
 """``src/`` holds only what the command-line tool and the benchmark run.
 
-Every public name of the library modules must be read somewhere in the
-library itself or in ``bench/``: a name that only the tests call belongs
-in the tests, like the event-walk oracle in ``_event_reference``.
+Every public name of the library modules, and every public method and
+property of their classes, must be read somewhere in the library itself
+or in ``bench/``: a name that only the tests call belongs in the tests,
+like the event-walk oracle in ``_event_reference``.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 from ltenergy import analytic, power_model, sweep, traces
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ltenergy").glob("*.py"))
 # Kept for the per-state energy ledger that the roadmap plans.
 UNUSED_ALLOWED = {"decay_state_at"}
 
@@ -36,7 +38,33 @@ def names_read(paths):
 @pytest.mark.parametrize("module", [power_model, analytic, sweep, traces],
                          ids=lambda module: module.__name__)
 def test_every_export_is_read_outside_the_tests(module):
-    sources = [p for p in (ROOT / "src" / "ltenergy").glob("*.py")
-               if p.name != "__init__.py"]
+    sources = [p for p in SOURCES if p.name != "__init__.py"]
     read = names_read([*sources, *(ROOT / "bench").glob("*.py")])
     assert set(module.__all__) - read - UNUSED_ALLOWED == set()
+
+
+def span_targets():
+    """Each part of the dotted attribute paths that ``bench/spans.py``
+    wraps by name (``SweepResult.rows``), which it reads as strings."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                           for t in node.targets))
+    return {part for _, _, path in ast.literal_eval(targets)
+            for part in path.split(".")}
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    methods = {
+        f"{node.name}.{item.name}": item.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+    read = names_read([*SOURCES, *(ROOT / "bench").glob("*.py")])
+    read |= span_targets()
+    assert methods
+    assert sorted(m for m, name in methods.items() if name not in read) == []

@@ -104,12 +104,26 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="disagrees"):
             profile_from_dict(data)
 
-    def test_missing_duty_cycle_warns(self):
+    def test_missing_duty_cycle_warns(self, tmp_path):
+        """The warning names the caller's line on every path that builds a
+        profile, not a line of the library or of ``collections``."""
         data = profile_to_dict(default_profile())
         del data["short_drx"]
-        with pytest.warns(UserWarning, match="short_drx"):
-            profile = profile_from_dict(data)
-        assert profile.short_drx is None
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        builds = [
+            lambda: PowerProfile(**{**default_profile()._asdict(),
+                                    "short_drx": None}),
+            lambda: default_profile()._replace(short_drx=None),
+            lambda: profile_from_dict(data),
+            lambda: load_profile(str(path)),
+        ]
+        for build in builds:
+            with pytest.warns(UserWarning, match="short_drx") as record:
+                profile = build()
+            assert profile.short_drx is None
+            assert [(w.filename, w.lineno) for w in record] == [
+                (__file__, build.__code__.co_firstlineno)]
 
     @pytest.mark.parametrize("name", ["p_tx", "p_rx", "p_prom", "p_idle"])
     def test_negative_power_rejected(self, name):

@@ -9,7 +9,8 @@ at 2^32 gives back the same events.
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ltenergy import (
+from ltenergy.traces import (
+    SYNTH_CLIENT,
     Direction,
     events_to_lines,
     extract_get_phases,
@@ -18,7 +19,6 @@ from ltenergy import (
     scheduled_phases,
     synthesize_trace,
 )
-from ltenergy.traces import SYNTH_CLIENT
 
 from _trace_reference import reference_parse_events
 from test_traces import shift_sequence_space
@@ -99,7 +99,7 @@ def exports(draw):
                 fields[column] = draw(st.sampled_from(BAD_FIELDS[column]))
     lines = [line if isinstance(line, str) else "\t".join(line)
              for line in lines]
-    client = draw(st.sampled_from([None, CLIENT, CLIENT, STRANGER]))
+    client = draw(st.sampled_from([CLIENT, CLIENT, STRANGER]))
     return (newline.join(lines) if newline else lines), client
 
 
@@ -117,12 +117,12 @@ class TestParserMatchesReference:
     @given(export=exports())
     # several bad fields on one line: the payload sign and the flags are
     # reported before the sequence number
-    @example(export=("1.0\tx\ty\t1\t2\t-5\tXQ\tabc\t1", None))
-    @example(export=("1.0\tx\ty\t1\t2\t5\tXQ\tabc\t1", None))
+    @example(export=("1.0\tx\ty\t1\t2\t-5\tXQ\tabc\t1", CLIENT))
+    @example(export=("1.0\tx\ty\t1\t2\t5\tXQ\tabc\t1", CLIENT))
     # the same bad flags text on two lines of two exports
-    @example(export=(["1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], None))
+    @example(export=(["1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], CLIENT))
     @example(export=(["2.0\tx\ty\t1\t2\t5\tA\t1\t1",
-                      "1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], None))
+                      "1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], CLIENT))
     # one source endpoint towards the client and towards a stranger
     @example(export=(["1.0\t192.0.2.9\t10.0.0.2\t80\t51000\t5\tA\t1\t1",
                       "2.0\t192.0.2.9\t10.0.0.2\t80\t51001\t5\tA\t1\t1"],
@@ -164,10 +164,9 @@ class TestSerialiseParseRoundTrip:
            rtt=st.floats(0.5, 400.0),
            seed=st.integers(0, 2 ** 31),
            wrap_at=st.floats(0.0, 1.0),
-           other_shift=st.integers(0, 2 ** 32 - 1),
-           infer_client=st.booleans())
+           other_shift=st.integers(0, 2 ** 32 - 1))
     def test_parse_of_lines_is_identity(self, kind, size, rtt, seed,
-                                        wrap_at, other_shift, infer_client):
+                                        wrap_at, other_shift):
         events = synthesize_trace(kind, size, rtt, 10e6, seed)
         sender = (Direction.CLIENT_TO_SERVER if kind == "post"
                   else Direction.SERVER_TO_CLIENT)
@@ -178,8 +177,7 @@ class TestSerialiseParseRoundTrip:
         shifts = (shift, other_shift) if kind == "post" \
             else (other_shift, shift)
         wrapped = shift_sequence_space(events, *shifts)
-        client = None if infer_client else SYNTH_CLIENT
-        assert parse_events(events_to_lines(wrapped), client) == wrapped
+        assert parse_events(events_to_lines(wrapped), SYNTH_CLIENT) == wrapped
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
         assert extract(wrapped) == extract(events)

@@ -6,33 +6,41 @@ import pytest
 
 from ltenergy import (
     ConnectionlessScenario,
-    Direction,
-    IncompleteExchangeError,
     PhaseTiming,
-    TraceIteration,
-    TraceParseError,
-    aggregate,
     cycle_energy,
     default_profile,
-    events_to_lines,
-    extract_get_phases,
-    extract_post_phases,
     idle_gap_energy,
-    parse_events,
     phase_timing,
-    rho_from_traces,
-    scheduled_phases,
-    synthesize_trace,
     transfer_time,
 )
 from ltenergy import traces
-from ltenergy.traces import SYNTH_CLIENT, PacketEvent
+from ltenergy.traces import (
+    SYNTH_CLIENT,
+    Direction,
+    IncompleteExchangeError,
+    PacketEvent,
+    TraceIteration,
+    TraceParseError,
+    aggregate,
+    events_to_lines,
+    extract_get_phases,
+    extract_post_phases,
+    parse_events,
+    rho_from_traces,
+    scheduled_phases,
+    synthesize_trace,
+)
 
 from _event_reference import canonical_cycle_events, event_driven_energy
 
 PROFILE = default_profile()
 CLIENT = "10.0.0.2:51000"
 SERVER = "192.0.2.9:80"
+
+
+def is_admin(event):
+    """Handshake or teardown packet, which extraction leaves out."""
+    return not event.flags.isdisjoint({"SYN", "FIN", "RST"})
 
 
 def line(ts, src, dst, payload, flags, seq, ack):
@@ -110,14 +118,14 @@ class TestSequenceWrap:
         text = post_exchange_lines()
         text[2] = line(0.100, SERVER, CLIENT, 0, "A", seq, ack)
         with pytest.raises(TraceParseError, match="line 3.*2\\^32") as err:
-            parse_events("\n".join(text))
+            parse_events("\n".join(text), CLIENT)
         assert err.value.line_no == 3
 
 
 class TestParseEvents:
     def test_empty_input(self):
-        assert parse_events("") == []
-        assert parse_events([]) == []
+        assert parse_events("", CLIENT) == []
+        assert parse_events([], CLIENT) == []
 
     def test_well_formed_lines_in_order(self):
         rows = post_exchange_lines()
@@ -131,12 +139,12 @@ class TestParseEvents:
         text = post_exchange_lines()
         text[1] = text[1].replace("0.050000", "soon")
         with pytest.raises(TraceParseError, match="line 2") as err:
-            parse_events("\n".join(text))
+            parse_events("\n".join(text), CLIENT)
         assert err.value.line_no == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(TraceParseError, match="9 tab-separated"):
-            parse_events("1.0\t10.0.0.2\t10.0.0.1\n")
+            parse_events("1.0\t10.0.0.2\t10.0.0.1\n", CLIENT)
 
     def test_blank_lines_and_comments_skipped(self):
         text = "# capture of one exchange\n\n" + "\n".join(
@@ -144,16 +152,17 @@ class TestParseEvents:
         assert len(parse_events(text, client=CLIENT)) == 5
 
     def test_hex_and_letter_flags(self):
-        a = parse_events(line(0.0, CLIENT, SERVER, 0, "0x012", 0, 0))[0]
-        assert a.flags == frozenset({"SYN", "ACK"})
-        b = parse_events(line(0.0, CLIENT, SERVER, 0, "SA", 0, 0))[0]
-        assert b.flags == frozenset({"SYN", "ACK"})
-        c = parse_events(line(0.0, CLIENT, SERVER, 0, "-", 0, 0))[0]
-        assert c.flags == frozenset()
+        def flags(text):
+            return parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0),
+                                CLIENT)[0].flags
+
+        assert flags("0x012") == frozenset({"SYN", "ACK"})
+        assert flags("SA") == frozenset({"SYN", "ACK"})
+        assert flags("-") == frozenset()
 
     def test_bad_flags_rejected(self):
         with pytest.raises(TraceParseError, match="flags"):
-            parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0))
+            parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), CLIENT)
 
     def test_direction_from_client_argument(self):
         events = parse_events("\n".join(post_exchange_lines()),
@@ -161,9 +170,9 @@ class TestParseEvents:
         assert events[0].direction is Direction.CLIENT_TO_SERVER
         assert events[2].direction is Direction.SERVER_TO_CLIENT
 
-    def test_direction_inferred_from_first_payload(self):
-        events = parse_events("\n".join(post_exchange_lines()))
-        assert events[0].direction is Direction.CLIENT_TO_SERVER
+    def test_client_is_required(self):
+        with pytest.raises(TypeError, match="client"):
+            parse_events("\n".join(post_exchange_lines()))
 
     def test_serialisation_round_trip(self):
         original = synthesize_trace("get", 50_000, 75, 10e6, seed=5)
@@ -211,7 +220,7 @@ class TestExtractPost:
     def test_single_packet_request(self):
         rtt = 80.0
         events = synthesize_trace("post", 0, rtt, 10e6, seed=1)
-        rows = [e for e in events if not e.is_connection_admin]
+        rows = [e for e in events if not is_admin(e)]
         request = [e for e in rows if e.payload_len > 0]
         acks = [e for e in rows
                 if e.direction is Direction.SERVER_TO_CLIENT
@@ -254,7 +263,7 @@ class TestAdminExclusion:
     def test_handshake_and_teardown_do_not_shift_phases(self, kind, extract):
         events = synthesize_trace(kind, 80_000, 75, 10e6, seed=3)
         base = extract(events)
-        data_only = [e for e in events if not e.is_connection_admin]
+        data_only = [e for e in events if not is_admin(e)]
         stripped = extract(data_only)
         assert stripped.phase == base.phase
 
@@ -376,7 +385,7 @@ class TestSynthesizeTrace:
     def test_zero_file_degenerates_to_request_and_ack(self):
         for kind in ("post", "get"):
             events = synthesize_trace(kind, 0, 75, 10e6, seed=0)
-            data = [e for e in events if not e.is_connection_admin]
+            data = [e for e in events if not is_admin(e)]
             payload = [e for e in data if e.payload_len > 0]
             assert len(payload) == 1
             assert payload[0].direction is Direction.CLIENT_TO_SERVER
