@@ -242,15 +242,15 @@ def _run_cost(config: RunConfig) -> int:
         return _json({
             "curves": [
                 {
-                    "alpha": alpha,
-                    "argmin_t_i_ms": curve.argmin_t_i,
+                    "alpha": round(alpha, 6),
+                    "argmin_t_i_ms": round(curve.argmin_t_i, 6),
                     "e_max_mj": round(curve.e_max, 1),
-                    "d_max_ms": curve.d_max,
+                    "d_max_ms": round(curve.d_max, 6),
                     "points": [
                         {
-                            "t_i_ms": pt.t_i,
+                            "t_i_ms": round(pt.t_i, 6),
                             "e_mj_per_hour": round(pt.e_total, 1),
-                            "d_ms": pt.d,
+                            "d_ms": round(pt.d, 6),
                             "cost": round(pt.c, 6),
                         }
                         for pt in curve.points
@@ -279,14 +279,16 @@ def _run_trace_analyze(config: RunConfig) -> int:
                else traces.extract_get_phases)
 
     def analyze(paths: Sequence[str]) -> traces.AggregateResult:
-        """One placement's exports, one exchange each, aggregated.  The
-        stream that ``kind`` names must not be the smaller one; a tie
-        cannot contradict it."""
+        """One placement's exports, one exchange each, aggregated; each
+        error names its export.  The stream that ``kind`` names must not be
+        the smaller one; a tie cannot contradict it."""
         iterations = []
         for path in paths:
-            with open(path, encoding="utf-8") as fp:
-                events = traces.parse_events(fp, client=client)
-            it = extract(events)
+            try:
+                with open(path, encoding="utf-8") as fp:
+                    it = extract(traces.parse_events(fp, client=client))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
             if it.file_size < it.other_size:
                 named, other = (("request", "response") if kind == "post"
                                 else ("response", "request"))

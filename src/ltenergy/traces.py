@@ -5,10 +5,10 @@ time, which defeats the closed-form model.  This module instead ingests
 per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
-same energy accounting as the analytic path.  Parsing rejects non-finite
-timestamps and fixes each packet's direction relative to the client
-endpoint that the caller names, once per endpoint pair, and extraction
-reads that direction.  One landmark rule serves upload-style
+same energy accounting as the analytic path.  Parsing reads each line once,
+rejecting non-finite timestamps and fixing each packet's direction relative
+to the client endpoint that the caller names, once per endpoint pair, and
+extraction reads that direction.  One landmark rule serves upload-style
 (POST) and download-style (GET) exchanges alike; the bulk direction only
 decides which stream's bytes count as the file size.
 
@@ -179,20 +179,19 @@ def parse_events(lines: str | Iterable[str],
     address, destination address, source port, destination port, transport
     payload length, flags (hex value or letter set), sequence number,
     acknowledgment number.  Blank lines and ``#`` comments are skipped; an
-    empty or ``-`` integer field reads as 0.  The first bad field of a line
-    in column order, a non-finite timestamp included, raises a
-    :class:`TraceParseError` naming the line.
-
-    ``client`` ("addr:port"), the endpoint where the export was captured,
-    fixes the packet directions, once per endpoint pair; a packet that does
-    not involve it is a ValueError.
+    empty or ``-`` integer field reads as 0.  ``client`` ("addr:port"), the
+    endpoint where the export was captured, fixes each packet's direction,
+    once per endpoint pair.  The first bad line in file order raises a
+    :class:`TraceParseError` naming it: its first bad field in column
+    order, a non-finite timestamp included, else a packet that does not
+    involve the client.
     """
     if isinstance(lines, str):
         lines = lines.splitlines()
 
-    # One tuple per packet, in PacketEvent field order up to ``ack``.
-    rows: list[tuple] = []
+    events: list[PacketEvent] = []
     flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
+    directions: dict[tuple, Direction] = {}  # by endpoint pair
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         text = line.lstrip()
@@ -233,20 +232,18 @@ def parse_events(lines: str | Iterable[str],
             raise TraceParseError(line_no, "sequence and acknowledgment "
                                   f"numbers must lie in [0, 2^32), got "
                                   f"{seq} and {ack}")
-        rows.append((timestamp, src_addr.strip(), src_port,
-                     dst_addr.strip(), dst_port, payload, flags, seq, ack))
+        pair = (src_addr.strip(), src_port, dst_addr.strip(), dst_port)
+        direction = directions.get(pair)
+        if direction is None:
+            direction = directions[pair] = _direction(pair, client, line_no)
+        events.append(PacketEvent._make(
+            (timestamp, *pair, payload, flags, seq, ack, direction)))
 
-    rows.sort(key=lambda row: row[0])
-    if not rows:
-        return []
-
-    # Pairs in order of first appearance: the first stray packet is reported.
-    directions = {pair: _direction(pair, client)
-                  for pair in dict.fromkeys(row[1:5] for row in rows)}
-    return [PacketEvent._make((*row, directions[row[1:5]])) for row in rows]
+    events.sort(key=lambda event: event[0])
+    return events
 
 
-def _direction(pair: tuple, client: str) -> Direction:
+def _direction(pair: tuple, client: str, line_no: int) -> Direction:
     """Direction of the packets between ``(src_addr, src_port, dst_addr,
     dst_port)`` relative to the ``client`` endpoint."""
     src, dst = "%s:%s" % pair[:2], "%s:%s" % pair[2:]
@@ -254,7 +251,8 @@ def _direction(pair: tuple, client: str) -> Direction:
         return Direction.CLIENT_TO_SERVER
     if dst == client:
         return Direction.SERVER_TO_CLIENT
-    raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
+    raise TraceParseError(
+        line_no, f"packet {src} -> {dst} does not involve client {client}")
 
 
 def events_to_lines(events: Iterable[PacketEvent]) -> list[str]:

@@ -2,10 +2,13 @@
 
 ``ltenergy.traces.parse_events`` converts the integer fields of a line in
 one pass and resolves flag sets and directions once per distinct text and
-endpoint pair.  This is the per-field parser it replaced, plus the rule
-that a timestamp must be finite, kept as the oracle the property tests
-hold it to.  It carries its own copies of the flag, integer and direction
-rules, so a change to any of them in the library shows as a difference.
+endpoint pair.  This is the per-field parser it replaced, plus the rules
+that a timestamp must be finite and that a packet must involve the client,
+kept as the oracle the property tests hold it to.  Each line's direction
+comes from one uncached call after its fields, so the first bad line in
+file order is the one reported, be it a bad field or a stray packet.  It
+carries its own copies of the flag, integer and direction rules, so a
+change to any of them in the library shows as a difference.
 """
 
 import math
@@ -50,19 +53,20 @@ def parse_int(field, what, line_no):
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
-def direction(src, dst, client):
+def direction(src, dst, client, line_no):
     if src == client:
         return Direction.CLIENT_TO_SERVER
     if dst == client:
         return Direction.SERVER_TO_CLIENT
-    raise ValueError(f"packet {src} -> {dst} does not involve client {client}")
+    raise TraceParseError(
+        line_no, f"packet {src} -> {dst} does not involve client {client}")
 
 
 def reference_parse_events(lines, client):
     """What :func:`ltenergy.traces.parse_events` returns or raises."""
     if isinstance(lines, str):
         lines = lines.splitlines()
-    rows = []
+    events = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -93,14 +97,11 @@ def reference_parse_events(lines, client):
             raise TraceParseError(line_no, "sequence and acknowledgment "
                                   f"numbers must lie in [0, 2^32), got "
                                   f"{seq} and {ack}")
-        rows.append((timestamp, src_addr, src_port, dst_addr, dst_port,
-                     payload, flags, seq, ack))
+        events.append(PacketEvent(
+            timestamp, src_addr, src_port, dst_addr, dst_port, payload,
+            flags, seq, ack, direction(f"{src_addr}:{src_port}",
+                                       f"{dst_addr}:{dst_port}", client,
+                                       line_no)))
 
-    rows.sort(key=lambda row: row[0])
-    if not rows:
-        return []
-    return [
-        PacketEvent(*row, direction=direction(
-            f"{row[1]}:{row[2]}", f"{row[3]}:{row[4]}", client))
-        for row in rows
-    ]
+    events.sort(key=lambda event: event.timestamp)
+    return events

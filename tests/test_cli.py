@@ -296,6 +296,24 @@ class TestArtifactGoldens:
                                      "--out", str(out)]) == 0
         assert sha256(out) == JSON_DIGESTS["cost"]
 
+    def test_cost_json_fixed_decimals(self, capsys):
+        """Grid periods and delays are rounded to six decimals, as the CSV
+        prints them, so float noise of the grid never reaches the JSON."""
+        argv = ["cost", "--hourly-bytes", "1e6", "--rtt", "40",
+                "--t-i-min", "1000.1", "--t-i-max", "1000.4",
+                "--t-i-step", "0.1"]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        curve, = json.loads(capsys.readouterr().out)["curves"]
+        assert [(pt["t_i_ms"], pt["d_ms"]) for pt in curve["points"]] == [
+            (float(t), float(d))
+            for t, d in (row.split(",")[1:4:2] for row in rows)]
+        assert [pt["t_i_ms"] for pt in curve["points"]] == [
+            1000.1, 1000.2, 1000.3, 1000.4]
+        assert (curve["alpha"], curve["argmin_t_i_ms"],
+                curve["d_max_ms"]) == (0.5, 1000.1, 1000.4)
+
     @pytest.mark.parametrize("kind, file_size", [("get", 200000),
                                                  ("post", 60000)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -668,6 +686,33 @@ class TestTraceAnalyzePlacements:
                           "--cloud", paths[1]], capsys,
                          "error: edge and cloud file sizes differ")
 
+    @pytest.mark.parametrize("fault, message", [
+        ("empty", "no request payload from the client"),
+        ("bad flags", "line 1: bad flags field 'ZZ'"),
+        ("stray packet", "line 30: packet 10.0.0.9:1 -> 203.0.113.5:80 does "
+         f"not involve client {CLIENT}"),
+    ])
+    def test_bad_export_named(self, tmp_path, capsys, fault, message):
+        """Each per-file error names the export it comes from."""
+        good = tmp_path / "good.tsv"
+        assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                         "20000", "--rtt", "20", "--bottleneck", "20e6",
+                         "--out", str(good)]) == 0
+        lines = good.read_text().splitlines()
+        if fault == "empty":
+            lines = []
+        elif fault == "bad flags":
+            lines[0] = lines[0].replace("\tS\t", "\tZZ\t")
+        else:
+            lines.append("9.000000\t10.0.0.9\t203.0.113.5\t1\t80\t10\t"
+                         "PA\t1\t1")
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("".join(f"{text}\n" for text in lines))
+        assert_cli_error(["trace-analyze", "--kind", "get", "--client",
+                          CLIENT, "--t-i", "30000", str(good),
+                          "--cloud", str(bad)], capsys,
+                         f"error: {bad}: {message}\n")
+
     def test_each_placement_aggregated_once(self, tmp_path, monkeypatch):
         calls = []
         original = traces.aggregate
@@ -762,7 +807,8 @@ loaded.append("ltenergy.traces" in sys.modules)
 print(code, loaded, repr(err.getvalue()))
 """, CLIENT, path)
         assert stdout == (
-            "1 [False, True] \"error: line 3: bad timestamp 'nan'\\n\"\n")
+            f"1 [False, True] \"error: {path}: line 3: bad timestamp "
+            "'nan'\\n\"\n")
 
 
 def test_commands_leave_dataclasses_and_inspect_unloaded(tmp_path):

@@ -121,8 +121,9 @@ class TestParserMatchesReference:
     @example(export=("1.0\tx\ty\t1\t2\t5\tXQ\tabc\t1", CLIENT))
     # the same bad flags text on two lines of two exports
     @example(export=(["1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], CLIENT))
-    @example(export=(["2.0\tx\ty\t1\t2\t5\tA\t1\t1",
-                      "1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], CLIENT))
+    @example(export=(["2.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tA\t1\t1",
+                      "1.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tZ\t1\t1"],
+                     CLIENT))
     # one source endpoint towards the client and towards a stranger
     @example(export=(["1.0\t192.0.2.9\t10.0.0.2\t80\t51000\t5\tA\t1\t1",
                       "2.0\t192.0.2.9\t10.0.0.2\t80\t51001\t5\tA\t1\t1"],

@@ -170,6 +170,21 @@ class TestParseEvents:
         assert events[0].direction is Direction.CLIENT_TO_SERVER
         assert events[2].direction is Direction.SERVER_TO_CLIENT
 
+    def test_stray_packet_reported_in_file_order(self):
+        """A packet that involves no client is a bad line like any other:
+        the first bad line in the file is reported, whatever the order of
+        the timestamps and wherever a later line has a bad field."""
+        rows = post_exchange_lines() + [line(0.5, CLIENT, SERVER, 0, "A",
+                                             1501, 201)]
+        rows.insert(4, line(0.010, "10.0.0.9:1", SERVER, 10, "PA", 1, 1))
+        rows[6] = rows[6].replace("\tA\t", "\tZZ\t")
+        with pytest.raises(TraceParseError) as err:
+            parse_events("\n".join(rows), CLIENT)
+        assert err.value.line_no == 5
+        assert str(err.value) == (
+            f"line 5: packet 10.0.0.9:1 -> {SERVER} does not involve "
+            f"client {CLIENT}")
+
     def test_client_is_required(self):
         with pytest.raises(TypeError, match="client"):
             parse_events("\n".join(post_exchange_lines()))
