@@ -10,9 +10,11 @@ and flags win over the file.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios), and no timestamps,
-so repeated runs of the same config are byte-identical.  On stderr, each
-library warning is one ``warning: <message>`` line, and a failure ends
-with one ``error: <message>`` line and exit status 1.
+so repeated runs of the same config are byte-identical.  An artifact is
+written whole, once the whole run has succeeded: a failure, even at the
+last sweep cell, leaves stdout empty and an existing ``--out`` file as it
+was.  On stderr, each library warning is one ``warning: <message>`` line,
+and a failure ends with one ``error: <message>`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import io
 import json
 import sys
 import warnings
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analytic, sweep
 from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
@@ -82,10 +84,10 @@ def _json(obj: Any) -> str:
 
 
 def _emit(config: RunConfig, columns: list[str],
-          rows: Callable[[], list[list[str]]],
+          rows: Callable[[], Iterable[list[str]]],
           json_text: Callable[[], str]) -> None:
     """Render the artifact in the requested format only, from the CSV
-    ``rows`` or the ``json_text`` callable, and write it."""
+    ``rows`` or the ``json_text`` callable, and write it once whole."""
     if config.output_format == "json":
         _write(config, json_text() + "\n")
         return
@@ -183,8 +185,9 @@ def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
 def _run_sweep(config: RunConfig) -> int:
     profile = _resolve_profile(config)
     spec = _sweep_spec_from_params(config.params)
-    result = sweep.run_sweep(spec, profile)
-    _emit(config, result.columns, result.rows, result.json_text)
+    cells = sweep.sweep_cells(spec, profile)
+    _emit(config, spec.columns, lambda: sweep.csv_rows(spec, cells),
+          lambda: sweep.json_text(spec, cells))
     return 0
 
 
@@ -224,41 +227,23 @@ def _run_cost(config: RunConfig) -> int:
         spec = sweep.CostSpec(alpha=float(alpha), t_i_grid=grid, **numbers)
         curves.append((alpha, sweep.cost_curve(spec, profile)))
 
-    def rows() -> list[list[str]]:
-        return [
-            [
-                fmt_axis(alpha),
-                fmt_axis(point.t_i),
-                fmt_mj(point.e_total),
-                fmt_axis(point.d),
-                fmt_cost(point.c),
-                "1" if point.t_i == curve.argmin_t_i else "0",
-            ]
-            for alpha, curve in curves
-            for point in curve.points
-        ]
+    def rows() -> Iterator[list[str]]:
+        return ([fmt_axis(alpha), fmt_axis(pt.t_i), fmt_mj(pt.e_total),
+                 fmt_axis(pt.d), fmt_cost(pt.c),
+                 "1" if pt.t_i == curve.argmin_t_i else "0"]
+                for alpha, curve in curves for pt in curve.points)
 
     def json_text() -> str:
-        return _json({
-            "curves": [
-                {
-                    "alpha": round(alpha, 6),
-                    "argmin_t_i_ms": round(curve.argmin_t_i, 6),
-                    "e_max_mj": round(curve.e_max, 1),
-                    "d_max_ms": round(curve.d_max, 6),
-                    "points": [
-                        {
-                            "t_i_ms": round(pt.t_i, 6),
-                            "e_mj_per_hour": round(pt.e_total, 1),
-                            "d_ms": round(pt.d, 6),
-                            "cost": round(pt.c, 6),
-                        }
-                        for pt in curve.points
-                    ],
-                }
-                for alpha, curve in curves
-            ]
-        })
+        return _json({"curves": [
+            {"alpha": round(alpha, 6),
+             "argmin_t_i_ms": round(curve.argmin_t_i, 6),
+             "e_max_mj": round(curve.e_max, 1),
+             "d_max_ms": round(curve.d_max, 6),
+             "points": [{"t_i_ms": round(pt.t_i, 6),
+                         "e_mj_per_hour": round(pt.e_total, 1),
+                         "d_ms": round(pt.d, 6), "cost": round(pt.c, 6)}
+                        for pt in curve.points]}
+            for alpha, curve in curves]})
 
     _emit(config, columns, rows, json_text)
     return 0

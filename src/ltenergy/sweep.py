@@ -1,14 +1,15 @@
 """Parameter sweeps over placement scenarios and batching-cost curves.
 
-``run_sweep`` evaluates the edge/cloud energy ratio over a dense grid of
-scenario parameters, one dimension per swept axis.  It prices plain floats
-through the timing and energy core that :func:`ltenergy.analytic.compare`
-uses, so every cell equals ``compare`` at that grid point; scenario checks
-run once per axis value, and each distinct edge scenario is priced once.
-Grid points whose cycle does not fit inside the period are kept as explicit
-error cells, so consumers see the full grid; an overflowing energy aborts
-the sweep.  Every number is finite, so ``SweepResult.json_text`` renders
-``json.dumps(to_json_obj(), indent=2)`` from one template per cell.
+``sweep_cells`` is the one sweep kernel: a generator of the edge/cloud
+energy ratio at each point of a dense grid of scenario parameters, one
+dimension per swept axis.  It prices plain floats through the core that
+:func:`ltenergy.analytic.compare` uses, so every cell equals ``compare``
+there; scenario checks run once per axis value, each distinct edge scenario
+is priced once, a cycle that overruns its period is an error cell, and an
+overflowing energy aborts the stream.  Two per-cell renderers turn any
+stream of cells into an artifact: ``csv_rows`` yields one CSV row per cell,
+and ``json_text`` fills one template of the indent-2 JSON layout per cell.
+The CLI feeds the stream straight into them; ``run_sweep`` collects it.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .analytic import (
     ComparisonResult,
@@ -50,6 +51,7 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "SweepResult",
+    "sweep_cells",
     "run_sweep",
     "per_cycle_payload",
     "CostSpec",
@@ -124,6 +126,12 @@ class SweepSpec(NamedTuple):
         if self.base_edge.workload() != self.base_cloud.workload():
             raise ValueError("base scenarios must differ only in rtt")
 
+    @property
+    def columns(self) -> list[str]:
+        """The artifact's columns: the swept axes, then the comparison."""
+        return [axis.name for axis in self.axes] + [
+            "rho", "e_i_edge_mj", "e_i_cloud_mj", "delta_rtt_ms", "error"]
+
 
 class SweepCell(NamedTuple):
     """One grid point: both placements' energies, or an overrun marker.
@@ -157,58 +165,14 @@ class SweepResult(NamedTuple):
     spec: SweepSpec
     cells: tuple[SweepCell, ...]
 
-    @property
-    def columns(self) -> list[str]:
-        axis_names = [axis.name for axis in self.spec.axes]
-        return axis_names + [
-            "rho", "e_i_edge_mj", "e_i_cloud_mj", "delta_rtt_ms", "error",
-        ]
-
     def rows(self) -> list[list[str]]:
-        """CSV rows in :attr:`columns` order; numbers follow ``_fmt``."""
-        texts = [{v: fmt_axis(v) for v in a.values()} for a in self.spec.axes]
-        out = []
-        for values, edge, cloud, rho, delta_rtt, error in self.cells:
-            row = [*map(dict.__getitem__, texts, values)]
-            if error is not None:
-                row += ["", "", "", "", error]
-            else:
-                row += [f"{rho:.3f}", f"{edge[-1]:.1f}", f"{cloud[-1]:.1f}",
-                        f"{delta_rtt:.3f}", ""]
-            out.append(row)
-        return out
-
-    def json_text(self) -> str:
-        """``json.dumps(self.to_json_obj(), indent=2)``, from one template
-        of the indent-2 layout per cell.  Its numbers are the ``repr`` of the
-        values ``to_json_obj`` holds, all finite, which is what ``json``
-        writes for them; each distinct axis value is rendered once."""
-        texts = [{v: f"      {json.dumps(a.name)}: {_round6(v)!r},\n"
-                  for v in a.values()} for a in self.spec.axes]
-        cells = []
-        for values, edge, cloud, rho, delta_rtt, error in self.cells:
-            head = "".join(map(dict.__getitem__, texts, values))
-            if error is not None:
-                cells.append(f'    {{\n{head}      "error": '
-                             f'{json.dumps(error)}\n    }}')
-            else:
-                cells.append(
-                    f'    {{\n{head}      "rho": {round(rho, 3)!r},\n'
-                    f'      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
-                    f'      "e_i_cloud_mj": {round(cloud[-1], 1)!r},\n'
-                    f'      "delta_rtt_ms": {_round6(delta_rtt)!r}\n    }}')
-        axes = json.dumps({"axes": self._axes_obj()}, indent=2)
-        return (axes[:-len("\n}")] + ',\n  "cells": [\n'
-                + ",\n".join(cells) + "\n  ]\n}")
-
-    def _axes_obj(self) -> list[dict]:
-        return [{k: v if k == "name" else _round6(v)
-                 for k, v in a._asdict().items()} for a in self.spec.axes]
+        """The :func:`csv_rows` of the cells, collected."""
+        return list(csv_rows(self.spec, self.cells))
 
     def to_json_obj(self) -> dict:
-        """The JSON artifact as plain data: what :meth:`json_text` renders.
+        """The JSON artifact as plain data: what :func:`json_text` renders.
         Kept for the tests and ``bench/spans.py``, its only callers."""
-        columns = self.columns
+        columns = self.spec.columns
         cells = []
         for cell in self.cells:
             entry: dict = {
@@ -223,7 +187,51 @@ class SweepResult(NamedTuple):
                 entry["e_i_cloud_mj"] = round(cell.cloud[-1], 1)
                 entry["delta_rtt_ms"] = _round6(cell.delta_rtt)
             cells.append(entry)
-        return {"axes": self._axes_obj(), "cells": cells}
+        return {"axes": _axes_obj(self.spec), "cells": cells}
+
+
+def csv_rows(spec: SweepSpec, cells: Iterable[tuple]) -> Iterator[list[str]]:
+    """One CSV row per cell, in ``spec.columns`` order; numbers follow
+    ``_fmt``, and each distinct axis value is rendered once."""
+    texts = [{v: fmt_axis(v) for v in a.values()} for a in spec.axes]
+    for values, edge, cloud, rho, delta_rtt, error in cells:
+        if error is not None:
+            yield [*map(dict.__getitem__, texts, values), "", "", "", "",
+                   error]
+        else:
+            yield [*map(dict.__getitem__, texts, values), f"{rho:.3f}",
+                   f"{edge[-1]:.1f}", f"{cloud[-1]:.1f}", f"{delta_rtt:.3f}",
+                   ""]
+
+
+def json_text(spec: SweepSpec, cells: Iterable[tuple]) -> str:
+    """``json.dumps(to_json_obj(), indent=2)`` of the cells, from one
+    template of the indent-2 layout per cell.  Its numbers are the ``repr``
+    of the values ``to_json_obj`` holds, all finite, which is what ``json``
+    writes for them; each distinct axis value is rendered once."""
+    texts = [{v: f"      {json.dumps(a.name)}: {_round6(v)!r},\n"
+              for v in a.values()} for a in spec.axes]
+
+    def render():
+        for values, edge, cloud, rho, delta_rtt, error in cells:
+            head = "".join(map(dict.__getitem__, texts, values))
+            if error is not None:
+                yield (f'    {{\n{head}      "error": '
+                       f'{json.dumps(error)}\n    }}')
+            else:
+                yield (f'    {{\n{head}      "rho": {round(rho, 3)!r},\n'
+                       f'      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
+                       f'      "e_i_cloud_mj": {round(cloud[-1], 1)!r},\n'
+                       f'      "delta_rtt_ms": {_round6(delta_rtt)!r}\n    }}')
+
+    axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
+    return (axes[:-len("\n}")] + ',\n  "cells": [\n'
+            + ",\n".join(render()) + "\n  ]\n}")
+
+
+def _axes_obj(spec: SweepSpec) -> list[dict]:
+    return [{k: v if k == "name" else _round6(v)
+             for k, v in a._asdict().items()} for a in spec.axes]
 
 
 def _round6(x: float) -> float | int:
@@ -259,15 +267,17 @@ def _cycle(t_tx: float, t_w: float, t_rx: float, t_i: float,
     return energy_parts(t_tx, t_w, t_rx, *timing, profile), None
 
 
-def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
-    """Evaluate the placement comparison at every grid point.
+def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
+    """Each grid point's cell, row-major in axis order, as a plain tuple
+    in :class:`SweepCell` field order.
 
     Every cell equals :func:`ltenergy.analytic.compare` on the grid point's
     edge and cloud scenarios, and an axis value those scenarios would
     reject raises the same ``ValueError`` before any cell is priced.  A
     period overrun becomes an error cell carrying the diagnostic, the
     edge's when both placements overrun.  An energy or ratio that
-    overflows a float raises ``ValueError`` as ``compare`` does.
+    overflows a float raises ``ValueError`` at its cell, as ``compare``
+    does.
     """
     names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
@@ -281,7 +291,6 @@ def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
 
     rtt_edge = spec.base_edge.rtt
     edges: dict[tuple[float, ...], tuple] = {}
-    cells = []
     for values in itertools.product(*grids):
         t_i, t_elab, rtt, b_tx, b_rx = _scenario_fields(base, names, values)
         key = (t_i, t_elab, b_tx, b_rx)
@@ -295,12 +304,17 @@ def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
         if error is None:
             cloud_mj, error = _cycle(t_tx, t_elab + rtt, t_rx, t_i, profile)
         if error is None:
-            cells.append(SweepCell(
-                values, edge_mj, cloud_mj,
-                energy_ratio(edge_mj[-1], cloud_mj[-1]), rtt - rtt_edge))
+            yield (values, edge_mj, cloud_mj,
+                   energy_ratio(edge_mj[-1], cloud_mj[-1]), rtt - rtt_edge,
+                   None)
         else:
-            cells.append(SweepCell(values, None, None, None, None, error))
-    return SweepResult(spec=spec, cells=tuple(cells))
+            yield values, None, None, None, None, error
+
+
+def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
+    """The cells of :func:`sweep_cells`, collected."""
+    return SweepResult(spec, tuple(map(SweepCell._make,
+                                       sweep_cells(spec, profile))))
 
 
 def per_cycle_payload(hourly_bytes: float, t_i: float) -> int:

@@ -23,6 +23,7 @@ The package does not re-export these names: import them from here.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from enum import Enum
@@ -186,8 +187,8 @@ def parse_events(lines: str | Iterable[str],
     order, a non-finite timestamp included, else a packet that does not
     involve the client.
     """
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+    if isinstance(lines, str):  # split at line ends only, as a text file
+        lines = io.StringIO(lines, newline=None)
 
     events: list[PacketEvent] = []
     flag_sets: dict[str, frozenset[str]] = {}  # by raw field text

@@ -64,8 +64,8 @@ def direction(src, dst, client, line_no):
 
 def reference_parse_events(lines, client):
     """What :func:`ltenergy.traces.parse_events` returns or raises."""
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+    if isinstance(lines, str):  # universal newlines, as in a text file
+        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     events = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")

@@ -109,20 +109,36 @@ class TestNonFiniteEval:
 
 class TestEmitRendersRequestedFormatOnly:
     @pytest.mark.parametrize("fmt, unused", [
-        ("csv", "to_json_obj"), ("csv", "json_text"),
-        ("json", "rows"), ("json", "to_json_obj"),
+        ("csv", "json_text"), ("json", "csv_rows"),
     ])
     def test_sweep(self, tmp_path, monkeypatch, fmt, unused):
-        def fail(self):
+        def fail(*args):
             raise AssertionError(f"{unused} rendered for --format {fmt}")
 
-        monkeypatch.setattr(sweep.SweepResult, unused, fail)
+        monkeypatch.setattr(sweep, unused, fail)
         out = tmp_path / f"grid.{fmt}"
         code = cli.main(["sweep", "--config",
                          write_config(tmp_path, sweep_config()),
                          "--format", fmt, "--out", str(out)])
         assert code == 0
         assert out.read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_collects_no_grid(self, tmp_path, monkeypatch, capsys,
+                                    fmt):
+        """The CLI renders the cell stream as it comes: it builds no
+        ``SweepCell``, no ``SweepResult`` and no collected grid."""
+        for name in ("run_sweep", "SweepCell", "SweepResult"):
+            def fail(*args, name=name):
+                raise AssertionError(f"sweep.{name} called by the CLI")
+
+            monkeypatch.setattr(sweep, name, fail)
+        code = cli.main(["sweep", "--config",
+                         write_config(tmp_path, sweep_config()),
+                         "--format", fmt])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "rtt_cloud" in captured.out
 
 
 EVAL_ARGV = ["eval", "--t-i", "30000", "--t-elab", "150", "--rtt", "12000",
@@ -544,6 +560,24 @@ class TestOverflowingEnergy:
         self.assert_no_artifact(
             ["sweep", "--config", config, "--format", fmt],
             tmp_path, capsys, "cycle energy overflows a float")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_partway(self, tmp_path, capsys, fmt):
+        """The first cell is finite and a later one overflows: the cells
+        before it are not written, and an existing artifact survives."""
+        config = write_config(tmp_path, sweep_config(
+            base={"t_i": 1000, "rtt_edge": 40},
+            axes=[{"name": "t_i", "start": 1000, "stop": 1e308,
+                   "step": 5e307}]))
+        out = tmp_path / "artifact"
+        out.write_bytes(b"old\r\n")
+        code = cli.main(["sweep", "--config", config, "--format", fmt,
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: cycle energy overflows a float\n"
+        assert captured.out == ""
+        assert out.read_bytes() == b"old\r\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_trace_analyze(self, tmp_path, capsys, fmt):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -6,6 +7,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ltenergy import cli
 from ltenergy import (
     ConnectionlessScenario,
     CostSpec,
@@ -19,7 +21,7 @@ from ltenergy import (
     run_sweep,
 )
 from ltenergy._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
-from ltenergy.sweep import MAX_GRID_CELLS
+from ltenergy.sweep import MAX_GRID_CELLS, json_text
 from ltenergy.analytic import cycle_energy, phase_timing
 from _goldens import reference_scenarios
 
@@ -281,7 +283,7 @@ class TestSweepMatchesCompare:
 def write_csv(result, fp):
     """The sweep CSV artifact as the CLI writes it."""
     writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(result.columns)
+    writer.writerow(result.spec.columns)
     writer.writerows(result.rows())
 
 
@@ -348,8 +350,8 @@ class TestFastRenderers:
     @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
     def test_equal_reference(self, spec):
         result = run_sweep(spec, PROFILE)
-        assert result.json_text() == json.dumps(result.to_json_obj(),
-                                                indent=2)
+        assert json_text(result.spec, result.cells) == json.dumps(
+            result.to_json_obj(), indent=2)
         assert result.rows() == reference_rows(result)
 
     def test_overflowing_energies_raise_before_rendering(self):
@@ -377,9 +379,51 @@ class TestFastRenderers:
             else:
                 assert cell.result == expected
         assert 0 < errors < len(result.cells)
-        assert result.json_text() == json.dumps(result.to_json_obj(),
-                                                indent=2)
+        assert json_text(result.spec, result.cells) == json.dumps(
+            result.to_json_obj(), indent=2)
         assert result.rows() == reference_rows(result)
+
+
+def cli_artifacts(spec, config_path):
+    """stdout of ``ltenergy sweep`` on ``spec`` in CSV and in JSON."""
+    edge, cloud = spec.base_edge, spec.base_cloud
+    base = {**edge._asdict(), "rtt_edge": edge.rtt, "rtt_cloud": cloud.rtt}
+    del base["rtt"]
+    config_path.write_text(json.dumps({
+        "base": base, "axes": [axis._asdict() for axis in spec.axes]}))
+    texts = []
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["sweep", "--config", str(config_path),
+                             "--format", fmt]) == 0
+        texts.append(out.getvalue())
+    return texts
+
+
+class TestStreamedArtifacts:
+    """The CLI renders the cell stream as it comes; its bytes equal the
+    collected renderers of ``run_sweep`` and the reference JSON."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(spec=render_specs())
+    # overrun cells among priced ones, on two and on three axes
+    @example(spec=reference_spec((SweepAxis("t_i", 100, 1100, 200),
+                                  SweepAxis("rtt_cloud", 0, 1000, 250))))
+    @example(spec=reference_spec((SweepAxis("t_i", 300, 30300, 10000),
+                                  SweepAxis("rtt_cloud", 0, 15000, 5000),
+                                  SweepAxis("payload", 0, 40000, 20000))))
+    @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
+    def test_cli_equals_collected(self, tmp_path_factory, spec):
+        streamed_csv, streamed_json = cli_artifacts(
+            spec, tmp_path_factory.mktemp("sweep") / "config.json")
+        result = run_sweep(spec, PROFILE)
+        collected = io.StringIO()
+        write_csv(result, collected)
+        assert streamed_csv == collected.getvalue()
+        assert streamed_json == json.dumps(result.to_json_obj(),
+                                           indent=2) + "\n"
 
 
 class TestSweepOutput:

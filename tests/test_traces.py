@@ -185,6 +185,39 @@ class TestParseEvents:
             f"line 5: packet 10.0.0.9:1 -> {SERVER} does not involve "
             f"client {CLIENT}")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("old, new, error", [
+        ("\tA\t", "\tA\x0c\t", None),
+        ("\tPA\t", "\tPA\x85\t", None),
+        ("10.0.0.2", "10.0.0.2\u2028", None),
+        ("\tPA\t", "\tA\x1cZ\t", "line 1: bad flags field 'A\\x1cZ'"),
+    ], ids=["form-feed-flags", "next-line-flags", "line-separator-address",
+            "bad-flags"])
+    def test_text_parses_like_a_file(self, tmp_path, newline, old, new,
+                                     error):
+        """A ``str`` splits into the lines that ``trace-analyze`` reads
+        from the same text in a file: at line ends only, not at the other
+        code points where ``str.splitlines`` breaks."""
+        text = newline.join(row.replace(old, new)
+                            for row in post_exchange_lines()) + newline
+        path = tmp_path / "export.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def outcome(lines):
+            try:
+                return parse_events(lines, CLIENT)
+            except TraceParseError as exc:
+                return str(exc)
+
+        with open(path, encoding="utf-8") as fp:
+            from_file = outcome(fp)
+        assert outcome(text) == from_file
+        if error is None:
+            assert from_file == parse_events(
+                "\n".join(post_exchange_lines()), CLIENT)
+        else:
+            assert from_file == error
+
     def test_client_is_required(self):
         with pytest.raises(TypeError, match="client"):
             parse_events("\n".join(post_exchange_lines()))
