@@ -13,14 +13,16 @@ Comparing two placements of the server (an edge node with small RTT against
 a distant cloud with large RTT) reduces to the ratio of their per-cycle
 energies: a ratio below one means the edge placement saves energy.
 
-The value types are checked tuples, equal to a plain tuple of their fields;
-the per-cycle core unpacks the profile once per call, which is cheaper.
+The value types are checked tuples, equal to a plain tuple of their fields.
+The per-cycle core, :func:`cycle_pricer`, is bound to one profile: it
+unpacks the profile once and prices each cycle in plain floats, so a sweep
+or a cost curve binds it once and calls it per cell.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .power_model import PowerProfile, _checked
 
@@ -34,9 +36,7 @@ __all__ = [
     "ComparisonResult",
     "PeriodOverrunError",
     "transfer_time",
-    "idle_gap_energy",
-    "quiet_time",
-    "energy_parts",
+    "cycle_pricer",
     "energy_ratio",
     "timing_from_phases",
     "phase_timing",
@@ -125,7 +125,7 @@ class PhaseTiming(NamedTuple):
 
 
 class EnergyBreakdown(NamedTuple):
-    """Per-phase energies of one cycle, in mJ, as :func:`energy_parts`
+    """Per-phase energies of one cycle, in mJ, as :func:`cycle_pricer`
     returns them: non-negative parts and their total."""
 
     e_tx: float
@@ -153,79 +153,77 @@ def transfer_time(nbytes: float, bitrate_bps: float) -> float:
     return 8.0 * nbytes / bitrate_bps * 1000.0
 
 
-def idle_gap_energy(gap: float, profile: PowerProfile) -> float:
-    """Energy (mJ) spent over a quiet gap that starts in CR.
+def cycle_pricer(profile: PowerProfile) -> Callable[..., tuple]:
+    """The one per-cycle core, bound to ``profile``, which it unpacks once.
 
-    The radio holds CR for ``t_cr``, SHORT DRX for ``t_short``, LONG DRX
-    for ``t_long``, and sits in IDLE for whatever remains, each segment
-    billed at its state power.  The result is continuous and strictly
-    increasing in the gap, with segment slopes decreasing along the chain.
+    ``price(t_tx, t_w, t_rx, t_i)`` derives a cycle's quiet time from its
+    period; ``price(*timing)`` takes a :class:`PhaseTiming` as given.  Both
+    return plain floats: ``(t_q, prom_tx, prom_rx)``, then the energy parts
+    (mJ) in ``EnergyBreakdown`` field order.  Phases are non-negative, as
+    :class:`ConnectionlessScenario` and :class:`PhaseTiming` check.
+
+    ``t_q`` is the period minus the three phases and any charged promotion
+    durations; a negative ``t_q`` raises :class:`PeriodOverrunError`.  A
+    response promotion is charged when ``t_w`` alone walks the radio into
+    IDLE.  A request promotion is charged only when the residual quiet
+    time, after setting the promotion itself aside, still walks the radio
+    into IDLE; a residual that merely grazes the IDLE threshold by less
+    than one promotion length stays uncharged, so the IDLE segment of the
+    quiet-time energy and the promotion charge always co-occur.
+
+    Transfers run at fixed power and charged promotions add one promotion
+    energy each.  A quiet gap starts in CR and holds it for ``t_cr``, SHORT
+    DRX for ``t_short`` and LONG DRX for ``t_long``, then sits in IDLE,
+    each segment billed at its state power.  A total that overflows a
+    float raises ``ValueError``.  Wait energies are cached by ``t_w``;
+    ``price.cache_clear()`` empties that cache.
     """
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
-    (_, _, p_cr, p_short, p_long, p_idle, _, t_cr, t_short, t_long,
-     _, _, _, _) = profile
-    micro_joules = min(gap, t_cr) * p_cr
-    if gap > t_cr:
-        micro_joules += min(gap - t_cr, t_short) * p_short
-    if gap > t_cr + t_short:
-        micro_joules += min(gap - t_cr - t_short, t_long) * p_long
-    idle_entry_ms = t_cr + t_short + t_long
-    if gap > idle_entry_ms:
-        micro_joules += (gap - idle_entry_ms) * p_idle
-    return micro_joules / 1000.0
-
-
-def quiet_time(t_tx: float, t_w: float, t_rx: float, t_i: float,
-               profile: PowerProfile) -> tuple[float, bool, bool]:
-    """Residual quiet time and promotion charges of a cycle, as plain floats.
-
-    Returns ``(t_q, prom_tx, prom_rx)``.  ``t_q`` is the period minus the
-    three phases and any charged promotion durations.  A response promotion
-    is charged when ``t_w`` alone walks the radio into IDLE.  A request
-    promotion is charged only when the residual quiet time, after setting
-    the promotion itself aside, still walks the radio into IDLE; a residual
-    that merely grazes the IDLE threshold by less than one promotion length
-    stays uncharged, so the IDLE segment of the quiet-time energy and the
-    promotion charge always co-occur.
-    """
-    (_, _, _, _, _, _, _, t_cr, t_short, t_long, t_prom,
-     _, _, _) = profile
-    threshold = t_cr + t_short + t_long
-    prom_rx = t_w > threshold
-    residual = t_i - t_tx - t_rx - t_w
-    if prom_rx:
-        residual -= t_prom
-    prom_tx = residual - t_prom > threshold
-    t_q = residual - t_prom if prom_tx else residual
-    if t_q < 0:
-        raise PeriodOverrunError(-t_q)
-    return t_q, prom_tx, prom_rx
-
-
-def energy_parts(t_tx: float, t_w: float, t_rx: float, t_q: float,
-                 prom_tx: bool, prom_rx: bool, profile: PowerProfile
-                 ) -> tuple[float, ...]:
-    """Energy of one cycle (mJ), as plain floats in ``EnergyBreakdown``
-    field order: the six per-phase parts followed by their total.
-
-    Transfers run at fixed power, quiet gaps decay through the DRX chain,
-    and charged promotions add one promotion energy each.  A total that
-    overflows a float raises ``ValueError``, so every energy is finite.
-    """
-    (p_tx, p_rx, _, _, _, _, p_prom, _, _, _, t_prom,
-     _, _, _) = profile
-    e_tx = t_tx * p_tx / 1000.0
-    e_w = idle_gap_energy(t_w, profile)
-    e_rx = t_rx * p_rx / 1000.0
-    e_q = idle_gap_energy(t_q, profile)
+    (p_tx, p_rx, p_cr, p_short, p_long, p_idle, p_prom, t_cr, t_short,
+     t_long, t_prom, _, _, _) = profile
+    cr_short = t_cr + t_short
+    threshold = cr_short + t_long  # IDLE entry
     e_prom = t_prom * p_prom / 1000.0
-    e_prom_tx = e_prom if prom_tx else 0.0
-    e_prom_rx = e_prom if prom_rx else 0.0
-    e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
-    if not e_i < math.inf:
-        raise ValueError("cycle energy overflows a float")
-    return e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i
+    waits: dict[float, float] = {}
+
+    def gap_energy(gap: float) -> float:
+        micro_joules = min(gap, t_cr) * p_cr
+        if gap > t_cr:
+            micro_joules += min(gap - t_cr, t_short) * p_short
+        if gap > cr_short:
+            micro_joules += min(gap - t_cr - t_short, t_long) * p_long
+        if gap > threshold:
+            micro_joules += (gap - threshold) * p_idle
+        return micro_joules / 1000.0
+
+    def price(t_tx: float, t_w: float, t_rx: float, t_i: float,
+              prom_tx: bool | None = None, prom_rx: bool = False) -> tuple:
+        if prom_tx is None:
+            prom_rx = t_w > threshold
+            residual = t_i - t_tx - t_rx - t_w
+            if prom_rx:
+                residual -= t_prom
+            prom_tx = residual - t_prom > threshold
+            t_q = residual - t_prom if prom_tx else residual
+            if t_q < 0:
+                raise PeriodOverrunError(-t_q)
+        else:  # a timing: the fourth field is its t_q
+            t_q = t_i
+        e_tx = t_tx * p_tx / 1000.0
+        e_w = waits.get(t_w)
+        if e_w is None:
+            e_w = waits[t_w] = gap_energy(t_w)
+        e_rx = t_rx * p_rx / 1000.0
+        e_q = gap_energy(t_q)
+        e_prom_tx = e_prom if prom_tx else 0.0
+        e_prom_rx = e_prom if prom_rx else 0.0
+        e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
+        if not e_i < math.inf:
+            raise ValueError("cycle energy overflows a float")
+        return (t_q, prom_tx, prom_rx,
+                e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i)
+
+    price.cache_clear = waits.clear
+    return price
 
 
 def energy_ratio(edge_mj: float, cloud_mj: float) -> float:
@@ -240,9 +238,9 @@ def energy_ratio(edge_mj: float, cloud_mj: float) -> float:
 def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
                        profile: PowerProfile) -> PhaseTiming:
     """Full cycle timing from measured or computed phases; see
-    :func:`quiet_time`."""
+    :func:`cycle_pricer`."""
     return PhaseTiming(t_tx, t_w, t_rx,
-                       *quiet_time(t_tx, t_w, t_rx, t_i, profile))
+                       *cycle_pricer(profile)(t_tx, t_w, t_rx, t_i)[:3])
 
 
 def phase_timing(scn: ConnectionlessScenario,
@@ -256,8 +254,8 @@ def phase_timing(scn: ConnectionlessScenario,
 
 def cycle_energy(timing: PhaseTiming, profile: PowerProfile
                  ) -> EnergyBreakdown:
-    """Energy of one cycle; see :func:`energy_parts`."""
-    return EnergyBreakdown(*energy_parts(*timing, profile))
+    """Energy of one cycle; see :func:`cycle_pricer`."""
+    return EnergyBreakdown(*cycle_pricer(profile)(*timing)[3:])
 
 
 def compare(edge_scn: ConnectionlessScenario,

@@ -70,12 +70,12 @@ def _resolve_profile(config: RunConfig) -> PowerProfile:
     return default_profile()
 
 
-def _write(config: RunConfig, text: str) -> None:
+def _write(config: RunConfig, *chunks: str) -> None:
     if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fp:
-            fp.write(text)
+            fp.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json(obj: Any) -> str:
@@ -87,9 +87,10 @@ def _emit(config: RunConfig, columns: list[str],
           rows: Callable[[], Iterable[list[str]]],
           json_text: Callable[[], str]) -> None:
     """Render the artifact in the requested format only, from the CSV
-    ``rows`` or the ``json_text`` callable, and write it once whole."""
+    ``rows`` or the ``json_text`` callable, and write it once whole: the
+    JSON text, rendered in full, then its terminating newline."""
     if config.output_format == "json":
-        _write(config, json_text() + "\n")
+        _write(config, json_text(), "\n")
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

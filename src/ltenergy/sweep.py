@@ -2,11 +2,15 @@
 
 ``sweep_cells`` is the one sweep kernel: a generator of the edge/cloud
 energy ratio at each point of a dense grid of scenario parameters, one
-dimension per swept axis.  It prices plain floats through the core that
-:func:`ltenergy.analytic.compare` uses, so every cell equals ``compare``
-there; scenario checks run once per axis value, each distinct edge scenario
-is priced once, a cycle that overruns its period is an error cell, and an
-overflowing energy aborts the stream.  Two per-cell renderers turn any
+dimension per swept axis.  It binds the per-cycle core of
+:func:`ltenergy.analytic.cycle_pricer` once per sweep and prices plain
+floats through it, so every cell equals :func:`ltenergy.analytic.compare`;
+scenario checks run once per axis value, a cycle that overruns its period
+is an error cell, and an overflowing energy aborts the stream.  Its caches
+grow with the axes, not the cells: it keeps only the last edge, priced
+again whenever a field other than the cloud RTT changes, and the pricer's
+wait energies, emptied whenever ``t_elab`` changes, so at most one per
+``rtt_cloud`` value plus the edge's.  Two per-cell renderers turn any
 stream of cells into an artifact: ``csv_rows`` yields one CSV row per cell,
 and ``json_text`` fills one template of the indent-2 JSON layout per cell.
 The CLI feeds the stream straight into them; ``run_sweep`` collects it.
@@ -26,7 +30,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+import operator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .analytic import (
     ComparisonResult,
@@ -36,9 +41,8 @@ from .analytic import (
     DEFAULT_DOWNLINK_BPS,
     DEFAULT_UPLINK_BPS,
     compare,  # noqa: F401  bench/spans.py times ltenergy.sweep.compare
-    energy_parts,
+    cycle_pricer,
     energy_ratio,
-    quiet_time,
     transfer_time,
 )
 from ._fmt import fmt_axis
@@ -238,33 +242,20 @@ def _round6(x: float) -> float | int:
     return int(x) if float(x).is_integer() else round(x, 6)
 
 
-def _scenario_fields(base: ConnectionlessScenario, names: Sequence[str],
-                     values: Sequence[float]) -> tuple[float, ...]:
-    """``(t_i, t_elab, rtt, b_tx, b_rx)`` of ``base`` with the named axes
-    set: ``rtt_cloud`` sets ``rtt`` and ``payload`` both byte counts."""
-    t_i, t_elab, rtt, b_tx, b_rx, _, _ = base
-    for name, value in zip(names, values):
-        if name == "t_i":
-            t_i = value
-        elif name == "t_elab":
-            t_elab = value
-        elif name == "rtt_cloud":
-            rtt = value
-        else:
-            b_tx = b_rx = value
-    return t_i, t_elab, rtt, b_tx, b_rx
+# The fields of ``(t_i, t_elab, rtt, b_tx, b_rx)`` that each axis sets.
+_AXIS_FIELDS = {"t_i": (0,), "t_elab": (1,), "rtt_cloud": (2,),
+                "payload": (3, 4)}
 
 
-def _cycle(t_tx: float, t_w: float, t_rx: float, t_i: float,
-           profile: PowerProfile
-           ) -> tuple[tuple[float, ...] | None, str | None]:
-    """``(energy_parts, None)`` of one cycle, or ``(None, diagnostic)``
-    when its phases overrun the period."""
-    try:
-        timing = quiet_time(t_tx, t_w, t_rx, t_i, profile)
-    except PeriodOverrunError as exc:
-        return None, str(exc)
-    return energy_parts(t_tx, t_w, t_rx, *timing, profile), None
+def _field_picker(base: ConnectionlessScenario, names: Sequence[str]
+                     ) -> tuple[Callable, tuple[float, ...]]:
+    """``(pick, fields)``: ``pick(values + fields)`` is ``(t_i, t_elab,
+    rtt, b_tx, b_rx)`` of ``base`` with the named axes set to ``values``."""
+    picks = list(range(len(names), len(names) + 5))
+    for i, name in enumerate(names):
+        for field in _AXIS_FIELDS[name]:
+            picks[field] = i
+    return operator.itemgetter(*picks), tuple(base[:5])
 
 
 def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
@@ -285,28 +276,38 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     # The scenario checks are per field, so checking every axis value once
     # against the base covers every cell the loop below prices as floats.
     for name, grid in zip(names, grids):
+        pick, fields = _field_picker(base, (name,))
         for value in grid:
-            ConnectionlessScenario(*_scenario_fields(base, (name,), (value,)),
+            ConnectionlessScenario(*pick((value, *fields)),
                                    base.uplink_bps, base.downlink_bps)
 
+    price = cycle_pricer(profile)
+    pick, fields = _field_picker(base, names)
     rtt_edge = spec.base_edge.rtt
-    edges: dict[tuple[float, ...], tuple] = {}
+    edge_key = None
     for values in itertools.product(*grids):
-        t_i, t_elab, rtt, b_tx, b_rx = _scenario_fields(base, names, values)
-        key = (t_i, t_elab, b_tx, b_rx)
-        edge = edges.get(key)
-        if edge is None:
+        t_i, t_elab, rtt, b_tx, b_rx = pick(values + fields)
+        key = t_i, t_elab, b_tx, b_rx
+        if key != edge_key:
+            # Only the last edge is kept, and only the waits of one t_elab.
+            if edge_key is None or t_elab != edge_key[1]:
+                price.cache_clear()
+            edge_key = key
             t_tx = transfer_time(b_tx, base.uplink_bps)
             t_rx = transfer_time(b_rx, base.downlink_bps)
-            priced = _cycle(t_tx, t_elab + rtt_edge, t_rx, t_i, profile)
-            edge = edges[key] = (t_tx, t_rx, *priced)
-        t_tx, t_rx, edge_mj, error = edge
+            edge = error = None
+            try:
+                edge = price(t_tx, t_elab + rtt_edge, t_rx, t_i)[3:]
+            except PeriodOverrunError as exc:
+                error = str(exc)
         if error is None:
-            cloud_mj, error = _cycle(t_tx, t_elab + rtt, t_rx, t_i, profile)
-        if error is None:
-            yield (values, edge_mj, cloud_mj,
-                   energy_ratio(edge_mj[-1], cloud_mj[-1]), rtt - rtt_edge,
-                   None)
+            try:
+                cloud = price(t_tx, t_elab + rtt, t_rx, t_i)[3:]
+            except PeriodOverrunError as exc:
+                yield values, None, None, None, None, str(exc)
+                continue
+            yield (values, edge, cloud, energy_ratio(edge[-1], cloud[-1]),
+                   rtt - rtt_edge, None)
         else:
             yield values, None, None, None, None, error
 
@@ -389,13 +390,13 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
     modelled.  A period too short for its own payload raises, as does an
     hourly energy that overflows a float.
     """
+    price = cycle_pricer(profile)
     t_rx = transfer_time(spec.reply_bytes, DEFAULT_DOWNLINK_BPS)
     energies = []
     for t_i in spec.t_i_grid:
         t_tx = transfer_time(per_cycle_payload(spec.hourly_bytes, t_i),
                              DEFAULT_UPLINK_BPS)
-        timing = quiet_time(t_tx, spec.rtt, t_rx, t_i, profile)
-        e_cycle = energy_parts(t_tx, spec.rtt, t_rx, *timing, profile)[-1]
+        e_cycle = price(t_tx, spec.rtt, t_rx, t_i)[-1]
         energies.append(e_cycle * (MS_PER_HOUR / t_i))
 
     if not all(e < math.inf for e in energies):  # nan fails too

@@ -47,3 +47,12 @@ def reference_scenarios(t_i, rtt_cloud):
         ConnectionlessScenario(rtt=REFERENCE_EDGE_RTT, **common),
         ConnectionlessScenario(rtt=float(rtt_cloud), **common),
     )
+
+
+def idle_gap_energy(gap, profile):
+    """Energy (mJ) of a quiet gap that starts in CR, as the one accounting
+    prices it: the wait of a cycle with no transfer, quiet time or
+    promotion.  A negative gap is rejected by ``PhaseTiming``."""
+    from ltenergy import PhaseTiming, cycle_energy
+
+    return cycle_energy(PhaseTiming(0.0, gap, 0.0, 0.0), profile).e_w

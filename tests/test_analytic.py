@@ -9,7 +9,6 @@ from ltenergy import (
     compare,
     cycle_energy,
     default_profile,
-    idle_gap_energy,
     phase_timing,
     timing_from_phases,
     transfer_time,
@@ -18,6 +17,7 @@ from ltenergy.analytic import energy_ratio
 from _goldens import (
     CLOUD_FAVORABLE,
     GOLDEN_ROWS,
+    idle_gap_energy,
     reference_scenarios,
 )
 

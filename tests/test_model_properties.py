@@ -6,8 +6,12 @@ oracle of ``_event_reference``) gives the closed-form cycle energy; a
 cycle's phases plus its charged promotions add up to its period; and two
 placements at equal RTT have a ratio of exactly 1, through ``compare`` and
 through ``run_sweep``.  The draws cover both promotion branches, and
-explicit examples pin each one.
+explicit examples pin each one.  Every cell of ``sweep_cells`` equals
+``compare`` bit for bit, whatever the axis order, and two sweeps over
+different profiles that run interleaved do not share a cache.
 """
+
+import itertools
 
 import pytest
 from hypothesis import (assume, example, given, reject, settings,
@@ -24,6 +28,7 @@ from ltenergy import (
     default_profile,
     phase_timing,
     run_sweep,
+    sweep_cells,
 )
 
 from _event_reference import canonical_cycle_events, event_driven_energy
@@ -136,3 +141,58 @@ def test_rho_is_exactly_one_at_equal_rtt(profile, scn):
                      axes=(SweepAxis("rtt_cloud", scn.rtt, scn.rtt, 1),))
     (cell,) = run_sweep(spec, profile).cells
     assert cell.rho == 1.0 and cell.delta_rtt == 0.0
+
+
+@st.composite
+def grid_axes(draw):
+    """``t_elab``, ``t_i`` and ``rtt_cloud`` axes of one to three values
+    each, in a drawn order; short periods make some cells overrun."""
+    bounds = {"t_elab": (0, 15_000), "t_i": (1, 60_000),
+              "rtt_cloud": (0, 15_000)}
+    axes = []
+    for name in draw(st.permutations(sorted(bounds))):
+        start = draw(st.floats(*bounds[name]))
+        step = draw(st.floats(1, 10_000))
+        n = draw(st.integers(1, 3))
+        axes.append(SweepAxis(name, start, start + step * (n - 1), step))
+    return tuple(axes)
+
+
+def assert_cell_is_compare(cell, spec, profile):
+    """The cell holds what ``compare`` returns or raises at its point."""
+    values, edge, cloud, rho, delta_rtt, error = cell
+    fields = dict(zip((axis.name for axis in spec.axes), values))
+    rtt = fields.pop("rtt_cloud")
+    try:
+        expected = compare(spec.base_edge._replace(**fields),
+                           spec.base_cloud._replace(rtt=rtt, **fields),
+                           profile)
+    except PeriodOverrunError as exc:
+        assert (edge, cloud, rho, delta_rtt, error) == (
+            None, None, None, None, str(exc))
+    else:
+        # repr tells every pair of floats apart that differ in a bit
+        assert error is None
+        assert repr((edge, cloud, rho, delta_rtt)) == repr(
+            (tuple(expected.edge), tuple(expected.cloud), expected.rho,
+             expected.delta_rtt))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(profile=profiles(), other=profiles(), scn=scenarios(),
+       axes=grid_axes())
+def test_sweep_cells_equal_compare_in_any_axis_order(profile, other, scn,
+                                                     axes):
+    # Transfers draw energy, so every ratio is finite and no cell raises.
+    assume(profile.p_tx >= 1 and other.p_tx >= 1 and profile != other)
+    spec = SweepSpec(base_edge=scn, base_cloud=scn, axes=axes)
+    points = list(itertools.product(*(axis.values() for axis in axes)))
+    cells = list(sweep_cells(spec, profile))
+    assert [cell[0] for cell in cells] == points
+    for cell in cells:
+        assert_cell_is_compare(cell, spec, profile)
+    # Each pricer caches its own waits: interleaved sweeps do not mix.
+    for mine, theirs in zip(sweep_cells(spec, profile),
+                            sweep_cells(spec, other)):
+        assert_cell_is_compare(mine, spec, profile)
+        assert_cell_is_compare(theirs, spec, other)

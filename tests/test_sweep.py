@@ -3,6 +3,8 @@ import csv
 import io
 import itertools
 import json
+import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,7 @@ from ltenergy import (
     default_profile,
     per_cycle_payload,
     run_sweep,
+    sweep_cells,
 )
 from ltenergy._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from ltenergy.sweep import MAX_GRID_CELLS, json_text
@@ -424,6 +427,29 @@ class TestStreamedArtifacts:
         assert streamed_csv == collected.getvalue()
         assert streamed_json == json.dumps(result.to_json_obj(),
                                            indent=2) + "\n"
+
+
+class TestBoundedCaches:
+    """A drained sweep holds memory per axis value, not per cell: the
+    kernel keeps only the last edge and the waits of one ``t_elab``."""
+
+    @pytest.mark.parametrize("axes", [
+        (SweepAxis("t_i", 30000, 40000, 10000),
+         SweepAxis("t_elab", 0, 9999, 1)),
+        (SweepAxis("rtt_cloud", 0, 99, 1),
+         SweepAxis("t_i", 1000, 20950, 100)),
+    ], ids=["t_i-t_elab", "rtt_cloud-t_i"])
+    def test_traced_peak_stays_under_one_mib(self, axes):
+        spec = make_spec(axes)
+        assert math.prod(axis.n_values for axis in axes) == 20_000
+        tracemalloc.start()
+        try:
+            for _ in sweep_cells(spec, PROFILE):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSweepOutput:

@@ -9,7 +9,6 @@ from ltenergy import (
     PhaseTiming,
     cycle_energy,
     default_profile,
-    idle_gap_energy,
     phase_timing,
     transfer_time,
 )
@@ -32,6 +31,7 @@ from ltenergy.traces import (
 )
 
 from _event_reference import canonical_cycle_events, event_driven_energy
+from _goldens import idle_gap_energy
 
 PROFILE = default_profile()
 CLIENT = "10.0.0.2:51000"
