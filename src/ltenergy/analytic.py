@@ -16,7 +16,9 @@ energies: a ratio below one means the edge placement saves energy.
 The value types are checked tuples, equal to a plain tuple of their fields.
 The per-cycle core, :func:`cycle_pricer`, is bound to one profile: it
 unpacks the profile once and prices each cycle in plain floats, so a sweep
-or a cost curve binds it once and calls it per cell.
+or a cost curve binds it once and calls it per cell.  :func:`price_cycle`
+and :func:`price_scenario` price one cycle through it, with one call, into
+its :class:`PhaseTiming` and :class:`EnergyBreakdown`.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ __all__ = [
     "transfer_time",
     "cycle_pricer",
     "energy_ratio",
-    "timing_from_phases",
-    "phase_timing",
-    "cycle_energy",
+    "price_cycle",
+    "price_scenario",
     "compare",
 ]
 
@@ -153,14 +154,15 @@ def transfer_time(nbytes: float, bitrate_bps: float) -> float:
     return 8.0 * nbytes / bitrate_bps * 1000.0
 
 
-def cycle_pricer(profile: PowerProfile) -> Callable[..., tuple]:
+def cycle_pricer(profile: PowerProfile
+                 ) -> Callable[[float, float, float, float], tuple]:
     """The one per-cycle core, bound to ``profile``, which it unpacks once.
 
-    ``price(t_tx, t_w, t_rx, t_i)`` derives a cycle's quiet time from its
-    period; ``price(*timing)`` takes a :class:`PhaseTiming` as given.  Both
-    return plain floats: ``(t_q, prom_tx, prom_rx)``, then the energy parts
-    (mJ) in ``EnergyBreakdown`` field order.  Phases are non-negative, as
-    :class:`ConnectionlessScenario` and :class:`PhaseTiming` check.
+    ``price(t_tx, t_w, t_rx, t_i)`` prices a cycle from its three phases
+    and its period.  It returns plain floats: ``(t_q, prom_tx, prom_rx)``,
+    then the energy parts (mJ) in ``EnergyBreakdown`` field order.  Phases
+    are non-negative, as :class:`ConnectionlessScenario`,
+    ``traces.TraceIteration`` and :class:`PhaseTiming` check.
 
     ``t_q`` is the period minus the three phases and any charged promotion
     durations; a negative ``t_q`` raises :class:`PeriodOverrunError`.  A
@@ -195,19 +197,15 @@ def cycle_pricer(profile: PowerProfile) -> Callable[..., tuple]:
             micro_joules += (gap - threshold) * p_idle
         return micro_joules / 1000.0
 
-    def price(t_tx: float, t_w: float, t_rx: float, t_i: float,
-              prom_tx: bool | None = None, prom_rx: bool = False) -> tuple:
-        if prom_tx is None:
-            prom_rx = t_w > threshold
-            residual = t_i - t_tx - t_rx - t_w
-            if prom_rx:
-                residual -= t_prom
-            prom_tx = residual - t_prom > threshold
-            t_q = residual - t_prom if prom_tx else residual
-            if t_q < 0:
-                raise PeriodOverrunError(-t_q)
-        else:  # a timing: the fourth field is its t_q
-            t_q = t_i
+    def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
+        prom_rx = t_w > threshold
+        residual = t_i - t_tx - t_rx - t_w
+        if prom_rx:
+            residual -= t_prom
+        prom_tx = residual - t_prom > threshold
+        t_q = residual - t_prom if prom_tx else residual
+        if t_q < 0:
+            raise PeriodOverrunError(-t_q)
         e_tx = t_tx * p_tx / 1000.0
         e_w = waits.get(t_w)
         if e_w is None:
@@ -235,27 +233,23 @@ def energy_ratio(edge_mj: float, cloud_mj: float) -> float:
     return rho
 
 
-def timing_from_phases(t_tx: float, t_w: float, t_rx: float, t_i: float,
-                       profile: PowerProfile) -> PhaseTiming:
-    """Full cycle timing from measured or computed phases; see
-    :func:`cycle_pricer`."""
-    return PhaseTiming(t_tx, t_w, t_rx,
-                       *cycle_pricer(profile)(t_tx, t_w, t_rx, t_i)[:3])
+def price_cycle(t_tx: float, t_w: float, t_rx: float, t_i: float,
+                profile: PowerProfile
+                ) -> tuple[PhaseTiming, EnergyBreakdown]:
+    """Timing and energy of one cycle from its three phases and its period,
+    priced once; see :func:`cycle_pricer`."""
+    t_q, prom_tx, prom_rx, *parts = cycle_pricer(profile)(t_tx, t_w, t_rx, t_i)
+    return (PhaseTiming(t_tx, t_w, t_rx, t_q, prom_tx, prom_rx),
+            EnergyBreakdown(*parts))
 
 
-def phase_timing(scn: ConnectionlessScenario,
-                 profile: PowerProfile) -> PhaseTiming:
-    """Cycle timing of a connectionless scenario."""
-    t_tx = transfer_time(scn.b_tx, scn.uplink_bps)
-    t_rx = transfer_time(scn.b_rx, scn.downlink_bps)
-    t_w = scn.t_elab + scn.rtt
-    return timing_from_phases(t_tx, t_w, t_rx, scn.t_i, profile)
-
-
-def cycle_energy(timing: PhaseTiming, profile: PowerProfile
-                 ) -> EnergyBreakdown:
-    """Energy of one cycle; see :func:`cycle_pricer`."""
-    return EnergyBreakdown(*cycle_pricer(profile)(*timing)[3:])
+def price_scenario(scn: ConnectionlessScenario, profile: PowerProfile
+                   ) -> tuple[PhaseTiming, EnergyBreakdown]:
+    """Timing and energy of one cycle of a connectionless scenario."""
+    return price_cycle(transfer_time(scn.b_tx, scn.uplink_bps),
+                       scn.t_elab + scn.rtt,
+                       transfer_time(scn.b_rx, scn.downlink_bps),
+                       scn.t_i, profile)
 
 
 def compare(edge_scn: ConnectionlessScenario,
@@ -269,7 +263,7 @@ def compare(edge_scn: ConnectionlessScenario,
     """
     if edge_scn.workload() != cloud_scn.workload():
         raise ValueError("scenarios must differ only in rtt")
-    edge = cycle_energy(phase_timing(edge_scn, profile), profile)
-    cloud = cycle_energy(phase_timing(cloud_scn, profile), profile)
+    edge = price_scenario(edge_scn, profile)[1]
+    cloud = price_scenario(cloud_scn, profile)[1]
     return ComparisonResult(edge, cloud, energy_ratio(edge.e_i, cloud.e_i),
                             cloud_scn.rtt - edge_scn.rtt)

@@ -116,8 +116,7 @@ def _run_power_table(config: RunConfig) -> int:
 def _run_eval(config: RunConfig) -> int:
     profile = _resolve_profile(config)
     scn = analytic.ConnectionlessScenario(**config.params)
-    timing = analytic.phase_timing(scn, profile)
-    energy = analytic.cycle_energy(timing, profile)
+    timing, energy = analytic.price_scenario(scn, profile)
 
     # (column, value, unit): the phase durations, then the energy parts
     # and their total, each named after its field.
@@ -201,8 +200,6 @@ def _run_cost(config: RunConfig) -> int:
     alphas = [0.5] if p.get("alphas") is None else p["alphas"]
     if not isinstance(alphas, list):
         raise ValueError(f"alphas must be a list of numbers, got {alphas!r}")
-    if not alphas:
-        raise ValueError("alphas must be a non-empty list of numbers")
 
     def given(value: Any, what: str) -> float:
         # A number keeps its type, so the integers of a config file stay
@@ -210,41 +207,39 @@ def _run_cost(config: RunConfig) -> int:
         number = _number(value, what)
         return value if isinstance(value, (int, float)) else number
 
-    alphas = [given(alpha, "alpha") for alpha in alphas]
+    alphas = tuple(given(alpha, "alpha") for alpha in alphas)
     axis = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
                                     ("t_i_min", "t_i_max", "t_i_step")))
-    points = len(alphas) * axis.n_values  # each curve prices the whole grid
-    if points > sweep.MAX_GRID_CELLS:
-        raise ValueError(
-            f"cost has {points} points, more than {sweep.MAX_GRID_CELLS}")
-    grid = tuple(axis.values())
+    # CostSpec's bound, checked before the grid values are built.
+    sweep._check_cost_points(len(alphas), axis.n_values)
     # CostSpec supplies the reply size when neither flag nor file gives it.
     numbers = {k: _number(p[k], k)
                for k in ("hourly_bytes", "rtt", "reply_bytes") if k in p}
+    spec = sweep.CostSpec(alphas=alphas, t_i_grid=tuple(axis.values()),
+                          **numbers)
+    curve = sweep.cost_curve(spec, profile)
+    n = len(spec.t_i_grid)
 
     columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
-    curves = []
-    for alpha in alphas:
-        spec = sweep.CostSpec(alpha=float(alpha), t_i_grid=grid, **numbers)
-        curves.append((alpha, sweep.cost_curve(spec, profile)))
 
     def rows() -> Iterator[list[str]]:
-        return ([fmt_axis(alpha), fmt_axis(pt.t_i), fmt_mj(pt.e_total),
-                 fmt_axis(pt.d), fmt_cost(pt.c),
-                 "1" if pt.t_i == curve.argmin_t_i else "0"]
-                for alpha, curve in curves for pt in curve.points)
+        return ([fmt_axis(pt.alpha), fmt_axis(pt.t_i), fmt_mj(pt.e_total),
+                 fmt_axis(pt.t_i), fmt_cost(pt.c),
+                 "1" if pt.t_i == curve.argmin_t_i[i // n] else "0"]
+                for i, pt in enumerate(curve.points))
 
     def json_text() -> str:
         return _json({"curves": [
             {"alpha": round(alpha, 6),
-             "argmin_t_i_ms": round(curve.argmin_t_i, 6),
+             "argmin_t_i_ms": round(argmin, 6),
              "e_max_mj": round(curve.e_max, 1),
              "d_max_ms": round(curve.d_max, 6),
              "points": [{"t_i_ms": round(pt.t_i, 6),
                          "e_mj_per_hour": round(pt.e_total, 1),
-                         "d_ms": round(pt.d, 6), "cost": round(pt.c, 6)}
-                        for pt in curve.points]}
-            for alpha, curve in curves]})
+                         "d_ms": round(pt.t_i, 6), "cost": round(pt.c, 6)}
+                        for pt in curve.points[k * n:(k + 1) * n]]}
+            for k, (alpha, argmin) in enumerate(zip(spec.alphas,
+                                                    curve.argmin_t_i))]})
 
     _emit(config, columns, rows, json_text)
     return 0

@@ -18,8 +18,9 @@ The CLI feeds the stream straight into them; ``run_sweep`` collects it.
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
 (a larger period) amortises the radio's quiet-time tail energy but delays
-the data.  The combined cost ``c = alpha * E/E_max + (1-alpha) * D/D_max``
-is normalised by the maxima over the evaluated grid.
+the data.  The combined cost ``c = alpha * E/E_max + (1-alpha) * D/D_max``,
+whose delay ``D`` is the period, is normalised by the maxima over the
+evaluated grid; each period is priced once, whatever the alphas.
 
 The value types are checked tuples (see :mod:`ltenergy.power_model`), so a
 spec compares equal to a plain tuple of its fields.
@@ -333,22 +334,32 @@ def per_cycle_payload(hourly_bytes: float, t_i: float) -> int:
     return int(math.floor(payload + 0.5))
 
 
+def _check_cost_points(alphas: int, periods: int) -> None:
+    """A cost has a point per alpha and period, bounded like grid cells."""
+    if alphas * periods > MAX_GRID_CELLS:
+        raise ValueError(
+            f"cost has {alphas * periods} points, more than {MAX_GRID_CELLS}")
+
+
 @_checked
 class CostSpec(NamedTuple):
     """Configuration of a batching-cost evaluation.
 
-    ``alpha`` weighs energy against delay; ``hourly_bytes`` is the data the
-    node produces per hour; the reply is a short confirmation.
+    Each of ``alphas`` weighs energy against delay, in the given order,
+    duplicates kept; ``hourly_bytes`` is the data the node produces per
+    hour; the reply is a short confirmation.
     """
 
-    alpha: float
+    alphas: tuple[float, ...]
     hourly_bytes: float
     rtt: float
     t_i_grid: tuple[float, ...]
     reply_bytes: float = 1.0
 
     def _check(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
+        if len(self.alphas) == 0:
+            raise ValueError("alphas must be a non-empty list of numbers")
+        if not all(0.0 <= alpha <= 1.0 for alpha in self.alphas):
             raise ValueError("alpha must lie in [0, 1]")
         for name in ("hourly_bytes", "rtt", "reply_bytes"):
             value = getattr(self, name)
@@ -364,26 +375,32 @@ class CostSpec(NamedTuple):
         if not all(0 < t < math.inf for t in self.t_i_grid):
             raise ValueError(
                 "grid periods must be finite and strictly positive")
+        _check_cost_points(len(self.alphas), len(self.t_i_grid))
 
 
 class CostPoint(NamedTuple):
-    """Cost evaluation at one period."""
+    """Cost of one alpha at one period, which is also the delay (ms)."""
 
+    alpha: float
     t_i: float  # ms
     e_total: float  # energy per hour, mJ
-    d: float  # delay component (the period itself), ms
     c: float  # normalised combined cost
 
 
 class CostCurve(NamedTuple):
+    """The cost of each alpha over the period grid.  ``points`` holds one
+    point per alpha and period, alpha-major in the spec's orders, and
+    ``argmin_t_i`` the least-cost period of each alpha."""
+
     points: tuple[CostPoint, ...]
-    argmin_t_i: float
+    argmin_t_i: tuple[float, ...]
     e_max: float
     d_max: float
 
 
 def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
-    """Evaluate the batching cost over the period grid and find its argmin.
+    """Evaluate the batching cost of each alpha over the period grid and
+    find each argmin; every period is priced once, whatever the alphas.
 
     Hourly energy multiplies one cycle's energy by the (possibly
     fractional) number of cycles per hour; no partial final cycle is
@@ -403,15 +420,13 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
         raise ValueError("hourly energy overflows a float")
     e_max = max(energies)
     d_max = max(spec.t_i_grid)
-    points = tuple(
-        CostPoint(
-            t_i=t_i,
-            e_total=e,
-            d=t_i,
-            c=spec.alpha * e / e_max + (1.0 - spec.alpha) * t_i / d_max,
-        )
-        for t_i, e in zip(spec.t_i_grid, energies)
-    )
-    best = min(points, key=lambda p: (p.c, p.t_i))
-    return CostCurve(points=points, argmin_t_i=best.t_i,
+    points: list[CostPoint] = []
+    argmins = []
+    for alpha in spec.alphas:
+        curve = [CostPoint(alpha, t_i, e,
+                           alpha * e / e_max + (1.0 - alpha) * t_i / d_max)
+                 for t_i, e in zip(spec.t_i_grid, energies)]
+        argmins.append(min(curve, key=lambda p: (p.c, p.t_i)).t_i)
+        points += curve
+    return CostCurve(points=tuple(points), argmin_t_i=tuple(argmins),
                      e_max=e_max, d_max=d_max)

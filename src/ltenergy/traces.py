@@ -16,7 +16,7 @@ A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
 round-trip time, so placement comparisons can be exercised end to end.
 
-``aggregate`` prices the repetitions of one placement once, and
+``aggregate`` prices each repetition of one placement once, and
 ``rho_from_traces`` takes the edge/cloud ratio rho of two such aggregates.
 The package does not re-export these names: import them from here.
 """
@@ -30,13 +30,7 @@ from enum import Enum
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
-from .analytic import (
-    EnergyBreakdown,
-    PhaseTiming,
-    cycle_energy,
-    energy_ratio,
-    timing_from_phases,
-)
+from .analytic import EnergyBreakdown, PhaseTiming, energy_ratio, price_cycle
 from .power_model import PowerProfile, _checked
 
 __all__ = [
@@ -114,19 +108,23 @@ class PacketEvent(NamedTuple):
 
 @_checked
 class TraceIteration(NamedTuple):
-    """Measured phases of one request-response exchange.
+    """Measured phases (ms) of one request-response exchange.
 
-    The residual quiet time is not a property of the trace; it is derived
-    from the application period at analysis time, so ``phase.t_q`` is zero
-    here.
+    The residual quiet time is not a property of the trace: it is derived
+    from the application period when the exchange is priced.
     """
 
-    phase: PhaseTiming
+    t_tx: float
+    t_w: float
+    t_rx: float
     app_kind: str  # "post" or "get"
     file_size: int  # application bytes moved in the bulk direction
     other_size: int = 0  # bytes moved the other way, 0 when not measured
 
     def _check(self) -> None:
+        for name in ("t_tx", "t_w", "t_rx"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.app_kind not in ("post", "get"):
             raise ValueError("app_kind must be 'post' or 'get'")
 
@@ -338,11 +336,9 @@ def _extract_phases(kind: str,
             "missing the client acknowledgment of the response")
 
     return TraceIteration(
-        phase=PhaseTiming(
-            t_tx=(request_ack.timestamp - request[0].timestamp) * 1000.0,
-            t_w=(response_start - request_ack.timestamp) * 1000.0,
-            t_rx=(final_ack.timestamp - response_start) * 1000.0,
-            t_q=0.0),
+        t_tx=(request_ack.timestamp - request[0].timestamp) * 1000.0,
+        t_w=(response_start - request_ack.timestamp) * 1000.0,
+        t_rx=(final_ack.timestamp - response_start) * 1000.0,
         app_kind=kind,
         file_size=(request_end - request_first if kind == "post"
                    else response_end - response_first),
@@ -603,9 +599,8 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
     if not 0.0 < t_i < math.inf:
         raise ValueError(
             f"t_i must be finite and strictly positive, got {t_i!r}")
-    timings = tuple(timing_from_phases(*it.phase[:3], t_i, profile)
-                    for it in iterations)
-    breakdowns = tuple(cycle_energy(t, profile) for t in timings)
+    timings, breakdowns = zip(*(price_cycle(*it[:3], t_i, profile)
+                                for it in iterations))
     n = len(timings)
     if not t_i * n < math.inf:  # bounds each sum of n phases
         raise ValueError(

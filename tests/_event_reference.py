@@ -1,13 +1,13 @@
 """Event-walk oracle for the closed-form cycle energy.
 
-``ltenergy.analytic.cycle_energy`` prices a cycle from its phase durations
-in closed form.  This module prices the same cycle another way: it lays
-the cycle out as packet events and walks the radio state machine over
-them, gap by gap and packet by packet.  The property tests require the
-two to agree.  The walk carries its own copies of the decay chain and its
-IDLE threshold, of the promotion energy and of the segmenting of transfers
-into packets, so a change to any of them in the library shows as a
-difference.
+``ltenergy.analytic.price_cycle`` prices a cycle from its phase durations
+and its period in closed form.  This module prices the same cycle another
+way: it lays the cycle out as packet events and walks the radio state
+machine over them, gap by gap and packet by packet.  The property tests
+require the two to agree.  The walk carries its own copies of the decay
+chain and its IDLE threshold, of the promotion energy and of the
+segmenting of transfers into packets, so a change to any of them in the
+library shows as a difference.
 """
 
 import math
@@ -108,10 +108,11 @@ def canonical_cycle_events(b_tx, b_rx, t_w, t_q, *, prom_tx=False,
 
     Upload segments go back to back at the uplink rate, then the response
     arrives after the wait, then the residual quiet time runs out and a
-    zero-payload marker opens the next cycle at the window end.  Charged
-    promotions occupy real time inside the corresponding gap, so walking
-    the events with :func:`event_driven_energy` gives the closed-form
-    energy of the returned timing.
+    zero-payload marker opens the next cycle at the window end, so the
+    window spans one period.  Charged promotions occupy real time inside
+    the corresponding gap, so walking the events with
+    :func:`event_driven_energy` gives the closed-form energy of the
+    returned timing, which pricing its phases over that period derives.
     """
     if b_tx < 1 or b_rx < 1:
         raise ValueError("canonical cycles need at least one byte each way")

@@ -51,8 +51,10 @@ def reference_scenarios(t_i, rtt_cloud):
 
 def idle_gap_energy(gap, profile):
     """Energy (mJ) of a quiet gap that starts in CR, as the one accounting
-    prices it: the wait of a cycle with no transfer, quiet time or
-    promotion.  A negative gap is rejected by ``PhaseTiming``."""
-    from ltenergy import PhaseTiming, cycle_energy
+    prices it: the wait of a cycle with no transfer, whose period leaves
+    room for the wait's promotion and 1 ms of quiet time.  A negative gap
+    is rejected by ``PhaseTiming``."""
+    from ltenergy import price_cycle
 
-    return cycle_energy(PhaseTiming(0.0, gap, 0.0, 0.0), profile).e_w
+    return price_cycle(0.0, gap, 0.0, gap + profile.t_prom + 1.0,
+                       profile)[1].e_w

@@ -5,12 +5,10 @@ import pytest
 from ltenergy import (
     ConnectionlessScenario,
     PeriodOverrunError,
-    PhaseTiming,
     compare,
-    cycle_energy,
     default_profile,
-    phase_timing,
-    timing_from_phases,
+    price_cycle,
+    price_scenario,
     transfer_time,
 )
 from ltenergy.analytic import energy_ratio
@@ -118,7 +116,7 @@ class TestPhaseTiming:
     def test_reference_edge(self):
         scn = ConnectionlessScenario(
             t_i=750, t_elab=150, rtt=40, b_tx=16000, b_rx=16000)
-        t = phase_timing(scn, PROFILE)
+        t = price_scenario(scn, PROFILE)[0]
         assert (t.t_tx, t.t_w, t.t_rx, t.t_q) == (128.0, 190.0, 160.0, 272.0)
         assert not t.prom_tx and not t.prom_rx
         # cross-check against the quiet-gap accounting
@@ -127,20 +125,20 @@ class TestPhaseTiming:
     def test_reference_cloud(self):
         scn = ConnectionlessScenario(
             t_i=750, t_elab=150, rtt=300, b_tx=16000, b_rx=16000)
-        t = phase_timing(scn, PROFILE)
+        t = price_scenario(scn, PROFILE)[0]
         assert (t.t_tx, t.t_w, t.t_rx, t.t_q) == (128.0, 450.0, 160.0, 12.0)
         assert idle_gap_energy(t.t_q, PROFILE) == pytest.approx(12.0, abs=0.1)
 
     def test_exact_fit_gives_zero_quiet_time(self):
         scn = ConnectionlessScenario(
             t_i=128 + 160 + 190, t_elab=150, rtt=40, b_tx=16000, b_rx=16000)
-        assert phase_timing(scn, PROFILE).t_q == 0.0
+        assert price_scenario(scn, PROFILE)[0].t_q == 0.0
 
     def test_overrun_carries_deficit(self):
         scn = ConnectionlessScenario(
             t_i=400, t_elab=150, rtt=40, b_tx=16000, b_rx=16000)
         with pytest.raises(PeriodOverrunError) as err:
-            phase_timing(scn, PROFILE)
+            price_scenario(scn, PROFILE)[0]
         assert err.value.deficit_ms == pytest.approx(78.0)
 
     @pytest.mark.parametrize("deficit, text", [
@@ -152,13 +150,13 @@ class TestPhaseTiming:
             == f"cycle phases exceed the period by {text} ms"
 
     def test_wait_promotion_flag(self):
-        t = timing_from_phases(10, 12000, 10, 17220, PROFILE)
+        t = price_cycle(10, 12000, 10, 17220, PROFILE)[0]
         assert t.prom_rx and not t.prom_tx
         # promotion carved from the quiet time
         assert t.t_q == pytest.approx(17220 - 10 - 12000 - 10 - 200)
 
     def test_quiet_promotion_flag(self):
-        t = timing_from_phases(10, 10, 10, 30000, PROFILE)
+        t = price_cycle(10, 10, 10, 30000, PROFILE)[0]
         assert t.prom_tx and not t.prom_rx
         assert t.t_q == pytest.approx(30000 - 30 - 200)
         assert t.t_q > PROFILE.idle_entry_ms
@@ -167,7 +165,7 @@ class TestPhaseTiming:
         # the residual exceeds the IDLE threshold by less than one
         # promotion, so no promotion fits and none is charged
         residual = PROFILE.idle_entry_ms + 100
-        t = timing_from_phases(10, 10, 10, residual + 30, PROFILE)
+        t = price_cycle(10, 10, 10, residual + 30, PROFILE)[0]
         assert not t.prom_tx
         assert t.t_q == pytest.approx(residual)
 
@@ -176,7 +174,7 @@ class TestCycleEnergy:
     def test_reference_edge_total(self):
         scn = ConnectionlessScenario(
             t_i=750, t_elab=150, rtt=40, b_tx=16000, b_rx=16000)
-        e = cycle_energy(phase_timing(scn, PROFILE), PROFILE)
+        e = price_scenario(scn, PROFILE)[1]
         assert e.e_i == pytest.approx(729.5, abs=0.1)
         assert e.e_tx == pytest.approx(153.6, abs=1e-9)
         assert e.e_rx == pytest.approx(160.0, abs=1e-9)
@@ -184,22 +182,22 @@ class TestCycleEnergy:
     def test_reference_cloud_total(self):
         scn = ConnectionlessScenario(
             t_i=750, t_elab=150, rtt=300, b_tx=16000, b_rx=16000)
-        e = cycle_energy(phase_timing(scn, PROFILE), PROFILE)
+        e = price_scenario(scn, PROFILE)[1]
         assert e.e_i == pytest.approx(615.4, abs=0.1)
 
     def test_all_zero_timing(self):
-        e = cycle_energy(PhaseTiming(0, 0, 0, 0), PROFILE)
+        e = price_cycle(0, 0, 0, 0, PROFILE)[1]
         assert e.e_i == 0.0
 
     def test_promotion_energy_charged(self):
-        t = PhaseTiming(10, 10, 10, 15000, prom_tx=True)
-        e = cycle_energy(t, PROFILE)
+        t, e = price_cycle(10, 10, 10, 15000 + 30 + 200, PROFILE)
+        assert t == (10, 10, 10, 15000, True, False)
         assert e.e_prom_tx == pytest.approx(240.0)
         assert e.e_prom_rx == 0.0
 
     def test_total_is_exact_sum(self):
-        t = PhaseTiming(128, 190, 160, 272)
-        e = cycle_energy(t, PROFILE)
+        t, e = price_cycle(128, 190, 160, 750, PROFILE)
+        assert t == (128, 190, 160, 272, False, False)
         assert e.e_i == (e.e_tx + e.e_w + e.e_rx + e.e_q
                          + e.e_prom_tx + e.e_prom_rx)
 
@@ -243,8 +241,8 @@ class TestCompare:
         t_i = profile.idle_entry_ms + 1000
         edge = ConnectionlessScenario(t_i=t_i, rtt=0)
         cloud = edge._replace(rtt=profile.idle_entry_ms - 1)
-        edge_mj = cycle_energy(phase_timing(edge, profile), profile).e_i
-        cloud_mj = cycle_energy(phase_timing(cloud, profile), profile).e_i
+        edge_mj = price_scenario(edge, profile)[1].e_i
+        cloud_mj = price_scenario(cloud, profile)[1].e_i
         assert (edge_mj, cloud_mj) == (2e9, 5.94e-301)
         with pytest.raises(ValueError, match="rho = .* is not finite"):
             compare(edge, cloud, profile)
@@ -292,8 +290,8 @@ class TestGoldenTable:
                                                for r in GOLDEN_ROWS])
     def test_wait_and_quiet_shift_by_delta_rtt(self, t_i, rtt_cloud):
         edge, cloud = reference_scenarios(t_i, rtt_cloud)
-        t_edge = phase_timing(edge, PROFILE)
-        t_cloud = phase_timing(cloud, PROFILE)
+        t_edge = price_scenario(edge, PROFILE)[0]
+        t_cloud = price_scenario(cloud, PROFILE)[0]
         delta = rtt_cloud - edge.rtt
         assert t_cloud.t_w == pytest.approx(t_edge.t_w + delta)
         assert t_cloud.t_q == pytest.approx(t_edge.t_q - delta)
@@ -312,7 +310,7 @@ class TestInvariants:
                 b_rx=rng.uniform(0, 30000),
             )
             try:
-                t = phase_timing(scn, p)
+                t = price_scenario(scn, p)[0]
             except PeriodOverrunError:
                 continue
             charged = p.t_prom * (t.prom_tx + t.prom_rx)
@@ -337,7 +335,7 @@ class TestInvariants:
             edge = ConnectionlessScenario(
                 t_i=t_i, t_elab=t_elab, rtt=rtt_edge, b_tx=b, b_rx=b)
             cloud = edge._replace(rtt=rtt_edge + delta)
-            t_cloud = phase_timing(cloud, p)
-            t_edge = phase_timing(edge, p)
+            t_cloud = price_scenario(cloud, p)[0]
+            t_edge = price_scenario(edge, p)[0]
             assert 600 < t_cloud.t_q <= t_edge.t_q <= 11600
             assert compare(edge, cloud, p).rho < 1

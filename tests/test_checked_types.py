@@ -23,17 +23,16 @@ CHECKED = sorted(
 
 SCENARIO = analytic.ConnectionlessScenario(t_i=1000.0)
 AXIS = sweep.SweepAxis("t_i", 750.0, 1000.0, 50.0)
-TIMING = analytic.PhaseTiming(1.0, 2.0, 3.0, 4.0)
 # A valid instance of each checked type, to call ``_replace`` on.
 VALID = {
     "DutyCycleSpec": power_model.DutyCycleSpec(788.0, 41.0, 100.0, 61.0),
     "PowerProfile": power_model.default_profile(),
     "ConnectionlessScenario": SCENARIO,
-    "PhaseTiming": TIMING,
+    "PhaseTiming": analytic.PhaseTiming(1.0, 2.0, 3.0, 4.0),
     "SweepAxis": AXIS,
     "SweepSpec": sweep.SweepSpec(SCENARIO, SCENARIO, (AXIS,)),
-    "CostSpec": sweep.CostSpec(0.5, 360000.0, 40.0, (1000.0, 2000.0)),
-    "TraceIteration": traces.TraceIteration(TIMING, "get", 1000),
+    "CostSpec": sweep.CostSpec((0.5,), 360000.0, 40.0, (1000.0, 2000.0)),
+    "TraceIteration": traces.TraceIteration(1.0, 2.0, 3.0, "get", 1000),
     "RunConfig": cli.RunConfig("eval", None, "csv", None, {}),
 }
 # (field, value, message) that each type rejects.
@@ -44,7 +43,7 @@ INVALID = {
     "PhaseTiming": ("t_w", -1.0, "t_w must be non-negative"),
     "SweepAxis": ("step", float("nan"), "bounds must be finite"),
     "SweepSpec": ("axes", (), "no sweep axes given"),
-    "CostSpec": ("alpha", float("nan"), "alpha must lie in [0, 1]"),
+    "CostSpec": ("alphas", (0.5, float("nan")), "alpha must lie in [0, 1]"),
     "TraceIteration": ("app_kind", "put", "must be 'post' or 'get'"),
     "RunConfig": ("output_format", "xml", "format must be 'csv' or 'json'"),
 }

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ltenergy import cli, sweep, traces
+from ltenergy import analytic, cli, sweep, traces
 from ltenergy.power_model import default_profile, profile_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -933,6 +933,18 @@ class TestConfigKeys:
         assert outputs[0].startswith("alpha,t_i_ms,")
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_cost_curves_follow_the_alphas_by_position(self, tmp_path,
+                                                       capsys):
+        """One curve per alpha in the given order, duplicates kept, and an
+        integer alpha stays an integer in the JSON artifact."""
+        path = write_config(tmp_path, cost_config(alphas=[1, 0.5, 1],
+                                                  format="json"))
+        assert cli.main(["cost", "--config", path]) == 0
+        curves = json.loads(capsys.readouterr().out)["curves"]
+        assert [curve["alpha"] for curve in curves] == [1, 0.5, 1]
+        assert isinstance(curves[0]["alpha"], int)
+        assert curves[0] == curves[2] != curves[1]
+
     def test_trace_synth_seed_defaults_to_zero(self, tmp_path):
         paths = [tmp_path / "default.tsv", tmp_path / "zero.tsv"]
         for path, seed in zip(paths, ([], ["--seed", "0"])):
@@ -1092,3 +1104,53 @@ class TestTraceBound:
     def test_huge_integer(self, capsys):
         assert_cli_error(self.argv(10 ** 400), capsys,
                          "packets, more than 2000000")
+
+
+class TestEachCyclePricedOnce:
+    """Every command prices each of its cycles with one call of a pricer
+    that ``analytic.cycle_pricer`` binds, whichever module binds it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        bind = analytic.cycle_pricer
+
+        def counting(profile):
+            price = bind(profile)
+
+            def counted(*args):
+                calls.append(args)
+                return price(*args)
+
+            counted.cache_clear = price.cache_clear
+            return counted
+
+        for module in (analytic, sweep, traces):
+            if hasattr(module, "cycle_pricer"):
+                monkeypatch.setattr(module, "cycle_pricer", counting)
+        return calls
+
+    def test_eval(self, calls):
+        assert cli.main(["eval", "--t-i", "30000"]) == 0
+        assert len(calls) == 1
+
+    def test_compare(self, calls):
+        edge = analytic.ConnectionlessScenario(t_i=1000, rtt=40)
+        analytic.compare(edge, edge._replace(rtt=90), default_profile())
+        assert len(calls) == 2
+
+    def test_trace_analyze(self, calls, tmp_path):
+        edge, cloud = synth_exports(tmp_path, "get", 20000)
+        assert cli.main(["trace-analyze", "--kind", "get", "--client",
+                         CLIENT, "--t-i", "30000", "--out",
+                         str(tmp_path / "out.csv"), *edge, "--cloud",
+                         *cloud]) == 0
+        assert len(calls) == 6
+
+    def test_cost_prices_each_period_once(self, calls, tmp_path):
+        """fig8 costs 3 alphas over 120 periods: 360 points, 120 cycles."""
+        assert cli.main(["cost", "--config", str(FIGURES / "fig8.json"),
+                         "--out", str(tmp_path / "fig8.csv")]) == 0
+        assert len(calls) == 120
+        assert sorted(set(args[-1] for args in calls)) == [
+            1000.0 * k for k in range(1, 121)]

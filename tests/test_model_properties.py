@@ -24,9 +24,8 @@ from ltenergy import (
     SweepAxis,
     SweepSpec,
     compare,
-    cycle_energy,
     default_profile,
-    phase_timing,
+    price_scenario,
     run_sweep,
     sweep_cells,
 )
@@ -69,9 +68,10 @@ def scenarios(draw):
         b_tx=b_tx, b_rx=b_rx, uplink_bps=uplink, downlink_bps=downlink)
 
 
-def timing_or_reject(scn, profile):
+def priced_or_reject(scn, profile):
+    """The scenario's cycle timing and energy, priced from its period."""
     try:
-        return phase_timing(scn, profile)
+        return price_scenario(scn, profile)
     except PeriodOverrunError:
         reject()
 
@@ -92,7 +92,7 @@ BRANCHES = [
 
 def test_examples_cover_both_promotion_branches():
     flags = {(t.prom_tx, t.prom_rx)
-             for t in (phase_timing(scn, DEFAULT) for scn in BRANCHES)}
+             for t, _ in (price_scenario(scn, DEFAULT) for scn in BRANCHES)}
     assert flags == {(False, False), (True, True), (False, True),
                      (True, False)}
 
@@ -107,16 +107,16 @@ def with_branches(test):
 @given(profile=profiles(), scn=scenarios())
 @with_branches
 def test_event_walk_equals_closed_form(profile, scn):
-    timing = timing_or_reject(scn, profile)
+    timing, energy = priced_or_reject(scn, profile)
     events, canonical, window = canonical_cycle_events(
         int(scn.b_tx), int(scn.b_rx), timing.t_w, timing.t_q,
         prom_tx=timing.prom_tx, prom_rx=timing.prom_rx, profile=profile,
         uplink_bps=scn.uplink_bps, downlink_bps=scn.downlink_bps)
-    assert canonical == timing
+    assert canonical == timing  # what pricing over the period derived
     walked = event_driven_energy(events, profile, window,
                                  uplink_bps=scn.uplink_bps,
                                  downlink_bps=scn.downlink_bps)
-    closed = cycle_energy(timing, profile).e_i
+    closed = energy.e_i
     assert walked == pytest.approx(closed, rel=1e-12, abs=1e-9)
 
 
@@ -124,7 +124,7 @@ def test_event_walk_equals_closed_form(profile, scn):
 @given(profile=profiles(), scn=scenarios())
 @with_branches
 def test_time_is_conserved(profile, scn):
-    t = timing_or_reject(scn, profile)
+    t, _ = priced_or_reject(scn, profile)
     charged = profile.t_prom * (t.prom_tx + t.prom_rx)
     total = t.t_tx + t.t_w + t.t_rx + t.t_q + charged
     assert total == pytest.approx(scn.t_i, rel=1e-12, abs=1e-9)
@@ -135,7 +135,7 @@ def test_time_is_conserved(profile, scn):
 @with_branches
 def test_rho_is_exactly_one_at_equal_rtt(profile, scn):
     # A cycle that draws no energy at all has no ratio.
-    assume(cycle_energy(timing_or_reject(scn, profile), profile).e_i > 0)
+    assume(priced_or_reject(scn, profile)[1].e_i > 0)
     assert compare(scn, scn, profile).rho == 1.0
     spec = SweepSpec(base_edge=scn, base_cloud=scn,
                      axes=(SweepAxis("rtt_cloud", scn.rtt, scn.rtt, 1),))

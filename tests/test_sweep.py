@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ltenergy import cli
+from ltenergy import cli, sweep
 from ltenergy import (
     ConnectionlessScenario,
     CostSpec,
@@ -25,7 +25,7 @@ from ltenergy import (
 )
 from ltenergy._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from ltenergy.sweep import MAX_GRID_CELLS, json_text
-from ltenergy.analytic import cycle_energy, phase_timing
+from ltenergy.analytic import price_scenario
 from _goldens import reference_scenarios
 
 PROFILE = default_profile()
@@ -500,56 +500,55 @@ class TestCostCurve:
     GRID = tuple(float(t) for t in range(1000, 120001, 1000))
 
     def test_delay_only_picks_smallest_period(self):
-        spec = CostSpec(alpha=0.0, hourly_bytes=10e6, rtt=50,
+        spec = CostSpec(alphas=(0.0,), hourly_bytes=10e6, rtt=50,
                         t_i_grid=self.GRID)
         curve = cost_curve(spec, PROFILE)
-        assert curve.argmin_t_i == 1000
+        assert curve.argmin_t_i == (1000,)
         for point in curve.points:
             assert point.c == pytest.approx(point.t_i / curve.d_max)
 
     def test_single_point_cost_is_one(self):
-        spec = CostSpec(alpha=0.3, hourly_bytes=10e6, rtt=50,
+        spec = CostSpec(alphas=(0.3,), hourly_bytes=10e6, rtt=50,
                         t_i_grid=(30_000.0,))
         curve = cost_curve(spec, PROFILE)
         assert curve.points[0].c == pytest.approx(1.0)
 
     def test_normalisers_are_grid_maxima(self):
-        spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
+        spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
                         t_i_grid=self.GRID)
         curve = cost_curve(spec, PROFILE)
         assert curve.e_max == max(p.e_total for p in curve.points)
-        assert curve.d_max == max(p.d for p in curve.points)
+        assert curve.d_max == max(p.t_i for p in curve.points)
         assert all(0 <= p.c <= 1 + 1e-12 for p in curve.points)
 
     def test_cost_invariant_under_energy_rescaling(self):
-        spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
+        spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
                         t_i_grid=self.GRID)
         curve = cost_curve(spec, PROFILE)
         for point in curve.points:
             joules = point.e_total / 1000.0
-            rescaled = (spec.alpha * joules / (curve.e_max / 1000.0)
-                        + (1 - spec.alpha) * point.d / curve.d_max)
+            rescaled = (point.alpha * joules / (curve.e_max / 1000.0)
+                        + (1 - point.alpha) * point.t_i / curve.d_max)
             assert rescaled == pytest.approx(point.c, rel=1e-12)
 
     def test_argmin_monotone_in_alpha(self):
-        argmins = []
-        for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            spec = CostSpec(alpha=alpha, hourly_bytes=10e6, rtt=50,
-                            t_i_grid=self.GRID)
-            argmins.append(cost_curve(spec, PROFILE).argmin_t_i)
-        assert argmins == sorted(argmins)
+        spec = CostSpec(alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
+                        hourly_bytes=10e6, rtt=50, t_i_grid=self.GRID)
+        argmins = cost_curve(spec, PROFILE).argmin_t_i
+        assert list(argmins) == sorted(argmins)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            CostSpec(alpha=1.5, hourly_bytes=1, rtt=50, t_i_grid=(1000.0,))
+            CostSpec(alphas=(1.5,), hourly_bytes=1, rtt=50,
+                     t_i_grid=(1000.0,))
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="empty grid"):
-            CostSpec(alpha=0.5, hourly_bytes=1, rtt=50, t_i_grid=())
+            CostSpec(alphas=(0.5,), hourly_bytes=1, rtt=50, t_i_grid=())
 
     def test_overflowing_hourly_energy_raises(self):
         # the cycle's energy is finite, times 7,200 cycles per hour it is not
-        spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
+        spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
                         t_i_grid=(500.0,))
         with pytest.raises(ValueError, match="hourly energy overflows"):
             cost_curve(spec, PROFILE._replace(p_tx=1.5e307))
@@ -557,7 +556,7 @@ class TestCostCurve:
     @pytest.mark.parametrize("hourly_bytes", [float("inf"), float("nan")])
     def test_non_finite_hourly_bytes(self, hourly_bytes):
         with pytest.raises(ValueError, match="hourly_bytes must be finite"):
-            CostSpec(alpha=0.5, hourly_bytes=hourly_bytes, rtt=50,
+            CostSpec(alphas=(0.5,), hourly_bytes=hourly_bytes, rtt=50,
                      t_i_grid=(1000.0,))
 
     @pytest.mark.parametrize("field, value, message", [
@@ -570,17 +569,46 @@ class TestCostCurve:
         ("t_i_grid", (float("nan"),), "grid periods must be finite"),
     ])
     def test_bad_scenario_values(self, field, value, message):
-        spec = dict(alpha=0.5, hourly_bytes=10e6, rtt=50, t_i_grid=(1000.0,))
+        spec = dict(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
+                    t_i_grid=(1000.0,))
         spec[field] = value
         with pytest.raises(ValueError, match=message):
             CostSpec(**spec)
 
     def test_energies_equal_scenario_pricing(self):
-        spec = CostSpec(alpha=0.5, hourly_bytes=10e6, rtt=50,
+        spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
                         t_i_grid=self.GRID, reply_bytes=300)
         for point in cost_curve(spec, PROFILE).points:
             scn = ConnectionlessScenario(
                 t_i=point.t_i, rtt=spec.rtt, b_rx=spec.reply_bytes,
                 b_tx=per_cycle_payload(spec.hourly_bytes, point.t_i))
-            e_cycle = cycle_energy(phase_timing(scn, PROFILE), PROFILE).e_i
+            e_cycle = price_scenario(scn, PROFILE)[1].e_i
             assert point.e_total == e_cycle * (3_600_000.0 / point.t_i)
+
+    def test_each_alpha_costs_as_alone(self):
+        """The points run alpha-major in the given order, duplicates kept,
+        and each alpha's slice is the curve that alpha gets alone."""
+        alphas = (0.75, 0, 0.25, 0.75)
+        spec = CostSpec(alphas=alphas, hourly_bytes=10e6, rtt=50,
+                        t_i_grid=self.GRID)
+        curve = cost_curve(spec, PROFILE)
+        n = len(self.GRID)
+        assert len(curve.points) == len(alphas) * n
+        for k, alpha in enumerate(alphas):
+            alone = cost_curve(spec._replace(alphas=(alpha,)), PROFILE)
+            assert curve.points[k * n:(k + 1) * n] == alone.points
+            assert curve.argmin_t_i[k] == alone.argmin_t_i[0]
+            assert (curve.e_max, curve.d_max) == (alone.e_max, alone.d_max)
+
+    def test_empty_alphas(self):
+        with pytest.raises(ValueError, match="alphas must be a non-empty"):
+            CostSpec(alphas=(), hourly_bytes=1, rtt=50, t_i_grid=(1000.0,))
+
+    def test_points_bounded_like_grid_cells(self, monkeypatch):
+        monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 6)
+        CostSpec(alphas=(0.5, 0.5), hourly_bytes=1, rtt=50,
+                 t_i_grid=(1000.0, 2000.0, 3000.0))
+        with pytest.raises(ValueError,
+                           match="cost has 8 points, more than 6"):
+            CostSpec(alphas=(0.5, 0.5), hourly_bytes=1, rtt=50,
+                     t_i_grid=(1000.0, 2000.0, 3000.0, 4000.0))

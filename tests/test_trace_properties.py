@@ -154,7 +154,7 @@ class TestExtractionMatchesSchedule:
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
         it = extract(events)
-        assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == \
+        assert (it.t_tx, it.t_w, it.t_rx) == \
             scheduled_phases(kind, size, rtt, bottleneck)
 
 

@@ -6,10 +6,9 @@ import pytest
 
 from ltenergy import (
     ConnectionlessScenario,
-    PhaseTiming,
-    cycle_energy,
     default_profile,
-    phase_timing,
+    price_cycle,
+    price_scenario,
     transfer_time,
 )
 from ltenergy import traces
@@ -234,9 +233,9 @@ class TestExtractPost:
         events = parse_events("\n".join(post_exchange_lines()),
                               client=CLIENT)
         it = extract_post_phases(events)
-        assert it.phase.t_tx == pytest.approx(100.0)
-        assert it.phase.t_w == pytest.approx(300.0)
-        assert it.phase.t_rx == pytest.approx(5.0)
+        assert it.t_tx == pytest.approx(100.0)
+        assert it.t_w == pytest.approx(300.0)
+        assert it.t_rx == pytest.approx(5.0)
         assert it.file_size == 1500
         assert it.app_kind == "post"
 
@@ -282,9 +281,9 @@ class TestExtractGet:
         events = parse_events("\n".join(get_exchange_lines()),
                               client=CLIENT)
         it = extract_get_phases(events)
-        assert it.phase.t_tx == pytest.approx(75.0)
-        assert it.phase.t_w == pytest.approx(225.0)
-        assert it.phase.t_rx == pytest.approx(1005.0)
+        assert it.t_tx == pytest.approx(75.0)
+        assert it.t_w == pytest.approx(225.0)
+        assert it.t_rx == pytest.approx(1005.0)
         assert it.file_size == 11000
 
     def test_other_size_is_the_request(self):
@@ -302,7 +301,7 @@ class TestExtractGet:
         sched = scheduled_phases("get", 100_000, 75, 10e6)
         events = synthesize_trace("get", 100_000, 75, 10e6, seed=2)
         it = extract_get_phases(events)
-        assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == sched
+        assert (it.t_tx, it.t_w, it.t_rx) == sched
 
 
 class TestAdminExclusion:
@@ -313,7 +312,7 @@ class TestAdminExclusion:
         base = extract(events)
         data_only = [e for e in events if not is_admin(e)]
         stripped = extract(data_only)
-        assert stripped.phase == base.phase
+        assert stripped[:3] == base[:3]
 
         extra = parse_events(
             line(0.0004, SYNTH_CLIENT, "203.0.113.5:80", 0, "S", 9, 0)
@@ -322,14 +321,14 @@ class TestAdminExclusion:
             client=SYNTH_CLIENT,
         )
         noisy = sorted(events + extra, key=lambda e: e.timestamp)
-        assert extract(noisy).phase == base.phase
+        assert extract(noisy)[:3] == base[:3]
 
 
 class TestIterationEnergy:
     def energy(self, t_tx, t_w, t_rx, t_i):
         """Breakdown of one measured exchange inside a period of t_i ms."""
         it = TraceIteration(
-            phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
+            t_tx=t_tx, t_w=t_w, t_rx=t_rx,
             app_kind="post", file_size=16000)
         return aggregate([it], t_i, PROFILE).breakdowns[0]
 
@@ -337,7 +336,7 @@ class TestIterationEnergy:
         measured = self.energy(128.0, 190.0, 160.0, 750.0)
         scn = ConnectionlessScenario(
             t_i=750, t_elab=150, rtt=40, b_tx=16000, b_rx=16000)
-        analytic = cycle_energy(phase_timing(scn, PROFILE), PROFILE)
+        analytic = price_scenario(scn, PROFILE)[1]
         assert measured == analytic
         assert measured.e_i == pytest.approx(729.5, abs=0.1)
 
@@ -349,6 +348,19 @@ class TestIterationEnergy:
         e = self.energy(100.0, 50.0, 80.0, 20_000.0)
         assert e.e_prom_tx == pytest.approx(240.0)
         assert e.e_prom_rx == 0.0
+
+
+def closed_form(timing):
+    """Energy (mJ) of a canonical cycle priced from its period, its phases
+    plus charged promotions; pricing derives the canonical timing."""
+    period = (sum(timing[:4])
+              + PROFILE.t_prom * (timing.prom_tx + timing.prom_rx))
+    derived, energy = price_cycle(*timing[:3], period, PROFILE)
+    assert derived[:3] == timing[:3]
+    assert (derived.prom_tx, derived.prom_rx) == (timing.prom_tx,
+                                                  timing.prom_rx)
+    assert derived.t_q == pytest.approx(timing.t_q)
+    return energy.e_i
 
 
 class TestEventDrivenEnergy:
@@ -383,7 +395,7 @@ class TestEventDrivenEnergy:
         events, timing, window = canonical_cycle_events(
             16000, 16000, 190.0, 272.0, profile=PROFILE)
         walked = event_driven_energy(events, PROFILE, window)
-        closed = cycle_energy(timing, PROFILE).e_i
+        closed = closed_form(timing)
         assert walked == pytest.approx(closed, abs=1e-9)
 
     def test_canonical_cycle_equivalence_with_promotions(self):
@@ -391,7 +403,7 @@ class TestEventDrivenEnergy:
             5000, 3000, 12_000.0, 15_000.0, prom_tx=True, prom_rx=True,
             profile=PROFILE)
         walked = event_driven_energy(events, PROFILE, window)
-        closed = cycle_energy(timing, PROFILE).e_i
+        closed = closed_form(timing)
         assert closed > 480  # both promotions present
         assert walked == pytest.approx(closed, abs=1e-9)
 
@@ -408,7 +420,7 @@ class TestEventDrivenEnergy:
                 prom_tx=t_q > threshold, prom_rx=t_w > threshold,
                 profile=PROFILE)
             walked = event_driven_energy(events, PROFILE, window)
-            closed = cycle_energy(timing, PROFILE).e_i
+            closed = closed_form(timing)
             assert walked == pytest.approx(closed, abs=1e-9)
 
 
@@ -448,7 +460,7 @@ class TestSynthesizeTrace:
         extract = extract_post_phases if kind == "post" else extract_get_phases
         it = extract(events)
         sched = scheduled_phases(kind, size, 75, 10e6)
-        assert (it.phase.t_tx, it.phase.t_w, it.phase.t_rx) == sched
+        assert (it.t_tx, it.t_w, it.t_rx) == sched
 
     @pytest.mark.parametrize("kind", ["post", "get"])
     @pytest.mark.parametrize("size", [0, 1, 1448, 1449, 4344, 314_159])
@@ -476,7 +488,7 @@ class TestAggregate:
     def iteration(self, t_tx=100.0, t_w=50.0, t_rx=80.0, size=16000,
                   kind="get"):
         return TraceIteration(
-            phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
+            t_tx=t_tx, t_w=t_w, t_rx=t_rx,
             app_kind=kind, file_size=size)
 
     def test_identical_iterations_scale_linearly(self):
@@ -560,7 +572,7 @@ class TestRhoFromTraces:
     def aggregate(self, t_tx, t_w, t_rx, count=5, t_i=5000, kind="get",
                   size=16000):
         it = TraceIteration(
-            phase=PhaseTiming(t_tx=t_tx, t_w=t_w, t_rx=t_rx, t_q=0.0),
+            t_tx=t_tx, t_w=t_w, t_rx=t_rx,
             app_kind=kind, file_size=size)
         return aggregate([it] * count, t_i, PROFILE)
 
@@ -604,7 +616,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("t_i", [float("inf"), float("nan"), 0.0, -1.0])
     def test_period_rejected(self, t_i):
         it = TraceIteration(
-            phase=PhaseTiming(t_tx=10.0, t_w=5.0, t_rx=20.0, t_q=0.0),
+            t_tx=10.0, t_w=5.0, t_rx=20.0,
             app_kind="get", file_size=1000)
         with pytest.raises(ValueError, match="t_i must be finite"):
             aggregate([it], t_i, PROFILE)
