@@ -6,7 +6,9 @@ evaluations from flags or a JSON config file, ``trace-analyze`` turns
 packet trace exports into energy summaries, and ``trace-synth`` writes a
 synthetic trace; it takes ``--out`` but no ``--profile`` or ``--format``.
 A config file accepts only its command's keys (any other key is an error),
-and flags win over the file.
+and flags win over the file.  Configs, profiles and trace exports are read
+as UTF-8 with an optional byte order mark, and an error reading one names
+the file.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios), and no timestamps,
@@ -29,8 +31,9 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analytic, sweep
 from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
-from .power_model import (PowerProfile, _checked, _number, _reject_unknown,
-                          default_profile, load_profile, profile_to_dict)
+from .power_model import (PowerProfile, _checked, _load_json_object,
+                          _number, _reject_unknown, default_profile,
+                          load_profile, profile_to_dict)
 
 __all__ = ["main"]
 
@@ -48,20 +51,6 @@ class RunConfig(NamedTuple):
     def _check(self) -> None:
         if self.output_format not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
-
-
-def _load_config_file(path: str, expected_command: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fp:
-        data = json.load(fp)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    command = data.get("command", expected_command)
-    if command != expected_command:
-        raise ValueError(
-            f"{path}: config is for command {command!r}, "
-            f"not {expected_command!r}"
-        )
-    return data
 
 
 def _resolve_profile(config: RunConfig) -> PowerProfile:
@@ -208,17 +197,14 @@ def _run_cost(config: RunConfig) -> int:
         return value if isinstance(value, (int, float)) else number
 
     alphas = tuple(given(alpha, "alpha") for alpha in alphas)
-    axis = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
-                                    ("t_i_min", "t_i_max", "t_i_step")))
-    # CostSpec's bound, checked before the grid values are built.
-    sweep._check_cost_points(len(alphas), axis.n_values)
+    periods = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
+                                       ("t_i_min", "t_i_max", "t_i_step")))
     # CostSpec supplies the reply size when neither flag nor file gives it.
     numbers = {k: _number(p[k], k)
                for k in ("hourly_bytes", "rtt", "reply_bytes") if k in p}
-    spec = sweep.CostSpec(alphas=alphas, t_i_grid=tuple(axis.values()),
-                          **numbers)
+    spec = sweep.CostSpec(alphas=alphas, periods=periods, **numbers)
     curve = sweep.cost_curve(spec, profile)
-    n = len(spec.t_i_grid)
+    n = periods.n_values
 
     columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
 
@@ -266,7 +252,7 @@ def _run_trace_analyze(config: RunConfig) -> int:
         iterations = []
         for path in paths:
             try:
-                with open(path, encoding="utf-8") as fp:
+                with open(path, encoding="utf-8-sig") as fp:
                     it = extract(traces.parse_events(fp, client=client))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
@@ -383,7 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ta = sub.add_parser("trace-analyze", parents=[common],
                           help="energy summary of packet trace exports")
-    p_ta.add_argument("--kind", choices=("post", "get"), required=True)
+    p_ta.add_argument("--kind", choices=("post", "get"), required=True,
+                      help="the bulk stream, which must not be the "
+                           "smaller one: the request for post, the response "
+                           "for get (so a GET smaller than its request is "
+                           "rejected)")
     p_ta.add_argument("--client", required=True,
                       help="client endpoint as addr:port")
     p_ta.add_argument("--t-i", type=float, required=True,
@@ -427,7 +417,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """
     file_data: dict[str, Any] = {}
     if getattr(args, "config", None) is not None:
-        file_data = _load_config_file(args.config, args.command)
+        file_data = _load_json_object(args.config, "config")
+        command = file_data.get("command", args.command)
+        if command != args.command:
+            raise ValueError(f"{args.config}: config is for command "
+                             f"{command!r}, not {args.command!r}")
         known = {*vars(args), *_FILE_ONLY_KEYS.get(args.command, ())}
         _reject_unknown(file_data, known - {"config"}, "config keys")
     merged = {**file_data,
@@ -462,7 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             config = _config_from_args(args)
             return _RUNNERS[config.command](config)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

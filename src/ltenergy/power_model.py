@@ -276,10 +276,19 @@ def profile_to_dict(profile: PowerProfile) -> dict[str, Any]:
             for k, v in profile._asdict().items() if v is not None}
 
 
+def _load_json_object(path: str, what: str) -> dict[str, Any]:
+    """The JSON object in the UTF-8 file ``path``, after an optional byte
+    order mark; a bad or too deeply nested file is an error naming it."""
+    with open(path, encoding="utf-8-sig") as fp:
+        try:
+            data = json.load(fp)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return data
+
+
 def load_profile(path: str) -> PowerProfile:
     """Load a PowerProfile from a JSON file."""
-    with open(path, encoding="utf-8") as fp:
-        data = json.load(fp)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: profile file must contain a JSON object")
-    return profile_from_dict(data)
+    return profile_from_dict(_load_json_object(path, "profile file"))

@@ -334,26 +334,20 @@ def per_cycle_payload(hourly_bytes: float, t_i: float) -> int:
     return int(math.floor(payload + 0.5))
 
 
-def _check_cost_points(alphas: int, periods: int) -> None:
-    """A cost has a point per alpha and period, bounded like grid cells."""
-    if alphas * periods > MAX_GRID_CELLS:
-        raise ValueError(
-            f"cost has {alphas * periods} points, more than {MAX_GRID_CELLS}")
-
-
 @_checked
 class CostSpec(NamedTuple):
     """Configuration of a batching-cost evaluation.
 
     Each of ``alphas`` weighs energy against delay, in the given order,
     duplicates kept; ``hourly_bytes`` is the data the node produces per
-    hour; the reply is a short confirmation.
+    hour; ``periods`` is the grid of periods (ms), whose values are built
+    only by :func:`cost_curve`; the reply is a short confirmation.
     """
 
     alphas: tuple[float, ...]
     hourly_bytes: float
     rtt: float
-    t_i_grid: tuple[float, ...]
+    periods: SweepAxis
     reply_bytes: float = 1.0
 
     def _check(self) -> None:
@@ -370,12 +364,13 @@ class CostSpec(NamedTuple):
         for name in ("rtt", "reply_bytes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if len(self.t_i_grid) == 0:
-            raise ValueError("empty grid: no period values given")
-        if not all(0 < t < math.inf for t in self.t_i_grid):
+        # The axis is finite and ascending: a positive start is enough.
+        if self.periods.start <= 0:
+            raise ValueError("grid periods must be strictly positive")
+        points = len(self.alphas) * self.periods.n_values
+        if points > MAX_GRID_CELLS:
             raise ValueError(
-                "grid periods must be finite and strictly positive")
-        _check_cost_points(len(self.alphas), len(self.t_i_grid))
+                f"cost has {points} points, more than {MAX_GRID_CELLS}")
 
 
 class CostPoint(NamedTuple):
@@ -409,8 +404,9 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
     """
     price = cycle_pricer(profile)
     t_rx = transfer_time(spec.reply_bytes, DEFAULT_DOWNLINK_BPS)
+    periods = spec.periods.values()
     energies = []
-    for t_i in spec.t_i_grid:
+    for t_i in periods:
         t_tx = transfer_time(per_cycle_payload(spec.hourly_bytes, t_i),
                              DEFAULT_UPLINK_BPS)
         e_cycle = price(t_tx, spec.rtt, t_rx, t_i)[-1]
@@ -419,13 +415,13 @@ def cost_curve(spec: CostSpec, profile: PowerProfile) -> CostCurve:
     if not all(e < math.inf for e in energies):  # nan fails too
         raise ValueError("hourly energy overflows a float")
     e_max = max(energies)
-    d_max = max(spec.t_i_grid)
+    d_max = max(periods)
     points: list[CostPoint] = []
     argmins = []
     for alpha in spec.alphas:
         curve = [CostPoint(alpha, t_i, e,
                            alpha * e / e_max + (1.0 - alpha) * t_i / d_max)
-                 for t_i, e in zip(spec.t_i_grid, energies)]
+                 for t_i, e in zip(periods, energies)]
         argmins.append(min(curve, key=lambda p: (p.c, p.t_i)).t_i)
         points += curve
     return CostCurve(points=tuple(points), argmin_t_i=tuple(argmins),

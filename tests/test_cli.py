@@ -663,6 +663,69 @@ class TestHugeIntegers:
             capsys, "error: profile field t_cr is too large for a float\n")
 
 
+BOM = "\ufeff"
+
+
+class TestInputFiles:
+    """Configs, profiles and trace exports are UTF-8 with an optional byte
+    order mark, and an error reading one names the file."""
+
+    @staticmethod
+    def assert_names_file(argv, capsys, path):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_truncated_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "cost",\n')
+        self.assert_names_file(["cost", "--config", str(path)], capsys,
+                               str(path))
+
+    def test_truncated_profile(self, tmp_path, capsys):
+        """With both files given, the error says which one is bad."""
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(profile_to_dict(default_profile()))[:-1])
+        config = write_config(tmp_path, cost_config())
+        self.assert_names_file(["cost", "--config", config,
+                                "--profile", str(path)], capsys, str(path))
+
+    @pytest.mark.parametrize("command, flag", [("cost", "--config"),
+                                               ("power-table", "--profile")])
+    def test_nested_too_deeply(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        self.assert_names_file([command, flag, str(path)], capsys, str(path))
+
+    def test_config_with_bom(self, tmp_path):
+        config = tmp_path / "fig8.json"
+        config.write_text(BOM + (FIGURES / "fig8.json").read_text(),
+                          encoding="utf-8")
+        out = tmp_path / "fig8.csv"
+        assert cli.main(["cost", "--config", str(config),
+                         "--out", str(out)]) == 0
+        assert sha256(out) == FIGURE_DIGESTS["fig8.csv"]
+
+    def test_profile_with_bom(self, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_text(BOM + json.dumps(profile_to_dict(default_profile())),
+                        encoding="utf-8")
+        assert cli.main(["power-table", "--profile", str(path)]) == 0
+        assert capsys.readouterr().out == POWER_TABLE_CSV
+
+    def test_export_with_bom(self, tmp_path, capsys):
+        path = tmp_path / "get.tsv"
+        assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                         "200000", "--rtt", "20", "--bottleneck", "20e6",
+                         "--out", str(path)]) == 0
+        argv = ["trace-analyze", "--kind", "get", "--client", CLIENT,
+                "--t-i", "30000", str(path)]
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        path.write_text(BOM + path.read_text(), encoding="utf-8")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == plain
+
+
 class TestTraceAnalyzeKind:
     """``--kind`` names the bulk stream, the request of a POST and the
     response of a GET, which must not be the smaller of the two; a tie

@@ -496,12 +496,17 @@ class TestPerCyclePayload:
             per_cycle_payload(1e308, 2000)
 
 
+def periods(start, stop=None, step=1000.0):
+    """A period axis from ``start`` to ``stop`` (default ``start``), ms."""
+    return SweepAxis("t_i", start, start if stop is None else stop, step)
+
+
 class TestCostCurve:
-    GRID = tuple(float(t) for t in range(1000, 120001, 1000))
+    GRID = periods(1000.0, 120_000.0)
 
     def test_delay_only_picks_smallest_period(self):
         spec = CostSpec(alphas=(0.0,), hourly_bytes=10e6, rtt=50,
-                        t_i_grid=self.GRID)
+                        periods=self.GRID)
         curve = cost_curve(spec, PROFILE)
         assert curve.argmin_t_i == (1000,)
         for point in curve.points:
@@ -509,13 +514,13 @@ class TestCostCurve:
 
     def test_single_point_cost_is_one(self):
         spec = CostSpec(alphas=(0.3,), hourly_bytes=10e6, rtt=50,
-                        t_i_grid=(30_000.0,))
+                        periods=periods(30_000.0))
         curve = cost_curve(spec, PROFILE)
         assert curve.points[0].c == pytest.approx(1.0)
 
     def test_normalisers_are_grid_maxima(self):
         spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
-                        t_i_grid=self.GRID)
+                        periods=self.GRID)
         curve = cost_curve(spec, PROFILE)
         assert curve.e_max == max(p.e_total for p in curve.points)
         assert curve.d_max == max(p.t_i for p in curve.points)
@@ -523,7 +528,7 @@ class TestCostCurve:
 
     def test_cost_invariant_under_energy_rescaling(self):
         spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
-                        t_i_grid=self.GRID)
+                        periods=self.GRID)
         curve = cost_curve(spec, PROFILE)
         for point in curve.points:
             joules = point.e_total / 1000.0
@@ -533,23 +538,32 @@ class TestCostCurve:
 
     def test_argmin_monotone_in_alpha(self):
         spec = CostSpec(alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
-                        hourly_bytes=10e6, rtt=50, t_i_grid=self.GRID)
+                        hourly_bytes=10e6, rtt=50, periods=self.GRID)
         argmins = cost_curve(spec, PROFILE).argmin_t_i
         assert list(argmins) == sorted(argmins)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             CostSpec(alphas=(1.5,), hourly_bytes=1, rtt=50,
-                     t_i_grid=(1000.0,))
+                     periods=periods(1000.0))
 
     def test_empty_grid(self):
-        with pytest.raises(ValueError, match="empty grid"):
-            CostSpec(alphas=(0.5,), hourly_bytes=1, rtt=50, t_i_grid=())
+        with pytest.raises(ValueError,
+                           match="empty grid: axis t_i has start > stop"):
+            CostSpec(alphas=(0.5,), hourly_bytes=1, rtt=50,
+                     periods=periods(2000.0, 1000.0))
+
+    @pytest.mark.parametrize("start, stop", [(1000.0, float("inf")),
+                                             (float("nan"), 1000.0)])
+    def test_non_finite_period(self, start, stop):
+        with pytest.raises(ValueError, match="axis t_i bounds must be finite"):
+            CostSpec(alphas=(0.5,), hourly_bytes=1, rtt=50,
+                     periods=periods(start, stop))
 
     def test_overflowing_hourly_energy_raises(self):
         # the cycle's energy is finite, times 7,200 cycles per hour it is not
         spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
-                        t_i_grid=(500.0,))
+                        periods=periods(500.0))
         with pytest.raises(ValueError, match="hourly energy overflows"):
             cost_curve(spec, PROFILE._replace(p_tx=1.5e307))
 
@@ -557,7 +571,7 @@ class TestCostCurve:
     def test_non_finite_hourly_bytes(self, hourly_bytes):
         with pytest.raises(ValueError, match="hourly_bytes must be finite"):
             CostSpec(alphas=(0.5,), hourly_bytes=hourly_bytes, rtt=50,
-                     t_i_grid=(1000.0,))
+                     periods=periods(1000.0))
 
     @pytest.mark.parametrize("field, value, message", [
         ("rtt", float("nan"), "rtt must be finite"),
@@ -565,19 +579,19 @@ class TestCostCurve:
         ("rtt", -5.0, "rtt must be non-negative"),
         ("reply_bytes", float("inf"), "reply_bytes must be finite"),
         ("reply_bytes", -1.0, "reply_bytes must be non-negative"),
-        ("t_i_grid", (1000.0, float("inf")), "grid periods must be finite"),
-        ("t_i_grid", (float("nan"),), "grid periods must be finite"),
+        ("periods", periods(0.0, 2000.0), "periods must be strictly positive"),
+        ("periods", periods(-1000.0), "periods must be strictly positive"),
     ])
     def test_bad_scenario_values(self, field, value, message):
         spec = dict(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
-                    t_i_grid=(1000.0,))
+                    periods=periods(1000.0))
         spec[field] = value
         with pytest.raises(ValueError, match=message):
             CostSpec(**spec)
 
     def test_energies_equal_scenario_pricing(self):
         spec = CostSpec(alphas=(0.5,), hourly_bytes=10e6, rtt=50,
-                        t_i_grid=self.GRID, reply_bytes=300)
+                        periods=self.GRID, reply_bytes=300)
         for point in cost_curve(spec, PROFILE).points:
             scn = ConnectionlessScenario(
                 t_i=point.t_i, rtt=spec.rtt, b_rx=spec.reply_bytes,
@@ -590,9 +604,9 @@ class TestCostCurve:
         and each alpha's slice is the curve that alpha gets alone."""
         alphas = (0.75, 0, 0.25, 0.75)
         spec = CostSpec(alphas=alphas, hourly_bytes=10e6, rtt=50,
-                        t_i_grid=self.GRID)
+                        periods=self.GRID)
         curve = cost_curve(spec, PROFILE)
-        n = len(self.GRID)
+        n = self.GRID.n_values
         assert len(curve.points) == len(alphas) * n
         for k, alpha in enumerate(alphas):
             alone = cost_curve(spec._replace(alphas=(alpha,)), PROFILE)
@@ -602,13 +616,24 @@ class TestCostCurve:
 
     def test_empty_alphas(self):
         with pytest.raises(ValueError, match="alphas must be a non-empty"):
-            CostSpec(alphas=(), hourly_bytes=1, rtt=50, t_i_grid=(1000.0,))
+            CostSpec(alphas=(), hourly_bytes=1, rtt=50,
+                     periods=periods(1000.0))
 
     def test_points_bounded_like_grid_cells(self, monkeypatch):
         monkeypatch.setattr(sweep, "MAX_GRID_CELLS", 6)
         CostSpec(alphas=(0.5, 0.5), hourly_bytes=1, rtt=50,
-                 t_i_grid=(1000.0, 2000.0, 3000.0))
+                 periods=periods(1000.0, 3000.0))
         with pytest.raises(ValueError,
                            match="cost has 8 points, more than 6"):
             CostSpec(alphas=(0.5, 0.5), hourly_bytes=1, rtt=50,
-                     t_i_grid=(1000.0, 2000.0, 3000.0, 4000.0))
+                     periods=periods(1000.0, 4000.0))
+
+    def test_points_bounded_before_any_period_is_built(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("periods built for an oversized cost")
+
+        monkeypatch.setattr(SweepAxis, "values", fail)
+        with pytest.raises(ValueError,
+                           match="cost has 2000001 points, more than 2000000"):
+            CostSpec(alphas=(0.0, 0.5, 1.0), hourly_bytes=1, rtt=50,
+                     periods=periods(1.0, 666_667.0, 1.0))
