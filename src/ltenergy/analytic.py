@@ -183,7 +183,7 @@ def cycle_pricer(profile: PowerProfile
     (p_tx, p_rx, p_cr, p_short, p_long, p_idle, p_prom, t_cr, t_short,
      t_long, t_prom, _, _, _) = profile
     cr_short = t_cr + t_short
-    threshold = cr_short + t_long  # IDLE entry
+    threshold = profile.idle_entry_ms
     e_prom = t_prom * p_prom / 1000.0
     waits: dict[float, float] = {}
 

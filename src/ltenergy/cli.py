@@ -7,8 +7,8 @@ packet trace exports into energy summaries, and ``trace-synth`` writes a
 synthetic trace; it takes ``--out`` but no ``--profile`` or ``--format``.
 A config file accepts only its command's keys (any other key is an error),
 and flags win over the file.  Configs, profiles and trace exports are read
-as UTF-8 with an optional byte order mark, and an error reading one names
-the file.
+as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
+asks for UTF-8), and an error reading one names the file.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios), and no timestamps,
@@ -32,8 +32,8 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import analytic, sweep
 from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
 from .power_model import (PowerProfile, _checked, _load_json_object,
-                          _number, _reject_unknown, default_profile,
-                          load_profile, profile_to_dict)
+                          _number, _open_utf8, _reject_unknown,
+                          default_profile, load_profile, profile_to_dict)
 
 __all__ = ["main"]
 
@@ -147,8 +147,9 @@ def _axis_from_config(entry: Any) -> sweep.SweepAxis:
 
 
 def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
-    """Edge and cloud scenarios from the ``base`` keys given (the scenario
-    supplies the rest, the cloud rtt defaults to the edge's), and axes."""
+    """The edge's base scenario from the ``base`` keys given (the scenario
+    supplies the rest), the cloud RTT (the edge's when not given), and the
+    axes."""
     base = params.get("base")
     if not isinstance(base, dict) or "t_i" not in base:
         raise ValueError("sweep config needs a 'base' object with 't_i'")
@@ -164,9 +165,8 @@ def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
     if not isinstance(axes_data, list):
         raise ValueError("sweep config 'axes' must be a list of objects")
     return sweep.SweepSpec(
-        base_edge=edge,
-        base_cloud=edge._replace(rtt=edge.rtt if rtt_cloud is None
-                                 else rtt_cloud),
+        base=edge,
+        rtt_cloud=edge.rtt if rtt_cloud is None else rtt_cloud,
         axes=tuple(_axis_from_config(a) for a in axes_data),
     )
 
@@ -252,7 +252,7 @@ def _run_trace_analyze(config: RunConfig) -> int:
         iterations = []
         for path in paths:
             try:
-                with open(path, encoding="utf-8-sig") as fp:
+                with _open_utf8(path) as fp:
                     it = extract(traces.parse_events(fp, client=client))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc

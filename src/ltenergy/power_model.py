@@ -25,7 +25,7 @@ import math
 import sys
 import warnings
 from enum import Enum
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple, TextIO
 
 __all__ = [
     "RadioState",
@@ -33,7 +33,6 @@ __all__ = [
     "PowerProfile",
     "default_profile",
     "mean_power",
-    "decay_state_at",
     "profile_from_dict",
     "profile_to_dict",
     "load_profile",
@@ -44,6 +43,8 @@ __all__ = [
 DUTY_CYCLE_TOLERANCE_MW = 0.01
 
 
+# Nothing reads RadioState yet: it is kept for the per-state energy ledger
+# of ROADMAP item 2, whose rows it will key.
 class RadioState(Enum):
     """Operational state of the LTE interface."""
 
@@ -175,7 +176,8 @@ class PowerProfile(NamedTuple):
 
     @property
     def idle_entry_ms(self) -> float:
-        """Quiet time after which the radio has fully decayed into IDLE."""
+        """Quiet time after which the radio has fully decayed into IDLE: a
+        gap longer than this reaches IDLE, one exactly this long does not."""
         return self.t_cr + self.t_short + self.t_long
 
 
@@ -208,22 +210,6 @@ def default_profile() -> PowerProfile:
         long_drx=DutyCycleSpec(788.0, 45.0, 320.0, 61.0),
         idle=DutyCycleSpec(570.0, 32.0, 1280.0, 0.0),
     )
-
-
-def decay_state_at(gap_elapsed: float, profile: PowerProfile) -> RadioState:
-    """State reached ``gap_elapsed`` ms into a quiet period that began in CR.
-
-    A gap exactly equal to a decay threshold stays in the earlier state.
-    """
-    if gap_elapsed < 0:
-        raise ValueError("gap_elapsed must be non-negative")
-    if gap_elapsed <= profile.t_cr:
-        return RadioState.CR
-    if gap_elapsed <= profile.t_cr + profile.t_short:
-        return RadioState.SHORT_DRX
-    if gap_elapsed <= profile.idle_entry_ms:
-        return RadioState.LONG_DRX
-    return RadioState.IDLE
 
 
 def _number(value: Any, what: str) -> float:
@@ -276,14 +262,30 @@ def profile_to_dict(profile: PowerProfile) -> dict[str, Any]:
             for k, v in profile._asdict().items() if v is not None}
 
 
+def _open_utf8(path: str) -> TextIO:
+    """``path`` opened as UTF-8 text after an optional byte order mark.  A
+    file that starts with a UTF-16 byte order mark is a ValueError that
+    asks for UTF-8."""
+    fp = open(path, encoding="utf-8-sig")
+    try:
+        bom = fp.buffer.peek(2)[:2]
+        if bom in (b"\xff\xfe", b"\xfe\xff"):
+            raise ValueError(f"file is UTF-16 (byte order mark "
+                             f"{bom.hex(' ').upper()}); save it as UTF-8")
+    except BaseException:
+        fp.close()
+        raise
+    return fp
+
+
 def _load_json_object(path: str, what: str) -> dict[str, Any]:
-    """The JSON object in the UTF-8 file ``path``, after an optional byte
-    order mark; a bad or too deeply nested file is an error naming it."""
-    with open(path, encoding="utf-8-sig") as fp:
-        try:
+    """The JSON object in the UTF-8 file ``path`` (see :func:`_open_utf8`);
+    a bad or too deeply nested file is an error naming it."""
+    try:
+        with _open_utf8(path) as fp:
             data = json.load(fp)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: {what} must be a JSON object")
     return data

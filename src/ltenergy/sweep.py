@@ -65,8 +65,11 @@ __all__ = [
     "cost_curve",
 ]
 
-# Scenario parameters a sweep may vary.  "payload" sets both byte counts.
-SWEEP_AXES = ("t_i", "rtt_cloud", "payload", "t_elab")
+# Scenario parameters a sweep may vary, each with the fields of ``(t_i,
+# t_elab, rtt, b_tx, b_rx)`` that it sets: "payload" sets both byte counts.
+_AXIS_FIELDS = {"t_i": (0,), "rtt_cloud": (2,), "payload": (3, 4),
+                "t_elab": (1,)}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -112,13 +115,20 @@ class SweepAxis(NamedTuple):
 
 @_checked
 class SweepSpec(NamedTuple):
-    """A base edge/cloud scenario pair plus the axes to vary."""
+    """The edge's base scenario, the cloud's RTT and the axes to vary.
 
-    base_edge: ConnectionlessScenario
-    base_cloud: ConnectionlessScenario
+    The cloud placement is the base scenario with ``rtt_cloud`` as its RTT,
+    the one field in which the two placements differ.
+    """
+
+    base: ConnectionlessScenario
+    rtt_cloud: float
     axes: tuple[SweepAxis, ...]
 
     def _check(self) -> None:
+        if not 0.0 <= self.rtt_cloud < math.inf:
+            raise ValueError("rtt_cloud must be finite and non-negative, "
+                             f"got {self.rtt_cloud!r}")
         if len(self.axes) == 0:
             raise ValueError("empty grid: no sweep axes given")
         cells = math.prod(axis.n_values for axis in self.axes)
@@ -128,8 +138,6 @@ class SweepSpec(NamedTuple):
         names = [axis.name for axis in self.axes]
         if len(set(names)) != len(names):
             raise ValueError("sweep axes must be distinct")
-        if self.base_edge.workload() != self.base_cloud.workload():
-            raise ValueError("base scenarios must differ only in rtt")
 
     @property
     def columns(self) -> list[str]:
@@ -243,11 +251,6 @@ def _round6(x: float) -> float | int:
     return int(x) if float(x).is_integer() else round(x, 6)
 
 
-# The fields of ``(t_i, t_elab, rtt, b_tx, b_rx)`` that each axis sets.
-_AXIS_FIELDS = {"t_i": (0,), "t_elab": (1,), "rtt_cloud": (2,),
-                "payload": (3, 4)}
-
-
 def _field_picker(base: ConnectionlessScenario, names: Sequence[str]
                      ) -> tuple[Callable, tuple[float, ...]]:
     """``(pick, fields)``: ``pick(values + fields)`` is ``(t_i, t_elab,
@@ -273,7 +276,7 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     """
     names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
-    base = spec.base_cloud
+    base = spec.base._replace(rtt=spec.rtt_cloud)
     # The scenario checks are per field, so checking every axis value once
     # against the base covers every cell the loop below prices as floats.
     for name, grid in zip(names, grids):
@@ -284,7 +287,7 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
 
     price = cycle_pricer(profile)
     pick, fields = _field_picker(base, names)
-    rtt_edge = spec.base_edge.rtt
+    rtt_edge = spec.base.rtt
     edge_key = None
     for values in itertools.product(*grids):
         t_i, t_elab, rtt, b_tx, b_rx = pick(values + fields)

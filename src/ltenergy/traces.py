@@ -6,11 +6,11 @@ per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
 same energy accounting as the analytic path.  Parsing reads each line once,
-rejecting non-finite timestamps and fixing each packet's direction relative
-to the client endpoint that the caller names, once per endpoint pair, and
-extraction reads that direction.  One landmark rule serves upload-style
-(POST) and download-style (GET) exchanges alike; the bulk direction only
-decides which stream's bytes count as the file size.
+rejecting non-finite timestamps and fixing each packet's sender flag,
+``from_client``, against the client endpoint that the caller names, once
+per endpoint pair; extraction reads that flag.  One landmark rule serves
+upload-style (POST) and download-style (GET) exchanges alike; the bulk
+direction only decides which stream's bytes count as the file size.
 
 A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
@@ -26,7 +26,6 @@ from __future__ import annotations
 import io
 import math
 import sys
-from enum import Enum
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -34,7 +33,6 @@ from .analytic import EnergyBreakdown, PhaseTiming, energy_ratio, price_cycle
 from .power_model import PowerProfile, _checked
 
 __all__ = [
-    "Direction",
     "PacketEvent",
     "TraceIteration",
     "AggregateResult",
@@ -74,11 +72,6 @@ _SERVER_THINK_US = 2000
 MAX_TRACE_PACKETS = 2_000_000
 
 
-class Direction(Enum):
-    CLIENT_TO_SERVER = "client_to_server"
-    SERVER_TO_CLIENT = "server_to_client"
-
-
 class TraceParseError(ValueError):
     """A trace line could not be parsed; carries the 1-based line number."""
 
@@ -103,7 +96,7 @@ class PacketEvent(NamedTuple):
     flags: frozenset[str]  # subset of {SYN, FIN, RST, ACK, PSH}
     seq: int
     ack: int
-    direction: Direction
+    from_client: bool  # sent by the client endpoint, else by the server
 
 
 @_checked
@@ -129,9 +122,11 @@ class TraceIteration(NamedTuple):
             raise ValueError("app_kind must be 'post' or 'get'")
 
 
-_FLAG_LETTERS = {"S": "SYN", "F": "FIN", "R": "RST", "P": "PSH", "A": "ACK"}
-_FLAG_BITS = (("FIN", 0x01), ("SYN", 0x02), ("RST", 0x04),
-              ("PSH", 0x08), ("ACK", 0x10))
+# The tracked TCP flags as (name, letter, header bit), in the order that
+# exports write their letters.
+_FLAGS = (("SYN", "S", 0x02), ("FIN", "F", 0x01), ("RST", "R", 0x04),
+          ("PSH", "P", 0x08), ("ACK", "A", 0x10))
+_FLAG_NAMES = {letter: name for name, letter, _ in _FLAGS}
 # Letters tolerated in analyzer exports but not tracked by the model.
 _IGNORED_FLAG_CHARS = set(".*-·ECUW")
 # Flags of handshake and teardown packets, which carry no exchange phase.
@@ -147,12 +142,12 @@ def _parse_flags(field: str, line_no: int) -> frozenset[str]:
             bits = int(text, 16) if text.lower().startswith("0x") else int(text)
         except ValueError:
             raise TraceParseError(line_no, f"bad flags field {field!r}") from None
-        return frozenset(name for name, bit in _FLAG_BITS if bits & bit)
+        return frozenset(name for name, _, bit in _FLAGS if bits & bit)
     out = set()
     for ch in text:
         upper = ch.upper()
-        if upper in _FLAG_LETTERS:
-            out.add(_FLAG_LETTERS[upper])
+        if upper in _FLAG_NAMES:
+            out.add(_FLAG_NAMES[upper])
         elif ch in _IGNORED_FLAG_CHARS or upper in _IGNORED_FLAG_CHARS:
             continue
         else:
@@ -179,18 +174,18 @@ def parse_events(lines: str | Iterable[str],
     payload length, flags (hex value or letter set), sequence number,
     acknowledgment number.  Blank lines and ``#`` comments are skipped; an
     empty or ``-`` integer field reads as 0.  ``client`` ("addr:port"), the
-    endpoint where the export was captured, fixes each packet's direction,
-    once per endpoint pair.  The first bad line in file order raises a
-    :class:`TraceParseError` naming it: its first bad field in column
-    order, a non-finite timestamp included, else a packet that does not
-    involve the client.
+    endpoint where the export was captured, fixes each packet's
+    ``from_client``, once per endpoint pair.  The first bad line in file
+    order raises a :class:`TraceParseError` naming it: its first bad field
+    in column order, a non-finite timestamp included, else a packet that
+    does not involve the client.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
 
     events: list[PacketEvent] = []
     flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
-    directions: dict[tuple, Direction] = {}  # by endpoint pair
+    senders: dict[tuple, bool] = {}  # from_client, by endpoint pair
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         text = line.lstrip()
@@ -232,35 +227,32 @@ def parse_events(lines: str | Iterable[str],
                                   f"numbers must lie in [0, 2^32), got "
                                   f"{seq} and {ack}")
         pair = (src_addr.strip(), src_port, dst_addr.strip(), dst_port)
-        direction = directions.get(pair)
-        if direction is None:
-            direction = directions[pair] = _direction(pair, client, line_no)
+        from_client = senders.get(pair)
+        if from_client is None:
+            from_client = senders[pair] = _from_client(pair, client, line_no)
         events.append(PacketEvent._make(
-            (timestamp, *pair, payload, flags, seq, ack, direction)))
+            (timestamp, *pair, payload, flags, seq, ack, from_client)))
 
     events.sort(key=lambda event: event[0])
     return events
 
 
-def _direction(pair: tuple, client: str, line_no: int) -> Direction:
-    """Direction of the packets between ``(src_addr, src_port, dst_addr,
-    dst_port)`` relative to the ``client`` endpoint."""
+def _from_client(pair: tuple, client: str, line_no: int) -> bool:
+    """Whether the ``client`` endpoint sent the packets between
+    ``(src_addr, src_port, dst_addr, dst_port)``; they must involve it."""
     src, dst = "%s:%s" % pair[:2], "%s:%s" % pair[2:]
-    if src == client:
-        return Direction.CLIENT_TO_SERVER
-    if dst == client:
-        return Direction.SERVER_TO_CLIENT
+    if src == client or dst == client:
+        return src == client
     raise TraceParseError(
         line_no, f"packet {src} -> {dst} does not involve client {client}")
 
 
 def events_to_lines(events: Iterable[PacketEvent]) -> list[str]:
     """Serialise events back into the ingestion line format."""
-    order = ("SYN", "FIN", "RST", "PSH", "ACK")
-    letters = {v: k for k, v in _FLAG_LETTERS.items()}
     lines = []
     for e in events:
-        flags = "".join(letters[f] for f in order if f in e.flags) or "-"
+        flags = "".join(letter for name, letter, _ in _FLAGS
+                        if name in e.flags) or "-"
         lines.append("\t".join((
             f"{e.timestamp:.6f}",
             e.src_addr, e.dst_addr,
@@ -275,8 +267,7 @@ def _split_exchange(events: Sequence[PacketEvent]):
     c2s, s2c = [], []
     for e in events:
         if e.flags.isdisjoint(_ADMIN_FLAGS):
-            (c2s if e.direction is Direction.CLIENT_TO_SERVER
-             else s2c).append(e)
+            (c2s if e.from_client else s2c).append(e)
     return c2s, s2c
 
 
@@ -378,10 +369,7 @@ def _synthetic_event(t_s: float, from_client: bool, payload: int,
                      flags: frozenset[str], seq: int, ack: int) -> PacketEvent:
     client, server = _SYNTH_ENDPOINTS
     src, dst = (client, server) if from_client else (server, client)
-    return PacketEvent(
-        t_s, *src, *dst, payload, flags, seq, ack,
-        Direction.CLIENT_TO_SERVER if from_client
-        else Direction.SERVER_TO_CLIENT)
+    return PacketEvent(t_s, *src, *dst, payload, flags, seq, ack, from_client)
 
 
 class _TracePlan(NamedTuple):

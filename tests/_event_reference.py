@@ -14,7 +14,7 @@ import math
 
 from ltenergy.analytic import (DEFAULT_DOWNLINK_BPS, DEFAULT_UPLINK_BPS,
                                PhaseTiming)
-from ltenergy.traces import Direction, PacketEvent
+from ltenergy.traces import PacketEvent
 
 MSS_BYTES = 1448
 CLIENT = ("198.51.100.10", 52000)
@@ -73,7 +73,7 @@ def event_driven_energy(events, profile, window, *,
     for e in events:
         t_ms = e.timestamp * 1000.0
         total += gap_energy(max(t_ms - cursor, 0.0), profile)
-        if e.direction is Direction.CLIENT_TO_SERVER:
+        if e.from_client:
             duration = serialisation_ms(e.payload_len, uplink_bps)
             total += duration * profile.p_tx / 1000.0
         else:
@@ -96,8 +96,7 @@ def segments(nbytes):
 def event(t_s, from_client, payload, seq):
     src, dst = (CLIENT, SERVER) if from_client else (SERVER, CLIENT)
     return PacketEvent(t_s, *src, *dst, payload, frozenset({"ACK"}), seq, 0,
-                       Direction.CLIENT_TO_SERVER if from_client
-                       else Direction.SERVER_TO_CLIENT)
+                       from_client)
 
 
 def canonical_cycle_events(b_tx, b_rx, t_w, t_q, *, prom_tx=False,

@@ -1,19 +1,19 @@
 """Reference parser for packet field exports: one helper call per field.
 
 ``ltenergy.traces.parse_events`` converts the integer fields of a line in
-one pass and resolves flag sets and directions once per distinct text and
+one pass and resolves flag sets and senders once per distinct text and
 endpoint pair.  This is the per-field parser it replaced, plus the rules
 that a timestamp must be finite and that a packet must involve the client,
-kept as the oracle the property tests hold it to.  Each line's direction
+kept as the oracle the property tests hold it to.  Each line's sender
 comes from one uncached call after its fields, so the first bad line in
 file order is the one reported, be it a bad field or a stray packet.  It
-carries its own copies of the flag, integer and direction rules, so a
+carries its own copies of the flag, integer and sender rules, so a
 change to any of them in the library shows as a difference.
 """
 
 import math
 
-from ltenergy.traces import SEQ_SPACE, Direction, PacketEvent, TraceParseError
+from ltenergy.traces import SEQ_SPACE, PacketEvent, TraceParseError
 
 _FLAG_LETTERS = {"S": "SYN", "F": "FIN", "R": "RST", "P": "PSH", "A": "ACK"}
 _FLAG_BITS = (("FIN", 0x01), ("SYN", 0x02), ("RST", 0x04),
@@ -53,11 +53,11 @@ def parse_int(field, what, line_no):
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
-def direction(src, dst, client, line_no):
+def from_client(src, dst, client, line_no):
     if src == client:
-        return Direction.CLIENT_TO_SERVER
+        return True
     if dst == client:
-        return Direction.SERVER_TO_CLIENT
+        return False
     raise TraceParseError(
         line_no, f"packet {src} -> {dst} does not involve client {client}")
 
@@ -99,9 +99,9 @@ def reference_parse_events(lines, client):
                                   f"{seq} and {ack}")
         events.append(PacketEvent(
             timestamp, src_addr, src_port, dst_addr, dst_port, payload,
-            flags, seq, ack, direction(f"{src_addr}:{src_port}",
-                                       f"{dst_addr}:{dst_port}", client,
-                                       line_no)))
+            flags, seq, ack, from_client(f"{src_addr}:{src_port}",
+                                         f"{dst_addr}:{dst_port}", client,
+                                         line_no)))
 
     events.sort(key=lambda event: event.timestamp)
     return events

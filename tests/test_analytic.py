@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -160,6 +161,16 @@ class TestPhaseTiming:
         assert t.prom_tx and not t.prom_rx
         assert t.t_q == pytest.approx(30000 - 30 - 200)
         assert t.t_q > PROFILE.idle_entry_ms
+
+    def test_wait_promotes_only_beyond_idle_entry(self):
+        # A wait exactly as long as the decay chain ends in LONG DRX; the
+        # next float beyond it reaches IDLE and pays the response promotion.
+        idle_entry = PROFILE.idle_entry_ms
+        for t_w, promoted in ((idle_entry, False),
+                              (math.nextafter(idle_entry, math.inf), True)):
+            timing, energy = price_cycle(0, t_w, 0, 60000, PROFILE)
+            assert timing.prom_rx is promoted
+            assert (energy.e_prom_rx > 0) is promoted
 
     def test_residual_grazing_idle_stays_unpromoted(self):
         # the residual exceeds the IDLE threshold by less than one

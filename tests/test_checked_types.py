@@ -30,7 +30,7 @@ VALID = {
     "ConnectionlessScenario": SCENARIO,
     "PhaseTiming": analytic.PhaseTiming(1.0, 2.0, 3.0, 4.0),
     "SweepAxis": AXIS,
-    "SweepSpec": sweep.SweepSpec(SCENARIO, SCENARIO, (AXIS,)),
+    "SweepSpec": sweep.SweepSpec(SCENARIO, SCENARIO.rtt, (AXIS,)),
     "CostSpec": sweep.CostSpec((0.5,), 360000.0, 40.0, AXIS),
     "TraceIteration": traces.TraceIteration(1.0, 2.0, 3.0, "get", 1000),
     "RunConfig": cli.RunConfig("eval", None, "csv", None, {}),

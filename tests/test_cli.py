@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -92,6 +93,13 @@ class TestMalformedSweepConfig:
         code = cli.main(["sweep", "--config", write_config(tmp_path, config)])
         assert code == 1
         assert "rtt must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [-5, "nan"])
+    def test_bad_cloud_rtt_named(self, tmp_path, capsys, value):
+        config = sweep_config()
+        config["base"]["rtt_cloud"] = value
+        assert_cli_error(["sweep", "--config", write_config(tmp_path, config)],
+                         capsys, "error: rtt_cloud must be ")
 
 
 class TestNonFiniteEval:
@@ -695,6 +703,38 @@ class TestInputFiles:
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
         self.assert_names_file([command, flag, str(path)], capsys, str(path))
+
+    @staticmethod
+    def assert_asks_for_utf8(argv, capsys, path):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: file is UTF-16 ")
+        assert err.endswith("; save it as UTF-8\n")
+
+    def test_utf16_config(self, tmp_path, capsys):
+        path = tmp_path / "fig8.json"
+        path.write_text((FIGURES / "fig8.json").read_text(),
+                        encoding="utf-16")
+        self.assert_asks_for_utf8(["cost", "--config", str(path)], capsys,
+                                  str(path))
+
+    def test_utf16_profile(self, tmp_path, capsys):
+        """Big-endian, after the byte order mark FE FF."""
+        path = tmp_path / "profile.json"
+        text = json.dumps(profile_to_dict(default_profile()))
+        path.write_bytes(codecs.BOM_UTF16_BE + text.encode("utf-16-be"))
+        self.assert_asks_for_utf8(["power-table", "--profile", str(path)],
+                                  capsys, str(path))
+
+    def test_utf16_export(self, tmp_path, capsys):
+        path = tmp_path / "get.tsv"
+        assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                         "3000", "--rtt", "20", "--bottleneck", "20e6",
+                         "--out", str(path)]) == 0
+        path.write_text(path.read_text(), encoding="utf-16")
+        self.assert_asks_for_utf8(
+            ["trace-analyze", "--kind", "get", "--client", CLIENT,
+             "--t-i", "30000", str(path)], capsys, str(path))
 
     def test_config_with_bom(self, tmp_path):
         config = tmp_path / "fig8.json"

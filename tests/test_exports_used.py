@@ -15,8 +15,9 @@ from ltenergy import analytic, power_model, sweep, traces
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "ltenergy").glob("*.py"))
-# Kept for the per-state energy ledger that the roadmap plans.
-UNUSED_ALLOWED = {"decay_state_at"}
+# Kept for the per-state energy ledger of ROADMAP item 2, whose rows it
+# will key.
+UNUSED_ALLOWED = {"RadioState"}
 
 
 def names_read(paths):

@@ -137,7 +137,7 @@ def test_rho_is_exactly_one_at_equal_rtt(profile, scn):
     # A cycle that draws no energy at all has no ratio.
     assume(priced_or_reject(scn, profile)[1].e_i > 0)
     assert compare(scn, scn, profile).rho == 1.0
-    spec = SweepSpec(base_edge=scn, base_cloud=scn,
+    spec = SweepSpec(base=scn, rtt_cloud=scn.rtt,
                      axes=(SweepAxis("rtt_cloud", scn.rtt, scn.rtt, 1),))
     (cell,) = run_sweep(spec, profile).cells
     assert cell.rho == 1.0 and cell.delta_rtt == 0.0
@@ -164,8 +164,8 @@ def assert_cell_is_compare(cell, spec, profile):
     fields = dict(zip((axis.name for axis in spec.axes), values))
     rtt = fields.pop("rtt_cloud")
     try:
-        expected = compare(spec.base_edge._replace(**fields),
-                           spec.base_cloud._replace(rtt=rtt, **fields),
+        expected = compare(spec.base._replace(**fields),
+                           spec.base._replace(rtt=rtt, **fields),
                            profile)
     except PeriodOverrunError as exc:
         assert (edge, cloud, rho, delta_rtt, error) == (
@@ -185,7 +185,7 @@ def test_sweep_cells_equal_compare_in_any_axis_order(profile, other, scn,
                                                      axes):
     # Transfers draw energy, so every ratio is finite and no cell raises.
     assume(profile.p_tx >= 1 and other.p_tx >= 1 and profile != other)
-    spec = SweepSpec(base_edge=scn, base_cloud=scn, axes=axes)
+    spec = SweepSpec(base=scn, rtt_cloud=scn.rtt, axes=axes)
     points = list(itertools.product(*(axis.values() for axis in axes)))
     cells = list(sweep_cells(spec, profile))
     assert [cell[0] for cell in cells] == points

@@ -6,8 +6,6 @@ import pytest
 from ltenergy import (
     DutyCycleSpec,
     PowerProfile,
-    RadioState,
-    decay_state_at,
     default_profile,
     load_profile,
     mean_power,
@@ -189,34 +187,3 @@ class TestProfileValidation:
         path.write_text(json.dumps(profile_to_dict(default_profile())))
         assert load_profile(str(path)) == default_profile()
 
-
-class TestDecayState:
-    def test_examples(self):
-        p = default_profile()
-        assert decay_state_at(150, p) is RadioState.CR
-        assert decay_state_at(500, p) is RadioState.SHORT_DRX
-        assert decay_state_at(12000, p) is RadioState.IDLE
-
-    def test_boundaries_stay_in_earlier_state(self):
-        p = default_profile()
-        assert decay_state_at(200, p) is RadioState.CR
-        assert decay_state_at(600, p) is RadioState.SHORT_DRX
-        assert decay_state_at(11600, p) is RadioState.LONG_DRX
-        assert decay_state_at(11600.0001, p) is RadioState.IDLE
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            decay_state_at(-1, default_profile())
-
-    def test_monotone_in_gap(self):
-        # A longer quiet gap never puts the radio in a higher-power state.
-        order = [RadioState.CR, RadioState.SHORT_DRX,
-                 RadioState.LONG_DRX, RadioState.IDLE]
-        p = default_profile()
-        rng = random.Random(9)
-        for _ in range(2000):
-            a = rng.uniform(0, 15000)
-            b = rng.uniform(0, 15000)
-            lo, hi = sorted((a, b))
-            assert order.index(decay_state_at(hi, p)) >= order.index(
-                decay_state_at(lo, p))

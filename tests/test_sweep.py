@@ -33,7 +33,7 @@ PROFILE = default_profile()
 
 def make_spec(axes, t_i=750, rtt_cloud=50):
     edge, cloud = reference_scenarios(t_i, rtt_cloud)
-    return SweepSpec(base_edge=edge, base_cloud=cloud, axes=axes)
+    return SweepSpec(base=edge, rtt_cloud=cloud.rtt, axes=axes)
 
 
 class TestAxis:
@@ -175,7 +175,7 @@ class TestRunSweep:
 
 def scenarios_at(spec, values):
     """Edge and cloud scenarios of one grid point, built field by field."""
-    edge, cloud = spec.base_edge, spec.base_cloud
+    edge, cloud = spec.base, spec.base._replace(rtt=spec.rtt_cloud)
     for axis, value in zip(spec.axes, values):
         if axis.name == "rtt_cloud":
             cloud = cloud._replace(rtt=value)
@@ -217,14 +217,14 @@ def sweep_specs(draw):
         step = draw(st.floats(1.0, (high - low) / 2))
         count = draw(st.integers(1, 6))
         axes.append(SweepAxis(name, start, start + (count - 1) * step, step))
-    return SweepSpec(base_edge=edge, base_cloud=cloud, axes=tuple(axes))
+    return SweepSpec(base=edge, rtt_cloud=cloud.rtt, axes=tuple(axes))
 
 
 def reference_spec(axes, t_i=5000.0):
     common = dict(t_i=t_i, b_tx=16000.0, b_rx=16000.0)
     return SweepSpec(
-        base_edge=ConnectionlessScenario(rtt=20.0, **common),
-        base_cloud=ConnectionlessScenario(rtt=100.0, **common),
+        base=ConnectionlessScenario(rtt=20.0, **common),
+        rtt_cloud=100.0,
         axes=axes)
 
 
@@ -333,7 +333,7 @@ def render_specs(draw):
                               grid_numbers(1.0, 5000.0)))
         count = draw(st.integers(1, 4))
         axes.append(SweepAxis(name, start, start + (count - 1) * step, step))
-    return SweepSpec(base_edge=edge, base_cloud=cloud, axes=tuple(axes))
+    return SweepSpec(base=edge, rtt_cloud=cloud.rtt, axes=tuple(axes))
 
 
 class TestFastRenderers:
@@ -389,7 +389,7 @@ class TestFastRenderers:
 
 def cli_artifacts(spec, config_path):
     """stdout of ``ltenergy sweep`` on ``spec`` in CSV and in JSON."""
-    edge, cloud = spec.base_edge, spec.base_cloud
+    edge, cloud = spec.base, spec.base._replace(rtt=spec.rtt_cloud)
     base = {**edge._asdict(), "rtt_edge": edge.rtt, "rtt_cloud": cloud.rtt}
     del base["rtt"]
     config_path.write_text(json.dumps({

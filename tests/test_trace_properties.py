@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ltenergy.traces import (
     SYNTH_CLIENT,
-    Direction,
     events_to_lines,
     extract_get_phases,
     extract_post_phases,
@@ -170,10 +169,9 @@ class TestSerialiseParseRoundTrip:
     def test_parse_of_lines_is_identity(self, kind, size, rtt, seed,
                                         wrap_at, other_shift):
         events = synthesize_trace(kind, size, rtt, 10e6, seed)
-        sender = (Direction.CLIENT_TO_SERVER if kind == "post"
-                  else Direction.SERVER_TO_CLIENT)
+        sender = kind == "post"  # from_client of the bulk stream
         first = next(e.seq for e in events
-                     if e.payload_len > 0 and e.direction is sender)
+                     if e.payload_len > 0 and e.from_client is sender)
         # the bulk stream crosses 2^32 after ``wrap_at`` of its bytes
         shift = (2 ** 32 - first - int(wrap_at * size)) % 2 ** 32
         shifts = (shift, other_shift) if kind == "post" \

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import statistics
@@ -14,7 +15,6 @@ from ltenergy import (
 from ltenergy import traces
 from ltenergy.traces import (
     SYNTH_CLIENT,
-    Direction,
     IncompleteExchangeError,
     PacketEvent,
     TraceIteration,
@@ -82,7 +82,7 @@ def shift_sequence_space(events, client_shift, server_shift):
     shifted = []
     for e in events:
         own, peer = (client_shift, server_shift) \
-            if e.direction is Direction.CLIENT_TO_SERVER \
+            if e.from_client \
             else (server_shift, client_shift)
         ack = (e.ack + peer) % 2 ** 32 if "ACK" in e.flags else e.ack
         shifted.append(e._replace(seq=(e.seq + own) % 2 ** 32, ack=ack))
@@ -93,10 +93,9 @@ class TestSequenceWrap:
     @pytest.mark.parametrize("kind", ["post", "get"])
     def test_wrapped_bulk_stream_extracts_like_unwrapped(self, kind):
         events = synthesize_trace(kind, 100_000, 40, 10e6, seed=3)
-        sender = (Direction.CLIENT_TO_SERVER if kind == "post"
-                  else Direction.SERVER_TO_CLIENT)
+        sender = kind == "post"  # from_client of the bulk stream
         bulk = [e for e in events
-                if e.payload_len > 0 and e.direction is sender]
+                if e.payload_len > 0 and e.from_client is sender]
         # the bulk stream crosses 2^32 after its first 50,000 bytes
         shift = 2 ** 32 - bulk[0].seq - 50_000
         shifts = (shift, 0) if kind == "post" else (0, shift)
@@ -104,7 +103,7 @@ class TestSequenceWrap:
             "\n".join(events_to_lines(shift_sequence_space(events, *shifts))),
             client=SYNTH_CLIENT)
         wrapped_bulk = [e.seq for e in wrapped
-                        if e.payload_len > 0 and e.direction is sender]
+                        if e.payload_len > 0 and e.from_client is sender]
         assert min(wrapped_bulk) < 50_000 < 2 ** 32 - 50_000 <= max(
             wrapped_bulk)
         extract = extract_post_phases if kind == "post" \
@@ -159,6 +158,24 @@ class TestParseEvents:
         assert flags("SA") == frozenset({"SYN", "ACK"})
         assert flags("-") == frozenset()
 
+    def test_every_flag_subset_round_trips(self):
+        # TCP header bits of the tracked flags (RFC 9293, section 3.1)
+        bits = {"FIN": 0x01, "SYN": 0x02, "RST": 0x04, "PSH": 0x08,
+                "ACK": 0x10}
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(bits, k) for k in range(len(bits) + 1))
+        for subset in subsets:
+            flags = frozenset(subset)
+            event = PacketEvent(0.0, "10.0.0.2", 51000, "192.0.2.9", 80, 0,
+                                flags, 0, 0, True)
+            (text,) = events_to_lines([event])
+            assert parse_events(text, CLIENT) == [event]
+            value = sum(bits[name] for name in flags)
+            for field in (f"0x{value:03x}", str(value)):
+                parsed = parse_events(
+                    line(0.0, CLIENT, SERVER, 0, field, 0, 0), CLIENT)
+                assert parsed[0].flags == flags
+
     def test_bad_flags_rejected(self):
         with pytest.raises(TraceParseError, match="flags"):
             parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), CLIENT)
@@ -166,8 +183,8 @@ class TestParseEvents:
     def test_direction_from_client_argument(self):
         events = parse_events("\n".join(post_exchange_lines()),
                               client=CLIENT)
-        assert events[0].direction is Direction.CLIENT_TO_SERVER
-        assert events[2].direction is Direction.SERVER_TO_CLIENT
+        assert events[0].from_client is True
+        assert events[2].from_client is False
 
     def test_stray_packet_reported_in_file_order(self):
         """A packet that involves no client is a bad line like any other:
@@ -270,7 +287,7 @@ class TestExtractPost:
         rows = [e for e in events if not is_admin(e)]
         request = [e for e in rows if e.payload_len > 0]
         acks = [e for e in rows
-                if e.direction is Direction.SERVER_TO_CLIENT
+                if not e.from_client
                 and e.ack >= request[0].seq + request[0].payload_len]
         t_tx = (acks[0].timestamp - request[0].timestamp) * 1000.0
         assert t_tx == pytest.approx(rtt)
@@ -448,9 +465,8 @@ class TestSynthesizeTrace:
             data = [e for e in events if not is_admin(e)]
             payload = [e for e in data if e.payload_len > 0]
             assert len(payload) == 1
-            assert payload[0].direction is Direction.CLIENT_TO_SERVER
-            server = [e for e in data
-                      if e.direction is Direction.SERVER_TO_CLIENT]
+            assert payload[0].from_client is True
+            server = [e for e in data if not e.from_client]
             assert len(server) == 1 and server[0].payload_len == 0
 
     @pytest.mark.parametrize("kind", ["post", "get"])
