@@ -5,12 +5,14 @@ time, which defeats the closed-form model.  This module instead ingests
 per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
-same energy accounting as the analytic path.  Parsing reads each line once,
-rejecting non-finite timestamps and fixing each packet's sender flag,
-``from_client``, against the client endpoint that the caller names, once
-per endpoint pair; extraction reads that flag.  One landmark rule serves
-upload-style (POST) and download-style (GET) exchanges alike; the bulk
-direction only decides which stream's bytes count as the file size.
+same energy accounting as the analytic path.  A parse returns
+:class:`Packets`, one list per packet field, and builds no ``PacketEvent``:
+it converts the export by column, a chunk of lines at a time, and reads a
+chunk line by line only when its columns do not convert, to name the first
+bad line.  Extraction finds its landmarks over the columns.  One
+landmark rule serves upload-style (POST) and download-style (GET)
+exchanges alike; the bulk direction only decides which stream's bytes
+count as the file size.
 
 A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
@@ -26,6 +28,9 @@ from __future__ import annotations
 import io
 import math
 import sys
+from bisect import bisect_left
+from itertools import compress, count, filterfalse, islice, repeat
+from operator import le
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -34,6 +39,7 @@ from .power_model import PowerProfile, _checked
 
 __all__ = [
     "PacketEvent",
+    "Packets",
     "TraceIteration",
     "AggregateResult",
     "TraceParseError",
@@ -68,8 +74,13 @@ _TURNAROUND_US = 200
 _ACK_DELAY_US = 100
 _SERVER_THINK_US = 2000
 # Most packets a synthetic trace may have, checked before any is built: a
-# GET of about 1.9 GB, whose packets peak near 1.1 GB in memory.
+# GET of about 1.9 GB, whose packets peak near 0.75 GB in memory (about 370
+# bytes per packet, measured on a GET of 10^8 bytes).
 MAX_TRACE_PACKETS = 2_000_000
+# Export lines that ``parse_events`` converts at a time: its memory grows
+# with the packets, not with the export's bytes, and larger chunks were
+# slower.
+_CHUNK_LINES = 1024
 
 
 class TraceParseError(ValueError):
@@ -97,6 +108,30 @@ class PacketEvent(NamedTuple):
     seq: int
     ack: int
     from_client: bool  # sent by the client endpoint, else by the server
+
+
+class Packets:
+    """The packets of one exchange as columns, stably sorted by timestamp:
+    each attribute lists one :class:`PacketEvent` field.  ``len()`` counts
+    the packets and iterating yields ``PacketEvent`` rows; equality is
+    identity, so compare rows."""
+
+    __slots__ = PacketEvent._fields
+
+    def __init__(self, columns: Sequence[list]):
+        stamps = columns[0]
+        if not all(map(le, stamps, islice(stamps, 1, None))):
+            order = sorted(range(len(stamps)), key=stamps.__getitem__)
+            columns = [list(map(col.__getitem__, order)) for col in columns]
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __iter__(self):
+        return map(PacketEvent._make,
+                   zip(*map(self.__getattribute__, self.__slots__)))
 
 
 @_checked
@@ -165,9 +200,8 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
-def parse_events(lines: str | Iterable[str],
-                 client: str) -> list[PacketEvent]:
-    """Parse a packet field export into a time-ordered event list.
+def parse_events(lines: str | Iterable[str], client: str) -> Packets:
+    """Parse a packet field export into time-ordered packet columns.
 
     Line format (tab-separated): epoch timestamp with six decimals, source
     address, destination address, source port, destination port, transport
@@ -175,66 +209,106 @@ def parse_events(lines: str | Iterable[str],
     acknowledgment number.  Blank lines and ``#`` comments are skipped; an
     empty or ``-`` integer field reads as 0.  ``client`` ("addr:port"), the
     endpoint where the export was captured, fixes each packet's
-    ``from_client``, once per endpoint pair.  The first bad line in file
-    order raises a :class:`TraceParseError` naming it: its first bad field
-    in column order, a non-finite timestamp included, else a packet that
-    does not involve the client.
+    ``from_client``.  The first bad line in file order raises a
+    :class:`TraceParseError` naming it: its first bad field in column
+    order, a non-finite timestamp included, else a packet that does not
+    involve the client.  The export is read ``_CHUNK_LINES`` lines at a
+    time, never whole; each chunk is split once and converted by column,
+    with each distinct flags text and endpoint resolved once per call, and
+    a chunk with a line that this cannot take is read again line by line.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
-
-    events: list[PacketEvent] = []
+    lines, line_no = iter(lines), 1
+    columns: list[list] = [[] for _ in PacketEvent._fields]
     flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
-    senders: dict[tuple, bool] = {}  # from_client, by endpoint pair
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        text = line.lstrip()
-        if not text or text[0] == "#":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 9:
-            raise TraceParseError(
-                line_no, f"expected 9 tab-separated fields, got {len(parts)}"
-            )
-        ts, src_addr, dst_addr, sport, dport, size, flag_text, sq, ak = parts
-        ts = ts.strip()  # float keeps \x1c-\x1f, which str.strip drops
+    endpoints: dict[tuple, tuple] = {}  # by raw endpoint field texts
+    while chunk := list(islice(lines, _CHUNK_LINES)):
         try:
-            timestamp = float(ts)
+            converted = _convert_chunk(chunk, client, flag_sets, endpoints)
         except ValueError:
-            timestamp = math.nan
-        if not math.isfinite(timestamp):
-            raise TraceParseError(line_no, f"bad timestamp {ts!r}")
-        try:
-            src_port, dst_port, payload, seq, ack = (
-                int(sport), int(dport), int(size), int(sq), int(ak))
-        except ValueError:
-            # Empty and "-" read as 0, else the first bad field raises; a
-            # negative payload and bad flags come before the sequence number.
-            src_port = _parse_int(sport, "source port", line_no)
-            dst_port = _parse_int(dport, "destination port", line_no)
-            payload = _parse_int(size, "payload length", line_no)
-            if payload >= 0:
-                _parse_flags(flag_text, line_no)
-                seq = _parse_int(sq, "sequence number", line_no)
-                ack = _parse_int(ak, "acknowledgment number", line_no)
-        if payload < 0:
-            raise TraceParseError(line_no, "payload length must be >= 0")
-        flags = flag_sets.get(flag_text)
-        if flags is None:
-            flags = flag_sets[flag_text] = _parse_flags(flag_text, line_no)
-        if not (0 <= seq < SEQ_SPACE and 0 <= ack < SEQ_SPACE):
-            raise TraceParseError(line_no, "sequence and acknowledgment "
-                                  f"numbers must lie in [0, 2^32), got "
-                                  f"{seq} and {ack}")
-        pair = (src_addr.strip(), src_port, dst_addr.strip(), dst_port)
-        from_client = senders.get(pair)
-        if from_client is None:
-            from_client = senders[pair] = _from_client(pair, client, line_no)
-        events.append(PacketEvent._make(
-            (timestamp, *pair, payload, flags, seq, ack, from_client)))
+            converted = zip(*filter(None, map(
+                _parse_line, chunk, count(line_no), repeat(client))))
+        for column, values in zip(columns, converted):
+            column.extend(values)
+        line_no += len(chunk)
+    return Packets(columns)
 
-    events.sort(key=lambda event: event[0])
-    return events
+
+def _convert_chunk(chunk: list[str], client: str,
+                   flag_sets: dict[str, frozenset[str]],
+                   endpoints: dict[tuple, tuple]) -> tuple:
+    """The ``PacketEvent`` columns of the packet lines of ``chunk``, filling
+    the caches; a ``ValueError``, whose message is not read, at a line that
+    these conversions do not take: a bad packet, or a rarer form, such as a
+    timestamp padded with a separator character, that ``_parse_line``
+    takes."""
+    rows = [raw for raw in chunk if raw.lstrip()[:1] not in ("", "#")]
+    if set(map(str.count, rows, repeat("\t"))) != {8}:
+        raise ValueError
+    fields = "\t".join(rows).split("\t")
+    stamps = list(map(float, fields[0::9]))
+    sizes, seqs, acks = (_int_column(fields[k::9]) for k in (5, 7, 8))
+    if not (math.isfinite(sum(stamps)) and min(sizes) >= 0
+            and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE
+            and 0 <= min(acks) <= max(acks) < SEQ_SPACE):
+        raise ValueError
+    for text in set(fields[6::9]).difference(flag_sets):
+        flag_sets[text] = _parse_flags(text, 0)
+    keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
+    for src_addr, sport, dst_addr, dport in set(keys).difference(endpoints):
+        pair = (src_addr.strip(), _parse_int(sport, "source port", 0),
+                dst_addr.strip(), _parse_int(dport, "destination port", 0))
+        endpoints[src_addr, sport, dst_addr, dport] = (
+            *pair, _from_client(pair, client, 0))
+    src_addr, src_port, dst_addr, dst_port, senders = zip(
+        *map(endpoints.__getitem__, keys))
+    return (stamps, src_addr, src_port, dst_addr, dst_port, sizes,
+            list(map(flag_sets.__getitem__, fields[6::9])), seqs, acks,
+            senders)
+
+
+def _int_column(texts: list[str]) -> list[int]:
+    """``texts`` as integers, an empty or ``-`` field as 0."""
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        return [_parse_int(text, "integer", 0) for text in texts]
+
+
+def _parse_line(raw: str, line_no: int, client: str) -> tuple | None:
+    """The ``PacketEvent`` fields of one export line, ``None`` for a blank
+    or comment line; its first bad field in column order raises, else a
+    packet that does not involve the client."""
+    if raw.lstrip()[:1] in ("", "#"):
+        return None
+    parts = raw.rstrip("\n").split("\t")
+    if len(parts) != 9:
+        raise TraceParseError(
+            line_no, f"expected 9 tab-separated fields, got {len(parts)}")
+    ts, src_addr, dst_addr, sport, dport, size, flag_text, sq, ak = parts
+    ts = ts.strip()  # float keeps \x1c-\x1f, which str.strip drops
+    try:
+        timestamp = float(ts)
+    except ValueError:
+        timestamp = math.nan
+    if not math.isfinite(timestamp):
+        raise TraceParseError(line_no, f"bad timestamp {ts!r}")
+    src_port = _parse_int(sport, "source port", line_no)
+    dst_port = _parse_int(dport, "destination port", line_no)
+    payload = _parse_int(size, "payload length", line_no)
+    if payload < 0:
+        raise TraceParseError(line_no, "payload length must be >= 0")
+    flags = _parse_flags(flag_text, line_no)
+    seq = _parse_int(sq, "sequence number", line_no)
+    ack = _parse_int(ak, "acknowledgment number", line_no)
+    if not (0 <= seq < SEQ_SPACE and 0 <= ack < SEQ_SPACE):
+        raise TraceParseError(line_no, "sequence and acknowledgment "
+                              f"numbers must lie in [0, 2^32), got "
+                              f"{seq} and {ack}")
+    pair = (src_addr.strip(), src_port, dst_addr.strip(), dst_port)
+    return (timestamp, *pair, payload, flags, seq, ack,
+            _from_client(pair, client, line_no))
 
 
 def _from_client(pair: tuple, client: str, line_no: int) -> bool:
@@ -247,42 +321,31 @@ def _from_client(pair: tuple, client: str, line_no: int) -> bool:
         line_no, f"packet {src} -> {dst} does not involve client {client}")
 
 
-def events_to_lines(events: Iterable[PacketEvent]) -> list[str]:
-    """Serialise events back into the ingestion line format."""
-    lines = []
-    for e in events:
-        flags = "".join(letter for name, letter, _ in _FLAGS
-                        if name in e.flags) or "-"
-        lines.append("\t".join((
-            f"{e.timestamp:.6f}",
-            e.src_addr, e.dst_addr,
-            str(e.src_port), str(e.dst_port),
-            str(e.payload_len), flags, str(e.seq), str(e.ack),
-        )))
-    return lines
+def events_to_lines(packets: Packets) -> list[str]:
+    """Serialise packets back into the ingestion line format."""
+    letters = {flags: "".join(letter for name, letter, _ in _FLAGS
+                              if name in flags) or "-"
+               for flags in set(packets.flags)}
+    return list(map("\t".join, zip(
+        map(format, packets.timestamp, repeat(".6f")),
+        packets.src_addr, packets.dst_addr,
+        map(str, packets.src_port), map(str, packets.dst_port),
+        map(str, packets.payload_len), map(letters.__getitem__, packets.flags),
+        map(str, packets.seq), map(str, packets.ack))))
 
 
-def _split_exchange(events: Sequence[PacketEvent]):
-    """Directional payload/ack views of the exchange, admin traffic removed."""
-    c2s, s2c = [], []
-    for e in events:
-        if e.flags.isdisjoint(_ADMIN_FLAGS):
-            (c2s if e.from_client else s2c).append(e)
-    return c2s, s2c
+def _byte_span(seqs: list[int], sizes: list[int],
+               stream: list[int]) -> tuple[int, int]:
+    """Offsets of the first byte and past the last byte that the payload
+    packets at indices ``stream`` cover, from the first one's sequence
+    number, in [-2^31, 2^31) modulo 2^32."""
+    shift = _HALF_SPACE - seqs[stream[0]]
+    return (min((seqs[i] + shift) % SEQ_SPACE for i in stream) - _HALF_SPACE,
+            max((seqs[i] + sizes[i] + shift) % SEQ_SPACE
+                for i in stream) - _HALF_SPACE)
 
 
-def _stream_bounds(packets: Sequence[PacketEvent]) -> tuple[int, int]:
-    """Offsets of the first byte and past the last byte that a list of
-    payload packets covers, from the first packet's sequence number, in
-    [-2^31, 2^31) modulo 2^32."""
-    shift = _HALF_SPACE - packets[0].seq
-    return (min((e.seq + shift) % SEQ_SPACE for e in packets) - _HALF_SPACE,
-            max((e.seq + e.payload_len + shift) % SEQ_SPACE
-                for e in packets) - _HALF_SPACE)
-
-
-def _extract_phases(kind: str,
-                    events: Sequence[PacketEvent]) -> TraceIteration:
+def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     """Phase durations of one request-response exchange.
 
     One landmark rule serves both bulk directions.  The request (the upload
@@ -299,37 +362,48 @@ def _extract_phases(kind: str,
     acknowledgment numbers count from each stream's first payload packet,
     modulo 2^32, so a stream may wrap the sequence space.
     """
-    c2s, s2c = _split_exchange(events)
-    request = [e for e in c2s if e.payload_len > 0]
+    stamps, sizes, seqs, acks, senders = (
+        packets.timestamp, packets.payload_len, packets.seq, packets.ack,
+        packets.from_client)
+    exchange = {flags for flags in set(packets.flags)
+                if flags.isdisjoint(_ADMIN_FLAGS)}
+    # Indices, in time order, of the packets that are not handshake or
+    # teardown: the client's, the server's, then those with payload.
+    kept = list(compress(count(), map(exchange.__contains__, packets.flags)))
+    c2s = list(compress(kept, map(senders.__getitem__, kept)))
+    s2c = list(filterfalse(senders.__getitem__, kept))
+    request = list(compress(c2s, map(sizes.__getitem__, c2s)))
+    response = list(compress(s2c, map(sizes.__getitem__, s2c)))
+
     if not request:
         raise IncompleteExchangeError("no request payload from the client")
-    request_first, request_end = _stream_bounds(request)
-    request_end_seq = request[0].seq + request_end
-    request_ack = next((e for e in s2c if e.payload_len == 0 and (
-        e.ack - request_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
+    request_first, request_end = _byte_span(seqs, sizes, request)
+    request_end_seq = seqs[request[0]] + request_end
+    request_ack = next((i for i in filterfalse(sizes.__getitem__, s2c) if (
+        acks[i] - request_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
     if request_ack is None:
         raise IncompleteExchangeError(
             "missing the server acknowledgment that covers the request")
 
-    response = [e for e in s2c if e.payload_len > 0]
     if not response:
         raise IncompleteExchangeError("zero-length response from the server")
-    response_start = response[0].timestamp
-    if response_start < request_ack.timestamp:
+    response_start = stamps[response[0]]
+    if response_start < stamps[request_ack]:
         raise IncompleteExchangeError(
             "server response precedes the request acknowledgment")
-    response_first, response_end = _stream_bounds(response)
-    response_end_seq = response[0].seq + response_end
-    final_ack = next((e for e in c2s if e.timestamp >= response_start and (
-        e.ack - response_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
+    response_first, response_end = _byte_span(seqs, sizes, response)
+    response_end_seq = seqs[response[0]] + response_end
+    later = c2s[bisect_left(c2s, bisect_left(stamps, response_start)):]
+    final_ack = next((i for i in later if (
+        acks[i] - response_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
     if final_ack is None:
         raise IncompleteExchangeError(
             "missing the client acknowledgment of the response")
 
     return TraceIteration(
-        t_tx=(request_ack.timestamp - request[0].timestamp) * 1000.0,
-        t_w=(response_start - request_ack.timestamp) * 1000.0,
-        t_rx=(final_ack.timestamp - response_start) * 1000.0,
+        t_tx=(stamps[request_ack] - stamps[request[0]]) * 1000.0,
+        t_w=(response_start - stamps[request_ack]) * 1000.0,
+        t_rx=(stamps[final_ack] - response_start) * 1000.0,
         app_kind=kind,
         file_size=(request_end - request_first if kind == "post"
                    else response_end - response_first),
@@ -338,14 +412,14 @@ def _extract_phases(kind: str,
     )
 
 
-def extract_post_phases(events: Sequence[PacketEvent]) -> TraceIteration:
+def extract_post_phases(packets: Packets) -> TraceIteration:
     """Phases of an upload-style exchange; see :func:`_extract_phases`."""
-    return _extract_phases("post", events)
+    return _extract_phases("post", packets)
 
 
-def extract_get_phases(events: Sequence[PacketEvent]) -> TraceIteration:
+def extract_get_phases(packets: Packets) -> TraceIteration:
     """Phases of a download-style exchange; see :func:`_extract_phases`."""
-    return _extract_phases("get", events)
+    return _extract_phases("get", packets)
 
 
 def _segment_sizes(total: int) -> list[int]:
@@ -360,24 +434,23 @@ def _bulk_packets(total: int) -> int:
     return segments + max(segments - 1, 0) // 2
 
 
-# (addr, port) of the synthetic client and server.
-_SYNTH_ENDPOINTS = tuple((addr, int(port)) for addr, port in (
+# (addr, port) of the synthetic client and server, and the endpoint fields
+# (src_addr, src_port, dst_addr, dst_port) of their packets by from_client.
+_SYNTH_PAIR = tuple((addr, int(port)) for addr, port in (
     endpoint.rsplit(":", 1) for endpoint in (SYNTH_CLIENT, SYNTH_SERVER)))
+_SYNTH_ENDPOINTS = {True: (*_SYNTH_PAIR[0], *_SYNTH_PAIR[1]),
+                    False: (*_SYNTH_PAIR[1], *_SYNTH_PAIR[0])}
 
 
-def _synthetic_event(t_s: float, from_client: bool, payload: int,
-                     flags: frozenset[str], seq: int, ack: int) -> PacketEvent:
-    client, server = _SYNTH_ENDPOINTS
-    src, dst = (client, server) if from_client else (server, client)
-    return PacketEvent(t_s, *src, *dst, payload, flags, seq, ack, from_client)
-
-
-class _TracePlan(NamedTuple):
-    packets: list[PacketEvent]
-    request_us: int
-    request_ack_us: int
-    response_us: int | None
-    final_ack_us: int | None
+def _synthetic_event(isn: dict[bool, int], t_us: int, from_client: bool,
+                     payload: int, flags: frozenset[str], seq_rel: int,
+                     ack_rel: int) -> tuple:
+    """One planned packet as ``(t_us, from_client, payload, flags, seq,
+    ack)``: ``seq_rel`` is an offset into the sender's stream, ``ack_rel``
+    into the peer's, from the initial sequence numbers ``isn``."""
+    ack = isn[not from_client] + ack_rel if "ACK" in flags else 0
+    return (t_us, from_client, payload, flags, isn[from_client] + seq_rel,
+            ack)
 
 
 def _transfer_arrivals(n_segments: int, start_us: int, rtt_us: int,
@@ -404,9 +477,11 @@ def _transfer_arrivals(n_segments: int, start_us: int, rtt_us: int,
 
 def _plan_trace(kind: str, file_size: int, rtt_ms: float,
                 bottleneck_bps: float, isn_client: int,
-                isn_server: int) -> _TracePlan:
-    """The packets of one exchange in time order, with the given initial
-    sequence numbers, and the microsecond landmarks extraction recovers."""
+                isn_server: int) -> tuple[Packets, tuple]:
+    """The packets of one exchange, with the given initial sequence
+    numbers, and the microsecond times of the landmarks that extraction
+    recovers: the request, its acknowledgment, the response and its final
+    acknowledgment (``None`` for a zero-byte exchange)."""
     if kind not in ("post", "get"):
         raise ValueError("kind must be 'post' or 'get'")
     if file_size < 0:
@@ -441,16 +516,13 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
 
     rtt_us = finite_us(rtt_ms * 1000.0)
     seg_gap_us = 8.0 * MSS_BYTES / bottleneck_bps * 1e6
-    packets: list[tuple[int, PacketEvent]] = []
+    packets: list[tuple] = []
     isn = {True: isn_client, False: isn_server}  # by from_client
 
     def pkt(t_us, from_client, payload, flags, seq_rel, ack_rel):
-        # seq_rel: offset into the sender's stream; ack_rel: into the peer's.
-        t_us = finite_us(t_us)
-        ack = isn[not from_client] + ack_rel if "ACK" in flags else 0
-        packets.append((t_us, _synthetic_event(
-            t_us / 1e6, from_client, payload, frozenset(flags),
-            isn[from_client] + seq_rel, ack)))
+        packets.append(_synthetic_event(isn, finite_us(t_us), from_client,
+                                        payload, frozenset(flags), seq_rel,
+                                        ack_rel))
 
     def bulk(from_client, size, start_us, peer_next):
         """Segments of ``size`` bytes from ``start_us`` on, each second one
@@ -464,13 +536,14 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
                 "gives segment times that are not finite")
         ack_delay_us = rtt_us if from_client else _ACK_DELAY_US
         offset = 0
+        ack, last = frozenset({"ACK"}), frozenset({"PSH", "ACK"})  # shared
         for i, (t, seg) in enumerate(zip(times, sizes)):
             is_last = i == len(sizes) - 1
-            flags = {"PSH", "ACK"} if is_last else {"ACK"}
-            pkt(round(t), from_client, seg, flags, 1 + offset, peer_next)
+            pkt(round(t), from_client, seg, last if is_last else ack,
+                1 + offset, peer_next)
             offset += seg
             if i % 2 == 1 and not is_last:
-                pkt(round(t) + ack_delay_us, not from_client, 0, {"ACK"},
+                pkt(round(t) + ack_delay_us, not from_client, 0, ack,
                     peer_next, 1 + offset)
         return round(times[0]), round(times[-1])
 
@@ -502,13 +575,15 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
         client_next + 1, server_next + 1)
 
     packets.sort(key=lambda p: p[0])
-    return _TracePlan([event for _, event in packets],
-                      request_us, request_ack_us, response_us, final_ack_us)
+    t_us, senders, sizes, flags, seqs, acks = map(list, zip(*packets))
+    endpoints = map(list, zip(*map(_SYNTH_ENDPOINTS.__getitem__, senders)))
+    return (Packets([[t / 1e6 for t in t_us], *endpoints, sizes, flags,
+                     seqs, acks, senders]),
+            (request_us, request_ack_us, response_us, final_ack_us))
 
 
 def synthesize_trace(kind: str, file_size: int, rtt_ms: float,
-                     bottleneck_bps: float, seed: int = 0
-                     ) -> list[PacketEvent]:
+                     bottleneck_bps: float, seed: int = 0) -> Packets:
     """Deterministic synthetic exchange between a fixed client and server.
 
     Emulates a window-growth transfer bottlenecked at ``bottleneck_bps``:
@@ -521,7 +596,7 @@ def synthesize_trace(kind: str, file_size: int, rtt_ms: float,
     """
     rng = Random(seed)
     isns = rng.randrange(1, 2 ** 31), rng.randrange(1, 2 ** 31)
-    return _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, *isns).packets
+    return _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, *isns)[0]
 
 
 synthesize_trace.__doc__ = synthesize_trace.__doc__.format(
@@ -538,17 +613,12 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
     Requires a positive ``file_size`` (a degenerate exchange has no
     download phase).
     """
-    plan = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, 0, 0)
-    if plan.response_us is None or plan.final_ack_us is None:
+    landmarks = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, 0, 0)[1]
+    if None in landmarks:
         raise ValueError("a zero-byte exchange has no scheduled phases")
-    request_s, request_ack_s, response_s, final_ack_s = (
-        t_us / 1e6 for t_us in (plan.request_us, plan.request_ack_us,
-                                plan.response_us, plan.final_ack_us))
-    return (
-        (request_ack_s - request_s) * 1000.0,
-        (response_s - request_ack_s) * 1000.0,
-        (final_ack_s - response_s) * 1000.0,
-    )
+    seconds = [t_us / 1e6 for t_us in landmarks]
+    return tuple((later - earlier) * 1000.0
+                 for earlier, later in zip(seconds, seconds[1:]))
 
 
 class AggregateResult(NamedTuple):

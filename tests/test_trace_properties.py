@@ -1,14 +1,21 @@
 """Properties of the trace front end over random inputs.
 
 ``parse_events`` is held to the per-field reference parser in
-``_trace_reference`` on random exports, good and bad; extraction of a
-synthetic exchange is held to the schedule that generated it; and
-serialising then parsing a synthetic exchange whose sequence numbers wrap
-at 2^32 gives back the same events.
+``_trace_reference`` on random exports, good and bad, also with chunks of
+one to three lines so that every kind of line straddles a chunk boundary,
+and its memory peak on a large export stays below the reference's;
+extraction of a synthetic exchange is held to the schedule that generated
+it; and serialising then parsing a synthetic exchange whose sequence
+numbers wrap at 2^32 gives back the same events.
 """
 
+import tracemalloc
+from unittest import mock
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from ltenergy import traces
 from ltenergy.traces import (
     SYNTH_CLIENT,
     events_to_lines,
@@ -20,7 +27,7 @@ from ltenergy.traces import (
 )
 
 from _trace_reference import reference_parse_events
-from test_traces import shift_sequence_space
+from test_traces import packets_of, shift_sequence_space
 
 CLIENT = "10.0.0.2:51000"
 SERVER = "192.0.2.9:80"
@@ -106,7 +113,7 @@ def exports(draw):
 def outcome(parse, lines, client):
     """The parsed events, or the type and message of the error raised."""
     try:
-        return parse(lines, client=client)
+        return list(parse(lines, client=client))
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -129,14 +136,48 @@ class TestParserMatchesReference:
                       "2.0\t192.0.2.9\t10.0.0.2\t80\t51001\t5\tA\t1\t1"],
                      CLIENT))
     def test_same_events_or_same_error(self, export):
-        lines, client = export
-        # Parsing again one line further down must move every line number:
-        # nothing of one call may leak into the next.
-        shifted = (["# shifted"] + lines if isinstance(lines, list)
-                   else "# shifted\n" + lines)
-        for text in (lines, shifted):
-            expected = outcome(reference_parse_events, text, client)
-            assert outcome(parse_events, text, client) == expected
+        assert_matches_reference(export)
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(export=exports())
+    def test_chunk_boundaries(self, chunk_lines, export):
+        """Bad, blank, comment and out-of-order lines straddle chunks."""
+        with mock.patch.object(traces, "_CHUNK_LINES", chunk_lines):
+            assert_matches_reference(export)
+
+
+def assert_matches_reference(export):
+    lines, client = export
+    # Parsing again one line further down must move every line number:
+    # nothing of one call may leak into the next.
+    shifted = (["# shifted"] + lines if isinstance(lines, list)
+               else "# shifted\n" + lines)
+    for text in (lines, shifted):
+        expected = outcome(reference_parse_events, text, client)
+        assert outcome(parse_events, text, client) == expected
+
+
+def test_parse_peaks_below_the_reference(tmp_path):
+    """Parsing by chunks of columns holds less at its peak than the
+    per-line reference, which holds one ``PacketEvent`` per packet;
+    converting the whole export at once would hold more."""
+    path = tmp_path / "get.tsv"
+    events = synthesize_trace("get", 10 ** 7, 20, 20e6)
+    path.write_text("\n".join(events_to_lines(events)) + "\n",
+                    encoding="utf-8")
+
+    def peak(parse):
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fp:
+                parse(fp, SYNTH_CLIENT)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_events) < peak(reference_parse_events)
 
 
 class TestExtractionMatchesSchedule:
@@ -177,8 +218,9 @@ class TestSerialiseParseRoundTrip:
         shifts = (shift, other_shift) if kind == "post" \
             else (other_shift, shift)
         wrapped = shift_sequence_space(events, *shifts)
-        assert parse_events(events_to_lines(wrapped), SYNTH_CLIENT) == wrapped
+        assert list(parse_events(events_to_lines(packets_of(wrapped)),
+                                 SYNTH_CLIENT)) == wrapped
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
-        assert extract(wrapped) == extract(events)
+        assert extract(packets_of(wrapped)) == extract(events)
 

@@ -17,6 +17,7 @@ from ltenergy.traces import (
     SYNTH_CLIENT,
     IncompleteExchangeError,
     PacketEvent,
+    Packets,
     TraceIteration,
     TraceParseError,
     aggregate,
@@ -76,6 +77,11 @@ def get_exchange_lines():
     return rows
 
 
+def packets_of(rows):
+    """The ``Packets`` of a non-empty list of ``PacketEvent`` rows."""
+    return Packets([list(column) for column in zip(*rows)])
+
+
 def shift_sequence_space(events, client_shift, server_shift):
     """``events`` with each side's sequence numbers, and the peer's
     acknowledgments of them, moved by that side's shift modulo 2^32."""
@@ -100,7 +106,8 @@ class TestSequenceWrap:
         shift = 2 ** 32 - bulk[0].seq - 50_000
         shifts = (shift, 0) if kind == "post" else (0, shift)
         wrapped = parse_events(
-            "\n".join(events_to_lines(shift_sequence_space(events, *shifts))),
+            "\n".join(events_to_lines(packets_of(
+                shift_sequence_space(events, *shifts)))),
             client=SYNTH_CLIENT)
         wrapped_bulk = [e.seq for e in wrapped
                         if e.payload_len > 0 and e.from_client is sender]
@@ -122,8 +129,8 @@ class TestSequenceWrap:
 
 class TestParseEvents:
     def test_empty_input(self):
-        assert parse_events("", CLIENT) == []
-        assert parse_events([], CLIENT) == []
+        assert list(parse_events("", CLIENT)) == []
+        assert list(parse_events([], CLIENT)) == []
 
     def test_well_formed_lines_in_order(self):
         rows = post_exchange_lines()
@@ -151,8 +158,8 @@ class TestParseEvents:
 
     def test_hex_and_letter_flags(self):
         def flags(text):
-            return parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0),
-                                CLIENT)[0].flags
+            return list(parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0),
+                                     CLIENT))[0].flags
 
         assert flags("0x012") == frozenset({"SYN", "ACK"})
         assert flags("SA") == frozenset({"SYN", "ACK"})
@@ -168,12 +175,12 @@ class TestParseEvents:
             flags = frozenset(subset)
             event = PacketEvent(0.0, "10.0.0.2", 51000, "192.0.2.9", 80, 0,
                                 flags, 0, 0, True)
-            (text,) = events_to_lines([event])
-            assert parse_events(text, CLIENT) == [event]
+            (text,) = events_to_lines(packets_of([event]))
+            assert list(parse_events(text, CLIENT)) == [event]
             value = sum(bits[name] for name in flags)
             for field in (f"0x{value:03x}", str(value)):
-                parsed = parse_events(
-                    line(0.0, CLIENT, SERVER, 0, field, 0, 0), CLIENT)
+                parsed = list(parse_events(
+                    line(0.0, CLIENT, SERVER, 0, field, 0, 0), CLIENT))
                 assert parsed[0].flags == flags
 
     def test_bad_flags_rejected(self):
@@ -181,8 +188,8 @@ class TestParseEvents:
             parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), CLIENT)
 
     def test_direction_from_client_argument(self):
-        events = parse_events("\n".join(post_exchange_lines()),
-                              client=CLIENT)
+        events = list(parse_events("\n".join(post_exchange_lines()),
+                                   client=CLIENT))
         assert events[0].from_client is True
         assert events[2].from_client is False
 
@@ -221,7 +228,7 @@ class TestParseEvents:
 
         def outcome(lines):
             try:
-                return parse_events(lines, CLIENT)
+                return list(parse_events(lines, CLIENT))
             except TraceParseError as exc:
                 return str(exc)
 
@@ -229,10 +236,20 @@ class TestParseEvents:
             from_file = outcome(fp)
         assert outcome(text) == from_file
         if error is None:
-            assert from_file == parse_events(
-                "\n".join(post_exchange_lines()), CLIENT)
+            assert from_file == list(parse_events(
+                "\n".join(post_exchange_lines()), CLIENT))
         else:
             assert from_file == error
+
+    def test_bad_line_deep_in_a_large_export(self):
+        """A bad line in a later chunk is named by its line in the export."""
+        lines = events_to_lines(synthesize_trace("get", 10 ** 7, 20, 20e6))
+        fields = lines[5000].split("\t")
+        fields[5] = "-5"
+        lines[5000] = "\t".join(fields)
+        with pytest.raises(TraceParseError) as err:
+            parse_events("\n".join(lines), SYNTH_CLIENT)
+        assert str(err.value) == "line 5001: payload length must be >= 0"
 
     def test_client_is_required(self):
         with pytest.raises(TypeError, match="client"):
@@ -240,9 +257,9 @@ class TestParseEvents:
 
     def test_serialisation_round_trip(self):
         original = synthesize_trace("get", 50_000, 75, 10e6, seed=5)
-        reparsed = parse_events("\n".join(events_to_lines(original)),
-                                client=SYNTH_CLIENT)
-        assert reparsed == original
+        reparsed = list(parse_events("\n".join(events_to_lines(original)),
+                                     client=SYNTH_CLIENT))
+        assert reparsed == list(original)
 
 
 class TestExtractPost:
@@ -328,7 +345,7 @@ class TestAdminExclusion:
         events = synthesize_trace(kind, 80_000, 75, 10e6, seed=3)
         base = extract(events)
         data_only = [e for e in events if not is_admin(e)]
-        stripped = extract(data_only)
+        stripped = extract(packets_of(data_only))
         assert stripped[:3] == base[:3]
 
         extra = parse_events(
@@ -337,8 +354,8 @@ class TestAdminExclusion:
             + line(120.0, SYNTH_CLIENT, "203.0.113.5:80", 400, "FA", 9, 9),
             client=SYNTH_CLIENT,
         )
-        noisy = sorted(events + extra, key=lambda e: e.timestamp)
-        assert extract(noisy)[:3] == base[:3]
+        noisy = sorted([*events, *extra], key=lambda e: e.timestamp)
+        assert extract(packets_of(noisy))[:3] == base[:3]
 
 
 class TestIterationEnergy:
@@ -386,8 +403,8 @@ class TestEventDrivenEnergy:
         assert energy == pytest.approx(idle_gap_energy(7500.0, PROFILE))
 
     def test_single_event_mid_window(self):
-        events = parse_events(line(4.0, CLIENT, SERVER, 1000, "PA", 1, 1),
-                              client=CLIENT)
+        events = list(parse_events(
+            line(4.0, CLIENT, SERVER, 1000, "PA", 1, 1), client=CLIENT))
         energy = event_driven_energy(events, PROFILE, (0.0, 10.0))
         serialisation = transfer_time(1000, 1e6)
         expected = (idle_gap_energy(4000.0, PROFILE)
@@ -397,14 +414,14 @@ class TestEventDrivenEnergy:
         assert energy == pytest.approx(expected, abs=1e-9)
 
     def test_unsorted_events_rejected(self):
-        events = parse_events("\n".join(post_exchange_lines()),
-                              client=CLIENT)
+        events = list(parse_events("\n".join(post_exchange_lines()),
+                                   client=CLIENT))
         with pytest.raises(ValueError, match="sorted"):
             event_driven_energy([events[1], events[0]], PROFILE, (0.0, 1.0))
 
     def test_window_must_cover_events(self):
-        events = parse_events("\n".join(post_exchange_lines()),
-                              client=CLIENT)
+        events = list(parse_events("\n".join(post_exchange_lines()),
+                                   client=CLIENT))
         with pytest.raises(ValueError, match="cover"):
             event_driven_energy(events, PROFILE, (0.0, 0.2))
 
@@ -443,20 +460,20 @@ class TestEventDrivenEnergy:
 
 class TestSynthesizeTrace:
     def test_same_seed_identical(self):
-        a = synthesize_trace("post", 40_000, 75, 10e6, seed=9)
-        b = synthesize_trace("post", 40_000, 75, 10e6, seed=9)
+        a = list(synthesize_trace("post", 40_000, 75, 10e6, seed=9))
+        b = list(synthesize_trace("post", 40_000, 75, 10e6, seed=9))
         assert a == b
 
     def test_different_seed_changes_sequence_space_only(self):
-        a = synthesize_trace("post", 40_000, 75, 10e6, seed=1)
-        b = synthesize_trace("post", 40_000, 75, 10e6, seed=2)
+        a = list(synthesize_trace("post", 40_000, 75, 10e6, seed=1))
+        b = list(synthesize_trace("post", 40_000, 75, 10e6, seed=2))
         assert [e.timestamp for e in a] == [e.timestamp for e in b]
         assert a != b
 
     def test_completion_grows_with_rtt(self):
         for kind in ("post", "get"):
-            fast = synthesize_trace(kind, 500_000, 60, 10e6, seed=0)
-            slow = synthesize_trace(kind, 500_000, 120, 10e6, seed=0)
+            fast = list(synthesize_trace(kind, 500_000, 60, 10e6, seed=0))
+            slow = list(synthesize_trace(kind, 500_000, 120, 10e6, seed=0))
             assert slow[-1].timestamp > fast[-1].timestamp
 
     def test_zero_file_degenerates_to_request_and_ack(self):
