@@ -282,6 +282,26 @@ TRACE_SYNTH_DIGESTS = {
         "023b92c32ca2d5661b468394f017600d9c8719c3071a43b2695300a0443deccc",
 }
 CLIENT = "198.51.100.10:52000"
+# A 100 x 200 t_i x rtt_cloud sweep of 20,000 cells, too large for the
+# figures' 1,408 to pin the renderers: unrounded axis sums, cloud RTTs on
+# both sides of the edge's, 6,206 overrun cells (a first row where the
+# edge overruns too) and cells that charge each IDLE promotion.  The sha256
+# of its artifacts is frozen from the release that wrote CSV with
+# ``csv.writer``.
+GRID_CONFIG = {
+    "command": "sweep",
+    "base": {"t_i": 1000, "t_elab": 150, "rtt_edge": 40, "b_tx": 16000,
+             "b_rx": 16000},
+    "axes": [{"name": "t_i", "start": 300.5, "stop": 40000, "step": 399.9},
+             {"name": "rtt_cloud", "start": 0, "stop": 24000,
+              "step": 120.3}],
+}
+GRID_DIGESTS = {
+    "grid.csv":
+        "b671676505145be127f054463f06e8d354cdcfe8b639d83761826f99406382f8",
+    "grid.json":
+        "4a3d9ea940b7d519413e20f7a618f3e0a099102c9ab39cadc7b4ef1e79e16276",
+}
 
 
 def synth_exports(tmp_path, kind, file_size):
@@ -361,6 +381,16 @@ class TestArtifactGoldens:
                          str(file_size), "--rtt", "20", "--bottleneck", "20e6",
                          "--seed", "0", "--out", str(out)]) == 0
         assert sha256(out) == TRACE_SYNTH_DIGESTS[kind, file_size]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_grid(self, tmp_path, capsys, fmt):
+        argv = ["sweep", "--config", write_config(tmp_path, GRID_CONFIG),
+                "--format", fmt]
+        out = tmp_path / f"grid.{fmt}"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert sha256(out) == GRID_DIGESTS[f"grid.{fmt}"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def cost_config(**overrides):
