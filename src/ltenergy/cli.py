@@ -8,29 +8,28 @@ synthetic trace; it takes ``--out`` but no ``--profile`` or ``--format``.
 A config file accepts only its command's keys (any other key is an error),
 and flags win over the file.  Configs, profiles and trace exports are read
 as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
-asks for UTF-8), and an error reading one names the file.
+asks for UTF-8), and an error reading one names the file.  A -0 reads as 0.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
-decimal of mJ, three of ms, three for energy ratios), and no timestamps,
-so repeated runs of the same config are byte-identical.  An artifact is
-written whole, once the whole run has succeeded: a failure, even at the
-last sweep cell, leaves stdout empty and an existing ``--out`` file as it
-was.  On stderr, each library warning is one ``warning: <message>`` line,
-and a failure ends with one ``error: <message>`` line and exit status 1.
+decimal of mJ, three of ms, three for energy ratios), CSV lines quoted as
+by ``csv.writer``, and no timestamps, so repeated runs of the same config
+are byte-identical.  An artifact is written whole, once the whole run has
+succeeded: a failure, even at the last sweep cell, leaves stdout empty and
+an existing ``--out`` file as it was.  On stderr, each library warning is
+one ``warning: <message>`` line, and a failure ends with one
+``error: <message>`` line and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import warnings
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analytic, sweep
-from ._fmt import fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import csv_line, fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
 from .power_model import (PowerProfile, _checked, _load_json_object,
                           _number, _open_utf8, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
@@ -73,19 +72,15 @@ def _json(obj: Any) -> str:
 
 
 def _emit(config: RunConfig, columns: list[str],
-          rows: Callable[[], Iterable[list[str]]],
+          lines: Callable[[], Iterable[str]],
           json_text: Callable[[], str]) -> None:
     """Render the artifact in the requested format only, from the CSV
-    ``rows`` or the ``json_text`` callable, and write it once whole: the
-    JSON text, rendered in full, then its terminating newline."""
+    ``lines`` of :func:`csv_line` or the ``json_text`` callable, and write
+    it once whole: the header and lines, or the JSON text and a newline."""
     if config.output_format == "json":
         _write(config, json_text(), "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows())
-    _write(config, buf.getvalue())
+    else:
+        _write(config, csv_line(columns), "".join(lines()))
 
 
 def _run_power_table(config: RunConfig) -> int:
@@ -97,7 +92,7 @@ def _run_power_table(config: RunConfig) -> int:
         else:
             flat.append((key, value))
     _emit(config, ["parameter", "value"],
-          lambda: [[name, fmt_axis(value)] for name, value in flat],
+          lambda: [csv_line([name, fmt_axis(v)]) for name, v in flat],
           lambda: _json(data))
     return 0
 
@@ -122,7 +117,7 @@ def _run_eval(config: RunConfig) -> int:
 
     if config.output_path is not None:
         _emit(config, [column for column, _, _ in table],
-              lambda: [[formats[unit][0](v) for _, v, unit in table]],
+              lambda: [csv_line([formats[u][0](v) for _, v, u in table])],
               lambda: _json({c: round(v, formats[unit][1])
                              for c, v, unit in table}))
     return 0
@@ -191,10 +186,10 @@ def _run_cost(config: RunConfig) -> int:
         raise ValueError(f"alphas must be a list of numbers, got {alphas!r}")
 
     def given(value: Any, what: str) -> float:
-        # A number keeps its type, so the integers of a config file stay
+        # An integer keeps its type, so the integers of a config file stay
         # integers in the JSON artifact (alphas and grid periods).
         number = _number(value, what)
-        return value if isinstance(value, (int, float)) else number
+        return value if isinstance(value, int) else number
 
     alphas = tuple(given(alpha, "alpha") for alpha in alphas)
     periods = sweep.SweepAxis("t_i", *(given(p[key], key) for key in
@@ -208,10 +203,10 @@ def _run_cost(config: RunConfig) -> int:
 
     columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
 
-    def rows() -> Iterator[list[str]]:
-        return ([fmt_axis(pt.alpha), fmt_axis(pt.t_i), fmt_mj(pt.e_total),
-                 fmt_axis(pt.t_i), fmt_cost(pt.c),
-                 "1" if pt.t_i == curve.argmin_t_i[i // n] else "0"]
+    def lines() -> Iterator[str]:
+        return (csv_line([fmt_axis(pt.alpha), fmt_axis(pt.t_i),
+                          fmt_mj(pt.e_total), fmt_axis(pt.t_i), fmt_cost(pt.c),
+                          "1" if pt.t_i == curve.argmin_t_i[i // n] else "0"])
                 for i, pt in enumerate(curve.points))
 
     def json_text() -> str:
@@ -227,7 +222,7 @@ def _run_cost(config: RunConfig) -> int:
             for k, (alpha, argmin) in enumerate(zip(spec.alphas,
                                                     curve.argmin_t_i))]})
 
-    _emit(config, columns, rows, json_text)
+    _emit(config, columns, lines, json_text)
     return 0
 
 
@@ -290,7 +285,7 @@ def _run_trace_analyze(config: RunConfig) -> int:
 
     table = [(name, agg, cells(agg, r)) for name, agg, r in placements]
     _emit(config, [column for column, _, _ in table[0][2]],
-          lambda: [[text for _, text, _ in row] for _, _, row in table],
+          lambda: [csv_line([t for _, t, _ in row]) for _, _, row in table],
           lambda: _json({name: {**{c: v for c, _, v in row},
                                 "repetitions": len(agg.breakdowns)}
                          for name, agg, row in table}))
@@ -315,6 +310,9 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def number(text: str) -> float:
+        return _number(text, "flag")
+
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the artifact to this path")
     common = argparse.ArgumentParser(add_help=False, parents=[out])
@@ -334,18 +332,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="price one connectionless cycle")
-    p_eval.add_argument("--t-i", type=float, required=True,
+    p_eval.add_argument("--t-i", type=number, required=True,
                         help="application period, ms")
-    p_eval.add_argument("--t-elab", type=float,
+    p_eval.add_argument("--t-elab", type=number,
                         help="server elaboration time, ms")
-    p_eval.add_argument("--rtt", type=float, help="round-trip time, ms")
-    p_eval.add_argument("--b-tx", type=float,
+    p_eval.add_argument("--rtt", type=number, help="round-trip time, ms")
+    p_eval.add_argument("--b-tx", type=number,
                         help="bytes uploaded per cycle")
-    p_eval.add_argument("--b-rx", type=float,
+    p_eval.add_argument("--b-rx", type=number,
                         help="bytes downloaded per cycle")
-    p_eval.add_argument("--uplink", type=float, dest="uplink_bps",
+    p_eval.add_argument("--uplink", type=number, dest="uplink_bps",
                         help="uplink bitrate, bits/s")
-    p_eval.add_argument("--downlink", type=float, dest="downlink_bps",
+    p_eval.add_argument("--downlink", type=number, dest="downlink_bps",
                         help="downlink bitrate, bits/s")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
@@ -356,15 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cost = sub.add_parser("cost", parents=[common],
                             help="batching cost curve and its minimum")
     p_cost.add_argument("--config", help="JSON cost configuration")
-    p_cost.add_argument("--alpha", type=float, action="append",
+    p_cost.add_argument("--alpha", type=number, action="append",
                         dest="alphas", help="energy weight (repeatable)")
-    p_cost.add_argument("--hourly-bytes", type=float,
+    p_cost.add_argument("--hourly-bytes", type=number,
                         help="bytes produced per hour")
-    p_cost.add_argument("--rtt", type=float, help="round-trip time, ms")
-    p_cost.add_argument("--t-i-min", type=float, help="smallest period, ms")
-    p_cost.add_argument("--t-i-max", type=float, help="largest period, ms")
-    p_cost.add_argument("--t-i-step", type=float, help="period step, ms")
-    p_cost.add_argument("--reply-bytes", type=float,
+    p_cost.add_argument("--rtt", type=number, help="round-trip time, ms")
+    p_cost.add_argument("--t-i-min", type=number, help="smallest period, ms")
+    p_cost.add_argument("--t-i-max", type=number, help="largest period, ms")
+    p_cost.add_argument("--t-i-step", type=number, help="period step, ms")
+    p_cost.add_argument("--reply-bytes", type=number,
                         help="reply size, bytes (default 1)")
 
     p_ta = sub.add_parser("trace-analyze", parents=[common],
@@ -376,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "rejected)")
     p_ta.add_argument("--client", required=True,
                       help="client endpoint as addr:port")
-    p_ta.add_argument("--t-i", type=float, required=True,
+    p_ta.add_argument("--t-i", type=number, required=True,
                       help="application period, ms")
     p_ta.add_argument("--concurrency", type=int,
                       help="concurrent server connections during capture")
@@ -391,9 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ts.add_argument("--kind", choices=("post", "get"), required=True)
     p_ts.add_argument("--file-size", type=int, required=True,
                       help="application bytes in the bulk direction")
-    p_ts.add_argument("--rtt", type=float, required=True, dest="rtt_ms",
+    p_ts.add_argument("--rtt", type=number, required=True, dest="rtt_ms",
                       help="round-trip time, ms")
-    p_ts.add_argument("--bottleneck", type=float, required=True,
+    p_ts.add_argument("--bottleneck", type=number, required=True,
                       dest="bottleneck_bps", help="bottleneck bitrate, bits/s")
     p_ts.add_argument("--seed", type=int)
 

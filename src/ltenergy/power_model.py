@@ -217,7 +217,7 @@ def _number(value: Any, what: str) -> float:
     anything else, a bool or an int beyond float range too, is a ValueError."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            return float(value) + 0.0  # -0.0 enters as 0.0: no sign printed
         except OverflowError:
             raise ValueError(f"{what} is too large for a float") from None
         except (TypeError, ValueError):

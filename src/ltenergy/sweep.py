@@ -10,10 +10,11 @@ is an error cell, and an overflowing energy aborts the stream.  Its caches
 grow with the axes, not the cells: it keeps only the last edge, priced
 again whenever a field other than the cloud RTT changes, and the pricer's
 wait energies, emptied whenever ``t_elab`` changes, so at most one per
-``rtt_cloud`` value plus the edge's.  Two per-cell renderers turn any
-stream of cells into an artifact: ``csv_rows`` yields one CSV row per cell,
-and ``json_text`` fills one template of the indent-2 JSON layout per cell.
-The CLI feeds the stream straight into them; ``run_sweep`` collects it.
+``rtt_cloud`` value plus the edge's.  Two renderers turn any stream of
+cells into an artifact, ``csv_rows`` as CSV text lines and ``json_text`` as
+the indent-2 JSON layout, each formatting a row's invariants (outer axis
+texts, ``delta_rtt``, a shared edge's ``e_i``) once, not per cell.  The
+CLI feeds the stream straight into them; ``run_sweep`` collects it.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -46,7 +47,7 @@ from .analytic import (
     energy_ratio,
     transfer_time,
 )
-from ._fmt import fmt_axis
+from ._fmt import csv_line, fmt_axis
 from .power_model import PowerProfile, _checked
 
 __all__ = [
@@ -178,8 +179,8 @@ class SweepResult(NamedTuple):
     spec: SweepSpec
     cells: tuple[SweepCell, ...]
 
-    def rows(self) -> list[list[str]]:
-        """The :func:`csv_rows` of the cells, collected."""
+    def rows(self) -> list[str]:
+        """The :func:`csv_rows` lines of the cells, collected."""
         return list(csv_rows(self.spec, self.cells))
 
     def to_json_obj(self) -> dict:
@@ -203,43 +204,58 @@ class SweepResult(NamedTuple):
         return {"axes": _axes_obj(self.spec), "cells": cells}
 
 
-def csv_rows(spec: SweepSpec, cells: Iterable[tuple]) -> Iterator[list[str]]:
-    """One CSV row per cell, in ``spec.columns`` order; numbers follow
-    ``_fmt``, and each distinct axis value is rendered once."""
+def csv_rows(spec: SweepSpec, cells: Iterable[tuple]) -> Iterator[str]:
+    """One CSV line per cell, in ``spec.columns`` order, as :func:`csv_line`
+    writes it; numbers follow ``_fmt``.  Axis values, ``delta_rtt`` values,
+    a row's outer axis texts and a shared edge's ``e_i`` are formatted once,
+    not per cell."""
     texts = [{v: fmt_axis(v) for v in a.values()} for a in spec.axes]
+    deltas, last_edge, outer = {}, None, None
     for values, edge, cloud, rho, delta_rtt, error in cells:
         if error is not None:
-            yield [*map(dict.__getitem__, texts, values), "", "", "", "",
-                   error]
-        else:
-            yield [*map(dict.__getitem__, texts, values), f"{rho:.3f}",
-                   f"{edge[-1]:.1f}", f"{cloud[-1]:.1f}", f"{delta_rtt:.3f}",
-                   ""]
+            yield csv_line([*map(dict.__getitem__, texts, values),
+                            "", "", "", "", error])
+            continue
+        if values[:-1] != outer:
+            outer = values[:-1]
+            head = "".join(f"{text[v]}," for text, v in zip(texts, outer))
+        if edge is not last_edge:
+            last_edge, edge_text = edge, f"{edge[-1]:.1f}"
+        if delta_rtt not in deltas:
+            deltas[delta_rtt] = f"{delta_rtt:.3f},\n"
+        yield (f"{head}{texts[-1][values[-1]]},{rho:.3f},{edge_text},"
+               f"{cloud[-1]:.1f},{deltas[delta_rtt]}")
 
 
 def json_text(spec: SweepSpec, cells: Iterable[tuple]) -> str:
     """``json.dumps(to_json_obj(), indent=2)`` of the cells, from one
     template of the indent-2 layout per cell.  Its numbers are the ``repr``
     of the values ``to_json_obj`` holds, all finite, which is what ``json``
-    writes for them; each distinct axis value is rendered once."""
+    writes for them; row invariants are rendered once, as by ``csv_rows``."""
     texts = [{v: f"      {json.dumps(a.name)}: {_round6(v)!r},\n"
               for v in a.values()} for a in spec.axes]
-
-    def render():
-        for values, edge, cloud, rho, delta_rtt, error in cells:
-            head = "".join(map(dict.__getitem__, texts, values))
-            if error is not None:
-                yield (f'    {{\n{head}      "error": '
-                       f'{json.dumps(error)}\n    }}')
-            else:
-                yield (f'    {{\n{head}      "rho": {round(rho, 3)!r},\n'
-                       f'      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
-                       f'      "e_i_cloud_mj": {round(cloud[-1], 1)!r},\n'
-                       f'      "delta_rtt_ms": {_round6(delta_rtt)!r}\n    }}')
-
+    parts, deltas, last_edge, outer = [], {}, None, None
+    for values, edge, cloud, rho, delta_rtt, error in cells:
+        if values[:-1] != outer:
+            outer = values[:-1]
+            head = "    {\n" + "".join(map(dict.__getitem__, texts, outer))
+        if error is not None:
+            parts.append(f'{head}{texts[-1][values[-1]]}      "error": '
+                         f'{json.dumps(error)}\n    }}')
+            continue
+        if edge is not last_edge:
+            last_edge, edge_text = edge, (
+                f'      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
+                f'      "e_i_cloud_mj": ')
+        if delta_rtt not in deltas:
+            deltas[delta_rtt] = (f',\n      "delta_rtt_ms": '
+                                 f'{_round6(delta_rtt)!r}\n    }}')
+        parts.append(f'{head}{texts[-1][values[-1]]}      "rho": '
+                     f'{round(rho, 3)!r},\n{edge_text}{round(cloud[-1], 1)!r}'
+                     f'{deltas[delta_rtt]}')
     axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
     return (axes[:-len("\n}")] + ',\n  "cells": [\n'
-            + ",\n".join(render()) + "\n  ]\n}")
+            + ",\n".join(parts) + "\n  ]\n}")
 
 
 def _axes_obj(spec: SweepSpec) -> list[dict]:

@@ -115,6 +115,32 @@ class TestNonFiniteEval:
         assert "E_I" not in out.out
 
 
+class TestNegativeZero:
+    """``-0`` passes every ``>= 0`` check; it enters as 0, so no artifact
+    prints a minus sign for it."""
+
+    def test_eval_flags(self, capsys):
+        assert cli.main(["eval", "--t-i", "5000", "--rtt", "-0",
+                         "--t-elab", "-0", "--b-tx", "-0"]) == 0
+        out = capsys.readouterr().out
+        assert "T_TX = 0.000 ms\n" in out and "E_TX = 0.0 mJ\n" in out
+        assert "-0" not in out
+
+    def test_sweep_config(self, tmp_path, capsys):
+        config = sweep_config(
+            base={"t_i": 1000, "rtt_edge": 0, "rtt_cloud": -0.0},
+            axes=[{"name": "t_i", "start": 1000, "stop": 2000,
+                   "step": 1000}])
+        argv = ["sweep", "--config", write_config(tmp_path, config)]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[4] for row in rows] == [
+            "delta_rtt_ms", "0.000", "0.000"]
+        assert cli.main([*argv, "--format", "json"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [repr(cell["delta_rtt_ms"]) for cell in cells] == ["0", "0"]
+
+
 class TestEmitRendersRequestedFormatOnly:
     @pytest.mark.parametrize("fmt, unused", [
         ("csv", "json_text"), ("json", "csv_rows"),

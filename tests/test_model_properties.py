@@ -9,9 +9,18 @@ through ``run_sweep``.  The draws cover both promotion branches, and
 explicit examples pin each one.  Every cell of ``sweep_cells`` equals
 ``compare`` bit for bit, whatever the axis order, and two sweeps over
 different profiles that run interleaved do not share a cache.
+
+Over cycles that charge no promotion, both quiet gaps start in CR and walk
+the same decay chain, so swapping the wait and the quiet time leaves the
+cycle energy as it was (gap symmetry).  The gap energy is concave, because
+the state powers fall along the chain, so two waits ``w1 <= w2`` of one
+cycle, whose quiet time is ``T = t_i - t_tx - t_rx``, have a ratio of at
+most 1 when ``w1 + w2 <= T`` and at least 1 when ``w1 + w2 >= T`` (the
+mirror rule).
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import (assume, example, given, reject, settings,
@@ -25,6 +34,7 @@ from ltenergy import (
     SweepSpec,
     compare,
     default_profile,
+    price_cycle,
     price_scenario,
     run_sweep,
     sweep_cells,
@@ -196,3 +206,68 @@ def test_sweep_cells_equal_compare_in_any_axis_order(profile, other, scn,
                             sweep_cells(spec, other)):
         assert_cell_is_compare(mine, spec, profile)
         assert_cell_is_compare(theirs, spec, other)
+
+
+def ticks(draw, high):
+    """A multiple of 1/64 ms in ``[0, high]``: sums and differences of a
+    few of them are exact, so a cycle's quiet time is exactly its period
+    minus its phases."""
+    return draw(st.integers(0, max(0, math.floor(high * 64)))) / 64
+
+
+@st.composite
+def quiet_cycles(draw):
+    """``(profile, t_tx, t_w, t_rx, t_q)`` with both gaps within the decay
+    chain, so that neither the cycle nor its swap charges a promotion."""
+    profile = draw(profiles())
+    t_tx, t_rx = ticks(draw, 5000), ticks(draw, 5000)
+    gaps = [ticks(draw, profile.idle_entry_ms) for _ in range(2)]
+    return profile, t_tx, gaps[0], t_rx, gaps[1]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=quiet_cycles())
+@example(case=(DEFAULT, 128.0, 190.0, 160.0, 522.0))
+def test_gap_symmetry(case):
+    profile, t_tx, t_w, t_rx, t_q = case
+    t_i = t_tx + t_w + t_rx + t_q
+    timing, energy = price_cycle(t_tx, t_w, t_rx, t_i, profile)
+    swapped_timing, swapped = price_cycle(t_tx, t_q, t_rx, t_i, profile)
+    assert (timing.t_q, swapped_timing.t_q) == (t_q, t_w)
+    assert not (timing.prom_tx or timing.prom_rx or swapped_timing.prom_tx
+                or swapped_timing.prom_rx)
+    assert abs(energy.e_i - swapped.e_i) <= 4 * math.ulp(energy.e_i)
+
+
+@st.composite
+def mirror_cycles(draw):
+    """``(profile, t_tx, t_rx, t_i, w1, w2)``: two waits ``w1 <= w2`` of
+    one cycle, each leaving a quiet time short of a request promotion."""
+    profile = draw(profiles())
+    t_tx, t_rx = ticks(draw, 5000), ticks(draw, 5000)
+    w1, w2 = sorted(ticks(draw, profile.idle_entry_ms) for _ in range(2))
+    # Quiet time T >= w2 with T - w1 at most idle entry plus a promotion.
+    room = w1 + profile.idle_entry_ms + profile.t_prom - w2
+    quiet = w2 + ticks(draw, room - 1 / 64)
+    return profile, t_tx, t_rx, t_tx + t_rx + quiet, w1, w2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=mirror_cycles())
+# fig4 at t_i 750: edge wait 190, cloud wait 450 > T - 190 = 272, rho 1.185
+@example(case=(DEFAULT, 128.0, 160.0, 750.0, 190.0, 450.0))
+# waits in LONG DRX against a quiet time in IDLE, short of a promotion
+@example(case=(DEFAULT, 128.0, 160.0, 12988.0, 1000.0, 1100.0))
+def test_mirror_rule(case):
+    profile, t_tx, t_rx, t_i, w1, w2 = case
+    (edge_t, edge), (cloud_t, cloud) = (
+        price_cycle(t_tx, w, t_rx, t_i, profile) for w in (w1, w2))
+    assume(not (edge_t.prom_tx or edge_t.prom_rx or cloud_t.prom_tx
+                or cloud_t.prom_rx))
+    assume(cloud.e_i > 0)
+    rho = edge.e_i / cloud.e_i
+    quiet = t_i - t_tx - t_rx
+    if w1 + w2 <= quiet:
+        assert rho <= 1 + 1e-12
+    if w1 + w2 >= quiet:
+        assert rho >= 1 - 1e-12

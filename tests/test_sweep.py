@@ -23,7 +23,7 @@ from ltenergy import (
     run_sweep,
     sweep_cells,
 )
-from ltenergy._fmt import fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ltenergy._fmt import csv_line, fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from ltenergy.sweep import MAX_GRID_CELLS, json_text
 from ltenergy.analytic import price_scenario
 from _goldens import reference_scenarios
@@ -283,15 +283,41 @@ class TestSweepMatchesCompare:
             run_sweep(spec, PROFILE)
 
 
-def write_csv(result, fp):
-    """The sweep CSV artifact as the CLI writes it."""
-    writer = csv.writer(fp, lineterminator="\n")
+def csv_artifact(result):
+    """The sweep CSV artifact as the CLI writes it: the header line, then
+    the collected ``csv_rows`` lines."""
+    return csv_line(result.spec.columns) + "".join(result.rows())
+
+
+def reference_csv(result):
+    """The sweep CSV artifact as ``csv.writer`` writes the header and the
+    :func:`reference_rows`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(result.spec.columns)
-    writer.writerows(result.rows())
+    writer.writerows(reference_rows(result))
+    return buf.getvalue()
+
+
+# Fields that csv.writer quotes, doubles or writes as they are.
+csv_fields = st.one_of(st.just(""), st.text(',"\r\n a', max_size=5),
+                       st.text(max_size=5))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(row=st.lists(csv_fields, max_size=6))
+@example(row=[""])
+@example(row=["", ""])
+@example(row=['"'])
+@example(row=["a,b", "c\r\nd", 'say "hi"'])
+def test_csv_line_equals_csv_writer(row):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    assert csv_line(row) == buf.getvalue()
 
 
 def reference_rows(result):
-    """CSV rows of a sweep, built cell by cell from the ``_fmt`` rules."""
+    """CSV fields of a sweep, built cell by cell from the ``_fmt`` rules."""
     rows = []
     for cell in result.cells:
         row = [fmt_axis(v) for v in cell.values]
@@ -337,7 +363,8 @@ def render_specs(draw):
 
 
 class TestFastRenderers:
-    """``json_text`` and ``rows`` against their cell-by-cell references."""
+    """``json_text`` and ``rows`` against their cell-by-cell references:
+    the JSON of ``to_json_obj`` and ``csv.writer`` on ``reference_rows``."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -355,7 +382,33 @@ class TestFastRenderers:
         result = run_sweep(spec, PROFILE)
         assert json_text(result.spec, result.cells) == json.dumps(
             result.to_json_obj(), indent=2)
-        assert result.rows() == reference_rows(result)
+        assert csv_artifact(result) == reference_csv(result)
+
+    @pytest.mark.parametrize("arrange", ["copies", "interleaved"])
+    def test_edges_not_shared_in_runs(self, arrange):
+        """The renderers format an edge's ``e_i`` once per run of cells
+        that share its tuple; equal copies of the tuple, and edges that
+        alternate (A, B, A), are rendered as they come."""
+        spec = reference_spec((SweepAxis("t_i", 900, 1100, 200),
+                               SweepAxis("rtt_cloud", 0, 1000, 250)))
+        cells = run_sweep(spec, PROFILE).cells
+        if arrange == "copies":
+            cells = [cell if cell.edge is None
+                     else cell._replace(edge=tuple(list(cell.edge)))
+                     for cell in cells]
+            assert cells[0].edge == cells[1].edge
+            assert cells[0].edge is not cells[1].edge
+        else:
+            # t_i 900 and 1100 alternate: edges A, B, A, B, ...
+            cells = [cell for pair in zip(cells[:5], cells[5:])
+                     for cell in pair]
+            assert cells[0].edge is cells[2].edge
+            assert cells[0].edge[-1] != cells[1].edge[-1]
+        result = sweep.SweepResult(spec, tuple(cells))
+        assert any(cell.error for cell in cells)
+        assert json_text(spec, cells) == json.dumps(result.to_json_obj(),
+                                                    indent=2)
+        assert csv_artifact(result) == reference_csv(result)
 
     def test_overflowing_energies_raise_before_rendering(self):
         # p_tx * t_tx overflows, so no cell has a finite energy to render
@@ -384,7 +437,7 @@ class TestFastRenderers:
         assert 0 < errors < len(result.cells)
         assert json_text(result.spec, result.cells) == json.dumps(
             result.to_json_obj(), indent=2)
-        assert result.rows() == reference_rows(result)
+        assert csv_artifact(result) == reference_csv(result)
 
 
 def cli_artifacts(spec, config_path):
@@ -422,9 +475,7 @@ class TestStreamedArtifacts:
         streamed_csv, streamed_json = cli_artifacts(
             spec, tmp_path_factory.mktemp("sweep") / "config.json")
         result = run_sweep(spec, PROFILE)
-        collected = io.StringIO()
-        write_csv(result, collected)
-        assert streamed_csv == collected.getvalue()
+        assert streamed_csv == csv_artifact(result) == reference_csv(result)
         assert streamed_json == json.dumps(result.to_json_obj(),
                                            indent=2) + "\n"
 
@@ -459,9 +510,9 @@ class TestSweepOutput:
             SweepAxis("rtt_cloud", 50, 300, 250),
         ), t_i=5000)
         result = run_sweep(spec, PROFILE)
-        buf = io.StringIO()
-        write_csv(result, buf)
-        lines = buf.getvalue().splitlines()
+        text = csv_artifact(result)
+        assert text == reference_csv(result)
+        lines = text.splitlines()
         assert lines[0] == ("payload,rtt_cloud,rho,e_i_edge_mj,"
                             "e_i_cloud_mj,delta_rtt_ms,error")
         good = lines[1].split(",")
@@ -471,10 +522,9 @@ class TestSweepOutput:
 
     def test_emission_deterministic(self):
         spec = make_spec((SweepAxis("rtt_cloud", 50, 300, 25),))
-        first, second = io.StringIO(), io.StringIO()
-        write_csv(run_sweep(spec, PROFILE), first)
-        write_csv(run_sweep(spec, PROFILE), second)
-        assert first.getvalue() == second.getvalue()
+        first = run_sweep(spec, PROFILE)
+        assert csv_artifact(first) == csv_artifact(run_sweep(spec, PROFILE))
+        assert csv_artifact(first) == reference_csv(first)
         assert (run_sweep(spec, PROFILE).to_json_obj()
                 == run_sweep(spec, PROFILE).to_json_obj())
 
