@@ -292,7 +292,7 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     """
     names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
-    base = spec.base._replace(rtt=spec.rtt_cloud)
+    base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
     # The scenario checks are per field, so checking every axis value once
     # against the base covers every cell the loop below prices as floats.
     for name, grid in zip(names, grids):

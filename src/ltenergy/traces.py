@@ -6,10 +6,10 @@ per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
 same energy accounting as the analytic path.  A parse returns
-:class:`Packets`, one list per packet field, and builds no ``PacketEvent``:
-it converts the export by column, a chunk of lines at a time, and reads a
-chunk line by line only when its columns do not convert, to name the first
-bad line.  Extraction finds its landmarks over the columns.  One
+:class:`Packets`, one list per packet field, and builds no object per
+packet: it converts the export by column, a chunk of lines at a time, and
+reads a chunk line by line only when its columns do not convert, to name
+the first bad line.  Extraction finds its landmarks over the columns.  One
 landmark rule serves upload-style (POST) and download-style (GET)
 exchanges alike; the bulk direction only decides which stream's bytes
 count as the file size.
@@ -30,7 +30,7 @@ import math
 import sys
 from bisect import bisect_left
 from itertools import compress, count, filterfalse, islice, repeat
-from operator import le
+from operator import add, le
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
@@ -38,7 +38,6 @@ from .analytic import EnergyBreakdown, PhaseTiming, energy_ratio, price_cycle
 from .power_model import PowerProfile, _checked
 
 __all__ = [
-    "PacketEvent",
     "Packets",
     "TraceIteration",
     "AggregateResult",
@@ -95,28 +94,17 @@ class IncompleteExchangeError(ValueError):
     """The events do not form one complete request-response exchange."""
 
 
-class PacketEvent(NamedTuple):
-    """One timestamped packet record from a trace export."""
-
-    timestamp: float  # epoch seconds, microsecond precision
-    src_addr: str
-    src_port: int
-    dst_addr: str
-    dst_port: int
-    payload_len: int  # transport payload bytes
-    flags: frozenset[str]  # subset of {SYN, FIN, RST, ACK, PSH}
-    seq: int
-    ack: int
-    from_client: bool  # sent by the client endpoint, else by the server
-
-
 class Packets:
     """The packets of one exchange as columns, stably sorted by timestamp:
-    each attribute lists one :class:`PacketEvent` field.  ``len()`` counts
-    the packets and iterating yields ``PacketEvent`` rows; equality is
-    identity, so compare rows."""
+    one list per field that ``__slots__`` names.  ``len()`` counts the
+    packets; equality is identity, so compare columns."""
 
-    __slots__ = PacketEvent._fields
+    __slots__ = ("timestamp",  # epoch seconds, microsecond precision
+                 "src_addr", "src_port", "dst_addr", "dst_port",
+                 "payload_len",  # transport payload bytes
+                 "flags",  # frozenset, a subset of {SYN, FIN, RST, ACK, PSH}
+                 "seq", "ack",
+                 "from_client")  # sent by the client endpoint, else server
 
     def __init__(self, columns: Sequence[list]):
         stamps = columns[0]
@@ -128,10 +116,6 @@ class Packets:
 
     def __len__(self) -> int:
         return len(self.timestamp)
-
-    def __iter__(self):
-        return map(PacketEvent._make,
-                   zip(*map(self.__getattribute__, self.__slots__)))
 
 
 @_checked
@@ -220,7 +204,7 @@ def parse_events(lines: str | Iterable[str], client: str) -> Packets:
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
     lines, line_no = iter(lines), 1
-    columns: list[list] = [[] for _ in PacketEvent._fields]
+    columns: list[list] = [[] for _ in Packets.__slots__]
     flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
     endpoints: dict[tuple, tuple] = {}  # by raw endpoint field texts
     while chunk := list(islice(lines, _CHUNK_LINES)):
@@ -238,7 +222,7 @@ def parse_events(lines: str | Iterable[str], client: str) -> Packets:
 def _convert_chunk(chunk: list[str], client: str,
                    flag_sets: dict[str, frozenset[str]],
                    endpoints: dict[tuple, tuple]) -> tuple:
-    """The ``PacketEvent`` columns of the packet lines of ``chunk``, filling
+    """The :class:`Packets` columns of the packet lines of ``chunk``, filling
     the caches; a ``ValueError``, whose message is not read, at a line that
     these conversions do not take: a bad packet, or a rarer form, such as a
     timestamp padded with a separator character, that ``_parse_line``
@@ -277,7 +261,7 @@ def _int_column(texts: list[str]) -> list[int]:
 
 
 def _parse_line(raw: str, line_no: int, client: str) -> tuple | None:
-    """The ``PacketEvent`` fields of one export line, ``None`` for a blank
+    """The :class:`Packets` fields of one export line, ``None`` for a blank
     or comment line; its first bad field in column order raises, else a
     packet that does not involve the client."""
     if raw.lstrip()[:1] in ("", "#"):
@@ -334,15 +318,28 @@ def events_to_lines(packets: Packets) -> list[str]:
         map(str, packets.seq), map(str, packets.ack))))
 
 
-def _byte_span(seqs: list[int], sizes: list[int],
-               stream: list[int]) -> tuple[int, int]:
-    """Offsets of the first byte and past the last byte that the payload
-    packets at indices ``stream`` cover, from the first one's sequence
-    number, in [-2^31, 2^31) modulo 2^32."""
-    shift = _HALF_SPACE - seqs[stream[0]]
-    return (min((seqs[i] + shift) % SEQ_SPACE for i in stream) - _HALF_SPACE,
-            max((seqs[i] + sizes[i] + shift) % SEQ_SPACE
-                for i in stream) - _HALF_SPACE)
+def _coverage(stream: list[int], candidates: Iterable[int], seqs: list[int],
+              sizes: list[int], acks: list[int]) -> tuple[int, int | None]:
+    """The bytes that the payload packets at indices ``stream`` cover, and
+    the first packet of ``candidates`` whose acknowledgment reaches the
+    stream's end, ``None`` if none does.
+
+    Numbers count from ``first``, the first packet's sequence number, in
+    [first - 2^31, first + 2^31).  A stream whose sequence numbers and
+    ends all lie in that window covers from its least number to its
+    greatest end; one that leaves it, by wrapping 2^32, is first shifted
+    into it modulo 2^32, which is the identity inside the window.
+    """
+    first = seqs[stream[0]]
+    starts = list(map(seqs.__getitem__, stream))
+    ends = list(map(add, starts, map(sizes.__getitem__, stream)))
+    low, high = min(starts), max(ends)
+    if not (first - _HALF_SPACE <= low and high < first + _HALF_SPACE):
+        shift = _HALF_SPACE - first
+        low = min((seq + shift) % SEQ_SPACE for seq in starts) - shift
+        high = max((end + shift) % SEQ_SPACE for end in ends) - shift
+    return high - low, next((i for i in candidates if (
+        acks[i] - high) % SEQ_SPACE < _HALF_SPACE), None)
 
 
 def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
@@ -356,11 +353,10 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     GET) spans the first server payload packet through the first later
     client packet acknowledging all of it, so it includes that final
     acknowledgment's send time.  The wait is the gap in between.  The bulk
-    direction ``kind`` only decides whose byte span is the file size: the
-    request's for "post", the response's for "get"; the other span is
-    ``other_size``, which lets a caller check ``kind``.  Sequence and
-    acknowledgment numbers count from each stream's first payload packet,
-    modulo 2^32, so a stream may wrap the sequence space.
+    direction ``kind`` only decides whose byte count is the file size: the
+    request's for "post", the response's for "get"; the other count is
+    ``other_size``, which lets a caller check ``kind``.  Both streams are
+    measured by :func:`_coverage`, so a stream may wrap the sequence space.
     """
     stamps, sizes, seqs, acks, senders = (
         packets.timestamp, packets.payload_len, packets.seq, packets.ack,
@@ -377,10 +373,8 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
 
     if not request:
         raise IncompleteExchangeError("no request payload from the client")
-    request_first, request_end = _byte_span(seqs, sizes, request)
-    request_end_seq = seqs[request[0]] + request_end
-    request_ack = next((i for i in filterfalse(sizes.__getitem__, s2c) if (
-        acks[i] - request_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
+    request_size, request_ack = _coverage(
+        request, filterfalse(sizes.__getitem__, s2c), seqs, sizes, acks)
     if request_ack is None:
         raise IncompleteExchangeError(
             "missing the server acknowledgment that covers the request")
@@ -391,11 +385,8 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     if response_start < stamps[request_ack]:
         raise IncompleteExchangeError(
             "server response precedes the request acknowledgment")
-    response_first, response_end = _byte_span(seqs, sizes, response)
-    response_end_seq = seqs[response[0]] + response_end
     later = c2s[bisect_left(c2s, bisect_left(stamps, response_start)):]
-    final_ack = next((i for i in later if (
-        acks[i] - response_end_seq) % SEQ_SPACE < _HALF_SPACE), None)
+    response_size, final_ack = _coverage(response, later, seqs, sizes, acks)
     if final_ack is None:
         raise IncompleteExchangeError(
             "missing the client acknowledgment of the response")
@@ -405,10 +396,8 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
         t_w=(response_start - stamps[request_ack]) * 1000.0,
         t_rx=(stamps[final_ack] - response_start) * 1000.0,
         app_kind=kind,
-        file_size=(request_end - request_first if kind == "post"
-                   else response_end - response_first),
-        other_size=(response_end - response_first if kind == "post"
-                    else request_end - request_first),
+        file_size=request_size if kind == "post" else response_size,
+        other_size=response_size if kind == "post" else request_size,
     )
 
 

@@ -14,7 +14,8 @@ import math
 
 from ltenergy.analytic import (DEFAULT_DOWNLINK_BPS, DEFAULT_UPLINK_BPS,
                                PhaseTiming)
-from ltenergy.traces import PacketEvent
+
+from _trace_reference import PacketEvent
 
 MSS_BYTES = 1448
 CLIENT = ("198.51.100.10", 52000)

@@ -1,19 +1,50 @@
-"""Reference parser for packet field exports: one helper call per field.
+"""References for the trace front end, and the row view of packets.
 
-``ltenergy.traces.parse_events`` converts the integer fields of a line in
-one pass and resolves flag sets and senders once per distinct text and
-endpoint pair.  This is the per-field parser it replaced, plus the rules
-that a timestamp must be finite and that a packet must involve the client,
-kept as the oracle the property tests hold it to.  Each line's sender
-comes from one uncached call after its fields, so the first bad line in
-file order is the one reported, be it a bad field or a stray packet.  It
-carries its own copies of the flag, integer and sender rules, so a
-change to any of them in the library shows as a difference.
+``reference_parse_events`` parses packet field exports with one helper
+call per field.  ``ltenergy.traces.parse_events`` converts the integer
+fields of a line in one pass and resolves flag sets and senders once per
+distinct text and endpoint pair.  This is the per-field parser it
+replaced, plus the rules that a timestamp must be finite and that a packet
+must involve the client, kept as the oracle the property tests hold it to.
+Each line's sender comes from one uncached call after its fields, so the
+first bad line in file order is the one reported, be it a bad field or a
+stray packet.  It carries its own copies of the flag, integer and sender
+rules, so a change to any of them in the library shows as a difference.
+
+``ltenergy.traces.Packets`` holds packets as columns; the tests compare
+them as rows, one :class:`PacketEvent` per packet, through :func:`rows`.
+:func:`reference_coverage` is the per-packet modular byte span and
+acknowledgment search that ``traces._coverage`` replaced.
 """
 
 import math
+from typing import NamedTuple
 
-from ltenergy.traces import SEQ_SPACE, PacketEvent, TraceParseError
+from ltenergy.traces import SEQ_SPACE, TraceParseError
+
+_HALF_SPACE = SEQ_SPACE // 2
+
+
+class PacketEvent(NamedTuple):
+    """One timestamped packet record from a trace export."""
+
+    timestamp: float  # epoch seconds, microsecond precision
+    src_addr: str
+    src_port: int
+    dst_addr: str
+    dst_port: int
+    payload_len: int  # transport payload bytes
+    flags: frozenset[str]  # subset of {SYN, FIN, RST, ACK, PSH}
+    seq: int
+    ack: int
+    from_client: bool  # sent by the client endpoint, else by the server
+
+
+def rows(packets):
+    """The :class:`PacketEvent` rows of ``ltenergy.traces.Packets``."""
+    columns = [getattr(packets, name) for name in PacketEvent._fields]
+    return list(map(PacketEvent._make, zip(*columns)))
+
 
 _FLAG_LETTERS = {"S": "SYN", "F": "FIN", "R": "RST", "P": "PSH", "A": "ACK"}
 _FLAG_BITS = (("FIN", 0x01), ("SYN", 0x02), ("RST", 0x04),
@@ -105,3 +136,17 @@ def reference_parse_events(lines, client):
 
     events.sort(key=lambda event: event.timestamp)
     return events
+
+
+def reference_coverage(stream, candidates, seqs, sizes, acks):
+    """What ``ltenergy.traces._coverage`` returns: the byte span of the
+    payload packets at indices ``stream``, each offset taken modulo 2^32
+    into [-2^31, 2^31) from the first packet's sequence number, and the
+    first of ``candidates`` whose acknowledgment reaches the span's end."""
+    shift = _HALF_SPACE - seqs[stream[0]]
+    first = min((seqs[i] + shift) % SEQ_SPACE for i in stream) - _HALF_SPACE
+    end = max((seqs[i] + sizes[i] + shift) % SEQ_SPACE
+              for i in stream) - _HALF_SPACE
+    end_seq = seqs[stream[0]] + end
+    return end - first, next((i for i in candidates if (
+        acks[i] - end_seq) % SEQ_SPACE < _HALF_SPACE), None)

@@ -7,6 +7,7 @@ like the event-walk oracle in ``_event_reference``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -45,16 +46,34 @@ def test_every_export_is_read_outside_the_tests(module):
     assert set(module.__all__) - read - UNUSED_ALLOWED == set()
 
 
-def span_targets():
-    """Each part of the dotted attribute paths that ``bench/spans.py``
-    wraps by name (``SweepResult.rows``), which it reads as strings."""
+def span_target_paths():
+    """The ``(span name, module, attribute path)`` triples of
+    ``bench/spans.py``'s ``TARGETS``, read from its source."""
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
     targets = next(node.value for node in tree.body
                    if isinstance(node, ast.Assign)
                    and any(isinstance(t, ast.Name) and t.id == "TARGETS"
                            for t in node.targets))
-    return {part for _, _, path in ast.literal_eval(targets)
+    return ast.literal_eval(targets)
+
+
+def span_targets():
+    """Each part of the dotted attribute paths that ``bench/spans.py``
+    wraps by name (``SweepResult.rows``), which it reads as strings."""
+    return {part for _, _, path in span_target_paths()
             for part in path.split(".")}
+
+
+@pytest.mark.parametrize("module, path", [
+    (module, path) for _, module, path in span_target_paths()],
+    ids=lambda value: value)
+def test_every_span_target_resolves_to_a_callable(module, path):
+    """A traced benchmark run reports a target that is gone as missing
+    and drops its metrics, which only the smoke check would notice."""
+    target = importlib.import_module(module)
+    for part in path.split("."):
+        target = getattr(target, part, None)
+    assert callable(target), f"{module}.{path} is not a callable"
 
 
 def test_every_public_method_is_read_outside_the_tests():

@@ -528,6 +528,19 @@ class TestSweepOutput:
         assert (run_sweep(spec, PROFILE).to_json_obj()
                 == run_sweep(spec, PROFILE).to_json_obj())
 
+    @pytest.mark.parametrize("rtt_cloud", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("rtt_edge", [0.0, -0.0], ids=["+0", "-0"])
+    def test_signed_zero_rtts_write_zero_delta(self, rtt_edge, rtt_cloud):
+        """A ``-0.0`` RTT from the library reads as 0: no artifact writes
+        a ``delta_rtt_ms`` of ``-0.000``."""
+        spec = SweepSpec(ConnectionlessScenario(t_i=1000, rtt=rtt_edge),
+                         rtt_cloud, (SweepAxis("t_i", 1000, 2000, 1000),))
+        column = spec.columns.index("delta_rtt_ms")
+        lines = sweep.csv_rows(spec, sweep_cells(spec, PROFILE))
+        assert [line.split(",")[column] for line in lines] == ["0.000"] * 2
+        cells = json.loads(json_text(spec, sweep_cells(spec, PROFILE)))
+        assert [cell["delta_rtt_ms"] for cell in cells["cells"]] == [0, 0]
+
 
 class TestPerCyclePayload:
     def test_one_cycle_per_hour(self):

@@ -5,8 +5,10 @@
 one to three lines so that every kind of line straddles a chunk boundary,
 and its memory peak on a large export stays below the reference's;
 extraction of a synthetic exchange is held to the schedule that generated
-it; and serialising then parsing a synthetic exchange whose sequence
-numbers wrap at 2^32 gives back the same events.
+it; the byte coverage and acknowledgment search of a stream are held to
+the per-packet modular reference, also where the stream wraps 2^32; and
+serialising then parsing a synthetic exchange whose sequence numbers wrap
+at 2^32 gives back the same events.
 """
 
 import tracemalloc
@@ -26,7 +28,7 @@ from ltenergy.traces import (
     synthesize_trace,
 )
 
-from _trace_reference import reference_parse_events
+from _trace_reference import reference_coverage, reference_parse_events, rows
 from test_traces import packets_of, shift_sequence_space
 
 CLIENT = "10.0.0.2:51000"
@@ -148,6 +150,10 @@ class TestParserMatchesReference:
             assert_matches_reference(export)
 
 
+def parse_rows(lines, client):
+    return rows(parse_events(lines, client=client))
+
+
 def assert_matches_reference(export):
     lines, client = export
     # Parsing again one line further down must move every line number:
@@ -156,7 +162,7 @@ def assert_matches_reference(export):
                else "# shifted\n" + lines)
     for text in (lines, shifted):
         expected = outcome(reference_parse_events, text, client)
-        assert outcome(parse_events, text, client) == expected
+        assert outcome(parse_rows, text, client) == expected
 
 
 def test_parse_peaks_below_the_reference(tmp_path):
@@ -178,6 +184,62 @@ def test_parse_peaks_below_the_reference(tmp_path):
             tracemalloc.stop()
 
     assert peak(parse_events) < peak(reference_parse_events)
+
+
+HALF = 2 ** 31
+SPACE = 2 ** 32
+# Sequence numbers of a stream's first packet: near both ends of the
+# sequence space and near its middle, and anywhere.
+FIRST_SEQS = st.one_of(st.integers(0, 3000),
+                       st.integers(HALF - 3000, HALF + 3000),
+                       st.integers(SPACE - 3000, SPACE - 1),
+                       st.integers(0, SPACE - 1))
+# Offsets from the first packet: in order, retransmitted or reordered
+# nearby, and far enough to leave the serial-number window.
+OFFSETS = st.one_of(st.integers(-6000, 20000),
+                    st.integers(HALF - 3000, HALF + 3000),
+                    st.integers(-HALF - 3000, -HALF + 3000),
+                    st.integers(-SPACE, SPACE))
+# Payloads of one or more segments, and bulks about and past 2^31 bytes.
+SIZES = st.one_of(st.integers(0, 1448), st.integers(0, 20000),
+                  st.sampled_from([HALF - 1, HALF, HALF + 1]),
+                  st.integers(HALF - 3000, SPACE + 3000))
+# Acknowledgments as an offset from one packet's end: just short of,
+# at and just past it, or anywhere.
+ACK_DELTAS = st.one_of(st.integers(-2, 2), st.integers(-SPACE, SPACE))
+
+
+class TestCoverageMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(first=FIRST_SEQS,
+           packets=st.lists(st.tuples(OFFSETS, SIZES), max_size=8),
+           first_size=SIZES,
+           acks=st.lists(st.tuples(st.integers(0, 8), ACK_DELTAS),
+                         max_size=6))
+    # the greatest end lands on the window's upper edge, first + 2^31
+    @example(first=5, packets=[], first_size=HALF, acks=[(0, 0)])
+    @example(first=HALF + 7, packets=[(-4, 3)], first_size=HALF,
+             acks=[(0, 0), (1, HALF)])
+    # a stream that wraps 2^32, acknowledged past the wrap
+    @example(first=SPACE - 1000, packets=[(1448, 1448), (0, 1448)],
+             first_size=1448, acks=[(0, 0), (1, 0)])
+    def test_equal_reference(self, first, packets, first_size, acks):
+        """``(seq, size)`` packets of one stream, from one at ``first``,
+        then candidate packets acknowledging near a stream packet's end."""
+        stream = [((first + offset) % SPACE, size)
+                  for offset, size in [(0, first_size), *packets]]
+        seqs, sizes = map(list, zip(*stream))
+        ends = [seq + size for seq, size in stream]
+        ack_column = [(ends[i % len(ends)] + delta) % SPACE
+                      for i, delta in acks]
+        n = len(stream)
+        indices = list(range(n))
+        candidates = list(range(n, n + len(ack_column)))
+        pad = [0] * len(ack_column)
+        columns = seqs + pad, sizes + pad, [0] * n + ack_column
+        assert traces._coverage(indices, iter(candidates), *columns) == \
+            reference_coverage(indices, candidates, *columns)
 
 
 class TestExtractionMatchesSchedule:
@@ -211,14 +273,14 @@ class TestSerialiseParseRoundTrip:
                                         wrap_at, other_shift):
         events = synthesize_trace(kind, size, rtt, 10e6, seed)
         sender = kind == "post"  # from_client of the bulk stream
-        first = next(e.seq for e in events
+        first = next(e.seq for e in rows(events)
                      if e.payload_len > 0 and e.from_client is sender)
         # the bulk stream crosses 2^32 after ``wrap_at`` of its bytes
         shift = (2 ** 32 - first - int(wrap_at * size)) % 2 ** 32
         shifts = (shift, other_shift) if kind == "post" \
             else (other_shift, shift)
-        wrapped = shift_sequence_space(events, *shifts)
-        assert list(parse_events(events_to_lines(packets_of(wrapped)),
+        wrapped = shift_sequence_space(rows(events), *shifts)
+        assert rows(parse_events(events_to_lines(packets_of(wrapped)),
                                  SYNTH_CLIENT)) == wrapped
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases

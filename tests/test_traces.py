@@ -16,7 +16,6 @@ from ltenergy import traces
 from ltenergy.traces import (
     SYNTH_CLIENT,
     IncompleteExchangeError,
-    PacketEvent,
     Packets,
     TraceIteration,
     TraceParseError,
@@ -31,6 +30,7 @@ from ltenergy.traces import (
 )
 
 from _event_reference import canonical_cycle_events, event_driven_energy
+from _trace_reference import PacketEvent, rows
 from _goldens import idle_gap_energy
 
 PROFILE = default_profile()
@@ -100,16 +100,16 @@ class TestSequenceWrap:
     def test_wrapped_bulk_stream_extracts_like_unwrapped(self, kind):
         events = synthesize_trace(kind, 100_000, 40, 10e6, seed=3)
         sender = kind == "post"  # from_client of the bulk stream
-        bulk = [e for e in events
+        bulk = [e for e in rows(events)
                 if e.payload_len > 0 and e.from_client is sender]
         # the bulk stream crosses 2^32 after its first 50,000 bytes
         shift = 2 ** 32 - bulk[0].seq - 50_000
         shifts = (shift, 0) if kind == "post" else (0, shift)
         wrapped = parse_events(
             "\n".join(events_to_lines(packets_of(
-                shift_sequence_space(events, *shifts)))),
+                shift_sequence_space(rows(events), *shifts)))),
             client=SYNTH_CLIENT)
-        wrapped_bulk = [e.seq for e in wrapped
+        wrapped_bulk = [e.seq for e in rows(wrapped)
                         if e.payload_len > 0 and e.from_client is sender]
         assert min(wrapped_bulk) < 50_000 < 2 ** 32 - 50_000 <= max(
             wrapped_bulk)
@@ -129,15 +129,15 @@ class TestSequenceWrap:
 
 class TestParseEvents:
     def test_empty_input(self):
-        assert list(parse_events("", CLIENT)) == []
-        assert list(parse_events([], CLIENT)) == []
+        assert rows(parse_events("", CLIENT)) == []
+        assert rows(parse_events([], CLIENT)) == []
 
     def test_well_formed_lines_in_order(self):
-        rows = post_exchange_lines()
-        shuffled = [rows[2], rows[0], rows[4], rows[1], rows[3]]
+        lines = post_exchange_lines()
+        shuffled = [lines[2], lines[0], lines[4], lines[1], lines[3]]
         events = parse_events("\n".join(shuffled), client=CLIENT)
         assert len(events) == 5
-        stamps = [e.timestamp for e in events]
+        stamps = [e.timestamp for e in rows(events)]
         assert stamps == sorted(stamps)
 
     def test_bad_timestamp_reports_line(self):
@@ -158,7 +158,7 @@ class TestParseEvents:
 
     def test_hex_and_letter_flags(self):
         def flags(text):
-            return list(parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0),
+            return rows(parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0),
                                      CLIENT))[0].flags
 
         assert flags("0x012") == frozenset({"SYN", "ACK"})
@@ -176,10 +176,10 @@ class TestParseEvents:
             event = PacketEvent(0.0, "10.0.0.2", 51000, "192.0.2.9", 80, 0,
                                 flags, 0, 0, True)
             (text,) = events_to_lines(packets_of([event]))
-            assert list(parse_events(text, CLIENT)) == [event]
+            assert rows(parse_events(text, CLIENT)) == [event]
             value = sum(bits[name] for name in flags)
             for field in (f"0x{value:03x}", str(value)):
-                parsed = list(parse_events(
+                parsed = rows(parse_events(
                     line(0.0, CLIENT, SERVER, 0, field, 0, 0), CLIENT))
                 assert parsed[0].flags == flags
 
@@ -188,7 +188,7 @@ class TestParseEvents:
             parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), CLIENT)
 
     def test_direction_from_client_argument(self):
-        events = list(parse_events("\n".join(post_exchange_lines()),
+        events = rows(parse_events("\n".join(post_exchange_lines()),
                                    client=CLIENT))
         assert events[0].from_client is True
         assert events[2].from_client is False
@@ -228,7 +228,7 @@ class TestParseEvents:
 
         def outcome(lines):
             try:
-                return list(parse_events(lines, CLIENT))
+                return rows(parse_events(lines, CLIENT))
             except TraceParseError as exc:
                 return str(exc)
 
@@ -236,7 +236,7 @@ class TestParseEvents:
             from_file = outcome(fp)
         assert outcome(text) == from_file
         if error is None:
-            assert from_file == list(parse_events(
+            assert from_file == rows(parse_events(
                 "\n".join(post_exchange_lines()), CLIENT))
         else:
             assert from_file == error
@@ -257,9 +257,9 @@ class TestParseEvents:
 
     def test_serialisation_round_trip(self):
         original = synthesize_trace("get", 50_000, 75, 10e6, seed=5)
-        reparsed = list(parse_events("\n".join(events_to_lines(original)),
+        reparsed = rows(parse_events("\n".join(events_to_lines(original)),
                                      client=SYNTH_CLIENT))
-        assert reparsed == list(original)
+        assert reparsed == rows(original)
 
 
 class TestExtractPost:
@@ -301,9 +301,9 @@ class TestExtractPost:
     def test_single_packet_request(self):
         rtt = 80.0
         events = synthesize_trace("post", 0, rtt, 10e6, seed=1)
-        rows = [e for e in events if not is_admin(e)]
-        request = [e for e in rows if e.payload_len > 0]
-        acks = [e for e in rows
+        kept = [e for e in rows(events) if not is_admin(e)]
+        request = [e for e in kept if e.payload_len > 0]
+        acks = [e for e in kept
                 if not e.from_client
                 and e.ack >= request[0].seq + request[0].payload_len]
         t_tx = (acks[0].timestamp - request[0].timestamp) * 1000.0
@@ -344,7 +344,7 @@ class TestAdminExclusion:
     def test_handshake_and_teardown_do_not_shift_phases(self, kind, extract):
         events = synthesize_trace(kind, 80_000, 75, 10e6, seed=3)
         base = extract(events)
-        data_only = [e for e in events if not is_admin(e)]
+        data_only = [e for e in rows(events) if not is_admin(e)]
         stripped = extract(packets_of(data_only))
         assert stripped[:3] == base[:3]
 
@@ -354,7 +354,8 @@ class TestAdminExclusion:
             + line(120.0, SYNTH_CLIENT, "203.0.113.5:80", 400, "FA", 9, 9),
             client=SYNTH_CLIENT,
         )
-        noisy = sorted([*events, *extra], key=lambda e: e.timestamp)
+        noisy = sorted([*rows(events), *rows(extra)],
+                       key=lambda e: e.timestamp)
         assert extract(packets_of(noisy))[:3] == base[:3]
 
 
@@ -403,7 +404,7 @@ class TestEventDrivenEnergy:
         assert energy == pytest.approx(idle_gap_energy(7500.0, PROFILE))
 
     def test_single_event_mid_window(self):
-        events = list(parse_events(
+        events = rows(parse_events(
             line(4.0, CLIENT, SERVER, 1000, "PA", 1, 1), client=CLIENT))
         energy = event_driven_energy(events, PROFILE, (0.0, 10.0))
         serialisation = transfer_time(1000, 1e6)
@@ -414,13 +415,13 @@ class TestEventDrivenEnergy:
         assert energy == pytest.approx(expected, abs=1e-9)
 
     def test_unsorted_events_rejected(self):
-        events = list(parse_events("\n".join(post_exchange_lines()),
+        events = rows(parse_events("\n".join(post_exchange_lines()),
                                    client=CLIENT))
         with pytest.raises(ValueError, match="sorted"):
             event_driven_energy([events[1], events[0]], PROFILE, (0.0, 1.0))
 
     def test_window_must_cover_events(self):
-        events = list(parse_events("\n".join(post_exchange_lines()),
+        events = rows(parse_events("\n".join(post_exchange_lines()),
                                    client=CLIENT))
         with pytest.raises(ValueError, match="cover"):
             event_driven_energy(events, PROFILE, (0.0, 0.2))
@@ -460,26 +461,26 @@ class TestEventDrivenEnergy:
 
 class TestSynthesizeTrace:
     def test_same_seed_identical(self):
-        a = list(synthesize_trace("post", 40_000, 75, 10e6, seed=9))
-        b = list(synthesize_trace("post", 40_000, 75, 10e6, seed=9))
+        a = rows(synthesize_trace("post", 40_000, 75, 10e6, seed=9))
+        b = rows(synthesize_trace("post", 40_000, 75, 10e6, seed=9))
         assert a == b
 
     def test_different_seed_changes_sequence_space_only(self):
-        a = list(synthesize_trace("post", 40_000, 75, 10e6, seed=1))
-        b = list(synthesize_trace("post", 40_000, 75, 10e6, seed=2))
+        a = rows(synthesize_trace("post", 40_000, 75, 10e6, seed=1))
+        b = rows(synthesize_trace("post", 40_000, 75, 10e6, seed=2))
         assert [e.timestamp for e in a] == [e.timestamp for e in b]
         assert a != b
 
     def test_completion_grows_with_rtt(self):
         for kind in ("post", "get"):
-            fast = list(synthesize_trace(kind, 500_000, 60, 10e6, seed=0))
-            slow = list(synthesize_trace(kind, 500_000, 120, 10e6, seed=0))
+            fast = rows(synthesize_trace(kind, 500_000, 60, 10e6, seed=0))
+            slow = rows(synthesize_trace(kind, 500_000, 120, 10e6, seed=0))
             assert slow[-1].timestamp > fast[-1].timestamp
 
     def test_zero_file_degenerates_to_request_and_ack(self):
         for kind in ("post", "get"):
             events = synthesize_trace(kind, 0, 75, 10e6, seed=0)
-            data = [e for e in events if not is_admin(e)]
+            data = [e for e in rows(events) if not is_admin(e)]
             payload = [e for e in data if e.payload_len > 0]
             assert len(payload) == 1
             assert payload[0].from_client is True
