@@ -322,11 +322,19 @@ GRID_CONFIG = {
              {"name": "rtt_cloud", "start": 0, "stop": 24000,
               "step": 120.3}],
 }
+# The same 20,000 cells with rtt_cloud outermost, the other axis order the
+# kernel serves: its artifacts are frozen from the release before sweep
+# rows of one rtt_cloud axis were priced together.
+OUTER_GRID_CONFIG = {**GRID_CONFIG, "axes": GRID_CONFIG["axes"][::-1]}
 GRID_DIGESTS = {
     "grid.csv":
         "b671676505145be127f054463f06e8d354cdcfe8b639d83761826f99406382f8",
     "grid.json":
         "4a3d9ea940b7d519413e20f7a618f3e0a099102c9ab39cadc7b4ef1e79e16276",
+    "outer-grid.csv":
+        "f2da760bbf4e86e41ea0ae7d6d9e911b37dd11fa18ba35e5a583353046fd3d73",
+    "outer-grid.json":
+        "df47399a0b114679a412b70be8252aac2d44db552b6e6277627002bd0d5c36e2",
 }
 
 
@@ -410,13 +418,24 @@ class TestArtifactGoldens:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_large_grid(self, tmp_path, capsys, fmt):
-        argv = ["sweep", "--config", write_config(tmp_path, GRID_CONFIG),
-                "--format", fmt]
-        out = tmp_path / f"grid.{fmt}"
-        assert cli.main([*argv, "--out", str(out)]) == 0
-        assert sha256(out) == GRID_DIGESTS[f"grid.{fmt}"]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert_grid_golden(tmp_path, capsys, "grid", GRID_CONFIG, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_grid_rtt_cloud_outer(self, tmp_path, capsys, fmt):
+        assert_grid_golden(tmp_path, capsys, "outer-grid", OUTER_GRID_CONFIG,
+                           fmt)
+
+
+def assert_grid_golden(tmp_path, capsys, name, config, fmt):
+    """The sweep of ``config`` writes its ``GRID_DIGESTS`` artifact, the
+    same to ``--out`` and to stdout."""
+    argv = ["sweep", "--config", write_config(tmp_path, config),
+            "--format", fmt]
+    out = tmp_path / f"{name}.{fmt}"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert sha256(out) == GRID_DIGESTS[f"{name}.{fmt}"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def cost_config(**overrides):
