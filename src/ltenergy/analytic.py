@@ -24,9 +24,9 @@ its :class:`PhaseTiming` and :class:`EnergyBreakdown`.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .power_model import PowerProfile, _checked
+from .power_model import PowerProfile, _check_finite, _checked
 
 __all__ = [
     "DEFAULT_UPLINK_BPS",
@@ -85,8 +85,7 @@ class ConnectionlessScenario(NamedTuple):
 
     def _check(self) -> None:
         for name, value in zip(self._fields, self):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _check_finite(name, value)
         if self.t_i <= 0:
             raise ValueError("t_i must be strictly positive")
         for name in ("t_elab", "rtt", "b_tx", "b_rx"):
@@ -164,6 +163,12 @@ def cycle_pricer(profile: PowerProfile
     are non-negative, as :class:`ConnectionlessScenario`,
     ``traces.TraceIteration`` and :class:`PhaseTiming` check.
 
+    ``price.row(t_tx, t_ws, t_rx, t_i)`` is a generator over the waits
+    ``t_ws`` of one period and transfers, which it prices once: it yields
+    each wait's ``price`` tuple, or the :class:`PeriodOverrunError` that
+    ``price`` would raise, and raises an overflow at its wait.  Both run
+    one body, so every float is bit for bit the same.
+
     ``t_q`` is the period minus the three phases and any charged promotion
     durations; a negative ``t_q`` raises :class:`PeriodOverrunError`.  A
     response promotion is charged when ``t_w`` alone walks the radio into
@@ -197,20 +202,19 @@ def cycle_pricer(profile: PowerProfile
             micro_joules += (gap - threshold) * p_idle
         return micro_joules / 1000.0
 
-    def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
+    def cycle(span: float, t_w: float, e_tx: float, e_rx: float) -> tuple:
+        # span is t_i - t_tx - t_rx: residual rounds as t_i - t_tx - t_rx - t_w
         prom_rx = t_w > threshold
-        residual = t_i - t_tx - t_rx - t_w
+        residual = span - t_w
         if prom_rx:
             residual -= t_prom
         prom_tx = residual - t_prom > threshold
         t_q = residual - t_prom if prom_tx else residual
         if t_q < 0:
             raise PeriodOverrunError(-t_q)
-        e_tx = t_tx * p_tx / 1000.0
         e_w = waits.get(t_w)
         if e_w is None:
             e_w = waits[t_w] = gap_energy(t_w)
-        e_rx = t_rx * p_rx / 1000.0
         e_q = gap_energy(t_q)
         e_prom_tx = e_prom if prom_tx else 0.0
         e_prom_rx = e_prom if prom_rx else 0.0
@@ -220,6 +224,21 @@ def cycle_pricer(profile: PowerProfile
         return (t_q, prom_tx, prom_rx,
                 e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i)
 
+    def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
+        return cycle(t_i - t_tx - t_rx, t_w, t_tx * p_tx / 1000.0,
+                     t_rx * p_rx / 1000.0)
+
+    def row(t_tx: float, t_ws: Iterable[float], t_rx: float, t_i: float
+            ) -> Iterator[tuple | PeriodOverrunError]:
+        span = t_i - t_tx - t_rx
+        e_tx, e_rx = t_tx * p_tx / 1000.0, t_rx * p_rx / 1000.0
+        for t_w in t_ws:
+            try:
+                yield cycle(span, t_w, e_tx, e_rx)
+            except PeriodOverrunError as exc:
+                yield exc
+
+    price.row = row
     price.cache_clear = waits.clear
     return price
 

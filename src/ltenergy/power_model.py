@@ -71,6 +71,16 @@ def _checked(cls):
     return cls
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Reject, by ``name``, a ``value`` that no finite float holds."""
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:  # an int beyond float range
+        raise ValueError(f"{name} is too large for a float") from None
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @_checked
 class DutyCycleSpec(NamedTuple):
     """Sleep/wake alternation of a DRX or IDLE state.
@@ -137,8 +147,7 @@ class PowerProfile(NamedTuple):
 
     def _check(self) -> None:
         for name, value in zip(_SCALAR_FIELDS, self):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _check_finite(name, value)
         for name in ("p_tx", "p_rx", "p_prom", "p_idle"):
             if getattr(self, name) < 0:
                 raise ValueError(f"power {name} must be non-negative")

@@ -6,11 +6,14 @@ dimension per swept axis.  It binds the per-cycle core of
 :func:`ltenergy.analytic.cycle_pricer` once per sweep and prices plain
 floats through it, so every cell equals :func:`ltenergy.analytic.compare`;
 scenario checks run once per axis value, a cycle that overruns its period
-is an error cell, and an overflowing energy aborts the stream.  Its caches
-grow with the axes, not the cells: it keeps only the last edge, priced
-again whenever a field other than the cloud RTT changes, and the pricer's
-wait energies, emptied whenever ``t_elab`` changes, so at most one per
-``rtt_cloud`` value plus the edge's.  Two renderers turn any stream of
+is an error cell, and an overflowing energy aborts the stream.  With
+``rtt_cloud`` innermost, as in the paper's figures, a row of it shares its
+period, transfers and edge: one loop prices the edge once per row and the
+row's cloud waits in one ``price.row`` call.  Any other axis order has a
+loop of its own that prices cell by cell, the edge again whenever a field
+other than the cloud RTT changes.  Either keeps only the last edge and the
+pricer's wait energies, emptied whenever ``t_elab`` changes, so its caches
+grow with the axes, not the cells.  Two renderers turn any stream of
 cells into an artifact, ``csv_rows`` as CSV text lines and ``json_text`` as
 the indent-2 JSON layout, each formatting a row's invariants (outer axis
 texts, ``delta_rtt``, a shared edge's ``e_i``) once, not per cell.  The
@@ -48,7 +51,7 @@ from .analytic import (
     transfer_time,
 )
 from ._fmt import csv_line, fmt_axis
-from .power_model import PowerProfile, _checked
+from .power_model import PowerProfile, _check_finite, _checked
 
 __all__ = [
     "SWEEP_AXES",
@@ -127,9 +130,10 @@ class SweepSpec(NamedTuple):
     axes: tuple[SweepAxis, ...]
 
     def _check(self) -> None:
-        if not 0.0 <= self.rtt_cloud < math.inf:
-            raise ValueError("rtt_cloud must be finite and non-negative, "
-                             f"got {self.rtt_cloud!r}")
+        _check_finite("rtt_cloud", self.rtt_cloud)
+        if self.rtt_cloud < 0:
+            raise ValueError(
+                f"rtt_cloud must be non-negative, got {self.rtt_cloud!r}")
         if len(self.axes) == 0:
             raise ValueError("empty grid: no sweep axes given")
         cells = math.prod(axis.n_values for axis in self.axes)
@@ -294,7 +298,7 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     grids = [axis.values() for axis in spec.axes]
     base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
     # The scenario checks are per field, so checking every axis value once
-    # against the base covers every cell the loop below prices as floats.
+    # against the base covers every cell the loops below price as floats.
     for name, grid in zip(names, grids):
         pick, fields = _field_picker(base, (name,))
         for value in grid:
@@ -302,8 +306,35 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
                                    base.uplink_bps, base.downlink_bps)
 
     price = cycle_pricer(profile)
-    pick, fields = _field_picker(base, names)
     rtt_edge = spec.base.rtt
+    if names[-1] == "rtt_cloud":
+        # A row of the innermost axis shares its period, transfers and edge.
+        rtts = grids.pop()
+        tails = [(rtt,) for rtt in rtts]  # each cell's last axis value
+        deltas = [rtt - rtt_edge for rtt in rtts]
+        pick, fields = _field_picker(base, names[:-1])
+        last_elab = None
+        for outer in itertools.product(*grids):
+            t_i, t_elab, _, b_tx, b_rx = pick(outer + fields)
+            if t_elab != last_elab:  # only one t_elab's waits are cached
+                price.cache_clear()
+                last_elab, t_ws = t_elab, [t_elab + rtt for rtt in rtts]
+            t_tx = transfer_time(b_tx, base.uplink_bps)
+            t_rx = transfer_time(b_rx, base.downlink_bps)
+            try:
+                edge = price(t_tx, t_elab + rtt_edge, t_rx, t_i)[3:]
+                clouds = price.row(t_tx, t_ws, t_rx, t_i)
+            except PeriodOverrunError as exc:  # every cell has its error
+                clouds = itertools.repeat(exc)
+            for tail, delta, cloud in zip(tails, deltas, clouds):
+                if isinstance(cloud, PeriodOverrunError):
+                    yield outer + tail, None, None, None, None, str(cloud)
+                else:
+                    cloud = cloud[3:]
+                    yield (outer + tail, edge, cloud,
+                           energy_ratio(edge[-1], cloud[-1]), delta, None)
+        return
+    pick, fields = _field_picker(base, names)
     edge_key = None
     for values in itertools.product(*grids):
         t_i, t_elab, rtt, b_tx, b_rx = pick(values + fields)
@@ -375,9 +406,7 @@ class CostSpec(NamedTuple):
         if not all(0.0 <= alpha <= 1.0 for alpha in self.alphas):
             raise ValueError("alpha must lie in [0, 1]")
         for name in ("hourly_bytes", "rtt", "reply_bytes"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _check_finite(name, getattr(self, name))
         if self.hourly_bytes <= 0:
             raise ValueError("hourly_bytes must be strictly positive")
         for name in ("rtt", "reply_bytes"):

@@ -233,7 +233,8 @@ def _convert_chunk(chunk: list[str], client: str,
     fields = "\t".join(rows).split("\t")
     stamps = list(map(float, fields[0::9]))
     sizes, seqs, acks = (_int_column(fields[k::9]) for k in (5, 7, 8))
-    if not (math.isfinite(sum(stamps)) and min(sizes) >= 0
+    if not (math.isfinite(sum(stamps))
+            and 0 <= min(sizes) <= max(sizes) < _HALF_SPACE
             and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE
             and 0 <= min(acks) <= max(acks) < SEQ_SPACE):
         raise ValueError
@@ -283,6 +284,8 @@ def _parse_line(raw: str, line_no: int, client: str) -> tuple | None:
     payload = _parse_int(size, "payload length", line_no)
     if payload < 0:
         raise TraceParseError(line_no, "payload length must be >= 0")
+    if payload >= _HALF_SPACE:  # more than one stream's serial window holds
+        raise TraceParseError(line_no, "payload length must be < 2^31")
     flags = _parse_flags(flag_text, line_no)
     seq = _parse_int(sq, "sequence number", line_no)
     ack = _parse_int(ak, "acknowledgment number", line_no)

@@ -121,6 +121,8 @@ def reference_parse_events(lines, client):
         payload = parse_int(parts[5], "payload length", line_no)
         if payload < 0:
             raise TraceParseError(line_no, "payload length must be >= 0")
+        if payload >= 2 ** 31:
+            raise TraceParseError(line_no, "payload length must be < 2^31")
         flags = parse_flags(parts[6], line_no)
         seq = parse_int(parts[7], "sequence number", line_no)
         ack = parse_int(parts[8], "acknowledgment number", line_no)

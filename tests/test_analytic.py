@@ -35,6 +35,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             edge._replace(**{name: value})
 
+    @pytest.mark.parametrize("name", [
+        "t_i", "t_elab", "rtt", "b_tx", "b_rx", "uplink_bps", "downlink_bps",
+    ])
+    def test_int_beyond_float_range_rejected(self, name):
+        edge, _ = reference_scenarios(750, 50)
+        with pytest.raises(ValueError,
+                           match=f"^{name} is too large for a float$"):
+            edge._replace(**{name: 10 ** 400})
+
 
 class TestTransferTime:
     def test_uplink_reference(self):

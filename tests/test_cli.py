@@ -585,6 +585,23 @@ class TestBadTraceInputs:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["post", "get"])
+    def test_payload_of_2_31_bytes(self, tmp_path, capsys, kind):
+        """A request of 2^31 bytes is a bad line for either kind, not a
+        negative size or a GET of the 100-byte response."""
+        end = (1000 + 2 ** 31) % 2 ** 32
+        client, server = ("198.51.100.10\t203.0.113.5\t52000\t80",
+                          "203.0.113.5\t198.51.100.10\t80\t52000")
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"1.000000\t{client}\t{2 ** 31}\tPA\t1000\t1\n"
+                        f"1.100000\t{server}\t0\tA\t1\t{end}\n"
+                        f"1.200000\t{server}\t100\tPA\t1\t{end}\n"
+                        f"1.300000\t{client}\t0\tA\t{end}\t101\n")
+        assert_cli_error(["trace-analyze", "--kind", kind, "--client",
+                          CLIENT, "--t-i", "30000", str(path)], capsys,
+                         f"error: {path}: line 1: payload length must be "
+                         "< 2^31\n")
+
     def test_cost_overrun_message_is_short(self, capsys):
         code = cli.main(["cost", "--hourly-bytes", "1e300", "--rtt", "40",
                          "--t-i-min", "2000", "--t-i-max", "4000",

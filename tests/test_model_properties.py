@@ -188,9 +188,23 @@ def assert_cell_is_compare(cell, spec, profile):
              expected.delta_rtt))
 
 
+OTHER = DEFAULT._replace(p_tx=1100.0)
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(profile=profiles(), other=profiles(), scn=scenarios(),
        axes=grid_axes())
+# rtt_cloud alone: one row through the request promotion, both, the
+# response promotion alone, then overruns
+@example(profile=DEFAULT, other=OTHER, scn=BRANCHES[1],
+         axes=(SweepAxis("rtt_cloud", 0, 36000, 3000),))
+# rows whose edge overruns (t_i 200), with rtt_cloud inner and outer
+@example(profile=DEFAULT, other=OTHER, scn=BRANCHES[0],
+         axes=(SweepAxis("t_i", 200, 30200, 15000),
+               SweepAxis("rtt_cloud", 0, 36000, 6000)))
+@example(profile=DEFAULT, other=OTHER, scn=BRANCHES[0],
+         axes=(SweepAxis("rtt_cloud", 0, 36000, 6000),
+               SweepAxis("t_i", 200, 30200, 15000)))
 def test_sweep_cells_equal_compare_in_any_axis_order(profile, other, scn,
                                                      axes):
     # Transfers draw energy, so every ratio is finite and no cell raises.

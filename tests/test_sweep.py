@@ -59,6 +59,14 @@ class TestAxis:
         with pytest.raises(ValueError, match="empty grid"):
             make_spec(())
 
+    def test_cloud_rtt_beyond_float_range(self):
+        """An int cloud RTT that no float holds is named, not an
+        ``OverflowError`` of the first cell."""
+        base, _ = reference_scenarios(750, 50)
+        with pytest.raises(ValueError,
+                           match="^rtt_cloud is too large for a float$"):
+            SweepSpec(base, 10 ** 400, (SweepAxis("t_i", 750, 1000, 250),))
+
     @pytest.mark.parametrize("bounds", [
         (float("nan"), 2, 1), (1, float("inf"), 1), (1, 2, float("nan")),
     ])
@@ -242,6 +250,10 @@ class TestSweepMatchesCompare:
                                   SweepAxis("rtt_cloud", 100, 15100, 5000))))
     @example(spec=reference_spec((SweepAxis("t_elab", 0, 13000, 6500),),
                                  t_i=30000.0))
+    # rtt_cloud alone: one row that charges the request promotion, then
+    # both, then the response promotion alone, and ends in overruns
+    @example(spec=reference_spec((SweepAxis("rtt_cloud", 0, 36000, 3000),),
+                                 t_i=30000.0))
     def test_every_cell_equals_compare(self, spec):
         result = run_sweep(spec, PROFILE)
         grids = [axis.values() for axis in spec.axes]
@@ -276,6 +288,25 @@ class TestSweepMatchesCompare:
                 prom_tx |= cell.result.cloud.e_prom_tx > 0
                 prom_rx |= cell.result.cloud.e_prom_rx > 0
         assert overrun and prom_tx and prom_rx
+
+    def test_row_overflowing_part_way_raises_at_its_cell(self):
+        """A row whose waits grow until a gap's energy overflows yields the
+        cells before that one, each equal to ``compare``, and raises where
+        ``compare`` does."""
+        spec = SweepSpec(ConnectionlessScenario(t_i=2e307, rtt=1e307), 0.0,
+                         (SweepAxis("t_i", 2e307, 2e307, 1),
+                          SweepAxis("rtt_cloud", 8e306, 1.4e307, 1e306)))
+        cells = []
+        with pytest.raises(ValueError, match="cycle energy overflows"):
+            cells.extend(map(sweep.SweepCell._make,
+                             sweep_cells(spec, PROFILE)))
+        points = list(itertools.product(*(a.values() for a in spec.axes)))
+        assert len(cells) == 5 and len(points) == 7
+        for cell, point in zip(cells, points):
+            assert cell.values == point
+            assert cell.result == compare(*scenarios_at(spec, point), PROFILE)
+        with pytest.raises(ValueError, match="cycle energy overflows"):
+            compare(*scenarios_at(spec, points[5]), PROFILE)
 
     def test_invalid_axis_value_raises_scenario_error(self):
         spec = make_spec((SweepAxis("t_i", -250, 750, 250),))

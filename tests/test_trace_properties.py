@@ -47,7 +47,7 @@ BAD_FIELDS = {
     0: ["soon", "nan", "inf", "-inf", "1e400", "", "-"],
     1: ["10.0.0.9"], 2: ["10.0.0.9"],  # valid, but involve no client
     3: ["x1", "1.5", "0x50"], 4: ["8O", "+-1", "1e3"],
-    5: ["-5", "x", "1.0"],
+    5: ["-5", "x", "1.0", "2147483648"],
     6: ["XQ", "0xZZ", "²", "Z", "0x"],
     7: ["4294967296", "-1", "abc"], 8: ["2 3", "4294967296", "-7"],
 }

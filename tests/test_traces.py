@@ -251,6 +251,21 @@ class TestParseEvents:
             parse_events("\n".join(lines), SYNTH_CLIENT)
         assert str(err.value) == "line 5001: payload length must be >= 0"
 
+    @pytest.mark.parametrize("pad", ["", "\x1c"],
+                             ids=["by-column", "line-by-line"])
+    def test_payload_of_2_31_bytes_rejected(self, pad):
+        """No serial-number window spans a payload of 2^31 bytes, so it is a
+        bad line, in a chunk converted by column and in one that a padded
+        timestamp sends line by line."""
+        rows = post_exchange_lines()
+        rows[0] = pad + rows[0]
+        rows[1] = line(0.050, CLIENT, SERVER, 2 ** 31, "PA", 1001, 1)
+        with pytest.raises(TraceParseError) as err:
+            parse_events("\n".join(rows), CLIENT)
+        assert str(err.value) == "line 2: payload length must be < 2^31"
+        rows[1] = line(0.050, CLIENT, SERVER, 2 ** 31 - 1, "PA", 1001, 1)
+        assert len(parse_events("\n".join(rows), CLIENT)) == 5
+
     def test_client_is_required(self):
         with pytest.raises(TypeError, match="client"):
             parse_events("\n".join(post_exchange_lines()))
