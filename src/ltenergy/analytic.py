@@ -164,10 +164,9 @@ def cycle_pricer(profile: PowerProfile
     ``traces.TraceIteration`` and :class:`PhaseTiming` check.
 
     ``price.row(t_tx, t_ws, t_rx, t_i)`` is a generator over the waits
-    ``t_ws`` of one period and transfers, which it prices once: it yields
-    each wait's ``price`` tuple, or the :class:`PeriodOverrunError` that
-    ``price`` would raise, and raises an overflow at its wait.  Both run
-    one body, so every float is bit for bit the same.
+    ``t_ws`` of one period and transfers, whose terms it derives once: it
+    yields each wait's ``price`` tuple or ``PeriodOverrunError``, and
+    raises an overflow at its wait.  Both run one body, bit for bit.
 
     ``t_q`` is the period minus the three phases and any charged promotion
     durations; a negative ``t_q`` raises :class:`PeriodOverrunError`.  A

@@ -73,12 +73,8 @@ def _checked(cls):
 
 def _check_finite(name: str, value: float) -> None:
     """Reject, by ``name``, a ``value`` that no finite float holds."""
-    try:
-        if math.isfinite(value):
-            return
-    except OverflowError:  # an int beyond float range
-        raise ValueError(f"{name} is too large for a float") from None
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    if not math.isfinite(_number(value, name)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @_checked

@@ -7,17 +7,16 @@ dimension per swept axis.  It binds the per-cycle core of
 floats through it, so every cell equals :func:`ltenergy.analytic.compare`;
 scenario checks run once per axis value, a cycle that overruns its period
 is an error cell, and an overflowing energy aborts the stream.  With
-``rtt_cloud`` innermost, as in the paper's figures, a row of it shares its
-period, transfers and edge: one loop prices the edge once per row and the
-row's cloud waits in one ``price.row`` call.  Any other axis order has a
-loop of its own that prices cell by cell, the edge again whenever a field
-other than the cloud RTT changes.  Either keeps only the last edge and the
-pricer's wait energies, emptied whenever ``t_elab`` changes, so its caches
-grow with the axes, not the cells.  Two renderers turn any stream of
-cells into an artifact, ``csv_rows`` as CSV text lines and ``json_text`` as
-the indent-2 JSON layout, each formatting a row's invariants (outer axis
-texts, ``delta_rtt``, a shared edge's ``e_i``) once, not per cell.  The
-CLI feeds the stream straight into them; ``run_sweep`` collects it.
+``rtt_cloud`` innermost, as in the paper's figures, each row prices its
+shared edge once and its cloud waits in one ``price.row`` call; other axis
+orders price cell by cell, the edge again whenever a field other than the
+cloud RTT changes.  Only the last edge and the wait energies of one
+``t_elab`` are kept, so the caches grow with the axes, not the cells.  Two
+renderers turn any stream of cells into an artifact, ``csv_rows`` as CSV
+text lines and ``json_text`` as the indent-2 JSON layout, each formatting a
+row's invariants (outer axis texts, ``delta_rtt``, a shared edge's ``e_i``)
+once, not per cell.  The CLI feeds the stream straight into them;
+``run_sweep`` collects it.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -132,8 +131,7 @@ class SweepSpec(NamedTuple):
     def _check(self) -> None:
         _check_finite("rtt_cloud", self.rtt_cloud)
         if self.rtt_cloud < 0:
-            raise ValueError(
-                f"rtt_cloud must be non-negative, got {self.rtt_cloud!r}")
+            raise ValueError("rtt_cloud must be non-negative")
         if len(self.axes) == 0:
             raise ValueError("empty grid: no sweep axes given")
         cells = math.prod(axis.n_values for axis in self.axes)
@@ -290,15 +288,14 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     edge and cloud scenarios, and an axis value those scenarios would
     reject raises the same ``ValueError`` before any cell is priced.  A
     period overrun becomes an error cell carrying the diagnostic, the
-    edge's when both placements overrun.  An energy or ratio that
-    overflows a float raises ``ValueError`` at its cell, as ``compare``
-    does.
+    edge's when both placements overrun.  An energy or ratio that overflows
+    a float raises ``ValueError`` at its cell, as ``compare`` does.
     """
     names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
     base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
     # The scenario checks are per field, so checking every axis value once
-    # against the base covers every cell the loops below price as floats.
+    # against the base covers every cell the loop below prices as floats.
     for name, grid in zip(names, grids):
         pick, fields = _field_picker(base, (name,))
         for value in grid:
@@ -307,42 +304,19 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
 
     price = cycle_pricer(profile)
     rtt_edge = spec.base.rtt
-    if names[-1] == "rtt_cloud":
-        # A row of the innermost axis shares its period, transfers and edge.
-        rtts = grids.pop()
-        tails = [(rtt,) for rtt in rtts]  # each cell's last axis value
-        deltas = [rtt - rtt_edge for rtt in rtts]
-        pick, fields = _field_picker(base, names[:-1])
-        last_elab = None
-        for outer in itertools.product(*grids):
-            t_i, t_elab, _, b_tx, b_rx = pick(outer + fields)
-            if t_elab != last_elab:  # only one t_elab's waits are cached
-                price.cache_clear()
-                last_elab, t_ws = t_elab, [t_elab + rtt for rtt in rtts]
-            t_tx = transfer_time(b_tx, base.uplink_bps)
-            t_rx = transfer_time(b_rx, base.downlink_bps)
-            try:
-                edge = price(t_tx, t_elab + rtt_edge, t_rx, t_i)[3:]
-                clouds = price.row(t_tx, t_ws, t_rx, t_i)
-            except PeriodOverrunError as exc:  # every cell has its error
-                clouds = itertools.repeat(exc)
-            for tail, delta, cloud in zip(tails, deltas, clouds):
-                if isinstance(cloud, PeriodOverrunError):
-                    yield outer + tail, None, None, None, None, str(cloud)
-                else:
-                    cloud = cloud[3:]
-                    yield (outer + tail, edge, cloud,
-                           energy_ratio(edge[-1], cloud[-1]), delta, None)
-        return
-    pick, fields = _field_picker(base, names)
+    rtts = grids.pop() if names[-1] == "rtt_cloud" else []
+    tails = [(rtt,) for rtt in rtts]  # each cell's last axis value
+    deltas = [rtt - rtt_edge for rtt in rtts]
+    pick, fields = _field_picker(base, names[:len(grids)])
     edge_key = None
-    for values in itertools.product(*grids):
-        t_i, t_elab, rtt, b_tx, b_rx = pick(values + fields)
+    for outer in itertools.product(*grids):
+        t_i, t_elab, rtt, b_tx, b_rx = pick(outer + fields)
         key = t_i, t_elab, b_tx, b_rx
         if key != edge_key:
             # Only the last edge is kept, and only the waits of one t_elab.
             if edge_key is None or t_elab != edge_key[1]:
                 price.cache_clear()
+                t_ws = rtts and [t_elab + rtt for rtt in rtts]
             edge_key = key
             t_tx = transfer_time(b_tx, base.uplink_bps)
             t_rx = transfer_time(b_rx, base.downlink_bps)
@@ -350,17 +324,28 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
             try:
                 edge = price(t_tx, t_elab + rtt_edge, t_rx, t_i)[3:]
             except PeriodOverrunError as exc:
-                error = str(exc)
-        if error is None:
-            try:
-                cloud = price(t_tx, t_elab + rtt, t_rx, t_i)[3:]
-            except PeriodOverrunError as exc:
-                yield values, None, None, None, None, str(exc)
-                continue
-            yield (values, edge, cloud, energy_ratio(edge[-1], cloud[-1]),
-                   rtt - rtt_edge, None)
-        else:
-            yield values, None, None, None, None, error
+                error = exc
+        if rtts:
+            clouds = (price.row(t_tx, t_ws, t_rx, t_i) if error is None
+                      else itertools.repeat(error))
+            for tail, delta, cloud in zip(tails, deltas, clouds):
+                if isinstance(cloud, PeriodOverrunError):
+                    yield outer + tail, None, None, None, None, str(cloud)
+                else:
+                    cloud = cloud[3:]
+                    yield (outer + tail, edge, cloud,
+                           energy_ratio(edge[-1], cloud[-1]), delta, None)
+            continue
+        if error is not None:
+            yield outer, None, None, None, None, str(error)
+            continue
+        try:
+            cloud = price(t_tx, t_elab + rtt, t_rx, t_i)[3:]
+        except PeriodOverrunError as exc:
+            yield outer, None, None, None, None, str(exc)
+            continue
+        yield (outer, edge, cloud, energy_ratio(edge[-1], cloud[-1]),
+               rtt - rtt_edge, None)
 
 
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:

@@ -205,6 +205,10 @@ OTHER = DEFAULT._replace(p_tx=1100.0)
 @example(profile=DEFAULT, other=OTHER, scn=BRANCHES[0],
          axes=(SweepAxis("rtt_cloud", 0, 36000, 6000),
                SweepAxis("t_i", 200, 30200, 15000)))
+# rtt_cloud outer over one overrunning period: its cells share one edge
+@example(profile=DEFAULT, other=OTHER, scn=BRANCHES[0],
+         axes=(SweepAxis("rtt_cloud", 0, 36000, 6000),
+               SweepAxis("t_i", 200, 200, 1)))
 def test_sweep_cells_equal_compare_in_any_axis_order(profile, other, scn,
                                                      axes):
     # Transfers draw energy, so every ratio is finite and no cell raises.
