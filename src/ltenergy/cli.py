@@ -28,7 +28,7 @@ import sys
 import warnings
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import analytic, sweep
+from . import analytic
 from ._fmt import csv_line, fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
 from .power_model import (PowerProfile, _checked, _load_json_object,
                           _number, _open_utf8, _reject_unknown,
@@ -123,32 +123,31 @@ def _run_eval(config: RunConfig) -> int:
     return 0
 
 
-_AXIS_KEYS = sweep.SweepAxis._fields
-# A sweep base is a scenario whose rtt is given per placement.
-_BASE_KEYS = ({*analytic.ConnectionlessScenario._fields}
-              - {"rtt"} | {"rtt_edge", "rtt_cloud"})
-
-
 def _axis_from_config(entry: Any) -> sweep.SweepAxis:
+    from . import sweep
     if not isinstance(entry, dict):
         raise ValueError(f"sweep axis must be an object, got {entry!r}")
-    _reject_unknown(entry, _AXIS_KEYS, "sweep axis keys")
-    missing = [k for k in _AXIS_KEYS if k not in entry]
+    keys = sweep.SweepAxis._fields
+    _reject_unknown(entry, keys, "sweep axis keys")
+    missing = [k for k in keys if k not in entry]
     if missing:
         raise ValueError(f"sweep axis {entry!r} lacks {', '.join(missing)}")
     name = str(entry["name"])
     return sweep.SweepAxis(name, *(_number(entry[k], f"axis {name} {k}")
-                                   for k in _AXIS_KEYS if k != "name"))
+                                   for k in keys if k != "name"))
 
 
 def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
     """The edge's base scenario from the ``base`` keys given (the scenario
     supplies the rest), the cloud RTT (the edge's when not given), and the
     axes."""
+    from . import sweep
     base = params.get("base")
     if not isinstance(base, dict) or "t_i" not in base:
         raise ValueError("sweep config needs a 'base' object with 't_i'")
-    _reject_unknown(base, _BASE_KEYS, "base keys")
+    # A sweep base is a scenario whose rtt is given per placement.
+    _reject_unknown(base, {*analytic.ConnectionlessScenario._fields}
+                    - {"rtt"} | {"rtt_edge", "rtt_cloud"}, "base keys")
     given = {k: _number(v, f"base {k}") for k, v in base.items()}
     rtt_cloud = given.pop("rtt_cloud", None)
     if "rtt_edge" in given:
@@ -167,6 +166,7 @@ def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
 
 
 def _run_sweep(config: RunConfig) -> int:
+    from . import sweep
     profile = _resolve_profile(config)
     spec = _sweep_spec_from_params(config.params)
     cells = sweep.sweep_cells(spec, profile)
@@ -176,6 +176,7 @@ def _run_sweep(config: RunConfig) -> int:
 
 
 def _run_cost(config: RunConfig) -> int:
+    from . import sweep
     profile = _resolve_profile(config)
     p = config.params
     for key in ("hourly_bytes", "rtt", "t_i_min", "t_i_max", "t_i_step"):

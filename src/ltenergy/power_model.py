@@ -91,7 +91,8 @@ class DutyCycleSpec(NamedTuple):
     sleep_power: float  # mW
 
     def _check(self) -> None:
-        if not all(map(math.isfinite, self)):
+        if not all(math.isfinite(_number(value, f"duty-cycle {name}"))
+                   for name, value in zip(self._fields, self)):
             raise ValueError("duty-cycle parameters must be finite")
         if self.wake_power < 0 or self.sleep_power < 0:
             raise ValueError("duty-cycle powers must be non-negative")

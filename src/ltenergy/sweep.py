@@ -50,7 +50,7 @@ from .analytic import (
     transfer_time,
 )
 from ._fmt import csv_line, fmt_axis
-from .power_model import PowerProfile, _check_finite, _checked
+from .power_model import PowerProfile, _check_finite, _checked, _number
 
 __all__ = [
     "SWEEP_AXES",
@@ -95,7 +95,8 @@ class SweepAxis(NamedTuple):
             raise ValueError(
                 f"unknown sweep axis {self.name!r}; expected one of {SWEEP_AXES}"
             )
-        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+        if not all(math.isfinite(_number(value, f"axis {self.name} {name}"))
+                   for name, value in zip(self._fields[1:], self[1:])):
             raise ValueError(f"axis {self.name} bounds must be finite")
         if self.step <= 0:
             raise ValueError(f"axis {self.name} step must be strictly positive")

@@ -20,7 +20,6 @@ round-trip time, so placement comparisons can be exercised end to end.
 
 ``aggregate`` prices each repetition of one placement once, and
 ``rho_from_traces`` takes the edge/cloud ratio rho of two such aggregates.
-The package does not re-export these names: import them from here.
 """
 
 from __future__ import annotations
@@ -321,26 +320,30 @@ def events_to_lines(packets: Packets) -> list[str]:
         map(str, packets.seq), map(str, packets.ack))))
 
 
-def _coverage(stream: list[int], candidates: Iterable[int], seqs: list[int],
-              sizes: list[int], acks: list[int]) -> tuple[int, int | None]:
+def _coverage(what: str, stream: list[int], candidates: Iterable[int],
+              seqs: list[int], sizes: list[int],
+              acks: list[int]) -> tuple[int, int | None]:
     """The bytes that the payload packets at indices ``stream`` cover, and
     the first packet of ``candidates`` whose acknowledgment reaches the
     stream's end, ``None`` if none does.
 
-    Numbers count from ``first``, the first packet's sequence number, in
-    [first - 2^31, first + 2^31).  A stream whose sequence numbers and
-    ends all lie in that window covers from its least number to its
-    greatest end; one that leaves it, by wrapping 2^32, is first shifted
-    into it modulo 2^32, which is the identity inside the window.
+    Sequence numbers count from ``first``, the first packet's, in
+    [first - 2^31, first + 2^31), shifted there modulo 2^32 if they wrap;
+    each packet ends at its mapped number plus its size.  A stream of 2^31
+    bytes or more fits in no window: an :class:`IncompleteExchangeError`.
     """
     first = seqs[stream[0]]
     starts = list(map(seqs.__getitem__, stream))
-    ends = list(map(add, starts, map(sizes.__getitem__, stream)))
-    low, high = min(starts), max(ends)
+    lengths = list(map(sizes.__getitem__, stream))
+    low, high = min(starts), max(map(add, starts, lengths))
     if not (first - _HALF_SPACE <= low and high < first + _HALF_SPACE):
         shift = _HALF_SPACE - first
-        low = min((seq + shift) % SEQ_SPACE for seq in starts) - shift
-        high = max((end + shift) % SEQ_SPACE for end in ends) - shift
+        starts = [(seq + shift) % SEQ_SPACE - shift for seq in starts]
+        low, high = min(starts), max(map(add, starts, lengths))
+    if high - low >= _HALF_SPACE:
+        raise IncompleteExchangeError(
+            f"the {what} spans {high - low} bytes; no stream of 2^31 bytes "
+            "or more has unambiguous sequence numbers")
     return high - low, next((i for i in candidates if (
         acks[i] - high) % SEQ_SPACE < _HALF_SPACE), None)
 
@@ -359,7 +362,8 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     direction ``kind`` only decides whose byte count is the file size: the
     request's for "post", the response's for "get"; the other count is
     ``other_size``, which lets a caller check ``kind``.  Both streams are
-    measured by :func:`_coverage`, so a stream may wrap the sequence space.
+    measured by :func:`_coverage`: a stream may wrap the sequence space,
+    but not span 2^31 bytes.
     """
     stamps, sizes, seqs, acks, senders = (
         packets.timestamp, packets.payload_len, packets.seq, packets.ack,
@@ -377,7 +381,8 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     if not request:
         raise IncompleteExchangeError("no request payload from the client")
     request_size, request_ack = _coverage(
-        request, filterfalse(sizes.__getitem__, s2c), seqs, sizes, acks)
+        "request", request, filterfalse(sizes.__getitem__, s2c), seqs, sizes,
+        acks)
     if request_ack is None:
         raise IncompleteExchangeError(
             "missing the server acknowledgment that covers the request")
@@ -389,7 +394,8 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
         raise IncompleteExchangeError(
             "server response precedes the request acknowledgment")
     later = c2s[bisect_left(c2s, bisect_left(stamps, response_start)):]
-    response_size, final_ack = _coverage(response, later, seqs, sizes, acks)
+    response_size, final_ack = _coverage("response", response, later, seqs,
+                                         sizes, acks)
     if final_ack is None:
         raise IncompleteExchangeError(
             "missing the client acknowledgment of the response")

@@ -35,7 +35,7 @@ CLOUD_FAVORABLE = {(750, 150), (750, 200), (750, 250), (750, 300)}
 
 def reference_scenarios(t_i, rtt_cloud):
     """Edge/cloud scenario pair for one golden row."""
-    from ltenergy import ConnectionlessScenario
+    from ltenergy.analytic import ConnectionlessScenario
 
     common = dict(
         t_i=float(t_i),
@@ -54,7 +54,7 @@ def idle_gap_energy(gap, profile):
     prices it: the wait of a cycle with no transfer, whose period leaves
     room for the wait's promotion and 1 ms of quiet time.  A negative gap
     is rejected by ``PhaseTiming``."""
-    from ltenergy import price_cycle
+    from ltenergy.analytic import price_cycle
 
     return price_cycle(0.0, gap, 0.0, gap + profile.t_prom + 1.0,
                        profile)[1].e_w

@@ -20,7 +20,8 @@ acknowledgment search that ``traces._coverage`` replaced.
 import math
 from typing import NamedTuple
 
-from ltenergy.traces import SEQ_SPACE, TraceParseError
+from ltenergy.traces import (SEQ_SPACE, IncompleteExchangeError,
+                             TraceParseError)
 
 _HALF_SPACE = SEQ_SPACE // 2
 
@@ -140,15 +141,21 @@ def reference_parse_events(lines, client):
     return events
 
 
-def reference_coverage(stream, candidates, seqs, sizes, acks):
-    """What ``ltenergy.traces._coverage`` returns: the byte span of the
-    payload packets at indices ``stream``, each offset taken modulo 2^32
-    into [-2^31, 2^31) from the first packet's sequence number, and the
-    first of ``candidates`` whose acknowledgment reaches the span's end."""
+def reference_coverage(what, stream, candidates, seqs, sizes, acks):
+    """What ``ltenergy.traces._coverage`` returns or raises: the byte span
+    of the payload packets at indices ``stream``, each start offset taken
+    modulo 2^32 into [-2^31, 2^31) from the first packet's sequence number
+    and each end that offset plus the packet's size, and the first of
+    ``candidates`` whose acknowledgment reaches the span's end.  A span of
+    2^31 bytes or more is an ``IncompleteExchangeError`` naming ``what``."""
     shift = _HALF_SPACE - seqs[stream[0]]
-    first = min((seqs[i] + shift) % SEQ_SPACE for i in stream) - _HALF_SPACE
-    end = max((seqs[i] + sizes[i] + shift) % SEQ_SPACE
-              for i in stream) - _HALF_SPACE
+    offsets = [(seqs[i] + shift) % SEQ_SPACE - _HALF_SPACE for i in stream]
+    first = min(offsets)
+    end = max(offset + sizes[i] for offset, i in zip(offsets, stream))
+    if end - first >= _HALF_SPACE:
+        raise IncompleteExchangeError(
+            f"the {what} spans {end - first} bytes; no stream of 2^31 bytes "
+            "or more has unambiguous sequence numbers")
     end_seq = seqs[stream[0]] + end
     return end - first, next((i for i in candidates if (
         acks[i] - end_seq) % SEQ_SPACE < _HALF_SPACE), None)

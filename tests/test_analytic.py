@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from ltenergy import (
+from ltenergy.analytic import (
     ConnectionlessScenario,
     PeriodOverrunError,
     compare,
-    default_profile,
+    energy_ratio,
     price_cycle,
     price_scenario,
     transfer_time,
 )
-from ltenergy.analytic import energy_ratio
+from ltenergy.power_model import default_profile
 from _goldens import (
     CLOUD_FAVORABLE,
     GOLDEN_ROWS,

@@ -602,6 +602,27 @@ class TestBadTraceInputs:
                          f"error: {path}: line 1: payload length must be "
                          "< 2^31\n")
 
+    @pytest.mark.parametrize("kind", ["post", "get"])
+    def test_request_of_2_32_minus_2_bytes(self, tmp_path, capsys, kind):
+        """Two request packets of 2^31 - 1 bytes span 2^32 - 2 bytes, which
+        no serial-number window holds: an error naming the request, not a
+        file size of 2^31 - 1."""
+        size = 2 ** 31 - 1
+        end = (1000 + 2 * size) % 2 ** 32
+        client, server = ("198.51.100.10\t203.0.113.5\t52000\t80",
+                          "203.0.113.5\t198.51.100.10\t80\t52000")
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"1.000000\t{client}\t{size}\tPA\t1000\t1\n"
+                        f"1.050000\t{client}\t{size}\tPA\t{1000 + size}\t1\n"
+                        f"1.100000\t{server}\t0\tA\t1\t{end}\n"
+                        f"1.200000\t{server}\t100\tPA\t1\t{end}\n"
+                        f"1.300000\t{client}\t0\tA\t{end}\t101\n")
+        assert_cli_error(["trace-analyze", "--kind", kind, "--client",
+                          CLIENT, "--t-i", "30000", str(path)], capsys,
+                         f"error: {path}: the request spans 4294967294 "
+                         "bytes; no stream of 2^31 bytes or more has "
+                         "unambiguous sequence numbers\n")
+
     def test_cost_overrun_message_is_short(self, capsys):
         code = cli.main(["cost", "--hourly-bytes", "1e300", "--rtt", "40",
                          "--t-i-min", "2000", "--t-i-max", "4000",
@@ -977,30 +998,63 @@ def test_cli_import_leaves_statistics_unloaded():
 
 class TestLazyTraceImport:
     """``ltenergy.traces`` loads only when a trace command imports it, and
-    the package serves none of its names, so the analytic commands never
-    pay for importing it.  Each test runs in a fresh interpreter, because
-    this one has imported it already."""
+    ``ltenergy.sweep`` only when ``sweep`` or ``cost`` does; the package
+    serves no module's names, so no command pays for a module it does not
+    run.  Each test runs in a fresh interpreter, because this one has
+    imported them already."""
 
-    def test_analytic_commands_leave_traces_unloaded(self, tmp_path):
+    @pytest.mark.parametrize("command, modules", [
+        (None, []),
+        ("power-table", ["_fmt", "analytic", "cli", "power_model"]),
+        ("eval", ["_fmt", "analytic", "cli", "power_model"]),
+        ("sweep", ["_fmt", "analytic", "cli", "power_model", "sweep"]),
+        ("cost", ["_fmt", "analytic", "cli", "power_model", "sweep"]),
+        ("trace-synth", ["_fmt", "analytic", "cli", "power_model", "traces"]),
+        ("trace-analyze",
+         ["_fmt", "analytic", "cli", "power_model", "traces"]),
+    ], ids=["package", "power-table", "eval", "sweep", "cost", "trace-synth",
+            "trace-analyze"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, command,
+                                                 modules):
+        """Each command, run alone in a fresh interpreter, loads exactly
+        these ``ltenergy`` modules; ``import ltenergy`` alone (``None``)
+        loads none of them."""
+        export = tmp_path / "get.tsv"
+        synth = ["--kind", "get", "--file-size", "5000", "--rtt", "20",
+                 "--bottleneck", "20e6"]
+        argv = {
+            None: [],
+            "power-table": [],
+            "eval": ["--t-i", "30000"],
+            "sweep": ["--config", FIGURES / "fig4.json"],
+            "cost": ["--config", FIGURES / "fig8.json"],
+            "trace-synth": synth,
+            "trace-analyze": ["--kind", "get", "--client", CLIENT, "--t-i",
+                              "30000", export],
+        }[command]
+        if command is not None:
+            argv = [command, *argv, "--out", tmp_path / "out"]
+        if command == "trace-analyze":
+            assert cli.main(["trace-synth", *synth, "--out", str(export)]) == 0
         stdout = fresh_python("""
 import contextlib, io, sys
-from ltenergy import cli
-fig4, fig8, out = sys.argv[1:]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["sweep", "--config", fig4], ["cost", "--config", fig8],
-                 ["eval", "--t-i", "30000"], ["power-table"]):
-        assert cli.main([*argv, "--out", out]) == 0, argv
+if len(sys.argv) > 1:
+    from ltenergy import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0, sys.argv
+else:
+    import ltenergy
 print(sorted(name for name in sys.modules if name.startswith("ltenergy")))
-""", FIGURES / "fig4.json", FIGURES / "fig8.json", tmp_path / "out")
+""", *argv)
         assert stdout == str(sorted(
-            ["ltenergy", "ltenergy._fmt", "ltenergy.analytic", "ltenergy.cli",
-             "ltenergy.power_model", "ltenergy.sweep"])) + "\n"
+            ["ltenergy", *(f"ltenergy.{m}" for m in modules)])) + "\n"
 
     def test_unknown_attribute(self):
         stdout = fresh_python("""
 import sys
 import ltenergy
-for name in ("no_such_name", "parse_events", "SYNTH_CLIENT", "_plan_trace"):
+for name in ("no_such_name", "parse_events", "SYNTH_CLIENT", "_plan_trace",
+             "SweepSpec", "compare"):
     try:
         getattr(ltenergy, name)
     except AttributeError as exc:
@@ -1012,6 +1066,8 @@ print("ltenergy.traces" in sys.modules)
             "module 'ltenergy' has no attribute 'parse_events'\n"
             "module 'ltenergy' has no attribute 'SYNTH_CLIENT'\n"
             "module 'ltenergy' has no attribute '_plan_trace'\n"
+            "module 'ltenergy' has no attribute 'SweepSpec'\n"
+            "module 'ltenergy' has no attribute 'compare'\n"
             "False\n")
 
     def test_trace_error_after_deferred_import(self, tmp_path):

@@ -26,19 +26,15 @@ import pytest
 from hypothesis import (assume, example, given, reject, settings,
                         strategies as st)
 
-from ltenergy import (
+from ltenergy.analytic import (
     ConnectionlessScenario,
     PeriodOverrunError,
-    PowerProfile,
-    SweepAxis,
-    SweepSpec,
     compare,
-    default_profile,
     price_cycle,
     price_scenario,
-    run_sweep,
-    sweep_cells,
 )
+from ltenergy.power_model import PowerProfile, default_profile
+from ltenergy.sweep import SweepAxis, SweepSpec, run_sweep, sweep_cells
 
 from _event_reference import canonical_cycle_events, event_driven_energy
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ltenergy import (
+from ltenergy.power_model import (
     DutyCycleSpec,
     PowerProfile,
     default_profile,
@@ -144,6 +144,12 @@ class TestProfileValidation:
     def test_non_finite_duty_cycle_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             DutyCycleSpec(float("nan"), 41, 100, 61)
+
+    def test_duty_cycle_beyond_float_range_rejected(self):
+        """An int that no float holds is named, not an ``OverflowError``."""
+        with pytest.raises(ValueError, match=(
+                "^duty-cycle wake_power is too large for a float$")):
+            DutyCycleSpec(10 ** 400, 1, 2, 0)
 
     def test_duty_cycle_missing_key_rejected(self):
         data = profile_to_dict(default_profile())

@@ -10,22 +10,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ltenergy import cli, sweep
-from ltenergy import (
+from ltenergy.analytic import (
     ConnectionlessScenario,
-    CostSpec,
     PeriodOverrunError,
+    compare,
+    price_scenario,
+)
+from ltenergy.power_model import default_profile
+from ltenergy.sweep import (
+    MAX_GRID_CELLS,
+    CostSpec,
     SweepAxis,
     SweepSpec,
-    compare,
     cost_curve,
-    default_profile,
+    json_text,
     per_cycle_payload,
     run_sweep,
     sweep_cells,
 )
 from ltenergy._fmt import csv_line, fmt_axis, fmt_mj, fmt_ms, fmt_rho
-from ltenergy.sweep import MAX_GRID_CELLS, json_text
-from ltenergy.analytic import price_scenario
 from _goldens import reference_scenarios
 
 PROFILE = default_profile()
@@ -73,6 +76,13 @@ class TestAxis:
     def test_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="must be finite"):
             SweepAxis("t_i", *bounds)
+
+    def test_bounds_beyond_float_range(self):
+        """An int bound that no float holds is named with its axis, not an
+        ``OverflowError``."""
+        with pytest.raises(ValueError,
+                           match="^axis t_i start is too large for a float$"):
+            SweepAxis("t_i", 10 ** 400, 10 ** 401, 1)
 
     @pytest.mark.parametrize("step", [0, -1])
     def test_step_message_names_axis(self, step):

@@ -5,13 +5,13 @@ import statistics
 
 import pytest
 
-from ltenergy import (
+from ltenergy.analytic import (
     ConnectionlessScenario,
-    default_profile,
     price_cycle,
     price_scenario,
     transfer_time,
 )
+from ltenergy.power_model import default_profile
 from ltenergy import traces
 from ltenergy.traces import (
     SYNTH_CLIENT,
@@ -116,6 +116,21 @@ class TestSequenceWrap:
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
         assert extract(wrapped) == extract(events)
+
+    def test_response_of_2_32_minus_2_bytes_rejected(self):
+        """A response whose numbers all lie in one serial-number window but
+        span 2^32 - 2 bytes is an error naming the response, not a file
+        size of 2^32 - 2."""
+        size = 2 ** 31 - 1
+        rows = get_exchange_lines()[:2] + [
+            line(0.300, SERVER, CLIENT, size, "A", 2 ** 31 + 1000, 151),
+            line(0.400, SERVER, CLIENT, 10, "A", 1001, 151),
+            line(0.500, CLIENT, SERVER, 0, "A", 151, 999),
+        ]
+        events = parse_events("\n".join(rows), client=CLIENT)
+        with pytest.raises(IncompleteExchangeError,
+                           match="^the response spans 4294967294 bytes; "):
+            extract_get_phases(events)
 
     @pytest.mark.parametrize("seq, ack", [(2 ** 32, 1), (1, 2 ** 32),
                                           (-1, 1)])
