@@ -123,7 +123,8 @@ def _run_eval(config: RunConfig) -> int:
     return 0
 
 
-def _axis_from_config(entry: Any) -> sweep.SweepAxis:
+def _axis_from_config(entry: Any):
+    """The :class:`sweep.SweepAxis` of one ``axes`` entry of a config."""
     from . import sweep
     if not isinstance(entry, dict):
         raise ValueError(f"sweep axis must be an object, got {entry!r}")
@@ -137,10 +138,10 @@ def _axis_from_config(entry: Any) -> sweep.SweepAxis:
                                    for k in keys if k != "name"))
 
 
-def _sweep_spec_from_params(params: dict[str, Any]) -> sweep.SweepSpec:
-    """The edge's base scenario from the ``base`` keys given (the scenario
-    supplies the rest), the cloud RTT (the edge's when not given), and the
-    axes."""
+def _sweep_spec_from_params(params: dict[str, Any]):
+    """The :class:`sweep.SweepSpec` of the edge's base scenario from the
+    ``base`` keys given (the scenario supplies the rest), the cloud RTT
+    (the edge's when not given), and the axes."""
     from . import sweep
     base = params.get("base")
     if not isinstance(base, dict) or "t_i" not in base:

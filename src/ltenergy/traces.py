@@ -7,12 +7,12 @@ by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
 same energy accounting as the analytic path.  A parse returns
 :class:`Packets`, one list per packet field, and builds no object per
-packet: it converts the export by column, a chunk of lines at a time, and
-reads a chunk line by line only when its columns do not convert, to name
-the first bad line.  Extraction finds its landmarks over the columns.  One
-landmark rule serves upload-style (POST) and download-style (GET)
-exchanges alike; the bulk direction only decides which stream's bytes
-count as the file size.
+packet.  It converts a chunk of plain packet lines by column; a chunk with
+a blank or ``#`` line, an empty or ``-`` integer field, a padded timestamp
+or a bad line is read line by line, which names the first bad line.
+Extraction finds its landmarks over the columns.  One landmark rule serves
+upload-style (POST) and download-style (GET) exchanges alike; the bulk
+direction only decides which stream's bytes count as the file size.
 
 A deterministic synthetic trace generator stands in for a live testbed: it
 emulates a window-growth transfer whose completion time grows with the
@@ -189,16 +189,17 @@ def parse_events(lines: str | Iterable[str], client: str) -> Packets:
     Line format (tab-separated): epoch timestamp with six decimals, source
     address, destination address, source port, destination port, transport
     payload length, flags (hex value or letter set), sequence number,
-    acknowledgment number.  Blank lines and ``#`` comments are skipped; an
-    empty or ``-`` integer field reads as 0.  ``client`` ("addr:port"), the
-    endpoint where the export was captured, fixes each packet's
-    ``from_client``.  The first bad line in file order raises a
-    :class:`TraceParseError` naming it: its first bad field in column
-    order, a non-finite timestamp included, else a packet that does not
-    involve the client.  The export is read ``_CHUNK_LINES`` lines at a
-    time, never whole; each chunk is split once and converted by column,
-    with each distinct flags text and endpoint resolved once per call, and
-    a chunk with a line that this cannot take is read again line by line.
+    acknowledgment number.  ``client`` ("addr:port"), the endpoint where
+    the export was captured, fixes each packet's ``from_client``.  The
+    first bad line in file order raises a :class:`TraceParseError` naming
+    it: its first bad field in column order, a non-finite timestamp
+    included, else a packet that does not involve the client.  The export
+    is read ``_CHUNK_LINES`` lines at a time, never whole.  A chunk of plain
+    packet lines, as :func:`events_to_lines` writes them, is converted by
+    column, each distinct flags text and endpoint resolved once per call.
+    Any other chunk is read line by line: there blank lines and ``#``
+    comments are skipped, an empty or ``-`` integer field reads as 0, a
+    padded timestamp is stripped, and the first bad line is named.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
@@ -221,17 +222,16 @@ def parse_events(lines: str | Iterable[str], client: str) -> Packets:
 def _convert_chunk(chunk: list[str], client: str,
                    flag_sets: dict[str, frozenset[str]],
                    endpoints: dict[tuple, tuple]) -> tuple:
-    """The :class:`Packets` columns of the packet lines of ``chunk``, filling
-    the caches; a ``ValueError``, whose message is not read, at a line that
-    these conversions do not take: a bad packet, or a rarer form, such as a
-    timestamp padded with a separator character, that ``_parse_line``
-    takes."""
-    rows = [raw for raw in chunk if raw.lstrip()[:1] not in ("", "#")]
-    if set(map(str.count, rows, repeat("\t"))) != {8}:
+    """The :class:`Packets` columns of ``chunk``, filling the caches, when
+    each line is a plain packet line: nine tab-separated fields with
+    decimal integers.  Else a ``ValueError``, whose message is not read;
+    ``_parse_line`` alone reads blank and ``#`` lines, empty or ``-``
+    integer fields and padded timestamps, and names a bad line."""
+    if set(map(str.count, chunk, repeat("\t"))) != {8}:
         raise ValueError
-    fields = "\t".join(rows).split("\t")
+    fields = "\t".join(chunk).split("\t")
     stamps = list(map(float, fields[0::9]))
-    sizes, seqs, acks = (_int_column(fields[k::9]) for k in (5, 7, 8))
+    sizes, seqs, acks = (list(map(int, fields[k::9])) for k in (5, 7, 8))
     if not (math.isfinite(sum(stamps))
             and 0 <= min(sizes) <= max(sizes) < _HALF_SPACE
             and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE
@@ -241,8 +241,7 @@ def _convert_chunk(chunk: list[str], client: str,
         flag_sets[text] = _parse_flags(text, 0)
     keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
     for src_addr, sport, dst_addr, dport in set(keys).difference(endpoints):
-        pair = (src_addr.strip(), _parse_int(sport, "source port", 0),
-                dst_addr.strip(), _parse_int(dport, "destination port", 0))
+        pair = (src_addr.strip(), int(sport), dst_addr.strip(), int(dport))
         endpoints[src_addr, sport, dst_addr, dport] = (
             *pair, _from_client(pair, client, 0))
     src_addr, src_port, dst_addr, dst_port, senders = zip(
@@ -250,14 +249,6 @@ def _convert_chunk(chunk: list[str], client: str,
     return (stamps, src_addr, src_port, dst_addr, dst_port, sizes,
             list(map(flag_sets.__getitem__, fields[6::9])), seqs, acks,
             senders)
-
-
-def _int_column(texts: list[str]) -> list[int]:
-    """``texts`` as integers, an empty or ``-`` field as 0."""
-    try:
-        return list(map(int, texts))
-    except ValueError:
-        return [_parse_int(text, "integer", 0) for text in texts]
 
 
 def _parse_line(raw: str, line_no: int, client: str) -> tuple | None:

@@ -281,6 +281,47 @@ class TestParseEvents:
         rows[1] = line(0.050, CLIENT, SERVER, 2 ** 31 - 1, "PA", 1001, 1)
         assert len(parse_events("\n".join(rows), CLIENT)) == 5
 
+    @pytest.mark.parametrize("kind", ["get", "post"])
+    @pytest.mark.parametrize("size", [0, 1, 1448, 10 ** 6, 10 ** 7])
+    def test_exports_as_written_convert_by_column(self, monkeypatch, kind,
+                                                  size):
+        """An export as ``events_to_lines`` writes it, read line by line
+        from a file as ``trace-analyze`` reads it, converts by column in
+        every chunk: no line reaches the line reader."""
+        packets = synthesize_trace(kind, size, 20, 20e6)
+        lines = [text + "\n" for text in events_to_lines(packets)]
+
+        def line_reader(raw, line_no, client):
+            raise AssertionError(f"line {line_no} read line by line")
+
+        monkeypatch.setattr(traces, "_parse_line", line_reader)
+        assert rows(parse_events(lines, SYNTH_CLIENT)) == rows(packets)
+
+    @pytest.mark.parametrize("field", ["-", ""], ids=["dash", "empty"])
+    def test_an_integer_read_as_0_reads_its_chunk_line_by_line(
+            self, monkeypatch, field):
+        """Only the line reader reads an empty or ``-`` integer field as 0:
+        the chunk that holds one is read line by line, and no other."""
+        packets = synthesize_trace("get", 10 ** 5, 20, 20e6)
+        lines = [text + "\n" for text in events_to_lines(packets)]
+        fields = lines[19].split("\t")
+        fields[8] = field + "\n"  # the acknowledgment number
+        lines[19] = "\t".join(fields)
+        read = []
+        parse_line = traces._parse_line
+
+        def spy(raw, line_no, client):
+            read.append(line_no)
+            return parse_line(raw, line_no, client)
+
+        monkeypatch.setattr(traces, "_parse_line", spy)
+        monkeypatch.setattr(traces, "_CHUNK_LINES", 8)
+        expected = rows(packets)
+        assert expected[19].ack != 0
+        expected[19] = expected[19]._replace(ack=0)
+        assert rows(parse_events(lines, SYNTH_CLIENT)) == expected
+        assert read == list(range(17, 25))  # the third chunk, 1-based
+
     def test_client_is_required(self):
         with pytest.raises(TypeError, match="client"):
             parse_events("\n".join(post_exchange_lines()))
