@@ -244,8 +244,8 @@ def _run_trace_analyze(config: RunConfig) -> int:
 
     def analyze(paths: Sequence[str]) -> traces.AggregateResult:
         """One placement's exports, one exchange each, aggregated; each
-        error names its export.  The stream that ``kind`` names must not be
-        the smaller one; a tie cannot contradict it."""
+        error names its export.  The stream that ``kind`` names is not the
+        smaller one, unless the other fits in one segment."""
         iterations = []
         for path in paths:
             try:
@@ -253,7 +253,7 @@ def _run_trace_analyze(config: RunConfig) -> int:
                     it = extract(traces.parse_events(fp, client=client))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-            if it.file_size < it.other_size:
+            if it.file_size < it.other_size > traces.MSS_BYTES:
                 named, other = (("request", "response") if kind == "post"
                                 else ("response", "request"))
                 raise traces.IncompleteExchangeError(
@@ -370,12 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ta = sub.add_parser("trace-analyze", parents=[common],
                           help="energy summary of packet trace exports")
     p_ta.add_argument("--kind", choices=("post", "get"), required=True,
-                      help="the bulk stream, which must not be the "
-                           "smaller one: the request for post, the response "
-                           "for get (so a GET smaller than its request is "
-                           "rejected)")
+                      help="the bulk stream, the request for post or the "
+                           "response for get, which must not be the smaller "
+                           "one if the other exceeds one 1448-byte segment")
     p_ta.add_argument("--client", required=True,
-                      help="client endpoint as addr:port")
+                      help="client endpoint as addr:port; each export is "
+                           "one TCP connection, whose first packet fixes "
+                           "the server endpoint")
     p_ta.add_argument("--t-i", type=number, required=True,
                       help="application period, ms")
     p_ta.add_argument("--concurrency", type=int,

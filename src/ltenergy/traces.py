@@ -5,11 +5,10 @@ time, which defeats the closed-form model.  This module instead ingests
 per-packet timing exports (one tab-separated line per packet, as produced
 by standard analyzer field exports), extracts the per-cycle phase durations
 of one request-response exchange, and feeds the measured phases into the
-same energy accounting as the analytic path.  A parse returns
-:class:`Packets`, one list per packet field, and builds no object per
-packet.  It converts a chunk of plain packet lines by column; a chunk with
-a blank or ``#`` line, an empty or ``-`` integer field, a padded timestamp
-or a bad line is read line by line, which names the first bad line.
+same energy accounting as the analytic path.  An export is one TCP
+connection: the caller names the client endpoint, and the first packet
+fixes the server.  A parse returns :class:`Packets`, one list per packet
+field and the two endpoints once, and builds no object per packet.
 Extraction finds its landmarks over the columns.  One landmark rule serves
 upload-style (POST) and download-style (GET) exchanges alike; the bulk
 direction only decides which stream's bytes count as the file size.
@@ -94,24 +93,26 @@ class IncompleteExchangeError(ValueError):
 
 
 class Packets:
-    """The packets of one exchange as columns, stably sorted by timestamp:
-    one list per field that ``__slots__`` names.  ``len()`` counts the
-    packets; equality is identity, so compare columns."""
+    """The packets of one TCP connection, stably sorted by timestamp: one
+    list per field in ``COLUMNS``, and the ``client`` and ``server``
+    ``(addr, port)``, ``None`` without packets.  ``len()`` counts packets."""
 
-    __slots__ = ("timestamp",  # epoch seconds, microsecond precision
-                 "src_addr", "src_port", "dst_addr", "dst_port",
-                 "payload_len",  # transport payload bytes
-                 "flags",  # frozenset, a subset of {SYN, FIN, RST, ACK, PSH}
-                 "seq", "ack",
-                 "from_client")  # sent by the client endpoint, else server
+    COLUMNS = ("timestamp",  # epoch seconds, microsecond precision
+               "payload_len",  # transport payload bytes
+               "flags",  # frozenset, a subset of {SYN, FIN, RST, ACK, PSH}
+               "seq", "ack",
+               "from_client")  # sent by the client endpoint, else server
+    __slots__ = (*COLUMNS, "client", "server")
 
-    def __init__(self, columns: Sequence[list]):
+    def __init__(self, columns: Sequence[list], client: tuple | None,
+                 server: tuple | None):
         stamps = columns[0]
         if not all(map(le, stamps, islice(stamps, 1, None))):
             order = sorted(range(len(stamps)), key=stamps.__getitem__)
             columns = [list(map(col.__getitem__, order)) for col in columns]
-        for name, column in zip(self.__slots__, columns, strict=True):
+        for name, column in zip(self.COLUMNS, columns, strict=True):
             setattr(self, name, column)
+        self.client, self.server = client, server
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -161,16 +162,12 @@ def _parse_flags(field: str, line_no: int) -> frozenset[str]:
         except ValueError:
             raise TraceParseError(line_no, f"bad flags field {field!r}") from None
         return frozenset(name for name, _, bit in _FLAGS if bits & bit)
-    out = set()
-    for ch in text:
-        upper = ch.upper()
-        if upper in _FLAG_NAMES:
-            out.add(_FLAG_NAMES[upper])
-        elif ch in _IGNORED_FLAG_CHARS or upper in _IGNORED_FLAG_CHARS:
-            continue
-        else:
-            raise TraceParseError(line_no, f"bad flags field {field!r}")
-    return frozenset(out)
+    names = {_FLAG_NAMES.get(ch.upper()) for ch in text
+             if ch not in _IGNORED_FLAG_CHARS
+             and ch.upper() not in _IGNORED_FLAG_CHARS}
+    if None in names:  # a letter neither tracked nor ignored
+        raise TraceParseError(line_no, f"bad flags field {field!r}")
+    return frozenset(names)
 
 
 def _parse_int(field: str, what: str, line_no: int) -> int:
@@ -189,47 +186,70 @@ def parse_events(lines: str | Iterable[str], client: str) -> Packets:
     Line format (tab-separated): epoch timestamp with six decimals, source
     address, destination address, source port, destination port, transport
     payload length, flags (hex value or letter set), sequence number,
-    acknowledgment number.  ``client`` ("addr:port"), the endpoint where
-    the export was captured, fixes each packet's ``from_client``.  The
-    first bad line in file order raises a :class:`TraceParseError` naming
-    it: its first bad field in column order, a non-finite timestamp
-    included, else a packet that does not involve the client.  The export
-    is read ``_CHUNK_LINES`` lines at a time, never whole.  A chunk of plain
-    packet lines, as :func:`events_to_lines` writes them, is converted by
-    column, each distinct flags text and endpoint resolved once per call.
-    Any other chunk is read line by line: there blank lines and ``#``
-    comments are skipped, an empty or ``-`` integer field reads as 0, a
-    padded timestamp is stripped, and the first bad line is named.
+    acknowledgment number.  An export is one TCP connection: ``client``
+    ("addr:port"), where it was captured, fixes each packet's
+    ``from_client``, and the first packet in file order fixes the server.
+    The first bad line in file order raises a :class:`TraceParseError`
+    naming it: its first bad field in column order, a non-finite timestamp
+    included, else a packet that is not on the connection.  It reads chunks
+    of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
+    :func:`events_to_lines` writes them, is converted by column, each
+    distinct flags text and endpoint resolved once per call; any other is
+    read line by line, where blank and ``#`` lines are skipped, an empty or
+    ``-`` integer field reads as 0 and a padded timestamp is stripped.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
     lines, line_no = iter(lines), 1
-    columns: list[list] = [[] for _ in Packets.__slots__]
-    flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
-    endpoints: dict[tuple, tuple] = {}  # by raw endpoint field texts
+    columns: list[list] = [[] for _ in Packets.COLUMNS]
+    state = _ParseState(client)
     while chunk := list(islice(lines, _CHUNK_LINES)):
         try:
-            converted = _convert_chunk(chunk, client, flag_sets, endpoints)
+            converted = _convert_chunk(chunk, state)
         except ValueError:
             converted = zip(*filter(None, map(
-                _parse_line, chunk, count(line_no), repeat(client))))
+                _parse_line, chunk, count(line_no), repeat(state))))
         for column, values in zip(columns, converted):
             column.extend(values)
         line_no += len(chunk)
-    return Packets(columns)
+    return Packets(columns, *state.ends)
 
 
-def _convert_chunk(chunk: list[str], client: str,
-                   flag_sets: dict[str, frozenset[str]],
-                   endpoints: dict[tuple, tuple]) -> tuple:
+class _ParseState:
+    """What both line readers of a parse share: the ``client`` ("addr:port")
+    that the caller names, ``ends``, the client and server ``(addr, port)``
+    that :meth:`sender` fixes from the first packet, and two caches."""
+
+    def __init__(self, client: str):
+        self.client, self.ends = client, (None, None)
+        self.flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
+        self.senders: dict[tuple, bool] = {}  # by raw endpoint field texts
+
+    def sender(self, pair: tuple, line_no: int) -> bool:
+        """Whether the client sent the packets between ``(src_addr,
+        src_port, dst_addr, dst_port)``, which must be on the connection."""
+        from_client = "%s:%s" % pair[:2] == self.client
+        ends = (pair[:2], pair[2:]) if from_client else (pair[2:], pair[:2])
+        if "%s:%s" % ends[0] != self.client:
+            why = f"does not involve client {self.client}"
+        elif self.ends[1] in (None, ends[1]):
+            self.ends = ends
+            return from_client
+        else:
+            why = "is not on the connection with %s:%s" % self.ends[1]
+        raise TraceParseError(line_no, "packet %s:%s -> %s:%s " % pair + why)
+
+
+def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
     """The :class:`Packets` columns of ``chunk``, filling the caches, when
     each line is a plain packet line: nine tab-separated fields with
-    decimal integers.  Else a ``ValueError``, whose message is not read;
-    ``_parse_line`` alone reads blank and ``#`` lines, empty or ``-``
-    integer fields and padded timestamps, and names a bad line."""
-    if set(map(str.count, chunk, repeat("\t"))) != {8}:
+    decimal integers; else a ``ValueError`` for ``_parse_line`` to read."""
+    # Every line has nine fields when the form feed that ends each line but
+    # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one.
+    fields = "\f\t".join(chunk).split("\t")
+    if ("\f" in "".join(chunk) or len(fields) != 9 * len(chunk)
+            or "".join(fields[8::9]).count("\f") != len(chunk) - 1):
         raise ValueError
-    fields = "\t".join(chunk).split("\t")
     stamps = list(map(float, fields[0::9]))
     sizes, seqs, acks = (list(map(int, fields[k::9])) for k in (5, 7, 8))
     if not (math.isfinite(sum(stamps))
@@ -237,24 +257,23 @@ def _convert_chunk(chunk: list[str], client: str,
             and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE
             and 0 <= min(acks) <= max(acks) < SEQ_SPACE):
         raise ValueError
+    flag_sets, senders = state.flag_sets, state.senders
     for text in set(fields[6::9]).difference(flag_sets):
         flag_sets[text] = _parse_flags(text, 0)
     keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
-    for src_addr, sport, dst_addr, dport in set(keys).difference(endpoints):
-        pair = (src_addr.strip(), int(sport), dst_addr.strip(), int(dport))
-        endpoints[src_addr, sport, dst_addr, dport] = (
-            *pair, _from_client(pair, client, 0))
-    src_addr, src_port, dst_addr, dst_port, senders = zip(
-        *map(endpoints.__getitem__, keys))
-    return (stamps, src_addr, src_port, dst_addr, dst_port, sizes,
-            list(map(flag_sets.__getitem__, fields[6::9])), seqs, acks,
-            senders)
+    # Line 1 first, so that no packet of another connection fixes the server.
+    for key in (keys[0], *set(keys).difference(senders)):
+        src_addr, sport, dst_addr, dport = key
+        senders[key] = state.sender(
+            (src_addr.strip(), int(sport), dst_addr.strip(), int(dport)), 0)
+    return (stamps, sizes, list(map(flag_sets.__getitem__, fields[6::9])),
+            seqs, acks, list(map(senders.__getitem__, keys)))
 
 
-def _parse_line(raw: str, line_no: int, client: str) -> tuple | None:
+def _parse_line(raw: str, line_no: int, state: _ParseState) -> tuple | None:
     """The :class:`Packets` fields of one export line, ``None`` for a blank
     or comment line; its first bad field in column order raises, else a
-    packet that does not involve the client."""
+    packet that is not on the connection."""
     if raw.lstrip()[:1] in ("", "#"):
         return None
     parts = raw.rstrip("\n").split("\t")
@@ -283,30 +302,23 @@ def _parse_line(raw: str, line_no: int, client: str) -> tuple | None:
         raise TraceParseError(line_no, "sequence and acknowledgment "
                               f"numbers must lie in [0, 2^32), got "
                               f"{seq} and {ack}")
-    pair = (src_addr.strip(), src_port, dst_addr.strip(), dst_port)
-    return (timestamp, *pair, payload, flags, seq, ack,
-            _from_client(pair, client, line_no))
-
-
-def _from_client(pair: tuple, client: str, line_no: int) -> bool:
-    """Whether the ``client`` endpoint sent the packets between
-    ``(src_addr, src_port, dst_addr, dst_port)``; they must involve it."""
-    src, dst = "%s:%s" % pair[:2], "%s:%s" % pair[2:]
-    if src == client or dst == client:
-        return src == client
-    raise TraceParseError(
-        line_no, f"packet {src} -> {dst} does not involve client {client}")
+    return (timestamp, payload, flags, seq, ack, state.sender(
+        (src_addr.strip(), src_port, dst_addr.strip(), dst_port), line_no))
 
 
 def events_to_lines(packets: Packets) -> list[str]:
     """Serialise packets back into the ingestion line format."""
+    if not len(packets):
+        return []
     letters = {flags: "".join(letter for name, letter, _ in _FLAGS
                               if name in flags) or "-"
                for flags in set(packets.flags)}
+    (c_addr, c_port), (s_addr, s_port) = packets.client, packets.server
+    ends = {True: f"{c_addr}\t{s_addr}\t{c_port}\t{s_port}",  # by sender
+            False: f"{s_addr}\t{c_addr}\t{s_port}\t{c_port}"}
     return list(map("\t".join, zip(
         map(format, packets.timestamp, repeat(".6f")),
-        packets.src_addr, packets.dst_addr,
-        map(str, packets.src_port), map(str, packets.dst_port),
+        map(ends.__getitem__, packets.from_client),
         map(str, packets.payload_len), map(letters.__getitem__, packets.flags),
         map(str, packets.seq), map(str, packets.ack))))
 
@@ -349,12 +361,10 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     acknowledgment arrives after them.  The response (the download of a
     GET) spans the first server payload packet through the first later
     client packet acknowledging all of it, so it includes that final
-    acknowledgment's send time.  The wait is the gap in between.  The bulk
-    direction ``kind`` only decides whose byte count is the file size: the
-    request's for "post", the response's for "get"; the other count is
-    ``other_size``, which lets a caller check ``kind``.  Both streams are
-    measured by :func:`_coverage`: a stream may wrap the sequence space,
-    but not span 2^31 bytes.
+    acknowledgment's send time.  The wait is the gap in between.  ``kind``
+    only decides whose byte count is the file size: the request's for
+    "post", the response's for "get"; the other is ``other_size``, which
+    lets a caller check ``kind``.  :func:`_coverage` measures both streams.
     """
     stamps, sizes, seqs, acks, senders = (
         packets.timestamp, packets.payload_len, packets.seq, packets.ack,
@@ -423,12 +433,9 @@ def _bulk_packets(total: int) -> int:
     return segments + max(segments - 1, 0) // 2
 
 
-# (addr, port) of the synthetic client and server, and the endpoint fields
-# (src_addr, src_port, dst_addr, dst_port) of their packets by from_client.
+# (addr, port) of the synthetic client and server.
 _SYNTH_PAIR = tuple((addr, int(port)) for addr, port in (
     endpoint.rsplit(":", 1) for endpoint in (SYNTH_CLIENT, SYNTH_SERVER)))
-_SYNTH_ENDPOINTS = {True: (*_SYNTH_PAIR[0], *_SYNTH_PAIR[1]),
-                    False: (*_SYNTH_PAIR[1], *_SYNTH_PAIR[0])}
 
 
 def _synthetic_event(isn: dict[bool, int], t_us: int, from_client: bool,
@@ -452,9 +459,7 @@ def _transfer_arrivals(n_segments: int, start_us: int, rtt_us: int,
     a continuous stream.
     """
     times: list[float] = []
-    cursor = float(start_us)
-    sent = 0
-    window = _INIT_WINDOW_SEGMENTS
+    cursor, sent, window = float(start_us), 0, _INIT_WINDOW_SEGMENTS
     while sent < n_segments:
         count = min(n_segments - sent, window)
         times.extend(cursor + j * seg_gap_us for j in range(count))
@@ -565,9 +570,8 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
 
     packets.sort(key=lambda p: p[0])
     t_us, senders, sizes, flags, seqs, acks = map(list, zip(*packets))
-    endpoints = map(list, zip(*map(_SYNTH_ENDPOINTS.__getitem__, senders)))
-    return (Packets([[t / 1e6 for t in t_us], *endpoints, sizes, flags,
-                     seqs, acks, senders]),
+    return (Packets([[t / 1e6 for t in t_us], sizes, flags, seqs, acks,
+                     senders], *_SYNTH_PAIR),
             (request_us, request_ack_us, response_us, final_ack_us))
 
 
@@ -577,19 +581,15 @@ def synthesize_trace(kind: str, file_size: int, rtt_ms: float,
 
     Emulates a window-growth transfer bottlenecked at ``bottleneck_bps``:
     completion time strictly increases with the round-trip time.  Payload
-    streams are segmented at {mss} bytes; handshake and teardown packets are
-    included so exclusion logic can be exercised.  Upload exchanges prepend
-    a {hdr}-byte request header to the file bytes; a zero ``file_size``
-    degenerates to the request and its bare acknowledgment.  The seed draws
-    the two initial sequence numbers only, never the timing.
+    streams are segmented at ``MSS_BYTES``; handshake and teardown packets
+    are included so exclusion logic can be exercised.  Upload exchanges
+    prepend a ``POST_HEADER_BYTES`` request header to the file bytes; a zero
+    ``file_size`` degenerates to the request and its bare acknowledgment.
+    The seed draws the two initial sequence numbers only, never the timing.
     """
     rng = Random(seed)
     isns = rng.randrange(1, 2 ** 31), rng.randrange(1, 2 ** 31)
     return _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, *isns)[0]
-
-
-synthesize_trace.__doc__ = synthesize_trace.__doc__.format(
-    mss=MSS_BYTES, hdr=POST_HEADER_BYTES)
 
 
 def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
@@ -599,8 +599,7 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
     Computed from the planned packet landmarks that extraction recovers
     (the initial sequence numbers, zero here, move no time), via the same
     arithmetic, so extraction of a synthesized trace matches this exactly.
-    Requires a positive ``file_size`` (a degenerate exchange has no
-    download phase).
+    A zero ``file_size`` is an error: that exchange has no download phase.
     """
     landmarks = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, 0, 0)[1]
     if None in landmarks:

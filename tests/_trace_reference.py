@@ -5,14 +5,17 @@ call per field.  ``ltenergy.traces.parse_events`` converts the integer
 fields of a line in one pass and resolves flag sets and senders once per
 distinct text and endpoint pair.  This is the per-field parser it
 replaced, plus the rules that a timestamp must be finite and that a packet
-must involve the client, kept as the oracle the property tests hold it to.
-Each line's sender comes from one uncached call after its fields, so the
-first bad line in file order is the one reported, be it a bad field or a
-stray packet.  It carries its own copies of the flag, integer and sender
-rules, so a change to any of them in the library shows as a difference.
+must involve the client and be on the one connection that the first
+packet fixes, kept as the oracle the property tests hold it to.  Each
+line's sender comes from one uncached call after its fields, so the first
+bad line in file order is the one reported, be it a bad field or a packet
+of another connection.  It carries its own copies of the flag, integer,
+sender and connection rules, so a change to any of them in the library
+shows as a difference.
 
-``ltenergy.traces.Packets`` holds packets as columns; the tests compare
-them as rows, one :class:`PacketEvent` per packet, through :func:`rows`.
+``ltenergy.traces.Packets`` holds packets as columns and the two endpoints
+once; the tests compare them as rows, one :class:`PacketEvent` per packet,
+through :func:`rows`, which rebuilds each row's endpoint fields.
 :func:`reference_coverage` is the per-packet modular byte span and
 acknowledgment search that ``traces._coverage`` replaced.
 """
@@ -42,9 +45,16 @@ class PacketEvent(NamedTuple):
 
 
 def rows(packets):
-    """The :class:`PacketEvent` rows of ``ltenergy.traces.Packets``."""
-    columns = [getattr(packets, name) for name in PacketEvent._fields]
-    return list(map(PacketEvent._make, zip(*columns)))
+    """The :class:`PacketEvent` rows of ``ltenergy.traces.Packets``, each
+    one's endpoint fields rebuilt from the client, the server and
+    ``from_client``."""
+    client, server = packets.client, packets.server
+    return [PacketEvent(timestamp, *(client + server if sent
+                                     else server + client),
+                        size, flags, seq, ack, sent)
+            for timestamp, size, flags, seq, ack, sent in zip(
+                packets.timestamp, packets.payload_len, packets.flags,
+                packets.seq, packets.ack, packets.from_client)]
 
 
 _FLAG_LETTERS = {"S": "SYN", "F": "FIN", "R": "RST", "P": "PSH", "A": "ACK"}
@@ -85,20 +95,28 @@ def parse_int(field, what, line_no):
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
-def from_client(src, dst, client, line_no):
+def from_client(src, dst, client, line_no, connection):
+    """Whether ``src`` is the client; the first packet of a parse puts its
+    peer in ``connection["server"]``, and each later one must have it."""
     if src == client:
-        return True
-    if dst == client:
-        return False
-    raise TraceParseError(
-        line_no, f"packet {src} -> {dst} does not involve client {client}")
+        peer = dst
+    elif dst == client:
+        peer = src
+    else:
+        raise TraceParseError(
+            line_no, f"packet {src} -> {dst} does not involve client {client}")
+    server = connection.setdefault("server", peer)
+    if peer != server:
+        raise TraceParseError(line_no, f"packet {src} -> {dst} is not on the "
+                              f"connection with {server}")
+    return src == client
 
 
 def reference_parse_events(lines, client):
     """What :func:`ltenergy.traces.parse_events` returns or raises."""
     if isinstance(lines, str):  # universal newlines, as in a text file
         lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    events = []
+    events, connection = [], {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -135,7 +153,7 @@ def reference_parse_events(lines, client):
             timestamp, src_addr, src_port, dst_addr, dst_port, payload,
             flags, seq, ack, from_client(f"{src_addr}:{src_port}",
                                          f"{dst_addr}:{dst_port}", client,
-                                         line_no)))
+                                         line_no, connection)))
 
     events.sort(key=lambda event: event.timestamp)
     return events

@@ -12,6 +12,8 @@ import pytest
 from ltenergy import analytic, cli, sweep, traces
 from ltenergy.power_model import default_profile, profile_to_dict
 
+from test_traces import SECOND_PEER, second_peer_export
+
 ROOT = Path(__file__).resolve().parent.parent
 FIGURES = ROOT / "figures"
 # sha256 of every figure artifact, frozen from the first release's output.
@@ -920,6 +922,23 @@ class TestTraceAnalyzeKind:
         assert cli.main(self.analyze(kind, path)) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[:2] == [kind, "150"]
+
+    def test_get_smaller_than_its_request(self, tmp_path, capsys):
+        """A GET of 1 to 149 bytes is smaller than its 150-byte request,
+        which is shorter than one segment: ``--kind get`` reads it."""
+        for file_size in range(1, 150):
+            path = self.export(tmp_path, "get", file_size)
+            assert cli.main(self.analyze("get", path)) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert row[:2] == ["get", str(file_size)]
+
+    def test_second_peer_named(self, tmp_path, capsys):
+        lines, stray = second_peer_export()
+        path = tmp_path / "second_peer.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        code = cli.main(self.analyze("get", str(path)))
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {path}: line {stray}: {SECOND_PEER}\n")
 
 
 class TestTraceAnalyzePlacements:

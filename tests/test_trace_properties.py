@@ -3,7 +3,8 @@
 ``parse_events`` is held to the per-field reference parser in
 ``_trace_reference`` on random exports, good and bad, also with chunks of
 one to three lines so that every kind of line straddles a chunk boundary,
-and its memory peak on a large export stays below the reference's;
+and its memory peak on a large export stays below the reference's; the
+column reader takes no chunk with a line of other than nine fields;
 extraction of a synthetic exchange is held to the schedule that generated
 it; the byte coverage and acknowledgment search of a stream are held to
 the per-packet modular reference, also where the stream wraps 2^32; and
@@ -12,6 +13,7 @@ at 2^32 gives back the same events.
 """
 
 import tracemalloc
+from itertools import count, repeat
 from unittest import mock
 
 import pytest
@@ -36,8 +38,10 @@ CLIENT = "10.0.0.2:51000"
 SERVER = "192.0.2.9:80"
 SERVER_2 = "192.0.2.9:443"  # a second server port the client talks to
 STRANGER = "10.0.0.2:51001"  # a second connection of the client's host
-PAIRS = [(CLIENT, SERVER), (SERVER, CLIENT), (CLIENT, SERVER_2),
-         (SERVER_2, CLIENT)]
+PAIRS = [(CLIENT, SERVER), (SERVER, CLIENT)]
+# Packets of a second connection of the client: not on the connection that
+# the first packet fixes.
+SERVER_2_PAIRS = [(CLIENT, SERVER_2), (SERVER_2, CLIENT)]
 STRANGER_PAIRS = [(STRANGER, SERVER), (SERVER, STRANGER)]
 
 # str.strip drops all of these; float and int ignore all but \x1c-\x1f.
@@ -83,7 +87,8 @@ def exports(draw):
     newline = draw(st.sampled_from([None, None, "\n", "\r\n"]))
     padding = st.text(PADDING.replace("\r", "") if newline else PADDING,
                       max_size=2)
-    pairs = PAIRS + (STRANGER_PAIRS if draw(st.booleans()) else [])
+    pairs = (PAIRS + (SERVER_2_PAIRS if draw(st.booleans()) else [])
+             + (STRANGER_PAIRS if draw(st.booleans()) else []))
     items = draw(st.lists(st.one_of(
         packet_fields(pairs), packet_fields(pairs), packet_fields(pairs),
         st.sampled_from(["# capture notes", "  #\tcomment", "", "  \x0b"])),
@@ -134,6 +139,13 @@ class TestParserMatchesReference:
     @example(export=(["2.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tA\t1\t1",
                       "1.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tZ\t1\t1"],
                      CLIENT))
+    # the client's second server port, after the first packet's and first
+    @example(export=(["1.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tA\t1\t1",
+                      "2.0\t192.0.2.9\t10.0.0.2\t443\t51000\t5\tA\t1\t1"],
+                     CLIENT))
+    @example(export=(["3.0\t192.0.2.9\t10.0.0.2\t443\t51000\t5\tA\t1\t1",
+                      "1.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tA\t1\t1"],
+                     CLIENT))
     # one source endpoint towards the client and towards a stranger
     @example(export=(["1.0\t192.0.2.9\t10.0.0.2\t80\t51000\t5\tA\t1\t1",
                       "2.0\t192.0.2.9\t10.0.0.2\t80\t51001\t5\tA\t1\t1"],
@@ -164,6 +176,39 @@ def assert_matches_reference(export):
     for text in (lines, shifted):
         expected = outcome(reference_parse_events, text, client)
         assert outcome(parse_rows, text, client) == expected
+
+
+class TestColumnReaderShape:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(chunk=st.lists(st.lists(
+        st.sampled_from(["1", " 1", "1\n", "1\f"]), min_size=1,
+        max_size=18).map("\t".join), min_size=1, max_size=4))
+    # nine fields on average, with a line end after the ninth of the first
+    @example(chunk=["\t".join(["1"] * 8 + ["1\n"] + ["1"] * 8), "1\n"])
+    @example(chunk=["\t".join(["1"] * 8), "\t".join(["1"] * 10)])
+    def test_nine_fields_per_line(self, chunk):
+        """Lines of valid fields ("1:1" talks to itself), each with any
+        count of tabs, line ends and form feeds: the column reader takes
+        the chunk only when each line has nine fields, and then reads what
+        the line reader reads; without form feeds, it takes it."""
+        def columns(read):
+            try:
+                return list(map(list, read()))
+            except ValueError:
+                return None
+
+        by_column = columns(lambda: traces._convert_chunk(
+            chunk, traces._ParseState("1:1")))
+        by_line = columns(lambda: zip(*map(
+            traces._parse_line, chunk, count(1),
+            repeat(traces._ParseState("1:1")))))
+        if any(line.count("\t") != 8 for line in chunk):
+            assert by_column is None
+        elif "\f" not in "".join(chunk):
+            assert by_column == by_line is not None
+        else:
+            assert by_column in (None, by_line)
 
 
 def test_parse_peaks_below_the_reference(tmp_path):

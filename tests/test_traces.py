@@ -77,9 +77,35 @@ def get_exchange_lines():
     return rows
 
 
+def second_peer_export():
+    """The lines of the 200,000-byte synthetic GET with one 500-byte packet
+    from a second peer, 192.0.2.99:443, to the client, 1 ms after the
+    request's acknowledgment, and the 1-based line of that packet."""
+    lines = [text + "\n" for text in events_to_lines(
+        synthesize_trace("get", 200_000, 20, 20e6))]
+    request = next(i for i, text in enumerate(lines)
+                   if text.split("\t")[5] == "150")
+    ack = lines[request + 1].split("\t")
+    assert ack[1] == "203.0.113.5" and ack[5:7] == ["0", "A"]
+    lines.insert(request + 2, "\t".join([
+        f"{float(ack[0]) + 0.001:.6f}", "192.0.2.99", "198.51.100.10",
+        "443", "52000", "500", "PA", "12345", "1"]) + "\n")
+    return lines, request + 3
+
+
+SECOND_PEER = ("packet 192.0.2.99:443 -> 198.51.100.10:52000 is not on the "
+               "connection with 203.0.113.5:80")
+
+
 def packets_of(rows):
-    """The ``Packets`` of a non-empty list of ``PacketEvent`` rows."""
-    return Packets([list(column) for column in zip(*rows)])
+    """The ``Packets`` of a non-empty list of ``PacketEvent`` rows of one
+    connection."""
+    src, dst = rows[0][1:3], rows[0][3:5]
+    client, server = (src, dst) if rows[0].from_client else (dst, src)
+    assert all(row[1:5] == (client + server if row.from_client
+                            else server + client) for row in rows)
+    return Packets([[getattr(row, name) for row in rows]
+                    for name in Packets.COLUMNS], client, server)
 
 
 def shift_sequence_space(events, client_shift, server_shift):
@@ -222,6 +248,84 @@ class TestParseEvents:
         assert str(err.value) == (
             f"line 5: packet 10.0.0.9:1 -> {SERVER} does not involve "
             f"client {CLIENT}")
+
+    def test_second_peer_named_by_the_column_reader(self, monkeypatch):
+        """A packet between the client and a second peer is a bad line,
+        not bytes of the response: a plain export, whose chunk the column
+        reader reads first, names it, and so does the line reader when a
+        ``#`` line sends the same chunk to it."""
+        lines, stray = second_peer_export()
+        read = []
+        parse_line = traces._parse_line
+
+        def spy(raw, line_no, state):
+            read.append(line_no)
+            return parse_line(raw, line_no, state)
+
+        monkeypatch.setattr(traces, "_parse_line", spy)
+        with pytest.raises(TraceParseError) as err:
+            parse_events(lines, SYNTH_CLIENT)
+        assert str(err.value) == f"line {stray}: {SECOND_PEER}"
+        assert read[0] == 1  # the chunk fell back from the column reader
+        with pytest.raises(TraceParseError) as err:
+            parse_events(["# one connection\n", *lines], SYNTH_CLIENT)
+        assert str(err.value) == f"line {stray + 1}: {SECOND_PEER}"
+        del lines[stray - 1]
+        assert extract_get_phases(parse_events(
+            lines, SYNTH_CLIENT)).file_size == 200_000
+
+    @pytest.mark.parametrize("port", range(443, 463))
+    def test_first_line_fixes_the_server_in_any_set_order(self, port):
+        """The column reader resolves a chunk's endpoints from a set, whose
+        order is not the file's; whichever comes out first, the first line
+        fixes the server, and the second peer's line is the one named."""
+        lines, stray = second_peer_export()
+        lines[stray - 1] = lines[stray - 1].replace("\t443\t", f"\t{port}\t")
+        with pytest.raises(TraceParseError) as err:
+            parse_events(lines, SYNTH_CLIENT)
+        assert str(err.value) == f"line {stray}: " + SECOND_PEER.replace(
+            ":443", f":{port}")
+
+    def test_second_peer_first_out_of_the_set(self, monkeypatch):
+        """A set that yields the chunk's endpoints in reverse file order
+        puts the second peer before the server's side: line 1 still fixes
+        the server."""
+        class ReversedSet(set):
+            def __init__(self, items=()):
+                self.order = list(dict.fromkeys(items))[::-1]
+                super().__init__(self.order)
+
+            def difference(self, other):
+                return [item for item in self.order if item not in other]
+
+        monkeypatch.setattr(traces, "set", ReversedSet, raising=False)
+        lines, stray = second_peer_export()
+        with pytest.raises(TraceParseError) as err:
+            parse_events(lines, SYNTH_CLIENT)
+        assert str(err.value) == f"line {stray}: {SECOND_PEER}"
+
+    def test_first_packet_fixes_the_server(self):
+        """The server is the first packet's peer in file order, not in time
+        order, and ``Packets`` holds both endpoints, ``None`` without
+        packets."""
+        rows = post_exchange_lines()
+        other = "192.0.2.9:443"
+        rows.insert(2, line(0.020, CLIENT, other, 10, "PA", 1, 1))
+        with pytest.raises(TraceParseError) as err:
+            parse_events("\n".join(rows), CLIENT)
+        assert str(err.value) == (f"line 3: packet {CLIENT} -> {other} is "
+                                  f"not on the connection with {SERVER}")
+        rows.insert(0, line(0.5, other, CLIENT, 0, "A", 1, 1))
+        with pytest.raises(TraceParseError) as err:
+            parse_events("\n".join(rows), CLIENT)
+        assert str(err.value) == (f"line 2: packet {CLIENT} -> {SERVER} is "
+                                  f"not on the connection with {other}")
+        packets = parse_events("\n".join(post_exchange_lines()), CLIENT)
+        assert (packets.client, packets.server) == (("10.0.0.2", 51000),
+                                                     ("192.0.2.9", 80))
+        empty = parse_events("# no packets\n", CLIENT)
+        assert (empty.client, empty.server) == (None, None)
+        assert events_to_lines(empty) == []
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("old, new, error", [
