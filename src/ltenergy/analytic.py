@@ -15,16 +15,16 @@ energies: a ratio below one means the edge placement saves energy.
 
 The value types are checked tuples, equal to a plain tuple of their fields.
 The per-cycle core, :func:`cycle_pricer`, is bound to one profile: it
-unpacks the profile once and prices each cycle in plain floats, so a sweep
-or a cost curve binds it once and calls it per cell.  :func:`price_cycle`
-and :func:`price_scenario` price one cycle through it, with one call, into
-its :class:`PhaseTiming` and :class:`EnergyBreakdown`.
+unpacks the profile once and prices rows of cycles in plain floats, so a
+sweep binds it once and prices each of its rows with one call.
+:func:`price_cycle` and :func:`price_scenario` price a row of one cycle
+into its :class:`PhaseTiming` and :class:`EnergyBreakdown`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .power_model import PowerProfile, _check_finite, _checked
 
@@ -157,39 +157,33 @@ def cycle_pricer(profile: PowerProfile
                  ) -> Callable[[float, float, float, float], tuple]:
     """The one per-cycle core, bound to ``profile``, which it unpacks once.
 
-    ``price(t_tx, t_w, t_rx, t_i)`` prices a cycle from its three phases
-    and its period.  It returns plain floats: ``(t_q, prom_tx, prom_rx)``,
-    then the energy parts (mJ) in ``EnergyBreakdown`` field order.  Phases
-    are non-negative, as :class:`ConnectionlessScenario`,
-    ``traces.TraceIteration`` and :class:`PhaseTiming` check.
-
-    ``price.row(t_tx, t_ws, t_rx, t_i)`` is a generator over the waits
-    ``t_ws`` of one period and transfers, whose terms it derives once: it
-    yields each wait's ``price`` tuple or ``PeriodOverrunError``, and
-    raises an overflow at its wait.  Both run one body, bit for bit.
+    Its unit is the row: the cycles of one period and pair of transfer times,
+    one per wait.  ``price.waits(t_ws)`` prices each wait's energy once, for
+    every row that shares it.  ``price.row(t_tx, waits, t_rx, t_i)`` returns
+    the row's cycles in wait order, each ``(t_q, prom_tx, prom_rx)`` and the
+    energy parts (mJ) in ``EnergyBreakdown`` field order, as plain floats; a
+    cycle that overruns its period is its :class:`PeriodOverrunError`, and
+    one whose total overflows a float ends the row as its ``ValueError``.
+    The scalar ``price(t_tx, t_w, t_rx, t_i)`` is the row of one wait, whose
+    tuple it returns or whose error it raises.  Phases are non-negative, as
+    ``traces.TraceIteration`` and the checked value types check.
 
     ``t_q`` is the period minus the three phases and any charged promotion
-    durations; a negative ``t_q`` raises :class:`PeriodOverrunError`.  A
-    response promotion is charged when ``t_w`` alone walks the radio into
-    IDLE.  A request promotion is charged only when the residual quiet
-    time, after setting the promotion itself aside, still walks the radio
-    into IDLE; a residual that merely grazes the IDLE threshold by less
-    than one promotion length stays uncharged, so the IDLE segment of the
-    quiet-time energy and the promotion charge always co-occur.
-
-    Transfers run at fixed power and charged promotions add one promotion
-    energy each.  A quiet gap starts in CR and holds it for ``t_cr``, SHORT
-    DRX for ``t_short`` and LONG DRX for ``t_long``, then sits in IDLE,
-    each segment billed at its state power.  A total that overflows a
-    float raises ``ValueError``.  Wait energies are cached by ``t_w``;
-    ``price.cache_clear()`` empties that cache.
+    durations.  A response promotion is charged when ``t_w`` alone walks
+    the radio into IDLE, a request promotion only when the residual quiet
+    time, the promotion itself set aside, still does: a residual that
+    grazes the IDLE threshold by less than one promotion length stays
+    uncharged, so the IDLE segment of the quiet-time energy and the
+    promotion charge always co-occur.  Transfers run at fixed power, each
+    charged promotion costs one promotion energy, and a quiet gap starts in
+    CR and holds it for ``t_cr``, SHORT DRX for ``t_short`` and LONG DRX
+    for ``t_long``, then sits in IDLE, each segment at its state power.
     """
     (p_tx, p_rx, p_cr, p_short, p_long, p_idle, p_prom, t_cr, t_short,
      t_long, t_prom, _, _, _) = profile
     cr_short = t_cr + t_short
     threshold = profile.idle_entry_ms
     e_prom = t_prom * p_prom / 1000.0
-    waits: dict[float, float] = {}
 
     def gap_energy(gap: float) -> float:
         micro_joules = min(gap, t_cr) * p_cr
@@ -201,44 +195,42 @@ def cycle_pricer(profile: PowerProfile
             micro_joules += (gap - threshold) * p_idle
         return micro_joules / 1000.0
 
-    def cycle(span: float, t_w: float, e_tx: float, e_rx: float) -> tuple:
+    def waits(t_ws: Iterable[float]) -> list[tuple[float, float]]:
+        return [(t_w, gap_energy(t_w)) for t_w in t_ws]
+
+    def row(t_tx: float, waits: list, t_rx: float, t_i: float) -> list:
         # span is t_i - t_tx - t_rx: residual rounds as t_i - t_tx - t_rx - t_w
-        prom_rx = t_w > threshold
-        residual = span - t_w
-        if prom_rx:
-            residual -= t_prom
-        prom_tx = residual - t_prom > threshold
-        t_q = residual - t_prom if prom_tx else residual
-        if t_q < 0:
-            raise PeriodOverrunError(-t_q)
-        e_w = waits.get(t_w)
-        if e_w is None:
-            e_w = waits[t_w] = gap_energy(t_w)
-        e_q = gap_energy(t_q)
-        e_prom_tx = e_prom if prom_tx else 0.0
-        e_prom_rx = e_prom if prom_rx else 0.0
-        e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
-        if not e_i < math.inf:
-            raise ValueError("cycle energy overflows a float")
-        return (t_q, prom_tx, prom_rx,
-                e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i)
-
-    def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
-        return cycle(t_i - t_tx - t_rx, t_w, t_tx * p_tx / 1000.0,
-                     t_rx * p_rx / 1000.0)
-
-    def row(t_tx: float, t_ws: Iterable[float], t_rx: float, t_i: float
-            ) -> Iterator[tuple | PeriodOverrunError]:
         span = t_i - t_tx - t_rx
         e_tx, e_rx = t_tx * p_tx / 1000.0, t_rx * p_rx / 1000.0
-        for t_w in t_ws:
-            try:
-                yield cycle(span, t_w, e_tx, e_rx)
-            except PeriodOverrunError as exc:
-                yield exc
+        cycles = []
+        for t_w, e_w in waits:
+            prom_rx = t_w > threshold
+            residual = span - t_w
+            if prom_rx:
+                residual -= t_prom
+            prom_tx = residual - t_prom > threshold
+            t_q = residual - t_prom if prom_tx else residual
+            if t_q < 0:
+                cycles.append(PeriodOverrunError(-t_q))
+                continue
+            e_q = gap_energy(t_q)
+            e_prom_tx = e_prom if prom_tx else 0.0
+            e_prom_rx = e_prom if prom_rx else 0.0
+            e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
+            if not e_i < math.inf:
+                cycles.append(ValueError("cycle energy overflows a float"))
+                break
+            cycles.append((t_q, prom_tx, prom_rx,
+                           e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i))
+        return cycles
 
-    price.row = row
-    price.cache_clear = waits.clear
+    def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
+        cycle, = row(t_tx, waits((t_w,)), t_rx, t_i)
+        if isinstance(cycle, ValueError):
+            raise cycle
+        return cycle
+
+    price.row, price.waits = row, waits
     return price
 
 

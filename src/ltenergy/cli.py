@@ -170,9 +170,9 @@ def _run_sweep(config: RunConfig) -> int:
     from . import sweep
     profile = _resolve_profile(config)
     spec = _sweep_spec_from_params(config.params)
-    cells = sweep.sweep_cells(spec, profile)
-    _emit(config, spec.columns, lambda: sweep.csv_rows(spec, cells),
-          lambda: sweep.json_text(spec, cells))
+    rows = sweep.sweep_rows(spec, profile)
+    _emit(config, spec.columns, lambda: sweep.csv_rows(spec, rows),
+          lambda: sweep.json_text(spec, rows))
     return 0
 
 
@@ -230,10 +230,10 @@ def _run_cost(config: RunConfig) -> int:
 
 def _run_trace_analyze(config: RunConfig) -> int:
     from . import traces
-    profile = _resolve_profile(config)
     p = config.params
+    client = traces.parse_endpoint(p["client"], "--client")
+    profile = _resolve_profile(config)
     kind = p["kind"]
-    client = p["client"]
     t_i = float(p["t_i"])
     concurrency = p.get("concurrency")
     if concurrency is not None and concurrency < 0:

@@ -1,22 +1,17 @@
 """Parameter sweeps over placement scenarios and batching-cost curves.
 
-``sweep_cells`` is the one sweep kernel: a generator of the edge/cloud
-energy ratio at each point of a dense grid of scenario parameters, one
-dimension per swept axis.  It binds the per-cycle core of
-:func:`ltenergy.analytic.cycle_pricer` once per sweep and prices plain
-floats through it, so every cell equals :func:`ltenergy.analytic.compare`;
-scenario checks run once per axis value, a cycle that overruns its period
-is an error cell, and an overflowing energy aborts the stream.  With
-``rtt_cloud`` innermost, as in the paper's figures, each row prices its
-shared edge once and its cloud waits in one ``price.row`` call; other axis
-orders price cell by cell, the edge again whenever a field other than the
-cloud RTT changes.  Only the last edge and the wait energies of one
-``t_elab`` are kept, so the caches grow with the axes, not the cells.  Two
-renderers turn any stream of cells into an artifact, ``csv_rows`` as CSV
-text lines and ``json_text`` as the indent-2 JSON layout, each formatting a
-row's invariants (outer axis texts, ``delta_rtt``, a shared edge's ``e_i``)
-once, not per cell.  The CLI feeds the stream straight into them;
-``run_sweep`` collects it.
+``sweep_rows`` is the one sweep kernel: a generator of the rows of a
+dense grid of scenario parameters, one dimension per swept axis.  It
+checks each axis value once, binds :func:`ltenergy.analytic.cycle_pricer`
+once and prices each row, its edge and its clouds, with one ``price.row``
+call.  With ``rtt_cloud`` innermost, as in the paper's figures, a row is
+the cloud RTT axis, whose waits are priced once per ``t_elab``; any other
+axis order makes each cell a row of one.  ``csv_rows`` and ``json_text``
+render a stream of rows, one string per row, and ``sweep_cells`` flattens
+it into cells, each equal to :func:`ltenergy.analytic.compare`; a cycle
+that overruns its period is an error cell, and an energy or ratio that
+overflows a float ends the stream at its cell.  The CLI feeds the rows
+straight into a renderer; ``run_sweep`` collects the cells.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -49,7 +44,7 @@ from .analytic import (
     energy_ratio,
     transfer_time,
 )
-from ._fmt import csv_line, fmt_axis
+from ._fmt import csv_line, fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from .power_model import PowerProfile, _check_finite, _checked, _number
 
 __all__ = [
@@ -59,6 +54,7 @@ __all__ = [
     "SweepSpec",
     "SweepCell",
     "SweepResult",
+    "sweep_rows",
     "sweep_cells",
     "run_sweep",
     "per_cycle_payload",
@@ -154,8 +150,8 @@ class SweepCell(NamedTuple):
     """One grid point: both placements' energies, or an overrun marker.
 
     ``edge`` and ``cloud`` hold the ``EnergyBreakdown`` fields in order,
-    the six per-phase parts (mJ) followed by their total; cells that share
-    an edge scenario share its tuple.  An error cell holds only ``values``
+    the six per-phase parts (mJ) followed by their total; the cells of one
+    sweep row share its edge tuple.  An error cell holds only ``values``
     and ``error``.
     """
 
@@ -183,82 +179,100 @@ class SweepResult(NamedTuple):
     cells: tuple[SweepCell, ...]
 
     def rows(self) -> list[str]:
-        """The :func:`csv_rows` lines of the cells, collected."""
-        return list(csv_rows(self.spec, self.cells))
+        """The CSV lines that :func:`csv_rows` writes, cell by cell: kept, as
+        :meth:`to_json_obj` is, for the tests and ``bench/spans.py``."""
+        return [csv_line([*map(fmt_axis, c.values), *(
+            ("", "", "", "", c.error) if c.error is not None else
+            (fmt_rho(c.rho), fmt_mj(c.edge[-1]), fmt_mj(c.cloud[-1]),
+             fmt_ms(c.delta_rtt), ""))]) for c in self.cells]
 
     def to_json_obj(self) -> dict:
         """The JSON artifact as plain data: what :func:`json_text` renders.
         Kept for the tests and ``bench/spans.py``, its only callers."""
-        columns = self.spec.columns
-        cells = []
-        for cell in self.cells:
-            entry: dict = {
-                name: _round6(value)
-                for name, value in zip(columns, cell.values)
-            }
-            if cell.error is not None:
-                entry["error"] = cell.error
-            else:
-                entry["rho"] = round(cell.rho, 3)
-                entry["e_i_edge_mj"] = round(cell.edge[-1], 1)
-                entry["e_i_cloud_mj"] = round(cell.cloud[-1], 1)
-                entry["delta_rtt_ms"] = _round6(cell.delta_rtt)
-            cells.append(entry)
-        return {"axes": _axes_obj(self.spec), "cells": cells}
+        names = self.spec.columns
+        return {"axes": _axes_obj(self.spec), "cells": [
+            {**{name: _round6(v) for name, v in zip(names, c.values)}, **(
+                {"error": c.error} if c.error is not None else
+                {"rho": round(c.rho, 3), "e_i_edge_mj": round(c.edge[-1], 1),
+                 "e_i_cloud_mj": round(c.cloud[-1], 1),
+                 "delta_rtt_ms": _round6(c.delta_rtt)})}
+            for c in self.cells]}
 
 
-def csv_rows(spec: SweepSpec, cells: Iterable[tuple]) -> Iterator[str]:
-    """One CSV line per cell, in ``spec.columns`` order, as :func:`csv_line`
-    writes it; numbers follow ``_fmt``.  Axis values, ``delta_rtt`` values,
-    a row's outer axis texts and a shared edge's ``e_i`` are formatted once,
-    not per cell."""
-    texts = [{v: fmt_axis(v) for v in a.values()} for a in spec.axes]
-    deltas, last_edge, outer = {}, None, None
-    for values, edge, cloud, rho, delta_rtt, error in cells:
-        if error is not None:
-            yield csv_line([*map(dict.__getitem__, texts, values),
-                            "", "", "", "", error])
-            continue
-        if values[:-1] != outer:
-            outer = values[:-1]
-            head = "".join(f"{text[v]}," for text, v in zip(texts, outer))
-        if edge is not last_edge:
-            last_edge, edge_text = edge, f"{edge[-1]:.1f}"
-        if delta_rtt not in deltas:
-            deltas[delta_rtt] = f"{delta_rtt:.3f},\n"
-        yield (f"{head}{texts[-1][values[-1]]},{rho:.3f},{edge_text},"
-               f"{cloud[-1]:.1f},{deltas[delta_rtt]}")
+def csv_rows(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
+    """The CSV lines of the rows of :func:`sweep_rows` as :func:`csv_line`
+    writes them, one string per row; numbers follow ``_fmt``.  A run of
+    priced cells maps one ``str.format``, bound to its head and edge."""
+    for head, tails, deltas, edge, runs in _texts(
+            spec, rows, lambda name, v: fmt_axis(v) + ",", "{:.3f},\n".format):
+        if isinstance(edge, tuple):
+            line = f"{head}{{}}{{:.3f}},{edge[-1]:.1f},{{:.1f}},{{}}".format
+        yield "".join(
+            f"{head}{tails[a]},,,,{csv_line([error])}" if error else
+            "".join(map(line, tails[a:b], rhos, e_clouds, deltas[a:b]))
+            for a, b, rhos, e_clouds, error in runs)
 
 
-def json_text(spec: SweepSpec, cells: Iterable[tuple]) -> str:
-    """``json.dumps(to_json_obj(), indent=2)`` of the cells, from one
-    template of the indent-2 layout per cell.  Its numbers are the ``repr``
-    of the values ``to_json_obj`` holds, all finite, which is what ``json``
-    writes for them; row invariants are rendered once, as by ``csv_rows``."""
-    texts = [{v: f"      {json.dumps(a.name)}: {_round6(v)!r},\n"
-              for v in a.values()} for a in spec.axes]
-    parts, deltas, last_edge, outer = [], {}, None, None
-    for values, edge, cloud, rho, delta_rtt, error in cells:
-        if values[:-1] != outer:
-            outer = values[:-1]
-            head = "    {\n" + "".join(map(dict.__getitem__, texts, outer))
-        if error is not None:
-            parts.append(f'{head}{texts[-1][values[-1]]}      "error": '
-                         f'{json.dumps(error)}\n    }}')
-            continue
-        if edge is not last_edge:
-            last_edge, edge_text = edge, (
-                f'      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
-                f'      "e_i_cloud_mj": ')
-        if delta_rtt not in deltas:
-            deltas[delta_rtt] = (f',\n      "delta_rtt_ms": '
-                                 f'{_round6(delta_rtt)!r}\n    }}')
-        parts.append(f'{head}{texts[-1][values[-1]]}      "rho": '
-                     f'{round(rho, 3)!r},\n{edge_text}{round(cloud[-1], 1)!r}'
-                     f'{deltas[delta_rtt]}')
+def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> str:
+    """``json.dumps(to_json_obj(), indent=2)`` of the rows of
+    :func:`sweep_rows`, one template of the indent-2 layout per cell, whose
+    numbers are the ``repr`` that ``json`` writes of each value held."""
+    parts = []
+    for head, tails, deltas, edge, runs in _texts(
+            spec, rows, lambda name, v: f"      {json.dumps(name)}: "
+                                        f"{_round6(v)!r},\n",
+            lambda d: f',\n      "delta_rtt_ms": {_round6(d)!r}\n    }}'):
+        if isinstance(edge, tuple):
+            e_edge = (f',\n      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
+                      '      "e_i_cloud_mj": ')
+        parts.append(",\n".join(
+            f'    {{\n{head}{tails[a]}      "error": {json.dumps(error)}\n'
+            '    }' if error else ",\n".join([
+                f'    {{\n{head}{tail}      "rho": {round(rho, 3)!r}{e_edge}'
+                f'{round(e, 1)!r}{d}' for tail, rho, e, d in zip(
+                    tails[a:b], rhos, e_clouds, deltas[a:b])])
+            for a, b, rhos, e_clouds, error in runs))
     axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
     return (axes[:-len("\n}")] + ',\n  "cells": [\n'
             + ",\n".join(parts) + "\n  ]\n}")
+
+
+def _texts(spec: SweepSpec, rows: Iterable[tuple], axis_text: Callable,
+           delta_text: Callable) -> Iterator[tuple]:
+    """Each row as ``(head, tails, deltas, edge, runs)``: the texts of its
+    head, tails and deltas, the latter two built once per distinct list."""
+    texts = [{v: axis_text(a.name, v) for v in a.values()} for a in spec.axes]
+    last = None, None
+    for head, tails, edge, clouds, deltas in rows:
+        if tails is not last[0]:
+            tail_texts = [*map(texts[-1].__getitem__, tails)]
+        if deltas is not last[1]:
+            delta_texts = [*map(delta_text, deltas)]
+        last = tails, deltas
+        yield ("".join(map(dict.__getitem__, texts, head)), tail_texts,
+               delta_texts, edge, _runs(edge, clouds))
+
+
+def _runs(edge: tuple | ValueError, clouds: list) -> Iterator[tuple]:
+    """A row's cells as runs ``(start, stop, ratios, cloud energies, None)``
+    of priced cells, one ratio check per run, and ``(k, k + 1, None, None,
+    message)`` of overrun cells, in order, up to a bad cell, which raises."""
+    stops = [k for k, cloud in enumerate(clouds)
+             if not isinstance(cloud, tuple)] + [len(clouds)]
+    start = 0
+    for stop in stops:
+        if start < stop:
+            e_clouds = [cloud[-1] for cloud in clouds[start:stop]]
+            rhos = [edge[-1] / e if e else math.inf for e in e_clouds]
+            if not max(rhos) < math.inf:
+                for e in e_clouds:  # raises at the first bad ratio
+                    energy_ratio(edge[-1], e)
+            yield start, stop, rhos, e_clouds, None
+        if stop < len(clouds):
+            if not isinstance(clouds[stop], PeriodOverrunError):
+                raise clouds[stop]
+            yield stop, stop + 1, None, None, str(clouds[stop])
+        start = stop + 1
 
 
 def _axes_obj(spec: SweepSpec) -> list[dict]:
@@ -281,17 +295,13 @@ def _field_picker(base: ConnectionlessScenario, names: Sequence[str]
     return operator.itemgetter(*picks), tuple(base[:5])
 
 
-def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
-    """Each grid point's cell, row-major in axis order, as a plain tuple
-    in :class:`SweepCell` field order.
-
-    Every cell equals :func:`ltenergy.analytic.compare` on the grid point's
-    edge and cloud scenarios, and an axis value those scenarios would
-    reject raises the same ``ValueError`` before any cell is priced.  A
-    period overrun becomes an error cell carrying the diagnostic, the
-    edge's when both placements overrun.  An energy or ratio that overflows
-    a float raises ``ValueError`` at its cell, as ``compare`` does.
-    """
+def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
+    """The grid's rows, row-major, as ``(head, tails, edge, clouds,
+    deltas)``: a cell per tail, valued ``head + (tail,)``, with the shared
+    ``edge`` and the cloud and ``delta_rtt`` at the tail's index.  One
+    ``price.row`` call prices a row; an edge's error fills its every cloud.
+    A row is the ``rtt_cloud`` axis when innermost, else one cell.  An axis
+    value that the scenarios reject raises before any row is priced."""
     names = [axis.name for axis in spec.axes]
     grids = [axis.values() for axis in spec.axes]
     base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
@@ -305,48 +315,38 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
 
     price = cycle_pricer(profile)
     rtt_edge = spec.base.rtt
-    rtts = grids.pop() if names[-1] == "rtt_cloud" else []
-    tails = [(rtt,) for rtt in rtts]  # each cell's last axis value
-    deltas = [rtt - rtt_edge for rtt in rtts]
+    rtts = grids.pop() if names[-1] == "rtt_cloud" else None
     pick, fields = _field_picker(base, names[:len(grids)])
-    edge_key = None
+    wait_key = None
     for outer in itertools.product(*grids):
         t_i, t_elab, rtt, b_tx, b_rx = pick(outer + fields)
-        key = t_i, t_elab, b_tx, b_rx
-        if key != edge_key:
-            # Only the last edge is kept, and only the waits of one t_elab.
-            if edge_key is None or t_elab != edge_key[1]:
-                price.cache_clear()
-                t_ws = rtts and [t_elab + rtt for rtt in rtts]
-            edge_key = key
-            t_tx = transfer_time(b_tx, base.uplink_bps)
-            t_rx = transfer_time(b_rx, base.downlink_bps)
-            edge = error = None
-            try:
-                edge = price(t_tx, t_elab + rtt_edge, t_rx, t_i)[3:]
-            except PeriodOverrunError as exc:
-                error = exc
-        if rtts:
-            clouds = (price.row(t_tx, t_ws, t_rx, t_i) if error is None
-                      else itertools.repeat(error))
-            for tail, delta, cloud in zip(tails, deltas, clouds):
-                if isinstance(cloud, PeriodOverrunError):
-                    yield outer + tail, None, None, None, None, str(cloud)
-                else:
-                    cloud = cloud[3:]
-                    yield (outer + tail, edge, cloud,
-                           energy_ratio(edge[-1], cloud[-1]), delta, None)
-            continue
-        if error is not None:
-            yield outer, None, None, None, None, str(error)
-            continue
-        try:
-            cloud = price(t_tx, t_elab + rtt, t_rx, t_i)[3:]
-        except PeriodOverrunError as exc:
-            yield outer, None, None, None, None, str(exc)
-            continue
-        yield (outer, edge, cloud, energy_ratio(edge[-1], cloud[-1]),
-               rtt - rtt_edge, None)
+        if (t_elab, rtt) != wait_key:  # only the last waits are kept
+            wait_key, cloud_rtts = (t_elab, rtt), rtts or (rtt,)
+            waits = price.waits([t_elab + r for r in (rtt_edge, *cloud_rtts)])
+            deltas = [r - rtt_edge for r in cloud_rtts]
+        edge, *clouds = price.row(transfer_time(b_tx, base.uplink_bps), waits,
+                                  transfer_time(b_rx, base.downlink_bps), t_i)
+        if not isinstance(edge, tuple):
+            clouds = [edge] * len(deltas)
+        yield ((outer, rtts, edge, clouds, deltas) if rtts else
+               (outer[:-1], outer[-1:], edge, clouds, deltas))
+
+
+def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
+    """The cells of the rows of :func:`sweep_rows`, each a plain tuple in
+    :class:`SweepCell` field order.  Every cell equals
+    :func:`ltenergy.analytic.compare` at its grid point, an overrun is an
+    error cell, the edge's when both overrun, and an energy or ratio that
+    overflows a float raises ``ValueError`` at its cell."""
+    for head, tails, edge, clouds, deltas in sweep_rows(spec, profile):
+        parts = edge[3:] if isinstance(edge, tuple) else None  # shared
+        for a, b, rhos, _, error in _runs(edge, clouds):
+            if error:
+                yield head + (tails[a],), None, None, None, None, error
+                continue
+            for tail, cloud, rho, delta in zip(tails[a:b], clouds[a:b], rhos,
+                                               deltas[a:b]):
+                yield head + (tail,), parts, cloud[3:], rho, delta, None
 
 
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:

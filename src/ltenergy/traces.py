@@ -41,6 +41,7 @@ __all__ = [
     "AggregateResult",
     "TraceParseError",
     "IncompleteExchangeError",
+    "parse_endpoint",
     "parse_events",
     "events_to_lines",
     "extract_post_phases",
@@ -180,14 +181,22 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
-def parse_events(lines: str | Iterable[str], client: str) -> Packets:
+def parse_endpoint(text: str, what: str = "endpoint") -> tuple[str, int]:
+    """``(addr, port)`` of ``addr:port``, each stripped; port 0 to 65535."""
+    addr, colon, port = text.rpartition(":")
+    if colon and port.strip().isdecimal() and int(port) < 65536:
+        return addr.strip(), int(port)
+    raise ValueError(f"{what} {text!r} is not addr:port with port 0-65535")
+
+
+def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
     """Parse a packet field export into time-ordered packet columns.
 
     Line format (tab-separated): epoch timestamp with six decimals, source
     address, destination address, source port, destination port, transport
     payload length, flags (hex value or letter set), sequence number,
-    acknowledgment number.  An export is one TCP connection: ``client``
-    ("addr:port"), where it was captured, fixes each packet's
+    acknowledgment number.  An export is one TCP connection: ``client``,
+    the ``(addr, port)`` where it was captured, fixes each packet's
     ``from_client``, and the first packet in file order fixes the server.
     The first bad line in file order raises a :class:`TraceParseError`
     naming it: its first bad field in column order, a non-finite timestamp
@@ -216,11 +225,11 @@ def parse_events(lines: str | Iterable[str], client: str) -> Packets:
 
 
 class _ParseState:
-    """What both line readers of a parse share: the ``client`` ("addr:port")
-    that the caller names, ``ends``, the client and server ``(addr, port)``
-    that :meth:`sender` fixes from the first packet, and two caches."""
+    """What both line readers of a parse share: the ``client`` that the
+    caller names, ``ends``, the client and server that :meth:`sender` fixes
+    from the first packet, each an ``(addr, port)``, and two caches."""
 
-    def __init__(self, client: str):
+    def __init__(self, client: tuple[str, int]):
         self.client, self.ends = client, (None, None)
         self.flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
         self.senders: dict[tuple, bool] = {}  # by raw endpoint field texts
@@ -228,10 +237,10 @@ class _ParseState:
     def sender(self, pair: tuple, line_no: int) -> bool:
         """Whether the client sent the packets between ``(src_addr,
         src_port, dst_addr, dst_port)``, which must be on the connection."""
-        from_client = "%s:%s" % pair[:2] == self.client
+        from_client = pair[:2] == self.client
         ends = (pair[:2], pair[2:]) if from_client else (pair[2:], pair[:2])
-        if "%s:%s" % ends[0] != self.client:
-            why = f"does not involve client {self.client}"
+        if ends[0] != self.client:
+            why = "does not involve client %s:%s" % self.client
         elif self.ends[1] in (None, ends[1]):
             self.ends = ends
             return from_client
@@ -434,8 +443,7 @@ def _bulk_packets(total: int) -> int:
 
 
 # (addr, port) of the synthetic client and server.
-_SYNTH_PAIR = tuple((addr, int(port)) for addr, port in (
-    endpoint.rsplit(":", 1) for endpoint in (SYNTH_CLIENT, SYNTH_SERVER)))
+_SYNTH_PAIR = tuple(map(parse_endpoint, (SYNTH_CLIENT, SYNTH_SERVER)))
 
 
 def _synthetic_event(isn: dict[bool, int], t_us: int, from_client: bool,

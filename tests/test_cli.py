@@ -328,6 +328,17 @@ GRID_CONFIG = {
 # kernel serves: its artifacts are frozen from the release before sweep
 # rows of one rtt_cloud axis were priced together.
 OUTER_GRID_CONFIG = {**GRID_CONFIG, "axes": GRID_CONFIG["axes"][::-1]}
+# 12,500 cells over t_i x t_elab x rtt_cloud: rows that repeat a t_i change
+# t_elab, and so the cloud waits; t_elab reaches past the IDLE entry, so
+# edges charge the response promotion too.  Then the same cells with
+# rtt_cloud outermost.  Both frozen from the release before sweep rows were
+# priced and rendered whole.
+ELAB_GRID_CONFIG = {**GRID_CONFIG, "axes": [
+    {"name": "t_i", "start": 300.5, "stop": 40000, "step": 4410.7},
+    {"name": "t_elab", "start": 0, "stop": 13002, "step": 3250.5},
+    {"name": "rtt_cloud", "start": 0, "stop": 24000, "step": 96.3}]}
+OUTER_ELAB_GRID_CONFIG = {**GRID_CONFIG, "axes": [
+    ELAB_GRID_CONFIG["axes"][k] for k in (2, 0, 1)]}
 GRID_DIGESTS = {
     "grid.csv":
         "b671676505145be127f054463f06e8d354cdcfe8b639d83761826f99406382f8",
@@ -337,6 +348,14 @@ GRID_DIGESTS = {
         "f2da760bbf4e86e41ea0ae7d6d9e911b37dd11fa18ba35e5a583353046fd3d73",
     "outer-grid.json":
         "df47399a0b114679a412b70be8252aac2d44db552b6e6277627002bd0d5c36e2",
+    "elab-grid.csv":
+        "ac622e40809174b721dc54fed1254b88027f6daef8ef3b1d6afaa71868943f32",
+    "elab-grid.json":
+        "bbe96fe9cbafe3262366c4f5d608d9e95104c8a59b19f92e8b099aeb718fc9cc",
+    "outer-elab-grid.csv":
+        "b53ca622cf70034f0ca847223882c2bfe9b6643a8d86b52d7468c1b9d5e75840",
+    "outer-elab-grid.json":
+        "6a2564acb9f391cd533041988aa72886669cbf7c57f393bf5b13ea3ef88c2c78",
 }
 
 
@@ -426,6 +445,16 @@ class TestArtifactGoldens:
     def test_large_grid_rtt_cloud_outer(self, tmp_path, capsys, fmt):
         assert_grid_golden(tmp_path, capsys, "outer-grid", OUTER_GRID_CONFIG,
                            fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_three_axis_grid(self, tmp_path, capsys, fmt):
+        assert_grid_golden(tmp_path, capsys, "elab-grid", ELAB_GRID_CONFIG,
+                           fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_three_axis_grid_rtt_cloud_outer(self, tmp_path, capsys, fmt):
+        assert_grid_golden(tmp_path, capsys, "outer-elab-grid",
+                           OUTER_ELAB_GRID_CONFIG, fmt)
 
 
 def assert_grid_golden(tmp_path, capsys, name, config, fmt):
@@ -702,6 +731,30 @@ class TestOverflowingEnergy:
         assert captured.out == ""
         assert out.read_bytes() == b"old\r\n"
 
+    @pytest.mark.parametrize("axes", [slice(None), slice(None, None, -1)],
+                             ids=["rtt_cloud-inner", "rtt_cloud-outer"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_ratio_not_finite(self, tmp_path, capsys, fmt, axes):
+        """Without transfer power, a cycle whose upload fills its period
+        and whose wait is 0 costs 0 mJ at both placements, so its ratio is
+        0/0.  Among overrun cells on either side of it, that cell's error
+        ends the sweep, and an existing artifact survives."""
+        config = write_config(tmp_path, sweep_config(
+            base={"t_i": 1000, "rtt_edge": 0, "t_elab": 0, "b_tx": 125000,
+                  "b_rx": 0},
+            axes=[{"name": "t_i", "start": 900, "stop": 1000, "step": 100},
+                  {"name": "rtt_cloud", "start": 0, "stop": 50,
+                   "step": 50}][axes]))
+        out = tmp_path / "artifact"
+        out.write_bytes(b"old\r\n")
+        code = cli.main(["sweep", "--config", config, "--profile",
+                         profile_file(tmp_path, p_tx=0, p_rx=0),
+                         "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: rho = 0.0/0.0 is not finite\n"
+        assert out.read_bytes() == b"old\r\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_trace_analyze(self, tmp_path, capsys, fmt):
         edge, cloud = synth_exports(tmp_path, "get", 5000)
@@ -879,6 +932,38 @@ class TestInputFiles:
         path.write_text(BOM + path.read_text(), encoding="utf-8")
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == plain
+
+
+class TestTraceAnalyzeClient:
+    """``--client`` is parsed once, where it enters, into an address and an
+    integer port: the same endpoint written with a zero-padded port or
+    padded with spaces, as export fields may be, reads the same, and a
+    malformed value is an error before any file is read."""
+
+    def test_padded_endpoint(self, tmp_path, capsys):
+        edge, _ = synth_exports(tmp_path, "get", 20000)
+        texts = []
+        for client in (CLIENT, CLIENT.replace(":", ":0"),
+                       " " + CLIENT.replace(":", " : ") + " "):
+            assert cli.main(["trace-analyze", "--kind", "get", "--client",
+                             client, "--t-i", "30000", *edge]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+        assert texts[0].count("\n") == 2
+
+    @pytest.mark.parametrize("client", ["foo", "1.2.3.4:", "1.2.3.4:99999",
+                                        "1.2.3.4:8O", "1.2.3.4:-1",
+                                        "1.2.3.4:+80", "1.2.3.4:8_0",
+                                        "1.2.3.4:²"])
+    def test_malformed(self, tmp_path, capsys, client):
+        """No profile or export is read: both are missing here."""
+        assert cli.main(["trace-analyze", "--kind", "get", "--client",
+                         client, "--t-i", "30000", "--profile",
+                         str(tmp_path / "missing.json"),
+                         str(tmp_path / "missing.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --client {client!r} is not addr:port with port "
+            "0-65535\n")
 
 
 class TestTraceAnalyzeKind:
@@ -1377,28 +1462,44 @@ class TestTraceBound:
 
 
 class TestEachCyclePricedOnce:
-    """Every command prices each of its cycles with one call of a pricer
-    that ``analytic.cycle_pricer`` binds, whichever module binds it."""
+    """Every command prices each of its cycles once, through a pricer that
+    ``analytic.cycle_pricer`` binds, whichever module binds it: by a call
+    of the scalar pricer or as one cycle of a ``price.row`` call."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
+    def counts(self, monkeypatch):
+        """``(cycles, waits)``: the ``(t_tx, t_w, t_rx, t_i)`` of each
+        cycle priced, and each wait whose energy ``price.waits`` computed."""
+        cycles, waits = [], []
         bind = analytic.cycle_pricer
 
         def counting(profile):
             price = bind(profile)
 
             def counted(*args):
-                calls.append(args)
+                cycles.append(args)
                 return price(*args)
 
-            counted.cache_clear = price.cache_clear
+            def row(t_tx, row_waits, t_rx, t_i):
+                cycles.extend((t_tx, t_w, t_rx, t_i) for t_w, _ in row_waits)
+                return price.row(t_tx, row_waits, t_rx, t_i)
+
+            def energies(t_ws):
+                computed = price.waits(t_ws)
+                waits.extend(t_w for t_w, _ in computed)
+                return computed
+
+            counted.row, counted.waits = row, energies
             return counted
 
         for module in (analytic, sweep, traces):
             if hasattr(module, "cycle_pricer"):
                 monkeypatch.setattr(module, "cycle_pricer", counting)
-        return calls
+        return cycles, waits
+
+    @pytest.fixture
+    def calls(self, counts):
+        return counts[0]
 
     def test_eval(self, calls):
         assert cli.main(["eval", "--t-i", "30000"]) == 0
@@ -1424,3 +1525,14 @@ class TestEachCyclePricedOnce:
         assert len(calls) == 120
         assert sorted(set(args[-1] for args in calls)) == [
             1000.0 * k for k in range(1, 121)]
+
+    def test_sweep_prices_each_row_once(self, counts, tmp_path):
+        """fig4 sweeps 18 periods by 11 cloud RTTs: each of its 18 rows
+        prices its edge and its 11 clouds, 216 cycles, and the 12 waits of
+        its one t_elab have their energies computed once."""
+        cycles, waits = counts
+        assert cli.main(["sweep", "--config", str(FIGURES / "fig4.json"),
+                         "--out", str(tmp_path / "fig4.csv")]) == 0
+        assert len(cycles) == 18 + 18 * 11
+        assert len(set(cycles)) == len(cycles)
+        assert len(waits) == len(set(waits)) == 12

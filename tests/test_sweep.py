@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -27,6 +28,7 @@ from ltenergy.sweep import (
     per_cycle_payload,
     run_sweep,
     sweep_cells,
+    sweep_rows,
 )
 from ltenergy._fmt import csv_line, fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from _goldens import reference_scenarios
@@ -324,9 +326,15 @@ class TestSweepMatchesCompare:
             run_sweep(spec, PROFILE)
 
 
-def csv_artifact(result):
+def csv_artifact(spec, rows):
     """The sweep CSV artifact as the CLI writes it: the header line, then
-    the collected ``csv_rows`` lines."""
+    the ``csv_rows`` strings of ``rows``."""
+    return csv_line(spec.columns) + "".join(sweep.csv_rows(spec, rows))
+
+
+def collected_csv(result):
+    """The CSV artifact of a collected sweep: the header line, then the
+    cell-by-cell lines of ``SweepResult.rows``."""
     return csv_line(result.spec.columns) + "".join(result.rows())
 
 
@@ -404,8 +412,9 @@ def render_specs(draw):
 
 
 class TestFastRenderers:
-    """``json_text`` and ``rows`` against their cell-by-cell references:
-    the JSON of ``to_json_obj`` and ``csv.writer`` on ``reference_rows``."""
+    """``json_text`` and ``csv_rows`` of the rows of ``sweep_rows``, and
+    ``SweepResult.rows``, against their cell-by-cell references: the JSON
+    of ``to_json_obj`` and ``csv.writer`` on ``reference_rows``."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -421,35 +430,69 @@ class TestFastRenderers:
     @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
     def test_equal_reference(self, spec):
         result = run_sweep(spec, PROFILE)
-        assert json_text(result.spec, result.cells) == json.dumps(
-            result.to_json_obj(), indent=2)
-        assert csv_artifact(result) == reference_csv(result)
+        rows = list(sweep_rows(spec, PROFILE))
+        assert json_text(spec, rows) == json.dumps(result.to_json_obj(),
+                                                   indent=2)
+        assert (csv_artifact(spec, rows) == collected_csv(result)
+                == reference_csv(result))
 
     @pytest.mark.parametrize("arrange", ["copies", "interleaved"])
     def test_edges_not_shared_in_runs(self, arrange):
-        """The renderers format an edge's ``e_i`` once per run of cells
-        that share its tuple; equal copies of the tuple, and edges that
-        alternate (A, B, A), are rendered as they come."""
+        """The renderers take each row's texts from the row itself, and
+        reuse the texts of its tails and deltas only for the same list:
+        rows built by hand from equal copies of those lists and of the
+        edge, and one-cell rows whose heads and edges alternate (A, B, A),
+        are rendered as the cells they hold."""
         spec = reference_spec((SweepAxis("t_i", 900, 1100, 200),
                                SweepAxis("rtt_cloud", 0, 1000, 250)))
+        rows = list(sweep_rows(spec, PROFILE))
         cells = run_sweep(spec, PROFILE).cells
+        assert rows[0][1] is rows[1][1] and rows[0][4] is rows[1][4]
         if arrange == "copies":
-            cells = [cell if cell.edge is None
-                     else cell._replace(edge=tuple(list(cell.edge)))
-                     for cell in cells]
-            assert cells[0].edge == cells[1].edge
-            assert cells[0].edge is not cells[1].edge
+            rows = [(head, list(tails), tuple(list(edge)), clouds,
+                     list(deltas))
+                    for head, tails, edge, clouds, deltas in rows]
+            assert rows[0][1] == rows[1][1] and rows[0][4] == rows[1][4]
+            assert rows[0][1] is not rows[1][1]
         else:
-            # t_i 900 and 1100 alternate: edges A, B, A, B, ...
+            # the cells of t_i 900 and 1100 alternate: edges A, B, A, ...
+            rows = [(head, tails[k:k + 1], edge, clouds[k:k + 1],
+                     deltas[k:k + 1])
+                    for k in range(5)
+                    for head, tails, edge, clouds, deltas in rows]
             cells = [cell for pair in zip(cells[:5], cells[5:])
                      for cell in pair]
-            assert cells[0].edge is cells[2].edge
-            assert cells[0].edge[-1] != cells[1].edge[-1]
+            assert rows[0][2] is rows[2][2]
+            assert rows[0][2][-1] != rows[1][2][-1]
         result = sweep.SweepResult(spec, tuple(cells))
         assert any(cell.error for cell in cells)
-        assert json_text(spec, cells) == json.dumps(result.to_json_obj(),
-                                                    indent=2)
-        assert csv_artifact(result) == reference_csv(result)
+        assert json_text(spec, rows) == json.dumps(result.to_json_obj(),
+                                                   indent=2)
+        assert csv_artifact(spec, rows) == reference_csv(result)
+
+    @pytest.mark.parametrize("render", [
+        json_text, lambda spec, rows: "".join(sweep.csv_rows(spec, rows))],
+        ids=["json", "csv"])
+    @pytest.mark.parametrize("e_clouds, first_bad", [
+        ((1.0, 1e-300, 0.0, 2.0), "1e+300/1e-300"),
+        ((1.0, 0.0, 1e-300, 2.0), "1e+300/0.0"),
+        ((1.0, None, 2.0, 0.0), "1e+300/0.0"),
+    ], ids=["overflow", "zero", "after-overrun"])
+    def test_first_non_finite_ratio_raises(self, render, e_clouds,
+                                           first_bad):
+        """A row whose ratios are not all finite, built by hand, raises the
+        error of its first bad cell, as ``energy_ratio`` does: a ratio that
+        overflows or a zero cloud energy, also in a run of priced cells
+        after an overrun cell (``None``)."""
+        spec = reference_spec((SweepAxis("rtt_cloud", 0, 3, 1),))
+        parts = (0.0, False, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        tails = [0.0, 1.0, 2.0, 3.0]
+        row = ((), tails, parts + (1e300,),
+               [PeriodOverrunError(1.0) if e is None else parts + (e,)
+                for e in e_clouds], tails)
+        with pytest.raises(ValueError,
+                           match=f"^rho = {re.escape(first_bad)} is not"):
+            render(spec, [row])
 
     def test_overflowing_energies_raise_before_rendering(self):
         # p_tx * t_tx overflows, so no cell has a finite energy to render
@@ -476,9 +519,10 @@ class TestFastRenderers:
             else:
                 assert cell.result == expected
         assert 0 < errors < len(result.cells)
-        assert json_text(result.spec, result.cells) == json.dumps(
-            result.to_json_obj(), indent=2)
-        assert csv_artifact(result) == reference_csv(result)
+        rows = list(sweep_rows(spec, PROFILE))
+        assert json_text(spec, rows) == json.dumps(result.to_json_obj(),
+                                                   indent=2)
+        assert csv_artifact(spec, rows) == reference_csv(result)
 
 
 def cli_artifacts(spec, config_path):
@@ -499,8 +543,8 @@ def cli_artifacts(spec, config_path):
 
 
 class TestStreamedArtifacts:
-    """The CLI renders the cell stream as it comes; its bytes equal the
-    collected renderers of ``run_sweep`` and the reference JSON."""
+    """The CLI renders the row stream as it comes; its bytes equal the
+    cell-by-cell renderers of ``run_sweep`` and the reference CSV."""
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
@@ -516,7 +560,7 @@ class TestStreamedArtifacts:
         streamed_csv, streamed_json = cli_artifacts(
             spec, tmp_path_factory.mktemp("sweep") / "config.json")
         result = run_sweep(spec, PROFILE)
-        assert streamed_csv == csv_artifact(result) == reference_csv(result)
+        assert streamed_csv == collected_csv(result) == reference_csv(result)
         assert streamed_json == json.dumps(result.to_json_obj(),
                                            indent=2) + "\n"
 
@@ -551,7 +595,7 @@ class TestSweepOutput:
             SweepAxis("rtt_cloud", 50, 300, 250),
         ), t_i=5000)
         result = run_sweep(spec, PROFILE)
-        text = csv_artifact(result)
+        text = csv_artifact(spec, sweep_rows(spec, PROFILE))
         assert text == reference_csv(result)
         lines = text.splitlines()
         assert lines[0] == ("payload,rtt_cloud,rho,e_i_edge_mj,"
@@ -563,9 +607,9 @@ class TestSweepOutput:
 
     def test_emission_deterministic(self):
         spec = make_spec((SweepAxis("rtt_cloud", 50, 300, 25),))
-        first = run_sweep(spec, PROFILE)
-        assert csv_artifact(first) == csv_artifact(run_sweep(spec, PROFILE))
-        assert csv_artifact(first) == reference_csv(first)
+        first = csv_artifact(spec, sweep_rows(spec, PROFILE))
+        assert first == csv_artifact(spec, sweep_rows(spec, PROFILE))
+        assert first == reference_csv(run_sweep(spec, PROFILE))
         assert (run_sweep(spec, PROFILE).to_json_obj()
                 == run_sweep(spec, PROFILE).to_json_obj())
 
@@ -577,9 +621,10 @@ class TestSweepOutput:
         spec = SweepSpec(ConnectionlessScenario(t_i=1000, rtt=rtt_edge),
                          rtt_cloud, (SweepAxis("t_i", 1000, 2000, 1000),))
         column = spec.columns.index("delta_rtt_ms")
-        lines = sweep.csv_rows(spec, sweep_cells(spec, PROFILE))
-        assert [line.split(",")[column] for line in lines] == ["0.000"] * 2
-        cells = json.loads(json_text(spec, sweep_cells(spec, PROFILE)))
+        lines = csv_artifact(spec, sweep_rows(spec, PROFILE)).splitlines()
+        assert [line.split(",")[column] for line in lines[1:]] == [
+            "0.000"] * 2
+        cells = json.loads(json_text(spec, sweep_rows(spec, PROFILE)))
         assert [cell["delta_rtt_ms"] for cell in cells["cells"]] == [0, 0]
 
 

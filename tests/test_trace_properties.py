@@ -26,13 +26,14 @@ from ltenergy.traces import (
     events_to_lines,
     extract_get_phases,
     extract_post_phases,
+    parse_endpoint,
     parse_events,
     scheduled_phases,
     synthesize_trace,
 )
 
 from _trace_reference import reference_coverage, reference_parse_events, rows
-from test_traces import packets_of, shift_sequence_space
+from test_traces import SYNTH_ENDPOINT, packets_of, shift_sequence_space
 
 CLIENT = "10.0.0.2:51000"
 SERVER = "192.0.2.9:80"
@@ -164,7 +165,7 @@ class TestParserMatchesReference:
 
 
 def parse_rows(lines, client):
-    return rows(parse_events(lines, client=client))
+    return rows(parse_events(lines, client=parse_endpoint(client)))
 
 
 def assert_matches_reference(export):
@@ -199,10 +200,10 @@ class TestColumnReaderShape:
                 return None
 
         by_column = columns(lambda: traces._convert_chunk(
-            chunk, traces._ParseState("1:1")))
+            chunk, traces._ParseState(("1", 1))))
         by_line = columns(lambda: zip(*map(
             traces._parse_line, chunk, count(1),
-            repeat(traces._ParseState("1:1")))))
+            repeat(traces._ParseState(("1", 1))))))
         if any(line.count("\t") != 8 for line in chunk):
             assert by_column is None
         elif "\f" not in "".join(chunk):
@@ -220,16 +221,17 @@ def test_parse_peaks_below_the_reference(tmp_path):
     path.write_text("\n".join(events_to_lines(events)) + "\n",
                     encoding="utf-8")
 
-    def peak(parse):
+    def peak(parse, client):
         tracemalloc.start()
         try:
             with open(path, encoding="utf-8") as fp:
-                parse(fp, SYNTH_CLIENT)
+                parse(fp, client)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(parse_events) < peak(reference_parse_events)
+    assert (peak(parse_events, SYNTH_ENDPOINT)
+            < peak(reference_parse_events, SYNTH_CLIENT))
 
 
 HALF = 2 ** 31
@@ -338,7 +340,7 @@ class TestSerialiseParseRoundTrip:
             else (other_shift, shift)
         wrapped = shift_sequence_space(rows(events), *shifts)
         assert rows(parse_events(events_to_lines(packets_of(wrapped)),
-                                 SYNTH_CLIENT)) == wrapped
+                                 SYNTH_ENDPOINT)) == wrapped
         extract = extract_post_phases if kind == "post" \
             else extract_get_phases
         assert extract(packets_of(wrapped)) == extract(events)

@@ -23,6 +23,7 @@ from ltenergy.traces import (
     events_to_lines,
     extract_get_phases,
     extract_post_phases,
+    parse_endpoint,
     parse_events,
     rho_from_traces,
     scheduled_phases,
@@ -36,6 +37,9 @@ from _goldens import idle_gap_energy
 PROFILE = default_profile()
 CLIENT = "10.0.0.2:51000"
 SERVER = "192.0.2.9:80"
+# The endpoints as ``parse_events`` takes them.
+ENDPOINT = parse_endpoint(CLIENT)
+SYNTH_ENDPOINT = parse_endpoint(SYNTH_CLIENT)
 
 
 def is_admin(event):
@@ -134,7 +138,7 @@ class TestSequenceWrap:
         wrapped = parse_events(
             "\n".join(events_to_lines(packets_of(
                 shift_sequence_space(rows(events), *shifts)))),
-            client=SYNTH_CLIENT)
+            client=SYNTH_ENDPOINT)
         wrapped_bulk = [e.seq for e in rows(wrapped)
                         if e.payload_len > 0 and e.from_client is sender]
         assert min(wrapped_bulk) < 50_000 < 2 ** 32 - 50_000 <= max(
@@ -153,7 +157,7 @@ class TestSequenceWrap:
             line(0.400, SERVER, CLIENT, 10, "A", 1001, 151),
             line(0.500, CLIENT, SERVER, 0, "A", 151, 999),
         ]
-        events = parse_events("\n".join(rows), client=CLIENT)
+        events = parse_events("\n".join(rows), client=ENDPOINT)
         with pytest.raises(IncompleteExchangeError,
                            match="^the response spans 4294967294 bytes; "):
             extract_get_phases(events)
@@ -164,19 +168,19 @@ class TestSequenceWrap:
         text = post_exchange_lines()
         text[2] = line(0.100, SERVER, CLIENT, 0, "A", seq, ack)
         with pytest.raises(TraceParseError, match="line 3.*2\\^32") as err:
-            parse_events("\n".join(text), CLIENT)
+            parse_events("\n".join(text), ENDPOINT)
         assert err.value.line_no == 3
 
 
 class TestParseEvents:
     def test_empty_input(self):
-        assert rows(parse_events("", CLIENT)) == []
-        assert rows(parse_events([], CLIENT)) == []
+        assert rows(parse_events("", ENDPOINT)) == []
+        assert rows(parse_events([], ENDPOINT)) == []
 
     def test_well_formed_lines_in_order(self):
         lines = post_exchange_lines()
         shuffled = [lines[2], lines[0], lines[4], lines[1], lines[3]]
-        events = parse_events("\n".join(shuffled), client=CLIENT)
+        events = parse_events("\n".join(shuffled), client=ENDPOINT)
         assert len(events) == 5
         stamps = [e.timestamp for e in rows(events)]
         assert stamps == sorted(stamps)
@@ -185,22 +189,22 @@ class TestParseEvents:
         text = post_exchange_lines()
         text[1] = text[1].replace("0.050000", "soon")
         with pytest.raises(TraceParseError, match="line 2") as err:
-            parse_events("\n".join(text), CLIENT)
+            parse_events("\n".join(text), ENDPOINT)
         assert err.value.line_no == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(TraceParseError, match="9 tab-separated"):
-            parse_events("1.0\t10.0.0.2\t10.0.0.1\n", CLIENT)
+            parse_events("1.0\t10.0.0.2\t10.0.0.1\n", ENDPOINT)
 
     def test_blank_lines_and_comments_skipped(self):
         text = "# capture of one exchange\n\n" + "\n".join(
             post_exchange_lines()) + "\n"
-        assert len(parse_events(text, client=CLIENT)) == 5
+        assert len(parse_events(text, client=ENDPOINT)) == 5
 
     def test_hex_and_letter_flags(self):
         def flags(text):
             return rows(parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0),
-                                     CLIENT))[0].flags
+                                     ENDPOINT))[0].flags
 
         assert flags("0x012") == frozenset({"SYN", "ACK"})
         assert flags("SA") == frozenset({"SYN", "ACK"})
@@ -217,20 +221,20 @@ class TestParseEvents:
             event = PacketEvent(0.0, "10.0.0.2", 51000, "192.0.2.9", 80, 0,
                                 flags, 0, 0, True)
             (text,) = events_to_lines(packets_of([event]))
-            assert rows(parse_events(text, CLIENT)) == [event]
+            assert rows(parse_events(text, ENDPOINT)) == [event]
             value = sum(bits[name] for name in flags)
             for field in (f"0x{value:03x}", str(value)):
                 parsed = rows(parse_events(
-                    line(0.0, CLIENT, SERVER, 0, field, 0, 0), CLIENT))
+                    line(0.0, CLIENT, SERVER, 0, field, 0, 0), ENDPOINT))
                 assert parsed[0].flags == flags
 
     def test_bad_flags_rejected(self):
         with pytest.raises(TraceParseError, match="flags"):
-            parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), CLIENT)
+            parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), ENDPOINT)
 
     def test_direction_from_client_argument(self):
         events = rows(parse_events("\n".join(post_exchange_lines()),
-                                   client=CLIENT))
+                                   client=ENDPOINT))
         assert events[0].from_client is True
         assert events[2].from_client is False
 
@@ -243,7 +247,7 @@ class TestParseEvents:
         rows.insert(4, line(0.010, "10.0.0.9:1", SERVER, 10, "PA", 1, 1))
         rows[6] = rows[6].replace("\tA\t", "\tZZ\t")
         with pytest.raises(TraceParseError) as err:
-            parse_events("\n".join(rows), CLIENT)
+            parse_events("\n".join(rows), ENDPOINT)
         assert err.value.line_no == 5
         assert str(err.value) == (
             f"line 5: packet 10.0.0.9:1 -> {SERVER} does not involve "
@@ -264,15 +268,15 @@ class TestParseEvents:
 
         monkeypatch.setattr(traces, "_parse_line", spy)
         with pytest.raises(TraceParseError) as err:
-            parse_events(lines, SYNTH_CLIENT)
+            parse_events(lines, SYNTH_ENDPOINT)
         assert str(err.value) == f"line {stray}: {SECOND_PEER}"
         assert read[0] == 1  # the chunk fell back from the column reader
         with pytest.raises(TraceParseError) as err:
-            parse_events(["# one connection\n", *lines], SYNTH_CLIENT)
+            parse_events(["# one connection\n", *lines], SYNTH_ENDPOINT)
         assert str(err.value) == f"line {stray + 1}: {SECOND_PEER}"
         del lines[stray - 1]
         assert extract_get_phases(parse_events(
-            lines, SYNTH_CLIENT)).file_size == 200_000
+            lines, SYNTH_ENDPOINT)).file_size == 200_000
 
     @pytest.mark.parametrize("port", range(443, 463))
     def test_first_line_fixes_the_server_in_any_set_order(self, port):
@@ -282,7 +286,7 @@ class TestParseEvents:
         lines, stray = second_peer_export()
         lines[stray - 1] = lines[stray - 1].replace("\t443\t", f"\t{port}\t")
         with pytest.raises(TraceParseError) as err:
-            parse_events(lines, SYNTH_CLIENT)
+            parse_events(lines, SYNTH_ENDPOINT)
         assert str(err.value) == f"line {stray}: " + SECOND_PEER.replace(
             ":443", f":{port}")
 
@@ -301,7 +305,7 @@ class TestParseEvents:
         monkeypatch.setattr(traces, "set", ReversedSet, raising=False)
         lines, stray = second_peer_export()
         with pytest.raises(TraceParseError) as err:
-            parse_events(lines, SYNTH_CLIENT)
+            parse_events(lines, SYNTH_ENDPOINT)
         assert str(err.value) == f"line {stray}: {SECOND_PEER}"
 
     def test_first_packet_fixes_the_server(self):
@@ -312,18 +316,18 @@ class TestParseEvents:
         other = "192.0.2.9:443"
         rows.insert(2, line(0.020, CLIENT, other, 10, "PA", 1, 1))
         with pytest.raises(TraceParseError) as err:
-            parse_events("\n".join(rows), CLIENT)
+            parse_events("\n".join(rows), ENDPOINT)
         assert str(err.value) == (f"line 3: packet {CLIENT} -> {other} is "
                                   f"not on the connection with {SERVER}")
         rows.insert(0, line(0.5, other, CLIENT, 0, "A", 1, 1))
         with pytest.raises(TraceParseError) as err:
-            parse_events("\n".join(rows), CLIENT)
+            parse_events("\n".join(rows), ENDPOINT)
         assert str(err.value) == (f"line 2: packet {CLIENT} -> {SERVER} is "
                                   f"not on the connection with {other}")
-        packets = parse_events("\n".join(post_exchange_lines()), CLIENT)
+        packets = parse_events("\n".join(post_exchange_lines()), ENDPOINT)
         assert (packets.client, packets.server) == (("10.0.0.2", 51000),
                                                      ("192.0.2.9", 80))
-        empty = parse_events("# no packets\n", CLIENT)
+        empty = parse_events("# no packets\n", ENDPOINT)
         assert (empty.client, empty.server) == (None, None)
         assert events_to_lines(empty) == []
 
@@ -347,7 +351,7 @@ class TestParseEvents:
 
         def outcome(lines):
             try:
-                return rows(parse_events(lines, CLIENT))
+                return rows(parse_events(lines, ENDPOINT))
             except TraceParseError as exc:
                 return str(exc)
 
@@ -356,7 +360,7 @@ class TestParseEvents:
         assert outcome(text) == from_file
         if error is None:
             assert from_file == rows(parse_events(
-                "\n".join(post_exchange_lines()), CLIENT))
+                "\n".join(post_exchange_lines()), ENDPOINT))
         else:
             assert from_file == error
 
@@ -367,7 +371,7 @@ class TestParseEvents:
         fields[5] = "-5"
         lines[5000] = "\t".join(fields)
         with pytest.raises(TraceParseError) as err:
-            parse_events("\n".join(lines), SYNTH_CLIENT)
+            parse_events("\n".join(lines), SYNTH_ENDPOINT)
         assert str(err.value) == "line 5001: payload length must be >= 0"
 
     @pytest.mark.parametrize("pad", ["", "\x1c"],
@@ -380,10 +384,10 @@ class TestParseEvents:
         rows[0] = pad + rows[0]
         rows[1] = line(0.050, CLIENT, SERVER, 2 ** 31, "PA", 1001, 1)
         with pytest.raises(TraceParseError) as err:
-            parse_events("\n".join(rows), CLIENT)
+            parse_events("\n".join(rows), ENDPOINT)
         assert str(err.value) == "line 2: payload length must be < 2^31"
         rows[1] = line(0.050, CLIENT, SERVER, 2 ** 31 - 1, "PA", 1001, 1)
-        assert len(parse_events("\n".join(rows), CLIENT)) == 5
+        assert len(parse_events("\n".join(rows), ENDPOINT)) == 5
 
     @pytest.mark.parametrize("kind", ["get", "post"])
     @pytest.mark.parametrize("size", [0, 1, 1448, 10 ** 6, 10 ** 7])
@@ -399,7 +403,7 @@ class TestParseEvents:
             raise AssertionError(f"line {line_no} read line by line")
 
         monkeypatch.setattr(traces, "_parse_line", line_reader)
-        assert rows(parse_events(lines, SYNTH_CLIENT)) == rows(packets)
+        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
 
     @pytest.mark.parametrize("field", ["-", ""], ids=["dash", "empty"])
     def test_an_integer_read_as_0_reads_its_chunk_line_by_line(
@@ -423,7 +427,7 @@ class TestParseEvents:
         expected = rows(packets)
         assert expected[19].ack != 0
         expected[19] = expected[19]._replace(ack=0)
-        assert rows(parse_events(lines, SYNTH_CLIENT)) == expected
+        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == expected
         assert read == list(range(17, 25))  # the third chunk, 1-based
 
     def test_client_is_required(self):
@@ -433,14 +437,14 @@ class TestParseEvents:
     def test_serialisation_round_trip(self):
         original = synthesize_trace("get", 50_000, 75, 10e6, seed=5)
         reparsed = rows(parse_events("\n".join(events_to_lines(original)),
-                                     client=SYNTH_CLIENT))
+                                     client=SYNTH_ENDPOINT))
         assert reparsed == rows(original)
 
 
 class TestExtractPost:
     def test_constructed_exchange(self):
         events = parse_events("\n".join(post_exchange_lines()),
-                              client=CLIENT)
+                              client=ENDPOINT)
         it = extract_post_phases(events)
         assert it.t_tx == pytest.approx(100.0)
         assert it.t_w == pytest.approx(300.0)
@@ -450,26 +454,26 @@ class TestExtractPost:
 
     def test_other_size_is_the_response(self):
         events = parse_events("\n".join(post_exchange_lines()),
-                              client=CLIENT)
+                              client=ENDPOINT)
         assert extract_post_phases(events).other_size == 200
 
     def test_response_before_final_ack_rejected(self):
         rows = post_exchange_lines()
         rows[3] = line(0.080, SERVER, CLIENT, 200, "PA", 1, 1501)
-        events = parse_events("\n".join(rows), client=CLIENT)
+        events = parse_events("\n".join(rows), client=ENDPOINT)
         with pytest.raises(IncompleteExchangeError, match="precedes"):
             extract_post_phases(events)
 
     def test_missing_final_ack(self):
         rows = post_exchange_lines()
         del rows[2]
-        events = parse_events("\n".join(rows), client=CLIENT)
+        events = parse_events("\n".join(rows), client=ENDPOINT)
         with pytest.raises(IncompleteExchangeError, match="acknowledgment"):
             extract_post_phases(events)
 
     def test_missing_response(self):
         events = parse_events("\n".join(post_exchange_lines()[:3]),
-                              client=CLIENT)
+                              client=ENDPOINT)
         with pytest.raises(IncompleteExchangeError, match="response"):
             extract_post_phases(events)
 
@@ -488,7 +492,7 @@ class TestExtractPost:
 class TestExtractGet:
     def test_constructed_exchange(self):
         events = parse_events("\n".join(get_exchange_lines()),
-                              client=CLIENT)
+                              client=ENDPOINT)
         it = extract_get_phases(events)
         assert it.t_tx == pytest.approx(75.0)
         assert it.t_w == pytest.approx(225.0)
@@ -497,12 +501,12 @@ class TestExtractGet:
 
     def test_other_size_is_the_request(self):
         events = parse_events("\n".join(get_exchange_lines()),
-                              client=CLIENT)
+                              client=ENDPOINT)
         assert extract_get_phases(events).other_size == 150
 
     def test_zero_length_response_rejected(self):
         events = parse_events("\n".join(get_exchange_lines()[:2]),
-                              client=CLIENT)
+                              client=ENDPOINT)
         with pytest.raises(IncompleteExchangeError, match="zero-length"):
             extract_get_phases(events)
 
@@ -527,7 +531,7 @@ class TestAdminExclusion:
             line(0.0004, SYNTH_CLIENT, "203.0.113.5:80", 0, "S", 9, 0)
             + "\n"
             + line(120.0, SYNTH_CLIENT, "203.0.113.5:80", 400, "FA", 9, 9),
-            client=SYNTH_CLIENT,
+            client=SYNTH_ENDPOINT,
         )
         noisy = sorted([*rows(events), *rows(extra)],
                        key=lambda e: e.timestamp)
@@ -580,7 +584,7 @@ class TestEventDrivenEnergy:
 
     def test_single_event_mid_window(self):
         events = rows(parse_events(
-            line(4.0, CLIENT, SERVER, 1000, "PA", 1, 1), client=CLIENT))
+            line(4.0, CLIENT, SERVER, 1000, "PA", 1, 1), client=ENDPOINT))
         energy = event_driven_energy(events, PROFILE, (0.0, 10.0))
         serialisation = transfer_time(1000, 1e6)
         expected = (idle_gap_energy(4000.0, PROFILE)
@@ -591,13 +595,13 @@ class TestEventDrivenEnergy:
 
     def test_unsorted_events_rejected(self):
         events = rows(parse_events("\n".join(post_exchange_lines()),
-                                   client=CLIENT))
+                                   client=ENDPOINT))
         with pytest.raises(ValueError, match="sorted"):
             event_driven_energy([events[1], events[0]], PROFILE, (0.0, 1.0))
 
     def test_window_must_cover_events(self):
         events = rows(parse_events("\n".join(post_exchange_lines()),
-                                   client=CLIENT))
+                                   client=ENDPOINT))
         with pytest.raises(ValueError, match="cover"):
             event_driven_energy(events, PROFILE, (0.0, 0.2))
 
