@@ -16,7 +16,7 @@ energies: a ratio below one means the edge placement saves energy.
 The value types are checked tuples, equal to a plain tuple of their fields.
 The per-cycle core, :func:`cycle_pricer`, is bound to one profile: it
 unpacks the profile once and prices rows of cycles in plain floats, so a
-sweep binds it once and prices each of its rows with one call.
+sweep binds it once and prices all clouds of a row with one call.
 :func:`price_cycle` and :func:`price_scenario` price a row of one cycle
 into its :class:`PhaseTiming` and :class:`EnergyBreakdown`.
 """
@@ -177,22 +177,26 @@ def cycle_pricer(profile: PowerProfile
     promotion charge always co-occur.  Transfers run at fixed power, each
     charged promotion costs one promotion energy, and a quiet gap starts in
     CR and holds it for ``t_cr``, SHORT DRX for ``t_short`` and LONG DRX
-    for ``t_long``, then sits in IDLE, each segment at its state power.
+    for ``t_long``, then sits in IDLE, each segment at its state power.  Its
+    walk compares the gap with each boundary in chain order, takes each dwell
+    as ``min(rest, dwell)`` does, and adds nothing for a state not reached.
     """
     (p_tx, p_rx, p_cr, p_short, p_long, p_idle, p_prom, t_cr, t_short,
      t_long, t_prom, _, _, _) = profile
     cr_short = t_cr + t_short
     threshold = profile.idle_entry_ms
-    e_prom = t_prom * p_prom / 1000.0
+    e_cr, e_prom = t_cr * p_cr, t_prom * p_prom / 1000.0
 
     def gap_energy(gap: float) -> float:
-        micro_joules = min(gap, t_cr) * p_cr
-        if gap > t_cr:
-            micro_joules += min(gap - t_cr, t_short) * p_short
+        if not gap > t_cr:
+            return gap * p_cr / 1000.0
+        d = gap - t_cr
+        micro_joules = e_cr + (t_short if t_short < d else d) * p_short
         if gap > cr_short:
-            micro_joules += min(gap - t_cr - t_short, t_long) * p_long
-        if gap > threshold:
-            micro_joules += (gap - threshold) * p_idle
+            d -= t_short  # the float gap - t_cr - t_short
+            micro_joules += (t_long if t_long < d else d) * p_long
+            if gap > threshold:
+                micro_joules += (gap - threshold) * p_idle
         return micro_joules / 1000.0
 
     def waits(t_ws: Iterable[float]) -> list[tuple[float, float]]:

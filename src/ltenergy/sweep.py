@@ -3,13 +3,14 @@
 ``sweep_rows`` is the one sweep kernel: a generator of the rows of a
 dense grid of scenario parameters, one dimension per swept axis.  It
 checks each axis value once, binds :func:`ltenergy.analytic.cycle_pricer`
-once and prices each row, its edge and its clouds, with one ``price.row``
-call.  With ``rtt_cloud`` innermost, as in the paper's figures, a row is
-the cloud RTT axis, whose waits are priced once per ``t_elab``; any other
-axis order makes each cell a row of one.  ``csv_rows`` and ``json_text``
-render a stream of rows, one string per row, and ``sweep_cells`` flattens
-it into cells, each equal to :func:`ltenergy.analytic.compare`; a cycle
-that overruns its period is an error cell, and an energy or ratio that
+once and prices each row with two ``price.row`` calls, its edge, then its
+clouds; an edge that overruns or overflows prices no cloud.  With
+``rtt_cloud`` innermost, as in the paper's figures, a row is the cloud RTT
+axis, whose waits are priced once per ``t_elab``; any other axis order
+makes each cell a row of one.  ``csv_rows`` and ``json_text`` render a
+stream of rows, one string per row, and ``sweep_cells`` flattens it into
+cells, each equal to :func:`ltenergy.analytic.compare`; a cycle that
+overruns its period is an error cell, and an energy or ratio that
 overflows a float ends the stream at its cell.  The CLI feeds the rows
 straight into a renderer; ``run_sweep`` collects the cells.
 
@@ -298,8 +299,9 @@ def _field_picker(base: ConnectionlessScenario, names: Sequence[str]
 def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     """The grid's rows, row-major, as ``(head, tails, edge, clouds,
     deltas)``: a cell per tail, valued ``head + (tail,)``, with the shared
-    ``edge`` and the cloud and ``delta_rtt`` at the tail's index.  One
-    ``price.row`` call prices a row; an edge's error fills its every cloud.
+    ``edge`` and the cloud and ``delta_rtt`` at the tail's index.  A row's
+    edge is priced first and its clouds in one ``price.row`` call after it,
+    only if the edge is a cycle: an edge's error fills its every cloud.
     A row is the ``rtt_cloud`` axis when innermost, else one cell.  An axis
     value that the scenarios reject raises before any row is priced."""
     names = [axis.name for axis in spec.axes]
@@ -322,12 +324,14 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
         t_i, t_elab, rtt, b_tx, b_rx = pick(outer + fields)
         if (t_elab, rtt) != wait_key:  # only the last waits are kept
             wait_key, cloud_rtts = (t_elab, rtt), rtts or (rtt,)
-            waits = price.waits([t_elab + r for r in (rtt_edge, *cloud_rtts)])
+            edge_wait, *waits = price.waits(
+                [t_elab + r for r in (rtt_edge, *cloud_rtts)])
             deltas = [r - rtt_edge for r in cloud_rtts]
-        edge, *clouds = price.row(transfer_time(b_tx, base.uplink_bps), waits,
-                                  transfer_time(b_rx, base.downlink_bps), t_i)
-        if not isinstance(edge, tuple):
-            clouds = [edge] * len(deltas)
+        t_tx = transfer_time(b_tx, base.uplink_bps)
+        t_rx = transfer_time(b_rx, base.downlink_bps)
+        edge, = price.row(t_tx, (edge_wait,), t_rx, t_i)
+        clouds = (price.row(t_tx, waits, t_rx, t_i) if isinstance(edge, tuple)
+                  else [edge] * len(deltas))
         yield ((outer, rtts, edge, clouds, deltas) if rtts else
                (outer[:-1], outer[-1:], edge, clouds, deltas))
 

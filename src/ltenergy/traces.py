@@ -439,7 +439,7 @@ def _bulk_packets(total: int) -> int:
     """Packets of a bulk transfer of ``total`` bytes: its segments and an
     acknowledgment of each second one but the last."""
     segments = -(-total // MSS_BYTES)
-    return segments + max(segments - 1, 0) // 2
+    return segments + (segments - 1) // 2
 
 
 # (addr, port) of the synthetic client and server.
@@ -483,11 +483,12 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
     """The packets of one exchange, with the given initial sequence
     numbers, and the microsecond times of the landmarks that extraction
     recovers: the request, its acknowledgment, the response and its final
-    acknowledgment (``None`` for a zero-byte exchange)."""
+    acknowledgment.  The model's cycle has a response, so a file is at least
+    one byte."""
     if kind not in ("post", "get"):
         raise ValueError("kind must be 'post' or 'get'")
-    if file_size < 0:
-        raise ValueError("file_size must be non-negative")
+    if file_size < 1:
+        raise ValueError("file_size must be at least 1 byte")
     for name, value in (("rtt", rtt_ms), ("bottleneck", bottleneck_bps)):
         if not 0.0 < value < math.inf:
             raise ValueError(
@@ -500,18 +501,16 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
                 f"rtt {rtt_ms!r} ms gives trace times that are not finite")
         return round(t_us)
 
-    # The file is the response of a GET and the request body of a POST; a
-    # POST's status reply and a GET's file may be empty.
+    # The file is the response of a GET and the request body of a POST.
     if kind == "get":
         request_bytes, response_bytes = GET_REQUEST_BYTES, file_size
     else:
         request_bytes = POST_HEADER_BYTES + file_size
-        response_bytes = POST_STATUS_BYTES if file_size > 0 else 0
+        response_bytes = POST_STATUS_BYTES
     # Handshake, request, its acknowledgment, response, the final
     # acknowledgment and teardown.
     count = (3 + _bulk_packets(request_bytes) + 1
-             + (_bulk_packets(response_bytes) + 1 if response_bytes else 0)
-             + 3)
+             + _bulk_packets(response_bytes) + 1 + 3)
     if count > MAX_TRACE_PACKETS:
         raise ValueError(f"file_size {file_size} needs {count} packets, "
                          f"more than {MAX_TRACE_PACKETS}")
@@ -559,17 +558,13 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
     request_ack_us = bulk(True, request_bytes, request_us, 1)[1] + rtt_us
     pkt(request_ack_us, False, 0, {"ACK"}, 1, client_next)
 
-    response_us = final_ack_us = None
-    last_us = request_ack_us
-    if response_bytes > 0:
-        response_us, response_end_us = bulk(
-            False, response_bytes, request_ack_us + _SERVER_THINK_US,
-            client_next)
-        final_ack_us = last_us = response_end_us + _TURNAROUND_US
-        pkt(final_ack_us, True, 0, {"ACK"}, client_next, server_next)
+    response_us, response_end_us = bulk(
+        False, response_bytes, request_ack_us + _SERVER_THINK_US, client_next)
+    final_ack_us = response_end_us + _TURNAROUND_US
+    pkt(final_ack_us, True, 0, {"ACK"}, client_next, server_next)
 
     # Teardown: client closes, server closes back.
-    fin_us = last_us + 2 * _TURNAROUND_US
+    fin_us = final_ack_us + 2 * _TURNAROUND_US
     pkt(fin_us, True, 0, {"FIN", "ACK"}, client_next, server_next)
     pkt(fin_us + rtt_us, False, 0, {"FIN", "ACK"},
         server_next, client_next + 1)
@@ -591,8 +586,8 @@ def synthesize_trace(kind: str, file_size: int, rtt_ms: float,
     completion time strictly increases with the round-trip time.  Payload
     streams are segmented at ``MSS_BYTES``; handshake and teardown packets
     are included so exclusion logic can be exercised.  Upload exchanges
-    prepend a ``POST_HEADER_BYTES`` request header to the file bytes; a zero
-    ``file_size`` degenerates to the request and its bare acknowledgment.
+    prepend a ``POST_HEADER_BYTES`` request header to the file bytes; a
+    ``file_size`` below one byte, an exchange without a response, raises.
     The seed draws the two initial sequence numbers only, never the timing.
     """
     rng = Random(seed)
@@ -607,11 +602,8 @@ def scheduled_phases(kind: str, file_size: int, rtt_ms: float,
     Computed from the planned packet landmarks that extraction recovers
     (the initial sequence numbers, zero here, move no time), via the same
     arithmetic, so extraction of a synthesized trace matches this exactly.
-    A zero ``file_size`` is an error: that exchange has no download phase.
     """
     landmarks = _plan_trace(kind, file_size, rtt_ms, bottleneck_bps, 0, 0)[1]
-    if None in landmarks:
-        raise ValueError("a zero-byte exchange has no scheduled phases")
     seconds = [t_us / 1e6 for t_us in landmarks]
     return tuple((later - earlier) * 1000.0
                  for earlier, later in zip(seconds, seconds[1:]))

@@ -600,6 +600,19 @@ class TestBadTraceInputs:
              "--rtt", rtt, "--bottleneck", bottleneck,
              "--out", str(tmp_path / "out.tsv")], capsys, message)
 
+    @pytest.mark.parametrize("kind", ["get", "post"])
+    @pytest.mark.parametrize("file_size", ["0", "-1"])
+    def test_trace_synth_without_a_file(self, tmp_path, capsys, kind,
+                                        file_size):
+        """An exchange without a file has no response to price: an error,
+        and no export is written."""
+        out = tmp_path / "out.tsv"
+        assert_cli_error(
+            ["trace-synth", "--kind", kind, "--file-size", file_size,
+             "--rtt", "20", "--bottleneck", "20e6", "--out", str(out)],
+            capsys, "error: file_size must be at least 1 byte\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--format", "json"), ("--profile", "/nonexistent.json")])
     def test_trace_synth_takes_no_profile_or_format(self, tmp_path, capsys,
@@ -1525,6 +1538,25 @@ class TestEachCyclePricedOnce:
         assert len(calls) == 120
         assert sorted(set(args[-1] for args in calls)) == [
             1000.0 * k for k in range(1, 121)]
+
+    def test_sweep_prices_no_cloud_of_an_overrunning_edge(self, calls,
+                                                           tmp_path):
+        """At 128 ms up and 160 ms down, an edge at 40 ms overruns the
+        periods of 100, 200 and 300 ms: those rows price their edge alone,
+        the other 7 rows their edge and their 10 clouds."""
+        config = tmp_path / "overrun.json"
+        config.write_text(json.dumps({
+            "command": "sweep", "base": {"t_i": 1000, "rtt_edge": 40,
+                                         "b_tx": 16000, "b_rx": 16000},
+            "axes": [{"name": "t_i", "start": 100, "stop": 1000,
+                      "step": 100},
+                     {"name": "rtt_cloud", "start": 50, "stop": 500,
+                      "step": 50}]}))
+        assert cli.main(["sweep", "--config", str(config), "--out",
+                         str(tmp_path / "overrun.csv")]) == 0
+        assert [args[-1] for args in calls if args[-1] < 400] == [
+            100.0, 200.0, 300.0]
+        assert len(calls) == 3 + 7 * 11
 
     def test_sweep_prices_each_row_once(self, counts, tmp_path):
         """fig4 sweeps 18 periods by 11 cloud RTTs: each of its 18 rows

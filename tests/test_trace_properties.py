@@ -9,9 +9,13 @@ extraction of a synthetic exchange is held to the schedule that generated
 it; the byte coverage and acknowledgment search of a stream are held to
 the per-packet modular reference, also where the stream wraps 2^32; and
 serialising then parsing a synthetic exchange whose sequence numbers wrap
-at 2^32 gives back the same events.
+at 2^32 gives back the same events.  Every export that ``trace-synth``
+writes, ``trace-analyze`` reads back to its scheduled phases and its bulk
+stream.
 """
 
+import json
+import tempfile
 import tracemalloc
 from itertools import count, repeat
 from unittest import mock
@@ -19,8 +23,9 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from ltenergy import traces
+from ltenergy import cli, traces
 from ltenergy.traces import (
+    POST_HEADER_BYTES,
     SYNTH_CLIENT,
     IncompleteExchangeError,
     events_to_lines,
@@ -345,3 +350,41 @@ class TestSerialiseParseRoundTrip:
             else extract_get_phases
         assert extract(packets_of(wrapped)) == extract(events)
 
+
+# File sizes to 10^5 bytes, and one draw in ten to 10^6.
+FILE_SIZES = st.integers(0, 9).flatmap(
+    lambda k: st.integers(1, 10 ** 6 if k == 0 else 10 ** 5))
+
+
+class TestSynthAnalyzeRoundTrip:
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(["post", "get"]), size=FILE_SIZES,
+           rtt=st.floats(0.001, 500.0), bottleneck=st.floats(1e4, 1e10),
+           seed=st.integers(0, 2 ** 31))
+    @example(kind="get", size=1, rtt=0.001, bottleneck=1e10, seed=0)
+    @example(kind="post", size=1, rtt=500.0, bottleneck=1e4, seed=0)
+    @example(kind="get", size=10 ** 6, rtt=0.001, bottleneck=1e4, seed=1)
+    def test_analyze_reads_back_what_synth_writes(self, kind, size, rtt,
+                                                  bottleneck, seed):
+        """The CLI's own export analyses to the phases that
+        ``scheduled_phases`` plans, at the three decimals it writes, and
+        to the planned bulk stream: the file of a GET, and the request
+        header and the file of a POST."""
+        sched = scheduled_phases(kind, size, rtt, bottleneck)
+        t_i = 2 * sum(sched) + 100_000  # room for both promotions
+        with tempfile.TemporaryDirectory() as tmp:
+            export, out = f"{tmp}/export.tsv", f"{tmp}/out.json"
+            assert cli.main(["trace-synth", "--kind", kind, "--file-size",
+                             str(size), "--rtt", repr(rtt), "--bottleneck",
+                             repr(bottleneck), "--seed", str(seed), "--out",
+                             export]) == 0
+            assert cli.main(["trace-analyze", "--kind", kind, "--client",
+                             SYNTH_CLIENT, "--t-i", repr(t_i), "--format",
+                             "json", "--out", out, export]) == 0
+            with open(out, encoding="utf-8") as fp:
+                edge = json.load(fp)["edge"]
+        assert [edge[f"{phase}_ms"] for phase in ("t_tx", "t_w", "t_rx")] \
+            == [round(t, 3) for t in sched]
+        assert edge["file_size"] == (
+            POST_HEADER_BYTES + size if kind == "post" else size)

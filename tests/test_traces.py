@@ -390,7 +390,7 @@ class TestParseEvents:
         assert len(parse_events("\n".join(rows), ENDPOINT)) == 5
 
     @pytest.mark.parametrize("kind", ["get", "post"])
-    @pytest.mark.parametrize("size", [0, 1, 1448, 10 ** 6, 10 ** 7])
+    @pytest.mark.parametrize("size", [1, 1448, 10 ** 6, 10 ** 7])
     def test_exports_as_written_convert_by_column(self, monkeypatch, kind,
                                                   size):
         """An export as ``events_to_lines`` writes it, read line by line
@@ -479,7 +479,7 @@ class TestExtractPost:
 
     def test_single_packet_request(self):
         rtt = 80.0
-        events = synthesize_trace("post", 0, rtt, 10e6, seed=1)
+        events = synthesize_trace("post", 1, rtt, 10e6, seed=1)
         kept = [e for e in rows(events) if not is_admin(e)]
         request = [e for e in kept if e.payload_len > 0]
         acks = [e for e in kept
@@ -656,15 +656,14 @@ class TestSynthesizeTrace:
             slow = rows(synthesize_trace(kind, 500_000, 120, 10e6, seed=0))
             assert slow[-1].timestamp > fast[-1].timestamp
 
-    def test_zero_file_degenerates_to_request_and_ack(self):
+    def test_zero_file_is_rejected(self):
+        """The model's cycle has a response, so an exchange without a file
+        is no trace and has no scheduled phases."""
         for kind in ("post", "get"):
-            events = synthesize_trace(kind, 0, 75, 10e6, seed=0)
-            data = [e for e in rows(events) if not is_admin(e)]
-            payload = [e for e in data if e.payload_len > 0]
-            assert len(payload) == 1
-            assert payload[0].from_client is True
-            server = [e for e in data if not e.from_client]
-            assert len(server) == 1 and server[0].payload_len == 0
+            for plan in (synthesize_trace, scheduled_phases):
+                with pytest.raises(ValueError,
+                                   match="file_size must be at least 1 byte"):
+                    plan(kind, 0, 75, 10e6)
 
     @pytest.mark.parametrize("kind", ["post", "get"])
     @pytest.mark.parametrize("size", [1, 1448, 14_480, 314_159, 2_000_000])
@@ -676,7 +675,7 @@ class TestSynthesizeTrace:
         assert (it.t_tx, it.t_w, it.t_rx) == sched
 
     @pytest.mark.parametrize("kind", ["post", "get"])
-    @pytest.mark.parametrize("size", [0, 1, 1448, 1449, 4344, 314_159])
+    @pytest.mark.parametrize("size", [1, 1448, 1449, 4344, 314_159])
     def test_packet_bound_counts_exactly(self, monkeypatch, kind, size):
         """The bound counts the packets the planner builds, before it
         builds any: a limit of that count passes, one fewer does not."""
