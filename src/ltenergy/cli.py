@@ -11,12 +11,13 @@ as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
 asks for UTF-8), and an error reading one names the file.  A -0 reads as 0.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
-decimal of mJ, three of ms, three for energy ratios), CSV lines quoted as
-by ``csv.writer``, and no timestamps, so repeated runs of the same config
-are byte-identical.  An artifact is written whole, once the whole run has
-succeeded: a failure, even at the last sweep cell, leaves stdout empty and
-an existing ``--out`` file as it was.  On stderr, each library warning is
-one ``warning: <message>`` line, and a failure ends with one
+decimal of mJ, three of ms, three for energy ratios), CSV lines quoted as by
+``csv.writer``, and no timestamps, so repeated runs of the same config are
+byte-identical.  A renderer yields its artifact as chunks, and ``_write``
+alone collects them, once, before it opens ``--out`` or writes to stdout: a
+failure, even at the last sweep cell, leaves stdout empty and an existing
+``--out`` file as it was.  On stderr, each library warning is one
+``warning: <message>`` line, and a failure ends with one
 ``error: <message>`` line and exit status 1.
 """
 
@@ -59,6 +60,8 @@ def _resolve_profile(config: RunConfig) -> PowerProfile:
 
 
 def _write(config: RunConfig, *chunks: str) -> None:
+    """Write ``chunks`` to ``--out`` or stdout.  A caller unpacks renderers
+    into them: the one collection, made before the target is opened."""
     if config.output_path is not None:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fp:
             fp.writelines(chunks)
@@ -66,21 +69,21 @@ def _write(config: RunConfig, *chunks: str) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _json(obj: Any) -> str:
-    """The JSON artifact layout: two-space indent, no trailing newline."""
-    return json.dumps(obj, indent=2)
+def _json(obj: Any) -> tuple[str]:
+    """The JSON artifact layout as one chunk: indent 2, no trailing newline."""
+    return (json.dumps(obj, indent=2),)
 
 
 def _emit(config: RunConfig, columns: list[str],
           lines: Callable[[], Iterable[str]],
-          json_text: Callable[[], str]) -> None:
+          json_text: Callable[[], Iterable[str]]) -> None:
     """Render the artifact in the requested format only, from the CSV
-    ``lines`` of :func:`csv_line` or the ``json_text`` callable, and write
-    it once whole: the header and lines, or the JSON text and a newline."""
+    ``lines`` of :func:`csv_line` or the ``json_text`` chunks, and pass the
+    header and lines, or the JSON chunks and a newline, to :func:`_write`."""
     if config.output_format == "json":
-        _write(config, json_text(), "\n")
+        _write(config, *json_text(), "\n")
     else:
-        _write(config, csv_line(columns), "".join(lines()))
+        _write(config, csv_line(columns), *lines())
 
 
 def _run_power_table(config: RunConfig) -> int:
@@ -211,7 +214,7 @@ def _run_cost(config: RunConfig) -> int:
                           "1" if pt.t_i == curve.argmin_t_i[i // n] else "0"])
                 for i, pt in enumerate(curve.points))
 
-    def json_text() -> str:
+    def json_text() -> tuple[str]:
         return _json({"curves": [
             {"alpha": round(alpha, 6),
              "argmin_t_i_ms": round(argmin, 6),
@@ -244,23 +247,15 @@ def _run_trace_analyze(config: RunConfig) -> int:
 
     def analyze(paths: Sequence[str]) -> traces.AggregateResult:
         """One placement's exports, one exchange each, aggregated; each
-        error names its export.  The stream that ``kind`` names is not the
-        smaller one, unless the other fits in one segment."""
+        error names its export."""
         iterations = []
         for path in paths:
             try:
                 with _open_utf8(path) as fp:
-                    it = extract(traces.parse_events(fp, client=client))
+                    iterations.append(
+                        extract(traces.parse_events(fp, client=client)))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from exc
-            if it.file_size < it.other_size > traces.MSS_BYTES:
-                named, other = (("request", "response") if kind == "post"
-                                else ("response", "request"))
-                raise traces.IncompleteExchangeError(
-                    f"{path}: --kind {kind} names the {named}, "
-                    f"{it.file_size} bytes, but the {other} is larger, "
-                    f"{it.other_size} bytes")
-            iterations.append(it)
         return traces.aggregate(iterations, t_i, profile)
 
     edge = analyze(p["files"])
@@ -297,7 +292,7 @@ def _run_trace_analyze(config: RunConfig) -> int:
 def _run_trace_synth(config: RunConfig) -> int:
     from . import traces
     events = traces.synthesize_trace(**config.params)
-    _write(config, "\n".join(traces.events_to_lines(events)) + "\n")
+    _write(config, "\n".join(traces.events_to_lines(events)), "\n")
     return 0
 
 

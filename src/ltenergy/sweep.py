@@ -8,11 +8,11 @@ clouds; an edge that overruns or overflows prices no cloud.  With
 ``rtt_cloud`` innermost, as in the paper's figures, a row is the cloud RTT
 axis, whose waits are priced once per ``t_elab``; any other axis order
 makes each cell a row of one.  ``csv_rows`` and ``json_text`` render a
-stream of rows, one string per row, and ``sweep_cells`` flattens it into
-cells, each equal to :func:`ltenergy.analytic.compare`; a cycle that
-overruns its period is an error cell, and an energy or ratio that
-overflows a float ends the stream at its cell.  The CLI feeds the rows
-straight into a renderer; ``run_sweep`` collects the cells.
+stream of rows as chunks, one per row, that the CLI's ``_write`` alone
+collects.  ``sweep_cells`` flattens the stream into cells, each equal to
+:func:`ltenergy.analytic.compare`; a cycle that overruns its period is an
+error cell, and an energy or ratio that overflows a float ends the stream
+at its cell.  ``run_sweep`` collects the cells.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -202,7 +202,7 @@ class SweepResult(NamedTuple):
 
 def csv_rows(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     """The CSV lines of the rows of :func:`sweep_rows` as :func:`csv_line`
-    writes them, one string per row; numbers follow ``_fmt``.  A run of
+    writes them, one chunk per row; numbers follow ``_fmt``.  A run of
     priced cells maps one ``str.format``, bound to its head and edge."""
     for head, tails, deltas, edge, runs in _texts(
             spec, rows, lambda name, v: fmt_axis(v) + ",", "{:.3f},\n".format):
@@ -214,11 +214,14 @@ def csv_rows(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
             for a, b, rhos, e_clouds, error in runs)
 
 
-def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> str:
-    """``json.dumps(to_json_obj(), indent=2)`` of the rows of
-    :func:`sweep_rows`, one template of the indent-2 layout per cell, whose
-    numbers are the ``repr`` that ``json`` writes of each value held."""
-    parts = []
+def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
+    """The chunks of ``json.dumps(to_json_obj(), indent=2)`` of the rows of
+    :func:`sweep_rows`: the axes head, each row's text after its ``,\\n``
+    separator, then the closing brackets.  Each cell fills one template of
+    the indent-2 layout with the ``repr`` that ``json`` writes of a value."""
+    axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
+    yield axes[:-len("\n}")] + ',\n  "cells": [\n'
+    separator = ""
     for head, tails, deltas, edge, runs in _texts(
             spec, rows, lambda name, v: f"      {json.dumps(name)}: "
                                         f"{_round6(v)!r},\n",
@@ -226,16 +229,15 @@ def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> str:
         if isinstance(edge, tuple):
             e_edge = (f',\n      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
                       '      "e_i_cloud_mj": ')
-        parts.append(",\n".join(
+        yield separator + ",\n".join(
             f'    {{\n{head}{tails[a]}      "error": {json.dumps(error)}\n'
             '    }' if error else ",\n".join([
                 f'    {{\n{head}{tail}      "rho": {round(rho, 3)!r}{e_edge}'
                 f'{round(e, 1)!r}{d}' for tail, rho, e, d in zip(
                     tails[a:b], rhos, e_clouds, deltas[a:b])])
-            for a, b, rhos, e_clouds, error in runs))
-    axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
-    return (axes[:-len("\n}")] + ',\n  "cells": [\n'
-            + ",\n".join(parts) + "\n  ]\n}")
+            for a, b, rhos, e_clouds, error in runs)
+        separator = ",\n"
+    yield "\n  ]\n}"
 
 
 def _texts(spec: SweepSpec, rows: Iterable[tuple], axis_text: Callable,

@@ -132,7 +132,6 @@ class TraceIteration(NamedTuple):
     t_rx: float
     app_kind: str  # "post" or "get"
     file_size: int  # application bytes moved in the bulk direction
-    other_size: int = 0  # bytes moved the other way, 0 when not measured
 
     def _check(self) -> None:
         for name in ("t_tx", "t_w", "t_rx"):
@@ -371,9 +370,9 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
     GET) spans the first server payload packet through the first later
     client packet acknowledging all of it, so it includes that final
     acknowledgment's send time.  The wait is the gap in between.  ``kind``
-    only decides whose byte count is the file size: the request's for
-    "post", the response's for "get"; the other is ``other_size``, which
-    lets a caller check ``kind``.  :func:`_coverage` measures both streams.
+    names the file's stream, the request for "post", the response for "get";
+    it may be the smaller only if the other fits one segment, so "get" reads
+    a POST of 1,288 file bytes or less.  :func:`_coverage` measures both.
     """
     stamps, sizes, seqs, acks, senders = (
         packets.timestamp, packets.payload_len, packets.seq, packets.ack,
@@ -410,14 +409,18 @@ def _extract_phases(kind: str, packets: Packets) -> TraceIteration:
         raise IncompleteExchangeError(
             "missing the client acknowledgment of the response")
 
+    streams = [("request", request_size), ("response", response_size)]
+    (named, size), (other, other_size) = (streams if kind == "post"
+                                          else streams[::-1])
+    if size < other_size > MSS_BYTES:
+        raise IncompleteExchangeError(
+            f"--kind {kind} names the {named}, {size} bytes, but the {other} "
+            f"is larger, {other_size} bytes")
     return TraceIteration(
         t_tx=(stamps[request_ack] - stamps[request[0]]) * 1000.0,
         t_w=(response_start - stamps[request_ack]) * 1000.0,
         t_rx=(stamps[final_ack] - response_start) * 1000.0,
-        app_kind=kind,
-        file_size=request_size if kind == "post" else response_size,
-        other_size=response_size if kind == "post" else request_size,
-    )
+        app_kind=kind, file_size=size)
 
 
 def extract_post_phases(packets: Packets) -> TraceIteration:

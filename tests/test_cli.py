@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -455,6 +456,22 @@ class TestArtifactGoldens:
     def test_three_axis_grid_rtt_cloud_outer(self, tmp_path, capsys, fmt):
         assert_grid_golden(tmp_path, capsys, "outer-elab-grid",
                            OUTER_ELAB_GRID_CONFIG, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_grid_collected_once(self, tmp_path, fmt):
+        """The writer holds the artifact's chunks once and no renderer
+        joins them into another copy: writing the 20,000-cell grid peaks
+        below 1.5 times its bytes under ``tracemalloc``."""
+        argv = ["sweep", "--config", write_config(tmp_path, GRID_CONFIG),
+                "--format", fmt, "--out", str(tmp_path / f"grid.{fmt}")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / f"grid.{fmt}").stat().st_size
+        assert peak < 1.5 * size, f"peak {peak} B for {size} B"
 
 
 def assert_grid_golden(tmp_path, capsys, name, config, fmt):

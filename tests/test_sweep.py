@@ -431,8 +431,8 @@ class TestFastRenderers:
     def test_equal_reference(self, spec):
         result = run_sweep(spec, PROFILE)
         rows = list(sweep_rows(spec, PROFILE))
-        assert json_text(spec, rows) == json.dumps(result.to_json_obj(),
-                                                   indent=2)
+        assert "".join(json_text(spec, rows)) == json.dumps(
+            result.to_json_obj(), indent=2)
         assert (csv_artifact(spec, rows) == collected_csv(result)
                 == reference_csv(result))
 
@@ -466,12 +466,13 @@ class TestFastRenderers:
             assert rows[0][2][-1] != rows[1][2][-1]
         result = sweep.SweepResult(spec, tuple(cells))
         assert any(cell.error for cell in cells)
-        assert json_text(spec, rows) == json.dumps(result.to_json_obj(),
-                                                   indent=2)
+        assert "".join(json_text(spec, rows)) == json.dumps(
+            result.to_json_obj(), indent=2)
         assert csv_artifact(spec, rows) == reference_csv(result)
 
     @pytest.mark.parametrize("render", [
-        json_text, lambda spec, rows: "".join(sweep.csv_rows(spec, rows))],
+        lambda spec, rows: "".join(json_text(spec, rows)),
+        lambda spec, rows: "".join(sweep.csv_rows(spec, rows))],
         ids=["json", "csv"])
     @pytest.mark.parametrize("e_clouds, first_bad", [
         ((1.0, 1e-300, 0.0, 2.0), "1e+300/1e-300"),
@@ -520,8 +521,8 @@ class TestFastRenderers:
                 assert cell.result == expected
         assert 0 < errors < len(result.cells)
         rows = list(sweep_rows(spec, PROFILE))
-        assert json_text(spec, rows) == json.dumps(result.to_json_obj(),
-                                                   indent=2)
+        assert "".join(json_text(spec, rows)) == json.dumps(
+            result.to_json_obj(), indent=2)
         assert csv_artifact(spec, rows) == reference_csv(result)
 
 
@@ -624,7 +625,7 @@ class TestSweepOutput:
         lines = csv_artifact(spec, sweep_rows(spec, PROFILE)).splitlines()
         assert [line.split(",")[column] for line in lines[1:]] == [
             "0.000"] * 2
-        cells = json.loads(json_text(spec, sweep_rows(spec, PROFILE)))
+        cells = json.loads("".join(json_text(spec, sweep_rows(spec, PROFILE))))
         assert [cell["delta_rtt_ms"] for cell in cells["cells"]] == [0, 0]
 
 

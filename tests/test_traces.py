@@ -452,10 +452,14 @@ class TestExtractPost:
         assert it.file_size == 1500
         assert it.app_kind == "post"
 
-    def test_other_size_is_the_response(self):
-        events = parse_events("\n".join(post_exchange_lines()),
-                              client=ENDPOINT)
-        assert extract_post_phases(events).other_size == 200
+    def test_larger_response_rejected(self):
+        """``kind`` names the bulk stream: the 150-byte request of a
+        200,000-byte GET is not a POST's."""
+        events = synthesize_trace("get", 200000, 20, 20e6, seed=0)
+        with pytest.raises(IncompleteExchangeError, match=re.escape(
+                "--kind post names the request, 150 bytes, but the "
+                "response is larger, 200000 bytes")):
+            extract_post_phases(events)
 
     def test_response_before_final_ack_rejected(self):
         rows = post_exchange_lines()
@@ -499,10 +503,11 @@ class TestExtractGet:
         assert it.t_rx == pytest.approx(1005.0)
         assert it.file_size == 11000
 
-    def test_other_size_is_the_request(self):
-        events = parse_events("\n".join(get_exchange_lines()),
-                              client=ENDPOINT)
-        assert extract_get_phases(events).other_size == 150
+    def test_smaller_than_its_request(self):
+        """A GET smaller than its 150-byte request, which fits one
+        segment, still reads as a GET."""
+        it = extract_get_phases(synthesize_trace("get", 100, 20, 20e6))
+        assert (it.app_kind, it.file_size) == ("get", 100)
 
     def test_zero_length_response_rejected(self):
         events = parse_events("\n".join(get_exchange_lines()[:2]),
