@@ -544,6 +544,56 @@ class TestWrongTypeInputs:
         assert_cli_error(COST_ARGV + [flag, value], capsys, message)
 
 
+class TestRejectedWhereTheyEnter:
+    """Each input reaches one rejection of the library and ends, through the
+    CLI, with exit 1 and exactly its ``error:`` line."""
+
+    def assert_rejected(self, argv, capsys, message):
+        assert (cli.main(argv), capsys.readouterr().err) == (
+            1, f"error: {message}\n")
+
+    def test_zero_bitrate(self, capsys):
+        self.assert_rejected(["eval", "--t-i", "1000", "--uplink", "0"],
+                             capsys, "bitrates must be strictly positive")
+
+    def test_profile_missing_a_field(self, tmp_path, capsys):
+        data = profile_to_dict(default_profile())
+        del data["p_tx"]
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        self.assert_rejected(
+            ["eval", "--t-i", "1000", "--profile", str(path)], capsys,
+            "profile is missing required field 'p_tx'")
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        self.assert_rejected(["cost", "--config", str(path)], capsys,
+                             f"{path}: config must be a JSON object")
+
+    def test_zero_hourly_bytes(self, capsys):
+        self.assert_rejected(
+            ["cost", "--hourly-bytes", "0", "--rtt", "40", "--t-i-min",
+             "1000", "--t-i-max", "2000", "--t-i-step", "500"], capsys,
+            "hourly_bytes must be strictly positive")
+
+    def test_response_never_acknowledged(self, tmp_path, capsys):
+        """A GET export cut after its last response packet."""
+        path = tmp_path / "get.tsv"
+        assert cli.main(["trace-synth", "--kind", "get", "--file-size",
+                         "200000", "--rtt", "20", "--bottleneck", "20e6",
+                         "--out", str(path)]) == 0
+        lines = path.read_text().splitlines(keepends=True)
+        last = max(i for i, line in enumerate(lines)
+                   if line.split("\t")[1] == "203.0.113.5"
+                   and line.split("\t")[5] != "0")
+        path.write_text("".join(lines[:last + 1]))
+        self.assert_rejected(
+            ["trace-analyze", "--kind", "get", "--client", CLIENT, "--t-i",
+             "30000", str(path)], capsys,
+            f"{path}: missing the client acknowledgment of the response")
+
+
 def test_second_connection_from_client_host_rejected(tmp_path, capsys):
     """An export that mixes in another connection of the client's host is
     rejected rather than analysed as part of the exchange."""

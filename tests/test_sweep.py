@@ -5,10 +5,12 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ltenergy import cli, sweep
 from ltenergy.analytic import (
@@ -321,9 +323,69 @@ class TestSweepMatchesCompare:
             compare(*scenarios_at(spec, points[5]), PROFILE)
 
     def test_invalid_axis_value_raises_scenario_error(self):
-        spec = make_spec((SweepAxis("t_i", -250, 750, 250),))
         with pytest.raises(ValueError, match="t_i must be strictly positive"):
-            run_sweep(spec, PROFILE)
+            make_spec((SweepAxis("t_i", -250, 750, 250),))
+
+
+@st.composite
+def checked_axes(draw):
+    """An axis of at most 50 values from any finite start, negative, -0.0,
+    0 or positive; its stop may fall just short of its last value, which
+    may then overflow."""
+    start = draw(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e5, 1e5),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    step = draw(st.one_of(st.floats(1e-3, 1e4), st.floats(
+        0.0, exclude_min=True, allow_infinity=False)))
+    span = (draw(st.integers(1, 50)) - 1) * step
+    stop = start + span * draw(st.sampled_from([1.0, 1 - 1e-12]))
+    assume(math.isfinite(stop))
+    name = draw(st.sampled_from(sweep.SWEEP_AXES))
+    return SweepAxis(name, start, stop, step)
+
+
+class TestSpecChecksEveryCell:
+    """``SweepSpec`` checks each axis at its first and last values, which
+    stand for all of its values."""
+
+    BASE = reference_scenarios(750, 50)[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(axis=checked_axes(),
+           base=st.builds(ConnectionlessScenario, t_i=st.floats(1e-3, 1e6),
+                          t_elab=st.floats(0.0, 1e6), rtt=st.floats(0.0, 1e3),
+                          b_tx=st.floats(0.0, 1e6), b_rx=st.floats(0.0, 1e6),
+                          uplink_bps=st.floats(1.0, 1e9),
+                          downlink_bps=st.floats(1.0, 1e9)),
+           rtt_cloud=st.floats(0.0, 1e4))
+    @example(axis=SweepAxis("t_i", 0, 1000, 250), base=BASE, rtt_cloud=50.0)
+    @example(axis=SweepAxis("t_i", -0.0, 1000, 250), base=BASE,
+             rtt_cloud=50.0)
+    @example(axis=SweepAxis("payload", -100, 1000, 250), base=BASE,
+             rtt_cloud=50.0)
+    @example(axis=SweepAxis("rtt_cloud", -100, 1000, 250), base=BASE,
+             rtt_cloud=50.0)
+    # the last value, start + 3 * step, overflows to inf
+    @example(axis=SweepAxis("t_elab", 0.0, sys.float_info.max,
+                            sys.float_info.max / 3 * (1 + 1e-12)),
+             base=BASE, rtt_cloud=50.0)
+    def test_raises_at_the_first_failing_value(self, axis, base, rtt_cloud):
+        # the fields scenarios_at reads, unchecked: SweepSpec would raise
+        unchecked = SimpleNamespace(base=base, rtt_cloud=rtt_cloud,
+                                    axes=(axis,))
+        expected = None
+        for value in axis.values():
+            try:
+                scenarios_at(unchecked, (value,))
+            except ValueError as exc:
+                expected = str(exc)
+                break
+        if expected is None:
+            SweepSpec(base, rtt_cloud, (axis,))
+        else:
+            with pytest.raises(ValueError) as info:
+                SweepSpec(base, rtt_cloud, (axis,))
+            assert str(info.value) == expected
 
 
 def csv_artifact(spec, rows):
