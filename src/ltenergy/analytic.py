@@ -157,15 +157,19 @@ def cycle_pricer(profile: PowerProfile
                  ) -> Callable[[float, float, float, float], tuple]:
     """The one per-cycle core, bound to ``profile``, which it unpacks once.
 
-    Its unit is the row: the cycles of one period and pair of transfer times,
-    one per wait.  ``price.waits(t_ws)`` prices each wait's energy once, for
-    every row that shares it.  ``price.row(t_tx, waits, t_rx, t_i)`` returns
-    the row's cycles in wait order, each ``(t_q, prom_tx, prom_rx)`` and the
-    energy parts (mJ) in ``EnergyBreakdown`` field order, as plain floats; a
-    cycle that overruns its period is its :class:`PeriodOverrunError`, and
-    one whose total overflows a float ends the row as its ``ValueError``.
-    The scalar ``price(t_tx, t_w, t_rx, t_i)`` is the row of one wait, whose
-    tuple it returns or whose error it raises.  Phases are non-negative, as
+    Its unit is the row: the cycles of each of its legs with each of its
+    waits, leg-major, so a row whose cells differ in period or transfers
+    passes one wait and one whose cells differ in wait passes one leg.
+    ``price.legs(t_txs, t_rxs, t_is)`` derives each leg ``(span, e_tx,
+    e_rx)`` and ``price.waits(t_ws)`` each wait ``(t_w, e_w)``, once for
+    every row that shares it.  ``price.row(legs, waits)`` returns each cycle
+    as ``(t_q, prom_tx, prom_rx)`` and the energy parts (mJ) in
+    ``EnergyBreakdown`` field order, in plain floats; a cycle that overruns
+    its period is its :class:`PeriodOverrunError`, one whose total overflows
+    a float its ``ValueError``, and an error in place of a leg or a wait is
+    each of its cycles, unpriced.  The scalar ``price(t_tx, t_w, t_rx,
+    t_i)`` is the row of one leg and one wait, whose tuple it returns or
+    whose error it raises.  Phases are non-negative, as
     ``traces.TraceIteration`` and the checked value types check.
 
     ``t_q`` is the period minus the three phases and any charged promotion
@@ -202,39 +206,53 @@ def cycle_pricer(profile: PowerProfile
     def waits(t_ws: Iterable[float]) -> list[tuple[float, float]]:
         return [(t_w, gap_energy(t_w)) for t_w in t_ws]
 
-    def row(t_tx: float, waits: list, t_rx: float, t_i: float) -> list:
+    def legs(t_txs: Iterable[float], t_rxs: Iterable[float],
+             t_is: Iterable[float]) -> list[tuple[float, float, float]]:
         # span is t_i - t_tx - t_rx: residual rounds as t_i - t_tx - t_rx - t_w
-        span = t_i - t_tx - t_rx
-        e_tx, e_rx = t_tx * p_tx / 1000.0, t_rx * p_rx / 1000.0
+        return [(t_i - t_tx - t_rx, t_tx * p_tx / 1000.0, t_rx * p_rx / 1000.0)
+                for t_tx, t_rx, t_i in zip(t_txs, t_rxs, t_is)]
+
+    def row(legs: list, waits: list) -> list:
         cycles = []
-        for t_w, e_w in waits:
-            prom_rx = t_w > threshold
-            residual = span - t_w
-            if prom_rx:
-                residual -= t_prom
-            prom_tx = residual - t_prom > threshold
-            t_q = residual - t_prom if prom_tx else residual
-            if t_q < 0:
-                cycles.append(PeriodOverrunError(-t_q))
+        for leg in legs:
+            try:
+                span, e_tx, e_rx = leg
+            except TypeError:  # an error in place of a leg
+                cycles += [leg] * len(waits)
                 continue
-            e_q = gap_energy(t_q)
-            e_prom_tx = e_prom if prom_tx else 0.0
-            e_prom_rx = e_prom if prom_rx else 0.0
-            e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
-            if not e_i < math.inf:
-                cycles.append(ValueError("cycle energy overflows a float"))
-                break
-            cycles.append((t_q, prom_tx, prom_rx,
-                           e_tx, e_w, e_rx, e_q, e_prom_tx, e_prom_rx, e_i))
+            for wait in waits:
+                try:
+                    t_w, e_w = wait
+                except TypeError:  # an error in place of a wait
+                    cycles.append(wait)
+                    continue
+                prom_rx = t_w > threshold
+                residual = span - t_w
+                if prom_rx:
+                    residual -= t_prom
+                prom_tx = residual - t_prom > threshold
+                t_q = residual - t_prom if prom_tx else residual
+                if t_q < 0:
+                    cycles.append(PeriodOverrunError(-t_q))
+                    continue
+                e_q = gap_energy(t_q)
+                e_prom_tx = e_prom if prom_tx else 0.0
+                e_prom_rx = e_prom if prom_rx else 0.0
+                e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
+                if not e_i < math.inf:
+                    cycles.append(ValueError("cycle energy overflows a float"))
+                    continue
+                cycles.append((t_q, prom_tx, prom_rx, e_tx, e_w, e_rx, e_q,
+                               e_prom_tx, e_prom_rx, e_i))
         return cycles
 
     def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
-        cycle, = row(t_tx, waits((t_w,)), t_rx, t_i)
+        cycle, = row(legs((t_tx,), (t_rx,), (t_i,)), waits((t_w,)))
         if isinstance(cycle, ValueError):
             raise cycle
         return cycle
 
-    price.row, price.waits = row, waits
+    price.legs, price.waits, price.row = legs, waits, row
     return price
 
 

@@ -235,12 +235,12 @@ def _run_trace_analyze(config: RunConfig) -> int:
     from . import traces
     p = config.params
     client = traces.parse_endpoint(p["client"], "--client")
-    profile = _resolve_profile(config)
-    kind = p["kind"]
-    t_i = float(p["t_i"])
+    t_i = traces._check_period(float(p["t_i"]))
     concurrency = p.get("concurrency")
     if concurrency is not None and concurrency < 0:
         raise ValueError(f"concurrency must be non-negative, got {concurrency}")
+    profile = _resolve_profile(config)  # read after every flag is checked
+    kind = p["kind"]
     c_text = "" if concurrency is None else str(concurrency)
     extract = (traces.extract_post_phases if kind == "post"
                else traces.extract_get_phases)
@@ -367,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ta.add_argument("--kind", choices=("post", "get"), required=True,
                       help="the bulk stream, the request for post or the "
                            "response for get, which must not be the smaller "
-                           "one if the other exceeds one 1448-byte segment")
+                           "one if the other exceeds one 1448-byte segment: "
+                           "get reads a POST of up to 1288 file bytes as a "
+                           "GET")
     p_ta.add_argument("--client", required=True,
                       help="client endpoint as addr:port; each export is "
                            "one TCP connection, whose first packet fixes "

@@ -1,13 +1,12 @@
 """Parameter sweeps over placement scenarios and batching-cost curves.
 
 ``sweep_rows`` is the one sweep kernel: a generator of the rows of a
-dense grid of scenario parameters, one dimension per swept axis.  It
-binds :func:`ltenergy.analytic.cycle_pricer` once and prices each row
-with two ``price.row`` calls, its edge, then its clouds; an edge that
-overruns or overflows prices no cloud.  With
-``rtt_cloud`` innermost, as in the paper's figures, a row is the cloud RTT
-axis, whose waits are priced once per ``t_elab``; any other axis order
-makes each cell a row of one.  ``csv_rows`` and ``json_text`` render a
+dense grid of scenario parameters, one dimension per swept axis.  A row is
+a run of at most ``ROW_CELLS`` values of the innermost axis, whatever its
+name, whose cells each have their own edge, cloud and delta.  It binds
+:func:`ltenergy.analytic.cycle_pricer` once and prices each row with two
+``price.row`` calls, its edges, then its clouds; an edge that overruns or
+overflows prices no cloud.  ``csv_rows`` and ``json_text`` render a
 stream of rows as chunks, one per row, that the CLI's ``_write`` alone
 collects.  ``sweep_cells`` flattens the stream into cells, each equal to
 :func:`ltenergy.analytic.compare`; a cycle that overruns its period is an
@@ -51,6 +50,7 @@ from .power_model import PowerProfile, _check_finite, _checked, _number
 __all__ = [
     "SWEEP_AXES",
     "MAX_GRID_CELLS",
+    "ROW_CELLS",
     "SweepAxis",
     "SweepSpec",
     "SweepCell",
@@ -76,6 +76,10 @@ MS_PER_HOUR = 3_600_000.0
 # Most cells a grid may have, checked before any grid value is built: 4x the
 # north-star grid's 498,486, whose CLI run peaks at 92.6 MB JSON, 33.3 MB CSV.
 MAX_GRID_CELLS = 2_000_000
+# Most cells of a sweep row, which holds its cells' cycles and texts at once:
+# rows of 512 keep a drained 10^4-value t_elab axis within 1 MiB, and rows
+# of 500 or fewer values, as in the figures, whole.
+ROW_CELLS = 512
 
 
 @_checked
@@ -160,9 +164,9 @@ class SweepCell(NamedTuple):
     """One grid point: both placements' energies, or an overrun marker.
 
     ``edge`` and ``cloud`` hold the ``EnergyBreakdown`` fields in order,
-    the six per-phase parts (mJ) followed by their total; the cells of one
-    sweep row share its edge tuple.  An error cell holds only ``values``
-    and ``error``.
+    the six per-phase parts (mJ) followed by their total; each cell has its
+    own, also where a sweep row shares one edge tuple among its cells.  An
+    error cell holds only ``values`` and ``error``.
     """
 
     values: tuple[float, ...]
@@ -211,16 +215,17 @@ class SweepResult(NamedTuple):
 
 def csv_rows(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     """The CSV lines of the rows of :func:`sweep_rows` as :func:`csv_line`
-    writes them, one chunk per row; numbers follow ``_fmt``.  A run of
-    priced cells maps one ``str.format``, bound to its head and edge."""
-    for head, tails, deltas, edge, runs in _texts(
-            spec, rows, lambda name, v: fmt_axis(v) + ",", "{:.3f},\n".format):
-        if isinstance(edge, tuple):
-            line = f"{head}{{}}{{:.3f}},{edge[-1]:.1f},{{:.1f}},{{}}".format
+    writes them, one chunk per row; numbers follow ``_fmt``.  Each priced
+    cell fills one f-string after its row's head."""
+    for head, tails, deltas, runs in _texts(
+            spec, rows, lambda name, v: fmt_axis(v) + ",", "{:.3f},\n".format,
+            "{:.1f}".format):
         yield "".join(
             f"{head}{tails[a]},,,,{csv_line([error])}" if error else
-            "".join(map(line, tails[a:b], rhos, e_clouds, deltas[a:b]))
-            for a, b, rhos, e_clouds, error in runs)
+            "".join([f"{head}{tail}{rho:.3f},{texts[e_edge]},{e:.1f},{d}"
+                     for tail, rho, e_edge, e, d in zip(
+                         tails[a:b], rhos, e_edges, e_clouds, deltas[a:b])])
+            for a, b, rhos, e_edges, texts, e_clouds, error in runs)
 
 
 def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
@@ -231,59 +236,75 @@ def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
     yield axes[:-len("\n}")] + ',\n  "cells": [\n'
     separator = ""
-    for head, tails, deltas, edge, runs in _texts(
+    for head, tails, deltas, runs in _texts(
             spec, rows, lambda name, v: f"      {json.dumps(name)}: "
                                         f"{_round6(v)!r},\n",
-            lambda d: f',\n      "delta_rtt_ms": {_round6(d)!r}\n    }}'):
-        if isinstance(edge, tuple):
-            e_edge = (f',\n      "e_i_edge_mj": {round(edge[-1], 1)!r},\n'
-                      '      "e_i_cloud_mj": ')
+            lambda d: f',\n      "delta_rtt_ms": {_round6(d)!r}\n    }}',
+            lambda e: repr(round(e, 1))):
         yield separator + ",\n".join(
             f'    {{\n{head}{tails[a]}      "error": {json.dumps(error)}\n'
             '    }' if error else ",\n".join([
-                f'    {{\n{head}{tail}      "rho": {round(rho, 3)!r}{e_edge}'
-                f'{round(e, 1)!r}{d}' for tail, rho, e, d in zip(
-                    tails[a:b], rhos, e_clouds, deltas[a:b])])
-            for a, b, rhos, e_clouds, error in runs)
+                f'    {{\n{head}{tail}      "rho": {round(rho, 3)!r},\n'
+                f'      "e_i_edge_mj": {texts[e_edge]},\n'
+                f'      "e_i_cloud_mj": {round(e, 1)!r}{d}'
+                for tail, rho, e_edge, e, d in zip(
+                    tails[a:b], rhos, e_edges, e_clouds, deltas[a:b])])
+            for a, b, rhos, e_edges, texts, e_clouds, error in runs)
         separator = ",\n"
     yield "\n  ]\n}"
 
 
 def _texts(spec: SweepSpec, rows: Iterable[tuple], axis_text: Callable,
-           delta_text: Callable) -> Iterator[tuple]:
-    """Each row as ``(head, tails, deltas, edge, runs)``: the texts of its
-    head, tails and deltas, the latter two built once per distinct list."""
-    texts = [{v: axis_text(a.name, v) for v in a.values()} for a in spec.axes]
+           delta_text: Callable, edge_text: Callable) -> Iterator[tuple]:
+    """Each row as ``(head, tails, deltas, runs)``: the texts of its head,
+    tails and deltas, the latter two built once per distinct list, and its
+    :func:`_runs`, whose edge energies are texts."""
+    *outer, inner = spec.axes
+    texts = [{v: axis_text(a.name, v) for v in a.values()} for a in outer]
     last = None, None
-    for head, tails, edge, clouds, deltas in rows:
+    for head, tails, edges, clouds, deltas in rows:
         if tails is not last[0]:
-            tail_texts = [*map(texts[-1].__getitem__, tails)]
-        if deltas is not last[1]:
-            delta_texts = [*map(delta_text, deltas)]
+            tail_texts = [axis_text(inner.name, v) for v in tails]
+        if deltas is not last[1]:  # one text per distinct delta
+            delta_texts = [*map({d: delta_text(d) for d in set(deltas)}
+                                .__getitem__, deltas)]
         last = tails, deltas
         yield ("".join(map(dict.__getitem__, texts, head)), tail_texts,
-               delta_texts, edge, _runs(edge, clouds))
+               delta_texts, _runs(edges, clouds, edge_text))
 
 
-def _runs(edge: tuple | ValueError, clouds: list) -> Iterator[tuple]:
-    """A row's cells as runs ``(start, stop, ratios, cloud energies, None)``
-    of priced cells, one ratio check per run, and ``(k, k + 1, None, None,
-    message)`` of overrun cells, in order, up to a bad cell, which raises."""
+def _runs(edges: Sequence, clouds: Sequence, edge_text: Callable
+          ) -> Iterator[tuple]:
+    """A row's cells as runs of priced cells, ``(start, stop, ratios, edge
+    energies, their texts by value, cloud energies, None)``, with one ratio
+    check and one text per distinct edge energy, and ``(k, k + 1, None,
+    None, None, None, message)`` of overrun cells, in order, up to a bad
+    cell, which raises."""
     stops = [k for k, cloud in enumerate(clouds)
              if not isinstance(cloud, tuple)] + [len(clouds)]
     start = 0
     for stop in stops:
         if start < stop:
+            run = edges[start:stop]
+            shared = run.count(run[0]) == len(run)  # as sweep_rows shares
+            e_edges = ([run[0][-1]] * len(run) if shared else
+                       [edge[-1] for edge in run])
             e_clouds = [cloud[-1] for cloud in clouds[start:stop]]
-            rhos = [edge[-1] / e if e else math.inf for e in e_clouds]
+            try:
+                rhos = [*map(operator.truediv, e_edges, e_clouds)]
+            except ZeroDivisionError:
+                rhos = [math.inf]
             if not max(rhos) < math.inf:
-                for e in e_clouds:  # raises at the first bad ratio
-                    energy_ratio(edge[-1], e)
-            yield start, stop, rhos, e_clouds, None
+                for e, c in zip(e_edges, e_clouds):  # raises at the first
+                    energy_ratio(e, c)
+            yield (start, stop, rhos, e_edges, {
+                e: edge_text(e) for e in (e_edges[:1] if shared
+                                          else set(e_edges))}, e_clouds, None)
         if stop < len(clouds):
             if not isinstance(clouds[stop], PeriodOverrunError):
                 raise clouds[stop]
-            yield stop, stop + 1, None, None, str(clouds[stop])
+            yield (stop, stop + 1, None, None, None, None,
+                   str(clouds[stop]))
         start = stop + 1
 
 
@@ -308,34 +329,71 @@ def _field_picker(base: ConnectionlessScenario, names: Sequence[str]
 
 
 def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
-    """The grid's rows, row-major, as ``(head, tails, edge, clouds,
-    deltas)``: a cell per tail, valued ``head + (tail,)``, with the shared
-    ``edge`` and the cloud and ``delta_rtt`` at the tail's index.  A row's
-    edge is priced first and its clouds in one ``price.row`` call after it,
-    only if the edge is a cycle: an edge's error fills its every cloud.
-    A row is the ``rtt_cloud`` axis when innermost, else one cell."""
-    names = [axis.name for axis in spec.axes]
-    grids = [axis.values() for axis in spec.axes]
+    """The grid's rows, row-major, as ``(head, tails, edges, clouds,
+    deltas)``: a row is at most ``ROW_CELLS`` consecutive ``tails`` of the
+    innermost axis, whatever its name, after the ``head`` of the outer
+    axes, and holds a cell per tail, valued ``head + (tail,)``, with its own
+    edge, cloud and ``delta_rtt``.  What no cell of a row varies is priced
+    once for all: with ``rtt_cloud`` innermost they share one edge tuple.
+    Each leg, wait and edge is kept while the next row repeats it.  A row's
+    edges are one ``price.row`` call and its clouds another, which prices
+    no cloud whose edge is an error: that error is its cloud too."""
+    *outer, inner = spec.axes
     base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
+    pick, fields = _field_picker(base, [axis.name for axis in spec.axes])
     price = cycle_pricer(profile)
-    rtt_edge = spec.base.rtt
-    rtts = grids.pop() if names[-1] == "rtt_cloud" else None
-    pick, fields = _field_picker(base, names[:len(grids)])
-    wait_key = None
-    for outer in itertools.product(*grids):
-        t_i, t_elab, rtt, b_tx, b_rx = pick(outer + fields)
-        if (t_elab, rtt) != wait_key:  # only the last waits are kept
-            wait_key, cloud_rtts = (t_elab, rtt), rtts or (rtt,)
-            edge_wait, *waits = price.waits(
-                [t_elab + r for r in (rtt_edge, *cloud_rtts)])
-            deltas = [r - rtt_edge for r in cloud_rtts]
-        t_tx = transfer_time(b_tx, base.uplink_bps)
-        t_rx = transfer_time(b_rx, base.downlink_bps)
-        edge, = price.row(t_tx, (edge_wait,), t_rx, t_i)
-        clouds = (price.row(t_tx, waits, t_rx, t_i) if isinstance(edge, tuple)
-                  else [edge] * len(deltas))
-        yield ((outer, rtts, edge, clouds, deltas) if rtts else
-               (outer[:-1], outer[-1:], edge, clouds, deltas))
+    up, down, rtt_edge = base.uplink_bps, base.downlink_bps, spec.base.rtt
+    n, last = inner.n_values, {}  # per name: its last arguments and value
+
+    def cells(name: str, f: Callable, *args) -> list:
+        """``f`` on ``args``, made again only when they change.  Each is a
+        list, of one value per cell or of one that all cells share, or a
+        float that all share, which ``f``, mapping lists to a list, gets as
+        a list as long as the longest argument, or of one."""
+        made = last.get(name)
+        if made is None or made[0] != args:
+            m = max([len(a) for a in args if type(a) is list], default=1)
+            made = last[name] = args, f(
+                *[a if type(a) is list else [a] * m for a in args])
+        return made[1]
+
+    def legs(t_is, b_txs, b_rxs):
+        return price.legs([transfer_time(b, up) for b in b_txs],
+                          [transfer_time(b, down) for b in b_rxs], t_is)
+
+    def waits(t_elabs, rtts):
+        return price.waits(map(operator.add, t_elabs, rtts))
+
+    def delta_row(rtts):
+        return [rtt - rtt_edge for rtt in rtts]
+
+    def block(inputs, edges):  # an edge's error for its cloud's input
+        return [x if isinstance(edge, tuple) else edge
+                for x, edge in zip(inputs, edges)]
+
+    for head in itertools.product(*(axis.values() for axis in outer)):
+        for start in range(0, n, ROW_CELLS):
+            if last.get("start") != start:
+                last["start"], tails = start, [
+                    inner.start + k * inner.step
+                    for k in range(start, min(start + ROW_CELLS, n))]
+            # The inner axis's fields are the list ``tails``, others floats,
+            # so each value below is a list of one per cell or of one.
+            t_i, t_elab, rtt, b_tx, b_rx = pick(head + (tails,) + fields)
+            row_legs = cells("legs", legs, t_i, b_tx, b_rx)
+            edges = cells("edges", price.row, row_legs,
+                          cells("edge waits", waits, t_elab, rtt_edge))
+            row_waits = cells("waits", waits, t_elab, rtt)
+            deltas = cells("deltas", delta_row, rtt)
+            # Legs or waits vary, never both: errors go where edges vary.
+            if len(row_legs) == len(edges):
+                row_legs = cells("blocked", block, row_legs, edges)
+            else:
+                row_waits = cells("blocked", block, row_waits, edges)
+            m = len(tails)
+            yield (head, tails, edges * m if len(edges) == 1 else edges,
+                   price.row(row_legs, row_waits),
+                   deltas * m if len(deltas) == 1 else deltas)
 
 
 def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
@@ -344,15 +402,15 @@ def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     :func:`ltenergy.analytic.compare` at its grid point, an overrun is an
     error cell, the edge's when both overrun, and an energy or ratio that
     overflows a float raises ``ValueError`` at its cell."""
-    for head, tails, edge, clouds, deltas in sweep_rows(spec, profile):
-        parts = edge[3:] if isinstance(edge, tuple) else None  # shared
-        for a, b, rhos, _, error in _runs(edge, clouds):
-            if error:
-                yield head + (tails[a],), None, None, None, None, error
-                continue
-            for tail, cloud, rho, delta in zip(tails[a:b], clouds[a:b], rhos,
-                                               deltas[a:b]):
-                yield head + (tail,), parts, cloud[3:], rho, delta, None
+    for head, tails, edges, clouds, deltas in sweep_rows(spec, profile):
+        for tail, edge, cloud, delta in zip(tails, edges, clouds, deltas):
+            if isinstance(cloud, tuple):
+                yield (head + (tail,), edge[3:], cloud[3:],
+                       energy_ratio(edge[-1], cloud[-1]), delta, None)
+            elif isinstance(cloud, PeriodOverrunError):
+                yield head + (tail,), None, None, None, None, str(cloud)
+            else:
+                raise cloud
 
 
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:

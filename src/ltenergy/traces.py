@@ -626,6 +626,13 @@ class AggregateResult(NamedTuple):
     mean_t_q: float
 
 
+def _check_period(t_i: float) -> float:
+    if not 0.0 < t_i < math.inf:
+        raise ValueError(
+            f"t_i must be finite and strictly positive, got {t_i!r}")
+    return t_i
+
+
 def aggregate(iterations: Sequence[TraceIteration], t_i: float,
               profile: PowerProfile) -> AggregateResult:
     """Sum the per-repetition energies of one experiment.
@@ -645,9 +652,7 @@ def aggregate(iterations: Sequence[TraceIteration], t_i: float,
     if len(sizes) > 1:
         raise ValueError(f"mixed file sizes: {sorted(sizes)}")
 
-    if not 0.0 < t_i < math.inf:
-        raise ValueError(
-            f"t_i must be finite and strictly positive, got {t_i!r}")
+    _check_period(t_i)
     timings, breakdowns = zip(*(price_cycle(*it[:3], t_i, profile)
                                 for it in iterations))
     n = len(timings)

@@ -473,6 +473,39 @@ class TestArtifactGoldens:
         size = (tmp_path / f"grid.{fmt}").stat().st_size
         assert peak < 1.5 * size, f"peak {peak} B for {size} B"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_large_grid_rtt_cloud_outer_collected_once(self, tmp_path, fmt):
+        """With rtt_cloud outermost, a row is the t_i axis, not one cell,
+        so the same 20,000 cells also peak below 1.5 times their bytes."""
+        assert traced_peak(tmp_path, OUTER_GRID_CONFIG, fmt) < 1.5
+
+    @pytest.mark.parametrize("fmt, bound", [("csv", 3), ("json", 2)])
+    def test_long_axis_rows_bounded(self, tmp_path, fmt, bound):
+        """A sweep row is at most ``ROW_CELLS`` cells, so one 20,000-value
+        rtt_cloud axis peaks within a small multiple of its artifact: the
+        rows and their texts are not held for the whole axis."""
+        config = {"command": "sweep",
+                  "base": {"t_i": 300000, "t_elab": 100, "rtt_edge": 20,
+                           "b_tx": 16000, "b_rx": 16000},
+                  "axes": [{"name": "rtt_cloud", "start": 0, "stop": 19999,
+                            "step": 1}]}
+        assert traced_peak(tmp_path, config, fmt) < bound
+
+
+def traced_peak(tmp_path, config, fmt):
+    """The ``tracemalloc`` peak of ``sweep --out`` on ``config``, in units
+    of the artifact it writes."""
+    out = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--config", write_config(tmp_path, config),
+            "--format", fmt, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.stat().st_size
+
 
 def assert_grid_golden(tmp_path, capsys, name, config, fmt):
     """The sweep of ``config`` writes its ``GRID_DIGESTS`` artifact, the
@@ -641,6 +674,25 @@ class TestBadTraceInputs:
         assert_cli_error(
             self.analyze(export, "--t-i", "30000", "--concurrency", "-3"),
             capsys, "concurrency must be non-negative, got -3")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--t-i", "0"), "t_i must be finite and strictly positive, got 0.0"),
+        (("--t-i", "inf"),
+         "t_i must be finite and strictly positive, got inf"),
+        (("--t-i", "30000", "--concurrency", "-3"),
+         "concurrency must be non-negative, got -3")])
+    @pytest.mark.parametrize("bad_file", ["empty export", "missing profile"])
+    def test_flags_checked_before_any_file(self, tmp_path, capsys, flags,
+                                           message, bad_file):
+        """A bad flag is named before the profile or an export is read:
+        neither an empty export nor a missing profile hides it."""
+        export = tmp_path / "empty.tsv"
+        export.write_text("")
+        argv = self.analyze(export, *flags)
+        if bad_file == "missing profile":
+            argv += ["--profile", str(tmp_path / "missing.json")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("rtt, bottleneck, name", [
         ("inf", "20e6", "rtt"), ("nan", "20e6", "rtt"),
@@ -1544,13 +1596,15 @@ class TestTraceBound:
 class TestEachCyclePricedOnce:
     """Every command prices each of its cycles once, through a pricer that
     ``analytic.cycle_pricer`` binds, whichever module binds it: by a call
-    of the scalar pricer or as one cycle of a ``price.row`` call."""
+    of the scalar pricer or as one cycle of a ``price.row`` call, whose
+    legs ``price.legs`` made."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         """``(cycles, waits)``: the ``(t_tx, t_w, t_rx, t_i)`` of each
         cycle priced, and each wait whose energy ``price.waits`` computed."""
         cycles, waits = [], []
+        sources = {}  # the (t_tx, t_rx, t_i) of each leg made
         bind = analytic.cycle_pricer
 
         def counting(profile):
@@ -1560,16 +1614,24 @@ class TestEachCyclePricedOnce:
                 cycles.append(args)
                 return price(*args)
 
-            def row(t_tx, row_waits, t_rx, t_i):
-                cycles.extend((t_tx, t_w, t_rx, t_i) for t_w, _ in row_waits)
-                return price.row(t_tx, row_waits, t_rx, t_i)
+            def legs(t_txs, t_rxs, t_is):
+                made = price.legs(t_txs, t_rxs, t_is)
+                sources.update(zip(made, zip(t_txs, t_rxs, t_is)))
+                return made
+
+            def row(row_legs, row_waits):
+                cycles.extend((sources[leg][0], wait[0], *sources[leg][1:])
+                              for leg in row_legs for wait in row_waits
+                              if isinstance(leg, tuple)
+                              and isinstance(wait, tuple))  # else errors
+                return price.row(row_legs, row_waits)
 
             def energies(t_ws):
                 computed = price.waits(t_ws)
                 waits.extend(t_w for t_w, _ in computed)
                 return computed
 
-            counted.row, counted.waits = row, energies
+            counted.legs, counted.row, counted.waits = legs, row, energies
             return counted
 
         for module in (analytic, sweep, traces):

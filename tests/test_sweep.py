@@ -22,6 +22,7 @@ from ltenergy.analytic import (
 from ltenergy.power_model import default_profile
 from ltenergy.sweep import (
     MAX_GRID_CELLS,
+    ROW_CELLS,
     CostSpec,
     SweepAxis,
     SweepSpec,
@@ -250,6 +251,19 @@ def reference_spec(axes, t_i=5000.0):
         axes=axes)
 
 
+def across_row_boundary(test):
+    """``test`` with examples whose innermost axis has ``ROW_CELLS + 1``
+    values, so two rows, and overrun cells on both sides of the boundary:
+    of the edge as t_elab or the payload grows, of the cloud alone as
+    rtt_cloud grows."""
+    for axes in [(SweepAxis("t_elab", 4200, 4200 + ROW_CELLS, 1),),
+                 (SweepAxis("t_i", 5000, 6000, 1000),
+                  SweepAxis("payload", 270000, 270000 + 20 * ROW_CELLS, 20)),
+                 (SweepAxis("rtt_cloud", 4300, 4300 + ROW_CELLS, 1),)]:
+        test = example(spec=reference_spec(axes))(test)
+    return test
+
+
 class TestSweepMatchesCompare:
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -268,6 +282,7 @@ class TestSweepMatchesCompare:
     # both, then the response promotion alone, and ends in overruns
     @example(spec=reference_spec((SweepAxis("rtt_cloud", 0, 36000, 3000),),
                                  t_i=30000.0))
+    @across_row_boundary
     def test_every_cell_equals_compare(self, spec):
         result = run_sweep(spec, PROFILE)
         grids = [axis.values() for axis in spec.axes]
@@ -490,6 +505,7 @@ class TestFastRenderers:
                                   SweepAxis("t_elab", 0.5, 2.5, 1))))
     # 1e308 bytes take forever to send: an overrun "by inf ms", a string
     @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
+    @across_row_boundary
     def test_equal_reference(self, spec):
         result = run_sweep(spec, PROFILE)
         rows = list(sweep_rows(spec, PROFILE))
@@ -550,7 +566,7 @@ class TestFastRenderers:
         spec = reference_spec((SweepAxis("rtt_cloud", 0, 3, 1),))
         parts = (0.0, False, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         tails = [0.0, 1.0, 2.0, 3.0]
-        row = ((), tails, parts + (1e300,),
+        row = ((), tails, [parts + (1e300,)] * 4,
                [PeriodOverrunError(1.0) if e is None else parts + (e,)
                 for e in e_clouds], tails)
         with pytest.raises(ValueError,
@@ -619,6 +635,7 @@ class TestStreamedArtifacts:
                                   SweepAxis("rtt_cloud", 0, 15000, 5000),
                                   SweepAxis("payload", 0, 40000, 20000))))
     @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
+    @across_row_boundary
     def test_cli_equals_collected(self, tmp_path_factory, spec):
         streamed_csv, streamed_json = cli_artifacts(
             spec, tmp_path_factory.mktemp("sweep") / "config.json")

@@ -108,10 +108,11 @@ def exports(draw):
         lines.append(fields)
     packets = [i for i, line in enumerate(lines) if isinstance(line, list)]
     if packets and draw(st.booleans()):
-        # Corrupt one line: bad columns, or a wrong field count.
+        # Corrupt one line: bad columns, or a wrong field count.  Column 9
+        # comes last, so a popped field leaves columns 0 to 8 to corrupt.
         fields = lines[draw(st.sampled_from(packets))]
-        for column in draw(st.sets(st.integers(0, 9), min_size=1,
-                                   max_size=6)):
+        for column in sorted(draw(st.sets(st.integers(0, 9), min_size=1,
+                                          max_size=6))):
             if column == 9 and draw(st.booleans()):
                 fields.append("1")
             elif column == 9:
