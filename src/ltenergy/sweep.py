@@ -258,28 +258,31 @@ def _texts(spec: SweepSpec, rows: Iterable[tuple], axis_text: Callable,
            delta_text: Callable, edge_text: Callable) -> Iterator[tuple]:
     """Each row as ``(head, tails, deltas, runs)``: the texts of its head,
     tails and deltas, the latter two built once per distinct list, and its
-    :func:`_runs`, whose edge energies are texts."""
+    :func:`_runs`, with texts of the edge energies kept while rows repeat
+    one list of edges."""
     *outer, inner = spec.axes
     texts = [{v: axis_text(a.name, v) for v in a.values()} for a in outer]
-    last = None, None
+    last = None, None, None
     for head, tails, edges, clouds, deltas in rows:
         if tails is not last[0]:
             tail_texts = [axis_text(inner.name, v) for v in tails]
         if deltas is not last[1]:  # one text per distinct delta
             delta_texts = [*map({d: delta_text(d) for d in set(deltas)}
                                 .__getitem__, deltas)]
-        last = tails, deltas
+        if edges is not last[2]:
+            edge_texts = {}
+        last = tails, deltas, edges
         yield ("".join(map(dict.__getitem__, texts, head)), tail_texts,
-               delta_texts, _runs(edges, clouds, edge_text))
+               delta_texts, _runs(edges, clouds, edge_texts, edge_text))
 
 
-def _runs(edges: Sequence, clouds: Sequence, edge_text: Callable
-          ) -> Iterator[tuple]:
+def _runs(edges: Sequence, clouds: Sequence, texts: dict,
+          edge_text: Callable) -> Iterator[tuple]:
     """A row's cells as runs of priced cells, ``(start, stop, ratios, edge
-    energies, their texts by value, cloud energies, None)``, with one ratio
-    check and one text per distinct edge energy, and ``(k, k + 1, None,
-    None, None, None, message)`` of overrun cells, in order, up to a bad
-    cell, which raises."""
+    energies, texts, cloud energies, None)``, with one ratio check per run
+    and ``texts`` holding the text of each distinct edge energy, and ``(k,
+    k + 1, None, None, None, None, message)`` of overrun cells, in order,
+    up to a bad cell, which raises."""
     stops = [k for k, cloud in enumerate(clouds)
              if not isinstance(cloud, tuple)] + [len(clouds)]
     start = 0
@@ -297,9 +300,9 @@ def _runs(edges: Sequence, clouds: Sequence, edge_text: Callable
             if not max(rhos) < math.inf:
                 for e, c in zip(e_edges, e_clouds):  # raises at the first
                     energy_ratio(e, c)
-            yield (start, stop, rhos, e_edges, {
-                e: edge_text(e) for e in (e_edges[:1] if shared
-                                          else set(e_edges))}, e_clouds, None)
+            texts.update((e, edge_text(e)) for e in (
+                e_edges[:1] if shared else set(e_edges)) if e not in texts)
+            yield start, stop, rhos, e_edges, texts, e_clouds, None
         if stop < len(clouds):
             if not isinstance(clouds[stop], PeriodOverrunError):
                 raise clouds[stop]
