@@ -239,11 +239,9 @@ def cycle_pricer(profile: PowerProfile
                 e_prom_tx = e_prom if prom_tx else 0.0
                 e_prom_rx = e_prom if prom_rx else 0.0
                 e_i = e_tx + e_w + e_rx + e_q + e_prom_tx + e_prom_rx
-                if not e_i < math.inf:
-                    cycles.append(ValueError("cycle energy overflows a float"))
-                    continue
                 cycles.append((t_q, prom_tx, prom_rx, e_tx, e_w, e_rx, e_q,
-                               e_prom_tx, e_prom_rx, e_i))
+                               e_prom_tx, e_prom_rx, e_i) if e_i < math.inf
+                              else ValueError("cycle energy overflows a float"))
         return cycles
 
     def price(t_tx: float, t_w: float, t_rx: float, t_i: float) -> tuple:
