@@ -12,7 +12,8 @@ whose lines :func:`csv_line` quotes as ``csv.writer`` does.
 
 from __future__ import annotations
 
-__all__ = ["fmt_mj", "fmt_rho", "fmt_ms", "fmt_cost", "fmt_axis", "csv_line"]
+__all__ = ["fmt_mj", "fmt_rho", "fmt_ms", "fmt_cost", "fmt_axis", "csv_line",
+           "fixed_texts"]
 _QUOTED = frozenset(',"\n')  # what makes csv.writer quote a field
 
 
@@ -35,6 +36,16 @@ def fmt_axis(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
     return f"{x:.6f}".rstrip("0").rstrip(".")
+
+
+def fixed_texts(xs: list[float], n: int, as_json: bool) -> list[str]:
+    """``f"{x:.{n}f}"``, or ``repr(round(x, n))``, of each of ``xs``."""
+    if as_json and not max(xs, default=0.0) < 10.0 ** (15 - n):
+        return [repr(round(x, n)) for x in xs]
+    text = f"%.{n}f\0" * len(xs) % tuple(xs)
+    for _ in range(n - 1 if as_json else 0):  # drops a zero of each text
+        text = text.replace("0\0", "\0")
+    return text.split("\0")[:-1]
 
 
 def csv_line(fields: list[str]) -> str:

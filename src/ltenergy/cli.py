@@ -11,7 +11,8 @@ as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
 asks for UTF-8), and an error reading one names the file.  A -0 reads as 0.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
-decimal of mJ, three of ms, three for energy ratios), CSV lines quoted as by
+decimal of mJ, three of ms, three for energy ratios; JSON writes them
+without trailing zeros, as ``json.dumps`` does), CSV lines quoted as by
 ``csv.writer``, and no timestamps, so repeated runs of the same config are
 byte-identical.  A renderer yields its artifact as chunks, and ``_write``
 alone collects them, once, before it opens ``--out`` or writes to stdout: a

@@ -8,7 +8,11 @@ name, whose cells each have their own edge, cloud and delta.  It binds
 ``price.row`` calls, its edges, then its clouds; an edge that overruns or
 overflows prices no cloud.  ``csv_rows`` and ``json_text`` render a
 stream of rows as chunks, one per row, that the CLI's ``_write`` alone
-collects.  ``sweep_cells`` flattens the stream into cells, each equal to
+collects.  A run's ratios (n = 3 decimals) and energies (n = 1) take one
+``%`` call; JSON drops up to n - 1 trailing zeros below 10**(15 - n),
+where a text of at most 15 significant digits is the shortest ``repr`` of
+its nearest double, and else writes ``repr(round(x, n))`` for the run.
+``sweep_cells`` flattens the stream into cells, each equal to
 :func:`ltenergy.analytic.compare`; a cycle that overruns its period is an
 error cell, and an energy or ratio that overflows a float ends the stream
 at its cell.  ``run_sweep`` collects the cells.
@@ -44,7 +48,7 @@ from .analytic import (
     energy_ratio,
     transfer_time,
 )
-from ._fmt import csv_line, fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import csv_line, fixed_texts, fmt_axis, fmt_mj, fmt_ms, fmt_rho
 from .power_model import PowerProfile, _check_finite, _checked, _number
 
 __all__ = [
@@ -215,74 +219,68 @@ class SweepResult(NamedTuple):
 
 def csv_rows(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     """The CSV lines of the rows of :func:`sweep_rows` as :func:`csv_line`
-    writes them, one chunk per row; numbers follow ``_fmt``.  Each priced
-    cell fills one f-string after its row's head."""
+    writes them, one chunk per row; numbers follow ``_fmt``, and a run's
+    ratios and energies are its ``%.3f`` and ``%.1f`` texts at any size."""
     for head, tails, deltas, runs in _texts(
             spec, rows, lambda name, v: fmt_axis(v) + ",", "{:.3f},\n".format,
-            "{:.1f}".format):
+            False):
         yield "".join(
             f"{head}{tails[a]},,,,{csv_line([error])}" if error else
-            "".join([f"{head}{tail}{rho:.3f},{texts[e_edge]},{e:.1f},{d}"
-                     for tail, rho, e_edge, e, d in zip(
+            "".join([f"{head}{tail}{rho},{edge},{e},{d}"
+                     for tail, rho, edge, e, d in zip(
                          tails[a:b], rhos, e_edges, e_clouds, deltas[a:b])])
-            for a, b, rhos, e_edges, texts, e_clouds, error in runs)
+            for a, b, rhos, e_edges, e_clouds, error in runs)
 
 
 def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     """The chunks of ``json.dumps(to_json_obj(), indent=2)`` of the rows of
     :func:`sweep_rows`: the axes head, each row's text after its ``,\\n``
-    separator, then the closing brackets.  Each cell fills one template of
-    the indent-2 layout with the ``repr`` that ``json`` writes of a value."""
+    separator, then the closing brackets.  Each cell fills one template with
+    the ``repr`` of each value, a ratio's or energy's from :func:`_runs`."""
     axes = json.dumps({"axes": _axes_obj(spec)}, indent=2)
     yield axes[:-len("\n}")] + ',\n  "cells": [\n'
     separator = ""
-    for head, tails, deltas, runs in _texts(
-            spec, rows, lambda name, v: f"      {json.dumps(name)}: "
-                                        f"{_round6(v)!r},\n",
+    for head, tails, deltas, runs in _texts(  # axis names need no escapes
+            spec, rows, lambda name, v: f'      "{name}": {_round6(v)!r},\n',
             lambda d: f',\n      "delta_rtt_ms": {_round6(d)!r}\n    }}',
-            lambda e: repr(round(e, 1))):
+            True):
         yield separator + ",\n".join(
             f'    {{\n{head}{tails[a]}      "error": {json.dumps(error)}\n'
             '    }' if error else ",\n".join([
-                f'    {{\n{head}{tail}      "rho": {round(rho, 3)!r},\n'
-                f'      "e_i_edge_mj": {texts[e_edge]},\n'
-                f'      "e_i_cloud_mj": {round(e, 1)!r}{d}'
-                for tail, rho, e_edge, e, d in zip(
+                f'    {{\n{head}{tail}      "rho": {rho},\n'
+                f'      "e_i_edge_mj": {edge},\n'
+                f'      "e_i_cloud_mj": {e}{d}'
+                for tail, rho, edge, e, d in zip(
                     tails[a:b], rhos, e_edges, e_clouds, deltas[a:b])])
-            for a, b, rhos, e_edges, texts, e_clouds, error in runs)
+            for a, b, rhos, e_edges, e_clouds, error in runs)
         separator = ",\n"
     yield "\n  ]\n}"
 
 
 def _texts(spec: SweepSpec, rows: Iterable[tuple], axis_text: Callable,
-           delta_text: Callable, edge_text: Callable) -> Iterator[tuple]:
+           delta_text: Callable, as_json: bool) -> Iterator[tuple]:
     """Each row as ``(head, tails, deltas, runs)``: the texts of its head,
-    tails and deltas, the latter two built once per distinct list, and its
-    :func:`_runs`, with texts of the edge energies kept while rows repeat
-    one list of edges."""
-    *outer, inner = spec.axes
-    texts = [{v: axis_text(a.name, v) for v in a.values()} for a in outer]
+    made per row, and of its tails and deltas, made once per distinct list,
+    and its :func:`_runs`."""
+    *outer, inner = [axis.name for axis in spec.axes]
     last = None, None, None
     for head, tails, edges, clouds, deltas in rows:
         if tails is not last[0]:
-            tail_texts = [axis_text(inner.name, v) for v in tails]
+            tail_texts = [axis_text(inner, v) for v in tails]
         if deltas is not last[1]:  # one text per distinct delta
             delta_texts = [*map({d: delta_text(d) for d in set(deltas)}
                                 .__getitem__, deltas)]
-        if edges is not last[2]:
-            edge_texts = {}
-        last = tails, deltas, edges
-        yield ("".join(map(dict.__getitem__, texts, head)), tail_texts,
-               delta_texts, _runs(edges, clouds, edge_texts, edge_text))
+        last = tails, deltas
+        yield ("".join(map(axis_text, outer, head)), tail_texts, delta_texts,
+               _runs(edges, clouds, as_json))
 
 
-def _runs(edges: Sequence, clouds: Sequence, texts: dict,
-          edge_text: Callable) -> Iterator[tuple]:
-    """A row's cells as runs of priced cells, ``(start, stop, ratios, edge
-    energies, texts, cloud energies, None)``, with one ratio check per run
-    and ``texts`` holding the text of each distinct edge energy, and ``(k,
-    k + 1, None, None, None, None, message)`` of overrun cells, in order,
-    up to a bad cell, which raises."""
+def _runs(edges: Sequence, clouds: Sequence, as_json: bool) -> Iterator[tuple]:
+    """A row's cells as runs of priced cells, ``(start, stop, ratio texts,
+    edge energy texts, cloud energy texts, None)``, each run with one ratio
+    check and one ``fixed_texts`` call per kind of number (JSON's ``repr``
+    from 10**(15 - n) up), and ``(k, k + 1, None, None, None, message)`` of
+    overrun cells, in order, up to a bad cell, which raises."""
     stops = [k for k, cloud in enumerate(clouds)
              if not isinstance(cloud, tuple)] + [len(clouds)]
     start = 0
@@ -300,14 +298,14 @@ def _runs(edges: Sequence, clouds: Sequence, texts: dict,
             if not max(rhos) < math.inf:
                 for e, c in zip(e_edges, e_clouds):  # raises at the first
                     energy_ratio(e, c)
-            texts.update((e, edge_text(e)) for e in (
-                e_edges[:1] if shared else set(e_edges)) if e not in texts)
-            yield start, stop, rhos, e_edges, texts, e_clouds, None
+            yield (start, stop, fixed_texts(rhos, 3, as_json),
+                   (fixed_texts(e_edges[:1], 1, as_json) * len(run) if shared
+                    else fixed_texts(e_edges, 1, as_json)),
+                   fixed_texts(e_clouds, 1, as_json), None)
         if stop < len(clouds):
             if not isinstance(clouds[stop], PeriodOverrunError):
                 raise clouds[stop]
-            yield (stop, stop + 1, None, None, None, None,
-                   str(clouds[stop]))
+            yield stop, stop + 1, None, None, None, str(clouds[stop])
         start = stop + 1
 
 

@@ -479,6 +479,20 @@ class TestArtifactGoldens:
         so the same 20,000 cells also peak below 1.5 times their bytes."""
         assert traced_peak(tmp_path, OUTER_GRID_CONFIG, fmt) < 1.5
 
+    @pytest.mark.parametrize("fmt, bound", [("csv", 2.5), ("json", 1.5)])
+    def test_long_outer_axis_texts_not_held(self, tmp_path, fmt, bound):
+        """A row's head text is made when the head changes, so a
+        20,000-value rtt_cloud axis outermost, over two t_i values, holds
+        no text per value of that axis for the whole run."""
+        config = {"command": "sweep",
+                  "base": {"t_i": 300000, "t_elab": 100, "rtt_edge": 20,
+                           "b_tx": 16000, "b_rx": 16000},
+                  "axes": [{"name": "rtt_cloud", "start": 0, "stop": 19999,
+                            "step": 1},
+                           {"name": "t_i", "start": 300000, "stop": 300001,
+                            "step": 1}]}
+        assert traced_peak(tmp_path, config, fmt) < bound
+
     @pytest.mark.parametrize("fmt, bound", [("csv", 3), ("json", 2)])
     def test_long_axis_rows_bounded(self, tmp_path, fmt, bound):
         """A sweep row is at most ``ROW_CELLS`` cells, so one 20,000-value

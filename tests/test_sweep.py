@@ -33,7 +33,8 @@ from ltenergy.sweep import (
     sweep_cells,
     sweep_rows,
 )
-from ltenergy._fmt import csv_line, fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ltenergy._fmt import (csv_line, fixed_texts, fmt_axis, fmt_mj, fmt_ms,
+                           fmt_rho)
 from _goldens import reference_scenarios
 
 PROFILE = default_profile()
@@ -442,6 +443,51 @@ def test_csv_line_equals_csv_writer(row):
     assert csv_line(row) == buf.getvalue()
 
 
+def number_texts_cases(test):
+    """``test`` with values that the fixed-point rule must get right, for
+    ``n`` 1 and 3: zero, half-way decimals and their neighbours, the bound
+    10**(15 - n), its neighbours, and values above it, alone and in a list
+    of smaller values."""
+    for n in (1, 3):
+        bound = 10.0 ** (15 - n)
+        half = 0.25 if n == 1 else 1.0005  # halfway between two n-decimals
+        for xs in ([0.0], [half], [math.nextafter(half, 0)],
+                   [math.nextafter(half, 2)], [2.5 * 10 ** -n],
+                   [math.nextafter(bound, 0)], [bound],
+                   [math.nextafter(bound, math.inf)],
+                   [bound * 1.2345678901234567], [1e15 + 0.25], [1e16],
+                   [1.0, 0.5, 1e16], [7.0, bound]):
+            test = example(run=(xs, n))(test)
+    return test
+
+
+@st.composite
+def fixed_point_runs(draw):
+    """``(xs, n)``: up to 8 floats in [0, 10**(15 - n)), arbitrary or
+    half-way between two ``n``-decimal numbers."""
+    n = draw(st.sampled_from([1, 3]))
+    bound = 10 ** (15 - n)
+    xs = draw(st.lists(st.one_of(
+        st.floats(0.0, bound, exclude_max=True),
+        st.integers(0, bound * 10 ** n - 1).map(
+            lambda k: (k + 0.5) / 10 ** n)), max_size=8))
+    return xs, n
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(run=fixed_point_runs())
+@number_texts_cases
+def test_number_texts_equal_format_and_repr(run):
+    """The texts of a run's numbers, from one ``%`` call: for CSV as
+    ``f"{x:.{n}f}"`` writes each value, and for JSON as ``json`` writes
+    ``round(x, n)``, also where a list holds a value at or above
+    10**(15 - n), whose fixed-point text can have more than 15 significant
+    digits."""
+    xs, n = run
+    assert fixed_texts(xs, n, False) == [f"{x:.{n}f}" for x in xs]
+    assert fixed_texts(xs, n, True) == [json.dumps(round(x, n)) for x in xs]
+
+
 def reference_rows(result):
     """CSV fields of a sweep, built cell by cell from the ``_fmt`` rules."""
     rows = []
@@ -505,6 +551,12 @@ class TestFastRenderers:
                                   SweepAxis("t_elab", 0.5, 2.5, 1))))
     # 1e308 bytes take forever to send: an overrun "by inf ms", a string
     @example(spec=reference_spec((SweepAxis("payload", 0, 1e308, 1e308),)))
+    # energies on both sides of 10**14 in one run, and all above 10**16,
+    # where repr writes an exponent
+    @example(spec=reference_spec((SweepAxis("rtt_cloud", 100, 300, 100),
+                                  SweepAxis("t_i", 7e15, 7.1e15, 5e13))))
+    @example(spec=reference_spec((SweepAxis("t_elab", 0, 20, 10),),
+                                 t_i=1e18))
     @across_row_boundary
     def test_equal_reference(self, spec):
         result = run_sweep(spec, PROFILE)
@@ -572,6 +624,32 @@ class TestFastRenderers:
         with pytest.raises(ValueError,
                            match=f"^rho = {re.escape(first_bad)} is not"):
             render(spec, [row])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(e_edge=st.floats(1e-3, 1e20),
+           e_clouds=st.lists(st.floats(1e-6, 1e20), min_size=1, max_size=4))
+    # ratios of 10**12 and above, which no sweep of one profile reaches
+    @example(e_edge=1e15, e_clouds=[1e3, 1e-3, 7.0, 1e15])
+    @example(e_edge=1e12 - 0.25, e_clouds=[1.0, 1.0 + 2 ** -52, 0.5])
+    @example(e_edge=1e14, e_clouds=[1e-6, 99999999999999.95, 1e14])
+    def test_large_values_equal_reference(self, e_edge, e_clouds):
+        """A row built by hand whose ratios or energies reach 10**(15 - n)
+        renders as the cell-by-cell references do: JSON holds
+        ``repr(round(x, n))`` for each value of such a run."""
+        tails = [float(k) for k in range(len(e_clouds))]
+        spec = reference_spec((SweepAxis("rtt_cloud", 0, tails[-1], 1),))
+        parts = (0.0, False, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        edge, clouds = parts + (e_edge,), [parts + (e,) for e in e_clouds]
+        deltas = [tail - spec.base.rtt for tail in tails]
+        rows = [((), tails, [edge] * len(tails), clouds, deltas)]
+        result = sweep.SweepResult(spec, tuple(
+            sweep.SweepCell((tail,), edge[3:], cloud[3:],
+                            e_edge / cloud[-1], delta)
+            for tail, cloud, delta in zip(tails, clouds, deltas)))
+        assert "".join(json_text(spec, rows)) == json.dumps(
+            result.to_json_obj(), indent=2)
+        assert csv_artifact(spec, rows) == reference_csv(result)
 
     def test_overflowing_energies_raise_before_rendering(self):
         # p_tx * t_tx overflows, so no cell has a finite energy to render
