@@ -76,8 +76,9 @@ _SERVER_THINK_US = 2000
 # bytes per packet, measured on a GET of 10^8 bytes).
 MAX_TRACE_PACKETS = 2_000_000
 # Export lines that ``parse_events`` converts at a time: its memory grows
-# with the packets, not with the export's bytes, and larger chunks were
-# slower.
+# with the packets, not with the export's bytes.  On the benchmark's
+# exports (Python 3.11, a 2-CPU Xeon), 1,024 parsed fastest, 256 to 2,048
+# within 4% of it, and 4,096 about 20% slower.
 _CHUNK_LINES = 1024
 
 
@@ -201,10 +202,11 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
     naming it: its first bad field in column order, a non-finite timestamp
     included, else a packet that is not on the connection.  It reads chunks
     of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
-    :func:`events_to_lines` writes them, is converted by column, each
-    distinct flags text and endpoint resolved once per call; any other is
-    read line by line, where blank and ``#`` lines are skipped, an empty or
-    ``-`` integer field reads as 0 and a padded timestamp is stripped.
+    :func:`events_to_lines` writes them, is converted by column: payload
+    lengths, flags and endpoints once per distinct text, as an exchange has
+    few, and the other fields per packet; any other is read line by line,
+    where blank and ``#`` lines are skipped, an empty or ``-`` integer
+    field reads as 0 and a padded timestamp is stripped.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
@@ -226,12 +228,16 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
 class _ParseState:
     """What both line readers of a parse share: the ``client`` that the
     caller names, ``ends``, the client and server that :meth:`sender` fixes
-    from the first packet, each an ``(addr, port)``, and two caches."""
+    from the first packet, each an ``(addr, port)``, and the column
+    reader's caches by raw field text of the columns with few distinct
+    texts: payload lengths, flag sets and senders (by endpoint texts), each
+    of at most one entry per packet and fewer than two chunks' worth."""
 
     def __init__(self, client: tuple[str, int]):
         self.client, self.ends = client, (None, None)
-        self.flag_sets: dict[str, frozenset[str]] = {}  # by raw field text
-        self.senders: dict[tuple, bool] = {}  # by raw endpoint field texts
+        self.sizes: dict[str, int] = {}
+        self.flag_sets: dict[str, frozenset[str]] = {}
+        self.senders: dict[tuple, bool] = {}
 
     def sender(self, pair: tuple, line_no: int) -> bool:
         """Whether the client sent the packets between ``(src_addr,
@@ -248,10 +254,35 @@ class _ParseState:
         raise TraceParseError(line_no, "packet %s:%s -> %s:%s " % pair + why)
 
 
+def _payload_len(text: str) -> int:
+    if 0 <= (size := int(text)) < _HALF_SPACE:  # as ``_parse_line`` checks
+        return size
+    raise ValueError(text)
+
+
+def _cached(cache: dict, texts: list, convert) -> list:
+    """``texts`` mapped through ``cache``; on a miss, ``convert`` adds the
+    new texts in order of first appearance, so line 1 fixes the server.  A
+    cache that holds a chunk's worth takes no more, and its column converts
+    per packet: a miss costs more than so many distinct texts save."""
+    try:
+        return list(map(cache.__getitem__, texts))
+    except KeyError:
+        if len(cache) >= _CHUNK_LINES:
+            return list(map(convert, texts))
+        for text in dict.fromkeys(texts):
+            if text not in cache:
+                cache[text] = convert(text)
+        return list(map(cache.__getitem__, texts))
+
+
 def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
     """The :class:`Packets` columns of ``chunk``, filling the caches, when
     each line is a plain packet line: nine tab-separated fields with
-    decimal integers; else a ``ValueError`` for ``_parse_line`` to read."""
+    decimal integers; else a ``ValueError`` for ``_parse_line`` to read.
+    Timestamps, sequence and acknowledgment numbers convert per packet, as
+    nearly every packet has its own; the other columns per distinct text
+    (a 10^7-byte GET has 4 lengths, 5 flags texts and 2 endpoint keys)."""
     # Every line has nine fields when the form feed that ends each line but
     # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one.
     fields = "\f\t".join(chunk).split("\t")
@@ -259,23 +290,22 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
             or "".join(fields[8::9]).count("\f") != len(chunk) - 1):
         raise ValueError
     stamps = list(map(float, fields[0::9]))
-    sizes, seqs, acks = (list(map(int, fields[k::9])) for k in (5, 7, 8))
+    seqs, acks = (list(map(int, fields[k::9])) for k in (7, 8))
     if not (math.isfinite(sum(stamps))
-            and 0 <= min(sizes) <= max(sizes) < _HALF_SPACE
             and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE
             and 0 <= min(acks) <= max(acks) < SEQ_SPACE):
         raise ValueError
-    flag_sets, senders = state.flag_sets, state.senders
-    for text in set(fields[6::9]).difference(flag_sets):
-        flag_sets[text] = _parse_flags(text, 0)
-    keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
-    # Line 1 first, so that no packet of another connection fixes the server.
-    for key in (keys[0], *set(keys).difference(senders)):
+
+    def sender(key):  # the raw (src_addr, src_port, dst_addr, dst_port)
         src_addr, sport, dst_addr, dport = key
-        senders[key] = state.sender(
+        return state.sender(
             (src_addr.strip(), int(sport), dst_addr.strip(), int(dport)), 0)
-    return (stamps, sizes, list(map(flag_sets.__getitem__, fields[6::9])),
-            seqs, acks, list(map(senders.__getitem__, keys)))
+
+    keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
+    return (stamps, _cached(state.sizes, fields[5::9], _payload_len),
+            _cached(state.flag_sets, fields[6::9],
+                    lambda text: _parse_flags(text, 0)),
+            seqs, acks, _cached(state.senders, keys, sender))
 
 
 def _parse_line(raw: str, line_no: int, state: _ParseState) -> tuple | None:

@@ -280,9 +280,9 @@ class TestParseEvents:
 
     @pytest.mark.parametrize("port", range(443, 463))
     def test_first_line_fixes_the_server_in_any_set_order(self, port):
-        """The column reader resolves a chunk's endpoints from a set, whose
-        order is not the file's; whichever comes out first, the first line
-        fixes the server, and the second peer's line is the one named."""
+        """Whatever the hashes of a chunk's endpoint keys, the column reader
+        resolves them in file order: the first line fixes the server, and
+        the second peer's line is the one named."""
         lines, stray = second_peer_export()
         lines[stray - 1] = lines[stray - 1].replace("\t443\t", f"\t{port}\t")
         with pytest.raises(TraceParseError) as err:
@@ -292,8 +292,9 @@ class TestParseEvents:
 
     def test_second_peer_first_out_of_the_set(self, monkeypatch):
         """A set that yields the chunk's endpoints in reverse file order
-        puts the second peer before the server's side: line 1 still fixes
-        the server."""
+        would put the second peer before the server's side: the column
+        reader takes no order from a set, and line 1 still fixes the
+        server."""
         class ReversedSet(set):
             def __init__(self, items=()):
                 self.order = list(dict.fromkeys(items))[::-1]
@@ -404,6 +405,62 @@ class TestParseEvents:
 
         monkeypatch.setattr(traces, "_parse_line", line_reader)
         assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
+
+    def test_each_distinct_text_converted_once(self, monkeypatch):
+        """The column reader converts each distinct payload length, flags
+        text and endpoint key once per parse, not once per chunk: a 10^7-byte
+        GET spans 11 chunks but has 4 lengths, 5 flag sets and 2 keys."""
+        packets = synthesize_trace("get", 10 ** 7, 20, 20e6)
+        lines = [text + "\n" for text in events_to_lines(packets)]
+        assert -(-len(lines) // traces._CHUNK_LINES) == 11
+        calls = {}
+
+        def count_calls(owner, name):
+            convert = getattr(owner, name)
+            calls[name] = 0
+
+            def spy(*args):
+                calls[name] += 1
+                return convert(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        count_calls(traces._ParseState, "sender")
+        count_calls(traces, "_parse_flags")
+        count_calls(traces, "_payload_len")
+        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
+        assert (len(set(packets.payload_len)), len(set(packets.flags))) == (
+            4, 5)
+        assert calls == {"sender": 2, "_parse_flags": 5, "_payload_len": 4}
+
+    def test_distinct_lengths_stop_filling_their_cache(self, monkeypatch):
+        """A column with a chunk's worth of distinct texts stops filling
+        its cache and converts per packet, still by column, to the same
+        packets."""
+        packets = synthesize_trace("get", 10 ** 5, 20, 20e6)
+        lines = []
+        for i, text in enumerate(events_to_lines(packets)):
+            fields = text.split("\t")
+            fields[5] = str(1000 + i)
+            lines.append("\t".join(fields) + "\n")
+        expected = [row._replace(payload_len=1000 + i)
+                    for i, row in enumerate(rows(packets))]
+        states = []
+        init = traces._ParseState.__init__
+
+        def keep(state, client):
+            init(state, client)
+            states.append(state)
+
+        def line_reader(raw, line_no, client):
+            raise AssertionError(f"line {line_no} read line by line")
+
+        monkeypatch.setattr(traces._ParseState, "__init__", keep)
+        monkeypatch.setattr(traces, "_parse_line", line_reader)
+        monkeypatch.setattr(traces, "_CHUNK_LINES", 8)
+        assert len(lines) > 10 * 8
+        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == expected
+        assert len(states[0].sizes) == 8
 
     @pytest.mark.parametrize("field", ["-", ""], ids=["dash", "empty"])
     def test_an_integer_read_as_0_reads_its_chunk_line_by_line(
