@@ -77,8 +77,8 @@ _SERVER_THINK_US = 2000
 MAX_TRACE_PACKETS = 2_000_000
 # Export lines that ``parse_events`` converts at a time: its memory grows
 # with the packets, not with the export's bytes.  On the benchmark's
-# exports (Python 3.11, a 2-CPU Xeon), 1,024 parsed fastest, 256 to 2,048
-# within 4% of it, and 4,096 about 20% slower.
+# exports (Python 3.11, a 2-CPU Xeon), 512 and 1,024 parsed fastest, 256
+# and 2,048 within 5% of them, and 4,096 about 25% slower.
 _CHUNK_LINES = 1024
 
 
@@ -204,9 +204,9 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
     of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
     :func:`events_to_lines` writes them, is converted by column: payload
     lengths, flags and endpoints once per distinct text, as an exchange has
-    few, and the other fields per packet; any other is read line by line,
-    where blank and ``#`` lines are skipped, an empty or ``-`` integer
-    field reads as 0 and a padded timestamp is stripped.
+    few, the other fields per packet; any other is read line by line, where
+    blank and ``#`` lines are skipped, an empty or ``-`` integer field
+    reads as 0 and a padded timestamp is stripped.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
@@ -228,10 +228,9 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
 class _ParseState:
     """What both line readers of a parse share: the ``client`` that the
     caller names, ``ends``, the client and server that :meth:`sender` fixes
-    from the first packet, each an ``(addr, port)``, and the column
-    reader's caches by raw field text of the columns with few distinct
-    texts: payload lengths, flag sets and senders (by endpoint texts), each
-    of at most one entry per packet and fewer than two chunks' worth."""
+    from the first packet, each an ``(addr, port)``, and the column reader's
+    caches by raw field text: payload lengths, flag sets and senders (by
+    endpoint texts), each of at most one entry per packet."""
 
     def __init__(self, client: tuple[str, int]):
         self.client, self.ends = client, (None, None)
@@ -254,22 +253,12 @@ class _ParseState:
         raise TraceParseError(line_no, "packet %s:%s -> %s:%s " % pair + why)
 
 
-def _payload_len(text: str) -> int:
-    if 0 <= (size := int(text)) < _HALF_SPACE:  # as ``_parse_line`` checks
-        return size
-    raise ValueError(text)
-
-
 def _cached(cache: dict, texts: list, convert) -> list:
     """``texts`` mapped through ``cache``; on a miss, ``convert`` adds the
-    new texts in order of first appearance, so line 1 fixes the server.  A
-    cache that holds a chunk's worth takes no more, and its column converts
-    per packet: a miss costs more than so many distinct texts save."""
+    new texts in order of first appearance, so line 1 fixes the server."""
     try:
         return list(map(cache.__getitem__, texts))
     except KeyError:
-        if len(cache) >= _CHUNK_LINES:
-            return list(map(convert, texts))
         for text in dict.fromkeys(texts):
             if text not in cache:
                 cache[text] = convert(text)
@@ -280,9 +269,9 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
     """The :class:`Packets` columns of ``chunk``, filling the caches, when
     each line is a plain packet line: nine tab-separated fields with
     decimal integers; else a ``ValueError`` for ``_parse_line`` to read.
-    Timestamps, sequence and acknowledgment numbers convert per packet, as
-    nearly every packet has its own; the other columns per distinct text
-    (a 10^7-byte GET has 4 lengths, 5 flags texts and 2 endpoint keys)."""
+    Payload lengths, flags and endpoints convert once per distinct text,
+    the other columns per packet, as nearly every packet has its own (a
+    10^7-byte GET has 4 lengths, 5 flags texts and 2 endpoint keys)."""
     # Every line has nine fields when the form feed that ends each line but
     # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one.
     fields = "\f\t".join(chunk).split("\t")
@@ -291,6 +280,13 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
         raise ValueError
     stamps = list(map(float, fields[0::9]))
     seqs, acks = (list(map(int, fields[k::9])) for k in (7, 8))
+    try:  # a new length converts the whole column: cheapest if all differ
+        sizes = list(map(state.sizes.__getitem__, fields[5::9]))
+    except KeyError:
+        sizes = list(map(int, fields[5::9]))
+        if not 0 <= min(sizes) <= max(sizes) < _HALF_SPACE:
+            raise ValueError from None
+        state.sizes.update(zip(fields[5::9], sizes))
     if not (math.isfinite(sum(stamps))
             and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE
             and 0 <= min(acks) <= max(acks) < SEQ_SPACE):
@@ -302,9 +298,8 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
             (src_addr.strip(), int(sport), dst_addr.strip(), int(dport)), 0)
 
     keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
-    return (stamps, _cached(state.sizes, fields[5::9], _payload_len),
-            _cached(state.flag_sets, fields[6::9],
-                    lambda text: _parse_flags(text, 0)),
+    return (stamps, sizes, _cached(state.flag_sets, fields[6::9],
+                                   lambda text: _parse_flags(text, 0)),
             seqs, acks, _cached(state.senders, keys, sender))
 
 

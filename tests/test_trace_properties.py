@@ -141,9 +141,6 @@ class TestParserMatchesReference:
     # reported before the sequence number
     @example(export=("1.0\tx\ty\t1\t2\t-5\tXQ\tabc\t1", CLIENT))
     @example(export=("1.0\tx\ty\t1\t2\t5\tXQ\tabc\t1", CLIENT))
-    # a plain line, read by column, whose payload no serial window holds
-    @example(export=(["1.0\t10.0.0.2\t192.0.2.9\t51000\t80\t2147483648\tA"
-                      "\t1\t1"], CLIENT))
     # the same bad flags text on two lines of two exports
     @example(export=(["1.0\tx\ty\t1\t2\t5\tZ\t1\t1"], CLIENT))
     @example(export=(["2.0\t10.0.0.2\t192.0.2.9\t51000\t80\t5\tA\t1\t1",

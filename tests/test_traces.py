@@ -407,9 +407,10 @@ class TestParseEvents:
         assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
 
     def test_each_distinct_text_converted_once(self, monkeypatch):
-        """The column reader converts each distinct payload length, flags
-        text and endpoint key once per parse, not once per chunk: a 10^7-byte
-        GET spans 11 chunks but has 4 lengths, 5 flag sets and 2 keys."""
+        """The column reader converts each distinct flags text and endpoint
+        key once per parse, not once per chunk, and the length column only
+        in a chunk with a new length: a 10^7-byte GET spans 11 chunks but
+        has 4 lengths, 5 flag sets and 2 keys."""
         packets = synthesize_trace("get", 10 ** 7, 20, 20e6)
         lines = [text + "\n" for text in events_to_lines(packets)]
         assert -(-len(lines) // traces._CHUNK_LINES) == 11
@@ -427,40 +428,26 @@ class TestParseEvents:
 
         count_calls(traces._ParseState, "sender")
         count_calls(traces, "_parse_flags")
-        count_calls(traces, "_payload_len")
-        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
-        assert (len(set(packets.payload_len)), len(set(packets.flags))) == (
-            4, 5)
-        assert calls == {"sender": 2, "_parse_flags": 5, "_payload_len": 4}
+        calls["sizes.update"], sizes = 0, []
 
-    def test_distinct_lengths_stop_filling_their_cache(self, monkeypatch):
-        """A column with a chunk's worth of distinct texts stops filling
-        its cache and converts per packet, still by column, to the same
-        packets."""
-        packets = synthesize_trace("get", 10 ** 5, 20, 20e6)
-        lines = []
-        for i, text in enumerate(events_to_lines(packets)):
-            fields = text.split("\t")
-            fields[5] = str(1000 + i)
-            lines.append("\t".join(fields) + "\n")
-        expected = [row._replace(payload_len=1000 + i)
-                    for i, row in enumerate(rows(packets))]
-        states = []
+        class Sizes(dict):
+            def update(self, pairs):
+                calls["sizes.update"] += 1
+                super().update(pairs)
+
         init = traces._ParseState.__init__
 
-        def keep(state, client):
+        def with_sizes(state, client):
             init(state, client)
-            states.append(state)
+            state.sizes = Sizes()
+            sizes.append(state.sizes)
 
-        def line_reader(raw, line_no, client):
-            raise AssertionError(f"line {line_no} read line by line")
-
-        monkeypatch.setattr(traces._ParseState, "__init__", keep)
-        monkeypatch.setattr(traces, "_parse_line", line_reader)
-        monkeypatch.setattr(traces, "_CHUNK_LINES", 8)
-        assert len(lines) > 10 * 8
-        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == expected
-        assert len(states[0].sizes) == 8
+        monkeypatch.setattr(traces._ParseState, "__init__", with_sizes)
+        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
+        assert len(set(packets.flags)) == 5
+        assert sizes == [{str(n): n for n in set(packets.payload_len)}]
+        assert len(sizes[0]) == 4
+        assert calls == {"sender": 2, "_parse_flags": 5, "sizes.update": 2}
 
     @pytest.mark.parametrize("field", ["-", ""], ids=["dash", "empty"])
     def test_an_integer_read_as_0_reads_its_chunk_line_by_line(
