@@ -94,10 +94,6 @@ class ConnectionlessScenario(NamedTuple):
         if self.uplink_bps <= 0 or self.downlink_bps <= 0:
             raise ValueError("bitrates must be strictly positive")
 
-    def workload(self) -> tuple[float, ...]:
-        """Every field but ``rtt``: what two compared placements share."""
-        return self[:2] + self[3:]
-
 
 @_checked
 class PhaseTiming(NamedTuple):
@@ -291,7 +287,7 @@ def compare(edge_scn: ConnectionlessScenario,
     make the energy ratio meaningless and is rejected, as is an energy or
     ratio that overflows a float.
     """
-    if edge_scn.workload() != cloud_scn.workload():
+    if edge_scn._replace(rtt=cloud_scn.rtt) != cloud_scn:
         raise ValueError("scenarios must differ only in rtt")
     edge = price_scenario(edge_scn, profile)[1]
     cloud = price_scenario(cloud_scn, profile)[1]

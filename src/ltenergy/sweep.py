@@ -12,10 +12,9 @@ collects.  A run's ratios (n = 3 decimals) and energies (n = 1) take one
 ``%`` call; JSON drops up to n - 1 trailing zeros below 10**(15 - n),
 where a text of at most 15 significant digits is the shortest ``repr`` of
 its nearest double, and else writes ``repr(round(x, n))`` for the run.
-``sweep_cells`` flattens the stream into cells, each equal to
-:func:`ltenergy.analytic.compare`; a cycle that overruns its period is an
-error cell, and an energy or ratio that overflows a float ends the stream
-at its cell.  ``run_sweep`` collects the cells.
+``run_sweep`` is the reference that the kernel is held to: it prices each
+grid point with :func:`ltenergy.analytic.compare`, none of it as
+``sweep_rows`` does.
 
 ``cost_curve`` trades energy against data freshness for a node that
 produces a fixed amount of data per hour: batching more data per request
@@ -39,11 +38,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .analytic import (
     ComparisonResult,
     ConnectionlessScenario,
-    EnergyBreakdown,
     PeriodOverrunError,
     DEFAULT_DOWNLINK_BPS,
     DEFAULT_UPLINK_BPS,
-    compare,  # noqa: F401  bench/spans.py times ltenergy.sweep.compare
+    compare,
     cycle_pricer,
     energy_ratio,
     transfer_time,
@@ -60,7 +58,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "sweep_rows",
-    "sweep_cells",
     "run_sweep",
     "per_cycle_payload",
     "CostSpec",
@@ -165,33 +162,16 @@ class SweepSpec(NamedTuple):
 
 
 class SweepCell(NamedTuple):
-    """One grid point: both placements' energies, or an overrun marker.
-
-    ``edge`` and ``cloud`` hold the ``EnergyBreakdown`` fields in order,
-    the six per-phase parts (mJ) followed by their total; each cell has its
-    own, also where a sweep row shares one edge tuple among its cells.  An
-    error cell holds only ``values`` and ``error``.
-    """
+    """One grid point: what :func:`ltenergy.analytic.compare` returns
+    there, or, with ``result`` ``None``, the message of its overrun."""
 
     values: tuple[float, ...]
-    edge: tuple[float, ...] | None
-    cloud: tuple[float, ...] | None
-    rho: float | None
-    delta_rtt: float | None  # cloud RTT minus edge RTT, ms
+    result: ComparisonResult | None
     error: str | None = None
-
-    @property
-    def result(self) -> ComparisonResult | None:
-        """The cell as :func:`ltenergy.analytic.compare` returns it."""
-        if self.error is not None:
-            return None
-        return ComparisonResult(EnergyBreakdown(*self.edge),
-                                EnergyBreakdown(*self.cloud),
-                                self.rho, self.delta_rtt)
 
 
 class SweepResult(NamedTuple):
-    """Dense grid of comparison results, row-major in axis order."""
+    """The cells of :func:`run_sweep`, row-major in axis order."""
 
     spec: SweepSpec
     cells: tuple[SweepCell, ...]
@@ -200,9 +180,10 @@ class SweepResult(NamedTuple):
         """The CSV lines that :func:`csv_rows` writes, cell by cell: kept, as
         :meth:`to_json_obj` is, for the tests and ``bench/spans.py``."""
         return [csv_line([*map(fmt_axis, c.values), *(
-            ("", "", "", "", c.error) if c.error is not None else
-            (fmt_rho(c.rho), fmt_mj(c.edge[-1]), fmt_mj(c.cloud[-1]),
-             fmt_ms(c.delta_rtt), ""))]) for c in self.cells]
+            ("", "", "", "", c.error) if c.result is None else
+            (fmt_rho(c.result.rho), fmt_mj(c.result.edge.e_i),
+             fmt_mj(c.result.cloud.e_i), fmt_ms(c.result.delta_rtt), ""))])
+            for c in self.cells]
 
     def to_json_obj(self) -> dict:
         """The JSON artifact as plain data: what :func:`json_text` renders.
@@ -210,10 +191,11 @@ class SweepResult(NamedTuple):
         names = self.spec.columns
         return {"axes": _axes_obj(self.spec), "cells": [
             {**{name: _round6(v) for name, v in zip(names, c.values)}, **(
-                {"error": c.error} if c.error is not None else
-                {"rho": round(c.rho, 3), "e_i_edge_mj": round(c.edge[-1], 1),
-                 "e_i_cloud_mj": round(c.cloud[-1], 1),
-                 "delta_rtt_ms": _round6(c.delta_rtt)})}
+                {"error": c.error} if c.result is None else
+                {"rho": round(c.result.rho, 3),
+                 "e_i_edge_mj": round(c.result.edge.e_i, 1),
+                 "e_i_cloud_mj": round(c.result.cloud.e_i, 1),
+                 "delta_rtt_ms": _round6(c.result.delta_rtt)})}
             for c in self.cells]}
 
 
@@ -397,27 +379,22 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
                    deltas * m if len(deltas) == 1 else deltas)
 
 
-def sweep_cells(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
-    """The cells of the rows of :func:`sweep_rows`, each a plain tuple in
-    :class:`SweepCell` field order.  Every cell equals
-    :func:`ltenergy.analytic.compare` at its grid point, an overrun is an
-    error cell, the edge's when both overrun, and an energy or ratio that
-    overflows a float raises ``ValueError`` at its cell."""
-    for head, tails, edges, clouds, deltas in sweep_rows(spec, profile):
-        for tail, edge, cloud, delta in zip(tails, edges, clouds, deltas):
-            if isinstance(cloud, tuple):
-                yield (head + (tail,), edge[3:], cloud[3:],
-                       energy_ratio(edge[-1], cloud[-1]), delta, None)
-            elif isinstance(cloud, PeriodOverrunError):
-                yield head + (tail,), None, None, None, None, str(cloud)
-            else:
-                raise cloud
-
-
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:
-    """The cells of :func:`sweep_cells`, collected."""
-    return SweepResult(spec, tuple(map(SweepCell._make,
-                                       sweep_cells(spec, profile))))
+    """Each grid point, row-major, priced by one
+    :func:`ltenergy.analytic.compare` call: an overrun is an error cell,
+    the edge's when both overrun, and an energy or ratio that overflows a
+    float raises ``ValueError`` at its cell."""
+    cloud_base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
+    pick, fields = _field_picker(cloud_base, [a.name for a in spec.axes])
+    cells = []
+    for values in itertools.product(*(axis.values() for axis in spec.axes)):
+        cloud = ConnectionlessScenario(*pick(values + fields), *cloud_base[5:])
+        try:
+            cells.append(SweepCell(values, compare(
+                cloud._replace(rtt=spec.base.rtt), cloud, profile)))
+        except PeriodOverrunError as exc:
+            cells.append(SweepCell(values, None, str(exc)))
+    return SweepResult(spec, tuple(cells))
 
 
 def per_cycle_payload(hourly_bytes: float, t_i: float) -> int:

@@ -58,6 +58,7 @@ MSS_BYTES = 1448
 # SEQ_SPACE < _HALF_SPACE``.
 SEQ_SPACE = 2 ** 32
 _HALF_SPACE = SEQ_SPACE // 2
+_PORTS = range(65536)  # the TCP ports
 
 # Synthetic generator conventions.  The client endpoint is fixed so traces
 # can be analysed without out-of-band metadata; seeds vary the sequence
@@ -181,10 +182,17 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
+def _parse_port(field: str, what: str, line_no: int) -> int:
+    port = _parse_int(field, what, line_no)
+    if port not in _PORTS:
+        raise TraceParseError(line_no, f"bad {what} {field!r}")
+    return port
+
+
 def parse_endpoint(text: str, what: str = "endpoint") -> tuple[str, int]:
     """``(addr, port)`` of ``addr:port``, each stripped; port 0 to 65535."""
     addr, colon, port = text.rpartition(":")
-    if colon and port.strip().isdecimal() and int(port) < 65536:
+    if colon and port.strip().isdecimal() and int(port) in _PORTS:
         return addr.strip(), int(port)
     raise ValueError(f"{what} {text!r} is not addr:port with port 0-65535")
 
@@ -200,13 +208,14 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
     ``from_client``, and the first packet in file order fixes the server.
     The first bad line in file order raises a :class:`TraceParseError`
     naming it: its first bad field in column order, a non-finite timestamp
-    included, else a packet that is not on the connection.  It reads chunks
-    of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
-    :func:`events_to_lines` writes them, is converted by column: payload
-    lengths, flags and endpoints once per distinct text, as an exchange has
-    few, the other fields per packet; any other is read line by line, where
-    blank and ``#`` lines are skipped, an empty or ``-`` integer field
-    reads as 0 and a padded timestamp is stripped.
+    or a port outside 0 to 65535 included, else a packet that is not on
+    the connection.  It reads chunks of ``_CHUNK_LINES`` lines.  A chunk of
+    plain packet lines, as :func:`events_to_lines` writes them, is
+    converted by column: payload lengths, flags and endpoints once per
+    distinct text, as an exchange has few, the other fields per packet;
+    any other is read line by line, where blank and ``#`` lines are
+    skipped, an empty or ``-`` integer field reads as 0 and a padded
+    timestamp is stripped.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
@@ -294,8 +303,11 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
 
     def sender(key):  # the raw (src_addr, src_port, dst_addr, dst_port)
         src_addr, sport, dst_addr, dport = key
+        src_port, dst_port = int(sport), int(dport)
+        if src_port not in _PORTS or dst_port not in _PORTS:
+            raise ValueError
         return state.sender(
-            (src_addr.strip(), int(sport), dst_addr.strip(), int(dport)), 0)
+            (src_addr.strip(), src_port, dst_addr.strip(), dst_port), 0)
 
     keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
     return (stamps, sizes, _cached(state.flag_sets, fields[6::9],
@@ -321,8 +333,8 @@ def _parse_line(raw: str, line_no: int, state: _ParseState) -> tuple | None:
         timestamp = math.nan
     if not math.isfinite(timestamp):
         raise TraceParseError(line_no, f"bad timestamp {ts!r}")
-    src_port = _parse_int(sport, "source port", line_no)
-    dst_port = _parse_int(dport, "destination port", line_no)
+    src_port = _parse_port(sport, "source port", line_no)
+    dst_port = _parse_port(dport, "destination port", line_no)
     payload = _parse_int(size, "payload length", line_no)
     if payload < 0:
         raise TraceParseError(line_no, "payload length must be >= 0")

@@ -10,8 +10,8 @@ packet fixes, kept as the oracle the property tests hold it to.  Each
 line's sender comes from one uncached call after its fields, so the first
 bad line in file order is the one reported, be it a bad field or a packet
 of another connection.  It carries its own copies of the flag, integer,
-sender and connection rules, so a change to any of them in the library
-shows as a difference.
+port, sender and connection rules, so a change to any of them in the
+library shows as a difference.
 
 ``ltenergy.traces.Packets`` holds packets as columns and the two endpoints
 once; the tests compare them as rows, one :class:`PacketEvent` per packet,
@@ -95,6 +95,13 @@ def parse_int(field, what, line_no):
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
 
+def parse_port(field, what, line_no):
+    port = parse_int(field, what, line_no)
+    if not 0 <= port <= 65535:
+        raise TraceParseError(line_no, f"bad {what} {field!r}")
+    return port
+
+
 def from_client(src, dst, client, line_no, connection):
     """Whether ``src`` is the client; the first packet of a parse puts its
     peer in ``connection["server"]``, and each later one must have it."""
@@ -135,8 +142,8 @@ def reference_parse_events(lines, client):
             raise TraceParseError(line_no, f"bad timestamp {ts_text!r}")
         src_addr = parts[1].strip()
         dst_addr = parts[2].strip()
-        src_port = parse_int(parts[3], "source port", line_no)
-        dst_port = parse_int(parts[4], "destination port", line_no)
+        src_port = parse_port(parts[3], "source port", line_no)
+        dst_port = parse_port(parts[4], "destination port", line_no)
         payload = parse_int(parts[5], "payload length", line_no)
         if payload < 0:
             raise TraceParseError(line_no, "payload length must be >= 0")

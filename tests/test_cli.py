@@ -679,6 +679,26 @@ class TestBadTraceInputs:
         assert_cli_error(self.analyze(export, "--t-i", "30000"), capsys,
                          f"line 3: bad timestamp '{text}'")
 
+    @pytest.mark.parametrize("port", ["-80", "99999"])
+    @pytest.mark.parametrize("columns, error", [
+        ((3, 4), "line 1: bad destination port"),
+        ((3,), "line 2: bad source port")], ids=["everywhere", "server-sent"])
+    def test_server_port_out_of_range(self, export, capsys, port, columns,
+                                      error):
+        """A server port outside 0-65535, as ``--client`` rejects, is a bad
+        field at its first line: written over port 80 everywhere, where
+        the column reader meets it on one connection, or in the source
+        port of the server's packets alone."""
+        lines = [text.split("\t") for text in export.read_text().splitlines()]
+        for fields in lines:
+            for k in columns:
+                if fields[k] == "80":
+                    fields[k] = port
+        export.write_text("".join("\t".join(f) + "\n" for f in lines))
+        assert cli.main(self.analyze(export, "--t-i", "30000")) == 1
+        assert (capsys.readouterr().err
+                == f"error: {export}: {error} '{port}'\n")
+
     @pytest.mark.parametrize("t_i", ["inf", "nan", "0", "-5"])
     def test_t_i_not_finite_and_positive(self, export, capsys, t_i):
         assert_cli_error(self.analyze(export, "--t-i", t_i), capsys,

@@ -4,11 +4,12 @@ scenarios.
 Walking the radio state machine over a canonical cycle's events (the
 oracle of ``_event_reference``) gives the closed-form cycle energy; a
 cycle's phases plus its charged promotions add up to its period; and two
-placements at equal RTT have a ratio of exactly 1, through ``compare`` and
-through ``run_sweep``.  The draws cover both promotion branches, and
-explicit examples pin each one.  Every cell of ``sweep_cells`` equals
-``compare`` bit for bit, whatever the axis order, and two sweeps over
-different profiles that run interleaved do not share a cache.
+placements at equal RTT have a ratio of exactly 1, through ``compare``,
+through ``run_sweep`` and through the sweep kernel ``sweep_rows``.  The
+draws cover both promotion branches, and explicit examples pin each one.
+Every cell of the rows of ``sweep_rows`` equals ``compare`` bit for bit,
+whatever the axis order, and two sweeps over different profiles whose rows
+are drawn interleaved do not share a cache.
 
 Over cycles that charge no promotion, both quiet gaps start in CR and walk
 the same decay chain, so swapping the wait and the quiet time leaves the
@@ -34,9 +35,10 @@ from ltenergy.analytic import (
     price_scenario,
 )
 from ltenergy.power_model import PowerProfile, default_profile
-from ltenergy.sweep import SweepAxis, SweepSpec, run_sweep, sweep_cells
+from ltenergy.sweep import SweepAxis, SweepCell, SweepSpec, run_sweep
 
 from _event_reference import canonical_cycle_events, event_driven_energy
+from test_sweep import assert_kernel_cell_is, kernel_cells
 
 # Profiles without duty cycles are valid; their skipped check only warns.
 pytestmark = pytest.mark.filterwarnings("ignore:profile has no")
@@ -146,7 +148,9 @@ def test_rho_is_exactly_one_at_equal_rtt(profile, scn):
     spec = SweepSpec(base=scn, rtt_cloud=scn.rtt,
                      axes=(SweepAxis("rtt_cloud", scn.rtt, scn.rtt, 1),))
     (cell,) = run_sweep(spec, profile).cells
-    assert cell.rho == 1.0 and cell.delta_rtt == 0.0
+    assert cell.result.rho == 1.0 and cell.result.delta_rtt == 0.0
+    (kernel,) = kernel_cells(spec, profile)
+    assert_kernel_cell_is(kernel, cell)
 
 
 @st.composite
@@ -165,23 +169,18 @@ def grid_axes(draw):
 
 
 def assert_cell_is_compare(cell, spec, profile):
-    """The cell holds what ``compare`` returns or raises at its point."""
-    values, edge, cloud, rho, delta_rtt, error = cell
+    """The kernel's cell holds what ``compare`` returns or raises at its
+    point, bit for bit."""
+    values = cell[0]
     fields = dict(zip((axis.name for axis in spec.axes), values))
     rtt = fields.pop("rtt_cloud")
     try:
-        expected = compare(spec.base._replace(**fields),
-                           spec.base._replace(rtt=rtt, **fields),
-                           profile)
+        expected = SweepCell(values, compare(
+            spec.base._replace(**fields),
+            spec.base._replace(rtt=rtt, **fields), profile))
     except PeriodOverrunError as exc:
-        assert (edge, cloud, rho, delta_rtt, error) == (
-            None, None, None, None, str(exc))
-    else:
-        # repr tells every pair of floats apart that differ in a bit
-        assert error is None
-        assert repr((edge, cloud, rho, delta_rtt)) == repr(
-            (tuple(expected.edge), tuple(expected.cloud), expected.rho,
-             expected.delta_rtt))
+        expected = SweepCell(values, None, str(exc))
+    assert_kernel_cell_is(cell, expected)
 
 
 OTHER = DEFAULT._replace(p_tx=1100.0)
@@ -207,17 +206,17 @@ OTHER = DEFAULT._replace(p_tx=1100.0)
                SweepAxis("t_i", 200, 200, 1)))
 def test_sweep_cells_equal_compare_in_any_axis_order(profile, other, scn,
                                                      axes):
-    # Transfers draw energy, so every ratio is finite and no cell raises.
+    # Transfers draw energy, so every ratio is finite and no cell fails.
     assume(profile.p_tx >= 1 and other.p_tx >= 1 and profile != other)
     spec = SweepSpec(base=scn, rtt_cloud=scn.rtt, axes=axes)
     points = list(itertools.product(*(axis.values() for axis in axes)))
-    cells = list(sweep_cells(spec, profile))
+    cells = list(kernel_cells(spec, profile))
     assert [cell[0] for cell in cells] == points
     for cell in cells:
         assert_cell_is_compare(cell, spec, profile)
     # Each pricer caches its own waits: interleaved sweeps do not mix.
-    for mine, theirs in zip(sweep_cells(spec, profile),
-                            sweep_cells(spec, other)):
+    for mine, theirs in zip(kernel_cells(spec, profile),
+                            kernel_cells(spec, other)):
         assert_cell_is_compare(mine, spec, profile)
         assert_cell_is_compare(theirs, spec, other)
 

@@ -14,7 +14,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ltenergy import cli, sweep
 from ltenergy.analytic import (
+    ComparisonResult,
     ConnectionlessScenario,
+    EnergyBreakdown,
     PeriodOverrunError,
     compare,
     price_scenario,
@@ -25,12 +27,12 @@ from ltenergy.sweep import (
     ROW_CELLS,
     CostSpec,
     SweepAxis,
+    SweepCell,
     SweepSpec,
     cost_curve,
     json_text,
     per_cycle_payload,
     run_sweep,
-    sweep_cells,
     sweep_rows,
 )
 from ltenergy._fmt import (csv_line, fixed_texts, fmt_axis, fmt_mj, fmt_ms,
@@ -164,10 +166,11 @@ class TestRunSweep:
             SweepAxis("rtt_cloud", 50, 300, 25),
         ))
         result = run_sweep(spec, PROFILE)
-        by_point = {cell.values: cell.rho for cell in result.cells}
+        by_point = {cell.values: cell.result.rho for cell in result.cells}
         assert by_point[(750.0, 300.0)] > 1
         assert by_point[(1000.0, 300.0)] < 1
-        cloud_wins = [cell.values for cell in result.cells if cell.rho > 1]
+        cloud_wins = [cell.values for cell in result.cells
+                      if cell.result.rho > 1]
         assert cloud_wins
         assert all(t_i < 1000 and rtt > 100 for t_i, rtt in cloud_wins)
 
@@ -178,7 +181,7 @@ class TestRunSweep:
         ), t_i=5000)
         result = run_sweep(spec, PROFILE)
         small = [c for c in result.cells if c.values[0] <= 16384]
-        assert small and all(c.rho < 1 for c in small)
+        assert small and all(c.result.rho < 1 for c in small)
         # oversized payloads cannot fit the period against a distant
         # cloud; those cells are recorded as errors, not dropped
         errors = [c for c in result.cells if c.error is not None]
@@ -192,7 +195,7 @@ class TestRunSweep:
             SweepAxis("rtt_cloud", 50, 300, 25),
         ), t_i=5000)
         result = run_sweep(spec, PROFILE)
-        by_point = {cell.values: cell.rho for cell in result.cells}
+        by_point = {cell.values: cell.result.rho for cell in result.cells}
         assert abs(by_point[(1500.0, 50.0)] - 1) < 0.02
         assert by_point[(0.0, 300.0)] < by_point[(1500.0, 300.0)] <= 1.0
 
@@ -244,6 +247,32 @@ def sweep_specs(draw):
     return SweepSpec(base=edge, rtt_cloud=cloud.rtt, axes=tuple(axes))
 
 
+def kernel_cells(spec, profile):
+    """The rows of ``sweep_rows``, drawn as they are needed and flattened
+    into cells ``(values, edge, cloud, delta_rtt)`` as each row holds them:
+    a priced cycle, or the error in its place, which is the edge's in both
+    places when the edge fails."""
+    for head, tails, *row in sweep_rows(spec, profile):
+        for tail, *cell in zip(tails, *row):
+            yield (head + (tail,), *cell)
+
+
+def assert_kernel_cell_is(cell, expected):
+    """The kernel's ``cell`` holds what the :class:`SweepCell` ``expected``
+    holds: both placements' energies, the ratio of their totals and the
+    RTT difference, or an overrun with the same message.  ``repr`` tells
+    apart every pair of floats that differ in a bit, sign included."""
+    values, edge, cloud, delta_rtt = cell
+    assert values == expected.values
+    if expected.result is None:
+        assert isinstance(cloud, PeriodOverrunError)
+        assert str(cloud) == expected.error
+    else:
+        r = expected.result
+        assert repr((edge[3:], cloud[3:], edge[-1] / cloud[-1], delta_rtt)) \
+            == repr((tuple(r.edge), tuple(r.cloud), r.rho, r.delta_rtt))
+
+
 def reference_spec(axes, t_i=5000.0):
     common = dict(t_i=t_i, b_tx=16000.0, b_rx=16000.0)
     return SweepSpec(
@@ -285,6 +314,8 @@ class TestSweepMatchesCompare:
                                  t_i=30000.0))
     @across_row_boundary
     def test_every_cell_equals_compare(self, spec):
+        """Each cell of ``run_sweep`` is ``compare`` at its point, and each
+        cell of the rows of ``sweep_rows`` is the cell of ``run_sweep``."""
         result = run_sweep(spec, PROFILE)
         grids = [axis.values() for axis in spec.axes]
         points = [(v,) for v in grids[0]] if len(grids) == 1 else [
@@ -296,12 +327,14 @@ class TestSweepMatchesCompare:
                 expected = compare(edge, cloud, PROFILE)
             except PeriodOverrunError as exc:
                 assert cell.result is None
-                assert cell.rho is None
                 assert cell.error == str(exc)
             else:
                 assert cell.error is None
                 assert cell.result == expected
-                assert cell.rho == expected.rho
+        kernel = list(kernel_cells(spec, PROFILE))
+        assert len(kernel) == len(result.cells)
+        for mine, expected in zip(kernel, result.cells):
+            assert_kernel_cell_is(mine, expected)
 
     def test_examples_reach_every_branch(self):
         overrun = prom_tx = prom_rx = False
@@ -320,23 +353,28 @@ class TestSweepMatchesCompare:
         assert overrun and prom_tx and prom_rx
 
     def test_row_overflowing_part_way_raises_at_its_cell(self):
-        """A row whose waits grow until a gap's energy overflows yields the
-        cells before that one, each equal to ``compare``, and raises where
-        ``compare`` does."""
+        """A row whose waits grow until a gap's energy overflows holds the
+        cells before that one, each equal to ``compare``, then the error
+        that ``compare`` raises there, which each renderer and
+        ``run_sweep`` raise."""
         spec = SweepSpec(ConnectionlessScenario(t_i=2e307, rtt=1e307), 0.0,
                          (SweepAxis("t_i", 2e307, 2e307, 1),
                           SweepAxis("rtt_cloud", 8e306, 1.4e307, 1e306)))
-        cells = []
-        with pytest.raises(ValueError, match="cycle energy overflows"):
-            cells.extend(map(sweep.SweepCell._make,
-                             sweep_cells(spec, PROFILE)))
+        cells = list(kernel_cells(spec, PROFILE))
         points = list(itertools.product(*(a.values() for a in spec.axes)))
-        assert len(cells) == 5 and len(points) == 7
-        for cell, point in zip(cells, points):
-            assert cell.values == point
-            assert cell.result == compare(*scenarios_at(spec, point), PROFILE)
-        with pytest.raises(ValueError, match="cycle energy overflows"):
+        assert [cell[0] for cell in cells] == points and len(points) == 7
+        for cell, point in zip(cells[:5], points):
+            assert_kernel_cell_is(cell, SweepCell(point, compare(
+                *scenarios_at(spec, point), PROFILE)))
+        with pytest.raises(ValueError, match="cycle energy overflows") as info:
             compare(*scenarios_at(spec, points[5]), PROFILE)
+        bad, message = cells[5][2], str(info.value)
+        assert (type(bad), str(bad)) == (ValueError, message)
+        for render in (sweep.csv_rows, json_text):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                "".join(render(spec, sweep_rows(spec, PROFILE)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(spec, PROFILE)
 
     def test_invalid_axis_value_raises_scenario_error(self):
         with pytest.raises(ValueError, match="t_i must be strictly positive"):
@@ -493,11 +531,12 @@ def reference_rows(result):
     rows = []
     for cell in result.cells:
         row = [fmt_axis(v) for v in cell.values]
-        if cell.error is not None:
+        if cell.result is None:
             row += ["", "", "", "", cell.error]
         else:
-            row += [fmt_rho(cell.rho), fmt_mj(cell.edge[-1]),
-                    fmt_mj(cell.cloud[-1]), fmt_ms(cell.delta_rtt), ""]
+            r = cell.result
+            row += [fmt_rho(r.rho), fmt_mj(r.edge.e_i), fmt_mj(r.cloud.e_i),
+                    fmt_ms(r.delta_rtt), ""]
         rows.append(row)
     return rows
 
@@ -537,7 +576,9 @@ def render_specs(draw):
 class TestFastRenderers:
     """``json_text`` and ``csv_rows`` of the rows of ``sweep_rows``, and
     ``SweepResult.rows``, against their cell-by-cell references: the JSON
-    of ``to_json_obj`` and ``csv.writer`` on ``reference_rows``."""
+    of ``to_json_obj`` and ``csv.writer`` on ``reference_rows``, each of
+    the cells of ``run_sweep``, which prices each with ``compare``, or of
+    cells built by hand."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
@@ -644,8 +685,9 @@ class TestFastRenderers:
         deltas = [tail - spec.base.rtt for tail in tails]
         rows = [((), tails, [edge] * len(tails), clouds, deltas)]
         result = sweep.SweepResult(spec, tuple(
-            sweep.SweepCell((tail,), edge[3:], cloud[3:],
-                            e_edge / cloud[-1], delta)
+            SweepCell((tail,), ComparisonResult(
+                EnergyBreakdown(*edge[3:]), EnergyBreakdown(*cloud[3:]),
+                e_edge / cloud[-1], delta))
             for tail, cloud, delta in zip(tails, clouds, deltas)))
         assert "".join(json_text(spec, rows)) == json.dumps(
             result.to_json_obj(), indent=2)
@@ -654,9 +696,12 @@ class TestFastRenderers:
     def test_overflowing_energies_raise_before_rendering(self):
         # p_tx * t_tx overflows, so no cell has a finite energy to render
         profile = PROFILE._replace(p_tx=1e308)
+        spec = reference_spec((SweepAxis("rtt_cloud", 50, 100, 50),))
         with pytest.raises(ValueError, match="cycle energy overflows"):
-            run_sweep(reference_spec(
-                (SweepAxis("rtt_cloud", 50, 100, 50),)), profile)
+            run_sweep(spec, profile)
+        for render in (sweep.csv_rows, json_text):
+            with pytest.raises(ValueError, match="cycle energy overflows"):
+                "".join(render(spec, sweep_rows(spec, profile)))
 
     def test_three_axes(self):
         spec = reference_spec((SweepAxis("t_i", 300, 30300, 10000),
@@ -724,8 +769,8 @@ class TestStreamedArtifacts:
 
 
 class TestBoundedCaches:
-    """A drained sweep holds memory per axis value, not per cell: the
-    kernel keeps only the last edge and the waits of one ``t_elab``."""
+    """A drained ``sweep_rows`` holds memory per axis value, not per cell:
+    it keeps only the last edge and the waits of one ``t_elab``."""
 
     @pytest.mark.parametrize("axes", [
         (SweepAxis("t_i", 30000, 40000, 10000),
@@ -738,7 +783,7 @@ class TestBoundedCaches:
         assert math.prod(axis.n_values for axis in axes) == 20_000
         tracemalloc.start()
         try:
-            for _ in sweep_cells(spec, PROFILE):
+            for _ in sweep_rows(spec, PROFILE):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
