@@ -1,17 +1,17 @@
 """Parameter sweeps over placement scenarios and batching-cost curves.
 
-``sweep_rows`` is the one sweep kernel: a generator of the rows of a
-dense grid of scenario parameters, one dimension per swept axis.  A row is
-a run of at most ``ROW_CELLS`` values of the innermost axis, whatever its
-name, whose cells each have their own edge, cloud and delta.  It binds
-:func:`ltenergy.analytic.cycle_pricer` once and prices each row with two
-``price.row`` calls, its edges, then its clouds; an edge that overruns or
-overflows prices no cloud.  ``csv_rows`` and ``json_text`` render a
+``sweep_rows`` is the one sweep kernel: a generator of the rows of a dense
+grid of scenario parameters, one dimension per swept axis.  A row is a run
+of at most ``ROW_CELLS`` values of the innermost axis, whatever its name: a
+cloud per cell, and an edge and a delta per cell or one that all share.  It
+binds :func:`ltenergy.analytic.cycle_pricer` once and prices each row with
+two ``price.row`` calls, its edges, then its clouds; an edge that overruns
+or overflows prices no cloud.  ``csv_rows`` and ``json_text`` render a
 stream of rows as chunks, one per row, that the CLI's ``_write`` alone
 collects.  A run's ratios (n = 3 decimals) and energies (n = 1) take one
-``%`` call; JSON drops up to n - 1 trailing zeros below 10**(15 - n),
-where a text of at most 15 significant digits is the shortest ``repr`` of
-its nearest double, and else writes ``repr(round(x, n))`` for the run.
+``%`` call; JSON drops up to n - 1 trailing zeros below 10**(15 - n), where
+a text of at most 15 significant digits is the shortest ``repr`` of its
+nearest double, and else writes ``repr(round(x, n))`` for the run.
 ``run_sweep`` is the reference that the kernel is held to: it prices each
 grid point with :func:`ltenergy.analytic.compare`, none of it as
 ``sweep_rows`` does.
@@ -242,18 +242,18 @@ def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
 def _texts(spec: SweepSpec, rows: Iterable[tuple], axis_text: Callable,
            delta_text: Callable, as_json: bool) -> Iterator[tuple]:
     """Each row as ``(head, tails, deltas, runs)``: the texts of its head,
-    made per row, and of its tails and deltas, made once per distinct list,
-    and its :func:`_runs`."""
+    made per row, and of its tails and deltas, made once per distinct list
+    and a shared delta's repeated per cell, and its :func:`_runs`."""
     *outer, inner = [axis.name for axis in spec.axes]
-    last = None, None, None
+    last = None, None
     for head, tails, edges, clouds, deltas in rows:
         if tails is not last[0]:
             tail_texts = [axis_text(inner, v) for v in tails]
-        if deltas is not last[1]:  # one text per distinct delta
-            delta_texts = [*map({d: delta_text(d) for d in set(deltas)}
-                                .__getitem__, deltas)]
+        if deltas is not last[1]:
+            delta_texts = [*map(delta_text, deltas)]
         last = tails, deltas
-        yield ("".join(map(axis_text, outer, head)), tail_texts, delta_texts,
+        yield ("".join(map(axis_text, outer, head)), tail_texts,
+               delta_texts * len(tails) if len(deltas) == 1 else delta_texts,
                _runs(edges, clouds, as_json))
 
 
@@ -261,17 +261,16 @@ def _runs(edges: Sequence, clouds: Sequence, as_json: bool) -> Iterator[tuple]:
     """A row's cells as runs of priced cells, ``(start, stop, ratio texts,
     edge energy texts, cloud energy texts, None)``, each run with one ratio
     check and one ``fixed_texts`` call per kind of number (JSON's ``repr``
-    from 10**(15 - n) up), and ``(k, k + 1, None, None, None, message)`` of
-    overrun cells, in order, up to a bad cell, which raises."""
+    from 10**(15 - n) up; the one edge of a row that shares it formatted
+    once), and ``(k, k + 1, None, None, None, message)`` of overrun cells,
+    in order, up to a bad cell, which raises."""
     stops = [k for k, cloud in enumerate(clouds)
              if not isinstance(cloud, tuple)] + [len(clouds)]
-    start = 0
+    start, shared = 0, len(edges) == 1
     for stop in stops:
         if start < stop:
-            run = edges[start:stop]
-            shared = run.count(run[0]) == len(run)  # as sweep_rows shares
-            e_edges = ([run[0][-1]] * len(run) if shared else
-                       [edge[-1] for edge in run])
+            e_edges = ([edges[0][-1]] * (stop - start) if shared else
+                       [edge[-1] for edge in edges[start:stop]])
             e_clouds = [cloud[-1] for cloud in clouds[start:stop]]
             try:
                 rhos = [*map(operator.truediv, e_edges, e_clouds)]
@@ -281,8 +280,8 @@ def _runs(edges: Sequence, clouds: Sequence, as_json: bool) -> Iterator[tuple]:
                 for e, c in zip(e_edges, e_clouds):  # raises at the first
                     energy_ratio(e, c)
             yield (start, stop, fixed_texts(rhos, 3, as_json),
-                   (fixed_texts(e_edges[:1], 1, as_json) * len(run) if shared
-                    else fixed_texts(e_edges, 1, as_json)),
+                   (fixed_texts(e_edges[:1], 1, as_json) * (stop - start)
+                    if shared else fixed_texts(e_edges, 1, as_json)),
                    fixed_texts(e_clouds, 1, as_json), None)
         if stop < len(clouds):
             if not isinstance(clouds[stop], PeriodOverrunError):
@@ -315,12 +314,12 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     """The grid's rows, row-major, as ``(head, tails, edges, clouds,
     deltas)``: a row is at most ``ROW_CELLS`` consecutive ``tails`` of the
     innermost axis, whatever its name, after the ``head`` of the outer
-    axes, and holds a cell per tail, valued ``head + (tail,)``, with its own
-    edge, cloud and ``delta_rtt``.  What no cell of a row varies is priced
-    once for all: with ``rtt_cloud`` innermost they share one edge tuple.
-    Each leg, wait and edge is kept while the next row repeats it.  A row's
-    edges are one ``price.row`` call and its clouds another, which prices
-    no cloud whose edge is an error: that error is its cloud too."""
+    axes, and holds a cell per tail, valued ``head + (tail,)``, and a cloud
+    per cell; ``edges`` and ``deltas`` (``delta_rtt``) hold one per cell or
+    one that all share, the edge with ``rtt_cloud`` innermost, else the
+    delta.  Each list is kept, the same object, while the next row repeats
+    it.  A row's edges are one ``price.row`` call and its clouds another:
+    no cloud whose edge is an error is priced, that error is its cloud."""
     *outer, inner = spec.axes
     base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
     pick, fields = _field_picker(base, [axis.name for axis in spec.axes])
@@ -373,10 +372,7 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
                 row_legs = cells("blocked", block, row_legs, edges)
             else:
                 row_waits = cells("blocked", block, row_waits, edges)
-            m = len(tails)
-            yield (head, tails, edges * m if len(edges) == 1 else edges,
-                   price.row(row_legs, row_waits),
-                   deltas * m if len(deltas) == 1 else deltas)
+            yield head, tails, edges, price.row(row_legs, row_waits), deltas
 
 
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:

@@ -154,13 +154,21 @@ _IGNORED_FLAG_CHARS = set(".*-·ECUW")
 _ADMIN_FLAGS = frozenset({"SYN", "FIN", "RST"})
 
 
+def _ascii(text: str) -> str:
+    """``text`` if it is all ASCII and has no ``_``, else a ``ValueError``."""
+    if text.isascii() and "_" not in text:
+        return text
+    raise ValueError(text)
+
+
 def _parse_flags(field: str, line_no: int) -> frozenset[str]:
     text = field.strip()
     if text in ("", "-"):
         return frozenset()
-    if text.lower().startswith("0x") or text.isdigit():
+    hexadecimal = text.lower().startswith("0x")
+    if hexadecimal or text.isdigit():
         try:
-            bits = int(text, 16) if text.lower().startswith("0x") else int(text)
+            bits = int(_ascii(text), 16 if hexadecimal else 10)
         except ValueError:
             raise TraceParseError(line_no, f"bad flags field {field!r}") from None
         return frozenset(name for name, _, bit in _FLAGS if bits & bit)
@@ -177,7 +185,7 @@ def _parse_int(field: str, what: str, line_no: int) -> int:
     if text in ("", "-"):
         return 0
     try:
-        return int(text)
+        return int(_ascii(text))
     except ValueError:
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
@@ -190,9 +198,10 @@ def _parse_port(field: str, what: str, line_no: int) -> int:
 
 
 def parse_endpoint(text: str, what: str = "endpoint") -> tuple[str, int]:
-    """``(addr, port)`` of ``addr:port``, each stripped; port 0 to 65535."""
+    """``(addr, port)`` of ``addr:port``, stripped; port 0-65535 in ASCII."""
     addr, colon, port = text.rpartition(":")
-    if colon and port.strip().isdecimal() and int(port) in _PORTS:
+    port = port.strip()
+    if colon and port.isascii() and port.isdecimal() and int(port) in _PORTS:
         return addr.strip(), int(port)
     raise ValueError(f"{what} {text!r} is not addr:port with port 0-65535")
 
@@ -203,19 +212,19 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
     Line format (tab-separated): epoch timestamp with six decimals, source
     address, destination address, source port, destination port, transport
     payload length, flags (hex value or letter set), sequence number,
-    acknowledgment number.  An export is one TCP connection: ``client``,
-    the ``(addr, port)`` where it was captured, fixes each packet's
+    acknowledgment number.  An export is one TCP connection: ``client``, the
+    ``(addr, port)`` where it was captured, fixes each packet's
     ``from_client``, and the first packet in file order fixes the server.
     The first bad line in file order raises a :class:`TraceParseError`
-    naming it: its first bad field in column order, a non-finite timestamp
-    or a port outside 0 to 65535 included, else a packet that is not on
-    the connection.  It reads chunks of ``_CHUNK_LINES`` lines.  A chunk of
-    plain packet lines, as :func:`events_to_lines` writes them, is
-    converted by column: payload lengths, flags and endpoints once per
-    distinct text, as an exchange has few, the other fields per packet;
-    any other is read line by line, where blank and ``#`` lines are
-    skipped, an empty or ``-`` integer field reads as 0 and a padded
-    timestamp is stripped.
+    naming it: its first bad field in column order, a non-finite timestamp,
+    a number with ``_`` or non-ASCII digits or a port outside 0 to 65535
+    included, else a packet that is not on the connection.  It reads chunks
+    of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
+    :func:`events_to_lines` writes them, is converted by column: payload
+    lengths, flags and endpoints once per distinct text, as an exchange has
+    few, the other fields per packet; any other is read line by line, where
+    blank and ``#`` lines are skipped, an empty or ``-`` integer field
+    reads as 0 and a padded timestamp is stripped.
     """
     if isinstance(lines, str):  # split at line ends only, as a text file
         lines = io.StringIO(lines, newline=None)
@@ -276,15 +285,17 @@ def _cached(cache: dict, texts: list, convert) -> list:
 
 def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
     """The :class:`Packets` columns of ``chunk``, filling the caches, when
-    each line is a plain packet line: nine tab-separated fields with
+    each line is a plain packet line: nine tab-separated fields with ASCII
     decimal integers; else a ``ValueError`` for ``_parse_line`` to read.
     Payload lengths, flags and endpoints convert once per distinct text,
     the other columns per packet, as nearly every packet has its own (a
     10^7-byte GET has 4 lengths, 5 flags texts and 2 endpoint keys)."""
     # Every line has nine fields when the form feed that ends each line but
-    # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one.
-    fields = "\f\t".join(chunk).split("\t")
-    if ("\f" in "".join(chunk) or len(fields) != 9 * len(chunk)
+    # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one,
+    # nor ``_`` or non-ASCII text but a flags ``·`` (see ``_ascii``).
+    text, fields = "".join(chunk), "\f\t".join(chunk).split("\t")
+    if ("\f" in text or "_" in text or len(fields) != 9 * len(chunk)
+            or not (text.isascii() or text.replace("·", "").isascii())
             or "".join(fields[8::9]).count("\f") != len(chunk) - 1):
         raise ValueError
     stamps = list(map(float, fields[0::9]))
@@ -328,7 +339,7 @@ def _parse_line(raw: str, line_no: int, state: _ParseState) -> tuple | None:
     ts, src_addr, dst_addr, sport, dport, size, flag_text, sq, ak = parts
     ts = ts.strip()  # float keeps \x1c-\x1f, which str.strip drops
     try:
-        timestamp = float(ts)
+        timestamp = float(_ascii(ts))
     except ValueError:
         timestamp = math.nan
     if not math.isfinite(timestamp):
@@ -486,17 +497,6 @@ def _bulk_packets(total: int) -> int:
 _SYNTH_PAIR = tuple(map(parse_endpoint, (SYNTH_CLIENT, SYNTH_SERVER)))
 
 
-def _synthetic_event(isn: dict[bool, int], t_us: int, from_client: bool,
-                     payload: int, flags: frozenset[str], seq_rel: int,
-                     ack_rel: int) -> tuple:
-    """One planned packet as ``(t_us, from_client, payload, flags, seq,
-    ack)``: ``seq_rel`` is an offset into the sender's stream, ``ack_rel``
-    into the peer's, from the initial sequence numbers ``isn``."""
-    ack = isn[not from_client] + ack_rel if "ACK" in flags else 0
-    return (t_us, from_client, payload, flags, isn[from_client] + seq_rel,
-            ack)
-
-
 def _transfer_arrivals(n_segments: int, start_us: int, rtt_us: int,
                        seg_gap_us: float) -> list[float]:
     """Per-segment times of a window-growth transfer seen at one endpoint.
@@ -561,9 +561,12 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
     isn = {True: isn_client, False: isn_server}  # by from_client
 
     def pkt(t_us, from_client, payload, flags, seq_rel, ack_rel):
-        packets.append(_synthetic_event(isn, finite_us(t_us), from_client,
-                                        payload, frozenset(flags), seq_rel,
-                                        ack_rel))
+        """A packet in ``Packets.COLUMNS`` order, its time in whole µs; the
+        offsets count from the sender's and the peer's ``isn``."""
+        flags = frozenset(flags)
+        ack = isn[not from_client] + ack_rel if "ACK" in flags else 0
+        packets.append((finite_us(t_us), payload, flags,
+                        isn[from_client] + seq_rel, ack, from_client))
 
     def bulk(from_client, size, start_us, peer_next):
         """Segments of ``size`` bytes from ``start_us`` on, each second one
@@ -612,9 +615,9 @@ def _plan_trace(kind: str, file_size: int, rtt_ms: float,
         client_next + 1, server_next + 1)
 
     packets.sort(key=lambda p: p[0])
-    t_us, senders, sizes, flags, seqs, acks = map(list, zip(*packets))
-    return (Packets([[t / 1e6 for t in t_us], sizes, flags, seqs, acks,
-                     senders], *_SYNTH_PAIR),
+    t_us, *columns = zip(*packets)
+    return (Packets([[t / 1e6 for t in t_us], *map(list, columns)],
+                    *_SYNTH_PAIR),
             (request_us, request_ack_us, response_us, final_ack_us))
 
 

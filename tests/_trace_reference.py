@@ -11,7 +11,9 @@ line's sender comes from one uncached call after its fields, so the first
 bad line in file order is the one reported, be it a bad field or a packet
 of another connection.  It carries its own copies of the flag, integer,
 port, sender and connection rules, so a change to any of them in the
-library shows as a difference.
+library shows as a difference.  A number holds ASCII digits only: one with
+``_`` or digits of another script, which ``int`` and ``float`` read, is a
+bad field.
 
 ``ltenergy.traces.Packets`` holds packets as columns and the two endpoints
 once; the tests compare them as rows, one :class:`PacketEvent` per packet,
@@ -63,12 +65,21 @@ _FLAG_BITS = (("FIN", 0x01), ("SYN", 0x02), ("RST", 0x04),
 _IGNORED_FLAG_CHARS = set(".*-·ECUW")
 
 
+def ascii_digits(text):
+    """``text``, unless ``int`` or ``float`` would read digits in it that
+    are not ASCII, or ``_``: then a ``ValueError``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return text
+
+
 def parse_flags(field, line_no):
     text = field.strip()
     if text in ("", "-"):
         return frozenset()
     if text.lower().startswith("0x") or text.isdigit():
         try:
+            text = ascii_digits(text)
             bits = int(text, 16) if text.lower().startswith("0x") else int(text)
         except ValueError:
             raise TraceParseError(line_no, f"bad flags field {field!r}") from None
@@ -90,7 +101,7 @@ def parse_int(field, what, line_no):
     if text in ("", "-"):
         return 0
     try:
-        return int(text)
+        return int(ascii_digits(text))
     except ValueError:
         raise TraceParseError(line_no, f"bad {what} {field!r}") from None
 
@@ -134,7 +145,7 @@ def reference_parse_events(lines, client):
                 line_no, f"expected 9 tab-separated fields, got {len(parts)}")
         ts_text = parts[0].strip()
         try:
-            timestamp = float(ts_text)
+            timestamp = float(ascii_digits(ts_text))
         except ValueError:
             raise TraceParseError(
                 line_no, f"bad timestamp {ts_text!r}") from None

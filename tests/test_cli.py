@@ -679,6 +679,32 @@ class TestBadTraceInputs:
         assert_cli_error(self.analyze(export, "--t-i", "30000"), capsys,
                          f"line 3: bad timestamp '{text}'")
 
+    @pytest.mark.parametrize("form", ["arabic-indic", "underscore"])
+    @pytest.mark.parametrize("column, what", [
+        (0, "timestamp"), (3, "source port"), (4, "destination port"),
+        (5, "payload length"), (7, "sequence number"),
+        (8, "acknowledgment number")])
+    def test_number_in_ascii_digits_only(self, export, capsys, form, column,
+                                         what):
+        """A number that ``int`` or ``float`` reads in digits of another
+        script, or with ``_``, is a bad field at its line, whichever reader
+        meets it first: written as the same value, it analysed as the
+        original."""
+        lines = export.read_text().splitlines()
+        k = next(i for i, line in enumerate(lines)
+                 if line.split("\t")[5] == "1448")
+        fields = lines[k].split("\t")
+        fields[column] = (
+            fields[column].translate(str.maketrans("0123456789",
+                                                   "٠١٢٣٤٥٦٧٨٩"))
+            if form == "arabic-indic" else
+            fields[column][:-1] + "_" + fields[column][-1])
+        lines[k] = "\t".join(fields)
+        export.write_text("\n".join(lines) + "\n")
+        assert cli.main(self.analyze(export, "--t-i", "30000")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {export}: line {k + 1}: bad {what} {fields[column]!r}\n")
+
     @pytest.mark.parametrize("port", ["-80", "99999"])
     @pytest.mark.parametrize("columns, error", [
         ((3, 4), "line 1: bad destination port"),
@@ -1120,7 +1146,7 @@ class TestTraceAnalyzeClient:
     @pytest.mark.parametrize("client", ["foo", "1.2.3.4:", "1.2.3.4:99999",
                                         "1.2.3.4:8O", "1.2.3.4:-1",
                                         "1.2.3.4:+80", "1.2.3.4:8_0",
-                                        "1.2.3.4:²"])
+                                        "1.2.3.4:²", "1.2.3.4:٨٠"])
     def test_malformed(self, tmp_path, capsys, client):
         """No profile or export is read: both are missing here."""
         assert cli.main(["trace-analyze", "--kind", "get", "--client",
@@ -1599,7 +1625,7 @@ class TestTraceBound:
         def fail(*args):
             raise AssertionError("packet built for an oversized trace")
 
-        monkeypatch.setattr(traces, "_synthetic_event", fail)
+        monkeypatch.setattr(traces, "_segment_sizes", fail)
 
     @staticmethod
     def argv(file_size):

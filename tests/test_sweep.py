@@ -251,9 +251,13 @@ def kernel_cells(spec, profile):
     """The rows of ``sweep_rows``, drawn as they are needed and flattened
     into cells ``(values, edge, cloud, delta_rtt)`` as each row holds them:
     a priced cycle, or the error in its place, which is the edge's in both
-    places when the edge fails."""
-    for head, tails, *row in sweep_rows(spec, profile):
-        for tail, *cell in zip(tails, *row):
+    places when the edge fails.  An edge or delta list of one is the row's
+    shared value, repeated to each cell."""
+    for head, tails, edges, clouds, deltas in sweep_rows(spec, profile):
+        m = len(tails)
+        for tail, *cell in zip(tails, edges * m if len(edges) == 1 else edges,
+                               clouds, deltas * m if len(deltas) == 1
+                               else deltas, strict=True):
             yield (head + (tail,), *cell)
 
 
@@ -692,6 +696,37 @@ class TestFastRenderers:
         assert "".join(json_text(spec, rows)) == json.dumps(
             result.to_json_obj(), indent=2)
         assert csv_artifact(spec, rows) == reference_csv(result)
+
+    @pytest.mark.parametrize("overrun", [False, True],
+                             ids=["priced", "overrun"])
+    def test_shared_lists_equal_copies(self, overrun):
+        """Rows built by hand whose ``edges`` and ``deltas`` are lists of
+        one, which every cell shares, render as the same rows with a copy
+        per cell, and as their cells: priced, or, when the shared edge
+        overruns, each cell that edge's error.  Both rows hold the same
+        tail and delta lists, as ``sweep_rows`` repeats them."""
+        spec = reference_spec((SweepAxis("t_i", 1000, 2000, 1000),
+                               SweepAxis("rtt_cloud", 0, 3, 1)))
+        parts = (0.0, False, False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        tails, deltas = [0.0, 1.0, 2.0, 3.0], [-20.5]
+        edge = PeriodOverrunError(7.0) if overrun else parts + (10.0,)
+        clouds = ([edge] * 4 if overrun else
+                  [parts + (e,) for e in (5.0, 10.0, 20.0, 40.0)])
+        shared = [((t_i,), tails, [edge], clouds, deltas)
+                  for t_i in (1000.0, 2000.0)]
+        copies = [(head, tails, [edge] * 4, clouds, deltas * 4)
+                  for head, tails, _, clouds, _ in shared]
+        result = sweep.SweepResult(spec, tuple(
+            SweepCell((t_i, tail), None, str(edge)) if overrun else
+            SweepCell((t_i, tail), ComparisonResult(
+                EnergyBreakdown(*edge[3:]), EnergyBreakdown(*cloud[3:]),
+                edge[-1] / cloud[-1], deltas[0]))
+            for t_i in (1000.0, 2000.0)
+            for tail, cloud in zip(tails, clouds)))
+        for rows in (shared, copies):
+            assert "".join(json_text(spec, rows)) == json.dumps(
+                result.to_json_obj(), indent=2)
+            assert csv_artifact(spec, rows) == reference_csv(result)
 
     def test_overflowing_energies_raise_before_rendering(self):
         # p_tx * t_tx overflows, so no cell has a finite energy to render

@@ -55,23 +55,28 @@ STRANGER_PAIRS = [(STRANGER, SERVER), (SERVER, STRANGER)]
 # A text export breaks lines at \r, as a file read in text mode does.
 PADDING = " \xa0\x0b\x0c\r\x1c\x1f　"
 # Field texts that are not valid in their column, by column index.
+# Numbers that ``int`` or ``float`` reads in Arabic-Indic digits or with
+# ``_`` are bad fields too.
 BAD_FIELDS = {
-    0: ["soon", "nan", "inf", "-inf", "1e400", "", "-"],
+    0: ["soon", "nan", "inf", "-inf", "1e400", "", "-", "١.٥", "1_0.5"],
     1: ["10.0.0.9"], 2: ["10.0.0.9"],  # valid, but involve no client
-    3: ["x1", "1.5", "0x50", "-80", "65536"],
-    4: ["8O", "+-1", "1e3", "-80", "65536"],
-    5: ["-5", "x", "1.0", "2147483648"],
-    6: ["XQ", "0xZZ", "²", "Z", "0x"],
-    7: ["4294967296", "-1", "abc"], 8: ["2 3", "4294967296", "-7"],
+    3: ["x1", "1.5", "0x50", "-80", "65536", "٨٠", "8_0"],
+    4: ["8O", "+-1", "1e3", "-80", "65536", "٥٢٠٠٠", "52_000"],
+    5: ["-5", "x", "1.0", "2147483648", "١٤٤٨", "1_448"],
+    6: ["XQ", "0xZZ", "²", "Z", "0x", "١٦", "0x1_0"],
+    7: ["4294967296", "-1", "abc", "١", "1_0"],
+    8: ["2 3", "4294967296", "-7", "٧", "7_0"],
 }
 FLAG_TEXTS = ["A", "PA", "pa", "SA", "S", "FA", "RA", ".A..P", "·A",
               "CWA", "E", "-", "", "0x012", "0X18", "18", "16", "2"]
 
 
-# Bad texts that ``int`` reads, as (column, text): the column reader
-# converts them and must then find them out of their column's range.
+# Bad texts in ASCII digits, which ``int`` reads, as (column, text): the
+# column reader converts them and must then find them out of their column's
+# range.
 RANGE_FAULTS = [(column, text) for column, texts in BAD_FIELDS.items()
-                for text in texts if text.lstrip("-").isdecimal()]
+                for text in texts
+                if text.isascii() and text.lstrip("-").isdecimal()]
 # The fault of a plain export: none, most often, one field of
 # ``RANGE_FAULTS``, or packets of another connection or client.
 PLAIN_FAULTS = [None, None, "range", "peer"]

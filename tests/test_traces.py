@@ -232,6 +232,14 @@ class TestParseEvents:
         with pytest.raises(TraceParseError, match="flags"):
             parse_events(line(0.0, CLIENT, SERVER, 0, "XQ", 0, 0), ENDPOINT)
 
+    @pytest.mark.parametrize("text", ["١٦", "0x1_0"])
+    def test_numeric_flags_in_ascii_digits_only(self, text):
+        """``int`` reads ACK, 16, in Arabic-Indic digits and with ``_``,
+        which are bad flags fields."""
+        with pytest.raises(TraceParseError) as err:
+            parse_events(line(0.0, CLIENT, SERVER, 0, text, 0, 0), ENDPOINT)
+        assert str(err.value) == f"line 1: bad flags field {text!r}"
+
     def test_direction_from_client_argument(self):
         events = rows(parse_events("\n".join(post_exchange_lines()),
                                    client=ENDPOINT))
@@ -290,24 +298,32 @@ class TestParseEvents:
         assert str(err.value) == f"line {stray}: " + SECOND_PEER.replace(
             ":443", f":{port}")
 
-    def test_second_peer_first_out_of_the_set(self, monkeypatch):
-        """A set that yields the chunk's endpoints in reverse file order
-        would put the second peer before the server's side: the column
-        reader takes no order from a set, and line 1 still fixes the
-        server."""
-        class ReversedSet(set):
-            def __init__(self, items=()):
-                self.order = list(dict.fromkeys(items))[::-1]
-                super().__init__(self.order)
+    def test_new_endpoints_resolved_in_file_order(self, monkeypatch):
+        """The column reader resolves each new endpoint key of a parse once,
+        in order of first appearance, so line 1 fixes the server: client to
+        server, then server to client, then the second peer, after which the
+        chunk falls back to the line reader, which names that peer's line.
+        A parse without it resolves the two keys of the connection alone."""
+        calls = []
+        sender = traces._ParseState.sender
 
-            def difference(self, other):
-                return [item for item in self.order if item not in other]
+        def spy(state, pair, line_no):
+            calls.append((pair, line_no))
+            return sender(state, pair, line_no)
 
-        monkeypatch.setattr(traces, "set", ReversedSet, raising=False)
+        monkeypatch.setattr(traces._ParseState, "sender", spy)
         lines, stray = second_peer_export()
         with pytest.raises(TraceParseError) as err:
             parse_events(lines, SYNTH_ENDPOINT)
         assert str(err.value) == f"line {stray}: {SECOND_PEER}"
+        client, server = SYNTH_ENDPOINT, ("203.0.113.5", 80)
+        assert calls[:4] == [(client + server, 0), (server + client, 0),
+                             (("192.0.2.99", 443) + client, 0),
+                             (client + server, 1)]
+        calls.clear()
+        del lines[stray - 1]
+        parse_events(lines, SYNTH_ENDPOINT)
+        assert calls == [(client + server, 0), (server + client, 0)]
 
     def test_first_packet_fixes_the_server(self):
         """The server is the first packet's peer in file order, not in time
@@ -473,6 +489,35 @@ class TestParseEvents:
         expected[19] = expected[19]._replace(ack=0)
         assert rows(parse_events(lines, SYNTH_ENDPOINT)) == expected
         assert read == list(range(17, 25))  # the third chunk, 1-based
+
+    def test_dot_flags_convert_by_column(self, monkeypatch):
+        """Analyzers write each unset flag as ``·``: chunks whose only
+        non-ASCII text is such flags convert by column, and the chunk that
+        also holds a length in Arabic-Indic digits, which ``int`` reads, is
+        read line by line, which names that field."""
+        packets = synthesize_trace("get", 10 ** 5, 20, 20e6)
+        lines = [text.replace("\tA\t", "\t·······A····\t") + "\n"
+                 for text in events_to_lines(packets)]
+        assert sum("·" in text for text in lines) > len(lines) // 2
+        read = []
+        parse_line = traces._parse_line
+
+        def spy(raw, line_no, client):
+            read.append(line_no)
+            return parse_line(raw, line_no, client)
+
+        monkeypatch.setattr(traces, "_parse_line", spy)
+        monkeypatch.setattr(traces, "_CHUNK_LINES", 8)
+        assert rows(parse_events(lines, SYNTH_ENDPOINT)) == rows(packets)
+        assert read == []
+        fields = lines[19].split("\t")
+        fields[5] = fields[5].translate(str.maketrans("0123456789",
+                                                      "٠١٢٣٤٥٦٧٨٩"))
+        lines[19] = "\t".join(fields)
+        with pytest.raises(TraceParseError) as err:
+            parse_events(lines, SYNTH_ENDPOINT)
+        assert str(err.value) == f"line 20: bad payload length {fields[5]!r}"
+        assert read == list(range(17, 21))
 
     def test_client_is_required(self):
         with pytest.raises(TypeError, match="client"):
