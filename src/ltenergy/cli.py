@@ -8,7 +8,8 @@ synthetic trace; it takes ``--out`` but no ``--profile`` or ``--format``.
 A config file accepts only its command's keys (any other key is an error),
 and flags win over the file.  Configs, profiles and trace exports are read
 as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
-asks for UTF-8), and an error reading one names the file.  A -0 reads as 0.
+asks for UTF-8), and an error reading one names the file.  Numbers are
+ASCII, without ``_`` or ``+``; -0 reads as 0.
 
 Outputs are deterministic: fixed column orders, fixed-point decimals (one
 decimal of mJ, three of ms, three for energy ratios; JSON writes them
@@ -32,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analytic
 from ._fmt import csv_line, fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
-from .power_model import (PowerProfile, _checked, _load_json_object,
+from .power_model import (PowerProfile, _ascii, _checked, _load_json_object,
                           _number, _open_utf8, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
 
@@ -311,6 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def number(text: str) -> float:
         return _number(text, "flag")
 
+    def integer(text: str) -> int:
+        return int(_ascii(text))
+
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the artifact to this path")
     common = argparse.ArgumentParser(add_help=False, parents=[out])
@@ -374,10 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ta.add_argument("--client", required=True,
                       help="client endpoint as addr:port; each export is "
                            "one TCP connection, whose first packet fixes "
-                           "the server endpoint")
+                           "the server endpoint; numbers are ASCII, without "
+                           "_ or +; -0 reads as 0")
     p_ta.add_argument("--t-i", type=number, required=True,
                       help="application period, ms")
-    p_ta.add_argument("--concurrency", type=int,
+    p_ta.add_argument("--concurrency", type=integer,
                       help="concurrent server connections during capture")
     p_ta.add_argument("--cloud", nargs="+", metavar="FILE",
                       dest="cloud_files",
@@ -388,13 +393,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ts = sub.add_parser("trace-synth", parents=[out],
                           help="write a synthetic trace")
     p_ts.add_argument("--kind", choices=("post", "get"), required=True)
-    p_ts.add_argument("--file-size", type=int, required=True,
+    p_ts.add_argument("--file-size", type=integer, required=True,
                       help="application bytes in the bulk direction")
     p_ts.add_argument("--rtt", type=number, required=True, dest="rtt_ms",
                       help="round-trip time, ms")
     p_ts.add_argument("--bottleneck", type=number, required=True,
                       dest="bottleneck_bps", help="bottleneck bitrate, bits/s")
-    p_ts.add_argument("--seed", type=int)
+    p_ts.add_argument("--seed", type=integer)
 
     return parser
 

@@ -218,11 +218,20 @@ def default_profile() -> PowerProfile:
     )
 
 
+def _ascii(text: str) -> str:
+    """``text`` if it is all ASCII and has no ``_`` or ``+``, else a
+    ``ValueError``: the rule for every number text read from outside."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        return text
+    raise ValueError(text)
+
+
 def _number(value: Any, what: str) -> float:
     """``float(value)`` for a number or numeric string read from outside;
     anything else, a bool or an int beyond float range too, is a ValueError."""
     if not isinstance(value, bool):
         try:
+            value = _ascii(value) if isinstance(value, str) else value
             return float(value) + 0.0  # -0.0 enters as 0.0: no sign printed
         except OverflowError:
             raise ValueError(f"{what} is too large for a float") from None

@@ -33,7 +33,7 @@ from random import Random
 from typing import Iterable, NamedTuple, Sequence
 
 from .analytic import EnergyBreakdown, PhaseTiming, energy_ratio, price_cycle
-from .power_model import PowerProfile, _checked
+from .power_model import PowerProfile, _ascii, _checked
 
 __all__ = [
     "Packets",
@@ -154,13 +154,6 @@ _IGNORED_FLAG_CHARS = set(".*-·ECUW")
 _ADMIN_FLAGS = frozenset({"SYN", "FIN", "RST"})
 
 
-def _ascii(text: str) -> str:
-    """``text`` if it is all ASCII and has no ``_``, else a ``ValueError``."""
-    if text.isascii() and "_" not in text:
-        return text
-    raise ValueError(text)
-
-
 def _parse_flags(field: str, line_no: int) -> frozenset[str]:
     text = field.strip()
     if text in ("", "-"):
@@ -198,11 +191,13 @@ def _parse_port(field: str, what: str, line_no: int) -> int:
 
 
 def parse_endpoint(text: str, what: str = "endpoint") -> tuple[str, int]:
-    """``(addr, port)`` of ``addr:port``, stripped; port 0-65535 in ASCII."""
+    """``(addr, port)`` of ``addr:port``, stripped; port 0-65535."""
     addr, colon, port = text.rpartition(":")
-    port = port.strip()
-    if colon and port.isascii() and port.isdecimal() and int(port) in _PORTS:
-        return addr.strip(), int(port)
+    try:
+        if colon and (port := int(_ascii(port.strip()))) in _PORTS:
+            return addr.strip(), port
+    except ValueError:
+        pass
     raise ValueError(f"{what} {text!r} is not addr:port with port 0-65535")
 
 
@@ -217,9 +212,9 @@ def parse_events(lines: str | Iterable[str], client: tuple) -> Packets:
     ``from_client``, and the first packet in file order fixes the server.
     The first bad line in file order raises a :class:`TraceParseError`
     naming it: its first bad field in column order, a non-finite timestamp,
-    a number with ``_`` or non-ASCII digits or a port outside 0 to 65535
-    included, else a packet that is not on the connection.  It reads chunks
-    of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
+    a number outside the rule of :mod:`ltenergy.cli` or a port outside 0 to
+    65535 included, else a packet that is not on the connection.  It reads
+    chunks of ``_CHUNK_LINES`` lines.  A chunk of plain packet lines, as
     :func:`events_to_lines` writes them, is converted by column: payload
     lengths, flags and endpoints once per distinct text, as an exchange has
     few, the other fields per packet; any other is read line by line, where
@@ -291,10 +286,12 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
     the other columns per packet, as nearly every packet has its own (a
     10^7-byte GET has 4 lengths, 5 flags texts and 2 endpoint keys)."""
     # Every line has nine fields when the form feed that ends each line but
-    # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one,
-    # nor ``_`` or non-ASCII text but a flags ``·`` (see ``_ascii``).
+    # the last ends slot 9k + 8; ``int`` ignores it, and no line may hold one.
+    # The ``_``, ``+`` and ASCII tests are ``_ascii`` over the whole chunk,
+    # but for the ``·`` that analyzers write in flags.
     text, fields = "".join(chunk), "\f\t".join(chunk).split("\t")
-    if ("\f" in text or "_" in text or len(fields) != 9 * len(chunk)
+    if ("\f" in text or "_" in text or "+" in text
+            or len(fields) != 9 * len(chunk)
             or not (text.isascii() or text.replace("·", "").isascii())
             or "".join(fields[8::9]).count("\f") != len(chunk) - 1):
         raise ValueError

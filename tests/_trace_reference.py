@@ -11,9 +11,8 @@ line's sender comes from one uncached call after its fields, so the first
 bad line in file order is the one reported, be it a bad field or a packet
 of another connection.  It carries its own copies of the flag, integer,
 port, sender and connection rules, so a change to any of them in the
-library shows as a difference.  A number holds ASCII digits only: one with
-``_`` or digits of another script, which ``int`` and ``float`` read, is a
-bad field.
+library shows as a difference.  A number that breaks the number rule of
+``ltenergy.cli`` is a bad field.
 
 ``ltenergy.traces.Packets`` holds packets as columns and the two endpoints
 once; the tests compare them as rows, one :class:`PacketEvent` per packet,
@@ -66,9 +65,9 @@ _IGNORED_FLAG_CHARS = set(".*-·ECUW")
 
 
 def ascii_digits(text):
-    """``text``, unless ``int`` or ``float`` would read digits in it that
-    are not ASCII, or ``_``: then a ``ValueError``."""
-    if not text.isascii() or "_" in text:
+    """``text``, unless it holds non-ASCII text, ``_`` or ``+``, with which
+    ``int`` and ``float`` read numbers: then a ``ValueError``."""
+    if not text.isascii() or "_" in text or "+" in text:
         raise ValueError(f"not ASCII digits: {text!r}")
     return text
 

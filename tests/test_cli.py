@@ -311,6 +311,8 @@ TRACE_SYNTH_DIGESTS = {
         "023b92c32ca2d5661b468394f017600d9c8719c3071a43b2695300a0443deccc",
 }
 CLIENT = "198.51.100.10:52000"
+SYNTH_ARGV = ["trace-synth", "--kind", "get", "--rtt", "20",
+              "--bottleneck", "20e6"]
 # A 100 x 200 t_i x rtt_cloud sweep of 20,000 cells, too large for the
 # figures' 1,408 to pin the renderers: unrounded axis sums, cloud RTTs on
 # both sides of the edge's, 6,206 overrun cells (a first row where the
@@ -679,7 +681,7 @@ class TestBadTraceInputs:
         assert_cli_error(self.analyze(export, "--t-i", "30000"), capsys,
                          f"line 3: bad timestamp '{text}'")
 
-    @pytest.mark.parametrize("form", ["arabic-indic", "underscore"])
+    @pytest.mark.parametrize("form", ["arabic-indic", "underscore", "plus"])
     @pytest.mark.parametrize("column, what", [
         (0, "timestamp"), (3, "source port"), (4, "destination port"),
         (5, "payload length"), (7, "sequence number"),
@@ -687,9 +689,9 @@ class TestBadTraceInputs:
     def test_number_in_ascii_digits_only(self, export, capsys, form, column,
                                          what):
         """A number that ``int`` or ``float`` reads in digits of another
-        script, or with ``_``, is a bad field at its line, whichever reader
-        meets it first: written as the same value, it analysed as the
-        original."""
+        script, with ``_`` or with a ``+``, is a bad field at its line,
+        whichever reader meets it first: written as the same value, it
+        analysed as the original."""
         lines = export.read_text().splitlines()
         k = next(i for i, line in enumerate(lines)
                  if line.split("\t")[5] == "1448")
@@ -698,12 +700,27 @@ class TestBadTraceInputs:
             fields[column].translate(str.maketrans("0123456789",
                                                    "٠١٢٣٤٥٦٧٨٩"))
             if form == "arabic-indic" else
-            fields[column][:-1] + "_" + fields[column][-1])
+            fields[column][:-1] + "_" + fields[column][-1]
+            if form == "underscore" else "+" + fields[column])
         lines[k] = "\t".join(fields)
         export.write_text("\n".join(lines) + "\n")
         assert cli.main(self.analyze(export, "--t-i", "30000")) == 1
         assert capsys.readouterr().err == (
             f"error: {export}: line {k + 1}: bad {what} {fields[column]!r}\n")
+
+    @pytest.mark.parametrize("field, error", [
+        ("port", "line 1: bad destination port '+80'"),
+        ("timestamp", "line 1: bad timestamp '+0.000000'")])
+    def test_plus_sign(self, export, capsys, field, error):
+        """A ``+`` that ``int`` or ``float`` reads is a bad field, as it is
+        in ``--client``: over port 80 everywhere, where the column reader
+        meets it on one connection, or over the first timestamp."""
+        text = export.read_text()
+        export.write_text(
+            text.replace("\t80\t", "\t+80\t") if field == "port"
+            else "+0.000000" + text[text.index("\t"):])
+        assert cli.main(self.analyze(export, "--t-i", "30000")) == 1
+        assert capsys.readouterr().err == f"error: {export}: {error}\n"
 
     @pytest.mark.parametrize("port", ["-80", "99999"])
     @pytest.mark.parametrize("columns, error", [
@@ -1156,6 +1173,56 @@ class TestTraceAnalyzeClient:
         assert capsys.readouterr().err == (
             f"error: --client {client!r} is not addr:port with port "
             "0-65535\n")
+
+
+class TestNumberRule:
+    """Numbers are ASCII, without ``_`` or ``+``, wherever they enter: a
+    flag that breaks the rule is a usage error, and a config or profile
+    string an ``error:`` line, though ``int`` and ``float`` read them."""
+
+    @pytest.mark.parametrize("argv, flag, kind, value", [
+        (["eval", "--t-i", "5000"], "--rtt", "number", "4_0"),
+        (["eval"], "--t-i", "number", "٥٠٠٠"),
+        (["cost", "--config", "missing.json"], "--rtt", "number", "+40"),
+        (SYNTH_ARGV, "--file-size", "integer", "1_000"),
+        (SYNTH_ARGV + ["--file-size", "1000"], "--seed", "integer", "٣"),
+        (["trace-analyze", "--kind", "get", "--client", CLIENT, "--t-i",
+          "30000", "missing.tsv"], "--concurrency", "integer", "+3")])
+    def test_flag(self, capsys, argv, flag, kind, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: invalid {kind} value: {value!r}\n"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["7_50", "٧٥٠", "+750"])
+    def test_sweep_config(self, tmp_path, capsys, value):
+        config = sweep_config(base={"t_i": value, "rtt_edge": 40})
+        assert_cli_error(["sweep", "--config", write_config(tmp_path, config)],
+                         capsys, f"base t_i must be a number, got {value!r}")
+
+    @pytest.mark.parametrize("value", ["1_200", "١٢٠٠", "+1200"])
+    def test_profile(self, tmp_path, capsys, value):
+        argv = ["eval", "--t-i", "5000",
+                "--profile", profile_file(tmp_path, p_tx=value)]
+        assert_cli_error(argv, capsys,
+                         f"profile field p_tx must be a number, got {value!r}")
+
+    def test_client_port_minus_zero(self, tmp_path, capsys):
+        """``-0`` reads as 0 in ``--client`` as in an export's fields."""
+        path = tmp_path / "get.tsv"
+        assert cli.main([*SYNTH_ARGV, "--file-size", "5000",
+                         "--out", str(path)]) == 0
+        argv = ["trace-analyze", "--kind", "get", "--t-i", "30000", str(path)]
+        assert cli.main([*argv, "--client", CLIENT]) == 0
+        expected = capsys.readouterr().out
+        lines = [text.split("\t") for text in path.read_text().splitlines()]
+        for fields in lines:
+            fields[3:5] = ["-0" if f == "52000" else f for f in fields[3:5]]
+        path.write_text("".join("\t".join(f) + "\n" for f in lines))
+        client = CLIENT.replace(":52000", ":-0")
+        assert cli.main([*argv, "--client", client]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestTraceAnalyzeKind:

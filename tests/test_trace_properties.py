@@ -77,9 +77,22 @@ FLAG_TEXTS = ["A", "PA", "pa", "SA", "S", "FA", "RA", ".A..P", "·A",
 RANGE_FAULTS = [(column, text) for column, texts in BAD_FIELDS.items()
                 for text in texts
                 if text.isascii() and text.lstrip("-").isdecimal()]
-# The fault of a plain export: none, most often, one field of
-# ``RANGE_FAULTS``, or packets of another connection or client.
-PLAIN_FAULTS = [None, None, "range", "peer"]
+# The columns that hold a timestamp or an integer, and the forms in which
+# ``int`` and ``float`` read such a field as the same value while the number
+# rule rejects it: Arabic-Indic digits, ``_`` after a leading 0, a ``+``.
+NUMBER_COLUMNS = [0, 3, 4, 5, 7, 8]
+NUMBER_FORMS = ["arabic-indic", "underscore", "plus"]
+# The fault of a plain export: none, in half of them, one field of
+# ``RANGE_FAULTS``, one number in one of ``NUMBER_FORMS``, or packets of
+# another connection or client.
+PLAIN_FAULTS = [None, None, None, "range", "form", "peer"]
+
+
+def written(text, form):
+    """The number ``text`` written in ``form``, one of ``NUMBER_FORMS``."""
+    if form == "arabic-indic":
+        return text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return ("0_" if form == "underscore" else "+") + text
 
 
 def empty_or(strategy):
@@ -128,6 +141,11 @@ def exports(draw):
         if fault == "range":
             column, text = draw(st.sampled_from(RANGE_FAULTS))
             draw(st.sampled_from(lines))[column] = text
+        elif fault == "form":
+            fields = draw(st.sampled_from(lines))
+            column = draw(st.sampled_from(NUMBER_COLUMNS))
+            fields[column] = written(fields[column],
+                                     draw(st.sampled_from(NUMBER_FORMS)))
     else:
         lines = draw(padded_lines(pairs, newline))
     lines = [line if isinstance(line, str) else "\t".join(line)
