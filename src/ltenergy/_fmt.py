@@ -1,45 +1,45 @@
-"""Fixed-point number formatting shared by CSV and CLI emitters.
+"""The output rule: how every artifact writes a number.
 
-Output files are meant to be diffed, so every number serialises with a
-fixed decimal rule and never in exponent notation: energies with one
-decimal of mJ, ratios with three decimals, durations with three decimals
-of ms, costs with six, and grid/axis values trimmed of trailing zeros.
-JSON artifacts hold the ``repr`` of each value rounded to the same
-decimals, which is what ``json`` writes for a float (the energy accounting
-returns only finite ones): 0.5 reads ``0.5`` there and ``0.500`` in CSV,
-whose lines :func:`csv_line` quotes as ``csv.writer`` does.
+Each quantity has one number of decimals, which every emitter names:
+``MJ`` (1) for energies in mJ, ``MS`` (3) for durations and RTT
+differences in ms, ``RHO`` (3) for energy ratios, ``COST`` (6) for
+normalised costs and ``AXIS`` (6) for grid values, periods and alphas.
+CSV writes :func:`fixed`, never an exponent, and an axis value as
+:func:`fmt_axis`, without trailing zeros.  JSON writes ``round(x, n)`` as
+``json`` does, so trailing zeros drop (0.5 reads ``0.5`` there, ``0.500``
+in CSV), and a sweep's axis values and RTT differences as :func:`trimmed`,
+an ``int`` where whole.  So a cell holds one value in both formats.  The
+one exception is ``power-table``'s JSON: the profile itself, exact, which
+``--profile`` loads back.  The energy accounting returns only finite
+numbers, and :func:`csv_line` quotes as ``csv.writer`` does.
 """
 
 from __future__ import annotations
 
-__all__ = ["fmt_mj", "fmt_rho", "fmt_ms", "fmt_cost", "fmt_axis", "csv_line",
-           "fixed_texts"]
+__all__ = ["MJ", "MS", "RHO", "COST", "AXIS", "fixed", "trimmed", "fmt_axis",
+           "csv_line", "fixed_texts"]
+MJ, MS, RHO, COST, AXIS = 1, 3, 3, 6, 6  # decimals of each quantity
 _QUOTED = frozenset(',"\n')  # what makes csv.writer quote a field
 
 
-def fmt_mj(x: float) -> str:
-    return f"{x:.1f}"
+def fixed(x: float, n: int) -> str:
+    """The CSV text of ``x`` with ``n`` decimals."""
+    return f"{x:.{n}f}"
 
 
-def fmt_ms(x: float) -> str:
-    return f"{x:.3f}"
-
-
-fmt_rho = fmt_ms  # ratios print with three decimals too
-
-
-def fmt_cost(x: float) -> str:
-    return f"{x:.6f}"
+def trimmed(x: float, n: int = AXIS) -> float | int:
+    """The JSON value of ``x``: an ``int`` if whole, else ``round(x, n)``."""
+    return int(x) if float(x).is_integer() else round(x, n)
 
 
 def fmt_axis(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
-    return f"{x:.6f}".rstrip("0").rstrip(".")
+    return fixed(x, AXIS).rstrip("0").rstrip(".")
 
 
 def fixed_texts(xs: list[float], n: int, as_json: bool) -> list[str]:
-    """``f"{x:.{n}f}"``, or ``repr(round(x, n))``, of each of ``xs``."""
+    """``fixed(x, n)``, or ``repr(round(x, n))``, of each of ``xs``."""
     if as_json and not max(xs, default=0.0) < 10.0 ** (15 - n):
         return [repr(round(x, n)) for x in xs]
     text = f"%.{n}f\0" * len(xs) % tuple(xs)

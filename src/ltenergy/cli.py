@@ -11,16 +11,15 @@ as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
 asks for UTF-8), and an error reading one names the file.  Numbers are
 ASCII, without ``_`` or ``+``; -0 reads as 0.
 
-Outputs are deterministic: fixed column orders, fixed-point decimals (one
-decimal of mJ, three of ms, three for energy ratios; JSON writes them
-without trailing zeros, as ``json.dumps`` does), CSV lines quoted as by
-``csv.writer``, and no timestamps, so repeated runs of the same config are
-byte-identical.  A renderer yields its artifact as chunks, and ``_write``
-alone collects them, once, before it opens ``--out`` or writes to stdout: a
-failure, even at the last sweep cell, leaves stdout empty and an existing
-``--out`` file as it was.  On stderr, each library warning is one
-``warning: <message>`` line, and a failure ends with one
-``error: <message>`` line and exit status 1.
+Outputs are deterministic: fixed column orders, numbers written by the
+one rule of :mod:`ltenergy._fmt`, CSV lines quoted as by ``csv.writer``,
+and no timestamps, so repeated runs of the same config are byte-identical.
+A renderer yields its artifact as chunks, and ``_write`` alone collects
+them, once, before it opens ``--out`` or writes to stdout: a failure, even
+at the last sweep cell, leaves stdout empty and an existing ``--out`` file
+as it was.  On stderr, each library warning is one ``warning: <message>``
+line, and a failure ends with one ``error: <message>`` line and exit
+status 1.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import warnings
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analytic
-from ._fmt import csv_line, fmt_axis, fmt_cost, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import AXIS, COST, MJ, MS, RHO, csv_line, fixed, fmt_axis
 from .power_model import (PowerProfile, _ascii, _checked, _load_json_object,
                           _number, _open_utf8, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
@@ -114,17 +113,15 @@ def _run_eval(config: RunConfig) -> int:
              if name.startswith("t_")]
     table += [(f"{name}_mj", value, "mJ")
               for name, value in zip(energy._fields, energy)]
-    # unit: (text format, JSON decimals)
-    formats = {"ms": (fmt_ms, 3), "mJ": (fmt_mj, 1)}
+    decimals = {"ms": MS, "mJ": MJ}
     for column, value, unit in table:
         label = column.rsplit("_", 1)[0].upper()
-        print(f"{label} = {formats[unit][0](value)} {unit}")
+        print(f"{label} = {fixed(value, decimals[unit])} {unit}")
 
     if config.output_path is not None:
         _emit(config, [column for column, _, _ in table],
-              lambda: [csv_line([formats[u][0](v) for _, v, u in table])],
-              lambda: _json({c: round(v, formats[unit][1])
-                             for c, v, unit in table}))
+              lambda: [csv_line([fixed(v, decimals[u]) for _, v, u in table])],
+              lambda: _json({c: round(v, decimals[u]) for c, v, u in table}))
     return 0
 
 
@@ -212,19 +209,21 @@ def _run_cost(config: RunConfig) -> int:
 
     def lines() -> Iterator[str]:
         return (csv_line([fmt_axis(pt.alpha), fmt_axis(pt.t_i),
-                          fmt_mj(pt.e_total), fmt_axis(pt.t_i), fmt_cost(pt.c),
+                          fixed(pt.e_total, MJ), fmt_axis(pt.t_i),
+                          fixed(pt.c, COST),
                           "1" if pt.t_i == curve.argmin_t_i[i // n] else "0"])
                 for i, pt in enumerate(curve.points))
 
     def json_text() -> tuple[str]:
         return _json({"curves": [
-            {"alpha": round(alpha, 6),
-             "argmin_t_i_ms": round(argmin, 6),
-             "e_max_mj": round(curve.e_max, 1),
-             "d_max_ms": round(curve.d_max, 6),
-             "points": [{"t_i_ms": round(pt.t_i, 6),
-                         "e_mj_per_hour": round(pt.e_total, 1),
-                         "d_ms": round(pt.t_i, 6), "cost": round(pt.c, 6)}
+            {"alpha": round(alpha, AXIS),
+             "argmin_t_i_ms": round(argmin, AXIS),
+             "e_max_mj": round(curve.e_max, MJ),
+             "d_max_ms": round(curve.d_max, AXIS),
+             "points": [{"t_i_ms": round(pt.t_i, AXIS),
+                         "e_mj_per_hour": round(pt.e_total, MJ),
+                         "d_ms": round(pt.t_i, AXIS),
+                         "cost": round(pt.c, COST)}
                         for pt in curve.points[k * n:(k + 1) * n]]}
             for k, (alpha, argmin) in enumerate(zip(spec.alphas,
                                                     curve.argmin_t_i))]})
@@ -274,12 +273,12 @@ def _run_trace_analyze(config: RunConfig) -> int:
         return [
             ("app_kind", agg.app_kind, agg.app_kind),
             ("file_size", str(agg.file_size), agg.file_size),
-            ("t_i", fmt_axis(t_i), t_i),
+            ("t_i", fmt_axis(t_i), round(t_i, AXIS)),
             ("c", c_text, concurrency),
-            *((column, fmt_ms(v), round(v, 3)) for column, v in means),
-            ("e_i_mJ", fmt_mj(agg.total_mj), round(agg.total_mj, 1)),
-            ("rho", "" if rho is None else fmt_rho(rho),
-             None if rho is None else round(rho, 3)),
+            *((column, fixed(v, MS), round(v, MS)) for column, v in means),
+            ("e_i_mJ", fixed(agg.total_mj, MJ), round(agg.total_mj, MJ)),
+            ("rho", "" if rho is None else fixed(rho, RHO),
+             None if rho is None else round(rho, RHO)),
         ]
 
     table = [(name, agg, cells(agg, r)) for name, agg, r in placements]
@@ -376,10 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            "get reads a POST of up to 1288 file bytes as a "
                            "GET")
     p_ta.add_argument("--client", required=True,
-                      help="client endpoint as addr:port; each export is "
-                           "one TCP connection, whose first packet fixes "
-                           "the server endpoint; numbers are ASCII, without "
-                           "_ or +; -0 reads as 0")
+                      help="client endpoint as addr:port or [addr]:port; "
+                           "each export is one TCP connection, whose first "
+                           "packet fixes the server endpoint; numbers are "
+                           "ASCII, without _ or +; -0 reads as 0")
     p_ta.add_argument("--t-i", type=number, required=True,
                       help="application period, ms")
     p_ta.add_argument("--concurrency", type=integer,

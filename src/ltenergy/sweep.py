@@ -8,10 +8,11 @@ binds :func:`ltenergy.analytic.cycle_pricer` once and prices each row with
 two ``price.row`` calls, its edges, then its clouds; an edge that overruns
 or overflows prices no cloud.  ``csv_rows`` and ``json_text`` render a
 stream of rows as chunks, one per row, that the CLI's ``_write`` alone
-collects.  A run's ratios (n = 3 decimals) and energies (n = 1) take one
-``%`` call; JSON drops up to n - 1 trailing zeros below 10**(15 - n), where
-a text of at most 15 significant digits is the shortest ``repr`` of its
-nearest double, and else writes ``repr(round(x, n))`` for the run.
+collects.  A run's ratios and energies, with the ``n`` decimals that
+``_fmt`` gives each, take one ``%`` call; JSON drops up to n - 1 trailing
+zeros below 10**(15 - n), where a text of at most 15 significant digits is
+the shortest ``repr`` of its nearest double, and else writes
+``repr(round(x, n))`` for the run.
 ``run_sweep`` is the reference that the kernel is held to: it prices each
 grid point with :func:`ltenergy.analytic.compare`, none of it as
 ``sweep_rows`` does.
@@ -46,7 +47,8 @@ from .analytic import (
     energy_ratio,
     transfer_time,
 )
-from ._fmt import csv_line, fixed_texts, fmt_axis, fmt_mj, fmt_ms, fmt_rho
+from ._fmt import (MJ, MS, RHO, csv_line, fixed, fixed_texts, fmt_axis,
+                   trimmed)
 from .power_model import PowerProfile, _check_finite, _checked, _number
 
 __all__ = [
@@ -181,8 +183,9 @@ class SweepResult(NamedTuple):
         :meth:`to_json_obj` is, for the tests and ``bench/spans.py``."""
         return [csv_line([*map(fmt_axis, c.values), *(
             ("", "", "", "", c.error) if c.result is None else
-            (fmt_rho(c.result.rho), fmt_mj(c.result.edge.e_i),
-             fmt_mj(c.result.cloud.e_i), fmt_ms(c.result.delta_rtt), ""))])
+            (fixed(c.result.rho, RHO), fixed(c.result.edge.e_i, MJ),
+             fixed(c.result.cloud.e_i, MJ), fixed(c.result.delta_rtt, MS),
+             ""))])
             for c in self.cells]
 
     def to_json_obj(self) -> dict:
@@ -190,22 +193,22 @@ class SweepResult(NamedTuple):
         Kept for the tests and ``bench/spans.py``, its only callers."""
         names = self.spec.columns
         return {"axes": _axes_obj(self.spec), "cells": [
-            {**{name: _round6(v) for name, v in zip(names, c.values)}, **(
+            {**{name: trimmed(v) for name, v in zip(names, c.values)}, **(
                 {"error": c.error} if c.result is None else
-                {"rho": round(c.result.rho, 3),
-                 "e_i_edge_mj": round(c.result.edge.e_i, 1),
-                 "e_i_cloud_mj": round(c.result.cloud.e_i, 1),
-                 "delta_rtt_ms": _round6(c.result.delta_rtt)})}
+                {"rho": round(c.result.rho, RHO),
+                 "e_i_edge_mj": round(c.result.edge.e_i, MJ),
+                 "e_i_cloud_mj": round(c.result.cloud.e_i, MJ),
+                 "delta_rtt_ms": trimmed(c.result.delta_rtt, MS)})}
             for c in self.cells]}
 
 
 def csv_rows(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     """The CSV lines of the rows of :func:`sweep_rows` as :func:`csv_line`
-    writes them, one chunk per row; numbers follow ``_fmt``, and a run's
-    ratios and energies are its ``%.3f`` and ``%.1f`` texts at any size."""
+    writes them, one chunk per row; numbers follow ``_fmt``, a run's
+    ratios and energies included, at any size."""
     for head, tails, deltas, runs in _texts(
-            spec, rows, lambda name, v: fmt_axis(v) + ",", "{:.3f},\n".format,
-            False):
+            spec, rows, lambda name, v: fmt_axis(v) + ",",
+            lambda d: fixed(d, MS) + ",\n", False):
         yield "".join(
             f"{head}{tails[a]},,,,{csv_line([error])}" if error else
             "".join([f"{head}{tail}{rho},{edge},{e},{d}"
@@ -223,8 +226,8 @@ def json_text(spec: SweepSpec, rows: Iterable[tuple]) -> Iterator[str]:
     yield axes[:-len("\n}")] + ',\n  "cells": [\n'
     separator = ""
     for head, tails, deltas, runs in _texts(  # axis names need no escapes
-            spec, rows, lambda name, v: f'      "{name}": {_round6(v)!r},\n',
-            lambda d: f',\n      "delta_rtt_ms": {_round6(d)!r}\n    }}',
+            spec, rows, lambda name, v: f'      "{name}": {trimmed(v)!r},\n',
+            lambda d: f',\n      "delta_rtt_ms": {trimmed(d, MS)!r}\n    }}',
             True):
         yield separator + ",\n".join(
             f'    {{\n{head}{tails[a]}      "error": {json.dumps(error)}\n'
@@ -279,10 +282,10 @@ def _runs(edges: Sequence, clouds: Sequence, as_json: bool) -> Iterator[tuple]:
             if not max(rhos) < math.inf:
                 for e, c in zip(e_edges, e_clouds):  # raises at the first
                     energy_ratio(e, c)
-            yield (start, stop, fixed_texts(rhos, 3, as_json),
-                   (fixed_texts(e_edges[:1], 1, as_json) * (stop - start)
-                    if shared else fixed_texts(e_edges, 1, as_json)),
-                   fixed_texts(e_clouds, 1, as_json), None)
+            yield (start, stop, fixed_texts(rhos, RHO, as_json),
+                   (fixed_texts(e_edges[:1], MJ, as_json) * (stop - start)
+                    if shared else fixed_texts(e_edges, MJ, as_json)),
+                   fixed_texts(e_clouds, MJ, as_json), None)
         if stop < len(clouds):
             if not isinstance(clouds[stop], PeriodOverrunError):
                 raise clouds[stop]
@@ -291,12 +294,8 @@ def _runs(edges: Sequence, clouds: Sequence, as_json: bool) -> Iterator[tuple]:
 
 
 def _axes_obj(spec: SweepSpec) -> list[dict]:
-    return [{k: v if k == "name" else _round6(v)
+    return [{k: v if k == "name" else trimmed(v)
              for k, v in a._asdict().items()} for a in spec.axes]
-
-
-def _round6(x: float) -> float | int:
-    return int(x) if float(x).is_integer() else round(x, 6)
 
 
 def _field_picker(base: ConnectionlessScenario, names: Sequence[str]

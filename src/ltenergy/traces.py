@@ -191,11 +191,12 @@ def _parse_port(field: str, what: str, line_no: int) -> int:
 
 
 def parse_endpoint(text: str, what: str = "endpoint") -> tuple[str, int]:
-    """``(addr, port)`` of ``addr:port``, stripped; port 0-65535."""
+    """``(addr, port)`` of ``addr:port`` or ``[addr]:port``; port 0-65535."""
     addr, colon, port = text.rpartition(":")
+    addr = addr.strip()
     try:
         if colon and (port := int(_ascii(port.strip()))) in _PORTS:
-            return addr.strip(), port
+            return addr[1:-1] if addr[:1] + addr[-1:] == "[]" else addr, port
     except ValueError:
         pass
     raise ValueError(f"{what} {text!r} is not addr:port with port 0-65535")

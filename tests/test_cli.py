@@ -1,5 +1,8 @@
 import codecs
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltenergy import analytic, cli, sweep, traces
 from ltenergy.power_model import default_profile, profile_to_dict
@@ -1160,6 +1164,24 @@ class TestTraceAnalyzeClient:
         assert texts[0] == texts[1] == texts[2]
         assert texts[0].count("\n") == 2
 
+    def test_bracketed_ipv6(self, tmp_path, capsys):
+        """An IPv6 client reads the same with its address in brackets or
+        without, and its export analyses to the row of the same export over
+        IPv4."""
+        path = tmp_path / "get.tsv"
+        assert cli.main([*SYNTH_ARGV, "--file-size", "5000",
+                         "--out", str(path)]) == 0
+        argv = ["trace-analyze", "--kind", "get", "--t-i", "30000", str(path)]
+        assert cli.main([*argv, "--client", CLIENT]) == 0
+        expected = capsys.readouterr().out
+        path.write_text(path.read_text().replace(
+            "198.51.100.10", "2001:db8::10").replace("203.0.113.5",
+                                                     "2001:db8::5"))
+        for client in ("[2001:db8::10]:52000", "2001:db8::10:52000",
+                       " [2001:db8::10] : 52000 "):
+            assert cli.main([*argv, "--client", client]) == 0
+            assert capsys.readouterr().out == expected
+
     @pytest.mark.parametrize("client", ["foo", "1.2.3.4:", "1.2.3.4:99999",
                                         "1.2.3.4:8O", "1.2.3.4:-1",
                                         "1.2.3.4:+80", "1.2.3.4:8_0",
@@ -1223,6 +1245,129 @@ class TestNumberRule:
         client = CLIENT.replace(":52000", ":-0")
         assert cli.main([*argv, "--client", client]) == 0
         assert capsys.readouterr().out == expected
+
+
+def cli_stdout(argv):
+    """stdout of ``ltenergy`` on ``argv``, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def disagreements(csv_text, json_rows):
+    """The cells ``(row, column, CSV text, JSON value)`` where a CSV
+    artifact and the rows of its JSON differ: a number text must read as
+    the JSON number, an empty text be a missing or null value, and any other
+    text the JSON string.  Each JSON row holds only the CSV's columns."""
+    header, *lines = csv.reader(io.StringIO(csv_text))
+    assert len(lines) == len(json_rows)
+    bad = []
+    for k, (line, row) in enumerate(zip(lines, json_rows)):
+        assert set(row) <= set(header)
+        for column, text in zip(header, line, strict=True):
+            value = row.get(column)
+            if text == "":
+                same = value is None
+            elif isinstance(value, str):
+                same = value == text
+            else:
+                same = type(value) in (int, float) and float(text) == value
+            if not same:
+                bad.append((k, column, text, value))
+    return bad
+
+
+def decimals(low, high):
+    """Numbers in [low, high] with up to six decimals."""
+    return st.integers(0, 6).flatmap(lambda k: st.integers(
+        round(low * 10 ** k), round(high * 10 ** k)).map(
+            lambda n: n / 10 ** k))
+
+
+# The axes whose values and differences a sweep writes as given.
+DECIMAL_AXES = {"t_i": (100, 40000), "rtt_cloud": (0, 15000),
+                "t_elab": (0, 13000)}
+
+
+@st.composite
+def decimal_sweep_configs(draw):
+    """Sweep configs of one to three of ``DECIMAL_AXES``, whose base,
+    RTTs and axis bounds carry up to six decimals."""
+    base = {name: draw(decimals(*DECIMAL_AXES[name]))
+            for name in DECIMAL_AXES}
+    base["rtt_edge"] = draw(decimals(0, 500))
+    axes = []
+    for name in draw(st.lists(st.sampled_from(sorted(DECIMAL_AXES)),
+                              min_size=1, max_size=3, unique=True)):
+        start = draw(decimals(*DECIMAL_AXES[name]))
+        step = draw(decimals(0, 5000).filter(bool))
+        count = draw(st.integers(1, 4))
+        axes.append({"name": name, "start": start,
+                     "stop": start + (count - 1) * step, "step": step})
+    return sweep_config(base=base, axes=axes)
+
+
+class TestCsvJsonAgree:
+    """The CSV and the JSON of one artifact hold the same value in every
+    cell, whatever decimals its inputs carry (see ``disagreements``)."""
+
+    @staticmethod
+    def sweep_disagreements(tmp_path, config):
+        path = write_config(tmp_path, config)
+        csv_text, json_text = (
+            cli_stdout(["sweep", "--config", path, "--format", fmt])
+            for fmt in ("csv", "json"))
+        return disagreements(csv_text, json.loads(json_text)["cells"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(config=decimal_sweep_configs())
+    def test_sweep(self, tmp_path_factory, config):
+        assert self.sweep_disagreements(tmp_path_factory.mktemp("sweep"),
+                                        config) == []
+
+    def test_sweep_delta(self, tmp_path):
+        """An RTT difference of five decimals reads 10.123 in both."""
+        config = sweep_config(
+            base={"t_i": 1000, "rtt_edge": 40, "rtt_cloud": 50.12345},
+            axes=[{"name": "t_i", "start": 1000, "stop": 2000,
+                   "step": 500}])
+        assert self.sweep_disagreements(tmp_path, config) == []
+
+    def test_trace_analyze(self, tmp_path):
+        """A period of seven decimals reads with six in both."""
+        edge, cloud = synth_exports(tmp_path, "get", 20000)
+        csv_text, json_text = (cli_stdout([
+            "trace-analyze", "--kind", "get", "--client", CLIENT, "--t-i",
+            "30000.1234567", "--format", fmt, *edge, "--cloud", *cloud])
+            for fmt in ("csv", "json"))
+        rows = [{k: v for k, v in row.items() if k != "repetitions"}
+                for row in json.loads(json_text).values()]
+        assert disagreements(csv_text, rows) == []
+
+    def test_cost(self):
+        argv = ["cost", "--alpha", "0.1234567", "--alpha", "1",
+                "--hourly-bytes", "360000.1234567", "--rtt", "40.1234567",
+                "--t-i-min", "2000.1234567", "--t-i-max", "20000",
+                "--t-i-step", "6000.7654321"]
+        csv_text, json_text = (cli_stdout([*argv, "--format", fmt])
+                               for fmt in ("csv", "json"))
+        rows = [{"alpha": curve["alpha"], **point,
+                 "is_argmin": int(point["t_i_ms"] == curve["argmin_t_i_ms"])}
+                for curve in json.loads(json_text)["curves"]
+                for point in curve["points"]]
+        assert disagreements(csv_text, rows) == []
+
+    def test_eval(self, tmp_path):
+        argv = ["eval", "--t-i", "30000.1234567", "--t-elab", "150.1234567",
+                "--rtt", "40.7654321", "--b-tx", "16000.1234567"]
+        texts = []
+        for fmt in ("csv", "json"):
+            cli_stdout([*argv, "--format", fmt,
+                        "--out", str(tmp_path / f"eval.{fmt}")])
+            texts.append((tmp_path / f"eval.{fmt}").read_text())
+        assert disagreements(texts[0], [json.loads(texts[1])]) == []
 
 
 class TestTraceAnalyzeKind:

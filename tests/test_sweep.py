@@ -35,8 +35,8 @@ from ltenergy.sweep import (
     run_sweep,
     sweep_rows,
 )
-from ltenergy._fmt import (csv_line, fixed_texts, fmt_axis, fmt_mj, fmt_ms,
-                           fmt_rho)
+from ltenergy._fmt import (MJ, MS, RHO, csv_line, fixed, fixed_texts,
+                           fmt_axis)
 from _goldens import reference_scenarios
 
 PROFILE = default_profile()
@@ -539,8 +539,8 @@ def reference_rows(result):
             row += ["", "", "", "", cell.error]
         else:
             r = cell.result
-            row += [fmt_rho(r.rho), fmt_mj(r.edge.e_i), fmt_mj(r.cloud.e_i),
-                    fmt_ms(r.delta_rtt), ""]
+            row += [fixed(r.rho, RHO), fixed(r.edge.e_i, MJ),
+                    fixed(r.cloud.e_i, MJ), fixed(r.delta_rtt, MS), ""]
         rows.append(row)
     return rows
 
