@@ -28,8 +28,8 @@ def fixed(x: float, n: int) -> str:
 
 
 def trimmed(x: float, n: int = AXIS) -> float | int:
-    """The JSON value of ``x``: an ``int`` if whole, else ``round(x, n)``."""
-    return int(x) if float(x).is_integer() else round(x, n)
+    """The JSON value of ``x``: ``round(x, n)``, an ``int`` if whole."""
+    return int(r) if float(r := round(x, n)).is_integer() else r
 
 
 def fmt_axis(x: float) -> str:

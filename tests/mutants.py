@@ -1,14 +1,13 @@
 """Mutants of ``src/ltenergy`` that the tests must kill.
 
 Each mutant is a module of the package, an exact text that must occur in it
-once, its replacement, the test ids that must then fail, and the variables
-that its run adds to the environment.  For each one, the script copies
-``src/`` to a temporary directory, applies the replacement there and runs
-``pytest`` on those ids with ``PYTHONPATH`` at the copy.  A mutant passes
-when pytest reports a failing test.  It fails the script when every test
-passes, when pytest ends another way, or when its old text no longer
-occurs exactly once: a change that moves the text must move the mutant
-with it.  pytest does not collect this file.
+once, its replacement and the test ids that must then fail.  For each one,
+the script copies ``src/`` to a temporary directory, applies the replacement
+there and runs ``pytest`` on those ids with ``PYTHONPATH`` at the copy.  A
+mutant passes when pytest reports a failing test.  It fails the script when
+every test passes, when pytest ends another way, or when its old text no
+longer occurs exactly once: a change that moves the text must move the
+mutant with it.  pytest does not collect this file.
 
 Run it from any directory, for every mutant or the named ones:
 
@@ -25,7 +24,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PROPERTIES = "tests/test_trace_properties.py::TestParserMatchesReference"
@@ -39,7 +38,6 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in it
     new: str
     ids: tuple[str, ...]  # pytest ids, at least one of which must fail
-    env: Mapping[str, str] = {}  # added to the environment of its run
 
 
 MUTANTS = [
@@ -80,11 +78,10 @@ MUTANTS = [
            ("tests/test_traces.py::TestParseEvents::"
             "test_dot_flags_convert_by_column",)),
     # A new text's convert may fix the server, so the first in file order
-    # must go first; in ``set`` order it does only for some hash seeds, so
-    # the run fixes one under which the properties fail.
+    # must go first; in ``set`` order it does only for some hash seeds.
     Mutant("miss path in set order", "traces.py",
            "for text in dict.fromkeys(texts):", "for text in set(texts):",
-           (PROPERTIES,), {"PYTHONHASHSEED": "0"}),
+           (PROPERTIES,)),
     # The sweep kernel keeps a list while its arguments repeat: the cloud
     # waits go stale if kept while ``rtt`` repeats and an outer ``t_elab``
     # changes, and each cloud takes its own cell's leg.
@@ -119,13 +116,14 @@ def check(mutant: Mutant) -> str | None:
         path.write_text(text.replace(mutant.old, mutant.new),
                         encoding="utf-8")
         # The ini's ``pythonpath = src`` would put the unmutated package
-        # first, so it is emptied.
+        # first, so it is emptied.  A fixed hash seed makes each run repeat:
+        # the set-order mutant fails only under some seeds.
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
              "no:cacheprovider", "-o", "pythonpath=", *mutant.ids],
             cwd=ROOT, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src),
-                 "PYTHONDONTWRITEBYTECODE": "1", **mutant.env})
+                 "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": "0"})
     if run.returncode == 1:
         return None
     if run.returncode == 0:

@@ -1313,19 +1313,22 @@ class TestCsvJsonAgree:
     cell, whatever decimals its inputs carry (see ``disagreements``)."""
 
     @staticmethod
-    def sweep_disagreements(tmp_path, config):
+    def sweep_cells(tmp_path, config):
+        """The JSON cells of the sweep of ``config``, checked against its
+        CSV."""
         path = write_config(tmp_path, config)
         csv_text, json_text = (
             cli_stdout(["sweep", "--config", path, "--format", fmt])
             for fmt in ("csv", "json"))
-        return disagreements(csv_text, json.loads(json_text)["cells"])
+        cells = json.loads(json_text)["cells"]
+        assert disagreements(csv_text, cells) == []
+        return cells
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               database=None)
     @given(config=decimal_sweep_configs())
     def test_sweep(self, tmp_path_factory, config):
-        assert self.sweep_disagreements(tmp_path_factory.mktemp("sweep"),
-                                        config) == []
+        self.sweep_cells(tmp_path_factory.mktemp("sweep"), config)
 
     def test_sweep_delta(self, tmp_path):
         """An RTT difference of five decimals reads 10.123 in both."""
@@ -1333,7 +1336,8 @@ class TestCsvJsonAgree:
             base={"t_i": 1000, "rtt_edge": 40, "rtt_cloud": 50.12345},
             axes=[{"name": "t_i", "start": 1000, "stop": 2000,
                    "step": 500}])
-        assert self.sweep_disagreements(tmp_path, config) == []
+        cells = self.sweep_cells(tmp_path, config)
+        assert {cell["delta_rtt_ms"] for cell in cells} == {10.123}
 
     def test_trace_analyze(self, tmp_path):
         """A period of seven decimals reads with six in both."""
