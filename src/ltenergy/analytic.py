@@ -161,12 +161,14 @@ def cycle_pricer(profile: PowerProfile
     every row that shares it.  ``price.row(legs, waits)`` returns each cycle
     as ``(t_q, prom_tx, prom_rx)`` and the energy parts (mJ) in
     ``EnergyBreakdown`` field order, in plain floats; a cycle that overruns
-    its period is its :class:`PeriodOverrunError`, one whose total overflows
-    a float its ``ValueError``, and an error in place of a leg or a wait is
-    each of its cycles, unpriced.  The scalar ``price(t_tx, t_w, t_rx,
-    t_i)`` is the row of one leg and one wait, whose tuple it returns or
-    whose error it raises.  Phases are non-negative, as
-    ``traces.TraceIteration`` and the checked value types check.
+    its period is its :class:`PeriodOverrunError` and one whose total
+    overflows a float its ``ValueError``.  It only prices, every leg it is
+    given with every wait it is given: which cycles to price, and which
+    cells an error found before pricing fills, its caller decides.  The
+    scalar ``price(t_tx, t_w, t_rx, t_i)`` is the row of one leg and one
+    wait, whose tuple it returns or whose error it raises.  Phases are
+    non-negative, as ``traces.TraceIteration`` and the checked value types
+    check.
 
     ``t_q`` is the period minus the three phases and any charged promotion
     durations.  A response promotion is charged when ``t_w`` alone walks
@@ -210,18 +212,8 @@ def cycle_pricer(profile: PowerProfile
 
     def row(legs: list, waits: list) -> list:
         cycles = []
-        for leg in legs:
-            try:
-                span, e_tx, e_rx = leg
-            except TypeError:  # an error in place of a leg
-                cycles += [leg] * len(waits)
-                continue
-            for wait in waits:
-                try:
-                    t_w, e_w = wait
-                except TypeError:  # an error in place of a wait
-                    cycles.append(wait)
-                    continue
+        for span, e_tx, e_rx in legs:
+            for t_w, e_w in waits:
                 prom_rx = t_w > threshold
                 residual = span - t_w
                 if prom_rx:

@@ -375,10 +375,10 @@ def _build_parser() -> argparse.ArgumentParser:
                            "get reads a POST of up to 1288 file bytes as a "
                            "GET")
     p_ta.add_argument("--client", required=True,
-                      help="client endpoint as addr:port or [addr]:port; "
-                           "each export is one TCP connection, whose first "
-                           "packet fixes the server endpoint; numbers are "
-                           "ASCII, without _ or +; -0 reads as 0")
+                      help="client addr:port, an IPv6 addr in brackets as "
+                           "[addr]:port; each export is one TCP connection, "
+                           "whose first packet fixes the server endpoint; "
+                           "numbers are ASCII, without _ or +; -0 reads as 0")
     p_ta.add_argument("--t-i", type=number, required=True,
                       help="application period, ms")
     p_ta.add_argument("--concurrency", type=integer,

@@ -5,8 +5,8 @@ grid of scenario parameters, one dimension per swept axis.  A row is a run
 of at most ``ROW_CELLS`` values of the innermost axis, whatever its name: a
 cloud per cell, and an edge and a delta per cell or one that all share.  It
 binds :func:`ltenergy.analytic.cycle_pricer` once and prices each row with
-two ``price.row`` calls, its edges, then its clouds; an edge that overruns
-or overflows prices no cloud.  ``csv_rows`` and ``json_text`` render a
+``price.row``, its edges, then the clouds of the edges that price: an
+edge's error fills its cells.  ``csv_rows`` and ``json_text`` render a
 stream of rows as chunks, one per row, that the CLI's ``_write`` alone
 collects.  A run's ratios and energies, with the ``n`` decimals that
 ``_fmt`` gives each, take one ``%`` call; JSON drops up to n - 1 trailing
@@ -119,8 +119,11 @@ class SweepAxis(NamedTuple):
         """``len(self.values())``, without building the list."""
         return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
-    def values(self) -> list[float]:
-        return [self.start + i * self.step for i in range(self.n_values)]
+    def values(self, indices: range | None = None) -> list[float]:
+        """The values at ``indices``, a range in ``range(n_values)``."""
+        if indices is None:
+            indices = range(self.n_values)
+        return [self.start + k * self.step for k in indices]
 
 
 @_checked
@@ -153,7 +156,7 @@ class SweepSpec(NamedTuple):
         for axis in self.axes:
             pick, fields = _field_picker(base, (axis.name,))
             for value in (axis.start,
-                          axis.start + (axis.n_values - 1) * axis.step):
+                          *axis.values(range(axis.n_values)[-1:])):
                 ConnectionlessScenario(*pick((value, *fields)), *base[5:])
 
     @property
@@ -317,8 +320,8 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     per cell; ``edges`` and ``deltas`` (``delta_rtt``) hold one per cell or
     one that all share, the edge with ``rtt_cloud`` innermost, else the
     delta.  Each list is kept, the same object, while the next row repeats
-    it.  A row's edges are one ``price.row`` call and its clouds another:
-    no cloud whose edge is an error is priced, that error is its cloud."""
+    it.  A row's edges are one ``price.row`` call, and its clouds one of the
+    cells of priced edges: this kernel gives an edge's error to its cells."""
     *outer, inner = spec.axes
     base = spec.base._replace(rtt=spec.rtt_cloud + 0.0)  # -0.0 as 0.0
     pick, fields = _field_picker(base, [axis.name for axis in spec.axes])
@@ -348,16 +351,11 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
     def delta_row(rtts):
         return [rtt - rtt_edge for rtt in rtts]
 
-    def block(inputs, edges):  # an edge's error for its cloud's input
-        return [x if isinstance(edge, tuple) else edge
-                for x, edge in zip(inputs, edges)]
-
     for head in itertools.product(*(axis.values() for axis in outer)):
         for start in range(0, n, ROW_CELLS):
             if last.get("start") != start:
-                last["start"], tails = start, [
-                    inner.start + k * inner.step
-                    for k in range(start, min(start + ROW_CELLS, n))]
+                last["start"], tails = start, inner.values(
+                    range(n)[start:start + ROW_CELLS])
             # The inner axis's fields are the list ``tails``, others floats,
             # so each value below is a list of one per cell or of one.
             t_i, t_elab, rtt, b_tx, b_rx = pick(head + (tails,) + fields)
@@ -366,12 +364,18 @@ def sweep_rows(spec: SweepSpec, profile: PowerProfile) -> Iterator[tuple]:
                           cells("edge waits", waits, t_elab, rtt_edge))
             row_waits = cells("waits", waits, t_elab, rtt)
             deltas = cells("deltas", delta_row, rtt)
-            # Legs or waits vary, never both: errors go where edges vary.
-            if len(row_legs) == len(edges):
-                row_legs = cells("blocked", block, row_legs, edges)
-            else:
-                row_waits = cells("blocked", block, row_waits, edges)
-            yield head, tails, edges, price.row(row_legs, row_waits), deltas
+            ok = [type(edge) is tuple for edge in edges]
+            if all(ok):
+                clouds = price.row(row_legs, row_waits)
+            elif len(edges) == 1:  # every cell's one edge is this error
+                clouds = edges * len(tails)
+            else:  # legs or waits vary with the edges, never both
+                priced = iter(price.row(*[
+                    [*itertools.compress(x, ok)] if len(x) > 1 else x
+                    for x in (row_legs, row_waits)]))
+                clouds = [next(priced) if is_priced else edge
+                          for is_priced, edge in zip(ok, edges)]
+            yield head, tails, edges, clouds, deltas
 
 
 def run_sweep(spec: SweepSpec, profile: PowerProfile) -> SweepResult:

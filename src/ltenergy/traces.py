@@ -194,6 +194,9 @@ def parse_endpoint(text: str, what: str = "endpoint") -> tuple[str, int]:
     """``(addr, port)`` of ``addr:port`` or ``[addr]:port``; port 0-65535."""
     addr, colon, port = text.rpartition(":")
     addr = addr.strip()
+    if addr[-1:] == ":" and addr[-2:] != "::":  # IPv6 as 2001:db8::10
+        raise ValueError(f"{what} {text!r} is an IPv6 address without a "
+                         "port: write [addr]:port")
     try:
         if colon and (port := int(_ascii(port.strip()))) in _PORTS:
             return addr[1:-1] if addr[:1] + addr[-1:] == "[]" else addr, port

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PROPERTIES = "tests/test_trace_properties.py::TestParserMatchesReference"
 KERNEL = ("tests/test_sweep.py::TestSweepMatchesCompare::"
           "test_every_cell_equals_compare")
+PRICED_ONCE = ("tests/test_cli.py::TestEachCyclePricedOnce::"
+               "test_sweep_prices_no_cloud_of_an_overrunning_edge")
 
 
 class Mutant(NamedTuple):
@@ -92,6 +94,15 @@ MUTANTS = [
     Mutant("cloud priced with its neighbour's leg", "sweep.py",
            "price.row(row_legs, row_waits)",
            "price.row(row_legs[1:] + row_legs[:1], row_waits)", (KERNEL,)),
+    # The kernel, not the pricer, routes an edge's error: a row that shares
+    # one errored edge prices no cloud, and a row whose edges vary prices
+    # the clouds of its priced edges alone, each error in its own cell.
+    Mutant("shared errored edge prices its clouds", "sweep.py",
+           "clouds = edges * len(tails)",
+           "clouds = price.row(row_legs, row_waits)", (PRICED_ONCE,)),
+    Mutant("varying edges price every cloud", "sweep.py",
+           "[*itertools.compress(x, ok)] if len(x) > 1 else x", "x",
+           (PRICED_ONCE,)),
     # A sweep's JSON writes each RTT difference with the decimals its CSV
     # has.
     Mutant("JSON delta with axis decimals", "sweep.py",

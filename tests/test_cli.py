@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -1147,6 +1148,9 @@ class TestInputFiles:
         assert capsys.readouterr().out == plain
 
 
+IPV6_WITHOUT_PORT = ("2001:db8::10", "::1", "fe80::1")
+
+
 class TestTraceAnalyzeClient:
     """``--client`` is parsed once, where it enters, into an address and an
     integer port: the same endpoint written with a zero-padded port or
@@ -1185,16 +1189,20 @@ class TestTraceAnalyzeClient:
     @pytest.mark.parametrize("client", ["foo", "1.2.3.4:", "1.2.3.4:99999",
                                         "1.2.3.4:8O", "1.2.3.4:-1",
                                         "1.2.3.4:+80", "1.2.3.4:8_0",
-                                        "1.2.3.4:²", "1.2.3.4:٨٠"])
+                                        "1.2.3.4:²", "1.2.3.4:٨٠",
+                                        *IPV6_WITHOUT_PORT])
     def test_malformed(self, tmp_path, capsys, client):
-        """No profile or export is read: both are missing here."""
+        """No profile or export is read: both are missing here.  An IPv6
+        address without a port, which would split at its last ``:`` into
+        an address ending in one ``:``, is asked for in brackets."""
         assert cli.main(["trace-analyze", "--kind", "get", "--client",
                          client, "--t-i", "30000", "--profile",
                          str(tmp_path / "missing.json"),
                          str(tmp_path / "missing.tsv")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: --client {client!r} is not addr:port with port "
-            "0-65535\n")
+        assert capsys.readouterr().err == f"error: --client {client!r} " + (
+            "is an IPv6 address without a port: write [addr]:port\n"
+            if client in IPV6_WITHOUT_PORT else
+            "is not addr:port with port 0-65535\n")
 
 
 class TestNumberRule:
@@ -1944,24 +1952,38 @@ class TestEachCyclePricedOnce:
         assert sorted(set(args[-1] for args in calls)) == [
             1000.0 * k for k in range(1, 121)]
 
+    T_I = {"name": "t_i", "start": 100, "stop": 1000, "step": 100}
+    RTT_CLOUD = {"name": "rtt_cloud", "start": 50, "stop": 500, "step": 50}
+    T_ELAB = {"name": "t_elab", "start": 0, "stop": 1000, "step": 100}
+
+    @pytest.mark.parametrize("axes", [(T_I, RTT_CLOUD), (RTT_CLOUD, T_I),
+                                      (RTT_CLOUD, T_ELAB)],
+                             ids=["rtt_cloud", "t_i", "t_elab"])
     def test_sweep_prices_no_cloud_of_an_overrunning_edge(self, calls,
-                                                           tmp_path):
+                                                           tmp_path, axes):
         """At 128 ms up and 160 ms down, an edge at 40 ms overruns the
-        periods of 100, 200 and 300 ms: those rows price their edge alone,
-        the other 7 rows their edge and their 10 clouds."""
+        periods of 100, 200 and 300 ms, and a period of 1000 ms from
+        t_elab 700 ms: each edge is priced once, and the cloud of each cell
+        whose edge fits once, whichever axis is innermost: ``rtt_cloud``,
+        where a row shares one edge, or ``t_i`` or ``t_elab``, where its
+        edges vary with its legs or with its edge waits."""
+        base = {"t_i": 1000, "t_elab": 0, "rtt_edge": 40, "b_tx": 16000,
+                "b_rx": 16000}
         config = tmp_path / "overrun.json"
-        config.write_text(json.dumps({
-            "command": "sweep", "base": {"t_i": 1000, "rtt_edge": 40,
-                                         "b_tx": 16000, "b_rx": 16000},
-            "axes": [{"name": "t_i", "start": 100, "stop": 1000,
-                      "step": 100},
-                     {"name": "rtt_cloud", "start": 50, "stop": 500,
-                      "step": 50}]}))
+        config.write_text(json.dumps({"command": "sweep", "base": base,
+                                      "axes": list(axes)}))
         assert cli.main(["sweep", "--config", str(config), "--out",
                          str(tmp_path / "overrun.csv")]) == 0
-        assert [args[-1] for args in calls if args[-1] < 400] == [
-            100.0, 200.0, 300.0]
-        assert len(calls) == 3 + 7 * 11
+        grid = [{**base, **dict(zip([axis["name"] for axis in axes], v))}
+                for v in itertools.product(*(
+                    range(axis["start"], axis["stop"] + 1, axis["step"])
+                    for axis in axes))]
+        edges = {(128.0, c["t_elab"] + 40.0, 160.0, c["t_i"]) for c in grid}
+        clouds = [(128.0, c["t_elab"] + c["rtt_cloud"], 160.0, c["t_i"])
+                  for c in grid if 128.0 + c["t_elab"] + 40.0 + 160.0
+                  <= c["t_i"]]
+        assert 0 < len(clouds) < len(grid)  # some edges overrun, some fit
+        assert sorted(calls) == sorted([*edges, *clouds])
 
     def test_sweep_prices_each_row_once(self, counts, tmp_path):
         """fig4 sweeps 18 periods by 11 cloud RTTs: each of its 18 rows

@@ -109,14 +109,19 @@ class TestAxis:
 
 class TestGridBound:
     """Grids beyond ``MAX_GRID_CELLS`` cells are rejected from the axis
-    counts alone; no grid value is built."""
+    counts alone; no grid is built, only the last value of each axis of a
+    grid within the bound, which ``SweepSpec`` checks."""
 
     @pytest.fixture(autouse=True)
     def no_values(self, monkeypatch):
-        def fail(self):
-            raise AssertionError("grid values built")
+        values = SweepAxis.values
 
-        monkeypatch.setattr(SweepAxis, "values", fail)
+        def last_value_only(self, indices=None):
+            if indices is None or len(indices) > 1:
+                raise AssertionError("grid values built")
+            return values(self, indices)
+
+        monkeypatch.setattr(SweepAxis, "values", last_value_only)
 
     def test_axis_at_the_limit(self):
         assert SweepAxis("t_i", 1, MAX_GRID_CELLS, 1).n_values == MAX_GRID_CELLS
@@ -316,6 +321,9 @@ class TestSweepMatchesCompare:
     # both, then the response promotion alone, and ends in overruns
     @example(spec=reference_spec((SweepAxis("rtt_cloud", 0, 36000, 3000),),
                                  t_i=30000.0))
+    # an outer t_elab: each row's cloud waits change while its rtts repeat
+    @example(spec=reference_spec((SweepAxis("t_elab", 0, 1000, 500),
+                                  SweepAxis("rtt_cloud", 50, 150, 50))))
     @across_row_boundary
     def test_every_cell_equals_compare(self, spec):
         """Each cell of ``run_sweep`` is ``compare`` at its point, and each
