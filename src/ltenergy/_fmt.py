@@ -11,13 +11,15 @@ in CSV), and a sweep's axis values and RTT differences as :func:`trimmed`,
 an ``int`` where whole.  So a cell holds one value in both formats.  The
 one exception is ``power-table``'s JSON: the profile itself, exact, which
 ``--profile`` loads back.  The energy accounting returns only finite
-numbers, and :func:`csv_line` quotes as ``csv.writer`` does.
+numbers, and :func:`csv_line` quotes as ``csv.writer`` does.  A table
+column (:func:`column_texts`, :func:`column_values`) without decimals writes
+a float as an axis value and a text or int as is; ``None`` is ``""``/null.
 """
 
 from __future__ import annotations
 
 __all__ = ["MJ", "MS", "RHO", "COST", "AXIS", "fixed", "trimmed", "fmt_axis",
-           "csv_line", "fixed_texts"]
+           "csv_line", "fixed_texts", "column_texts", "column_values"]
 MJ, MS, RHO, COST, AXIS = 1, 3, 3, 6, 6  # decimals of each quantity
 _QUOTED = frozenset(',"\n')  # what makes csv.writer quote a field
 
@@ -36,6 +38,20 @@ def fmt_axis(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
     return fixed(x, AXIS).rstrip("0").rstrip(".")
+
+
+def column_texts(cells: tuple, n: int | None) -> list[str]:
+    """The CSV texts of a column's cells, ``n`` its decimals."""
+    if n is None:
+        return [fmt_axis(x) if isinstance(x, float) else
+                "" if x is None else str(x) for x in cells]
+    return ["" if x is None else fixed(x, n) for x in cells]
+
+
+def column_values(cells: tuple, n: int | None) -> list:
+    """The JSON values of a column's cells, ``n`` its decimals."""
+    n = AXIS if n is None else n
+    return [round(x, n) if isinstance(x, float) else x for x in cells]
 
 
 def fixed_texts(xs: list[float], n: int, as_json: bool) -> list[str]:

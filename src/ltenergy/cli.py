@@ -5,33 +5,36 @@ prices a single connectionless cycle, ``sweep`` and ``cost`` run grid
 evaluations from flags or a JSON config file, ``trace-analyze`` turns
 packet trace exports into energy summaries, and ``trace-synth`` writes a
 synthetic trace; it takes ``--out`` but no ``--profile`` or ``--format``.
-A config file accepts only its command's keys (any other key is an error),
-and flags win over the file.  Configs, profiles and trace exports are read
-as UTF-8 with an optional byte order mark (a UTF-16 one is an error that
-asks for UTF-8), and an error reading one names the file.  Numbers are
-ASCII, without ``_`` or ``+``; -0 reads as 0.
+``eval`` prints a listing whatever its ``--format``, which shapes only
+``--out``.  A config file accepts only its command's keys (any other key is
+an error), and flags win over the file.  Configs, profiles and trace
+exports are read as UTF-8 with an optional byte order mark (a UTF-16 one is
+an error that asks for UTF-8), and an error reading one names the file.
+Numbers are ASCII, without ``_`` or ``+``; -0 reads as 0.
 
 Outputs are deterministic: fixed column orders, numbers written by the
 one rule of :mod:`ltenergy._fmt`, CSV lines quoted as by ``csv.writer``,
 and no timestamps, so repeated runs of the same config are byte-identical.
-A renderer yields its artifact as chunks, and ``_write`` alone collects
-them, once, before it opens ``--out`` or writes to stdout: a failure, even
-at the last sweep cell, leaves stdout empty and an existing ``--out`` file
-as it was.  On stderr, each library warning is one ``warning: <message>``
-line, and a failure ends with one ``error: <message>`` line and exit
-status 1.
+Each table but a sweep's, which streams, goes through ``_emit``, where a
+column names its decimals once.  A renderer yields its artifact as chunks,
+and ``_write`` alone collects them, once, before it opens ``--out`` or
+writes to stdout: a failure, even at the last sweep cell, leaves stdout
+empty and an existing ``--out`` file as it was.  On stderr, each library
+warning is one ``warning: <message>`` line, and a failure ends with one
+``error: <message>`` line and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import warnings
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import analytic
-from ._fmt import AXIS, COST, MJ, MS, RHO, csv_line, fixed, fmt_axis
+from ._fmt import COST, MJ, MS, RHO, column_texts, column_values, csv_line
 from .power_model import (PowerProfile, _ascii, _checked, _load_json_object,
                           _number, _open_utf8, _reject_unknown,
                           default_profile, load_profile, profile_to_dict)
@@ -70,34 +73,33 @@ def _write(config: RunConfig, *chunks: str) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _json(obj: Any) -> tuple[str]:
-    """The JSON artifact layout as one chunk: indent 2, no trailing newline."""
-    return (json.dumps(obj, indent=2),)
-
-
-def _emit(config: RunConfig, columns: list[str],
-          lines: Callable[[], Iterable[str]],
-          json_text: Callable[[], Iterable[str]]) -> None:
-    """Render the artifact in the requested format only, from the CSV
-    ``lines`` of :func:`csv_line` or the ``json_text`` chunks, and pass the
-    header and lines, or the JSON chunks and a newline, to :func:`_write`."""
-    if config.output_format == "json":
-        _write(config, *json_text(), "\n")
+def _emit(config: RunConfig, columns: Sequence[tuple[str, int | None]],
+          rows: Iterable[Sequence[Any]], json_obj: Callable[..., Any]) -> None:
+    """Write a table of ``(name, decimals)`` columns in the requested format
+    only: a header and a line of texts per row, or ``json_obj(names, rows of
+    values)`` at indent 2 and a newline; rows are written 512 at a time."""
+    names, decimals = zip(*columns)
+    as_json = config.output_format == "json"
+    write = column_values if as_json else column_texts
+    rows = iter(rows)
+    chunks = iter(lambda: [*itertools.islice(rows, 512)], [])
+    written = (row for chunk in chunks
+               for row in zip(*map(write, zip(*chunk), decimals)))
+    if as_json:
+        _write(config, json.dumps(json_obj(names, written), indent=2), "\n")
     else:
-        _write(config, csv_line(columns), *lines())
+        _write(config, csv_line(names), *map(csv_line, written))
 
 
 def _run_power_table(config: RunConfig) -> int:
     data = profile_to_dict(_resolve_profile(config))
-    flat: list[tuple[str, float]] = []  # duty blocks as "block.field"
-    for key, value in data.items():
-        if isinstance(value, dict):
-            flat.extend((f"{key}.{sub}", v) for sub, v in value.items())
-        else:
-            flat.append((key, value))
-    _emit(config, ["parameter", "value"],
-          lambda: [csv_line([name, fmt_axis(v)]) for name, v in flat],
-          lambda: _json(data))
+    # Duty blocks as "block.field".  The JSON is the profile itself, exact,
+    # which --profile loads back.
+    rows = [(f"{key}.{sub}" if sub else key, v) for key, field in data.items()
+            for sub, v in (field.items() if isinstance(field, dict)
+                           else [("", field)])]
+    _emit(config, [("parameter", None), ("value", None)], rows,
+          lambda *_: data)
     return 0
 
 
@@ -106,22 +108,20 @@ def _run_eval(config: RunConfig) -> int:
     scn = analytic.ConnectionlessScenario(**config.params)
     timing, energy = analytic.price_scenario(scn, profile)
 
-    # (column, value, unit): the phase durations, then the energy parts
-    # and their total, each named after its field.
-    table = [(f"{name}_ms", value, "ms")
-             for name, value in zip(timing._fields, timing)
+    # (column, decimals, unit, value): the phase durations, then the
+    # energy parts and their total, each named after its field.
+    table = [(f"{name}_ms", MS, "ms", x)
+             for name, x in zip(timing._fields, timing)
              if name.startswith("t_")]
-    table += [(f"{name}_mj", value, "mJ")
-              for name, value in zip(energy._fields, energy)]
-    decimals = {"ms": MS, "mJ": MJ}
-    for column, value, unit in table:
-        label = column.rsplit("_", 1)[0].upper()
-        print(f"{label} = {fixed(value, decimals[unit])} {unit}")
+    table += [(f"{name}_mj", MJ, "mJ", x)
+              for name, x in zip(energy._fields, energy)]
+    for column, n, unit, x in table:  # T_TX = 128.000 ms
+        print(f"{column[:-3].upper()} = {column_texts((x,), n)[0]} {unit}")
 
     if config.output_path is not None:
-        _emit(config, [column for column, _, _ in table],
-              lambda: [csv_line([fixed(v, decimals[u]) for _, v, u in table])],
-              lambda: _json({c: round(v, decimals[u]) for c, v, u in table}))
+        _emit(config, [(column, n) for column, n, _, _ in table],
+              [[x for *_, x in table]],
+              lambda names, values: dict(zip(names, next(values))))
     return 0
 
 
@@ -173,8 +173,10 @@ def _run_sweep(config: RunConfig) -> int:
     profile = _resolve_profile(config)
     spec = _sweep_spec_from_params(config.params)
     rows = sweep.sweep_rows(spec, profile)
-    _emit(config, spec.columns, lambda: sweep.csv_rows(spec, rows),
-          lambda: sweep.json_text(spec, rows))
+    if config.output_format == "json":
+        _write(config, *sweep.json_text(spec, rows), "\n")
+    else:
+        _write(config, csv_line(spec.columns), *sweep.csv_rows(spec, rows))
     return 0
 
 
@@ -205,30 +207,23 @@ def _run_cost(config: RunConfig) -> int:
     curve = sweep.cost_curve(spec, profile)
     n = periods.n_values
 
-    columns = ["alpha", "t_i_ms", "e_mj_per_hour", "d_ms", "cost", "is_argmin"]
+    def curves(names: list[str], values: Iterator[tuple]) -> dict[str, Any]:
+        """One curve per alpha, its points from its rows; a curve spans the
+        period grid, so its largest energy and delay are the grid's."""
+        point = names[1:5]  # a point drops alpha and is_argmin
+        return {"curves": [{
+            "alpha": rows[0][0],
+            "argmin_t_i_ms": next(row[1] for row in rows if row[5]),
+            "e_max_mj": max(row[2] for row in rows),
+            "d_max_ms": max(row[3] for row in rows),
+            "points": [dict(zip(point, row[1:5])) for row in rows]}
+            for rows in iter(lambda: [*itertools.islice(values, n)], [])]}
 
-    def lines() -> Iterator[str]:
-        return (csv_line([fmt_axis(pt.alpha), fmt_axis(pt.t_i),
-                          fixed(pt.e_total, MJ), fmt_axis(pt.t_i),
-                          fixed(pt.c, COST),
-                          "1" if pt.t_i == curve.argmin_t_i[i // n] else "0"])
-                for i, pt in enumerate(curve.points))
-
-    def json_text() -> tuple[str]:
-        return _json({"curves": [
-            {"alpha": round(alpha, AXIS),
-             "argmin_t_i_ms": round(argmin, AXIS),
-             "e_max_mj": round(curve.e_max, MJ),
-             "d_max_ms": round(curve.d_max, AXIS),
-             "points": [{"t_i_ms": round(pt.t_i, AXIS),
-                         "e_mj_per_hour": round(pt.e_total, MJ),
-                         "d_ms": round(pt.t_i, AXIS),
-                         "cost": round(pt.c, COST)}
-                        for pt in curve.points[k * n:(k + 1) * n]]}
-            for k, (alpha, argmin) in enumerate(zip(spec.alphas,
-                                                    curve.argmin_t_i))]})
-
-    _emit(config, columns, lines, json_text)
+    _emit(config, [("alpha", None), ("t_i_ms", None), ("e_mj_per_hour", MJ),
+                   ("d_ms", None), ("cost", COST), ("is_argmin", None)],
+          ((pt.alpha, pt.t_i, pt.e_total, pt.t_i, pt.c,
+            int(pt.t_i == curve.argmin_t_i[i // n]))
+           for i, pt in enumerate(curve.points)), curves)
     return 0
 
 
@@ -236,14 +231,12 @@ def _run_trace_analyze(config: RunConfig) -> int:
     from . import traces
     p = config.params
     client = traces.parse_endpoint(p["client"], "--client")
-    t_i = traces._check_period(float(p["t_i"]))
+    t_i = traces._check_period(p["t_i"])
     concurrency = p.get("concurrency")
     if concurrency is not None and concurrency < 0:
         raise ValueError(f"concurrency must be non-negative, got {concurrency}")
     profile = _resolve_profile(config)  # read after every flag is checked
-    kind = p["kind"]
-    c_text = "" if concurrency is None else str(concurrency)
-    extract = (traces.extract_post_phases if kind == "post"
+    extract = (traces.extract_post_phases if p["kind"] == "post"
                else traces.extract_get_phases)
 
     def analyze(paths: Sequence[str]) -> traces.AggregateResult:
@@ -266,27 +259,16 @@ def _run_trace_analyze(config: RunConfig) -> int:
         placements = [("edge", edge, traces.rho_from_traces(edge, cloud)),
                       ("cloud", cloud, None)]
 
-    def cells(agg, rho):
-        """(column, CSV text, JSON value) of one placement's row."""
-        means = (("t_tx_ms", agg.mean_t_tx), ("t_w_ms", agg.mean_t_w),
-                 ("t_rx_ms", agg.mean_t_rx), ("t_q_ms", agg.mean_t_q))
-        return [
-            ("app_kind", agg.app_kind, agg.app_kind),
-            ("file_size", str(agg.file_size), agg.file_size),
-            ("t_i", fmt_axis(t_i), round(t_i, AXIS)),
-            ("c", c_text, concurrency),
-            *((column, fixed(v, MS), round(v, MS)) for column, v in means),
-            ("e_i_mJ", fixed(agg.total_mj, MJ), round(agg.total_mj, MJ)),
-            ("rho", "" if rho is None else fixed(rho, RHO),
-             None if rho is None else round(rho, RHO)),
-        ]
-
-    table = [(name, agg, cells(agg, r)) for name, agg, r in placements]
-    _emit(config, [column for column, _, _ in table[0][2]],
-          lambda: [csv_line([t for _, t, _ in row]) for _, _, row in table],
-          lambda: _json({name: {**{c: v for c, _, v in row},
-                                "repetitions": len(agg.breakdowns)}
-                         for name, agg, row in table}))
+    _emit(config, [("app_kind", None), ("file_size", None), ("t_i", None),
+                   ("c", None), ("t_tx_ms", MS), ("t_w_ms", MS),
+                   ("t_rx_ms", MS), ("t_q_ms", MS), ("e_i_mJ", MJ),
+                   ("rho", RHO)],
+          ((agg.app_kind, agg.file_size, t_i, concurrency, agg.mean_t_tx,
+            agg.mean_t_w, agg.mean_t_rx, agg.mean_t_q, agg.total_mj, rho)
+           for _, agg, rho in placements),
+          lambda names, values: {place: {
+              **dict(zip(names, row)), "repetitions": len(agg.breakdowns)}
+              for (place, agg, _), row in zip(placements, values)})
     return 0
 
 
@@ -331,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("power-table", parents=[common],
                    help="dump the active radio parameters")
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="price one connectionless cycle")
+    p_eval = sub.add_parser("eval", parents=[common], description=(
+        "Print the LABEL = value unit listing; --format shapes only --out."),
+        help="price one connectionless cycle")
     p_eval.add_argument("--t-i", type=number, required=True,
                         help="application period, ms")
     p_eval.add_argument("--t-elab", type=number,

@@ -109,6 +109,19 @@ MUTANTS = [
            '"delta_rtt_ms": {trimmed(d, MS)!r}',
            '"delta_rtt_ms": {trimmed(d)!r}',
            ("tests/test_cli.py::TestCsvJsonAgree::test_sweep_delta",)),
+    # A table column states its decimals once: an axis column's CSV text
+    # drops trailing zeros, and a decimals column's JSON value keeps only
+    # the column's decimals.
+    Mutant("axis CSV text with fixed decimals", "_fmt.py",
+           "return [fmt_axis(x) if isinstance(x, float) else",
+           "return [fixed(x, AXIS) if isinstance(x, float) else",
+           ("tests/test_cli.py::TestArtifactGoldens::test_flag_only_cost_csv",
+            "tests/test_cli.py::TestArtifactGoldens::test_power_table_csv")),
+    Mutant("decimals JSON value with axis decimals", "_fmt.py",
+           "n = AXIS if n is None else n", "n = AXIS",
+           ("tests/test_cli.py::TestEvalGolden::test_stdout_and_artifact",
+            "tests/test_cli.py::TestArtifactGoldens::test_flag_only_cost_json",
+            "tests/test_cli.py::TestArtifactGoldens::test_trace_analyze")),
 ]
 
 

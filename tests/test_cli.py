@@ -165,6 +165,45 @@ class TestEmitRendersRequestedFormatOnly:
         assert code == 0
         assert out.read_text()
 
+    @staticmethod
+    def table_argv(tmp_path, command):
+        if command == "cost":
+            return COST_ARGV
+        if command == "eval --out":
+            return EVAL_ARGV
+        if command == "trace-analyze":
+            edge, cloud = synth_exports(tmp_path, "get", 20000)
+            return ["trace-analyze", "--kind", "get", "--client", CLIENT,
+                    "--t-i", "30000", *edge, "--cloud", *cloud]
+        return [command]
+
+    @pytest.mark.parametrize("fmt, unused", [
+        ("csv", "column_values"), ("json", "column_texts"),
+    ])
+    @pytest.mark.parametrize("command", [
+        "cost", "eval --out", "trace-analyze", "power-table",
+    ])
+    def test_table(self, tmp_path, monkeypatch, capsys, command, fmt,
+                   unused):
+        """A CSV table writes no JSON value and a JSON table no CSV text.
+        ``eval`` prints its listing in either format, the CSV text of each
+        column's one cell, and its JSON artifact writes no more texts."""
+        argv = self.table_argv(tmp_path, command)
+        capsys.readouterr()
+        writer = getattr(cli, unused)
+        written = []
+
+        def spy(cells, n):
+            written.extend(cells)
+            return writer(cells, n)
+
+        monkeypatch.setattr(cli, unused, spy)
+        out = tmp_path / f"table.{fmt}"
+        assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_text()
+        listing = capsys.readouterr().out.splitlines()
+        assert len(written) == (len(listing) if fmt == "json" else 0)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_sweep_collects_no_grid(self, tmp_path, monkeypatch, capsys,
                                     fmt):

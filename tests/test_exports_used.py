@@ -3,7 +3,9 @@
 Every public name of the library modules, and every public method and
 property of their classes, must be read somewhere in the library itself
 or in ``bench/``: a name that only the tests call belongs in the tests,
-like the event-walk oracle in ``_event_reference``.
+like the event-walk oracle in ``_event_reference``.  Every name that a
+module imports is read in that module, in the function that imports it
+if a function does.
 """
 
 import ast
@@ -89,3 +91,35 @@ def test_every_public_method_is_read_outside_the_tests():
     read |= span_targets()
     assert methods
     assert sorted(m for m, name in methods.items() if name not in read) == []
+
+
+def unused_imports(path):
+    """``(line, name)`` of each name that ``path`` imports and does not
+    read in the module, or in the function whose body imports it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = [tree, *(node for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef)))]
+    unused = set()
+    for scope in scopes:
+        nodes = list(ast.walk(scope))
+        read = {node.id for node in nodes
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused.update((node.lineno, name) for name in bound
+                          if name not in read)
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_read(path):
+    assert unused_imports(path) == []
