@@ -46,7 +46,6 @@ __all__ = ["main"]
 class RunConfig(NamedTuple):
     """One fully resolved CLI invocation."""
 
-    command: str
     profile_path: str | None
     output_format: str
     output_path: str | None
@@ -279,29 +278,12 @@ def _run_trace_synth(config: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "power-table": _run_power_table,
-    "eval": _run_eval,
-    "sweep": _run_sweep,
-    "cost": _run_cost,
-    "trace-analyze": _run_trace_analyze,
-    "trace-synth": _run_trace_synth,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     def number(text: str) -> float:
         return _number(text, "flag")
 
     def integer(text: str) -> int:
         return int(_ascii(text))
-
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write the artifact to this path")
-    common = argparse.ArgumentParser(add_help=False, parents=[out])
-    common.add_argument("--profile", help="JSON radio parameter file")
-    common.add_argument("--format", choices=("csv", "json"),
-                        help="output format (default csv)")
 
     parser = argparse.ArgumentParser(
         prog="ltenergy",
@@ -310,10 +292,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("power-table", parents=[common],
-                   help="dump the active radio parameters")
+    def command(name: str, run: Callable[[RunConfig], int], **kwargs: Any):
+        """The subparser that runs ``run``, with ``--out`` and, unless it is
+        ``trace-synth``, ``--profile`` and ``--format``."""
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        p.add_argument("--out", help="write the artifact to this path")
+        if name != "trace-synth":
+            p.add_argument("--profile", help="JSON radio parameter file")
+            p.add_argument("--format", choices=("csv", "json"),
+                           help="output format (default csv)")
+        return p
 
-    p_eval = sub.add_parser("eval", parents=[common], description=(
+    command("power-table", _run_power_table,
+            help="dump the active radio parameters")
+
+    p_eval = command("eval", _run_eval, description=(
         "Print the LABEL = value unit listing; --format shapes only --out."),
         help="price one connectionless cycle")
     p_eval.add_argument("--t-i", type=number, required=True,
@@ -330,13 +324,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--downlink", type=number, dest="downlink_bps",
                         help="downlink bitrate, bits/s")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
-                             help="grid-evaluate the placement comparison")
+    p_sweep = command("sweep", _run_sweep,
+                      help="grid-evaluate the placement comparison")
     p_sweep.add_argument("--config", required=True,
                          help="JSON sweep configuration")
+    p_sweep.set_defaults(base=None, axes=None)  # set by its config file only
 
-    p_cost = sub.add_parser("cost", parents=[common],
-                            help="batching cost curve and its minimum")
+    p_cost = command("cost", _run_cost,
+                     help="batching cost curve and its minimum")
     p_cost.add_argument("--config", help="JSON cost configuration")
     p_cost.add_argument("--alpha", type=number, action="append",
                         dest="alphas", help="energy weight (repeatable)")
@@ -349,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--reply-bytes", type=number,
                         help="reply size, bytes (default 1)")
 
-    p_ta = sub.add_parser("trace-analyze", parents=[common],
-                          help="energy summary of packet trace exports")
+    p_ta = command("trace-analyze", _run_trace_analyze,
+                   help="energy summary of packet trace exports")
     p_ta.add_argument("--kind", choices=("post", "get"), required=True,
                       help="the bulk stream, the request for post or the "
                            "response for get, which must not be the smaller "
@@ -372,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ta.add_argument("files", nargs="+", metavar="FILE",
                       help="trace files, one exchange each")
 
-    p_ts = sub.add_parser("trace-synth", parents=[out],
-                          help="write a synthetic trace")
+    p_ts = command("trace-synth", _run_trace_synth,
+                   help="write a synthetic trace")
     p_ts.add_argument("--kind", choices=("post", "get"), required=True)
     p_ts.add_argument("--file-size", type=integer, required=True,
                       help="application bytes in the bulk direction")
@@ -388,15 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Namespace and config-file keys that are not parameters of a runner.
 _NOT_PARAMS = ("command", "config", "profile", "format", "out")
-# Config-file keys of a command beyond its flags' ``dest``s.
-_FILE_ONLY_KEYS = {"sweep": ("base", "axes")}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Resolve one invocation: flags win over the config file.
 
-    A config file may hold only its command's flag ``dest``s (not
-    ``config``) and that command's file-only keys.  The runner parameters
+    A config file may hold only the keys of its command's namespace, but
+    ``config`` (``main`` has popped the runner).  The runner parameters
     start from the file's keys; every flag given overrides its key, so each
     flag's ``dest`` is the parameter name its runner reads.  An empty string
     is given, not absent, so an empty path or format is an error.
@@ -408,8 +401,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if command != args.command:
             raise ValueError(f"{args.config}: config is for command "
                              f"{command!r}, not {args.command!r}")
-        known = {*vars(args), *_FILE_ONLY_KEYS.get(args.command, ())}
-        _reject_unknown(file_data, known - {"config"}, "config keys")
+        _reject_unknown(file_data, vars(args).keys() - {"config"},
+                        "config keys")
     merged = {**file_data,
               **{k: v for k, v in vars(args).items() if v is not None}}
     for key in ("profile", "format", "out"):
@@ -419,7 +412,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if v == "":
             raise ValueError(f"{key} must not be empty")
     return RunConfig(
-        command=args.command,
         profile_path=merged.get("profile"),
         output_format=merged.get("format") or "csv",
         output_path=merged.get("out"),
@@ -435,13 +427,13 @@ def _print_warning(message, *_) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    run = vars(args).pop("run")
     with warnings.catch_warnings():
         # Whatever ``-W`` asks, a warning is one line, never a traceback.
         warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         try:
-            config = _config_from_args(args)
-            return _RUNNERS[config.command](config)
+            return run(_config_from_args(args))
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -71,9 +71,17 @@ def _checked(cls):
     return cls
 
 
+def _finite(value: Any, what: str) -> bool:
+    """Whether the int or float ``value`` is finite, by :func:`_number`'s
+    rule, else a ValueError naming ``what``: a check converts no text."""
+    if isinstance(value, (int, float)):
+        return math.isfinite(_number(value, what))
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 def _check_finite(name: str, value: float) -> None:
-    """Reject, by ``name``, a ``value`` that no finite float holds."""
-    if not math.isfinite(_number(value, name)):
+    """Reject, by ``name``, a ``value`` that is not a finite int or float."""
+    if not _finite(value, name):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -91,7 +99,7 @@ class DutyCycleSpec(NamedTuple):
     sleep_power: float  # mW
 
     def _check(self) -> None:
-        if not all(math.isfinite(_number(value, f"duty-cycle {name}"))
+        if not all(_finite(value, f"duty-cycle {name}")
                    for name, value in zip(self._fields, self)):
             raise ValueError("duty-cycle parameters must be finite")
         if self.wake_power < 0 or self.sleep_power < 0:

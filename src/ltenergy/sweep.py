@@ -49,7 +49,7 @@ from .analytic import (
 )
 from ._fmt import (MJ, MS, RHO, csv_line, fixed, fixed_texts, fmt_axis,
                    trimmed)
-from .power_model import PowerProfile, _check_finite, _checked, _number
+from .power_model import PowerProfile, _check_finite, _checked, _finite
 
 __all__ = [
     "SWEEP_AXES",
@@ -101,7 +101,7 @@ class SweepAxis(NamedTuple):
             raise ValueError(
                 f"unknown sweep axis {self.name!r}; expected one of {SWEEP_AXES}"
             )
-        if not all(math.isfinite(_number(value, f"axis {self.name} {name}"))
+        if not all(_finite(value, f"axis {self.name} {name}")
                    for name, value in zip(self._fields[1:], self[1:])):
             raise ValueError(f"axis {self.name} bounds must be finite")
         if self.step <= 0:
@@ -430,7 +430,7 @@ class CostSpec(NamedTuple):
     def _check(self) -> None:
         if len(self.alphas) == 0:
             raise ValueError("alphas must be a non-empty list of numbers")
-        if not all(0.0 <= alpha <= 1.0 for alpha in self.alphas):
+        if not all(_finite(a, "alpha") and 0 <= a <= 1 for a in self.alphas):
             raise ValueError("alpha must lie in [0, 1]")
         for name in ("hourly_bytes", "rtt", "reply_bytes"):
             _check_finite(name, getattr(self, name))

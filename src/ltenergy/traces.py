@@ -315,11 +315,9 @@ def _convert_chunk(chunk: list[str], state: _ParseState) -> tuple:
 
     def sender(key):  # the raw (src_addr, src_port, dst_addr, dst_port)
         src_addr, sport, dst_addr, dport = key
-        src_port, dst_port = int(sport), int(dport)
-        if src_port not in _PORTS or dst_port not in _PORTS:
-            raise ValueError
-        return state.sender(
-            (src_addr.strip(), src_port, dst_addr.strip(), dst_port), 0)
+        pair = (src_addr.strip(), _parse_port(sport, "port", 0),
+                dst_addr.strip(), _parse_port(dport, "port", 0))
+        return state.sender(pair, 0)
 
     keys = list(zip(fields[1::9], fields[3::9], fields[2::9], fields[4::9]))
     return (stamps, sizes, _cached(state.flag_sets, fields[6::9],

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PROPERTIES = "tests/test_trace_properties.py::TestParserMatchesReference"
 KERNEL = ("tests/test_sweep.py::TestSweepMatchesCompare::"
           "test_every_cell_equals_compare")
+PORT_RANGE = ("tests/test_traces.py::TestParseEvents::"
+              "test_port_65536_rejected")
 PRICED_ONCE = ("tests/test_cli.py::TestEachCyclePricedOnce::"
                "test_sweep_prices_no_cloud_of_an_overrunning_edge")
 
@@ -55,6 +57,13 @@ MUTANTS = [
     Mutant("chunk search without isascii", "traces.py",
            '            or not (text.isascii() or text.replace("·", "")'
            '.isascii())\n', "", (PROPERTIES,)),
+    # Value types check numbers and only readers convert them: a check that
+    # converts takes a numeric string, which a comparison then trips over.
+    Mutant("_check_finite converts with _number", "power_model.py",
+           "    if not _finite(value, name):",
+           "    if not math.isfinite(_number(value, name)):",
+           ("tests/test_checked_types.py::"
+            "test_each_path_rejects_a_numeric_string",)),
     # Flag, config and profile numbers take the rule through ``_number``.
     Mutant("_number without _ascii", "power_model.py",
            "            value = _ascii(value) if isinstance(value, str) "
@@ -70,8 +79,15 @@ MUTANTS = [
            "and 0 <= min(seqs) <= max(seqs) < SEQ_SPACE",
            "and 0 <= min(seqs)", (PROPERTIES,)),
     Mutant("column reader without the port check", "traces.py",
-           "        if src_port not in _PORTS or dst_port not in _PORTS:\n"
-           "            raise ValueError\n", "", (PROPERTIES,)),
+           'pair = (src_addr.strip(), _parse_port(sport, "port", 0),\n'
+           '                dst_addr.strip(), _parse_port(dport, "port", 0))',
+           "pair = (src_addr.strip(), int(sport), dst_addr.strip(), "
+           "int(dport))", (PROPERTIES,)),
+    # Both readers take a port by ``_parse_port``: one that accepts 65536
+    # fails a chunk converted by column and one read line by line.
+    Mutant("_parse_port accepts 65536", "traces.py",
+           "if port not in _PORTS:", "if port not in range(65537):",
+           (f"{PORT_RANGE}[by-column]", f"{PORT_RANGE}[line-by-line]")),
     # Analyzers write unset flags as ``·``: such chunks still convert by
     # column.
     Mutant("column reader without the · exception", "traces.py",

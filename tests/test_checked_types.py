@@ -33,7 +33,7 @@ VALID = {
     "SweepSpec": sweep.SweepSpec(SCENARIO, SCENARIO.rtt, (AXIS,)),
     "CostSpec": sweep.CostSpec((0.5,), 360000.0, 40.0, AXIS),
     "TraceIteration": traces.TraceIteration(1.0, 2.0, 3.0, "get", 1000),
-    "RunConfig": cli.RunConfig("eval", None, "csv", None, {}),
+    "RunConfig": cli.RunConfig(None, "csv", None, {}),
 }
 # (field, value, message) that each type rejects.
 INVALID = {
@@ -100,3 +100,30 @@ def test_each_path_rejects_an_invalid_field(cls):
               for name, v in zip(cls._fields, VALID[cls.__name__])]
     for kind, text in paths(cls, values):
         assert kind is ValueError and message in text
+
+
+# (type, field, numeric string, message): a number field given as text,
+# which only a reader converts.
+NUMERIC_STRINGS = [
+    ("ConnectionlessScenario", "t_i", "1000",
+     "t_i must be a number, got '1000'"),
+    ("SweepAxis", "start", "1", "axis t_i start must be a number, got '1'"),
+    ("DutyCycleSpec", "wake_power", "788",
+     "duty-cycle wake_power must be a number, got '788'"),
+    ("CostSpec", "alphas", ("0.5",), "alpha must be a number, got '0.5'"),
+    ("PowerProfile", "p_tx", "1200.0", "p_tx must be a number, got '1200.0'"),
+    ("SweepSpec", "rtt_cloud", "40",
+     "rtt_cloud must be a number, got '40'"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, message", NUMERIC_STRINGS,
+                         ids=[case[0] for case in NUMERIC_STRINGS])
+def test_each_path_rejects_a_numeric_string(name, field, value, message):
+    """A value type checks that each number field holds an int or float:
+    a numeric string is a ValueError that names the field, not a
+    TypeError from a comparison."""
+    cls = type(VALID[name])
+    values = [value if f == field else v
+              for f, v in zip(cls._fields, VALID[name])]
+    assert paths(cls, values) == [(ValueError, message)] * 3

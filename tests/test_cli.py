@@ -1691,6 +1691,9 @@ class TestConfigKeys:
          "unknown config keys: ['rtt_edge']"),
         ("cost", cost_config(base={"t_i": 1000}),
          "unknown config keys: ['base']"),
+        # The runner that a subparser sets is not a key of its config.
+        ("sweep", sweep_config(run="x"), "unknown config keys: ['run']"),
+        ("cost", cost_config(run="x"), "unknown config keys: ['run']"),
     ])
     def test_top_level(self, tmp_path, capsys, command, config, message):
         assert_cli_error([command, "--config", write_config(tmp_path, config)],

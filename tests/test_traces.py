@@ -406,6 +406,20 @@ class TestParseEvents:
         rows[1] = line(0.050, CLIENT, SERVER, 2 ** 31 - 1, "PA", 1001, 1)
         assert len(parse_events("\n".join(rows), ENDPOINT)) == 5
 
+    @pytest.mark.parametrize("pad", ["", "\x1c"],
+                             ids=["by-column", "line-by-line"])
+    def test_port_65536_rejected(self, pad):
+        """A port lies in 0 to 65535, in a chunk converted by column and in
+        one that a padded timestamp sends line by line: a server at port
+        65536 is a bad first line, one at 65535 a connection."""
+        export = pad + "\n".join(post_exchange_lines())
+        with pytest.raises(TraceParseError) as err:
+            parse_events(export.replace("\t80\t", "\t65536\t"), ENDPOINT)
+        assert str(err.value) == "line 1: bad destination port '65536'"
+        packets = parse_events(export.replace("\t80\t", "\t65535\t"),
+                               ENDPOINT)
+        assert len(packets) == 5 and packets.server == ("192.0.2.9", 65535)
+
     @pytest.mark.parametrize("kind", ["get", "post"])
     @pytest.mark.parametrize("size", [1, 1448, 10 ** 6, 10 ** 7])
     def test_exports_as_written_convert_by_column(self, monkeypatch, kind,
